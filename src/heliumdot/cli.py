@@ -160,6 +160,8 @@ def _cmd_fit_twotone(args: argparse.Namespace) -> int:
                 raise FormatError(
                     f"two-tone data {args.data}: non-numeric row {line!r}"
                 ) from None
+    if not drive:
+        raise FormatError(f"two-tone data {args.data}: no data rows")
     fit = fitters.fit_lorentzian_dip(np.array(drive), np.array(response))
     io.write_fit_json(fit, args.out or "fit_twotone.json", config=_resolved(args))
     return 0

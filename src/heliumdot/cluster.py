@@ -152,7 +152,6 @@ class ElectronConfiguration:
     gradient_norm: float
     converged: bool
     iterations: int
-    restarts_used: int
     energy_history: tuple = ()
 
 
@@ -320,7 +319,7 @@ def minimize(
     if n_electrons == 0:
         return ElectronConfiguration(
             positions=np.zeros((0, 2)), energy=0.0, gradient_norm=0.0,
-            converged=True, iterations=0, restarts_used=0,
+            converged=True, iterations=0,
         )
     region = _auto_region(field_, scan_halfwidth)
     span = min(region[1] - region[0], region[3] - region[2])
@@ -360,7 +359,7 @@ def minimize(
         candidate = ElectronConfiguration(
             positions=x.reshape(-1, 2), energy=f, gradient_norm=gnorm,
             converged=converged, iterations=len(history) - 1,
-            restarts_used=r + 1, energy_history=history,
+            energy_history=history,
         )
         if best is None or (candidate.converged, -candidate.energy) > (
             best.converged, -best.energy

@@ -104,17 +104,6 @@ class FitResult:
     flags: dict = field(default_factory=dict)
     covariance: np.ndarray | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "params": {
-                name: {"value": self.params[name], "sigma": self.sigmas[name]}
-                for name in self.params
-            },
-            "rss": self.rss,
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
-
 
 # ---------------------------------------------------------------------------
 # engine

@@ -97,7 +97,13 @@ def read_trace(path: str) -> SpectrumTrace:
     sidecar = path + ".json"
     if os.path.exists(sidecar):
         with open(sidecar, "r", encoding="utf-8") as fh:
-            metadata = json.load(fh).get("metadata", {})
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"trace sidecar {sidecar}: invalid JSON ({exc})") from None
+        if not isinstance(raw, dict):
+            raise FormatError(f"trace sidecar {sidecar}: top level must be an object")
+        metadata = raw.get("metadata", {})
     return SpectrumTrace(probe=np.array(freqs), s21=np.array(s21), metadata=metadata)
 
 

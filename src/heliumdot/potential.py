@@ -187,7 +187,8 @@ def _bilinear(x_axis, y_axis, grid, xq, yq):
         + v10 * (1 - tx) * ty
         + v11 * tx * ty
     )
-    return float(out[0]) if scalar else out.reshape(np.shape(xq) or np.shape(yq))
+    # out already has the broadcast shape of the queries
+    return float(out[0]) if scalar else out
 
 
 def _local_steps(x_axis, y_axis, x, y):

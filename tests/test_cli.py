@@ -217,6 +217,28 @@ def test_missing_input_reports_json_error(tmp_path, capsys):
     assert "error" in payload and "message" in payload
 
 
+@pytest.mark.parametrize("sidecar", ["{not json", "[1, 2]"])
+def test_malformed_trace_sidecar_reports_json_error(tmp_path, capsys, sidecar):
+    far = str(tmp_path / "far.csv")
+    target = str(tmp_path / "target.csv")
+    main(_synth_args(far))
+    main(_synth_args(target, kind="rabi"))
+    (tmp_path / "target.csv.json").write_text(sidecar)
+    code = main(["compensate", "--far", far, "--target", target,
+                 "--out", str(tmp_path / "comp.csv")])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "FormatError"
+
+
+def test_empty_twotone_data_reports_json_error(tmp_path, capsys):
+    data = tmp_path / "empty.csv"
+    data.write_text("freq_GHz,response\n")
+    code = main(["fit", "twotone", "--data", str(data),
+                 "--out", str(tmp_path / "dip.json")])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "FormatError"
+
+
 def test_bad_voltage_spec_reports_error(tmp_path, capsys):
     maps = _maps_file(tmp_path)
     code = main(["sweep", "shift", "--maps", maps, "--electrode", "trap",

@@ -90,6 +90,13 @@ def test_bilinear_exact_on_bilinear_function():
     yq = np.array([0.12e-6, -0.5e-6, 0.77e-6])
     expect = 2.0 * (0.5 + 0.2 * xq / 1e-6 + 0.1 * yq / 1e-6)
     assert np.allclose(f.evaluate(xq, yq), expect, rtol=1e-12)
+    # broadcast queries: a column of x against a row of y
+    xb = xq[:, None]
+    yb = np.append(yq, 0.9e-6)[None, :]
+    grid = f.evaluate(xb, yb)
+    assert grid.shape == (3, 4)
+    expect_grid = 2.0 * (0.5 + 0.2 * xb / 1e-6 + 0.1 * yb / 1e-6)
+    assert np.allclose(grid, expect_grid, rtol=1e-12)
 
 
 def test_evaluate_outside_domain_raises():

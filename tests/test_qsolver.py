@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg as spla
 
 from heliumdot.core import CONSTANTS, DomainError, TWO_PI
-from heliumdot.potential import make_analytic
+from heliumdot.potential import CouplingMapSet, compose, make_analytic
 from heliumdot.qsolver import (
     auto_window,
     build_hamiltonian,
@@ -88,6 +91,43 @@ def test_eigenstates_orthonormal_and_converged():
             overlap = float(np.sum(sol.states[i] * sol.states[j]) * hx * hy)
             assert overlap == pytest.approx(1.0 if i == j else 0.0, abs=1e-8)
     assert sol.residuals.max() < 1e-8
+
+
+def _small_dome_hamiltonian():
+    """15 x 13 node Hamiltonian of a gridded Gaussian dome trap."""
+    axis = np.linspace(-1e-6, 1e-6, 41)
+    xx, yy = np.meshgrid(axis, axis)
+    maps = CouplingMapSet(
+        x_axis=axis, y_axis=axis,
+        grids={"trap": np.exp(-(xx / 1e-6) ** 2 - (yy / 0.7e-6) ** 2)},
+    )
+    field = compose(maps, {"trap": 0.3})
+    return build_hamiltonian(field, (-0.4e-6, 0.4e-6, -0.3e-6, 0.3e-6), nx=15, ny=13)
+
+
+def test_eigenstates_match_dense_eigh_on_gridded_dome():
+    ham = _small_dome_hamiltonian()
+    sol = eigenstates(ham, k=6, seed=0)
+    dense = scipy.linalg.eigh(ham.matrix.toarray(), eigvals_only=True)
+    np.testing.assert_allclose(sol.energies, dense[:6], rtol=1e-12, atol=0.0)
+    assert sol.residuals.max() < 1e-10
+
+
+def test_eigenstates_factors_once(monkeypatch):
+    """One sparse LU per solve: eigsh must use the factor it is handed, not
+    build its own from the shift."""
+    calls = []
+    real_splu = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(1)
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    # eigsh's own module binds splu at import; count its factorizations too
+    monkeypatch.setattr(sys.modules[spla.eigsh.__module__], "splu", counting_splu)
+    eigenstates(_small_dome_hamiltonian(), k=4, seed=0)
+    assert len(calls) == 1
 
 
 def test_eigenstates_seeded_deterministic():
