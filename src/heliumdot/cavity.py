@@ -42,14 +42,12 @@ class TwoLevelElectron:
     """Two-level description of the trapped electron's in-plane transition.
 
     omega_e [rad/s] transition frequency; gamma_2 [rad/s] total dephasing
-    (half-width of the electron response); gamma_1 [rad/s] energy decay,
-    bounded by gamma_2 >= gamma_1 / 2; sigma_z in [-1, 0] population
+    (half-width of the electron response); sigma_z in [-1, 0] population
     inversion (-1: ground state).
     """
 
     omega_e: float
     gamma_2: float
-    gamma_1: float = 0.0
     sigma_z: float = -1.0
 
     def __post_init__(self) -> None:
@@ -57,8 +55,6 @@ class TwoLevelElectron:
             raise DomainError("omega_e must be positive")
         if self.gamma_2 <= 0:
             raise DomainError("gamma_2 must be positive")
-        if self.gamma_1 < 0 or self.gamma_2 < self.gamma_1 / 2.0:
-            raise DomainError("need 0 <= gamma_1 <= 2 gamma_2")
         if not -1.0 <= self.sigma_z <= 0.0:
             raise DomainError("sigma_z must lie in [-1, 0]")
 

@@ -143,26 +143,8 @@ def _cmd_fit_rabi(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit_twotone(args: argparse.Namespace) -> int:
-    drive = []
-    response = []
-    with open(args.data, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.lower().startswith("freq"):
-                continue
-            parts = line.split(",")
-            if len(parts) < 2:
-                raise FormatError(f"two-tone data {args.data}: need 2 columns")
-            try:
-                drive.append(float(parts[0]) * _GHZ)
-                response.append(float(parts[1]))
-            except ValueError:
-                raise FormatError(
-                    f"two-tone data {args.data}: non-numeric row {line!r}"
-                ) from None
-    if not drive:
-        raise FormatError(f"two-tone data {args.data}: no data rows")
-    fit = fitters.fit_lorentzian_dip(np.array(drive), np.array(response))
+    drive, response = io.read_twotone_csv(args.data)
+    fit = fitters.fit_lorentzian_dip(drive, response)
     io.write_fit_json(fit, args.out or "fit_twotone.json", config=_resolved(args))
     return 0
 
@@ -238,7 +220,7 @@ def _cmd_sweep_freq(args: argparse.Namespace) -> int:
 
 
 def _cmd_qsolve(args: argparse.Namespace) -> int:
-    field_ = potential.make_analytic(
+    field_ = potential.QuarticField(
         a1x=args.a1x, a1y=args.a1y, a2x=args.a2x, a2y=args.a2y,
         e_x=args.ex, e_y=args.ey,
     )
@@ -389,7 +371,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file (constants, resonator)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output path (default depends on command)")
-    p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
 
 
 def _add_resonator_flags(p: argparse.ArgumentParser) -> None:
@@ -416,6 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center-ghz", type=float)
     p.add_argument("--points", type=int, default=801)
     p.add_argument("--snr", type=float, default=float("inf"))
+    p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
     p.set_defaults(func=_cmd_synth)
 
     fit = sub.add_parser("fit", help="fit a measured or synthesized trace")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .analytic import zero_point_length
 from .core import CONSTANTS, DomainError, PhysicalConstants, ResonatorParams, derived_resonator_quantities
-from .potential import CouplingGradientMap, CouplingMapSet, PotentialField, compose
+from .potential import CouplingGradientMap, CouplingMapSet, PotentialField, compose, scan_minimum
 
 # Electrons closer than this are a modeling error, not a physical configuration.
 MIN_SEPARATION = 1e-9  # m
@@ -68,31 +68,6 @@ def total_energy(
     return u
 
 
-def _field_gradient_many(field_: PotentialField, pos: np.ndarray) -> np.ndarray:
-    """dU/dr for each electron from the trap alone, shape (N, 2)."""
-    if field_.kind == "analytic":
-        c = field_.constants
-        gx = field_._poly_dx(pos[:, 0]) - c.e * field_.e_x
-        gy = field_._poly_dy(pos[:, 1]) - c.e * field_.e_y
-        return np.column_stack([gx, gy])
-    # gridded: vectorized central differences with the local cell size
-    maps = field_.maps
-    hx = np.empty(pos.shape[0])
-    hy = np.empty(pos.shape[0])
-    ix = np.clip(np.searchsorted(maps.x_axis, pos[:, 0], side="right") - 1, 0, maps.x_axis.size - 2)
-    iy = np.clip(np.searchsorted(maps.y_axis, pos[:, 1], side="right") - 1, 0, maps.y_axis.size - 2)
-    hx = maps.x_axis[ix + 1] - maps.x_axis[ix]
-    hy = maps.y_axis[iy + 1] - maps.y_axis[iy]
-    e = field_.constants.e
-    gx = -(e / (2 * hx)) * (
-        field_.evaluate(pos[:, 0] + hx, pos[:, 1]) - field_.evaluate(pos[:, 0] - hx, pos[:, 1])
-    )
-    gy = -(e / (2 * hy)) * (
-        field_.evaluate(pos[:, 0], pos[:, 1] + hy) - field_.evaluate(pos[:, 0], pos[:, 1] - hy)
-    )
-    return np.column_stack([gx, gy])
-
-
 def total_gradient(
     field_: PotentialField,
     positions,
@@ -103,7 +78,7 @@ def total_gradient(
     n = pos.shape[0]
     if n == 0:
         return np.zeros((0, 2))
-    grad = _field_gradient_many(field_, pos)
+    grad = field_.energy_gradient(pos)
     if n > 1:
         diff, dist = _pair_diffs(pos)
         np.fill_diagonal(dist, np.inf)
@@ -276,27 +251,6 @@ def _triangular_lattice(center: np.ndarray, spacing: float, n: int) -> np.ndarra
     return picked + center[None, :]
 
 
-def _scan_minimum(field_: PotentialField, region: tuple, samples: int = 61) -> np.ndarray:
-    x0, x1, y0, y1 = region
-    xs = np.linspace(x0, x1, samples)
-    ys = np.linspace(y0, y1, samples)
-    xx, yy = np.meshgrid(xs, ys)
-    u = np.asarray(field_.energy(xx, yy))
-    iy, ix = np.unravel_index(int(np.argmin(u)), u.shape)
-    return np.array([xs[ix], ys[iy]])
-
-
-def _auto_region(field_: PotentialField, scan_halfwidth: float) -> tuple:
-    if field_.kind == "gridded":
-        x0, x1, y0, y1 = field_.maps.domain
-        # stay one cell inside so derivative stencils remain valid
-        dx = float(np.max(np.diff(field_.maps.x_axis)))
-        dy = float(np.max(np.diff(field_.maps.y_axis)))
-        return (x0 + dx, x1 - dx, y0 + dy, y1 - dy)
-    w = scan_halfwidth
-    return (-w, w, -w, w)
-
-
 def minimize(
     field_: PotentialField,
     n_electrons: int,
@@ -304,7 +258,6 @@ def minimize(
     restarts: int = 8,
     init: np.ndarray | None = None,
     max_iter: int = 500,
-    scan_halfwidth: float = 2e-6,
     constants: PhysicalConstants = CONSTANTS,
 ) -> ElectronConfiguration:
     """Find the minimum-energy configuration of n_electrons in the trap.
@@ -321,12 +274,12 @@ def minimize(
             positions=np.zeros((0, 2)), energy=0.0, gradient_norm=0.0,
             converged=True, iterations=0,
         )
-    region = _auto_region(field_, scan_halfwidth)
+    region = field_.scan_region
     span = min(region[1] - region[0], region[3] - region[2])
     if init is not None:
         base = _check_positions(init).copy()
     else:
-        center = _scan_minimum(field_, region)
+        center = scan_minimum(field_, region, 61)
         hess = field_.energy_hessian(center)
         curv = float(np.trace(hess)) / 2.0
         if curv <= 0:
@@ -537,7 +490,9 @@ def shift_vs_voltage_sweep(
 
     Warm-start mode re-minimizes from the previous point's configuration
     (restarts collapse to 1 after the first voltage); with warm_start=False
-    every point runs the full seeded multi-start independently.
+    every point runs the full seeded multi-start independently.  A point
+    whose equilibrium is a saddle is recorded with shift = nan and
+    converged=False instead of aborting the sweep.
     """
     if electrode not in maps.electrodes:
         raise DomainError(f"unknown sweep electrode {electrode!r}")
@@ -559,12 +514,14 @@ def shift_vs_voltage_sweep(
             constants=constants,
         )
         modes = normal_modes(field_, config, constants)
-        coupled = coupled_spectrum(modes, config, res, gradient_map, constants)
+        shift = math.nan
+        if not modes.is_saddle:
+            shift = coupled_spectrum(modes, config, res, gradient_map, constants).shift
         rows.append(
             ShiftSweepRow(
                 electrode=electrode,
                 voltage=float(volt),
-                shift=coupled.shift,
+                shift=shift,
                 mode_frequencies=tuple(float(f) for f in modes.frequencies),
                 converged=config.converged and not modes.is_saddle,
             )

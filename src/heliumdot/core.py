@@ -147,9 +147,7 @@ class ResonatorParams:
     l_r and c_r are the mode inductance and capacitance that set the
     resonance frequency and impedance.  The decay rates are angular:
     kappa_1 and kappa_2 are the input/output port couplings, kappa_int the
-    internal loss.  l_tail and c_dot record the tail inductor and dot-island
-    capacitance of the physical device; they ride along for provenance and
-    are not used by the closed-form mode quantities.
+    internal loss.
     """
 
     l_r: float
@@ -157,16 +155,12 @@ class ResonatorParams:
     kappa_1: float = 0.0
     kappa_2: float = 0.0
     kappa_int: float = 0.0
-    l_tail: float = 109e-9
-    c_dot: float = 0.028e-15
 
     def __post_init__(self) -> None:
         if not (self.l_r > 0 and self.c_r > 0):
             raise DomainError("resonator l_r and c_r must be positive")
         if self.kappa_1 < 0 or self.kappa_2 < 0 or self.kappa_int < 0:
             raise DomainError("decay rates must be non-negative")
-        if self.l_tail <= 0 or self.c_dot <= 0:
-            raise DomainError("l_tail and c_dot must be positive")
 
     @property
     def omega_r(self) -> float:

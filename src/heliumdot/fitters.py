@@ -123,8 +123,9 @@ def least_squares(
     ydata may be complex; residuals are then the stacked real and imaginary
     parts.  ``bounds`` maps parameter names to (lo, hi): (0, inf) gives a
     log transform, finite intervals a scaled logit, omitted names are
-    unbounded.  Raises FitError when the normal equations stay singular or
-    no downhill step exists.
+    unbounded.  Raises FitError when there are fewer residuals than free
+    parameters, the model is not finite at the start, or the normal
+    equations stay singular.
     """
     names = list(init)
     bounds = dict(bounds or {})
@@ -132,6 +133,8 @@ def least_squares(
     xdata = np.asarray(xdata)
     ydata = np.asarray(ydata)
     complex_data = np.iscomplexobj(ydata)
+    if ydata.size * (2 if complex_data else 1) < len(names):
+        raise FitError(f"{ydata.size} data points cannot fix {len(names)} free parameters")
 
     def residuals(internal: np.ndarray) -> np.ndarray:
         params = {
@@ -463,6 +466,8 @@ def fit_lorentzian_dip(
     response = np.asarray(response, dtype=float)
     if drive.shape != response.shape:
         raise DomainError("drive and response lengths differ")
+    if drive.size < 4:
+        raise FitError(f"{drive.size} points cannot fix the 4 dip parameters")
     offset0 = float(np.percentile(response, 90))
     i_min = int(np.argmin(response))
     depth0 = max(offset0 - float(response[i_min]), 1e-12)

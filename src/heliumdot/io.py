@@ -107,6 +107,32 @@ def read_trace(path: str) -> SpectrumTrace:
     return SpectrumTrace(probe=np.array(freqs), s21=np.array(s21), metadata=metadata)
 
 
+def read_twotone_csv(path: str) -> tuple:
+    """Read two-tone data (freq_GHz, response; extra columns ignored).
+
+    Returns (drive [rad/s], response) arrays; FormatError on a short or
+    non-numeric row, or when the file has no data rows.
+    """
+    drive = []
+    response = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#") or line.lower().startswith("freq"):
+                continue
+            parts = line.split(",")
+            if len(parts) < 2:
+                raise FormatError(f"two-tone data {path}: need 2 columns")
+            try:
+                drive.append(float(parts[0]) * _GHZ)
+                response.append(float(parts[1]))
+            except ValueError:
+                raise FormatError(f"two-tone data {path}: non-numeric row {line!r}") from None
+    if not drive:
+        raise FormatError(f"two-tone data {path}: no data rows")
+    return np.array(drive), np.array(response)
+
+
 # ---------------------------------------------------------------------------
 # fits and sweeps
 # ---------------------------------------------------------------------------

@@ -10,15 +10,18 @@ with optional uniform compensation fields E_x, E_y [V/m].  The trapped
 electron's potential energy is U = -e * phi [J]; with E_y > 0 the energy
 decreases toward positive y (the field pulls the electron that way).
 
-Two field kinds share one interface: "gridded" fields interpolate tabulated
-maps bilinearly and differentiate by central differences with the local grid
-spacing as the step; "analytic" fields are quartic polynomial surrogates with
-closed-form derivatives, useful for oracles and solver cross-checks.
+Every field is a PotentialField: GriddedField (what ``compose`` returns)
+interpolates tabulated maps bilinearly and differentiates by central
+differences with the local grid cell as the step; QuarticField is a quartic
+polynomial surrogate with closed-form derivatives, useful for oracles and
+solver cross-checks.  ``sample_grid``, ``edge_ring`` and ``scan_minimum`` are
+the grid scans the level and cluster solvers share.
 """
 
 from __future__ import annotations
 
 import json
+from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -191,9 +194,10 @@ def _bilinear(x_axis, y_axis, grid, xq, yq):
     return float(out[0]) if scalar else out
 
 
-def _local_steps(x_axis, y_axis, x, y):
-    ix = int(np.clip(np.searchsorted(x_axis, x, side="right") - 1, 0, x_axis.size - 2))
-    iy = int(np.clip(np.searchsorted(y_axis, y, side="right") - 1, 0, y_axis.size - 2))
+def _cell_steps(x_axis, y_axis, x, y):
+    """Width and height of the grid cell holding each query point."""
+    ix = np.clip(np.searchsorted(x_axis, x, side="right") - 1, 0, x_axis.size - 2)
+    iy = np.clip(np.searchsorted(y_axis, y, side="right") - 1, 0, y_axis.size - 2)
     return x_axis[ix + 1] - x_axis[ix], y_axis[iy + 1] - y_axis[iy]
 
 
@@ -202,82 +206,102 @@ def _local_steps(x_axis, y_axis, x, y):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class PotentialField:
-    """Composed electrostatic potential on the helium surface.
+@dataclass(frozen=True, eq=False, kw_only=True)
+class PotentialField(ABC):
+    """Electrostatic potential on the helium surface, phi = base + E_x x + E_y y.
 
-    kind "gridded": phi interpolates sum_i V_i alpha_i plus the uniform
-    compensation field terms.  kind "analytic": the electron energy is the
-    quartic polynomial
-
-        U(x, y) = a1x x^2 + a2x x^4 + a1y y^2 + a2y y^4 - e (E_x x + E_y y)
-
-    and phi = -U/e, so both kinds satisfy U = -e phi.
-    evaluate/gradient/hessian work in volts; energy* variants in joules.
+    A subclass supplies the electrode part ``_base`` [V] and the electron
+    energy derivatives: ``energy_gradient`` [J/m] over points of shape
+    (..., 2), ``energy_hessian`` [J/m^2] at one point, the ``domain`` where
+    the field is defined (None when unbounded), and the ``scan_region`` in
+    which solvers look for the trap minimum.  ``evaluate`` is defined here
+    and only here, so every field evaluation goes through one method.
     """
 
-    kind: str
     e_x: float = 0.0
     e_y: float = 0.0
-    maps: CouplingMapSet | None = None
-    voltages: dict | None = None
-    a1x: float = 0.0
-    a1y: float = 0.0
-    a2x: float = 0.0
-    a2y: float = 0.0
     constants: PhysicalConstants = CONSTANTS
-    _weighted: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("gridded", "analytic"):
-            raise DomainError(f"unknown field kind {self.kind!r}")
-        if self.kind == "gridded":
-            if self.maps is None or self.voltages is None:
-                raise DomainError("gridded field needs maps and voltages")
-            if self._weighted is None:
-                w = np.zeros((self.maps.y_axis.size, self.maps.x_axis.size))
-                for name, volt in self.voltages.items():
-                    w += float(volt) * self.maps.grids[name]
-                object.__setattr__(self, "_weighted", w)
-
-    @property
-    def domain(self) -> tuple | None:
-        """(x0, x1, y0, y1) for gridded fields, None (unbounded) for analytic."""
-        return self.maps.domain if self.kind == "gridded" else None
-
-    # -- potential in volts -------------------------------------------------
 
     def evaluate(self, x, y):
         """Total potential phi(x, y) [V], vectorized over broadcastable x, y."""
-        if self.kind == "gridded":
-            base = _bilinear(self.maps.x_axis, self.maps.y_axis, self._weighted, x, y)
-            return base + self.e_x * np.asarray(x, dtype=float) + self.e_y * np.asarray(y, dtype=float)
-        return -self._poly_energy(x, y) / self.constants.e + (
-            self.e_x * np.asarray(x, dtype=float) + self.e_y * np.asarray(y, dtype=float)
+        return (
+            self._base(x, y)
+            + self.e_x * np.asarray(x, dtype=float)
+            + self.e_y * np.asarray(y, dtype=float)
         )
 
-    def gradient(self, point) -> np.ndarray:
-        """(d phi/dx, d phi/dy) [V/m] at a single point."""
-        x, y = float(point[0]), float(point[1])
-        if self.kind == "analytic":
-            gx = -self._poly_dx(x) / self.constants.e + self.e_x
-            gy = -self._poly_dy(y) / self.constants.e + self.e_y
-            return np.array([gx, gy])
-        hx, hy = _local_steps(self.maps.x_axis, self.maps.y_axis, x, y)
-        self._require_margin(x, y, hx, hy)
-        gx = (self.evaluate(x + hx, y) - self.evaluate(x - hx, y)) / (2 * hx)
-        gy = (self.evaluate(x, y + hy) - self.evaluate(x, y - hy)) / (2 * hy)
-        return np.array([gx, gy])
+    def energy(self, x, y):
+        """Electron potential energy U = -e phi [J], vectorized."""
+        return -self.constants.e * self.evaluate(x, y)
 
-    def hessian(self, point) -> np.ndarray:
-        """2x2 symmetric matrix of second derivatives of phi [V/m^2]."""
+    @abstractmethod
+    def _base(self, x, y):
+        """Electrode potential [V] without the uniform field terms."""
+
+    @abstractmethod
+    def energy_gradient(self, points) -> np.ndarray:
+        """dU/dr [J/m] at points of shape (..., 2); same shape out."""
+
+    @abstractmethod
+    def energy_hessian(self, point) -> np.ndarray:
+        """2x2 symmetric matrix of second derivatives of U [J/m^2] at one point."""
+
+    @property
+    @abstractmethod
+    def domain(self) -> tuple | None:
+        """(x0, x1, y0, y1) where the field is defined, None when unbounded."""
+
+    @property
+    @abstractmethod
+    def scan_region(self) -> tuple:
+        """(x0, x1, y0, y1) searched for the trap minimum."""
+
+
+@dataclass(frozen=True, eq=False)
+class GriddedField(PotentialField):
+    """phi interpolates sum_i V_i alpha_i bilinearly over the coupling maps.
+
+    Derivatives are central differences whose step is the grid cell holding
+    the point, so they raise DomainError within one cell of the map edge.
+    """
+
+    maps: CouplingMapSet
+    voltages: dict
+    _weighted: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        w = np.zeros((self.maps.y_axis.size, self.maps.x_axis.size))
+        for name, volt in self.voltages.items():
+            w += float(volt) * self.maps.grids[name]
+        object.__setattr__(self, "_weighted", w)
+
+    @property
+    def domain(self) -> tuple:
+        return self.maps.domain
+
+    @property
+    def scan_region(self) -> tuple:
+        """The domain less one cell per side, so derivative stencils stay inside."""
+        x0, x1, y0, y1 = self.maps.domain
+        dx = float(np.max(np.diff(self.maps.x_axis)))
+        dy = float(np.max(np.diff(self.maps.y_axis)))
+        return (x0 + dx, x1 - dx, y0 + dy, y1 - dy)
+
+    def _base(self, x, y):
+        return _bilinear(self.maps.x_axis, self.maps.y_axis, self._weighted, x, y)
+
+    def energy_gradient(self, points) -> np.ndarray:
+        pts = np.asarray(points, dtype=float)
+        x, y = pts[..., 0], pts[..., 1]
+        hx, hy = _cell_steps(self.maps.x_axis, self.maps.y_axis, x, y)
+        e = self.constants.e
+        gx = -(e / (2 * hx)) * (self.evaluate(x + hx, y) - self.evaluate(x - hx, y))
+        gy = -(e / (2 * hy)) * (self.evaluate(x, y + hy) - self.evaluate(x, y - hy))
+        return np.stack([gx, gy], axis=-1)
+
+    def energy_hessian(self, point) -> np.ndarray:
         x, y = float(point[0]), float(point[1])
-        if self.kind == "analytic":
-            hxx = -self._poly_dxx(x) / self.constants.e
-            hyy = -self._poly_dyy(y) / self.constants.e
-            return np.array([[hxx, 0.0], [0.0, hyy]])
-        hx, hy = _local_steps(self.maps.x_axis, self.maps.y_axis, x, y)
-        self._require_margin(x, y, hx, hy)
+        hx, hy = _cell_steps(self.maps.x_axis, self.maps.y_axis, x, y)
         f0 = self.evaluate(x, y)
         fxx = (self.evaluate(x + hx, y) - 2 * f0 + self.evaluate(x - hx, y)) / hx**2
         fyy = (self.evaluate(x, y + hy) - 2 * f0 + self.evaluate(x, y - hy)) / hy**2
@@ -287,50 +311,47 @@ class PotentialField:
             - self.evaluate(x - hx, y + hy)
             + self.evaluate(x - hx, y - hy)
         ) / (4 * hx * hy)
-        return np.array([[fxx, fxy], [fxy, fyy]])
+        return -self.constants.e * np.array([[fxx, fxy], [fxy, fyy]])
 
-    # -- electron energy in joules ------------------------------------------
 
-    def energy(self, x, y):
-        """Electron potential energy U = -e phi [J], vectorized."""
-        return -self.constants.e * self.evaluate(x, y)
+@dataclass(frozen=True, eq=False)
+class QuarticField(PotentialField):
+    """Quartic polynomial surrogate with closed-form derivatives:
 
-    def energy_gradient(self, point) -> np.ndarray:
-        return -self.constants.e * self.gradient(point)
+        U(x, y) = a1x x^2 + a2x x^4 + a1y y^2 + a2y y^4 - e (E_x x + E_y y)
 
-    def energy_hessian(self, point) -> np.ndarray:
-        return -self.constants.e * self.hessian(point)
+    with coefficients in J/m^2 and J/m^4; phi = -U/e.  Unbounded; the trap
+    minimum is searched within +-2 um of the origin.
+    """
 
-    # -- internals ----------------------------------------------------------
+    a1x: float = 0.0
+    a1y: float = 0.0
+    a2x: float = 0.0
+    a2y: float = 0.0
 
-    def _require_margin(self, x, y, hx, hy) -> None:
-        x0, x1, y0, y1 = self.maps.domain
-        if x - hx < x0 or x + hx > x1 or y - hy < y0 or y + hy > y1:
-            raise DomainError(
-                "derivative stencil leaves the map domain; stay one grid cell inside"
-            )
+    domain = None
+    scan_region = (-2e-6, 2e-6, -2e-6, 2e-6)
 
-    def _poly_energy(self, x, y):
+    def _base(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        return (
-            self.a1x * x**2
-            + self.a2x * x**4
-            + self.a1y * y**2
-            + self.a2y * y**4
-        )
+        return -(
+            self.a1x * x**2 + self.a2x * x**4 + self.a1y * y**2 + self.a2y * y**4
+        ) / self.constants.e
 
-    def _poly_dx(self, x):
-        return 2 * self.a1x * x + 4 * self.a2x * x**3
+    def energy_gradient(self, points) -> np.ndarray:
+        pts = np.asarray(points, dtype=float)
+        x, y = pts[..., 0], pts[..., 1]
+        e = self.constants.e
+        gx = 2 * self.a1x * x + 4 * self.a2x * x**3 - e * self.e_x
+        gy = 2 * self.a1y * y + 4 * self.a2y * y**3 - e * self.e_y
+        return np.stack([gx, gy], axis=-1)
 
-    def _poly_dy(self, y):
-        return 2 * self.a1y * y + 4 * self.a2y * y**3
-
-    def _poly_dxx(self, x):
-        return 2 * self.a1x + 12 * self.a2x * x**2
-
-    def _poly_dyy(self, y):
-        return 2 * self.a1y + 12 * self.a2y * y**2
+    def energy_hessian(self, point) -> np.ndarray:
+        x, y = float(point[0]), float(point[1])
+        hxx = 2 * self.a1x + 12 * self.a2x * x**2
+        hyy = 2 * self.a1y + 12 * self.a2y * y**2
+        return np.array([[hxx, 0.0], [0.0, hyy]])
 
 
 def compose(
@@ -338,8 +359,8 @@ def compose(
     voltages: Mapping[str, float],
     e_x: float = 0.0,
     e_y: float = 0.0,
-) -> PotentialField:
-    """Weight electrode maps by voltages into a gridded PotentialField.
+) -> GriddedField:
+    """Weight electrode maps by voltages into a GriddedField.
 
     Unknown electrode names raise DomainError listing the offenders;
     electrodes missing from ``voltages`` default to 0 V.
@@ -348,23 +369,39 @@ def compose(
     if unknown:
         raise DomainError(f"voltages for unknown electrodes: {unknown}")
     volts = {name: float(voltages.get(name, 0.0)) for name in maps.electrodes}
-    return PotentialField(kind="gridded", maps=maps, voltages=volts, e_x=e_x, e_y=e_y)
+    return GriddedField(maps=maps, voltages=volts, e_x=e_x, e_y=e_y)
 
 
-def make_analytic(
-    a1x: float = 0.0,
-    a1y: float = 0.0,
-    a2x: float = 0.0,
-    a2y: float = 0.0,
-    e_x: float = 0.0,
-    e_y: float = 0.0,
-    constants: PhysicalConstants = CONSTANTS,
-) -> PotentialField:
-    """Quartic polynomial surrogate field with energy coefficients in J/m^2, J/m^4."""
-    return PotentialField(
-        kind="analytic", a1x=a1x, a1y=a1y, a2x=a2x, a2y=a2y, e_x=e_x, e_y=e_y,
-        constants=constants,
-    )
+# ---------------------------------------------------------------------------
+# grid scans
+# ---------------------------------------------------------------------------
+
+
+def sample_grid(field_: PotentialField, region: tuple, nx: int, ny: int | None = None):
+    """U [J] on nx x ny nodes spanning region = (x0, x1, y0, y1), edges included.
+
+    Returns (xs, ys, U) with U of shape (ny, nx); ny defaults to nx.
+    """
+    x0, x1, y0, y1 = region
+    xs = np.linspace(x0, x1, nx)
+    ys = np.linspace(y0, y1, nx if ny is None else ny)
+    xx, yy = np.meshgrid(xs, ys)
+    return xs, ys, np.asarray(field_.energy(xx, yy), dtype=float)
+
+
+def edge_ring(shape: tuple) -> np.ndarray:
+    """Boolean mask of the outermost rows and columns of a 2-D grid."""
+    edge = np.zeros(shape, dtype=bool)
+    edge[0, :] = edge[-1, :] = True
+    edge[:, 0] = edge[:, -1] = True
+    return edge
+
+
+def scan_minimum(field_: PotentialField, region: tuple, samples: int) -> np.ndarray:
+    """(x, y) [m] of the lowest U on a samples x samples grid over region."""
+    xs, ys, u = sample_grid(field_, region, samples)
+    iy, ix = np.unravel_index(int(np.argmin(u)), u.shape)
+    return np.array([xs[ix], ys[iy]])
 
 
 # ---------------------------------------------------------------------------
@@ -399,13 +436,8 @@ def trap_depth(
     x0, x1, y0, y1 = region
     if not (x1 > x0 and y1 > y0):
         raise DomainError("trap-depth region must have positive extent")
-    xs = np.linspace(x0, x1, samples)
-    ys = np.linspace(y0, y1, samples)
-    xx, yy = np.meshgrid(xs, ys)
-    u = np.asarray(field_.energy(xx, yy), dtype=float)
-    edge = np.zeros_like(u, dtype=bool)
-    edge[0, :] = edge[-1, :] = True
-    edge[:, 0] = edge[:, -1] = True
+    xs, ys, u = sample_grid(field_, region, samples)
+    edge = edge_ring(u.shape)
     boundary_min = float(u[edge].min())
     interior = u[~edge]
     interior_min = float(interior.min())

@@ -23,7 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .core import CONSTANTS, DomainError, Frequency, PhysicalConstants
-from .potential import PotentialField
+from .potential import PotentialField, edge_ring, sample_grid, scan_minimum
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,18 +63,13 @@ def build_hamiltonian(
         raise DomainError("window must have positive extent")
     if nx < 3 or ny < 3:
         raise DomainError("need at least 3 nodes per axis")
-    x = np.linspace(x0, x1, nx)
-    y = np.linspace(y0, y1, ny)
+    x, y, u = sample_grid(field_, window, nx, ny)
     hx = x[1] - x[0]
     hy = y[1] - y[0]
-    xx, yy = np.meshgrid(x, y)
-    u = np.asarray(field_.energy(xx, yy), dtype=float)
     if not np.all(np.isfinite(u)):
         raise DomainError("potential is not finite over the window")
 
-    edge = np.zeros_like(u, dtype=bool)
-    edge[0, :] = edge[-1, :] = True
-    edge[:, 0] = edge[:, -1] = True
+    edge = edge_ring(u.shape)
     edge_minimum = bool(u[~edge].min() >= u[edge].min())
 
     t = constants.hbar**2 / (2.0 * constants.m_e)
@@ -189,30 +184,16 @@ def transitions(sol: EigenSolution) -> TransitionSet:
 def auto_window(
     field_: PotentialField,
     factor: float = 8.0,
-    scan_halfwidth: float = 2e-6,
     constants: PhysicalConstants = CONSTANTS,
 ) -> tuple:
     """Square window centered on the trap minimum, sized by the local curvature.
 
     Half-width = factor * sqrt(hbar / (m_e omega_est)) per axis, with
     omega_est from the geometric mean of the positive curvatures at the
-    scanned minimum.  Clipped to the field domain (one cell inside for
-    gridded fields).
+    scanned minimum.  Clipped to the field's scan region.
     """
-    if field_.kind == "gridded":
-        x0, x1, y0, y1 = field_.maps.domain
-        dx = float(np.max(np.diff(field_.maps.x_axis)))
-        dy = float(np.max(np.diff(field_.maps.y_axis)))
-        region = (x0 + dx, x1 - dx, y0 + dy, y1 - dy)
-    else:
-        w = scan_halfwidth
-        region = (-w, w, -w, w)
-    xs = np.linspace(region[0], region[1], 121)
-    ys = np.linspace(region[2], region[3], 121)
-    xx, yy = np.meshgrid(xs, ys)
-    u = np.asarray(field_.energy(xx, yy))
-    iy, ix = np.unravel_index(int(np.argmin(u)), u.shape)
-    cx, cy = float(xs[ix]), float(ys[iy])
+    region = field_.scan_region
+    cx, cy = scan_minimum(field_, region, 121)
     hess = field_.energy_hessian((cx, cy))
     curvs = np.clip(np.linalg.eigvalsh(hess), 1e-30, None)
     omega_est = math.sqrt(math.sqrt(curvs[0] * curvs[1]) / constants.m_e)

@@ -24,7 +24,7 @@ from heliumdot.core import (
     default_resonator,
     derived_resonator_quantities,
 )
-from heliumdot.potential import make_analytic
+from heliumdot.potential import QuarticField
 
 GHZ = 1e9 * TWO_PI
 MHZ = 1e6 * TWO_PI
@@ -38,7 +38,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
 def _harmonic(fx_ghz: float, fy_ghz: float):
     wx = fx_ghz * GHZ
     wy = fy_ghz * GHZ
-    return make_analytic(
+    return QuarticField(
         a1x=0.5 * CONSTANTS.m_e * wx**2, a1y=0.5 * CONSTANTS.m_e * wy**2
     )
 

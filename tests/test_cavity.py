@@ -30,8 +30,6 @@ def test_electron_validation():
     with pytest.raises(DomainError):
         TwoLevelElectron(omega_e=1.0, gamma_2=0.0)
     with pytest.raises(DomainError):
-        TwoLevelElectron(omega_e=1.0, gamma_2=1.0, gamma_1=3.0)
-    with pytest.raises(DomainError):
         TwoLevelElectron(omega_e=1.0, gamma_2=1.0, sigma_z=0.5)
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from heliumdot.cli import main
+from heliumdot.cli import build_parser, main
 from heliumdot.core import CONSTANTS, TWO_PI
 from heliumdot.io import read_trace
 
@@ -237,6 +237,28 @@ def test_empty_twotone_data_reports_json_error(tmp_path, capsys):
                  "--out", str(tmp_path / "dip.json")])
     assert code == 1
     assert json.loads(capsys.readouterr().err)["error"] == "FormatError"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_underdetermined_twotone_data_reports_json_error(tmp_path, capsys, rows):
+    # fewer rows than the 4 Lorentzian parameters
+    data = tmp_path / "short.csv"
+    data.write_text("freq_GHz,response\n" + "".join(
+        f"{8.6 + 0.01 * i!r},{1.0 - 0.1 * i!r}\n" for i in range(rows)
+    ))
+    code = main(["fit", "twotone", "--data", str(data),
+                 "--out", str(tmp_path / "dip.json")])
+    assert code == 1
+    assert not (tmp_path / "dip.json").exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "FitError"
+
+
+def test_format_flag_only_on_synth():
+    args = build_parser().parse_args(["calc", "g", "--coupling-length-nm", "5"])
+    assert "format" not in vars(args)
 
 
 def test_bad_voltage_spec_reports_error(tmp_path, capsys):

@@ -18,8 +18,8 @@ from heliumdot.cluster import (
 from heliumdot.core import CONSTANTS, DomainError, TWO_PI, default_resonator
 from heliumdot.potential import (
     CouplingMapSet,
+    QuarticField,
     compose,
-    make_analytic,
     uniform_gradient_map,
 )
 
@@ -31,7 +31,7 @@ def _harmonic(fx_ghz: float, fy_ghz: float):
     """Analytic harmonic trap with the given cyclic mode frequencies."""
     wx = fx_ghz * GHZ
     wy = fy_ghz * GHZ
-    return make_analytic(
+    return QuarticField(
         a1x=0.5 * CONSTANTS.m_e * wx**2, a1y=0.5 * CONSTANTS.m_e * wy**2
     )
 
@@ -293,6 +293,31 @@ def test_shift_sweep_warm_and_cold_agree():
     )
     for a, b in zip(warm, cold):
         assert a.shift == pytest.approx(b.shift, rel=1e-6, abs=1e-3)
+
+
+def test_shift_sweep_records_saddle_per_point(monkeypatch):
+    import dataclasses
+
+    from heliumdot import cluster
+
+    real = cluster.normal_modes
+    calls = []
+
+    def saddle_at_second_point(*args, **kwargs):
+        modes = real(*args, **kwargs)
+        calls.append(1)
+        return dataclasses.replace(modes, is_saddle=True) if len(calls) == 2 else modes
+
+    monkeypatch.setattr(cluster, "normal_modes", saddle_at_second_point)
+    maps = _sweep_maps()
+    rows = shift_vs_voltage_sweep(
+        maps, {}, "trap", [0.28, 0.30, 0.32], 1, default_resonator(),
+        gradient_map=uniform_gradient_map(maps.domain, 0.01e6), seed=0,
+    )
+    assert len(rows) == 3
+    assert [r.converged for r in rows] == [True, False, True]
+    assert math.isnan(rows[1].shift)
+    assert math.isfinite(rows[0].shift) and math.isfinite(rows[2].shift)
 
 
 def test_shift_sweep_unknown_electrode():

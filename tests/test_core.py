@@ -132,6 +132,13 @@ def test_config_rejects_unknown_keys():
         resonator_from_config({"resonator": {"quality": 1e6}})
 
 
+def test_config_rejects_removed_resonator_fields():
+    # l_tail and c_dot were provenance-only fields that no model read
+    for name in ("l_tail", "c_dot"):
+        with pytest.raises(FormatError, match="unknown resonator fields"):
+            resonator_from_config({"resonator": {name: 1e-9}})
+
+
 def test_config_invalid_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

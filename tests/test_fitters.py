@@ -111,6 +111,18 @@ def test_nonfinite_initial_point_raises():
         least_squares(model, x, np.zeros_like(x), init={"a": 1.0})
 
 
+def test_fewer_residuals_than_parameters_raises():
+    def model(x, a, b, c):
+        return a + b * x + c * x**2
+
+    x = np.array([0.0, 1.0])
+    with pytest.raises(FitError):
+        least_squares(model, x, np.array([1.0, 2.0]), init={"a": 0.0, "b": 0.0, "c": 0.0})
+    # complex data stack two residuals per point, so two points fix three parameters
+    fit = least_squares(model, x, np.array([1.0 + 1j, 2.0]), init={"a": 0.0, "b": 0.0, "c": 0.0})
+    assert fit.params.keys() == {"a", "b", "c"}
+
+
 def test_sigma_matches_analytic_linear_case():
     # y = a x + noise: sigma_a has the textbook closed form
     rng = np.random.default_rng(5)

@@ -10,9 +10,13 @@ from heliumdot.core import CONSTANTS, DomainError, FormatError
 from heliumdot.potential import (
     CouplingGradientMap,
     CouplingMapSet,
+    GriddedField,
+    PotentialField,
+    QuarticField,
     compose,
+    edge_ring,
     load_coupling_maps,
-    make_analytic,
+    scan_minimum,
     trap_depth,
     uniform_gradient_map,
 )
@@ -117,17 +121,17 @@ def test_gridded_gradient_and_hessian_match_finite_differences():
     h = 2.0e-9
     gx = (f.evaluate(pt[0] + h, pt[1]) - f.evaluate(pt[0] - h, pt[1])) / (2 * h)
     gy = (f.evaluate(pt[0], pt[1] + h) - f.evaluate(pt[0], pt[1] - h)) / (2 * h)
-    grad = f.gradient(pt)
+    grad = -f.energy_gradient(pt) / CONSTANTS.e
     assert grad[0] == pytest.approx(gx, rel=2e-2, abs=1e-4)
     assert grad[1] == pytest.approx(gy, rel=2e-2, abs=1e-4)
-    hess = f.hessian(pt)
+    hess = f.energy_hessian(pt)
     assert hess[0, 1] == hess[1, 0]
 
 
 def test_gradient_stencil_near_edge_raises():
     f = compose(_dome_maps(), {"trap": 0.3})
     with pytest.raises(DomainError):
-        f.gradient((1e-6, 0.0))
+        f.energy_gradient((1e-6, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +140,7 @@ def test_gradient_stencil_near_edge_raises():
 
 
 def test_analytic_energy_polynomial():
-    f = make_analytic(a1x=2.0e-8, a1y=5.0e-8, a2y=3.0e3, e_y=100.0)
+    f = QuarticField(a1x=2.0e-8, a1y=5.0e-8, a2y=3.0e3, e_y=100.0)
     y = 40e-9
     expect = 5.0e-8 * y**2 + 3.0e3 * y**4 - CONSTANTS.e * 100.0 * y
     assert float(f.energy(0.0, y)) == pytest.approx(expect, rel=1e-12)
@@ -145,7 +149,7 @@ def test_analytic_energy_polynomial():
 
 def test_analytic_derivatives_closed_form():
     a1x, a1y, a2x, a2y = 2.0e-8, 5.0e-8, 1.0e3, 3.0e3
-    f = make_analytic(a1x=a1x, a1y=a1y, a2x=a2x, a2y=a2y, e_y=100.0)
+    f = QuarticField(a1x=a1x, a1y=a1y, a2x=a2x, a2y=a2y, e_y=100.0)
     x, y = 30e-9, -20e-9
     g = f.energy_gradient((x, y))
     assert g[0] == pytest.approx(2 * a1x * x + 4 * a2x * x**3, rel=1e-12)
@@ -158,11 +162,58 @@ def test_analytic_derivatives_closed_form():
     assert hess[0, 1] == 0.0
 
 
-def test_field_kind_validation():
-    with pytest.raises(DomainError):
-        from heliumdot.potential import PotentialField
+# ---------------------------------------------------------------------------
+# field protocol
+# ---------------------------------------------------------------------------
 
-        PotentialField(kind="spline")
+# (field, its known minimum): a gridded dome centred on the origin, and a
+# tilted harmonic-in-y quartic whose minimum sits at y = e E_y / (2 a1y)
+_PROTOCOL_CASES = {
+    "gridded": (lambda: compose(_dome_maps(n=101), {"trap": 0.3}), (0.0, 0.0)),
+    "quartic": (
+        lambda: QuarticField(a1x=2.0e-8, a1y=5.0e-8, a2x=1.0e3, e_y=2.0e5),
+        (0.0, CONSTANTS.e * 2.0e5 / (2 * 5.0e-8)),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PROTOCOL_CASES))
+def test_field_protocol(case):
+    make, minimum = _PROTOCOL_CASES[case]
+    f = make()
+    pts = np.random.default_rng(3).uniform(-0.5e-6, 0.5e-6, size=(7, 2))
+    many = f.energy_gradient(pts)
+    assert many.shape == (7, 2)
+    assert np.array_equal(many, np.array([f.energy_gradient(p) for p in pts]))
+    # one cell of the 101-node dome: the gridded stencil's own step
+    h = 2e-8
+    fd = np.column_stack([
+        (f.energy(pts[:, 0] + h, pts[:, 1]) - f.energy(pts[:, 0] - h, pts[:, 1])) / (2 * h),
+        (f.energy(pts[:, 0], pts[:, 1] + h) - f.energy(pts[:, 0], pts[:, 1] - h)) / (2 * h),
+    ])
+    np.testing.assert_allclose(many, fd, rtol=1e-4, atol=1e-9 * np.abs(fd).max())
+    for p in pts:
+        hess = f.energy_hessian(p)
+        assert np.array_equal(hess, hess.T)
+    region = f.scan_region
+    samples = 81
+    found = scan_minimum(f, region, samples)
+    steps = ((region[1] - region[0]) / (samples - 1), (region[3] - region[2]) / (samples - 1))
+    assert abs(found[0] - minimum[0]) <= steps[0]
+    assert abs(found[1] - minimum[1]) <= steps[1]
+
+
+def test_edge_ring_marks_outer_cells():
+    ring = edge_ring((4, 5))
+    assert ring.sum() == 14
+    assert not ring[1:-1, 1:-1].any()
+
+
+def test_evaluate_defined_only_on_base_class():
+    # one evaluate for every field, so wrapping it counts every evaluation
+    assert "evaluate" in PotentialField.__dict__
+    for cls in (GriddedField, QuarticField):
+        assert "evaluate" not in cls.__dict__
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +290,7 @@ def test_load_coupling_maps_errors(tmp_path):
 
 def test_trap_depth_harmonic_bowl():
     k = 1.0e-8  # J/m^2
-    f = make_analytic(a1x=k, a1y=k)
+    f = QuarticField(a1x=k, a1y=k)
     w = 1e-6
     result = trap_depth(f, (-w, w, -w, w), samples=201)
     assert not result.no_trap
@@ -251,7 +302,7 @@ def test_trap_depth_harmonic_bowl():
 
 
 def test_trap_depth_no_confinement():
-    f = make_analytic(a1x=1.0e-8, a1y=1.0e-8, e_y=5000.0)
+    f = QuarticField(a1x=1.0e-8, a1y=1.0e-8, e_y=5000.0)
     # strong tilt pushes the minimum to the boundary of a small region
     result = trap_depth(f, (-1e-8, 1e-8, -1e-8, 1e-8), samples=51)
     assert result.no_trap
@@ -259,6 +310,6 @@ def test_trap_depth_no_confinement():
 
 
 def test_trap_depth_region_validation():
-    f = make_analytic(a1x=1e-8, a1y=1e-8)
+    f = QuarticField(a1x=1e-8, a1y=1e-8)
     with pytest.raises(DomainError):
         trap_depth(f, (1e-6, -1e-6, -1e-6, 1e-6))

@@ -9,7 +9,7 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from heliumdot.core import CONSTANTS, DomainError, TWO_PI
-from heliumdot.potential import CouplingMapSet, compose, make_analytic
+from heliumdot.potential import CouplingMapSet, QuarticField, compose
 from heliumdot.qsolver import (
     auto_window,
     build_hamiltonian,
@@ -24,7 +24,7 @@ GHZ = 1e9 * TWO_PI
 def _harmonic(fx_ghz: float, fy_ghz: float):
     wx = fx_ghz * GHZ
     wy = fy_ghz * GHZ
-    return make_analytic(
+    return QuarticField(
         a1x=0.5 * CONSTANTS.m_e * wx**2, a1y=0.5 * CONSTANTS.m_e * wy**2
     )
 
@@ -45,7 +45,7 @@ def test_build_hamiltonian_validation():
 
 def test_edge_minimum_flagged():
     # a tilted potential whose sampled minimum sits on the window boundary
-    field = make_analytic(a1x=1e-10, a1y=1e-10, e_y=5000.0)
+    field = QuarticField(a1x=1e-10, a1y=1e-10, e_y=5000.0)
     ham = build_hamiltonian(field, (-5e-8, 5e-8, -5e-8, 5e-8), nx=31, ny=31)
     assert ham.edge_minimum
 
@@ -155,7 +155,7 @@ def test_second_order_convergence():
 
 def test_transitions_and_anharmonicity_sign():
     fx, fy = 18.0, 5.0
-    field = make_analytic(
+    field = QuarticField(
         a1x=0.5 * CONSTANTS.m_e * (fx * GHZ) ** 2,
         a1y=0.5 * CONSTANTS.m_e * (fy * GHZ) ** 2,
         a2y=2.0e4,
@@ -175,7 +175,7 @@ def test_quartic_trap_against_dense_1d_oracle():
     dense 1D finite-difference value, frozen here, to a few parts in 1e3."""
     a1y, a2y, e_y = 1e-12, 2750.0, 300.0
     fx = 18.0
-    field = make_analytic(
+    field = QuarticField(
         a1x=0.5 * CONSTANTS.m_e * (fx * GHZ) ** 2, a1y=a1y, a2y=a2y, e_y=e_y
     )
     # window centered on the classical minimum of the y potential
@@ -196,7 +196,7 @@ def test_quartic_trap_against_dense_1d_oracle():
 
 
 def test_auto_window_contains_minimum():
-    field = make_analytic(a1x=1e-9, a1y=2e-9, e_y=400.0)
+    field = QuarticField(a1x=1e-9, a1y=2e-9, e_y=400.0)
     x0, x1, y0, y1 = auto_window(field)
     y_min = CONSTANTS.e * 400.0 / (2 * 2e-9)
     assert x0 < 0.0 < x1
@@ -207,7 +207,7 @@ def test_frequency_sweep_two_crossings():
     """V-shaped tune-up: the first transition crosses 6 GHz exactly twice."""
 
     def factory(v: float):
-        return make_analytic(
+        return QuarticField(
             a1x=0.5 * CONSTANTS.m_e * (18.0 * GHZ) ** 2,
             a1y=2e-9 * (v - 0.5),
             a2y=2750.0,
