@@ -287,8 +287,8 @@ def compensate_background(
 
     fit = fitters.fit_bare_resonator(far_detuned, window_kappa_mult=window_kappa_mult)
     probe = target.probe
-    model_res, leak = fitters.bare_model_arrays(fit.params, probe)
-    other = far_detuned.s21 - model_res - leak
+    leak = CrosstalkParams(t=fit.params["t"], zeta=fit.params["zeta"]).s21_leak
+    other = far_detuned.s21 - fitters.bare_model(probe, **fit.params)
     compensated = target.s21 - leak - other
     meta = dict(target.metadata)
     meta["compensated"] = True

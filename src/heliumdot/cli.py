@@ -33,6 +33,18 @@ _GHZ = 1e9 * TWO_PI
 _MHZ = 1e6 * TWO_PI
 
 
+class UsageError(Exception):
+    """A command line that does not parse."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print usage and exit 2;
+    subcommand parsers inherit the class."""
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _resolved(args: argparse.Namespace) -> dict:
     opts = {
         k: v
@@ -381,7 +393,7 @@ def _add_resonator_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="heliumdot")
+    parser = _Parser(prog="heliumdot")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="synthesize a transmission trace")
@@ -397,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center-ghz", type=float)
     p.add_argument("--points", type=int, default=801)
     p.add_argument("--snr", type=float, default=float("inf"))
-    p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
+    p.add_argument("--format", choices=("csv", "svg"), default="csv")
     p.set_defaults(func=_cmd_synth)
 
     fit = sub.add_parser("fit", help="fit a measured or synthesized trace")
@@ -542,11 +554,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; every failure is one JSON line on stderr and exit 1."""
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (DomainError, FormatError, FitError, OSError) as exc:
+    except (UsageError, DomainError, FormatError, FitError, OSError) as exc:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)},
                        sort_keys=True) + "\n"

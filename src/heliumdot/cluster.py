@@ -2,8 +2,9 @@
 
 A cluster is N electrons on the helium surface sharing one trap.  The total
 energy is the single-particle trap energy plus pairwise Coulomb repulsion;
-equilibrium configurations come from a seeded multi-start quasi-Newton
-descent, in-plane vibrational modes from the mass-scaled Hessian, and the
+equilibrium configurations come from a seeded multi-start trust-region
+Newton descent (Steihaug truncated conjugate gradients on the analytic
+Hessian), in-plane vibrational modes from the mass-scaled Hessian, and the
 observable resonator pull from a classical coupled-oscillator eigenproblem
 between the resonator mode and every cluster mode.
 """
@@ -15,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+import scipy.optimize
 
 from .analytic import zero_point_length
 from .core import CONSTANTS, DomainError, PhysicalConstants, ResonatorParams, derived_resonator_quantities
@@ -23,7 +25,8 @@ from .potential import CouplingGradientMap, CouplingMapSet, PotentialField, comp
 # Electrons closer than this are a modeling error, not a physical configuration.
 MIN_SEPARATION = 1e-9  # m
 GRAD_TOL = 1e-28  # J/m
-ENERGY_RTOL = 1e-14
+MAX_ITER = 500  # trust-region iterations per descent run
+FLOOR_ULPS = 4.0  # Newton decrease [ulp of the energy] below which a stall is converged
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +99,8 @@ def total_hessian(
     pos = _check_positions(positions)
     n = pos.shape[0]
     hess = np.zeros((2 * n, 2 * n))
-    for i in range(n):
-        hess[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] += field_.energy_hessian(pos[i])
+    for i, block in enumerate(field_.energy_hessian(pos)):
+        hess[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] += block
     ke2 = constants.coulomb * constants.e**2
     for i in range(n):
         for j in range(i + 1, n):
@@ -119,122 +122,13 @@ def total_hessian(
 @dataclass(frozen=True, eq=False)
 class ElectronConfiguration:
     """Equilibrium candidate: positions (N, 2) [m], energy [J], the gradient
-    norm at exit [J/m], and the monotone accepted-energy history of the
-    winning descent run."""
+    norm at exit [J/m], and the number of accepted descent steps."""
 
     positions: np.ndarray
     energy: float
     gradient_norm: float
     converged: bool
     iterations: int
-    energy_history: tuple = ()
-
-
-def _safe_value_grad(field_, constants):
-    def value_grad(x: np.ndarray):
-        pos = x.reshape(-1, 2)
-        try:
-            f = total_energy(field_, pos, constants)
-            g = total_gradient(field_, pos, constants).ravel()
-        except DomainError:
-            return math.inf, None
-        if not math.isfinite(f):
-            return math.inf, None
-        return f, g
-
-    return value_grad
-
-
-def _bfgs(value_grad, x0: np.ndarray, max_iter: int, step_cap: float):
-    """Quasi-Newton descent with Armijo backtracking.
-
-    Returns (x, f, gnorm, history, stalled) where history is the sequence of
-    accepted energies (strictly non-increasing) and stalled marks exit via
-    the relative-energy criterion rather than the gradient norm.
-    """
-    f, g = value_grad(x0)
-    if g is None:
-        return x0, math.inf, math.inf, (), False
-    x = x0.copy()
-    n = x.size
-    hinv = None  # set after curvature information exists
-    history = [f]
-    stalled = False
-    for _ in range(max_iter):
-        gnorm = float(np.linalg.norm(g))
-        if gnorm < GRAD_TOL:
-            break
-        p = -g if hinv is None else -(hinv @ g)
-        descent = float(p @ g)
-        if descent >= 0:
-            hinv = None
-            p = -g
-            descent = -float(g @ g)
-        plen = float(np.linalg.norm(p))
-        if plen > step_cap:
-            p = p * (step_cap / plen)
-            descent = float(p @ g)
-        t = 1.0
-        accepted = False
-        for _bt in range(60):
-            fn, gn = value_grad(x + t * p)
-            if gn is not None and fn <= f + 1e-4 * t * descent:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            stalled = True
-            break
-        s = t * p
-        yv = gn - g
-        drop = f - fn
-        x = x + s
-        f, g = fn, gn
-        history.append(f)
-        sy = float(s @ yv)
-        if sy > 0:
-            if hinv is None:
-                hinv = np.eye(n) * (sy / float(yv @ yv))
-            rho = 1.0 / sy
-            left = np.eye(n) - rho * np.outer(s, yv)
-            hinv = left @ hinv @ left.T + rho * np.outer(s, s)
-        if drop <= ENERGY_RTOL * max(abs(f), 1e-300):
-            stalled = True
-            break
-    gnorm = float(np.linalg.norm(g))
-    return x, f, gnorm, tuple(history), stalled
-
-
-def _newton_polish(field_, constants, x: np.ndarray, max_steps: int = 12):
-    """Drive the gradient norm toward rounding floor with damped Newton steps."""
-    value_grad = _safe_value_grad(field_, constants)
-    f, g = value_grad(x)
-    if g is None:
-        return x, math.inf, math.inf
-    gnorm = float(np.linalg.norm(g))
-    for _ in range(max_steps):
-        if gnorm < GRAD_TOL:
-            break
-        hess = total_hessian(field_, x.reshape(-1, 2), constants)
-        lam = 0.0
-        improved = False
-        for _attempt in range(8):
-            try:
-                step = np.linalg.solve(hess + lam * np.eye(hess.shape[0]), -g)
-            except np.linalg.LinAlgError:
-                lam = max(lam * 10.0, 1e-12 * float(np.abs(hess).max()))
-                continue
-            fn, gn = value_grad(x + step)
-            if gn is not None and float(np.linalg.norm(gn)) < gnorm:
-                x = x + step
-                f, g = fn, gn
-                gnorm = float(np.linalg.norm(gn))
-                improved = True
-                break
-            lam = max(lam * 10.0, 1e-12 * float(np.abs(hess).max()))
-        if not improved:
-            break
-    return x, f, gnorm
 
 
 def _triangular_lattice(center: np.ndarray, spacing: float, n: int) -> np.ndarray:
@@ -251,24 +145,42 @@ def _triangular_lattice(center: np.ndarray, spacing: float, n: int) -> np.ndarra
     return picked + center[None, :]
 
 
+def _newton_decrease(grad: np.ndarray, hess: np.ndarray) -> float:
+    """Energy change |g.H^-1.g| / 2 a full Newton step predicts [J]; inf if H is singular."""
+    try:
+        return 0.5 * abs(float(grad @ np.linalg.solve(hess, grad)))
+    except np.linalg.LinAlgError:
+        return math.inf
+
+
 def minimize(
     field_: PotentialField,
     n_electrons: int,
     seed: int = 0,
     restarts: int = 8,
     init: np.ndarray | None = None,
-    max_iter: int = 500,
     constants: PhysicalConstants = CONSTANTS,
 ) -> ElectronConfiguration:
     """Find the minimum-energy configuration of n_electrons in the trap.
 
     Deterministic for a given (field, n_electrons, seed): the descent is
-    seeded multi-start (``restarts`` runs) around a triangular-lattice guess
-    centered on the scanned trap minimum, or around ``init`` when given.
-    The best run wins by convergence then energy.
+    seeded multi-start (``restarts`` runs, at least 1) around a
+    triangular-lattice guess centered on the scanned trap minimum, or around
+    ``init`` when given.  Each run is scipy's trust-region Newton-CG on the
+    analytic gradient and Hessian; its steps follow negative curvature, so a
+    run leaves a saddle unless symmetry pins it there.  A step off the field
+    domain counts as infinite energy and shrinks the trust radius.  A run
+    has converged when the gradient norm fell below GRAD_TOL, or when it
+    stopped because no step could be predicted to lower the energy and a
+    full Newton step would lower it by at most FLOOR_ULPS units in the last
+    place of the energy: the point is stationary as far as the energy can
+    resolve.  MAX_ITER iterations, or a stop short of that floor, is not
+    converged.  The best run wins by convergence then energy.
     """
     if n_electrons < 0:
         raise DomainError("n_electrons must be >= 0")
+    if restarts < 1:
+        raise DomainError("restarts must be >= 1")
     if n_electrons == 0:
         return ElectronConfiguration(
             positions=np.zeros((0, 2)), energy=0.0, gradient_norm=0.0,
@@ -290,29 +202,54 @@ def minimize(
     base[:, 0] = np.clip(base[:, 0], region[0], region[1])
     base[:, 1] = np.clip(base[:, 1], region[2], region[3])
 
-    value_grad = _safe_value_grad(field_, constants)
+    def fun_and_grad(x: np.ndarray):
+        pos = x.reshape(-1, 2)
+        try:
+            return (total_energy(field_, pos, constants),
+                    total_gradient(field_, pos, constants).ravel())
+        except DomainError:
+            return math.inf, np.zeros_like(x)
+
+    def hessian(x: np.ndarray) -> np.ndarray:
+        return total_hessian(field_, x.reshape(-1, 2), constants)
+
     rng = np.random.default_rng(seed)
     scale = 0.25 * (span / 10.0 if n_electrons == 1 else
                     float(np.ptp(base, axis=0).max()) or span / 10.0)
     best = None
-    for r in range(max(1, restarts)):
+    for r in range(restarts):
         start = base.copy()
         if r > 0:
             start = start + rng.normal(0.0, scale, size=start.shape)
             start[:, 0] = np.clip(start[:, 0], region[0], region[1])
             start[:, 1] = np.clip(start[:, 1], region[2], region[3])
-        x, f, gnorm, history, stalled = _bfgs(
-            value_grad, start.ravel(), max_iter, step_cap=span / 2.0
+        path = [start.ravel()]
+        if not math.isfinite(fun_and_grad(path[0])[0]):
+            continue  # scipy builds the Hessian at the start before any check
+
+        def on_iteration(intermediate_result):
+            # a rejected step leaves x where it was
+            if not np.array_equal(intermediate_result.x, path[-1]):
+                path.append(intermediate_result.x)
+
+        sol = scipy.optimize.minimize(
+            fun_and_grad, path[0], jac=True, hess=hessian, method="trust-ncg",
+            callback=on_iteration,
+            options={"gtol": GRAD_TOL, "initial_trust_radius": span / 2.0,
+                     "maxiter": MAX_ITER},
         )
-        if not math.isfinite(f):
+        if not math.isfinite(sol.fun):
             continue
-        if gnorm >= GRAD_TOL:
-            x, f, gnorm = _newton_polish(field_, constants, x)
-        converged = gnorm < GRAD_TOL or stalled
+        # status 0: gradient below GRAD_TOL; 2: no predicted decrease left
+        converged = sol.status == 0 or (
+            sol.status == 2
+            and _newton_decrease(sol.jac, hessian(sol.x))
+            <= FLOOR_ULPS * np.spacing(abs(sol.fun))
+        )
         candidate = ElectronConfiguration(
-            positions=x.reshape(-1, 2), energy=f, gradient_norm=gnorm,
-            converged=converged, iterations=len(history) - 1,
-            energy_history=history,
+            positions=sol.x.reshape(-1, 2), energy=float(sol.fun),
+            gradient_norm=float(np.linalg.norm(sol.jac)),
+            converged=bool(converged), iterations=len(path) - 1,
         )
         if best is None or (candidate.converged, -candidate.energy) > (
             best.converged, -best.energy
@@ -469,6 +406,9 @@ class ShiftSweepRow:
     shift: float  # rad/s
     mode_frequencies: tuple  # rad/s
     converged: bool
+    gradient_norm: float  # J/m, of the minimizer exit
+    iterations: int  # accepted descent steps of the winning run
+    is_saddle: bool
 
 
 def shift_vs_voltage_sweep(
@@ -524,6 +464,9 @@ def shift_vs_voltage_sweep(
                 shift=shift,
                 mode_frequencies=tuple(float(f) for f in modes.frequencies),
                 converged=config.converged and not modes.is_saddle,
+                gradient_norm=config.gradient_norm,
+                iterations=config.iterations,
+                is_saddle=modes.is_saddle,
             )
         )
         prev_positions = config.positions if warm_start else None

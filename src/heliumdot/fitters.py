@@ -319,18 +319,11 @@ def _estimate_peak_and_width(probe: np.ndarray, mag: np.ndarray) -> tuple:
     return float(probe[i_pk]), float(width)
 
 
-def _bare_model(x, omega_r, kappa_tot, amp, t, zeta):
+def bare_model(x, omega_r, kappa_tot, amp, t, zeta):
+    """Bare-resonator fit model: the resonant Lorentzian plus the crosstalk
+    leak -i sqrt(t) e^(i zeta), over probe frequencies x [rad/s]."""
     leak = -1j * np.sqrt(t) * np.exp(1j * zeta)
     return amp / (kappa_tot / 2.0 + 1j * (omega_r - x)) + leak
-
-
-def bare_model_arrays(params: Mapping[str, float], probe: np.ndarray) -> tuple:
-    """Evaluate a bare-resonator fit: (resonant part over probe, leak constant)."""
-    resonant = params["amp"] / (
-        params["kappa_tot"] / 2.0 + 1j * (params["omega_r"] - np.asarray(probe, dtype=float))
-    )
-    leak = -1j * math.sqrt(params["t"]) * np.exp(1j * params["zeta"])
-    return resonant, complex(leak)
 
 
 def resonator_from_bare_fit(
@@ -407,7 +400,7 @@ def fit_bare_resonator(
     }
     order = ["omega_r", "kappa_tot", "amp", "t", "zeta"]
     fit = least_squares(
-        _bare_model, probe[window], trace.s21[window],
+        bare_model, probe[window], trace.s21[window],
         init={k: start[k] for k in order}, bounds=bounds,
     )
     fit.flags["window_points"] = int(window.sum())

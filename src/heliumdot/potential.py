@@ -11,11 +11,11 @@ electron's potential energy is U = -e * phi [J]; with E_y > 0 the energy
 decreases toward positive y (the field pulls the electron that way).
 
 Every field is a PotentialField: GriddedField (what ``compose`` returns)
-interpolates tabulated maps bilinearly and differentiates by central
-differences with the local grid cell as the step; QuarticField is a quartic
-polynomial surrogate with closed-form derivatives, useful for oracles and
-solver cross-checks.  ``sample_grid``, ``edge_ring`` and ``scan_minimum`` are
-the grid scans the level and cluster solvers share.
+interpolates tabulated maps with a bicubic spline and differentiates the
+spline exactly; QuarticField is a quartic polynomial surrogate with
+closed-form derivatives, useful for oracles and solver cross-checks.
+``sample_grid``, ``edge_ring`` and ``scan_minimum`` are the grid scans the
+level and cluster solvers share.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
+from scipy.interpolate import RectBivariateSpline
 
 from .core import CONSTANTS, DomainError, FormatError, PhysicalConstants
 
@@ -162,8 +163,14 @@ def load_coupling_maps(path: str) -> CouplingMapSet:
 
 
 # ---------------------------------------------------------------------------
-# bilinear interpolation
+# interpolation
 # ---------------------------------------------------------------------------
+
+
+def _require_inside(region, x, y) -> None:
+    x0, x1, y0, y1 = region
+    if np.any(x < x0) or np.any(x > x1) or np.any(y < y0) or np.any(y > y1):
+        raise DomainError("query point outside the map domain")
 
 
 def _bilinear(x_axis, y_axis, grid, xq, yq):
@@ -171,11 +178,7 @@ def _bilinear(x_axis, y_axis, grid, xq, yq):
     yq_arr = np.asarray(yq, dtype=float)
     scalar = xq_arr.ndim == 0 and yq_arr.ndim == 0
     xq_arr, yq_arr = np.broadcast_arrays(np.atleast_1d(xq_arr), np.atleast_1d(yq_arr))
-    if (
-        np.any(xq_arr < x_axis[0]) or np.any(xq_arr > x_axis[-1])
-        or np.any(yq_arr < y_axis[0]) or np.any(yq_arr > y_axis[-1])
-    ):
-        raise DomainError("query point outside the map domain")
+    _require_inside((x_axis[0], x_axis[-1], y_axis[0], y_axis[-1]), xq_arr, yq_arr)
     ix = np.clip(np.searchsorted(x_axis, xq_arr, side="right") - 1, 0, x_axis.size - 2)
     iy = np.clip(np.searchsorted(y_axis, yq_arr, side="right") - 1, 0, y_axis.size - 2)
     tx = (xq_arr - x_axis[ix]) / (x_axis[ix + 1] - x_axis[ix])
@@ -194,16 +197,14 @@ def _bilinear(x_axis, y_axis, grid, xq, yq):
     return float(out[0]) if scalar else out
 
 
-def _cell_steps(x_axis, y_axis, x, y):
-    """Width and height of the grid cell holding each query point."""
-    ix = np.clip(np.searchsorted(x_axis, x, side="right") - 1, 0, x_axis.size - 2)
-    iy = np.clip(np.searchsorted(y_axis, y, side="right") - 1, 0, y_axis.size - 2)
-    return x_axis[ix + 1] - x_axis[ix], y_axis[iy + 1] - y_axis[iy]
-
-
 # ---------------------------------------------------------------------------
 # potential fields
 # ---------------------------------------------------------------------------
+
+
+def _sym2(hxx, hxy, hyy) -> np.ndarray:
+    """Symmetric 2 x 2 blocks [[hxx, hxy], [hxy, hyy]], shape (..., 2, 2)."""
+    return np.stack([np.stack([hxx, hxy], axis=-1), np.stack([hxy, hyy], axis=-1)], axis=-2)
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
@@ -211,11 +212,11 @@ class PotentialField(ABC):
     """Electrostatic potential on the helium surface, phi = base + E_x x + E_y y.
 
     A subclass supplies the electrode part ``_base`` [V] and the electron
-    energy derivatives: ``energy_gradient`` [J/m] over points of shape
-    (..., 2), ``energy_hessian`` [J/m^2] at one point, the ``domain`` where
-    the field is defined (None when unbounded), and the ``scan_region`` in
-    which solvers look for the trap minimum.  ``evaluate`` is defined here
-    and only here, so every field evaluation goes through one method.
+    energy derivatives ``energy_gradient`` [J/m] and ``energy_hessian``
+    [J/m^2] over points of shape (..., 2), the ``domain`` where the field is
+    defined (None when unbounded), and the ``scan_region`` in which solvers
+    look for the trap minimum.  ``evaluate`` is defined here and only here,
+    so every field evaluation goes through one method.
     """
 
     e_x: float = 0.0
@@ -243,8 +244,9 @@ class PotentialField(ABC):
         """dU/dr [J/m] at points of shape (..., 2); same shape out."""
 
     @abstractmethod
-    def energy_hessian(self, point) -> np.ndarray:
-        """2x2 symmetric matrix of second derivatives of U [J/m^2] at one point."""
+    def energy_hessian(self, points) -> np.ndarray:
+        """Second derivatives of U [J/m^2] at points of shape (..., 2); shape
+        (..., 2, 2) out, each 2 x 2 block symmetric."""
 
     @property
     @abstractmethod
@@ -259,21 +261,27 @@ class PotentialField(ABC):
 
 @dataclass(frozen=True, eq=False)
 class GriddedField(PotentialField):
-    """phi interpolates sum_i V_i alpha_i bilinearly over the coupling maps.
+    """phi interpolates sum_i V_i alpha_i over the coupling maps with a bicubic
+    interpolating spline, and its derivatives are the spline's own, so energy,
+    gradient and Hessian come from one twice-differentiable function.
 
-    Derivatives are central differences whose step is the grid cell holding
-    the point, so they raise DomainError within one cell of the map edge.
+    Derivatives are taken only inside the scan region, away from the
+    spline's end conditions; within one cell of the map edge they raise
+    DomainError.
     """
 
     maps: CouplingMapSet
     voltages: dict
-    _weighted: np.ndarray = field(init=False, repr=False)
+    _spline: RectBivariateSpline = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         w = np.zeros((self.maps.y_axis.size, self.maps.x_axis.size))
         for name, volt in self.voltages.items():
             w += float(volt) * self.maps.grids[name]
-        object.__setattr__(self, "_weighted", w)
+        # with fewer than four nodes on an axis the spline drops to that degree
+        kx, ky = min(3, self.maps.x_axis.size - 1), min(3, self.maps.y_axis.size - 1)
+        spline = RectBivariateSpline(self.maps.x_axis, self.maps.y_axis, w.T, kx=kx, ky=ky)
+        object.__setattr__(self, "_spline", spline)
 
     @property
     def domain(self) -> tuple:
@@ -281,37 +289,39 @@ class GriddedField(PotentialField):
 
     @property
     def scan_region(self) -> tuple:
-        """The domain less one cell per side, so derivative stencils stay inside."""
+        """The domain less one cell per side."""
         x0, x1, y0, y1 = self.maps.domain
         dx = float(np.max(np.diff(self.maps.x_axis)))
         dy = float(np.max(np.diff(self.maps.y_axis)))
         return (x0 + dx, x1 - dx, y0 + dy, y1 - dy)
 
+    def _interp(self, x, y, region, dx=0, dy=0):
+        """Spline value or partial derivative of phi at broadcast x, y in region."""
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        _require_inside(region, x, y)
+        out = self._spline.ev(x.ravel(), y.ravel(), dx=dx, dy=dy).reshape(x.shape)
+        return float(out) if out.ndim == 0 else out
+
     def _base(self, x, y):
-        return _bilinear(self.maps.x_axis, self.maps.y_axis, self._weighted, x, y)
+        return self._interp(x, y, self.maps.domain)
 
     def energy_gradient(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         x, y = pts[..., 0], pts[..., 1]
-        hx, hy = _cell_steps(self.maps.x_axis, self.maps.y_axis, x, y)
+        region = self.scan_region
         e = self.constants.e
-        gx = -(e / (2 * hx)) * (self.evaluate(x + hx, y) - self.evaluate(x - hx, y))
-        gy = -(e / (2 * hy)) * (self.evaluate(x, y + hy) - self.evaluate(x, y - hy))
+        gx = -e * (self._interp(x, y, region, dx=1) + self.e_x)
+        gy = -e * (self._interp(x, y, region, dy=1) + self.e_y)
         return np.stack([gx, gy], axis=-1)
 
-    def energy_hessian(self, point) -> np.ndarray:
-        x, y = float(point[0]), float(point[1])
-        hx, hy = _cell_steps(self.maps.x_axis, self.maps.y_axis, x, y)
-        f0 = self.evaluate(x, y)
-        fxx = (self.evaluate(x + hx, y) - 2 * f0 + self.evaluate(x - hx, y)) / hx**2
-        fyy = (self.evaluate(x, y + hy) - 2 * f0 + self.evaluate(x, y - hy)) / hy**2
-        fxy = (
-            self.evaluate(x + hx, y + hy)
-            - self.evaluate(x + hx, y - hy)
-            - self.evaluate(x - hx, y + hy)
-            + self.evaluate(x - hx, y - hy)
-        ) / (4 * hx * hy)
-        return -self.constants.e * np.array([[fxx, fxy], [fxy, fyy]])
+    def energy_hessian(self, points) -> np.ndarray:
+        pts = np.asarray(points, dtype=float)
+        x, y = pts[..., 0], pts[..., 1]
+        region = self.scan_region
+        fxx = self._interp(x, y, region, dx=2)
+        fxy = self._interp(x, y, region, dx=1, dy=1)
+        fyy = self._interp(x, y, region, dy=2)
+        return -self.constants.e * _sym2(fxx, fxy, fyy)
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,11 +357,12 @@ class QuarticField(PotentialField):
         gy = 2 * self.a1y * y + 4 * self.a2y * y**3 - e * self.e_y
         return np.stack([gx, gy], axis=-1)
 
-    def energy_hessian(self, point) -> np.ndarray:
-        x, y = float(point[0]), float(point[1])
+    def energy_hessian(self, points) -> np.ndarray:
+        pts = np.asarray(points, dtype=float)
+        x, y = pts[..., 0], pts[..., 1]
         hxx = 2 * self.a1x + 12 * self.a2x * x**2
         hyy = 2 * self.a1y + 12 * self.a2y * y**2
-        return np.array([[hxx, 0.0], [0.0, hyy]])
+        return _sym2(hxx, np.zeros_like(hxx), hyy)
 
 
 def compose(

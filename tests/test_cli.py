@@ -256,6 +256,46 @@ def test_underdetermined_twotone_data_reports_json_error(tmp_path, capsys, rows)
     assert json.loads(err[0])["error"] == "FitError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", "--format", "xml"],
+    ["synth", "--format", "json", "--out", "t.json"],
+    ["synth", "--bogus"],
+    ["fit", "bare"],
+    ["synth", "--points", "abc"],
+    [],
+])
+def test_usage_error_reports_json_error(tmp_path, monkeypatch, capsys, argv):
+    # a bad choice, the dropped json format, an unknown flag, a missing
+    # required argument, a bad type, and no command at all
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "UsageError"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--help"])
+    assert exc.value.code == 0
+    assert "--format" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("restarts", ["0", "-5"])
+def test_sweep_shift_rejects_nonpositive_restarts(tmp_path, capsys, restarts):
+    maps = _maps_file(tmp_path)
+    out = tmp_path / "shift.csv"
+    code = main(["sweep", "shift", "--maps", maps, "--electrode", "trap",
+                 "--vmin", "0.25", "--vmax", "0.3", "--n", "2",
+                 "--grad-per-um", "0.01", "--restarts", restarts, "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
+
+
 def test_format_flag_only_on_synth():
     args = build_parser().parse_args(["calc", "g", "--coupling-length-nm", "5"])
     assert "format" not in vars(args)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -119,12 +121,6 @@ def test_minimize_two_electron_separation_oracle():
     assert abs(config.positions[:, 0].sum()) < 1e-9 * d_expect
 
 
-def test_minimize_energy_history_monotone():
-    config = minimize(_harmonic(5.0, 8.0), 3, seed=1)
-    hist = np.asarray(config.energy_history)
-    assert np.all(np.diff(hist) <= 1e-30)
-
-
 def test_minimize_deterministic():
     a = minimize(_harmonic(5.0, 8.0), 3, seed=4)
     b = minimize(_harmonic(5.0, 8.0), 3, seed=4)
@@ -134,6 +130,81 @@ def test_minimize_deterministic():
 def test_minimize_validation():
     with pytest.raises(DomainError):
         minimize(_harmonic(5.0, 8.0), -1)
+
+
+@pytest.mark.parametrize("restarts", [0, -5])
+def test_minimize_rejects_nonpositive_restarts(restarts):
+    with pytest.raises(DomainError):
+        minimize(_harmonic(5.0, 8.0), 2, restarts=restarts)
+
+
+def test_minimize_max_iter_exit_not_converged(monkeypatch):
+    from heliumdot import cluster
+
+    monkeypatch.setattr(cluster, "MAX_ITER", 1)
+    config = minimize(_harmonic(5.0, 8.0), 3, seed=0, restarts=2)
+    assert not config.converged
+    assert config.gradient_norm > cluster.GRAD_TOL
+
+
+def test_minimize_leaves_saddle_on_gridded_dome():
+    # eight electrons on an 81 x 81 dome exp(-(x/1 um)^2 - (y/0.7 um)^2);
+    # a descent without second-order information stops on a saddle here
+    axis = np.linspace(-1e-6, 1e-6, 81)
+    xx, yy = np.meshgrid(axis, axis)
+    dome = np.exp(-(xx / 1e-6) ** 2 - (yy / 0.7e-6) ** 2)
+    maps = CouplingMapSet(x_axis=axis, y_axis=axis, grids={"trap": dome})
+    field = compose(maps, {"trap": 0.28})
+    config = minimize(field, 8, seed=4)
+    assert config.converged
+    assert not normal_modes(field, config).is_saddle
+
+
+def test_minimize_skips_start_with_coincident_pair():
+    # the unperturbed start puts both electrons on one point: infinite energy
+    field = _harmonic(5.0, 8.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        config = minimize(field, 2, seed=0, restarts=2, init=np.zeros((2, 2)))
+        assert config.converged
+        with pytest.raises(DomainError):
+            minimize(field, 2, seed=0, restarts=1, init=np.zeros((2, 2)))
+
+
+@dataclass(frozen=True, eq=False)
+class _KinkedEnergy(QuarticField):
+    """Harmonic trap whose energy gains kink * |x| that its derivatives leave
+    out.  With e E_x = kink the energy is least at the kink x = 0, while the
+    gradient vanishes only at x = kink / (2 a1x), uphill of it."""
+
+    kink: float = 0.0
+
+    def _base(self, x, y):
+        return super()._base(x, y) - self.kink * np.abs(x) / self.constants.e
+
+
+def test_minimize_stop_at_energy_kink_not_converged():
+    wx, wy = 5.0 * GHZ, 8.0 * GHZ
+    a1x = 0.5 * CONSTANTS.m_e * wx**2
+    kink = 2 * a1x * 50e-9
+    field = _KinkedEnergy(a1x=a1x, a1y=0.5 * CONSTANTS.m_e * wy**2, kink=kink,
+                          e_x=kink / CONSTANTS.e)
+    # at the kink scipy's boundary step meets a zero direction and divides by it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        config = minimize(field, 1, seed=0, restarts=2)
+    assert abs(config.positions[0, 0]) < 25e-9  # short of the gradient's zero
+    assert not config.converged
+
+
+def test_minimize_reaches_stationary_point_on_gridded_map():
+    # the Newton step still open at exit is a tiny fraction of the spacing
+    field = compose(_sweep_maps(), {"trap": 0.25})
+    config = minimize(field, 2, seed=3, restarts=4)
+    assert config.converged
+    hess = total_hessian(field, config.positions)
+    step = np.linalg.solve(hess, total_gradient(field, config.positions).ravel())
+    d = float(np.linalg.norm(config.positions[0] - config.positions[1]))
+    assert np.linalg.norm(step) < 1e-6 * d
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +345,10 @@ def test_shift_sweep_runs_and_converges():
     assert all(r.converged for r in rows)
     assert all(r.electrode == "trap" for r in rows)
     assert [r.voltage for r in rows] == [0.25, 0.30, 0.35]
+    assert rows[0].iterations > 0  # the cold start moves off the lattice guess
     for r in rows:
+        assert not r.is_saddle
+        assert math.isfinite(r.gradient_norm)
         assert len(r.mode_frequencies) == 4
         assert min(r.mode_frequencies) > 0
         assert abs(r.shift) < 1.0 * MHZ
@@ -316,6 +390,7 @@ def test_shift_sweep_records_saddle_per_point(monkeypatch):
     )
     assert len(rows) == 3
     assert [r.converged for r in rows] == [True, False, True]
+    assert [r.is_saddle for r in rows] == [False, True, False]
     assert math.isnan(rows[1].shift)
     assert math.isfinite(rows[0].shift) and math.isfinite(rows[2].shift)
 

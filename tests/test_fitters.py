@@ -15,7 +15,7 @@ from heliumdot.cavity import (
 from heliumdot.core import DomainError, TWO_PI
 from heliumdot.fitters import (
     FitError,
-    bare_model_arrays,
+    bare_model,
     find_peaks,
     fit_bare_resonator,
     fit_lorentzian_dip,
@@ -227,10 +227,13 @@ def test_bare_model_arrays_match_fit_model(res_7162, probe_half_ghz):
         "t": 0.008,
         "zeta": -0.30,
     }
-    resonant, leak = bare_model_arrays(params, probe_half_ghz)
+    resonant = bare_model(probe_half_ghz, **{**params, "t": 0.0})
     clean = s21_resonant(res_7162, None, 0.0, probe_half_ghz)
     assert np.allclose(resonant, clean, rtol=1e-12)
-    assert leak == pytest.approx(CrosstalkParams(t=0.008, zeta=-0.30).s21_leak)
+    leak = bare_model(probe_half_ghz, **params) - resonant
+    assert leak == pytest.approx(
+        np.full(probe_half_ghz.size, CrosstalkParams(t=0.008, zeta=-0.30).s21_leak)
+    )
 
 
 def test_resonator_from_bare_fit_roundtrip(res_7162, probe_half_ghz):

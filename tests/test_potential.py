@@ -101,6 +101,10 @@ def test_bilinear_exact_on_bilinear_function():
     assert grid.shape == (3, 4)
     expect_grid = 2.0 * (0.5 + 0.2 * xb / 1e-6 + 0.1 * yb / 1e-6)
     assert np.allclose(grid, expect_grid, rtol=1e-12)
+    # two nodes per axis: the interpolant drops to first degree, still exact
+    ends = [0, n - 1]
+    coarse = CouplingMapSet(x_axis=x[ends], y_axis=y[ends], grids={"e": alpha[np.ix_(ends, ends)]})
+    assert np.allclose(compose(coarse, {"e": 2.0}).evaluate(xq, yq), expect, rtol=1e-12)
 
 
 def test_evaluate_outside_domain_raises():
@@ -185,16 +189,23 @@ def test_field_protocol(case):
     many = f.energy_gradient(pts)
     assert many.shape == (7, 2)
     assert np.array_equal(many, np.array([f.energy_gradient(p) for p in pts]))
-    # one cell of the 101-node dome: the gridded stencil's own step
-    h = 2e-8
+    # a step far below one cell, so the difference quotient is the derivative
+    h = 1e-11
     fd = np.column_stack([
         (f.energy(pts[:, 0] + h, pts[:, 1]) - f.energy(pts[:, 0] - h, pts[:, 1])) / (2 * h),
         (f.energy(pts[:, 0], pts[:, 1] + h) - f.energy(pts[:, 0], pts[:, 1] - h)) / (2 * h),
     ])
     np.testing.assert_allclose(many, fd, rtol=1e-4, atol=1e-9 * np.abs(fd).max())
-    for p in pts:
-        hess = f.energy_hessian(p)
+    hess_many = f.energy_hessian(pts)
+    assert hess_many.shape == (7, 2, 2)
+    for p, hess in zip(pts, hess_many):
+        assert np.array_equal(hess, f.energy_hessian(p))
         assert np.array_equal(hess, hess.T)
+        fd_hess = np.column_stack([
+            (f.energy_gradient(p + step) - f.energy_gradient(p - step)) / (2 * h)
+            for step in (np.array([h, 0.0]), np.array([0.0, h]))
+        ])
+        np.testing.assert_allclose(hess, fd_hess, rtol=1e-4, atol=1e-9 * np.abs(fd_hess).max())
     region = f.scan_region
     samples = 81
     found = scan_minimum(f, region, samples)
