@@ -91,6 +91,8 @@ class CubicTrap1D:
     constants: PhysicalConstants = CONSTANTS
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.a1, self.a2, self.e_y))):
+            raise DomainError("trap coefficients must be finite")
         if self.a2 < 0:
             raise DomainError("quartic coefficient a2 must be non-negative")
 
@@ -142,10 +144,13 @@ def cardano_minimum(trap: CubicTrap1D) -> CardanoResult:
 
     p = trap.a1 / (2.0 * trap.a2)
     q = -c.e * trap.e_y / (4.0 * trap.a2)
+    if not (math.isfinite(p) and math.isfinite(q)):
+        raise DomainError("trap coefficients overflow the float range")
     disc = -(4.0 * p**3 + 27.0 * q**2)
 
-    if disc < 0.0:
-        # one real stationary point; both cube-root arguments are real
+    if disc < 0.0 or p >= 0.0:
+        # one real stationary point (p = q = 0 is the triple root y = 0);
+        # both cube-root arguments are real
         s = math.sqrt(q**2 / 4.0 + p**3 / 27.0)
         y0 = np.cbrt(-q / 2.0 + s) + np.cbrt(-q / 2.0 - s)
         return CardanoResult(y0=float(y0), roots=(float(y0),), discriminant=disc,
@@ -153,7 +158,7 @@ def cardano_minimum(trap: CubicTrap1D) -> CardanoResult:
 
     # three real stationary points (p < 0 here): trigonometric solution
     m = 2.0 * math.sqrt(-p / 3.0)
-    arg = 3.0 * q / (p * m)
+    arg = 3.0 * q / (p * m) if p * m != 0.0 else 0.0  # p * m underflows only near y = 0
     arg = min(1.0, max(-1.0, arg))  # clamp rounding at the D -> 0 boundary
     theta = math.acos(arg)
     roots = sorted(m * math.cos((theta - 2.0 * math.pi * k) / 3.0) for k in range(3))

@@ -51,10 +51,10 @@ class TwoLevelElectron:
     sigma_z: float = -1.0
 
     def __post_init__(self) -> None:
-        if self.omega_e <= 0:
-            raise DomainError("omega_e must be positive")
-        if self.gamma_2 <= 0:
-            raise DomainError("gamma_2 must be positive")
+        if not 0 < self.omega_e < math.inf:
+            raise DomainError("omega_e must be positive and finite")
+        if not 0 < self.gamma_2 < math.inf:
+            raise DomainError("gamma_2 must be positive and finite")
         if not -1.0 <= self.sigma_z <= 0.0:
             raise DomainError("sigma_z must lie in [-1, 0]")
 
@@ -71,6 +71,8 @@ class CrosstalkParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.t <= 1.0:
             raise DomainError("crosstalk power T must lie in [0, 1]")
+        if not (math.isfinite(self.zeta) and math.isfinite(self.theta)):
+            raise DomainError("crosstalk phases must be finite")
 
     def scattering_matrix(self) -> np.ndarray:
         """2x2 unitary background scattering matrix."""
@@ -120,8 +122,8 @@ class SpectrumTrace:
 
 def susceptibility(el: TwoLevelElectron, g: float, omega_p):
     """Electron susceptibility chi(omega_p) [rad/s], vectorized over omega_p."""
-    if g < 0:
-        raise DomainError("coupling g must be non-negative")
+    if not 0 <= g < math.inf:
+        raise DomainError("coupling g must be non-negative and finite")
     delta_ep = el.omega_e - np.asarray(omega_p, dtype=float)
     return g**2 / (delta_ep - 1j * el.gamma_2)
 
@@ -239,7 +241,9 @@ def synthesize_trace(
             raise DomainError("snr must be positive (or omitted for noiseless)")
         rng = np.random.default_rng(seed)
         sigma = float(np.max(np.abs(s21))) / (snr * math.sqrt(2.0))
-        s21 = s21 + sigma * (rng.standard_normal(probe.size) + 1j * rng.standard_normal(probe.size))
+        with np.errstate(over="raise"):  # an snr near 1e-308 overflows the noise
+            s21 = s21 + sigma * (rng.standard_normal(probe.size)
+                                 + 1j * rng.standard_normal(probe.size))
     return SpectrumTrace(probe=probe, s21=s21, metadata=meta)
 
 

@@ -11,19 +11,19 @@ reruns produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import analytic, cavity, cluster, core, fitters, io, potential, qsolver
 from .core import (
-    CONSTANTS,
     DomainError,
     FormatError,
-    Frequency,
     TWO_PI,
-    default_resonator,
+    constants_from_config,
     load_config,
     resonator_from_config,
 )
@@ -55,7 +55,7 @@ def _resolved(args: argparse.Namespace) -> dict:
 
 
 def _emit(payload: dict, args: argparse.Namespace) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = io._json_dumps(payload)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -64,38 +64,33 @@ def _emit(payload: dict, args: argparse.Namespace) -> None:
 
 
 def _resonator(args: argparse.Namespace) -> core.ResonatorParams:
-    if args.config:
-        cfg = load_config(args.config)
-        if "resonator" in cfg:
-            return resonator_from_config(cfg)
-    res = default_resonator()
-    overrides = {}
-    if getattr(args, "kappa1_mhz", None) is not None:
-        overrides["kappa_1"] = args.kappa1_mhz * _MHZ
-    if getattr(args, "kappa2_mhz", None) is not None:
-        overrides["kappa_2"] = args.kappa2_mhz * _MHZ
-    if getattr(args, "kappa_int_mhz", None) is not None:
-        overrides["kappa_int"] = args.kappa_int_mhz * _MHZ
+    """The config's resonator section on top of the device defaults, then the
+    --f-res-ghz and --kappa* flags on top of that."""
+    res = resonator_from_config(args._config)
+    kappas = {
+        name: getattr(args, flag) * _MHZ
+        for flag, name in (("kappa1_mhz", "kappa_1"), ("kappa2_mhz", "kappa_2"),
+                           ("kappa_int_mhz", "kappa_int"))
+        if getattr(args, flag, None) is not None
+    }
     if getattr(args, "f_res_ghz", None) is not None:
-        return core.ResonatorParams.from_mode(
-            omega_r=args.f_res_ghz * _GHZ,
-            impedance=res.impedance,
-            kappa_1=overrides.get("kappa_1", res.kappa_1),
-            kappa_2=overrides.get("kappa_2", res.kappa_2),
-            kappa_int=overrides.get("kappa_int", res.kappa_int),
+        res = core.ResonatorParams.from_mode(
+            args.f_res_ghz * _GHZ, res.impedance,
+            kappa_1=res.kappa_1, kappa_2=res.kappa_2, kappa_int=res.kappa_int,
         )
-    if overrides:
-        import dataclasses
-
-        res = dataclasses.replace(res, **overrides)
-    return res
+    return dataclasses.replace(res, **kappas)
 
 
 def _probe_axis(args: argparse.Namespace, center: float) -> np.ndarray:
     span = args.span_mhz * _MHZ
     if args.center_ghz is not None:
         center = args.center_ghz * _GHZ
-    return np.linspace(center - span / 2, center + span / 2, args.points)
+    lo, hi = center - span / 2, center + span / 2
+    if args.points < 2:
+        raise DomainError(f"--points must be at least 2, got {args.points}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise DomainError("--center-ghz and --span-mhz must give a finite, non-empty band")
+    return np.linspace(lo, hi, args.points)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +182,14 @@ def _base_voltages(args: argparse.Namespace) -> dict:
     return voltages
 
 
+def _sweep_voltages(args: argparse.Namespace) -> np.ndarray:
+    if args.n < 1:
+        raise DomainError(f"--n must be at least 1, got {args.n}")
+    if not (math.isfinite(args.vmin) and math.isfinite(args.vmax)):
+        raise DomainError("--vmin and --vmax must be finite")
+    return np.linspace(args.vmin, args.vmax, args.n)
+
+
 def _cmd_sweep_shift(args: argparse.Namespace) -> int:
     maps = potential.load_coupling_maps(args.maps)
     res = _resonator(args)
@@ -197,7 +200,7 @@ def _cmd_sweep_shift(args: argparse.Namespace) -> int:
         maps,
         _base_voltages(args),
         args.electrode,
-        np.linspace(args.vmin, args.vmax, args.n),
+        _sweep_voltages(args),
         args.n_electrons,
         res,
         gradient_map=grad,
@@ -205,6 +208,7 @@ def _cmd_sweep_shift(args: argparse.Namespace) -> int:
         e_y=args.ey,
         seed=args.seed,
         restarts=args.restarts,
+        constants=args._constants,
     )
     io.write_shift_sweep_csv(rows, args.out or "shift_sweep.csv", config=_resolved(args))
     return 0
@@ -217,30 +221,34 @@ def _cmd_sweep_freq(args: argparse.Namespace) -> int:
     def factory(v: float) -> potential.PotentialField:
         voltages = dict(base)
         voltages[args.electrode] = v
-        return potential.compose(maps, voltages, e_x=args.ex, e_y=args.ey)
+        return potential.compose(maps, voltages, e_x=args.ex, e_y=args.ey,
+                                 constants=args._constants)
 
     rows = qsolver.frequency_vs_voltage(
         factory,
-        np.linspace(args.vmin, args.vmax, args.n),
+        _sweep_voltages(args),
         nx=args.nx,
         ny=args.ny,
         k=args.k,
         seed=args.seed,
+        constants=args._constants,
     )
     io.write_freq_sweep_csv(rows, args.out or "freq_sweep.csv", config=_resolved(args))
     return 0
 
 
 def _cmd_qsolve(args: argparse.Namespace) -> int:
+    constants = args._constants
     field_ = potential.QuarticField(
         a1x=args.a1x, a1y=args.a1y, a2x=args.a2x, a2y=args.a2y,
-        e_x=args.ex, e_y=args.ey,
+        e_x=args.ex, e_y=args.ey, constants=constants,
     )
-    window = qsolver.auto_window(field_)
-    ham = qsolver.build_hamiltonian(field_, window, nx=args.nx, ny=args.ny)
+    window = qsolver.auto_window(field_, constants=constants)
+    ham = qsolver.build_hamiltonian(field_, window, nx=args.nx, ny=args.ny,
+                                    constants=constants)
     sol = qsolver.eigenstates(ham, k=args.k, seed=args.seed)
     payload = {
-        "energies_GHz": [e / CONSTANTS.h / 1e9 for e in sol.energies],
+        "energies_GHz": [e / constants.h / 1e9 for e in sol.energies],
         "residuals": [float(r) for r in sol.residuals],
         "window_um": [v * 1e6 for v in window],
         "config": _resolved(args),
@@ -261,7 +269,7 @@ def _cmd_qsolve(args: argparse.Namespace) -> int:
 
 def _cmd_calc_g(args: argparse.Namespace) -> int:
     res = _resonator(args)
-    result = analytic.coupling_g(res, args.coupling_length_nm * 1e-9)
+    result = analytic.coupling_g(res, args.coupling_length_nm * 1e-9, constants=args._constants)
     _emit(
         {
             "g_MHz": result.g / _MHZ,
@@ -277,7 +285,7 @@ def _cmd_calc_g(args: argparse.Namespace) -> int:
 
 
 def _cmd_calc_cardano(args: argparse.Namespace) -> int:
-    trap = analytic.CubicTrap1D(a1=args.a1, a2=args.a2, e_y=args.ey)
+    trap = analytic.CubicTrap1D(a1=args.a1, a2=args.a2, e_y=args.ey, constants=args._constants)
     result = analytic.cardano_minimum(trap)
     payload = {
         "y0_nm": result.y0 * 1e9,
@@ -312,7 +320,7 @@ def _cmd_calc_purcell_res(args: argparse.Namespace) -> int:
 def _cmd_calc_purcell_bias(args: argparse.Namespace) -> int:
     omega_e = args.f_el_ghz * _GHZ
     c_c = args.cc_ff * 1e-15 if args.cc_ff is not None else analytic.bias_capacitance(
-        args.dalpha_dy_per_um * 1e6, omega_e
+        args.dalpha_dy_per_um * 1e6, omega_e, constants=args._constants
     )
     circuit = analytic.BiasFilterCircuit(
         l_f=args.lf_nh * 1e-9,
@@ -340,6 +348,7 @@ def _cmd_calc_spin(args: argparse.Namespace) -> int:
         dbz_dx=args.dbz_dx_t_per_um * 1e6,
         a_x=args.ax_nm * 1e-9,
         delta_cs=args.delta_cs_ghz * _GHZ,
+        constants=args._constants,
     )
     _emit(
         {
@@ -353,7 +362,8 @@ def _cmd_calc_spin(args: argparse.Namespace) -> int:
 
 
 def _cmd_calc_depression(args: argparse.Namespace) -> int:
-    depth = analytic.helium_depression(args.height_um * 1e-6, args.width_um * 1e-6)
+    depth = analytic.helium_depression(args.height_um * 1e-6, args.width_um * 1e-6,
+                                       constants=args._constants)
     _emit({"depression_nm": depth * 1e9, "config": _resolved(args)}, args)
     return 0
 
@@ -554,11 +564,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; every failure is one JSON line on stderr and exit 1."""
+    """Run one command; every failure is one JSON line on stderr and exit 1.
+
+    An ArithmeticError is such a failure too: a flag at the edge of the
+    float range (a square that overflows, a product that underflows to
+    zero) can fail in plain float math.
+    """
     try:
         args = build_parser().parse_args(argv)
+        # per-flag types would let "nan" through; inf stays legal (--snr inf)
+        for name, value in sorted(vars(args).items()):
+            if isinstance(value, float) and math.isnan(value):
+                raise UsageError(f"--{name.replace('_', '-')}: NaN is not a value")
+        args._config = load_config(args.config) if args.config else {}
+        args._constants = constants_from_config(args._config)
         return args.func(args)
-    except (UsageError, DomainError, FormatError, FitError, OSError) as exc:
+    except (UsageError, DomainError, FormatError, FitError, OSError, ArithmeticError) as exc:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)},
                        sort_keys=True) + "\n"

@@ -445,7 +445,7 @@ def shift_vs_voltage_sweep(
     for i, volt in enumerate(voltages):
         volts = dict(base_voltages)
         volts[electrode] = float(volt)
-        field_ = compose(maps, volts, e_x=e_x, e_y=e_y)
+        field_ = compose(maps, volts, e_x=e_x, e_y=e_y, constants=constants)
         use_warm = warm_start and prev_positions is not None
         config = minimize(
             field_, n_electrons, seed=seed,

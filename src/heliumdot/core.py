@@ -25,7 +25,8 @@ class FormatError(ValueError):
 
 
 class FitError(RuntimeError):
-    """Nonlinear fit could not proceed (singular normal equations, bad init)."""
+    """Nonlinear fit could not proceed (too few data points, or a model not
+    finite at the initial point)."""
 
 
 # ---------------------------------------------------------------------------
@@ -227,17 +228,29 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def _config_section(cfg: dict, name: str, record: type) -> dict:
+    """The config's ``name`` section: an object of finite numbers keyed by
+    fields of ``record``; FormatError otherwise."""
+    section = cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise FormatError(f"config section {name!r} must be an object")
+    unknown = set(section) - {f.name for f in fields(record)}
+    if unknown:
+        raise FormatError(f"unknown {name} fields in config: {sorted(unknown)}")
+    for key, value in section.items():
+        if isinstance(value, bool) or not (isinstance(value, (int, float))
+                                           and math.isfinite(value)):
+            raise FormatError(f"config {name}.{key} must be a finite number, got {value!r}")
+    return dict(section)
+
+
 def constants_from_config(cfg: dict) -> PhysicalConstants:
     """Apply the 'constants' section of a config on top of the defaults.
 
     h and hbar stay consistent: overriding one derives the other unless both
     are given, in which case they must agree to double precision.
     """
-    overrides = dict(cfg.get("constants", {}))
-    known = {f.name for f in fields(PhysicalConstants)}
-    unknown = set(overrides) - known
-    if unknown:
-        raise FormatError(f"unknown constants in config: {sorted(unknown)}")
+    overrides = _config_section(cfg, "constants", PhysicalConstants)
     if "h" in overrides and "hbar" not in overrides:
         overrides["hbar"] = overrides["h"] / TWO_PI
     elif "hbar" in overrides and "h" not in overrides:
@@ -247,11 +260,7 @@ def constants_from_config(cfg: dict) -> PhysicalConstants:
 
 def resonator_from_config(cfg: dict) -> ResonatorParams:
     """Apply the 'resonator' section of a config on top of the device defaults."""
-    overrides = dict(cfg.get("resonator", {}))
-    known = {f.name for f in fields(ResonatorParams)}
-    unknown = set(overrides) - known
-    if unknown:
-        raise FormatError(f"unknown resonator fields in config: {sorted(unknown)}")
+    overrides = _config_section(cfg, "resonator", ResonatorParams)
     merged = dict(_DEFAULT_RESONATOR)
     merged.update(overrides)
     return ResonatorParams(**merged)

@@ -1,12 +1,11 @@
 """Deterministic nonlinear least squares for spectroscopy traces.
 
-A small damped Gauss-Newton engine (Levenberg-Marquardt damping on the
-normal equations) drives every fit in the package.  Complex-valued models
-are fit by stacking real and imaginary residuals.  Bounds are enforced by
-smooth reparameterization (log for positive rates, scaled logit for
-intervals), never by clipping, so the engine always works on an
-unconstrained vector.  No randomness anywhere: identical inputs give
-bit-identical results.
+Every fit in the package is one call of MINPACK's Levenberg-Marquardt
+(Moré 1978, through ``scipy.optimize.least_squares``).  Complex-valued
+models are fit by stacking real and imaginary residuals.  Bounds are
+enforced by smooth reparameterization (log for positive rates, scaled logit
+for intervals), never by clipping, so MINPACK always works on an
+unconstrained vector.  Identical inputs give bit-identical results.
 
 Parameter uncertainties come from the Jacobian at the optimum,
 cov = s^2 (J^T J)^-1 with s^2 the reduced residual variance; sigmas are NaN
@@ -17,18 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
+import scipy.optimize
 import scipy.signal
 
-from .core import DomainError, FitError, ResonatorParams, TWO_PI
+from .core import DomainError, FitError, ResonatorParams
 from .cavity import CrosstalkParams, SpectrumTrace, TwoLevelElectron, s21_resonant
-
-_FD_REL = 1e-6
-_FTOL = 1e-10
-_GTOL = 1e-12
-
 
 # ---------------------------------------------------------------------------
 # bounded-parameter transforms
@@ -40,8 +35,7 @@ class _Transform:
     unconstrained internal coordinate."""
 
     def __init__(self, lo: float, hi: float):
-        self.lo = lo
-        self.hi = hi
+        self.lo, self.hi = lo, hi
         if math.isinf(lo) and math.isinf(hi):
             self.kind = "identity"
         elif lo == 0.0 and math.isinf(hi):
@@ -75,10 +69,9 @@ class _Transform:
     def dext_dint(self, internal: float) -> float:
         if self.kind == "identity":
             return 1.0
-        z = min(max(internal, -700.0), 700.0)
-        if self.kind == "log":
-            return math.exp(z)
         value = self.to_external(internal)
+        if self.kind == "log":
+            return value
         return (value - self.lo) * (self.hi - value) / (self.hi - self.lo)
 
 
@@ -93,7 +86,10 @@ class FitResult:
 
     params/sigmas are keyed by parameter name in the recipe's units
     (angular rad/s for every frequency-like quantity).  rss is the sum of
-    squared residuals in data units; iterations counts accepted steps.
+    squared residuals in data units; iterations is MINPACK's count of
+    residual evaluations (scipy 1.17 leaves out the finite-difference
+    Jacobian columns).  flags: max_iter (evaluation budget spent),
+    singular_covariance, underdetermined, plus recipe-specific entries.
     """
 
     params: dict
@@ -116,139 +112,70 @@ def least_squares(
     ydata: np.ndarray,
     init: Mapping[str, float],
     bounds: Mapping[str, tuple] | None = None,
-    max_iter: int = 200,
 ) -> FitResult:
-    """Fit ``model(x, **params)`` to data by damped Gauss-Newton.
+    """Fit ``model(x, **params)`` to data by MINPACK's Levenberg-Marquardt.
 
     ydata may be complex; residuals are then the stacked real and imaginary
     parts.  ``bounds`` maps parameter names to (lo, hi): (0, inf) gives a
     log transform, finite intervals a scaled logit, omitted names are
     unbounded.  Raises FitError when there are fewer residuals than free
-    parameters, the model is not finite at the start, or the normal
-    equations stay singular.
+    parameters or the model is not finite at the start.
     """
     names = list(init)
-    bounds = dict(bounds or {})
-    transforms = [_Transform(*bounds.get(n, (-math.inf, math.inf))) for n in names]
+    transforms = [_Transform(*(bounds or {}).get(n, (-math.inf, math.inf))) for n in names]
     xdata = np.asarray(xdata)
     ydata = np.asarray(ydata)
     complex_data = np.iscomplexobj(ydata)
-    if ydata.size * (2 if complex_data else 1) < len(names):
+    n_res = ydata.size * (2 if complex_data else 1)
+    if n_res < len(names):
         raise FitError(f"{ydata.size} data points cannot fix {len(names)} free parameters")
 
+    def external(internal: np.ndarray) -> dict:
+        return {n: tr.to_external(v) for n, tr, v in zip(names, transforms, internal)}
+
     def residuals(internal: np.ndarray) -> np.ndarray:
-        params = {
-            n: tr.to_external(v) for n, tr, v in zip(names, transforms, internal)
-        }
-        r = np.asarray(model(xdata, **params)) - ydata
-        if complex_data:
-            return np.concatenate([r.real, r.imag])
-        return np.asarray(r, dtype=float)
+        try:
+            r = np.asarray(model(xdata, **external(internal))) - ydata
+        except DomainError:
+            # a trial step outside the model's domain: MINPACK rejects it
+            return np.full(n_res, math.inf)
+        return np.concatenate([r.real, r.imag]) if complex_data else r.astype(float)
 
-    def jacobian(internal: np.ndarray) -> np.ndarray:
-        cols = []
-        for i in range(internal.size):
-            h = _FD_REL * max(1.0, abs(internal[i]))
-            up = internal.copy()
-            dn = internal.copy()
-            up[i] += h
-            dn[i] -= h
-            cols.append((residuals(up) - residuals(dn)) / (2.0 * h))
-        return np.column_stack(cols)
-
-    theta = np.array([tr.to_internal(float(init[n])) for n, tr in zip(names, transforms)])
-    r = residuals(theta)
-    if not np.all(np.isfinite(r)):
+    theta0 = np.array([tr.to_internal(float(init[n])) for n, tr in zip(names, transforms)])
+    if not np.all(np.isfinite(residuals(theta0))):
         raise FitError("model not finite at the initial point")
-    rss = float(r @ r)
-    rss_scale = max(rss, float(np.abs(ydata).max()) ** 2, 1e-300)
-    lam = 0.0
-    iterations = 0
-    converged = False
-    flags: dict = {}
+    sol = scipy.optimize.least_squares(
+        residuals, theta0, method="lm", x_scale="jac", ftol=1e-10, xtol=1e-10, gtol=1e-12
+    )
+    rss = float(sol.fun @ sol.fun)
+    flags: dict = {"max_iter": True} if sol.status == 0 else {}
 
-    for _ in range(max_iter):
-        jac = jacobian(theta)
-        jtj = jac.T @ jac
-        jtr = jac.T @ r
-        if float(np.max(np.abs(jtr), initial=0.0)) < _GTOL * math.sqrt(rss_scale):
-            converged = True
-            break
-        diag = np.diag(jtj).copy()
-        diag[diag <= 0] = max(diag.max(initial=0.0), 1.0) * 1e-12
-        accepted = False
-        for _attempt in range(60):
-            try:
-                step = np.linalg.solve(jtj + lam * np.diag(diag), -jtr)
-            except np.linalg.LinAlgError:
-                lam = 1e-4 if lam == 0.0 else lam * 10.0
-                if lam > 1e12:
-                    raise FitError("normal equations remained singular") from None
-                continue
-            trial = theta + step
-            try:
-                r_new = residuals(trial)
-            except DomainError:
-                r_new = np.array([math.inf])
-            if np.all(np.isfinite(r_new)):
-                rss_new = float(r_new @ r_new)
-                if rss_new <= rss:
-                    theta, r = trial, r_new
-                    drop = rss - rss_new
-                    rss = rss_new
-                    iterations += 1
-                    lam = 0.0 if lam < 1e-14 else lam / 3.0
-                    accepted = True
-                    if drop <= _FTOL * max(rss, 1e-300) or rss == 0.0:
-                        converged = True
-                    break
-            lam = 1e-4 if lam == 0.0 else lam * 10.0
-            if lam > 1e12:
-                break
-        if not accepted:
-            # no downhill step found: treat the current point as the optimum
-            converged = True
-            flags["stalled"] = True
-            break
-        if converged:
-            break
-    else:
-        flags["max_iter"] = True
-
-    # covariance in internal coordinates, chain rule back to external
-    jac = jacobian(theta)
-    jtj = jac.T @ jac
+    # covariance in internal coordinates, chain rule back to external; columns
+    # are normalized before conditioning because raw parameter scales span
+    # many decades (rad/s next to phases) without implying degeneracy
+    jac = sol.jac
     dof = jac.shape[0] - jac.shape[1]
-    params = {n: tr.to_external(v) for n, tr, v in zip(names, transforms, theta)}
-    scale_ext = np.array([tr.dext_dint(v) for tr, v in zip(transforms, theta)])
-    sigmas = {n: math.nan for n in names}
+    d = np.linalg.norm(jac, axis=0)
+    d[~(d > 0)] = 1.0
+    jtj_s = (jac / d).T @ (jac / d)
+    scale = np.array([tr.dext_dint(v) for tr, v in zip(transforms, sol.x)]) / d
     covariance = None
-    if dof > 0:
-        s2 = rss / dof
-        # normalize columns before conditioning: raw parameter scales span
-        # many decades (rad/s next to phases) without implying degeneracy
-        d = np.sqrt(np.diag(jtj).copy())
-        d[~(d > 0)] = 1.0
-        jtj_s = jtj / np.outer(d, d)
-        cond_ok = np.all(np.isfinite(jtj_s)) and np.linalg.cond(jtj_s) < 1e12
-        if cond_ok:
-            cov_int = s2 * np.linalg.inv(jtj_s) / np.outer(d, d)
-            covariance = cov_int * np.outer(scale_ext, scale_ext)
-            sigmas = {
-                n: float(math.sqrt(max(covariance[i, i], 0.0)))
-                for i, n in enumerate(names)
-            }
-        else:
-            flags["singular_covariance"] = True
-    else:
+    if dof <= 0:
         flags["underdetermined"] = True
+    elif np.all(np.isfinite(jtj_s)) and np.linalg.cond(jtj_s) < 1e12:
+        covariance = rss / dof * np.linalg.inv(jtj_s) * np.outer(scale, scale)
+    else:
+        flags["singular_covariance"] = True
+    sigmas = {n: math.nan for n in names}
+    if covariance is not None:
+        sigmas = {n: math.sqrt(max(float(c), 0.0)) for n, c in zip(names, np.diag(covariance))}
 
     return FitResult(
-        params=params,
+        params=external(sol.x),
         sigmas=sigmas,
         rss=rss,
-        iterations=iterations,
-        converged=converged,
+        iterations=int(sol.nfev),
+        converged=bool(sol.status > 0),
         flags=flags,
         covariance=covariance,
     )
@@ -272,13 +199,11 @@ def find_peaks(
     list of (x_peak, height) sorted by x.
     """
     x = np.asarray(x, dtype=float)
-    y_raw = np.asarray(y, dtype=float)
+    y_s = np.asarray(y, dtype=float)
     if min_prominence <= 0:
         raise DomainError("min_prominence must be positive")
-    y_s = y_raw
     if smooth_width > 1:
-        kernel = np.ones(smooth_width) / smooth_width
-        y_s = np.convolve(y_raw, kernel, mode="same")
+        y_s = np.convolve(y_s, np.ones(smooth_width) / smooth_width, mode="same")
     idx, _props = scipy.signal.find_peaks(y_s, prominence=min_prominence)
     peaks = []
     for i in idx:
@@ -287,10 +212,8 @@ def find_peaks(
             denom = y0 - 2 * y1 + y2
             shift = 0.0 if denom == 0 else 0.5 * (y0 - y2) / denom
             shift = float(np.clip(shift, -1.0, 1.0))
-            dx = 0.5 * (x[i + 1] - x[i - 1])
-            x_pk = x[i] + shift * dx
-            h = y1 - 0.25 * (y0 - y2) * shift
-            peaks.append((float(x_pk), float(h)))
+            x_pk = x[i] + shift * (0.5 * (x[i + 1] - x[i - 1]))
+            peaks.append((float(x_pk), float(y1 - 0.25 * (y0 - y2) * shift)))
         else:
             peaks.append((float(x[i]), float(y_s[i])))
     return sorted(peaks)
@@ -337,21 +260,15 @@ def resonator_from_bare_fit(
     kappa_tot/2 (amplitude error at the noise level) and the result is
     flagged.
     """
-    omega_r = fit.params["omega_r"]
-    kappa_tot = fit.params["kappa_tot"]
-    amp = fit.params["amp"]
-    if amp <= kappa_tot / 2.0:
-        k12 = amp
-        k_int = kappa_tot - 2.0 * amp
-    else:
-        k12 = kappa_tot / 2.0
-        k_int = 0.0
+    kappa_tot, amp = fit.params["kappa_tot"], fit.params["amp"]
+    k12 = amp if amp <= kappa_tot / 2.0 else kappa_tot / 2.0
+    if k12 != amp:
         fit.flags["overcoupled_amplitude"] = True
     res = ResonatorParams.from_mode(
-        omega_r, impedance, kappa_1=k12, kappa_2=k12, kappa_int=k_int
+        fit.params["omega_r"], impedance, kappa_1=k12, kappa_2=k12,
+        kappa_int=kappa_tot - 2.0 * k12,
     )
-    ct = CrosstalkParams(t=fit.params["t"], zeta=fit.params["zeta"])
-    return res, ct
+    return res, CrosstalkParams(t=fit.params["t"], zeta=fit.params["zeta"])
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,8 @@ def read_trace(path: str) -> SpectrumTrace:
                 f, re, im = (float(p) for p in parts)
             except ValueError:
                 raise FormatError(f"trace {path}: non-numeric row {line!r}") from None
+            if not all(map(math.isfinite, (f * _GHZ, re, im))):
+                raise FormatError(f"trace {path}: non-finite row {line!r}")
             freqs.append(f * _GHZ)
             s21.append(complex(re, im))
     if len(freqs) < 2:
@@ -124,10 +126,13 @@ def read_twotone_csv(path: str) -> tuple:
             if len(parts) < 2:
                 raise FormatError(f"two-tone data {path}: need 2 columns")
             try:
-                drive.append(float(parts[0]) * _GHZ)
-                response.append(float(parts[1]))
+                f, r = float(parts[0]), float(parts[1])
             except ValueError:
                 raise FormatError(f"two-tone data {path}: non-numeric row {line!r}") from None
+            if not (math.isfinite(f * _GHZ) and math.isfinite(r)):
+                raise FormatError(f"two-tone data {path}: non-finite row {line!r}")
+            drive.append(f * _GHZ)
+            response.append(r)
     if not drive:
         raise FormatError(f"two-tone data {path}: no data rows")
     return np.array(drive), np.array(response)
@@ -142,23 +147,29 @@ ANGULAR_PARAMS = {"omega_r", "kappa_tot", "amp", "g", "gamma_2", "omega_e", "gam
 
 
 def fit_to_json_dict(fit: FitResult, config: Mapping | None = None) -> dict:
-    """FitResult as a JSON-ready dict; angular parameters converted to Hz."""
-    params = {}
-    units = {}
-    for name, value in fit.params.items():
-        sigma = fit.sigmas.get(name, math.nan)
-        if name in ANGULAR_PARAMS:
-            value = value / TWO_PI
-            sigma = sigma / TWO_PI
-            units[name] = "Hz"
-        else:
-            units[name] = "1"
-        params[name] = {"value": value, "sigma": sigma}
+    """FitResult as a JSON-ready dict; angular parameters converted to Hz.
+
+    ``covariance[a][b]`` is in units[a] * units[b], null when singular;
+    ``flags`` are the fit's diagnostics as they stand.
+    """
+    names = list(fit.params)
+    to_hz = np.array([TWO_PI if n in ANGULAR_PARAMS else 1.0 for n in names])
+    units = {n: "Hz" if n in ANGULAR_PARAMS else "1" for n in names}
+    params = {
+        n: {"value": fit.params[n] / s, "sigma": fit.sigmas.get(n, math.nan) / s}
+        for n, s in zip(names, to_hz)
+    }
+    covariance = None
+    if fit.covariance is not None:
+        cov = np.asarray(fit.covariance) / np.outer(to_hz, to_hz)
+        covariance = {a: dict(zip(names, row)) for a, row in zip(names, cov.tolist())}
     return {
         "params": params,
         "rss": fit.rss,
         "iterations": fit.iterations,
         "converged": fit.converged,
+        "flags": _json_safe(fit.flags),
+        "covariance": covariance,
         "units": units,
         "config": _json_safe(config or {}),
     }

@@ -370,6 +370,7 @@ def compose(
     voltages: Mapping[str, float],
     e_x: float = 0.0,
     e_y: float = 0.0,
+    constants: PhysicalConstants = CONSTANTS,
 ) -> GriddedField:
     """Weight electrode maps by voltages into a GriddedField.
 
@@ -380,7 +381,7 @@ def compose(
     if unknown:
         raise DomainError(f"voltages for unknown electrodes: {unknown}")
     volts = {name: float(voltages.get(name, 0.0)) for name in maps.electrodes}
-    return GriddedField(maps=maps, voltages=volts, e_x=e_x, e_y=e_y)
+    return GriddedField(maps=maps, voltages=volts, e_x=e_x, e_y=e_y, constants=constants)
 
 
 # ---------------------------------------------------------------------------

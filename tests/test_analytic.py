@@ -72,9 +72,11 @@ def test_coupling_g_validation():
 
 
 def test_cardano_zero_field_is_exactly_zero():
-    res = cardano_minimum(CubicTrap1D(a1=1e-9, a2=2750.0, e_y=0.0))
-    assert res.y0 == 0.0
-    assert res.regime == "single-real"
+    # a1 = 0 is the triple root p = q = 0
+    for a1 in (1e-9, 0.0):
+        res = cardano_minimum(CubicTrap1D(a1=a1, a2=2750.0, e_y=0.0))
+        assert res.y0 == 0.0
+        assert res.regime == "single-real"
 
 
 def test_cardano_pure_quartic_closed_form():

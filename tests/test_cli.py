@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from heliumdot import analytic, cli, core
 from heliumdot.cli import build_parser, main
 from heliumdot.core import CONSTANTS, TWO_PI
 from heliumdot.io import read_trace
@@ -296,6 +297,18 @@ def test_sweep_shift_rejects_nonpositive_restarts(tmp_path, capsys, restarts):
     assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
 
 
+@pytest.mark.parametrize("kind, n, vmax", [
+    ("shift", "-1", "0.3"), ("freq", "-1", "0.3"), ("freq", "0", "0.3"), ("freq", "2", "inf"),
+])
+def test_sweep_rejects_bad_voltage_axis(tmp_path, capsys, kind, n, vmax):
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", kind, "--maps", _maps_file(tmp_path), "--electrode", "trap",
+                 "--vmin", "0.25", "--vmax", vmax, "--n", n, "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
+
+
 def test_format_flag_only_on_synth():
     args = build_parser().parse_args(["calc", "g", "--coupling-length-nm", "5"])
     assert "format" not in vars(args)
@@ -308,3 +321,134 @@ def test_bad_voltage_spec_reports_error(tmp_path, capsys):
                  "--voltage", "guardhalf", "--grad-per-um", "0.01"])
     assert code == 1
     assert json.loads(capsys.readouterr().err)["error"] == "FormatError"
+
+
+def _strict_json(text):
+    """json.loads that rejects the NaN/Infinity tokens JSON does not allow."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_nonfinite_outputs_print_strict_json(capsys):
+    # g = 0 gives no Purcell decay (T1 = inf); g = inf gives C = inf
+    assert main(["calc", "purcell-res", "--g-mhz", "0", "--kappa-mhz", "1",
+                 "--delta-ghz", "1"]) == 0
+    assert _strict_json(capsys.readouterr().out)["t1_us"] is None
+    assert main(["calc", "cooperativity", "--g-mhz", "inf", "--kappa-mhz", "23",
+                 "--gamma2-mhz", "75"]) == 0
+    assert _strict_json(capsys.readouterr().out)["cooperativity"] is None
+
+
+def test_nan_flag_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "trace.csv"
+    assert main(["synth", "--snr", "nan", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert _strict_json(err[0])["error"] == "UsageError"
+    assert not out.exists()
+    # cooperativity with a NaN coupling used to print a bare NaN token
+    assert main(["calc", "cooperativity", "--g-mhz", "nan", "--kappa-mhz", "23",
+                 "--gamma2-mhz", "75"]) == 1
+    assert _strict_json(capsys.readouterr().err)["error"] == "UsageError"
+
+
+@pytest.mark.parametrize("points", ["-1", "0", "1"])
+def test_synth_rejects_too_few_points(tmp_path, capsys, points):
+    out = tmp_path / "trace.csv"
+    assert main(["synth", "--points", points, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "DomainError"
+    assert not out.exists()
+
+
+def _config_file(tmp_path, cfg):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_config_constants_and_resonator_flags_combine(tmp_path, capsys):
+    cfg = {"constants": {"m_e": 1.8e-30}, "resonator": {"l_r": 85e-9}}
+    assert main(["calc", "g", "--coupling-length-nm", "2200", "--f-res-ghz", "5",
+                 "--kappa1-mhz", "4", "--config", _config_file(tmp_path, cfg)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["f_res_GHz"] == pytest.approx(5.0, rel=1e-12)
+    res = core.ResonatorParams.from_mode(5.0 * GHZ, core.default_resonator().impedance)
+    expect = analytic.coupling_g(res, 2.2e-6, constants=core.constants_from_config(cfg))
+    assert out["g_MHz"] == pytest.approx(expect.g / (1e6 * TWO_PI), rel=1e-12)
+    assert out["impedance_ohm"] == pytest.approx(expect.impedance, rel=1e-12)
+
+
+def test_config_kappa_flags_apply_on_top_of_resonator_section(tmp_path):
+    cfg = _config_file(tmp_path, {"resonator": {"kappa_2": 1e6, "kappa_int": 2e6}})
+    args = build_parser().parse_args(["synth", "--config", cfg, "--kappa1-mhz", "3"])
+    args._config = json.loads((tmp_path / "config.json").read_text())
+    res = cli._resonator(args)
+    assert res.kappa_1 == pytest.approx(3e6 * TWO_PI)
+    assert (res.kappa_2, res.kappa_int) == (1e6, 2e6)
+    assert (res.l_r, res.c_r) == (85e-9, 5.8e-15)
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["calc", "cardano", "--a1", "0", "--a2", "2750", "--ey", "300"], "y0_nm"),
+    (["calc", "spin", "--g-c-mhz", "120", "--dbz-dx-t-per-um", "0.1", "--ax-nm", "50",
+      "--delta-cs-ghz", "2"], "g_cs_MHz"),
+    (["calc", "depression", "--height-um", "3000", "--width-um", "1.4"], "depression_nm"),
+    (["calc", "purcell-bias", "--f-el-ghz", "5.0"], "c_c_fF"),
+])
+def test_config_constants_reach_calc(tmp_path, capsys, argv, key):
+    # doubling e, mu_b and rho_he moves every one of these closed forms
+    cfg = _config_file(tmp_path, {"constants": {"e": 2 * CONSTANTS.e,
+                                                "mu_b": 2 * CONSTANTS.mu_b,
+                                                "rho_he": 2 * CONSTANTS.rho_he}})
+    assert main(argv) == 0
+    plain = json.loads(capsys.readouterr().out)[key]
+    assert main(argv + ["--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)[key] != pytest.approx(plain, rel=0.1)
+
+
+def test_config_constants_reach_qsolve_and_sweeps(tmp_path, capsys):
+    # four times the electron mass halves every classical mode frequency and
+    # the harmonic level spacing
+    cfg = _config_file(tmp_path, {"constants": {"m_e": 4 * CONSTANTS.m_e}})
+    a1 = repr(0.5 * CONSTANTS.m_e * (5.0 * GHZ) ** 2)
+    qsolve = ["qsolve", "--a1x", a1, "--a1y", a1, "--nx", "61", "--ny", "61", "--k", "3"]
+    assert main(qsolve) == 0
+    plain = json.loads(capsys.readouterr().out)["f01_GHz"]
+    assert main(qsolve + ["--config", cfg]) == 0
+    heavy = json.loads(capsys.readouterr().out)["f01_GHz"]
+    assert heavy / plain == pytest.approx(0.5, rel=1e-2)
+
+    maps = _maps_file(tmp_path)
+    sweep = ["--maps", maps, "--electrode", "trap", "--vmin", "0.25", "--vmax", "0.25",
+             "--n", "1"]
+    rows = {}
+    for name, extra in (("plain", []), ("heavy", ["--config", cfg])):
+        out = tmp_path / f"shift_{name}.csv"
+        assert main(["sweep", "shift", *sweep, "--grad-per-um", "0.01", "--restarts", "1",
+                     "--out", str(out), *extra]) == 0
+        modes = out.read_text().splitlines()[2].split(",")[3]
+        rows[name] = [float(f) for f in modes.split(";")]
+        out = tmp_path / f"freq_{name}.csv"
+        assert main(["sweep", "freq", *sweep, "--nx", "41", "--ny", "41", "--k", "3",
+                     "--out", str(out), *extra]) == 0
+        rows[name + "_f01"] = float(out.read_text().splitlines()[2].split(",")[1])
+    assert np.allclose(np.array(rows["heavy"]) / rows["plain"], 0.5, rtol=1e-6)
+    assert rows["heavy_f01"] / rows["plain_f01"] == pytest.approx(0.5, rel=0.1)
+
+
+def test_fit_json_carries_flags_and_covariance(tmp_path):
+    trace = str(tmp_path / "far.csv")
+    main(_synth_args(trace) + ["--snr", "50"])
+    out = tmp_path / "fit.json"
+    assert main(["fit", "bare", "--trace", trace, "--out", str(out)]) == 0
+    fit = _strict_json(out.read_text())
+    assert fit["flags"]["window_points"] > 10
+    cov = fit["covariance"]
+    assert sorted(cov) == sorted(fit["params"])
+    for name, p in fit["params"].items():
+        # the diagonal is sigma^2 in the file's units (Hz^2 for angular rates)
+        assert cov[name][name] == pytest.approx(p["sigma"] ** 2, rel=1e-12)
+    assert cov["omega_r"]["t"] == pytest.approx(cov["t"]["omega_r"], rel=1e-12)

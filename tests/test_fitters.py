@@ -138,6 +138,25 @@ def test_sigma_matches_analytic_linear_case():
     assert fit.sigmas["a"] == pytest.approx(expected, rel=0.3)
 
 
+def test_step_out_of_model_domain_is_rejected():
+    # from p = 10 the full Gauss-Newton step for log(p) x lands near p = -13,
+    # where the model raises; the fit must reject that step and still converge
+    x = np.linspace(0.1, 1.0, 30)
+    y = math.log(1.01) * x
+    rejected = []
+
+    def model(x, p):
+        if p <= 0:
+            rejected.append(p)
+            raise DomainError("log of a non-positive value")
+        return math.log(p) * x
+
+    fit = least_squares(model, x, y, init={"p": 10.0})
+    assert rejected
+    assert fit.converged
+    assert fit.params["p"] == pytest.approx(1.01, rel=1e-9)
+
+
 def test_interval_coverage_and_bias():
     """1-sigma coverage near 0.68 and negligible bias over 200 noisy fits."""
     x = np.linspace(-1.0, 1.0, 101)
