@@ -52,21 +52,19 @@ def zero_point_length(omega: float, constants: PhysicalConstants = CONSTANTS) ->
 def coupling_g(
     res: ResonatorParams,
     coupling_length: float,
-    omega_e: float | None = None,
     constants: PhysicalConstants = CONSTANTS,
 ) -> CouplingResult:
     """Dipole coupling rate of the electron's motion to the resonator mode.
 
     hbar g = (e * l_y) * V_zpf / ell, where ell is the inverse differential
     lever-arm derivative at the electron position (the voltage-to-field
-    conversion length of the resonator mode).  l_y is evaluated at omega_e,
-    defaulting to the bare resonator frequency (the on-resonance condition).
+    conversion length of the resonator mode).  l_y is evaluated at the bare
+    resonator frequency (the on-resonance condition).
     """
     if coupling_length <= 0:
         raise DomainError("coupling length must be positive")
     omega_r, impedance, v_zpf = derived_resonator_quantities(res, constants)
-    omega = float(omega_r) if omega_e is None else float(omega_e)
-    l_y = zero_point_length(omega, constants)
+    l_y = zero_point_length(float(omega_r), constants)
     g = constants.e * l_y * v_zpf / (constants.hbar * coupling_length)
     return CouplingResult(g=g, l_y=l_y, v_zpf=v_zpf, impedance=impedance, omega_r=float(omega_r))
 
@@ -102,7 +100,8 @@ class CubicTrap1D:
 
     def curvature(self, y):
         """U''(y) [J/m^2]."""
-        return 2.0 * self.a1 + 12.0 * self.a2 * np.asarray(y, dtype=float) ** 2
+        # a2 y^2 first: 12 a2 alone overflows for a2 near the float maximum
+        return 2.0 * self.a1 + 12.0 * (self.a2 * np.asarray(y, dtype=float) ** 2)
 
 
 @dataclass(frozen=True)
@@ -119,8 +118,6 @@ class CardanoResult:
     roots: tuple
     discriminant: float
     regime: str
-    p: float
-    q: float
 
 
 def cardano_minimum(trap: CubicTrap1D) -> CardanoResult:
@@ -139,8 +136,7 @@ def cardano_minimum(trap: CubicTrap1D) -> CardanoResult:
         if trap.a1 < 0.0:
             raise DomainError("inverted quadratic potential: no confining minimum")
         y0 = c.e * trap.e_y / (2.0 * trap.a1)
-        return CardanoResult(y0=y0, roots=(y0,), discriminant=math.nan, regime="linear",
-                             p=math.nan, q=math.nan)
+        return CardanoResult(y0=y0, roots=(y0,), discriminant=math.nan, regime="linear")
 
     p = trap.a1 / (2.0 * trap.a2)
     q = -c.e * trap.e_y / (4.0 * trap.a2)
@@ -154,7 +150,7 @@ def cardano_minimum(trap: CubicTrap1D) -> CardanoResult:
         s = math.sqrt(q**2 / 4.0 + p**3 / 27.0)
         y0 = np.cbrt(-q / 2.0 + s) + np.cbrt(-q / 2.0 - s)
         return CardanoResult(y0=float(y0), roots=(float(y0),), discriminant=disc,
-                             regime="single-real", p=p, q=q)
+                             regime="single-real")
 
     # three real stationary points (p < 0 here): trigonometric solution
     m = 2.0 * math.sqrt(-p / 3.0)
@@ -165,24 +161,7 @@ def cardano_minimum(trap: CubicTrap1D) -> CardanoResult:
     energies = [float(trap.energy(r)) for r in roots]
     y0 = roots[int(np.argmin(energies))]
     return CardanoResult(y0=float(y0), roots=tuple(roots), discriminant=disc,
-                         regime="three-real", p=p, q=q)
-
-
-def first_order_minimum(trap: CubicTrap1D) -> float:
-    """Minimum location expanded to first order in the small-tilt parameter.
-
-    y0 ~ -q^(1/3) + p / (3 q^(1/3)) with real cube roots; valid when the
-    dimensionless ratio |p| / |q|^(2/3) is small (weak quadratic term).
-    """
-    c = trap.constants
-    if trap.a2 <= 0.0:
-        raise DomainError("first-order expansion needs a2 > 0")
-    if trap.e_y == 0.0:
-        raise DomainError("first-order expansion needs a driving field")
-    p = trap.a1 / (2.0 * trap.a2)
-    q = -c.e * trap.e_y / (4.0 * trap.a2)
-    cbrt_q = np.cbrt(q)
-    return float(-cbrt_q + p / (3.0 * cbrt_q))
+                         regime="three-real")
 
 
 def effective_frequency(trap: CubicTrap1D) -> float:

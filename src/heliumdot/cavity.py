@@ -5,11 +5,10 @@ susceptibility
 
     chi(omega_p) = g^2 / ((omega_e - omega_p) - i Gamma_2)
 
-entering the two-port transmission and reflection through the mode
-denominator
+entering the two-port transmission through the mode denominator
 
     d(omega_p) = kappa_tot/2 + i (omega_r - omega_p) + i chi <sigma_z>
-    S21 = sqrt(kappa_1 kappa_2) / d          S11 = -1 + kappa_1 / d
+    S21 = sqrt(kappa_1 kappa_2) / d
 
 with <sigma_z> = -1 for a ground-state electron.  Im chi > 0 then adds loss
 (the electron broadens the resonance), and Re chi pushes the dressed peak
@@ -29,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import CONSTANTS, DomainError, Frequency, ResonatorParams, TWO_PI
+from .core import DomainError, Frequency, ResonatorParams
 
 
 # ---------------------------------------------------------------------------
@@ -61,35 +60,21 @@ class TwoLevelElectron:
 
 @dataclass(frozen=True)
 class CrosstalkParams:
-    """Direct port-to-port leakage: amplitude sqrt(T), global phase zeta,
-    and reciprocal phase asymmetry theta."""
+    """Direct port-to-port leakage: amplitude sqrt(T) and phase zeta."""
 
     t: float
     zeta: float
-    theta: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.t <= 1.0:
             raise DomainError("crosstalk power T must lie in [0, 1]")
-        if not (math.isfinite(self.zeta) and math.isfinite(self.theta)):
-            raise DomainError("crosstalk phases must be finite")
-
-    def scattering_matrix(self) -> np.ndarray:
-        """2x2 unitary background scattering matrix."""
-        root_t = math.sqrt(self.t)
-        root_r = math.sqrt(1.0 - self.t)
-        phase = np.exp(1j * self.zeta)
-        return phase * np.array(
-            [
-                [root_r * np.exp(1j * self.theta), -1j * root_t],
-                [-1j * root_t, root_r * np.exp(-1j * self.theta)],
-            ]
-        )
+        if not math.isfinite(self.zeta):
+            raise DomainError("crosstalk phase must be finite")
 
     @property
     def s21_leak(self) -> complex:
         """The transmission element -i sqrt(T) e^(i zeta)."""
-        return -1j * math.sqrt(self.t) * np.exp(1j * self.zeta)
+        return crosstalk_leak(self.t, self.zeta)
 
 
 @dataclass(eq=False)
@@ -120,20 +105,30 @@ class SpectrumTrace:
 # ---------------------------------------------------------------------------
 
 
+def lorentzian(x, omega_r, kappa_tot, amp, pull=0.0):
+    """Resonator transmission amp / (kappa_tot/2 + i (omega_r - x) + pull) over
+    probe frequencies x [rad/s]: the bare mode for pull = 0, dressed by an
+    electron for pull = i chi <sigma_z>."""
+    return amp / (kappa_tot / 2.0 + 1j * (omega_r - x) + pull)
+
+
+def crosstalk_leak(t, zeta):
+    """Direct port-to-port transmission -i sqrt(t) e^(i zeta)."""
+    return -1j * np.sqrt(t) * np.exp(1j * zeta)
+
+
+def lorentzian_dip(x, omega_e, gamma, depth, offset):
+    """Real dip offset - depth gamma^2 / ((x - omega_e)^2 + gamma^2), with
+    gamma the half-width at half-depth."""
+    return offset - depth * gamma**2 / ((x - omega_e) ** 2 + gamma**2)
+
+
 def susceptibility(el: TwoLevelElectron, g: float, omega_p):
     """Electron susceptibility chi(omega_p) [rad/s], vectorized over omega_p."""
     if not 0 <= g < math.inf:
         raise DomainError("coupling g must be non-negative and finite")
     delta_ep = el.omega_e - np.asarray(omega_p, dtype=float)
     return g**2 / (delta_ep - 1j * el.gamma_2)
-
-
-def _denominator(res: ResonatorParams, el: TwoLevelElectron | None, g: float, omega_p):
-    omega_p = np.asarray(omega_p, dtype=float)
-    d = res.kappa_tot / 2.0 + 1j * (res.omega_r - omega_p)
-    if el is not None and g != 0.0:
-        d = d + 1j * susceptibility(el, g, omega_p) * el.sigma_z
-    return d
 
 
 def s21_resonant(
@@ -145,20 +140,12 @@ def s21_resonant(
     """Two-port transmission through the dressed resonator (no crosstalk)."""
     if res.kappa_tot <= 0:
         raise DomainError("resonator needs a positive total linewidth")
+    omega_p = np.asarray(omega_p, dtype=float)
+    pull = 0.0
+    if el is not None and g != 0.0:
+        pull = 1j * susceptibility(el, g, omega_p) * el.sigma_z
     amp = math.sqrt(res.kappa_1 * res.kappa_2)
-    return amp / _denominator(res, el, g, omega_p)
-
-
-def s11_resonant(
-    res: ResonatorParams,
-    el: TwoLevelElectron | None,
-    g: float,
-    omega_p,
-):
-    """Single-port reflection off the dressed resonator."""
-    if res.kappa_tot <= 0:
-        raise DomainError("resonator needs a positive total linewidth")
-    return -1.0 + res.kappa_1 / _denominator(res, el, g, omega_p)
+    return lorentzian(omega_p, res.omega_r, res.kappa_tot, amp, pull)
 
 
 def s21_with_crosstalk(
@@ -200,8 +187,8 @@ def two_tone_dip(el: TwoLevelElectron, drive_freq, depth: float, offset: float):
     """
     if depth < 0:
         raise DomainError("dip depth must be non-negative")
-    delta = np.asarray(drive_freq, dtype=float) - el.omega_e
-    return offset - depth * el.gamma_2**2 / (delta**2 + el.gamma_2**2)
+    return lorentzian_dip(np.asarray(drive_freq, dtype=float), el.omega_e, el.gamma_2,
+                          depth, offset)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +205,6 @@ def synthesize_trace(
     snr: float = math.inf,
     seed: int = 0,
     other: np.ndarray | Callable | None = None,
-    metadata: dict | None = None,
 ) -> SpectrumTrace:
     """Generate a noisy synthetic trace of the full model.
 
@@ -232,10 +218,7 @@ def synthesize_trace(
     s21 = np.asarray(s21_with_crosstalk(res, el, g, ct, probe), dtype=complex)
     if other is not None:
         s21 = s21 + (other(probe) if callable(other) else np.asarray(other, dtype=complex))
-    meta = dict(metadata or {})
-    meta.setdefault("snr", None if math.isinf(snr) else snr)
-    meta.setdefault("seed", seed)
-    meta.setdefault("far_detuned", el is None)
+    meta = {"snr": None if math.isinf(snr) else snr, "seed": seed, "far_detuned": el is None}
     if not math.isinf(snr):
         if snr <= 0:
             raise DomainError("snr must be positive (or omitted for noiseless)")
@@ -291,7 +274,7 @@ def compensate_background(
 
     fit = fitters.fit_bare_resonator(far_detuned, window_kappa_mult=window_kappa_mult)
     probe = target.probe
-    leak = CrosstalkParams(t=fit.params["t"], zeta=fit.params["zeta"]).s21_leak
+    leak = crosstalk_leak(fit.params["t"], fit.params["zeta"])
     other = far_detuned.s21 - fitters.bare_model(probe, **fit.params)
     compensated = target.s21 - leak - other
     meta = dict(target.metadata)

@@ -105,8 +105,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         el = cavity.TwoLevelElectron(
             omega_e=args.f_el_ghz * _GHZ, gamma_2=args.gamma2_mhz * _MHZ
         )
-    ct = cavity.CrosstalkParams(t=args.crosstalk_t, zeta=args.crosstalk_zeta,
-                                theta=args.crosstalk_theta)
+    ct = cavity.CrosstalkParams(t=args.crosstalk_t, zeta=args.crosstalk_zeta)
     probe = _probe_axis(args, res.omega_r)
     trace = cavity.synthesize_trace(
         res, el, args.g_mhz * _MHZ, ct, probe, snr=args.snr, seed=args.seed
@@ -414,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g-mhz", type=float, default=0.0)
     p.add_argument("--crosstalk-t", type=float, default=0.0)
     p.add_argument("--crosstalk-zeta", type=float, default=0.0)
-    p.add_argument("--crosstalk-theta", type=float, default=0.0)
     p.add_argument("--span-mhz", type=float, default=800.0)
     p.add_argument("--center-ghz", type=float)
     p.add_argument("--points", type=int, default=801)

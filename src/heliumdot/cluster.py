@@ -145,6 +145,13 @@ def _triangular_lattice(center: np.ndarray, spacing: float, n: int) -> np.ndarra
     return picked + center[None, :]
 
 
+def _check_counts(n_electrons: int, restarts: int) -> None:
+    if n_electrons < 0:
+        raise DomainError("n_electrons must be >= 0")
+    if restarts < 1:
+        raise DomainError("restarts must be >= 1")
+
+
 def _newton_decrease(grad: np.ndarray, hess: np.ndarray) -> float:
     """Energy change |g.H^-1.g| / 2 a full Newton step predicts [J]; inf if H is singular."""
     try:
@@ -177,10 +184,7 @@ def minimize(
     resolve.  MAX_ITER iterations, or a stop short of that floor, is not
     converged.  The best run wins by convergence then energy.
     """
-    if n_electrons < 0:
-        raise DomainError("n_electrons must be >= 0")
-    if restarts < 1:
-        raise DomainError("restarts must be >= 1")
+    _check_counts(n_electrons, restarts)
     if n_electrons == 0:
         return ElectronConfiguration(
             positions=np.zeros((0, 2)), energy=0.0, gradient_norm=0.0,
@@ -423,17 +427,18 @@ def shift_vs_voltage_sweep(
     e_y: float = 0.0,
     seed: int = 0,
     restarts: int = 8,
-    warm_start: bool = True,
     constants: PhysicalConstants = CONSTANTS,
 ) -> list:
     """Resonator shift and cluster mode frequencies along one electrode sweep.
 
-    Warm-start mode re-minimizes from the previous point's configuration
-    (restarts collapse to 1 after the first voltage); with warm_start=False
-    every point runs the full seeded multi-start independently.  A point
-    whose equilibrium is a saddle is recorded with shift = nan and
-    converged=False instead of aborting the sweep.
+    Each point re-minimizes from the previous point's configuration with a
+    single run; the first point, and any point after a failed one, starts
+    cold with the full seeded multi-start.  A point whose equilibrium is a
+    saddle, or whose field, minimum or coupled spectrum raises DomainError,
+    is recorded with shift = nan and converged=False instead of aborting the
+    sweep.
     """
+    _check_counts(n_electrons, restarts)
     if electrode not in maps.electrodes:
         raise DomainError(f"unknown sweep electrode {electrode!r}")
     if gradient_map is None:
@@ -442,32 +447,35 @@ def shift_vs_voltage_sweep(
         raise DomainError("no resonator gradient map available for coupling")
     rows = []
     prev_positions = None
-    for i, volt in enumerate(voltages):
+    for volt in voltages:
         volts = dict(base_voltages)
         volts[electrode] = float(volt)
-        field_ = compose(maps, volts, e_x=e_x, e_y=e_y, constants=constants)
-        use_warm = warm_start and prev_positions is not None
-        config = minimize(
-            field_, n_electrons, seed=seed,
-            restarts=1 if use_warm else restarts,
-            init=prev_positions if use_warm else None,
-            constants=constants,
-        )
-        modes = normal_modes(field_, config, constants)
-        shift = math.nan
-        if not modes.is_saddle:
-            shift = coupled_spectrum(modes, config, res, gradient_map, constants).shift
+        config = modes = None
+        try:
+            field_ = compose(maps, volts, e_x=e_x, e_y=e_y, constants=constants)
+            config = minimize(
+                field_, n_electrons, seed=seed,
+                restarts=restarts if prev_positions is None else 1,
+                init=prev_positions, constants=constants,
+            )
+            modes = normal_modes(field_, config, constants)
+            shift = math.nan if modes.is_saddle else coupled_spectrum(
+                modes, config, res, gradient_map, constants).shift
+        except DomainError:
+            shift, failed = math.nan, True
+        else:
+            failed = False
         rows.append(
             ShiftSweepRow(
                 electrode=electrode,
                 voltage=float(volt),
                 shift=shift,
-                mode_frequencies=tuple(float(f) for f in modes.frequencies),
-                converged=config.converged and not modes.is_saddle,
-                gradient_norm=config.gradient_norm,
-                iterations=config.iterations,
-                is_saddle=modes.is_saddle,
+                mode_frequencies=() if modes is None else tuple(map(float, modes.frequencies)),
+                converged=not failed and config.converged and not modes.is_saddle,
+                gradient_norm=math.nan if config is None else config.gradient_norm,
+                iterations=0 if config is None else config.iterations,
+                is_saddle=modes is not None and modes.is_saddle,
             )
         )
-        prev_positions = config.positions if warm_start else None
+        prev_positions = None if failed else config.positions
     return rows

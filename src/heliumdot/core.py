@@ -3,15 +3,15 @@
 Every internal computation in this package works in SI units with
 *angular* frequencies (rad/s).  Cyclic frequencies (Hz and friends) appear
 only at I/O boundaries: file formats, CLI arguments, and printed reports.
-The :class:`Frequency` record and :func:`convert_frequency` exist to make
-that boundary explicit instead of leaving factors of 2*pi to convention.
+The :class:`Frequency` record makes that boundary explicit instead of
+leaving factors of 2*pi to convention.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 TWO_PI = 2.0 * math.pi
 
@@ -33,54 +33,20 @@ class FitError(RuntimeError):
 # frequency conventions
 # ---------------------------------------------------------------------------
 
-_UNIT_TO_HZ = {
-    "rad/s": 1.0 / TWO_PI,
-    "Hz": 1.0,
-    "kHz": 1e3,
-    "MHz": 1e6,
-    "GHz": 1e9,
-}
-
-
-def convert_frequency(value: float, from_unit: str, to_unit: str) -> float:
-    """Convert a frequency between angular (rad/s) and cyclic units.
-
-    Pure multiplicative conversion; round trips are identity to double
-    precision.  Unknown unit strings raise ``DomainError``.
-    """
-    try:
-        f_from = _UNIT_TO_HZ[from_unit]
-        f_to = _UNIT_TO_HZ[to_unit]
-    except KeyError as exc:
-        raise DomainError(f"unknown frequency unit: {exc.args[0]!r}") from None
-    return value * (f_from / f_to)
-
 
 @dataclass(frozen=True)
 class Frequency:
     """A frequency stored as an angular value in rad/s.
 
-    Constructors and accessors carry the unit in their names so call sites
-    never have to guess whether a number includes the 2*pi.
+    Accessors carry the unit in their names so call sites never have to
+    guess whether a number includes the 2*pi.
     """
 
     rad_per_s: float
 
-    @classmethod
-    def from_cyclic(cls, hz: float) -> "Frequency":
-        return cls(hz * TWO_PI)
-
-    @classmethod
-    def from_ghz(cls, ghz: float) -> "Frequency":
-        return cls(ghz * 1e9 * TWO_PI)
-
     @property
     def hz(self) -> float:
         return self.rad_per_s / TWO_PI
-
-    @property
-    def mhz(self) -> float:
-        return self.rad_per_s / TWO_PI / 1e6
 
     @property
     def ghz(self) -> float:
@@ -104,8 +70,8 @@ class PhysicalConstants:
     site: nothing else in the package redefines a constant.
 
     Units: e [C], m_e [kg], h [J s], hbar [J s], eps0 [F/m], mu_B [J/T],
-    k_B [J/K], rho_he [kg/m^3] (liquid helium density), sigma_he [N/m]
-    (helium surface tension), g_earth [m/s^2].
+    rho_he [kg/m^3] (liquid helium density), sigma_he [N/m] (helium surface
+    tension), g_earth [m/s^2].
     """
 
     e: float = 1.602176634e-19
@@ -114,7 +80,6 @@ class PhysicalConstants:
     hbar: float = 6.62607015e-34 / TWO_PI
     eps0: float = 8.8541878128e-12
     mu_b: float = 9.2740100783e-24
-    k_b: float = 1.380649e-23
     rho_he: float = 145.0
     sigma_he: float = 3.78e-4
     g_earth: float = 9.81

@@ -23,7 +23,15 @@ import scipy.optimize
 import scipy.signal
 
 from .core import DomainError, FitError, ResonatorParams
-from .cavity import CrosstalkParams, SpectrumTrace, TwoLevelElectron, s21_resonant
+from .cavity import (
+    CrosstalkParams,
+    SpectrumTrace,
+    TwoLevelElectron,
+    crosstalk_leak,
+    lorentzian,
+    lorentzian_dip,
+    s21_resonant,
+)
 
 # ---------------------------------------------------------------------------
 # bounded-parameter transforms
@@ -142,11 +150,15 @@ def least_squares(
         return np.concatenate([r.real, r.imag]) if complex_data else r.astype(float)
 
     theta0 = np.array([tr.to_internal(float(init[n])) for n, tr in zip(names, transforms)])
-    if not np.all(np.isfinite(residuals(theta0))):
-        raise FitError("model not finite at the initial point")
-    sol = scipy.optimize.least_squares(
-        residuals, theta0, method="lm", x_scale="jac", ftol=1e-10, xtol=1e-10, gtol=1e-12
-    )
+    try:
+        sol = scipy.optimize.least_squares(
+            residuals, theta0, method="lm", x_scale="jac", ftol=1e-10, xtol=1e-10, gtol=1e-12
+        )
+    except ValueError as exc:
+        # scipy checks the residuals at theta0 itself before MINPACK starts
+        if "not finite in the initial point" not in str(exc):
+            raise
+        raise FitError("model not finite at the initial point") from None
     rss = float(sol.fun @ sol.fun)
     flags: dict = {"max_iter": True} if sol.status == 0 else {}
 
@@ -186,36 +198,24 @@ def least_squares(
 # ---------------------------------------------------------------------------
 
 
-def find_peaks(
-    x: np.ndarray,
-    y: np.ndarray,
-    min_prominence: float,
-    smooth_width: int = 0,
-) -> list:
-    """Local maxima of y(x) with at least the given prominence.
+def _find_peaks(x: np.ndarray, y: np.ndarray, min_prominence: float) -> list:
+    """Local maxima of y(x) with at least the given (positive) prominence.
 
-    Optional boxcar smoothing before picking; each peak location is refined
-    by a parabola through the three samples around the maximum.  Returns a
-    list of (x_peak, height) sorted by x.
+    Each peak location is refined by a parabola through the three samples
+    around the maximum.  Returns a list of (x_peak, height) sorted by x.
     """
-    x = np.asarray(x, dtype=float)
-    y_s = np.asarray(y, dtype=float)
-    if min_prominence <= 0:
-        raise DomainError("min_prominence must be positive")
-    if smooth_width > 1:
-        y_s = np.convolve(y_s, np.ones(smooth_width) / smooth_width, mode="same")
-    idx, _props = scipy.signal.find_peaks(y_s, prominence=min_prominence)
+    idx, _props = scipy.signal.find_peaks(y, prominence=min_prominence)
     peaks = []
     for i in idx:
         if 0 < i < x.size - 1:
-            y0, y1, y2 = y_s[i - 1], y_s[i], y_s[i + 1]
+            y0, y1, y2 = y[i - 1], y[i], y[i + 1]
             denom = y0 - 2 * y1 + y2
             shift = 0.0 if denom == 0 else 0.5 * (y0 - y2) / denom
             shift = float(np.clip(shift, -1.0, 1.0))
             x_pk = x[i] + shift * (0.5 * (x[i + 1] - x[i - 1]))
             peaks.append((float(x_pk), float(y1 - 0.25 * (y0 - y2) * shift)))
         else:
-            peaks.append((float(x[i]), float(y_s[i])))
+            peaks.append((float(x[i]), float(y[i])))
     return sorted(peaks)
 
 
@@ -245,8 +245,7 @@ def _estimate_peak_and_width(probe: np.ndarray, mag: np.ndarray) -> tuple:
 def bare_model(x, omega_r, kappa_tot, amp, t, zeta):
     """Bare-resonator fit model: the resonant Lorentzian plus the crosstalk
     leak -i sqrt(t) e^(i zeta), over probe frequencies x [rad/s]."""
-    leak = -1j * np.sqrt(t) * np.exp(1j * zeta)
-    return amp / (kappa_tot / 2.0 + 1j * (omega_r - x)) + leak
+    return lorentzian(x, omega_r, kappa_tot, amp) + crosstalk_leak(t, zeta)
 
 
 def resonator_from_bare_fit(
@@ -339,7 +338,7 @@ def fit_rabi(
     probe = trace.probe
     mag = np.abs(trace.s21)
     span = float(mag.max() - mag.min())
-    peaks = find_peaks(probe, mag, min_prominence=0.1 * span) if span > 0 else []
+    peaks = _find_peaks(probe, mag, min_prominence=0.1 * span) if span > 0 else []
     omega_r = res.omega_r
     if len(peaks) >= 2:
         top = sorted(peaks, key=lambda p: p[1], reverse=True)[:2]
@@ -388,9 +387,5 @@ def fit_lorentzian_dip(
     defaults = {"omega_e": float(drive[i_min]), "gamma": gamma0,
                 "depth": depth0, "offset": offset0}
     start = {**defaults, **dict(init or {})}
-
-    def model(x, omega_e, gamma, depth, offset):
-        return offset - depth * gamma**2 / ((x - omega_e) ** 2 + gamma**2)
-
     bounds = {"gamma": (0.0, math.inf), "depth": (0.0, math.inf)}
-    return least_squares(model, drive, response, init=start, bounds=bounds)
+    return least_squares(lorentzian_dip, drive, response, init=start, bounds=bounds)

@@ -30,24 +30,32 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _json_dumps(obj) -> str:
-    return json.dumps(_denan(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
-def _denan(obj):
+def _json_safe(obj):
+    """obj with numpy values made plain, complex numbers split into re/im,
+    and non-finite floats turned into None, so strict JSON can encode it."""
+    if isinstance(obj, Mapping):
+        return {str(k): _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_json_safe(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
+    if isinstance(obj, complex):
+        return {"re": _json_safe(obj.real), "im": _json_safe(obj.imag)}
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
-    if isinstance(obj, dict):
-        return {k: _denan(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_denan(v) for v in obj]
     return obj
+
+
+def _json_dumps(obj) -> str:
+    return json.dumps(_json_safe(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _config_line(config: Mapping | None) -> str:
     if not config:
         return ""
-    return "# config: " + json.dumps(config, sort_keys=True) + "\n"
+    return "# config: " + json.dumps(_json_safe(config), sort_keys=True, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +74,7 @@ def write_trace(trace: SpectrumTrace, path: str, config: Mapping | None = None) 
         lines.append(f"{_fmt(w / _GHZ)},{_fmt(s.real)},{_fmt(s.imag)}\n")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(lines)
-    sidecar = {"metadata": _json_safe(trace.metadata), "config": _json_safe(config or {})}
+    sidecar = {"metadata": trace.metadata, "config": config or {}}
     with open(path + ".json", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_json_dumps(sidecar))
 
@@ -147,7 +155,7 @@ ANGULAR_PARAMS = {"omega_r", "kappa_tot", "amp", "g", "gamma_2", "omega_e", "gam
 
 
 def fit_to_json_dict(fit: FitResult, config: Mapping | None = None) -> dict:
-    """FitResult as a JSON-ready dict; angular parameters converted to Hz.
+    """FitResult as a dict for the fit JSON; angular parameters converted to Hz.
 
     ``covariance[a][b]`` is in units[a] * units[b], null when singular;
     ``flags`` are the fit's diagnostics as they stand.
@@ -168,10 +176,10 @@ def fit_to_json_dict(fit: FitResult, config: Mapping | None = None) -> dict:
         "rss": fit.rss,
         "iterations": fit.iterations,
         "converged": fit.converged,
-        "flags": _json_safe(fit.flags),
+        "flags": fit.flags,
         "covariance": covariance,
         "units": units,
-        "config": _json_safe(config or {}),
+        "config": config or {},
     }
 
 
@@ -223,24 +231,10 @@ def write_compensation_json(
         "leak": {"re": leak.real, "im": leak.imag},
         "other_re": [float(v) for v in other.real],
         "other_im": [float(v) for v in other.imag],
-        "config": _json_safe(config or {}),
+        "config": config or {},
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_json_dumps(payload))
-
-
-def _json_safe(obj):
-    if isinstance(obj, Mapping):
-        return {str(k): _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_json_safe(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +267,9 @@ def svg_line_plot(
     series: Mapping[str, np.ndarray],
     xlabel: str,
     ylabel: str,
-    title: str = "",
-    width: int = 640,
-    height: int = 420,
 ) -> str:
     """Minimal deterministic SVG line plot (no external renderer needed)."""
+    width, height = 640, 420
     x = np.asarray(x, dtype=float)
     margin_l, margin_r, margin_t, margin_b = 62, 16, 30, 46
     pw = width - margin_l - margin_r
@@ -308,11 +300,6 @@ def svg_line_plot(
         f'<rect x="{margin_l}" y="{margin_t}" width="{pw}" height="{ph}" '
         'fill="none" stroke="#444444" stroke-width="1"/>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{width / 2:.6g}" y="18" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{title}</text>'
-        )
     for t in _ticks(x_lo, x_hi):
         px = sx(t)
         parts.append(

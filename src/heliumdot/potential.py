@@ -15,12 +15,13 @@ interpolates tabulated maps with a bicubic spline and differentiates the
 spline exactly; QuarticField is a quartic polynomial surrogate with
 closed-form derivatives, useful for oracles and solver cross-checks.
 ``sample_grid``, ``edge_ring`` and ``scan_minimum`` are the grid scans the
-level and cluster solvers share.
+level and cluster solvers share.  Every field parameter must be finite.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -94,11 +95,13 @@ class CouplingMapSet:
 
 @dataclass(frozen=True, eq=False)
 class CouplingGradientMap:
-    """Differential resonator lever-arm derivative d(alpha-)/dy on a grid [1/m]."""
+    """Differential resonator lever-arm derivative d(alpha-)/dy on a grid [1/m],
+    interpolated bilinearly (a degree-1 spline through the nodes)."""
 
     x_axis: np.ndarray
     y_axis: np.ndarray
     grid: np.ndarray
+    _spline: RectBivariateSpline = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x_axis", _require_axis(self.x_axis, "x_axis"))
@@ -109,17 +112,13 @@ class CouplingGradientMap:
         if not np.all(np.isfinite(arr)):
             raise FormatError("gradient map has non-finite values")
         object.__setattr__(self, "grid", arr)
+        spline = RectBivariateSpline(self.x_axis, self.y_axis, arr.T, kx=1, ky=1)
+        object.__setattr__(self, "_spline", spline)
 
     def value_at(self, x, y):
         """Interpolated derivative [1/m]; DomainError outside the grid."""
-        return _bilinear(self.x_axis, self.y_axis, self.grid, x, y)
-
-    def coupling_length(self, x, y):
-        """ell = 1/|d alpha-/dy| [m]; DomainError where the derivative vanishes."""
-        g = self.value_at(x, y)
-        if np.any(np.asarray(g) == 0.0):
-            raise DomainError("coupling length undefined where the lever-arm derivative is zero")
-        return 1.0 / np.abs(g)
+        domain = (self.x_axis[0], self.x_axis[-1], self.y_axis[0], self.y_axis[-1])
+        return _spline_eval(self._spline, x, y, domain)
 
 
 def uniform_gradient_map(domain: tuple, value: float, n: int = 2) -> CouplingGradientMap:
@@ -173,28 +172,19 @@ def _require_inside(region, x, y) -> None:
         raise DomainError("query point outside the map domain")
 
 
-def _bilinear(x_axis, y_axis, grid, xq, yq):
-    xq_arr = np.asarray(xq, dtype=float)
-    yq_arr = np.asarray(yq, dtype=float)
-    scalar = xq_arr.ndim == 0 and yq_arr.ndim == 0
-    xq_arr, yq_arr = np.broadcast_arrays(np.atleast_1d(xq_arr), np.atleast_1d(yq_arr))
-    _require_inside((x_axis[0], x_axis[-1], y_axis[0], y_axis[-1]), xq_arr, yq_arr)
-    ix = np.clip(np.searchsorted(x_axis, xq_arr, side="right") - 1, 0, x_axis.size - 2)
-    iy = np.clip(np.searchsorted(y_axis, yq_arr, side="right") - 1, 0, y_axis.size - 2)
-    tx = (xq_arr - x_axis[ix]) / (x_axis[ix + 1] - x_axis[ix])
-    ty = (yq_arr - y_axis[iy]) / (y_axis[iy + 1] - y_axis[iy])
-    v00 = grid[iy, ix]
-    v01 = grid[iy, ix + 1]
-    v10 = grid[iy + 1, ix]
-    v11 = grid[iy + 1, ix + 1]
-    out = (
-        v00 * (1 - tx) * (1 - ty)
-        + v01 * tx * (1 - ty)
-        + v10 * (1 - tx) * ty
-        + v11 * tx * ty
-    )
-    # out already has the broadcast shape of the queries
-    return float(out[0]) if scalar else out
+def _spline_eval(spline: RectBivariateSpline, x, y, region, dx=0, dy=0):
+    """Spline value or partial derivative at broadcast x, y inside region;
+    a float for scalar queries."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    _require_inside(region, x, y)
+    out = spline.ev(x.ravel(), y.ravel(), dx=dx, dy=dy).reshape(x.shape)
+    return float(out) if out.ndim == 0 else out
+
+
+def _require_finite(params: Mapping[str, float]) -> None:
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise DomainError(f"field parameter {name} must be finite, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +212,9 @@ class PotentialField(ABC):
     e_x: float = 0.0
     e_y: float = 0.0
     constants: PhysicalConstants = CONSTANTS
+
+    def __post_init__(self) -> None:
+        _require_finite({"e_x": self.e_x, "e_y": self.e_y})
 
     def evaluate(self, x, y):
         """Total potential phi(x, y) [V], vectorized over broadcastable x, y."""
@@ -275,6 +268,8 @@ class GriddedField(PotentialField):
     _spline: RectBivariateSpline = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
+        _require_finite(self.voltages)
         w = np.zeros((self.maps.y_axis.size, self.maps.x_axis.size))
         for name, volt in self.voltages.items():
             w += float(volt) * self.maps.grids[name]
@@ -295,32 +290,25 @@ class GriddedField(PotentialField):
         dy = float(np.max(np.diff(self.maps.y_axis)))
         return (x0 + dx, x1 - dx, y0 + dy, y1 - dy)
 
-    def _interp(self, x, y, region, dx=0, dy=0):
-        """Spline value or partial derivative of phi at broadcast x, y in region."""
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        _require_inside(region, x, y)
-        out = self._spline.ev(x.ravel(), y.ravel(), dx=dx, dy=dy).reshape(x.shape)
-        return float(out) if out.ndim == 0 else out
-
     def _base(self, x, y):
-        return self._interp(x, y, self.maps.domain)
+        return _spline_eval(self._spline, x, y, self.maps.domain)
 
     def energy_gradient(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         x, y = pts[..., 0], pts[..., 1]
         region = self.scan_region
         e = self.constants.e
-        gx = -e * (self._interp(x, y, region, dx=1) + self.e_x)
-        gy = -e * (self._interp(x, y, region, dy=1) + self.e_y)
+        gx = -e * (_spline_eval(self._spline, x, y, region, dx=1) + self.e_x)
+        gy = -e * (_spline_eval(self._spline, x, y, region, dy=1) + self.e_y)
         return np.stack([gx, gy], axis=-1)
 
     def energy_hessian(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         x, y = pts[..., 0], pts[..., 1]
         region = self.scan_region
-        fxx = self._interp(x, y, region, dx=2)
-        fxy = self._interp(x, y, region, dx=1, dy=1)
-        fyy = self._interp(x, y, region, dy=2)
+        fxx = _spline_eval(self._spline, x, y, region, dx=2)
+        fxy = _spline_eval(self._spline, x, y, region, dx=1, dy=1)
+        fyy = _spline_eval(self._spline, x, y, region, dy=2)
         return -self.constants.e * _sym2(fxx, fxy, fyy)
 
 
@@ -341,6 +329,10 @@ class QuarticField(PotentialField):
 
     domain = None
     scan_region = (-2e-6, 2e-6, -2e-6, 2e-6)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        _require_finite({"a1x": self.a1x, "a1y": self.a1y, "a2x": self.a2x, "a2y": self.a2y})
 
     def _base(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -414,47 +406,3 @@ def scan_minimum(field_: PotentialField, region: tuple, samples: int) -> np.ndar
     xs, ys, u = sample_grid(field_, region, samples)
     iy, ix = np.unravel_index(int(np.argmin(u)), u.shape)
     return np.array([xs[ix], ys[iy]])
-
-
-# ---------------------------------------------------------------------------
-# trap depth
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TrapDepth:
-    """Result of a trap-depth scan: depth in J, the same in cyclic GHz (E/h),
-    the interior minimum location, and a flag when no confining minimum exists."""
-
-    depth_j: float
-    depth_ghz: float
-    minimum_xy: tuple
-    no_trap: bool
-
-
-def trap_depth(
-    field_: PotentialField,
-    region: tuple,
-    samples: int = 201,
-    constants: PhysicalConstants = CONSTANTS,
-) -> TrapDepth:
-    """Scan U over a rectangular region and report boundary-min minus interior-min.
-
-    region = (x0, x1, y0, y1) in meters.  The depth is the lowest barrier an
-    electron at the interior minimum must cross to reach the region boundary;
-    if the interior never drops below the boundary the trap flag is raised and
-    the depth is 0.
-    """
-    x0, x1, y0, y1 = region
-    if not (x1 > x0 and y1 > y0):
-        raise DomainError("trap-depth region must have positive extent")
-    xs, ys, u = sample_grid(field_, region, samples)
-    edge = edge_ring(u.shape)
-    boundary_min = float(u[edge].min())
-    interior = u[~edge]
-    interior_min = float(interior.min())
-    iy, ix = np.unravel_index(np.argmin(np.where(edge, np.inf, u)), u.shape)
-    depth = boundary_min - interior_min
-    if depth <= 0:
-        return TrapDepth(0.0, 0.0, (float(xs[ix]), float(ys[iy])), True)
-    return TrapDepth(depth, depth / constants.h / 1e9, (float(xs[ix]), float(ys[iy])), False)

@@ -15,7 +15,7 @@ come straight from the low-lying spectrum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,6 +24,9 @@ import scipy.sparse.linalg as spla
 
 from .core import CONSTANTS, DomainError, Frequency, PhysicalConstants
 from .potential import PotentialField, edge_ring, sample_grid, scan_minimum
+
+# Half-width of an auto window, in zero-point lengths sqrt(hbar / (m_e omega)).
+WINDOW_FACTOR = 8.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,14 +184,10 @@ def transitions(sol: EigenSolution) -> TransitionSet:
 # ---------------------------------------------------------------------------
 
 
-def auto_window(
-    field_: PotentialField,
-    factor: float = 8.0,
-    constants: PhysicalConstants = CONSTANTS,
-) -> tuple:
+def auto_window(field_: PotentialField, constants: PhysicalConstants = CONSTANTS) -> tuple:
     """Square window centered on the trap minimum, sized by the local curvature.
 
-    Half-width = factor * sqrt(hbar / (m_e omega_est)) per axis, with
+    Half-width = WINDOW_FACTOR * sqrt(hbar / (m_e omega_est)) per axis, with
     omega_est from the geometric mean of the positive curvatures at the
     scanned minimum.  Clipped to the field's scan region.
     """
@@ -197,7 +196,7 @@ def auto_window(
     hess = field_.energy_hessian((cx, cy))
     curvs = np.clip(np.linalg.eigvalsh(hess), 1e-30, None)
     omega_est = math.sqrt(math.sqrt(curvs[0] * curvs[1]) / constants.m_e)
-    half = factor * math.sqrt(constants.hbar / (constants.m_e * omega_est))
+    half = WINDOW_FACTOR * math.sqrt(constants.hbar / (constants.m_e * omega_est))
     wx0 = max(cx - half, region[0])
     wx1 = min(cx + half, region[1])
     wy0 = max(cy - half, region[2])
@@ -218,7 +217,6 @@ class FrequencySweepRow:
 def frequency_vs_voltage(
     field_factory: Callable[[float], PotentialField],
     voltages: Sequence[float],
-    window: tuple | None = None,
     nx: int = 151,
     ny: int = 151,
     k: int = 4,
@@ -228,16 +226,16 @@ def frequency_vs_voltage(
     """Transition frequencies along a control-voltage sweep.
 
     ``field_factory`` maps a voltage to a PotentialField (compose an
-    electrode set, or scale an analytic surrogate).  With window=None each
-    point is auto-windowed.  Failures at single points are recorded in the
-    row flags instead of aborting the sweep.
+    electrode set, or scale an analytic surrogate).  Each point is
+    auto-windowed.  Failures at single points are recorded in the row flags
+    instead of aborting the sweep.
     """
     rows = []
     for volt in voltages:
         flags = []
         try:
             field_ = field_factory(float(volt))
-            win = auto_window(field_, constants=constants) if window is None else window
+            win = auto_window(field_, constants=constants)
             ham = build_hamiltonian(field_, win, nx=nx, ny=ny, constants=constants)
             if ham.edge_minimum:
                 flags.append("edge_minimum")

@@ -14,7 +14,6 @@ from heliumdot.analytic import (
     cooperativity,
     coupling_g,
     effective_frequency,
-    first_order_minimum,
     helium_depression,
     omega_min,
     purcell_bias,
@@ -56,9 +55,6 @@ def test_coupling_g_formula():
     assert out.g == pytest.approx(expect, rel=1e-14)
     assert out.l_y == pytest.approx(zero_point_length(res.omega_r), rel=1e-14)
     assert out.omega_r == res.omega_r
-    # at a detuned electron frequency the zero-point length follows omega_e
-    out2 = coupling_g(res, ell, omega_e=2.0 * res.omega_r)
-    assert out2.l_y == pytest.approx(out.l_y / math.sqrt(2.0), rel=1e-12)
 
 
 def test_coupling_g_validation():
@@ -134,15 +130,6 @@ def test_cardano_random_traps_match_grid_scan():
         y_scan = ys[i] + 0.5 * (u[i - 1] - u[i + 1]) / denom * (ys[1] - ys[0])
         worst = max(worst, abs(res.y0 - y_scan))
     assert worst < 1e-11  # 0.01 nm
-
-
-def test_first_order_minimum_weak_quadratic():
-    trap = CubicTrap1D(a1=1e-12, a2=2750.0, e_y=300.0)
-    exact = cardano_minimum(trap).y0
-    approx = first_order_minimum(trap)
-    assert approx == pytest.approx(exact, rel=1e-4)
-    with pytest.raises(DomainError):
-        first_order_minimum(CubicTrap1D(a1=1e-9, a2=0.0, e_y=300.0))
 
 
 def test_effective_frequency_harmonic_exact():

@@ -11,7 +11,6 @@ from heliumdot.cavity import (
     TwoLevelElectron,
     compensate_background,
     dispersive_electron_freq,
-    s11_resonant,
     s21_resonant,
     s21_with_crosstalk,
     susceptibility,
@@ -58,21 +57,6 @@ def test_dressed_peak_pushed_below_resonator(res_7162, electron_above, probe_hal
     s21 = s21_resonant(res_7162, electron_above, 118.0 * MHZ, probe_half_ghz)
     peak = probe_half_ghz[int(np.argmax(np.abs(s21)))]
     assert peak < res_7162.omega_r - 1.0 * MHZ
-
-
-def test_reflection_limits(res_7162):
-    on = s11_resonant(res_7162, None, 0.0, res_7162.omega_r)
-    assert abs(on) == pytest.approx(0.0, abs=1e-12)
-    far = s11_resonant(res_7162, None, 0.0, res_7162.omega_r + 50 * GHZ)
-    assert far == pytest.approx(-1.0, abs=1e-3)
-
-
-@pytest.mark.parametrize("t,zeta,theta", [(0.008, -0.3, 0.0), (0.2, 1.1, 0.4), (0.0, 0.0, 0.0)])
-def test_crosstalk_matrix_unitary(t, zeta, theta):
-    ct = CrosstalkParams(t=t, zeta=zeta, theta=theta)
-    s = ct.scattering_matrix()
-    assert np.allclose(s @ s.conj().T, np.eye(2), atol=1e-12)
-    assert s[1, 0] == pytest.approx(ct.s21_leak, rel=1e-12)
 
 
 def test_crosstalk_validation():

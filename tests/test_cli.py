@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -452,3 +453,65 @@ def test_fit_json_carries_flags_and_covariance(tmp_path):
         # the diagonal is sigma^2 in the file's units (Hz^2 for angular rates)
         assert cov[name][name] == pytest.approx(p["sigma"] ** 2, rel=1e-12)
     assert cov["omega_r"]["t"] == pytest.approx(cov["t"]["omega_r"], rel=1e-12)
+
+
+def _csv_rows(path):
+    lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    header = lines[0].split(",")
+    return [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+
+
+def test_synth_config_line_is_strict_json(tmp_path):
+    # the default --snr is inf: the config line says null, like the sidecar
+    out = tmp_path / "trace.csv"
+    assert main(["synth", "--points", "11", "--out", str(out)]) == 0
+    first = out.read_text().splitlines()[0]
+    assert first.startswith("# config: ")
+    config = _strict_json(first[len("# config: "):])
+    assert config["options"]["snr"] is None
+    assert config == _strict_json((tmp_path / "trace.csv.json").read_text())["config"]
+
+
+def test_calc_cardano_huge_quartic_without_float_warning(capsys):
+    # 12 a2 alone overflows to inf, and inf * y0^2 with y0 = 0 is nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["calc", "cardano", "--a1", "0", "--a2", "1e308", "--ey", "0"]) == 0
+    assert _strict_json(capsys.readouterr().out)["f_trap_GHz"] is None
+
+
+@pytest.mark.parametrize("flag", ["--a1x", "--a2y", "--ex"])
+def test_qsolve_rejects_nonfinite_field(capsys, flag):
+    argv = ["qsolve", "--a1x", "1e-3", "--a1y", "1e-3", "--nx", "5", "--ny", "5", flag, "inf"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "DomainError"
+
+
+@pytest.mark.parametrize("flag", ["--ex", "--ey"])
+def test_sweep_freq_records_nonfinite_field(tmp_path, capsys, flag):
+    out = tmp_path / "freq.csv"
+    argv = ["sweep", "freq", "--maps", _maps_file(tmp_path), "--electrode", "trap",
+            "--vmin", "0.25", "--vmax", "0.3", "--n", "2", "--nx", "5", "--ny", "5",
+            "--k", "3", flag, "inf", "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert [r["flags"] for r in _csv_rows(out)] == ["failed:DomainError"] * 2
+
+
+def test_sweep_shift_records_failed_point(tmp_path, capsys):
+    # at 0 V the dome is flat: the modes vanish and the coupled spectrum collapses
+    out = tmp_path / "shift.csv"
+    argv = ["sweep", "shift", "--maps", _maps_file(tmp_path), "--electrode", "trap",
+            "--vmin", "0", "--vmax", "0.3", "--n", "2", "--grad-per-um", "0.01",
+            "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    flat, trap = _csv_rows(out)
+    assert flat["delta_omega_r_over_2pi_MHz"] == "nan"
+    assert flat["converged"] == "false"
+    assert trap["converged"] == "true"
+    assert math.isfinite(float(trap["delta_omega_r_over_2pi_MHz"]))

@@ -361,10 +361,11 @@ def test_shift_sweep_warm_and_cold_agree():
     warm = shift_vs_voltage_sweep(
         maps, {}, "trap", [0.28, 0.32], 1, res, gradient_map=gmap, seed=0
     )
-    cold = shift_vs_voltage_sweep(
-        maps, {}, "trap", [0.28, 0.32], 1, res, gradient_map=gmap, seed=0,
-        warm_start=False,
-    )
+    # a single-voltage sweep always starts cold
+    cold = [
+        shift_vs_voltage_sweep(maps, {}, "trap", [v], 1, res, gradient_map=gmap, seed=0)[0]
+        for v in (0.28, 0.32)
+    ]
     for a, b in zip(warm, cold):
         assert a.shift == pytest.approx(b.shift, rel=1e-6, abs=1e-3)
 
@@ -393,6 +394,37 @@ def test_shift_sweep_records_saddle_per_point(monkeypatch):
     assert [r.is_saddle for r in rows] == [False, True, False]
     assert math.isnan(rows[1].shift)
     assert math.isfinite(rows[0].shift) and math.isfinite(rows[2].shift)
+
+
+def test_shift_sweep_records_failed_point_and_restarts_cold(monkeypatch):
+    from heliumdot import cluster
+
+    real_spectrum = cluster.coupled_spectrum
+    real_minimize = cluster.minimize
+    spectra, inits = [], []
+
+    def fail_at_second_point(*args, **kwargs):
+        spectra.append(1)
+        if len(spectra) == 2:
+            raise DomainError("coupled spectrum collapsed")
+        return real_spectrum(*args, **kwargs)
+
+    def record_init(*args, **kwargs):
+        inits.append(kwargs.get("init"))
+        return real_minimize(*args, **kwargs)
+
+    monkeypatch.setattr(cluster, "coupled_spectrum", fail_at_second_point)
+    monkeypatch.setattr(cluster, "minimize", record_init)
+    maps = _sweep_maps()
+    rows = shift_vs_voltage_sweep(
+        maps, {}, "trap", [0.28, 0.30, 0.32, 0.34], 1, default_resonator(),
+        gradient_map=uniform_gradient_map(maps.domain, 0.01e6), seed=0,
+    )
+    assert [r.converged for r in rows] == [True, False, True, True]
+    assert math.isnan(rows[1].shift) and not rows[1].is_saddle
+    assert len(rows[1].mode_frequencies) == 2
+    # cold at the first point and after the failure, warm otherwise
+    assert [init is None for init in inits] == [True, False, True, False]
 
 
 def test_shift_sweep_unknown_electrode():

@@ -15,7 +15,6 @@ from heliumdot.core import (
     ResonatorParams,
     TWO_PI,
     constants_from_config,
-    convert_frequency,
     default_resonator,
     derived_resonator_quantities,
     load_config,
@@ -24,19 +23,10 @@ from heliumdot.core import (
 
 
 def test_frequency_roundtrip():
-    f = Frequency.from_ghz(7.162)
+    f = Frequency(TWO_PI * 7.162e9)
     assert f.hz == pytest.approx(7.162e9, rel=1e-15)
-    assert f.mhz == pytest.approx(7162.0, rel=1e-15)
+    assert f.ghz == pytest.approx(7.162, rel=1e-15)
     assert float(f) == pytest.approx(TWO_PI * 7.162e9, rel=1e-15)
-    assert Frequency.from_cyclic(f.hz).ghz == pytest.approx(7.162, rel=1e-15)
-
-
-def test_convert_frequency_pairs():
-    assert convert_frequency(1.0, "GHz", "MHz") == pytest.approx(1000.0)
-    assert convert_frequency(2.0e9, "Hz", "rad/s") == pytest.approx(TWO_PI * 2.0e9)
-    assert convert_frequency(TWO_PI, "rad/s", "Hz") == pytest.approx(1.0)
-    with pytest.raises(DomainError):
-        convert_frequency(1.0, "GHz", "parsec")
 
 
 def test_constants_consistency():

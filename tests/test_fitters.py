@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from heliumdot import fitters
 from heliumdot.cavity import (
     CrosstalkParams,
     TwoLevelElectron,
@@ -16,7 +17,6 @@ from heliumdot.core import DomainError, TWO_PI
 from heliumdot.fitters import (
     FitError,
     bare_model,
-    find_peaks,
     fit_bare_resonator,
     fit_lorentzian_dip,
     fit_rabi,
@@ -111,6 +111,31 @@ def test_nonfinite_initial_point_raises():
         least_squares(model, x, np.zeros_like(x), init={"a": 1.0})
 
 
+def test_start_point_evaluated_only_by_scipy(monkeypatch):
+    import scipy.optimize
+
+    calls = []
+
+    def model(x, a, b):
+        calls.append(1)
+        return a * x + b
+
+    real = scipy.optimize.least_squares
+    calls_before_scipy = []
+
+    def spy(*args, **kwargs):
+        calls_before_scipy.append(len(calls))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", spy)
+    x = np.linspace(0.0, 1.0, 11)
+    fit = least_squares(model, x, 2.0 * x + 1.0, init={"a": 1.0, "b": 0.0})
+    # scipy checks the start itself; an extra look ahead of it doubles that model call
+    assert calls_before_scipy == [0]
+    assert fit.params["a"] == pytest.approx(2.0, rel=1e-9)
+    assert fit.params["b"] == pytest.approx(1.0, rel=1e-9)
+
+
 def test_fewer_residuals_than_parameters_raises():
     def model(x, a, b, c):
         return a + b * x + c * x**2
@@ -189,7 +214,7 @@ def test_interval_coverage_and_bias():
 def test_find_peaks_two_lorentzians():
     x = np.linspace(0.0, 10.0, 2001)
     y = 1.0 / (1.0 + (x - 3.0) ** 2 / 0.04) + 0.8 / (1.0 + (x - 7.2) ** 2 / 0.04)
-    peaks = find_peaks(x, y, min_prominence=0.3)
+    peaks = fitters._find_peaks(x, y, min_prominence=0.3)
     assert len(peaks) == 2
     assert peaks[0][0] == pytest.approx(3.0, abs=1e-3)
     assert peaks[1][0] == pytest.approx(7.2, abs=1e-3)
@@ -200,10 +225,8 @@ def test_find_peaks_prominence_filter():
     x = np.linspace(0.0, 10.0, 2001)
     rng = np.random.default_rng(2)
     y = 1.0 / (1.0 + (x - 5.0) ** 2 / 0.04) + rng.normal(0.0, 0.01, x.size)
-    peaks = find_peaks(x, y, min_prominence=0.3, smooth_width=5)
+    peaks = fitters._find_peaks(x, y, min_prominence=0.3)
     assert len(peaks) == 1
-    with pytest.raises(DomainError):
-        find_peaks(x, y, min_prominence=0.0)
 
 
 # ---------------------------------------------------------------------------

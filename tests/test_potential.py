@@ -17,7 +17,6 @@ from heliumdot.potential import (
     edge_ring,
     load_coupling_maps,
     scan_minimum,
-    trap_depth,
     uniform_gradient_map,
 )
 
@@ -105,6 +104,19 @@ def test_bilinear_exact_on_bilinear_function():
     ends = [0, n - 1]
     coarse = CouplingMapSet(x_axis=x[ends], y_axis=y[ends], grids={"e": alpha[np.ix_(ends, ends)]})
     assert np.allclose(compose(coarse, {"e": 2.0}).evaluate(xq, yq), expect, rtol=1e-12)
+
+
+def test_nonfinite_field_parameters_raise():
+    maps = _dome_maps()
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            compose(maps, {"trap": bad})
+        with pytest.raises(DomainError):
+            compose(maps, {"trap": 0.3}, e_x=bad)
+        with pytest.raises(DomainError):
+            QuarticField(a1x=1e-3, a1y=1e-3, e_y=bad)
+        with pytest.raises(DomainError):
+            QuarticField(a1x=1e-3, a1y=1e-3, a2x=bad)
 
 
 def test_evaluate_outside_domain_raises():
@@ -235,13 +247,6 @@ def test_evaluate_defined_only_on_base_class():
 def test_uniform_gradient_map_constant_everywhere():
     gm = uniform_gradient_map((-1e-6, 1e-6, -1e-6, 1e-6), 0.46e6)
     assert gm.value_at(0.3e-6, -0.7e-6) == pytest.approx(0.46e6)
-    assert gm.coupling_length(0.0, 0.0) == pytest.approx(1.0 / 0.46e6, rel=1e-12)
-
-
-def test_coupling_length_zero_gradient_raises():
-    gm = uniform_gradient_map((-1e-6, 1e-6, -1e-6, 1e-6), 0.0)
-    with pytest.raises(DomainError):
-        gm.coupling_length(0.0, 0.0)
 
 
 def test_gradient_map_validation():
@@ -292,35 +297,3 @@ def test_load_coupling_maps_errors(tmp_path):
     bad.write_text("{oops")
     with pytest.raises(FormatError):
         load_coupling_maps(str(bad))
-
-
-# ---------------------------------------------------------------------------
-# trap depth
-# ---------------------------------------------------------------------------
-
-
-def test_trap_depth_harmonic_bowl():
-    k = 1.0e-8  # J/m^2
-    f = QuarticField(a1x=k, a1y=k)
-    w = 1e-6
-    result = trap_depth(f, (-w, w, -w, w), samples=201)
-    assert not result.no_trap
-    # boundary minimum sits at an edge midpoint, U = k w^2
-    assert result.depth_j == pytest.approx(k * w**2, rel=1e-3)
-    assert result.depth_ghz == pytest.approx(k * w**2 / CONSTANTS.h / 1e9, rel=1e-3)
-    assert abs(result.minimum_xy[0]) < 2 * w / 200
-    assert abs(result.minimum_xy[1]) < 2 * w / 200
-
-
-def test_trap_depth_no_confinement():
-    f = QuarticField(a1x=1.0e-8, a1y=1.0e-8, e_y=5000.0)
-    # strong tilt pushes the minimum to the boundary of a small region
-    result = trap_depth(f, (-1e-8, 1e-8, -1e-8, 1e-8), samples=51)
-    assert result.no_trap
-    assert result.depth_j == 0.0
-
-
-def test_trap_depth_region_validation():
-    f = QuarticField(a1x=1e-8, a1y=1e-8)
-    with pytest.raises(DomainError):
-        trap_depth(f, (1e-6, -1e-6, -1e-6, 1e-6))
