@@ -175,9 +175,10 @@ def _base_voltages(args: argparse.Namespace) -> dict:
     voltages = {}
     for spec_ in args.voltage or []:
         name, _, value = spec_.partition("=")
-        if not _:
-            raise FormatError(f"--voltage expects NAME=VALUE, got {spec_!r}")
-        voltages[name] = float(value)
+        try:  # without "=" the value is "", which is no number either
+            voltages[name] = float(value)
+        except ValueError:
+            raise FormatError(f"--voltage expects NAME=VALUE, got {spec_!r}") from None
     return voltages
 
 
@@ -244,7 +245,7 @@ def _cmd_qsolve(args: argparse.Namespace) -> int:
     )
     window = qsolver.auto_window(field_, constants=constants)
     ham = qsolver.build_hamiltonian(field_, window, nx=args.nx, ny=args.ny,
-                                    constants=constants)
+                                    constants=constants, order=4)
     sol = qsolver.eigenstates(ham, k=args.k, seed=args.seed)
     payload = {
         "energies_GHz": [e / constants.h / 1e9 for e in sol.energies],
@@ -478,8 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--voltage", action="append", metavar="NAME=VALUE")
     p.add_argument("--ex", type=float, default=0.0)
     p.add_argument("--ey", type=float, default=0.0)
-    p.add_argument("--nx", type=int, default=151)
-    p.add_argument("--ny", type=int, default=151)
+    p.add_argument("--nx", type=int, default=61)
+    p.add_argument("--ny", type=int, default=61)
     p.add_argument("--k", type=int, default=4)
     p.set_defaults(func=_cmd_sweep_freq)
 
@@ -491,8 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a2y", type=float, default=0.0)
     p.add_argument("--ex", type=float, default=0.0, help="V/m")
     p.add_argument("--ey", type=float, default=0.0)
-    p.add_argument("--nx", type=int, default=151)
-    p.add_argument("--ny", type=int, default=151)
+    p.add_argument("--nx", type=int, default=61)
+    p.add_argument("--ny", type=int, default=61)
     p.add_argument("--k", type=int, default=6)
     p.set_defaults(func=_cmd_qsolve)
 
@@ -566,7 +567,9 @@ def main(argv: list[str] | None = None) -> int:
 
     An ArithmeticError is such a failure too: a flag at the edge of the
     float range (a square that overflows, a product that underflows to
-    zero) can fail in plain float math.
+    zero) can fail in plain float math.  Numpy's float errors (overflow,
+    division by zero, an invalid operation such as inf - inf) raise
+    FloatingPointError, one of them, instead of printing a warning.
     """
     try:
         args = build_parser().parse_args(argv)
@@ -576,7 +579,8 @@ def main(argv: list[str] | None = None) -> int:
                 raise UsageError(f"--{name.replace('_', '-')}: NaN is not a value")
         args._config = load_config(args.config) if args.config else {}
         args._constants = constants_from_config(args._config)
-        return args.func(args)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
     except (UsageError, DomainError, FormatError, FitError, OSError, ArithmeticError) as exc:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)},

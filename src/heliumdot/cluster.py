@@ -176,13 +176,14 @@ def minimize(
     ``init`` when given.  Each run is scipy's trust-region Newton-CG on the
     analytic gradient and Hessian; its steps follow negative curvature, so a
     run leaves a saddle unless symmetry pins it there.  A step off the field
-    domain counts as infinite energy and shrinks the trust radius.  A run
-    has converged when the gradient norm fell below GRAD_TOL, or when it
-    stopped because no step could be predicted to lower the energy and a
-    full Newton step would lower it by at most FLOOR_ULPS units in the last
-    place of the energy: the point is stationary as far as the energy can
-    resolve.  MAX_ITER iterations, or a stop short of that floor, is not
-    converged.  The best run wins by convergence then energy.
+    domain, or to where the gradient is not finite, counts as infinite
+    energy and shrinks the trust radius.  A run has converged when the
+    gradient norm fell below GRAD_TOL, or when it stopped because no step
+    could be predicted to lower the energy and a full Newton step would
+    lower it by at most FLOOR_ULPS units in the last place of the energy:
+    the point is stationary as far as the energy can resolve.  MAX_ITER
+    iterations, or a stop short of that floor, is not converged.  The best
+    run wins by convergence then energy.
     """
     _check_counts(n_electrons, restarts)
     if n_electrons == 0:
@@ -207,12 +208,14 @@ def minimize(
     base[:, 1] = np.clip(base[:, 1], region[2], region[3])
 
     def fun_and_grad(x: np.ndarray):
+        # off the domain, or a gradient past the float range: infinite energy
         pos = x.reshape(-1, 2)
         try:
-            return (total_energy(field_, pos, constants),
-                    total_gradient(field_, pos, constants).ravel())
+            energy = total_energy(field_, pos, constants)
+            grad = total_gradient(field_, pos, constants).ravel()
         except DomainError:
             return math.inf, np.zeros_like(x)
+        return (energy, grad) if np.all(np.isfinite(grad)) else (math.inf, np.zeros_like(x))
 
     def hessian(x: np.ndarray) -> np.ndarray:
         return total_hessian(field_, x.reshape(-1, 2), constants)
@@ -413,6 +416,7 @@ class ShiftSweepRow:
     gradient_norm: float  # J/m, of the minimizer exit
     iterations: int  # accepted descent steps of the winning run
     is_saddle: bool
+    flags: tuple  # ("failed:<ErrorName>",) for a point that raised, else ()
 
 
 def shift_vs_voltage_sweep(
@@ -436,7 +440,8 @@ def shift_vs_voltage_sweep(
     cold with the full seeded multi-start.  A point whose equilibrium is a
     saddle, or whose field, minimum or coupled spectrum raises DomainError,
     is recorded with shift = nan and converged=False instead of aborting the
-    sweep.
+    sweep; a raised error is named in the row's flags as
+    ``failed:<ErrorName>``.
     """
     _check_counts(n_electrons, restarts)
     if electrode not in maps.electrodes:
@@ -461,21 +466,22 @@ def shift_vs_voltage_sweep(
             modes = normal_modes(field_, config, constants)
             shift = math.nan if modes.is_saddle else coupled_spectrum(
                 modes, config, res, gradient_map, constants).shift
-        except DomainError:
-            shift, failed = math.nan, True
+        except DomainError as exc:
+            shift, flags = math.nan, (f"failed:{type(exc).__name__}",)
         else:
-            failed = False
+            flags = ()
         rows.append(
             ShiftSweepRow(
                 electrode=electrode,
                 voltage=float(volt),
                 shift=shift,
                 mode_frequencies=() if modes is None else tuple(map(float, modes.frequencies)),
-                converged=not failed and config.converged and not modes.is_saddle,
+                converged=not flags and config.converged and not modes.is_saddle,
                 gradient_norm=math.nan if config is None else config.gradient_norm,
                 iterations=0 if config is None else config.iterations,
                 is_saddle=modes is not None and modes.is_saddle,
+                flags=flags,
             )
         )
-        prev_positions = None if failed else config.positions
+        prev_positions = None if flags else config.positions
     return rows

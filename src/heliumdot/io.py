@@ -190,18 +190,19 @@ def write_fit_json(fit: FitResult, path: str, config: Mapping | None = None) -> 
 
 def write_shift_sweep_csv(rows: Sequence, path: str, config: Mapping | None = None) -> None:
     """Cluster sweep rows: electrode, voltage_V, shift in cyclic MHz, mode list in GHz,
-    and the minimizer diagnostics (gradient norm in J/m, accepted steps, saddle)."""
+    the minimizer diagnostics (gradient norm in J/m, accepted steps, saddle),
+    and the point's flags (``failed:<ErrorName>``, empty for a good point)."""
     lines = [
         _config_line(config),
         "electrode,voltage_V,delta_omega_r_over_2pi_MHz,mode_freqs_GHz,converged,"
-        "gradient_norm,iterations,is_saddle\n",
+        "gradient_norm,iterations,is_saddle,flags\n",
     ]
     for row in rows:
         freqs = ";".join(_fmt(f / _GHZ) for f in row.mode_frequencies)
         lines.append(
             f"{row.electrode},{_fmt(row.voltage)},{_fmt(row.shift / TWO_PI / 1e6)},"
             f"{freqs},{str(row.converged).lower()},{_fmt(row.gradient_norm)},"
-            f"{row.iterations},{str(row.is_saddle).lower()}\n"
+            f"{row.iterations},{str(row.is_saddle).lower()},{';'.join(row.flags)}\n"
         )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(lines)

@@ -36,8 +36,15 @@ from .core import CONSTANTS, DomainError, FormatError, PhysicalConstants
 ALPHA_TOL = 0.01
 
 
+def _float_array(values, name: str) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise FormatError(f"{name} must be a rectangular array of numbers") from None
+
+
 def _require_axis(values, name: str) -> np.ndarray:
-    axis = np.asarray(values, dtype=float)
+    axis = _float_array(values, name)
     if axis.ndim != 1 or axis.size < 2:
         raise FormatError(f"{name} must be a 1-D array with at least 2 points")
     if not np.all(np.diff(axis) > 0):
@@ -68,7 +75,7 @@ class CouplingMapSet:
         shape = (self.y_axis.size, self.x_axis.size)
         clean = {}
         for name, grid in self.grids.items():
-            arr = np.asarray(grid, dtype=float)
+            arr = _float_array(grid, f"electrode {name!r}")
             if arr.shape != shape:
                 raise FormatError(
                     f"electrode {name!r}: grid shape {arr.shape} does not match axes {shape}"
@@ -106,7 +113,7 @@ class CouplingGradientMap:
     def __post_init__(self) -> None:
         object.__setattr__(self, "x_axis", _require_axis(self.x_axis, "x_axis"))
         object.__setattr__(self, "y_axis", _require_axis(self.y_axis, "y_axis"))
-        arr = np.asarray(self.grid, dtype=float)
+        arr = _float_array(self.grid, "gradient map")
         if arr.shape != (self.y_axis.size, self.x_axis.size):
             raise FormatError("gradient map shape does not match axes")
         if not np.all(np.isfinite(arr)):
@@ -141,22 +148,27 @@ def load_coupling_maps(path: str) -> CouplingMapSet:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"coupling maps {path}: invalid JSON ({exc})") from None
+    if not isinstance(raw, dict):
+        raise FormatError(f"coupling maps {path}: top level must be a JSON object")
     for key in ("x_axis_um", "y_axis_um", "electrodes"):
         if key not in raw:
             raise FormatError(f"coupling maps {path}: missing key {key!r}")
     if not isinstance(raw["electrodes"], dict) or not raw["electrodes"]:
         raise FormatError(f"coupling maps {path}: 'electrodes' must be a non-empty object")
-    x_axis = np.asarray(raw["x_axis_um"], dtype=float) * 1e-6
-    y_axis = np.asarray(raw["y_axis_um"], dtype=float) * 1e-6
+    metadata = raw.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise FormatError(f"coupling maps {path}: 'metadata' must be an object")
+    x_axis = _float_array(raw["x_axis_um"], "x_axis_um") * 1e-6
+    y_axis = _float_array(raw["y_axis_um"], "y_axis_um") * 1e-6
     gradient = None
     if raw.get("resonator_diff_grad_per_um") is not None:
-        grad_grid = np.asarray(raw["resonator_diff_grad_per_um"], dtype=float) * 1e6
+        grad_grid = _float_array(raw["resonator_diff_grad_per_um"], "gradient map") * 1e6
         gradient = CouplingGradientMap(x_axis, y_axis, grad_grid)
     return CouplingMapSet(
         x_axis=x_axis,
         y_axis=y_axis,
         grids=raw["electrodes"],
-        metadata=dict(raw.get("metadata", {})),
+        metadata=metadata,
         resonator_gradient=gradient,
     )
 

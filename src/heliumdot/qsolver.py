@@ -1,10 +1,13 @@
 """Single-electron levels of a trap by finite-difference diagonalization.
 
 The in-plane Hamiltonian H = -(hbar^2 / 2 m_e) laplacian + U(x, y) is
-discretized on a uniform rectangular grid with the standard 5-point stencil
-and Dirichlet (hard-wall) boundaries one step outside the window.  The
-resulting sparse symmetric matrix is diagonalized by shift-invert Lanczos
-(ARPACK) with a fixed start vector, so repeated runs are bit-identical.
+discretized on a uniform rectangular grid with a central second-difference
+stencil per axis: the 3-point (1, -2, 1)/h^2 of order 2, or the 5-point
+(-1, 16, -30, 16, -1)/12h^2 of order 4 (Fornberg, Math. Comp. 51:699, 1988),
+which the commands use.  Wavefunctions vanish on every ghost node the stencil
+reaches outside the window (Dirichlet, hard walls).  The resulting sparse
+symmetric matrix is diagonalized by shift-invert Lanczos (ARPACK) from a
+seeded or caller-given start vector, so repeated runs are bit-identical.
 The shift sits below the lowest sampled potential, which makes H - sigma I
 symmetric positive definite; it is factored once by a symmetric-mode sparse
 LU (minimum-degree ordering on A + A^T, diagonal pivots) whose solve is the
@@ -28,10 +31,17 @@ from .potential import PotentialField, edge_ring, sample_grid, scan_minimum
 # Half-width of an auto window, in zero-point lengths sqrt(hbar / (m_e omega)).
 WINDOW_FACTOR = 8.0
 
+# Central second-difference coefficients at offsets -r..r, in units of 1/h^2,
+# by order of accuracy.
+_STENCILS = {
+    2: (1.0, -2.0, 1.0),
+    4: (-1.0 / 12.0, 16.0 / 12.0, -30.0 / 12.0, 16.0 / 12.0, -1.0 / 12.0),
+}
+
 
 @dataclass(frozen=True, eq=False)
 class DiscreteHamiltonian:
-    """5-point finite-difference Hamiltonian on a window.
+    """Finite-difference Hamiltonian on a window, 2nd or 4th order.
 
     x/y are the grid node coordinates [m] (uniform spacing), u the sampled
     potential energy [J] with shape (ny, nx), matrix the sparse symmetric
@@ -54,18 +64,23 @@ def build_hamiltonian(
     nx: int = 151,
     ny: int = 151,
     constants: PhysicalConstants = CONSTANTS,
+    order: int = 2,
 ) -> DiscreteHamiltonian:
     """Assemble the discrete Hamiltonian over window = (x0, x1, y0, y1).
 
-    Wavefunctions vanish one grid step outside the window (Dirichlet).  The
-    window must lie inside the field domain; a sampled-minimum-on-edge
-    condition is flagged, not fatal.
+    ``order`` is the accuracy order of the kinetic stencil, 2 (3 points per
+    axis) or 4 (5 points per axis).  Wavefunctions vanish on the one or two
+    ghost layers outside the window (Dirichlet).  The window must lie inside
+    the field domain; a sampled-minimum-on-edge condition is flagged, not
+    fatal.
     """
     x0, x1, y0, y1 = window
     if not (x1 > x0 and y1 > y0):
         raise DomainError("window must have positive extent")
     if nx < 3 or ny < 3:
         raise DomainError("need at least 3 nodes per axis")
+    if order not in _STENCILS:
+        raise DomainError(f"stencil order must be 2 or 4, got {order!r}")
     x, y, u = sample_grid(field_, window, nx, ny)
     hx = x[1] - x[0]
     hy = y[1] - y[0]
@@ -76,8 +91,10 @@ def build_hamiltonian(
     edge_minimum = bool(u[~edge].min() >= u[edge].min())
 
     t = constants.hbar**2 / (2.0 * constants.m_e)
-    dx = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(nx, nx)) / hx**2
-    dy = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(ny, ny)) / hy**2
+    coef = _STENCILS[order]
+    offsets = range(-(len(coef) // 2), len(coef) // 2 + 1)
+    dx = sp.diags(coef, offsets, shape=(nx, nx)) / hx**2
+    dy = sp.diags(coef, offsets, shape=(ny, ny)) / hy**2
     lap = sp.kron(sp.identity(ny), dx) + sp.kron(dy, sp.identity(nx))
     ham = (-t * lap + sp.diags(u.ravel())).tocsc()
     return DiscreteHamiltonian(
@@ -101,12 +118,18 @@ class EigenSolution:
     ham: DiscreteHamiltonian
 
 
-def eigenstates(ham: DiscreteHamiltonian, k: int = 6, seed: int = 0) -> EigenSolution:
-    """Lowest k eigenpairs by shift-invert Lanczos with a seeded start vector.
+def eigenstates(
+    ham: DiscreteHamiltonian, k: int = 6, seed: int = 0, v0: np.ndarray | None = None
+) -> EigenSolution:
+    """Lowest k eigenpairs by shift-invert Lanczos.
 
-    The shift sigma lies 5% of the potential range below min U.  H - sigma I
-    is then symmetric positive definite (the Dirichlet -laplacian is
-    positive definite and U - sigma > 0), so it is factored once with
+    Lanczos starts from ``v0`` when given (one value per node, for example
+    the sum of a nearby problem's eigenvectors), else from a vector drawn
+    from ``seed``.  The shift sigma lies 5% of the potential range below
+    min U.  H - sigma I is then symmetric positive definite (the Dirichlet
+    -laplacian is positive definite for both stencils: the 4th-order symbol
+    (30 - 32 cos t + 2 cos 2t)/12 = (1 - cos t)(7 - cos t)/3 is positive
+    away from t = 0, and U - sigma > 0), so it is factored once with
     ``splu`` in SuperLU's symmetric mode: minimum-degree ordering of
     A + A^T and no off-diagonal pivoting, about half the fill of the
     general COLAMD factorization ``eigsh`` would build itself.  The
@@ -117,8 +140,8 @@ def eigenstates(ham: DiscreteHamiltonian, k: int = 6, seed: int = 0) -> EigenSol
     size = ham.matrix.shape[0]
     if not 1 <= k <= min(20, size - 2):
         raise DomainError("k must be between 1 and min(20, n_nodes - 2)")
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(size)
+    if v0 is None:
+        v0 = np.random.default_rng(seed).standard_normal(size)
     sigma = float(ham.u.min()) - 0.05 * float(ham.u.max() - ham.u.min() + 1.0e-30)
     lu = spla.splu(
         ham.matrix - sigma * sp.identity(size, format="csc"),
@@ -217,8 +240,8 @@ class FrequencySweepRow:
 def frequency_vs_voltage(
     field_factory: Callable[[float], PotentialField],
     voltages: Sequence[float],
-    nx: int = 151,
-    ny: int = 151,
+    nx: int = 61,
+    ny: int = 61,
     k: int = 4,
     seed: int = 0,
     constants: PhysicalConstants = CONSTANTS,
@@ -227,20 +250,27 @@ def frequency_vs_voltage(
 
     ``field_factory`` maps a voltage to a PotentialField (compose an
     electrode set, or scale an analytic surrogate).  Each point is
-    auto-windowed.  Failures at single points are recorded in the row flags
-    instead of aborting the sweep.
+    auto-windowed and solved with the 4th-order stencil.  Lanczos at each
+    point starts from the sum of the previous point's eigenvectors, which
+    lies near the wanted subspace; the first point, and any point after a
+    failed one, starts from the seeded vector.  The start vector depends
+    only on earlier points, so reruns stay bit-identical.  Failures at
+    single points are recorded in the row flags instead of aborting the
+    sweep.
     """
     rows = []
+    warm = None
     for volt in voltages:
         flags = []
         try:
             field_ = field_factory(float(volt))
             win = auto_window(field_, constants=constants)
-            ham = build_hamiltonian(field_, win, nx=nx, ny=ny, constants=constants)
+            ham = build_hamiltonian(field_, win, nx=nx, ny=ny, constants=constants, order=4)
             if ham.edge_minimum:
                 flags.append("edge_minimum")
-            sol = eigenstates(ham, k=max(k, 3), seed=seed)
+            sol = eigenstates(ham, k=max(k, 3), seed=seed, v0=warm)
             tset = transitions(sol)
+            warm = np.sum(sol.states, axis=0).ravel()
             rows.append(
                 FrequencySweepRow(
                     voltage=float(volt),
@@ -252,6 +282,7 @@ def frequency_vs_voltage(
                 )
             )
         except (DomainError, RuntimeError) as exc:
+            warm = None
             flags.append(f"failed:{type(exc).__name__}")
             rows.append(
                 FrequencySweepRow(

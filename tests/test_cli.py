@@ -185,6 +185,22 @@ def _maps_file(tmp_path):
     return str(path)
 
 
+def _dome_maps_file(tmp_path):
+    """The 81-node dome of the benchmark: lever arm exp(-x^2 - (y/0.7)^2)
+    over +-1 um, with a Gaussian differential-coupling gradient."""
+    axis = np.linspace(-1.0, 1.0, 81)
+    xx, yy = np.meshgrid(axis, axis)
+    payload = {
+        "x_axis_um": axis.tolist(),
+        "y_axis_um": axis.tolist(),
+        "electrodes": {"trap": np.exp(-xx**2 - (yy / 0.7) ** 2).tolist()},
+        "resonator_diff_grad_per_um": (0.15 * np.exp(-(xx**2 + yy**2) / 0.5)).tolist(),
+    }
+    path = tmp_path / "dome.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
 def test_sweep_shift_cli(tmp_path):
     maps = _maps_file(tmp_path)
     out = str(tmp_path / "shift.csv")
@@ -209,6 +225,33 @@ def test_sweep_freq_cli(tmp_path):
     assert lines[1].startswith("voltage_V,f01_GHz")
     row = lines[2].split(",")
     assert float(row[1]) > 0
+
+
+def test_sweep_freq_default_grid_matches_fine_reference(tmp_path):
+    # f01 on the benchmark dome from the default 4th-order 61 x 61 grid, against
+    # frozen 4th-order 201 x 201 values; the error measured 2.1e-4, the old
+    # 2nd-order 151 x 151 default 1.2e-3
+    out = tmp_path / "freq.csv"
+    assert main(["sweep", "freq", "--maps", _dome_maps_file(tmp_path), "--electrode", "trap",
+                 "--vmin", "0.25", "--vmax", "0.3", "--n", "2", "--out", str(out)]) == 0
+    rows = _csv_rows(out)
+    for row, f01_ref_ghz in zip(rows, (47.176677754423004, 51.68141621170393)):
+        assert float(row["f01_GHz"]) == pytest.approx(f01_ref_ghz, rel=1.2e-3)
+        assert float(row["residual"]) < 1e-12
+
+
+def test_sweep_freq_rerun_byte_identical(tmp_path, monkeypatch):
+    # points after the first start Lanczos from the previous point's states
+    argv = ["sweep", "freq", "--maps", _maps_file(tmp_path), "--electrode", "trap",
+            "--vmin", "0.25", "--vmax", "0.35", "--n", "3", "--seed", "3",
+            "--out", "freq.csv"]
+    texts = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert main(argv) == 0
+        texts.append((tmp_path / name / "freq.csv").read_bytes())
+    assert texts[0] == texts[1]
 
 
 def test_missing_input_reports_json_error(tmp_path, capsys):
@@ -322,6 +365,25 @@ def test_bad_voltage_spec_reports_error(tmp_path, capsys):
                  "--voltage", "guardhalf", "--grad-per-um", "0.01"])
     assert code == 1
     assert json.loads(capsys.readouterr().err)["error"] == "FormatError"
+
+
+def test_non_numeric_voltage_reports_error(tmp_path, capsys):
+    code = main(["sweep", "freq", "--maps", _maps_file(tmp_path), "--electrode", "trap",
+                 "--vmin", "0.25", "--vmax", "0.3", "--n", "1", "--nx", "5", "--ny", "5",
+                 "--voltage", "trap=abc"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "FormatError"
+
+
+def test_qsolve_float_overflow_is_one_json_error(capsys):
+    # a finite but huge curvature overflows the sampled potential
+    argv = ["qsolve", "--a1x", "1e308", "--a1y", "1e-8", "--nx", "5", "--ny", "5"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "FloatingPointError"
 
 
 def _strict_json(text):
@@ -515,3 +577,29 @@ def test_sweep_shift_records_failed_point(tmp_path, capsys):
     assert flat["converged"] == "false"
     assert trap["converged"] == "true"
     assert math.isfinite(float(trap["delta_omega_r_over_2pi_MHz"]))
+
+
+def test_sweep_shift_names_failed_point(tmp_path, capsys):
+    out = tmp_path / "shift.csv"
+    argv = ["sweep", "shift", "--maps", _dome_maps_file(tmp_path), "--electrode", "trap",
+            "--vmin", "0", "--vmax", "0.3", "--n", "2", "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    flat, trap = _csv_rows(out)
+    assert flat["flags"] == "failed:DomainError"
+    assert trap["flags"] == ""
+    assert trap["converged"] == "true"
+
+
+def test_sweep_shift_records_float_range_voltage(tmp_path, capsys):
+    # at 1e308 V the spline gradient overflows to inf: that point fails alone
+    out = tmp_path / "shift.csv"
+    argv = ["sweep", "shift", "--maps", _maps_file(tmp_path), "--electrode", "trap",
+            "--vmin", "0.25", "--vmax", "1e308", "--n", "2", "--grad-per-um", "0.01",
+            "--restarts", "2", "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    trap, huge = _csv_rows(out)
+    assert trap["converged"] == "true"
+    assert huge["converged"] == "false"
+    assert huge["flags"] == "failed:DomainError"

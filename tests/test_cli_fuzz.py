@@ -1,10 +1,12 @@
-"""Property tests for the CLI contract: every run of ``cli.main`` on the fast
-commands ends either in exit 0 with strictly valid JSON, or in exit 1 with
-one JSON error line on stderr; never a traceback or a warning.
+"""Property tests for the CLI contract: every run of ``cli.main`` ends either
+in exit 0 with strictly valid JSON and its output file written, or in exit 1
+with one JSON error line on stderr; never a traceback or a warning.
 
-Inputs are malformed on purpose: trace, two-tone, config and sidecar files
-with broken rows, non-numeric or non-finite values and invalid JSON, and
-flags outside their domain (negative, zero, NaN, infinite, huge, non-numeric).
+Inputs are malformed on purpose: trace, two-tone, config, sidecar and
+coupling-map files with broken rows, non-numeric or non-finite values and
+invalid JSON, and flags outside their domain (negative, zero, NaN, infinite,
+huge, non-numeric).  The eigensolver and the sweeps run on tiny grids and at
+most two sweep points, so each example stays fast.
 """
 
 from __future__ import annotations
@@ -56,8 +58,9 @@ def _strict(text: str):
     return json.loads(text, parse_constant=reject)
 
 
-def _run(argv: list, workdir: str) -> None:
-    """Run one command and check the exit contract."""
+def _run(argv: list, workdir: str, out_path: str | None = None) -> None:
+    """Run one command and check the exit contract; ``out_path`` is the file a
+    successful run must write."""
     out, err = io.StringIO(), io.StringIO()
     before = set(os.listdir(workdir))
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -73,10 +76,16 @@ def _run(argv: list, workdir: str) -> None:
     assert err.getvalue() == ""
     if out.getvalue():
         _strict(out.getvalue())
+    if out_path is not None:
+        assert os.path.exists(out_path)
     for name in set(os.listdir(workdir)) - before:
+        with open(os.path.join(workdir, name), encoding="utf-8") as fh:
+            text = fh.read()
         if name.endswith(".json"):
-            with open(os.path.join(workdir, name), encoding="utf-8") as fh:
-                _strict(fh.read())
+            _strict(text)
+        elif name.endswith(".csv"):
+            assert text.startswith("# config: ")
+            _strict(text.splitlines()[0][len("# config: "):])
 
 
 @st.composite
@@ -222,6 +231,102 @@ def test_fit_twotone_files(data):
     with tempfile.TemporaryDirectory() as work:
         _run(["fit", "twotone", "--data", _write(work, "dip.csv", data),
               "--out", os.path.join(work, "dip.json")], work)
+
+
+GRID = st.integers(3, 9).map(str)
+
+
+@SETTINGS
+@given(
+    trap=st.lists(st.tuples(st.sampled_from(["--a1x", "--a1y", "--a2x", "--a2y", "--ex",
+                                             "--ey"]), NUMBER),
+                  max_size=6, unique_by=lambda t: t[0]),
+    nx=GRID, ny=GRID, k=st.integers(-1, 12).map(str),
+)
+def test_qsolve_flags(trap, nx, ny, k):
+    # a 5 GHz trap on both axes unless a drawn flag replaces it
+    flags = {"--a1x": "1.1e-8", "--a1y": "1.1e-8", **dict(trap)}
+    with tempfile.TemporaryDirectory() as work:
+        out = os.path.join(work, "levels.json")
+        argv = ["qsolve", "--nx", nx, "--ny", ny, "--k", k, "--out", out]
+        for flag, value in flags.items():
+            argv += [flag, value]
+        _run(argv, work, out)
+
+
+@st.composite
+def maps_text(draw):
+    """Coupling-map JSON: a small dome, a dome with one bad cell, or junk."""
+    kind = draw(st.sampled_from(["dome", "dome", "bad cell", "junk"]))
+    if kind == "junk":
+        return draw(st.sampled_from([
+            "{broken", "[]", "3", "null", '{"x_axis_um": 1}',
+            '{"x_axis_um": [0, 1], "y_axis_um": [0, 1], "electrodes": {}}',
+            '{"x_axis_um": [1, 0], "y_axis_um": [0, 1], "electrodes": {"trap": [[0, 0], [0, 0]]}}',
+            '{"x_axis_um": ["a", 1], "y_axis_um": [0, 1],'
+            ' "electrodes": {"trap": [[0, 0], [0, 0]]}}',
+            '{"x_axis_um": [0, 1], "y_axis_um": [0, 1], "electrodes": {"trap": [[0, 0]]}}',
+            '{"x_axis_um": [0, 1], "y_axis_um": [0, 1], "electrodes": {"trap": 3}}',
+            '{"x_axis_um": [0, 1], "y_axis_um": [0, 1], "electrodes": {"trap": [[0, 0], [0, 0]]},'
+            ' "metadata": 3}',
+        ]))
+    n = draw(st.integers(4, 9))
+    half = draw(st.floats(0.05, 5.0))
+    width = draw(st.floats(0.05, 2.0))
+    axis = np.linspace(-half, half, n)
+    xx, yy = np.meshgrid(axis, axis)
+    dome = np.exp(-(xx**2 + (yy / 0.7) ** 2) / width**2).tolist()
+    payload = {"x_axis_um": axis.tolist(), "y_axis_um": axis.tolist(),
+               "electrodes": {"trap": dome}}
+    if draw(st.booleans()):
+        payload["resonator_diff_grad_per_um"] = (0.15 * np.exp(-(xx**2 + yy**2))).tolist()
+    if kind == "bad cell":
+        grid = draw(st.sampled_from(["trap", "resonator_diff_grad_per_um"]))
+        if grid in payload:
+            target = payload[grid] if grid != "trap" else payload["electrodes"]["trap"]
+            target[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(
+                st.one_of(st.sampled_from([None, "x", 2.0, -1.0, 1e308]), FINITE))
+    return json.dumps(payload)
+
+
+SWEEP_FLAG = st.sampled_from(["--vmin", "--vmax", "--ex", "--ey", "--voltage"])
+
+
+def _sweep(data, kind: str, flags: dict) -> None:
+    """Run one sweep on a drawn maps file with the given flags, and with up
+    to three of the shared sweep flags set to a NUMBER value."""
+    flags = {"--vmin": "0.25", "--vmax": "0.3", **flags}
+    overrides = st.lists(st.tuples(SWEEP_FLAG, NUMBER), max_size=3, unique_by=lambda t: t[0])
+    for flag, value in data.draw(overrides, label="overrides"):
+        flags[flag] = f"trap={value}" if flag == "--voltage" else value
+    with tempfile.TemporaryDirectory() as work:
+        out = os.path.join(work, f"{kind}.csv")
+        argv = ["sweep", kind, "--out", out,
+                "--maps", _write(work, "maps.json", data.draw(maps_text(), label="maps")),
+                "--electrode", "trap",
+                "--n", data.draw(st.sampled_from(["1", "2"]), label="n"),
+                "--seed", str(data.draw(st.integers(0, 2**16), label="seed"))]
+        for flag, value in flags.items():
+            argv += [flag, value]
+        _run(argv, work, out)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_sweep_freq_maps_and_flags(data):
+    _sweep(data, "freq", {"--nx": data.draw(GRID, label="nx"),
+                          "--ny": data.draw(GRID, label="ny"),
+                          "--k": data.draw(st.integers(-1, 12).map(str), label="k")})
+
+
+@SETTINGS
+@given(data=st.data())
+def test_sweep_shift_maps_and_flags(data):
+    flags = {"--n-electrons": data.draw(st.integers(1, 3).map(str), label="n-electrons"),
+             "--restarts": data.draw(st.integers(1, 2).map(str), label="restarts")}
+    if data.draw(st.booleans(), label="with gradient"):
+        flags["--grad-per-um"] = data.draw(st.just("0.15") | NUMBER, label="grad")
+    _sweep(data, "shift", flags)
 
 
 def test_contract_holds_on_math_edge_values():

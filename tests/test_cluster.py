@@ -422,6 +422,7 @@ def test_shift_sweep_records_failed_point_and_restarts_cold(monkeypatch):
     )
     assert [r.converged for r in rows] == [True, False, True, True]
     assert math.isnan(rows[1].shift) and not rows[1].is_saddle
+    assert [r.flags for r in rows] == [(), ("failed:DomainError",), (), ()]
     assert len(rows[1].mode_frequencies) == 2
     # cold at the first point and after the failure, warm otherwise
     assert [init is None for init in inits] == [True, False, True, False]

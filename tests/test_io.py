@@ -101,13 +101,14 @@ def test_shift_sweep_csv(tmp_path):
         gradient_norm = 3.5e-16
         iterations = 12
         is_saddle = False
+        flags = ()
 
     path = tmp_path / "sweep.csv"
     write_shift_sweep_csv([Row()], str(path), config={"n": 1})
     lines = path.read_text().splitlines()
     assert lines[1] == (
         "electrode,voltage_V,delta_omega_r_over_2pi_MHz,mode_freqs_GHz,converged,"
-        "gradient_norm,iterations,is_saddle"
+        "gradient_norm,iterations,is_saddle,flags"
     )
     fields = lines[2].split(",")
     assert fields[0] == "guard"
@@ -115,7 +116,7 @@ def test_shift_sweep_csv(tmp_path):
     assert [float(v) for v in fields[3].split(";")] == pytest.approx([20.0, 25.0])
     assert fields[4] == "true"
     assert float(fields[5]) == 3.5e-16
-    assert fields[6:] == ["12", "false"]
+    assert fields[6:] == ["12", "false", ""]
 
 
 def test_freq_sweep_csv_with_failed_row(tmp_path):

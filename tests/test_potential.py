@@ -297,3 +297,27 @@ def test_load_coupling_maps_errors(tmp_path):
     bad.write_text("{oops")
     with pytest.raises(FormatError):
         load_coupling_maps(str(bad))
+
+
+_AXES = '"x_axis_um": [0, 1], "y_axis_um": [0, 1]'
+_MALFORMED_MAPS = {
+    "top-level-number": "3",
+    "axis-text": '{"x_axis_um": ["a", 1], "y_axis_um": [0, 1], '
+                 '"electrodes": {"trap": [[0, 0], [0, 0]]}}',
+    "cell-text": '{' + _AXES + ', "electrodes": {"trap": [[0, "x"], [0, 0]]}}',
+    "ragged-grid": '{' + _AXES + ', "electrodes": {"trap": [[0, 0], [0]]}}',
+    "gradient-object": '{' + _AXES + ', "electrodes": {"trap": [[0, 0], [0, 0]]}, '
+                       '"resonator_diff_grad_per_um": [[0, {}], [0, 0]]}',
+    "metadata-number": '{' + _AXES + ', "electrodes": {"trap": [[0, 0], [0, 0]]}, '
+                       '"metadata": 3}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_MAPS))
+def test_load_coupling_maps_rejects_malformed_content(tmp_path, case):
+    # valid JSON that is not a map set: a FormatError, not a TypeError or a
+    # bare ValueError from the float conversion
+    path = tmp_path / "maps.json"
+    path.write_text(_MALFORMED_MAPS[case])
+    with pytest.raises(FormatError):
+        load_coupling_maps(str(path))

@@ -41,6 +41,8 @@ def test_build_hamiltonian_validation():
         build_hamiltonian(field, (1e-7, -1e-7, -1e-7, 1e-7))
     with pytest.raises(DomainError):
         build_hamiltonian(field, _zp_window(5.0), nx=2)
+    with pytest.raises(DomainError):
+        build_hamiltonian(field, _zp_window(5.0), nx=9, ny=9, order=3)
 
 
 def test_edge_minimum_flagged():
@@ -93,20 +95,25 @@ def test_eigenstates_orthonormal_and_converged():
     assert sol.residuals.max() < 1e-8
 
 
-def _small_dome_hamiltonian():
-    """15 x 13 node Hamiltonian of a gridded Gaussian dome trap."""
+def _dome_maps():
     axis = np.linspace(-1e-6, 1e-6, 41)
     xx, yy = np.meshgrid(axis, axis)
-    maps = CouplingMapSet(
+    return CouplingMapSet(
         x_axis=axis, y_axis=axis,
         grids={"trap": np.exp(-(xx / 1e-6) ** 2 - (yy / 0.7e-6) ** 2)},
     )
-    field = compose(maps, {"trap": 0.3})
-    return build_hamiltonian(field, (-0.4e-6, 0.4e-6, -0.3e-6, 0.3e-6), nx=15, ny=13)
 
 
-def test_eigenstates_match_dense_eigh_on_gridded_dome():
-    ham = _small_dome_hamiltonian()
+def _small_dome_hamiltonian(order=2):
+    """15 x 13 node Hamiltonian of a gridded Gaussian dome trap."""
+    field = compose(_dome_maps(), {"trap": 0.3})
+    return build_hamiltonian(field, (-0.4e-6, 0.4e-6, -0.3e-6, 0.3e-6), nx=15, ny=13,
+                             order=order)
+
+
+@pytest.mark.parametrize("order", (2, 4))
+def test_eigenstates_match_dense_eigh_on_gridded_dome(order):
+    ham = _small_dome_hamiltonian(order)
     sol = eigenstates(ham, k=6, seed=0)
     dense = scipy.linalg.eigh(ham.matrix.toarray(), eigvals_only=True)
     np.testing.assert_allclose(sol.energies, dense[:6], rtol=1e-12, atol=0.0)
@@ -151,6 +158,22 @@ def test_second_order_convergence():
         errs.append(abs(gap - f0 * GHZ))
     ratio = errs[0] / errs[1]
     assert 3.5 <= ratio <= 4.5
+
+
+def test_fourth_order_convergence():
+    """Doubling the node count per axis cuts the 4th-order level error by
+    about 16 (31 -> 61; at 121 nodes the error is no longer asymptotic)."""
+    f0 = 5.0
+    field = _harmonic(f0, f0)
+    window = _zp_window(f0)
+    errs = []
+    for n in (31, 61):
+        ham = build_hamiltonian(field, window, nx=n, ny=n, order=4)
+        sol = eigenstates(ham, k=2, seed=0)
+        gap = float(sol.energies[1] - sol.energies[0]) / CONSTANTS.hbar
+        errs.append(abs(gap - f0 * GHZ))
+    ratio = errs[0] / errs[1]
+    assert 13.0 <= ratio <= 19.0
 
 
 def test_transitions_and_anharmonicity_sign():
@@ -238,3 +261,35 @@ def test_frequency_sweep_records_failures():
     assert not rows[0].flags
     assert math.isnan(rows[1].f01_hz)
     assert any(f.startswith("failed:") for f in rows[1].flags)
+
+
+def test_frequency_sweep_warm_start_matches_cold_points(monkeypatch):
+    """A sweep starts each point's Lanczos from the previous point's states:
+    the levels match cold single-point sweeps, with fewer OPinv solves."""
+    real_splu = spla.splu
+    solves = []
+
+    class CountingLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            solves.append(1)
+            return self.lu.solve(rhs)
+
+    monkeypatch.setattr(spla, "splu", lambda *a, **kw: CountingLU(real_splu(*a, **kw)))
+    maps = _dome_maps()
+
+    def factory(v: float):
+        return compose(maps, {"trap": v})
+
+    volts = [0.25, 0.3, 0.35]
+    warm = frequency_vs_voltage(factory, volts, nx=41, ny=41, k=4, seed=0)
+    warm_solves = len(solves)
+    cold = [frequency_vs_voltage(factory, [v], nx=41, ny=41, k=4, seed=0)[0] for v in volts]
+    cold_solves = len(solves) - warm_solves
+    for w, c in zip(warm, cold):
+        assert not w.flags and not c.flags
+        for name in ("f01_hz", "f12_hz", "alpha_hz"):
+            assert getattr(w, name) == pytest.approx(getattr(c, name), rel=1e-12, abs=0.0)
+    assert warm_solves < cold_solves
