@@ -5,153 +5,7 @@ The package covers the full loop from electrostatics to readout: composed
 trap potentials, classical electron clusters and their normal modes, a 2D
 Schrodinger eigensolver, closed-form coupling and decay estimates,
 transmission spectra with crosstalk, and the fitting machinery to pull
-parameters back out of noisy traces.
+parameters back out of noisy traces.  Names are imported from their
+modules (``from heliumdot.cavity import synthesize_trace``); the package
+itself re-exports nothing.
 """
-
-from .core import (
-    CONSTANTS,
-    DomainError,
-    FormatError,
-    Frequency,
-    PhysicalConstants,
-    ResonatorParams,
-    TWO_PI,
-    default_resonator,
-    derived_resonator_quantities,
-    load_config,
-)
-from .potential import (
-    CouplingGradientMap,
-    CouplingMapSet,
-    GriddedField,
-    PotentialField,
-    QuarticField,
-    compose,
-    load_coupling_maps,
-    uniform_gradient_map,
-)
-from .analytic import (
-    BiasFilterCircuit,
-    CouplingResult,
-    CubicTrap1D,
-    bias_capacitance,
-    cardano_minimum,
-    cooperativity,
-    coupling_g,
-    effective_frequency,
-    helium_depression,
-    omega_min,
-    purcell_bias,
-    purcell_resonator,
-    spin_couplings,
-    zero_point_length,
-)
-from .cavity import (
-    CompensationResult,
-    CrosstalkParams,
-    SpectrumTrace,
-    TwoLevelElectron,
-    compensate_background,
-    dispersive_electron_freq,
-    s21_resonant,
-    s21_with_crosstalk,
-    susceptibility,
-    synthesize_trace,
-    two_tone_dip,
-)
-from .fitters import (
-    FitError,
-    FitResult,
-    fit_bare_resonator,
-    fit_lorentzian_dip,
-    fit_rabi,
-    least_squares,
-)
-from .cluster import (
-    CoupledModes,
-    ElectronConfiguration,
-    NormalModes,
-    coupled_spectrum,
-    electron_couplings,
-    minimize,
-    normal_modes,
-    shift_vs_voltage_sweep,
-    total_energy,
-)
-from .qsolver import (
-    DiscreteHamiltonian,
-    EigenSolution,
-    auto_window,
-    build_hamiltonian,
-    eigenstates,
-    frequency_vs_voltage,
-    transitions,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "CONSTANTS",
-    "BiasFilterCircuit",
-    "CompensationResult",
-    "CoupledModes",
-    "CouplingGradientMap",
-    "CouplingMapSet",
-    "CouplingResult",
-    "CrosstalkParams",
-    "CubicTrap1D",
-    "DiscreteHamiltonian",
-    "DomainError",
-    "EigenSolution",
-    "ElectronConfiguration",
-    "FitError",
-    "FitResult",
-    "FormatError",
-    "Frequency",
-    "GriddedField",
-    "NormalModes",
-    "PhysicalConstants",
-    "PotentialField",
-    "QuarticField",
-    "ResonatorParams",
-    "SpectrumTrace",
-    "TWO_PI",
-    "TwoLevelElectron",
-    "auto_window",
-    "bias_capacitance",
-    "build_hamiltonian",
-    "cardano_minimum",
-    "compensate_background",
-    "compose",
-    "cooperativity",
-    "coupled_spectrum",
-    "coupling_g",
-    "default_resonator",
-    "derived_resonator_quantities",
-    "dispersive_electron_freq",
-    "effective_frequency",
-    "eigenstates",
-    "electron_couplings",
-    "fit_bare_resonator",
-    "fit_lorentzian_dip",
-    "fit_rabi",
-    "frequency_vs_voltage",
-    "helium_depression",
-    "least_squares",
-    "load_config",
-    "load_coupling_maps",
-    "minimize",
-    "normal_modes",
-    "omega_min",
-    "purcell_bias",
-    "purcell_resonator",
-    "s21_resonant",
-    "s21_with_crosstalk",
-    "spin_couplings",
-    "susceptibility",
-    "synthesize_trace",
-    "transitions",
-    "two_tone_dip",
-    "uniform_gradient_map",
-    "zero_point_length",
-]

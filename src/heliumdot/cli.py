@@ -21,13 +21,13 @@ import numpy as np
 from . import analytic, cavity, cluster, core, fitters, io, potential, qsolver
 from .core import (
     DomainError,
+    FitError,
     FormatError,
     TWO_PI,
     constants_from_config,
-    load_config,
+    read_json_object,
     resonator_from_config,
 )
-from .fitters import FitError
 
 _GHZ = 1e9 * TWO_PI
 _MHZ = 1e6 * TWO_PI
@@ -52,15 +52,6 @@ def _resolved(args: argparse.Namespace) -> dict:
         if k not in ("func",) and not k.startswith("_") and v is not None
     }
     return {"tool": "heliumdot", "options": io._json_safe(opts)}
-
-
-def _emit(payload: dict, args: argparse.Namespace) -> None:
-    text = io._json_dumps(payload)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _resonator(args: argparse.Namespace) -> core.ResonatorParams:
@@ -98,7 +89,7 @@ def _probe_axis(args: argparse.Namespace, center: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_synth(args: argparse.Namespace) -> int:
+def _cmd_synth(args: argparse.Namespace) -> None:
     res = _resonator(args)
     el = None
     if args.f_el_ghz is not None:
@@ -117,10 +108,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             xlabel="probe frequency (GHz)",
             ylabel="|S21|",
         )
-        io.write_svg(args.out or "trace.svg", svg)
+        io.write_text(args.out or "trace.svg", svg)
     else:
         io.write_trace(trace, args.out or "trace.csv", config=_resolved(args))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -128,14 +118,13 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_fit_bare(args: argparse.Namespace) -> int:
+def _cmd_fit_bare(args: argparse.Namespace) -> None:
     trace = io.read_trace(args.trace)
     fit = fitters.fit_bare_resonator(trace, window_kappa_mult=args.window)
     io.write_fit_json(fit, args.out or "fit_bare.json", config=_resolved(args))
-    return 0
 
 
-def _cmd_fit_rabi(args: argparse.Namespace) -> int:
+def _cmd_fit_rabi(args: argparse.Namespace) -> None:
     trace = io.read_trace(args.trace)
     if args.far:
         far = io.read_trace(args.far)
@@ -145,17 +134,15 @@ def _cmd_fit_rabi(args: argparse.Namespace) -> int:
         res = _resonator(args)
     fit = fitters.fit_rabi(trace, res)
     io.write_fit_json(fit, args.out or "fit_rabi.json", config=_resolved(args))
-    return 0
 
 
-def _cmd_fit_twotone(args: argparse.Namespace) -> int:
+def _cmd_fit_twotone(args: argparse.Namespace) -> None:
     drive, response = io.read_twotone_csv(args.data)
     fit = fitters.fit_lorentzian_dip(drive, response)
     io.write_fit_json(fit, args.out or "fit_twotone.json", config=_resolved(args))
-    return 0
 
 
-def _cmd_compensate(args: argparse.Namespace) -> int:
+def _cmd_compensate(args: argparse.Namespace) -> None:
     far = io.read_trace(args.far)
     target = io.read_trace(args.target)
     result = cavity.compensate_background(far, target, window_kappa_mult=args.window)
@@ -163,7 +150,6 @@ def _cmd_compensate(args: argparse.Namespace) -> int:
     io.write_trace(result.compensated, out, config=_resolved(args))
     io.write_compensation_json(result.leak, result.other, out + ".comp.json",
                                config=_resolved(args))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +176,7 @@ def _sweep_voltages(args: argparse.Namespace) -> np.ndarray:
     return np.linspace(args.vmin, args.vmax, args.n)
 
 
-def _cmd_sweep_shift(args: argparse.Namespace) -> int:
+def _cmd_sweep_shift(args: argparse.Namespace) -> None:
     maps = potential.load_coupling_maps(args.maps)
     res = _resonator(args)
     grad = None
@@ -211,10 +197,9 @@ def _cmd_sweep_shift(args: argparse.Namespace) -> int:
         constants=args._constants,
     )
     io.write_shift_sweep_csv(rows, args.out or "shift_sweep.csv", config=_resolved(args))
-    return 0
 
 
-def _cmd_sweep_freq(args: argparse.Namespace) -> int:
+def _cmd_sweep_freq(args: argparse.Namespace) -> None:
     maps = potential.load_coupling_maps(args.maps)
     base = _base_voltages(args)
 
@@ -234,10 +219,9 @@ def _cmd_sweep_freq(args: argparse.Namespace) -> int:
         constants=args._constants,
     )
     io.write_freq_sweep_csv(rows, args.out or "freq_sweep.csv", config=_resolved(args))
-    return 0
 
 
-def _cmd_qsolve(args: argparse.Namespace) -> int:
+def _cmd_qsolve(args: argparse.Namespace) -> dict:
     constants = args._constants
     field_ = potential.QuarticField(
         a1x=args.a1x, a1y=args.a1y, a2x=args.a2x, a2y=args.a2y,
@@ -251,15 +235,13 @@ def _cmd_qsolve(args: argparse.Namespace) -> int:
         "energies_GHz": [e / constants.h / 1e9 for e in sol.energies],
         "residuals": [float(r) for r in sol.residuals],
         "window_um": [v * 1e6 for v in window],
-        "config": _resolved(args),
     }
     if len(sol.energies) >= 3:
         tr = qsolver.transitions(sol)
         payload["f01_GHz"] = tr.omega_01.ghz
         payload["f12_GHz"] = tr.omega_12.ghz
         payload["alpha_MHz"] = tr.alpha_hz / 1e6
-    _emit(payload, args)
-    return 0
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -267,24 +249,19 @@ def _cmd_qsolve(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_calc_g(args: argparse.Namespace) -> int:
+def _cmd_calc_g(args: argparse.Namespace) -> dict:
     res = _resonator(args)
     result = analytic.coupling_g(res, args.coupling_length_nm * 1e-9, constants=args._constants)
-    _emit(
-        {
-            "g_MHz": result.g / _MHZ,
-            "l_y_nm": result.l_y * 1e9,
-            "v_zpf_uV": result.v_zpf * 1e6,
-            "impedance_ohm": result.impedance,
-            "f_res_GHz": result.omega_r / _GHZ,
-            "config": _resolved(args),
-        },
-        args,
-    )
-    return 0
+    return {
+        "g_MHz": result.g / _MHZ,
+        "l_y_nm": result.l_y * 1e9,
+        "v_zpf_uV": result.v_zpf * 1e6,
+        "impedance_ohm": result.impedance,
+        "f_res_GHz": result.omega_r / _GHZ,
+    }
 
 
-def _cmd_calc_cardano(args: argparse.Namespace) -> int:
+def _cmd_calc_cardano(args: argparse.Namespace) -> dict:
     trap = analytic.CubicTrap1D(a1=args.a1, a2=args.a2, e_y=args.ey, constants=args._constants)
     result = analytic.cardano_minimum(trap)
     payload = {
@@ -292,32 +269,22 @@ def _cmd_calc_cardano(args: argparse.Namespace) -> int:
         "regime": result.regime,
         "discriminant": result.discriminant,
         "roots_nm": [r * 1e9 for r in result.roots],
-        "config": _resolved(args),
     }
     try:
         payload["f_trap_GHz"] = analytic.effective_frequency(trap) / _GHZ
     except DomainError:
         payload["f_trap_GHz"] = None
-    _emit(payload, args)
-    return 0
+    return payload
 
 
-def _cmd_calc_purcell_res(args: argparse.Namespace) -> int:
+def _cmd_calc_purcell_res(args: argparse.Namespace) -> dict:
     result = analytic.purcell_resonator(
         g=args.g_mhz * _MHZ, kappa=args.kappa_mhz * _MHZ, delta=args.delta_ghz * _GHZ
     )
-    _emit(
-        {
-            "gamma1_per_s": result.gamma_1,
-            "t1_us": result.t1 * 1e6,
-            "config": _resolved(args),
-        },
-        args,
-    )
-    return 0
+    return {"gamma1_per_s": result.gamma_1, "t1_us": result.t1 * 1e6}
 
 
-def _cmd_calc_purcell_bias(args: argparse.Namespace) -> int:
+def _cmd_calc_purcell_bias(args: argparse.Namespace) -> dict:
     omega_e = args.f_el_ghz * _GHZ
     c_c = args.cc_ff * 1e-15 if args.cc_ff is not None else analytic.bias_capacitance(
         args.dalpha_dy_per_um * 1e6, omega_e, constants=args._constants
@@ -329,20 +296,15 @@ def _cmd_calc_purcell_bias(args: argparse.Namespace) -> int:
         c_other=args.cother_ff * 1e-15,
     )
     result = analytic.purcell_bias(circuit, omega_e)
-    _emit(
-        {
-            "c_c_fF": c_c * 1e15,
-            "filter_resonance_GHz": circuit.filter_resonance / _GHZ,
-            "gamma1_per_s": result.gamma_1,
-            "t1_ms": result.t1 * 1e3,
-            "config": _resolved(args),
-        },
-        args,
-    )
-    return 0
+    return {
+        "c_c_fF": c_c * 1e15,
+        "filter_resonance_GHz": circuit.filter_resonance / _GHZ,
+        "gamma1_per_s": result.gamma_1,
+        "t1_ms": result.t1 * 1e3,
+    }
 
 
-def _cmd_calc_spin(args: argparse.Namespace) -> int:
+def _cmd_calc_spin(args: argparse.Namespace) -> dict:
     result = analytic.spin_couplings(
         g_c=args.g_c_mhz * _MHZ,
         dbz_dx=args.dbz_dx_t_per_um * 1e6,
@@ -350,38 +312,27 @@ def _cmd_calc_spin(args: argparse.Namespace) -> int:
         delta_cs=args.delta_cs_ghz * _GHZ,
         constants=args._constants,
     )
-    _emit(
-        {
-            "g_cs_MHz": result.g_cs / _MHZ,
-            "g_s_MHz": result.g_s / _MHZ,
-            "config": _resolved(args),
-        },
-        args,
-    )
-    return 0
+    return {"g_cs_MHz": result.g_cs / _MHZ, "g_s_MHz": result.g_s / _MHZ}
 
 
-def _cmd_calc_depression(args: argparse.Namespace) -> int:
+def _cmd_calc_depression(args: argparse.Namespace) -> dict:
     depth = analytic.helium_depression(args.height_um * 1e-6, args.width_um * 1e-6,
                                        constants=args._constants)
-    _emit({"depression_nm": depth * 1e9, "config": _resolved(args)}, args)
-    return 0
+    return {"depression_nm": depth * 1e9}
 
 
-def _cmd_calc_cooperativity(args: argparse.Namespace) -> int:
+def _cmd_calc_cooperativity(args: argparse.Namespace) -> dict:
     value = analytic.cooperativity(
         g=args.g_mhz * _MHZ, kappa=args.kappa_mhz * _MHZ, gamma_2=args.gamma2_mhz * _MHZ
     )
-    _emit({"cooperativity": value, "config": _resolved(args)}, args)
-    return 0
+    return {"cooperativity": value}
 
 
-def _cmd_calc_dispersive(args: argparse.Namespace) -> int:
+def _cmd_calc_dispersive(args: argparse.Namespace) -> dict:
     omega_r = args.f_res_ghz * _GHZ
     delta = omega_r - args.f_peak_ghz * _GHZ
     freq = cavity.dispersive_electron_freq(delta, args.g_mhz * _MHZ, omega_r)
-    _emit({"f_el_GHz": freq.ghz, "config": _resolved(args)}, args)
-    return 0
+    return {"f_el_GHz": freq.ghz}
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +521,10 @@ def main(argv: list[str] | None = None) -> int:
     zero) can fail in plain float math.  Numpy's float errors (overflow,
     division by zero, an invalid operation such as inf - inf) raise
     FloatingPointError, one of them, instead of printing a warning.
+
+    A command writes its own output files and returns None, or returns a
+    JSON payload, which gains the resolved ``config`` and goes to ``--out``
+    or stdout.
     """
     try:
         args = build_parser().parse_args(argv)
@@ -577,10 +532,20 @@ def main(argv: list[str] | None = None) -> int:
         for name, value in sorted(vars(args).items()):
             if isinstance(value, float) and math.isnan(value):
                 raise UsageError(f"--{name.replace('_', '-')}: NaN is not a value")
-        args._config = load_config(args.config) if args.config else {}
+        if args.seed < 0:
+            raise UsageError(f"--seed must be non-negative, got {args.seed}")
+        args._config = read_json_object(args.config, "config") if args.config else {}
         args._constants = constants_from_config(args._config)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return args.func(args)
+            payload = args.func(args)
+        if payload is not None:
+            payload["config"] = _resolved(args)
+            text = io._json_dumps(payload)
+            if args.out:
+                io.write_text(args.out, text)
+            else:
+                sys.stdout.write(text)
+        return 0
     except (UsageError, DomainError, FormatError, FitError, OSError, ArithmeticError) as exc:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)},

@@ -181,16 +181,17 @@ def default_resonator() -> ResonatorParams:
     return ResonatorParams(**_DEFAULT_RESONATOR)
 
 
-def load_config(path: str) -> dict:
-    """Read a JSON config file; top-level keys 'constants' and 'resonator' are recognized."""
+def read_json_object(path: str, what: str) -> dict:
+    """Parse the UTF-8 JSON file at ``path``, whose top level must be an
+    object; FormatError naming ``what`` (say "config") otherwise."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            cfg = json.load(fh)
+            obj = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise FormatError(f"config {path}: invalid JSON ({exc})") from None
-    if not isinstance(cfg, dict):
-        raise FormatError(f"config {path}: top level must be an object")
-    return cfg
+            raise FormatError(f"{what} {path}: invalid JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise FormatError(f"{what} {path}: top level must be an object")
+    return obj
 
 
 def _config_section(cfg: dict, name: str, record: type) -> dict:

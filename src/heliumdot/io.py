@@ -13,12 +13,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .cavity import SpectrumTrace
-from .core import FormatError, TWO_PI
+from .core import FormatError, TWO_PI, read_json_object
 from .fitters import FitResult
 
 _GHZ = 1e9 * TWO_PI  # rad/s per GHz
@@ -58,6 +58,22 @@ def _config_line(config: Mapping | None) -> str:
     return "# config: " + json.dumps(_json_safe(config), sort_keys=True, allow_nan=False) + "\n"
 
 
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 with "\\n" line endings on every platform."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def _rows(path: str) -> Iterator[tuple[str, list[str]]]:
+    """(line, comma-split cells) for each data row of a CSV file; blank
+    lines, ``#`` comments and a ``freq...`` header are skipped."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if line and not line.startswith("#") and not line.lower().startswith("freq"):
+                yield line, line.split(",")
+
+
 # ---------------------------------------------------------------------------
 # traces
 # ---------------------------------------------------------------------------
@@ -72,48 +88,34 @@ def write_trace(trace: SpectrumTrace, path: str, config: Mapping | None = None) 
     lines = [_config_line(config), "freq_GHz,re_s21,im_s21\n"]
     for w, s in zip(trace.probe, trace.s21):
         lines.append(f"{_fmt(w / _GHZ)},{_fmt(s.real)},{_fmt(s.imag)}\n")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(lines)
+    write_text(path, "".join(lines))
     sidecar = {"metadata": trace.metadata, "config": config or {}}
-    with open(path + ".json", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_json_dumps(sidecar))
+    write_text(path + ".json", _json_dumps(sidecar))
 
 
 def read_trace(path: str) -> SpectrumTrace:
     """Read a trace CSV written by :func:`write_trace` (sidecar optional)."""
     freqs = []
     s21 = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.lower().startswith("freq"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise FormatError(f"trace {path}: expected 3 columns, got {len(parts)}")
-            try:
-                f, re, im = (float(p) for p in parts)
-            except ValueError:
-                raise FormatError(f"trace {path}: non-numeric row {line!r}") from None
-            if not all(map(math.isfinite, (f * _GHZ, re, im))):
-                raise FormatError(f"trace {path}: non-finite row {line!r}")
-            freqs.append(f * _GHZ)
-            s21.append(complex(re, im))
+    for line, parts in _rows(path):
+        if len(parts) != 3:
+            raise FormatError(f"trace {path}: expected 3 columns, got {len(parts)}")
+        try:
+            f, re, im = (float(p) for p in parts)
+        except ValueError:
+            raise FormatError(f"trace {path}: non-numeric row {line!r}") from None
+        if not all(map(math.isfinite, (f * _GHZ, re, im))):
+            raise FormatError(f"trace {path}: non-finite row {line!r}")
+        freqs.append(f * _GHZ)
+        s21.append(complex(re, im))
     if len(freqs) < 2:
         raise FormatError(f"trace {path}: fewer than 2 data rows")
     metadata = {}
     sidecar = path + ".json"
     if os.path.exists(sidecar):
-        with open(sidecar, "r", encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"trace sidecar {sidecar}: invalid JSON ({exc})") from None
-        if not isinstance(raw, dict):
-            raise FormatError(f"trace sidecar {sidecar}: top level must be an object")
-        metadata = raw.get("metadata", {})
+        metadata = read_json_object(sidecar, "trace sidecar").get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise FormatError(f"trace sidecar {sidecar}: 'metadata' must be an object")
     return SpectrumTrace(probe=np.array(freqs), s21=np.array(s21), metadata=metadata)
 
 
@@ -125,22 +127,17 @@ def read_twotone_csv(path: str) -> tuple:
     """
     drive = []
     response = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.lower().startswith("freq"):
-                continue
-            parts = line.split(",")
-            if len(parts) < 2:
-                raise FormatError(f"two-tone data {path}: need 2 columns")
-            try:
-                f, r = float(parts[0]), float(parts[1])
-            except ValueError:
-                raise FormatError(f"two-tone data {path}: non-numeric row {line!r}") from None
-            if not (math.isfinite(f * _GHZ) and math.isfinite(r)):
-                raise FormatError(f"two-tone data {path}: non-finite row {line!r}")
-            drive.append(f * _GHZ)
-            response.append(r)
+    for line, parts in _rows(path):
+        if len(parts) < 2:
+            raise FormatError(f"two-tone data {path}: need 2 columns")
+        try:
+            f, r = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise FormatError(f"two-tone data {path}: non-numeric row {line!r}") from None
+        if not (math.isfinite(f * _GHZ) and math.isfinite(r)):
+            raise FormatError(f"two-tone data {path}: non-finite row {line!r}")
+        drive.append(f * _GHZ)
+        response.append(r)
     if not drive:
         raise FormatError(f"two-tone data {path}: no data rows")
     return np.array(drive), np.array(response)
@@ -184,8 +181,7 @@ def fit_to_json_dict(fit: FitResult, config: Mapping | None = None) -> dict:
 
 
 def write_fit_json(fit: FitResult, path: str, config: Mapping | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_json_dumps(fit_to_json_dict(fit, config)))
+    write_text(path, _json_dumps(fit_to_json_dict(fit, config)))
 
 
 def write_shift_sweep_csv(rows: Sequence, path: str, config: Mapping | None = None) -> None:
@@ -204,8 +200,7 @@ def write_shift_sweep_csv(rows: Sequence, path: str, config: Mapping | None = No
             f"{freqs},{str(row.converged).lower()},{_fmt(row.gradient_norm)},"
             f"{row.iterations},{str(row.is_saddle).lower()},{';'.join(row.flags)}\n"
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(lines)
+    write_text(path, "".join(lines))
 
 
 def write_freq_sweep_csv(rows: Sequence, path: str, config: Mapping | None = None) -> None:
@@ -220,8 +215,7 @@ def write_freq_sweep_csv(rows: Sequence, path: str, config: Mapping | None = Non
             f"{_fmt(row.voltage)},{_fmt(row.f01_hz / 1e9)},{_fmt(row.f12_hz / 1e9)},"
             f"{_fmt(row.alpha_hz / 1e6)},{_fmt(row.residual)},{flags}\n"
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(lines)
+    write_text(path, "".join(lines))
 
 
 def write_compensation_json(
@@ -234,8 +228,7 @@ def write_compensation_json(
         "other_im": [float(v) for v in other.imag],
         "config": config or {},
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_json_dumps(payload))
+    write_text(path, _json_dumps(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +339,3 @@ def svg_line_plot(
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def write_svg(path: str, svg: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(svg)

@@ -20,7 +20,6 @@ level and cluster solvers share.  Every field parameter must be finite.
 
 from __future__ import annotations
 
-import json
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -29,7 +28,7 @@ from typing import Mapping
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
-from .core import CONSTANTS, DomainError, FormatError, PhysicalConstants
+from .core import CONSTANTS, DomainError, FormatError, PhysicalConstants, read_json_object
 
 # Loader tolerance on the lever-arm range: maps are physical fractions in
 # [0, 1] but FEM exports ring slightly outside, so accept [-0.01, 1.01].
@@ -143,13 +142,7 @@ def load_coupling_maps(path: str) -> CouplingMapSet:
     electrodes (name -> [ny][nx] lever arms), optional
     resonator_diff_grad_per_um ([ny][nx], 1/um) and metadata.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"coupling maps {path}: invalid JSON ({exc})") from None
-    if not isinstance(raw, dict):
-        raise FormatError(f"coupling maps {path}: top level must be a JSON object")
+    raw = read_json_object(path, "coupling maps")
     for key in ("x_axis_um", "y_axis_um", "electrodes"):
         if key not in raw:
             raise FormatError(f"coupling maps {path}: missing key {key!r}")

@@ -256,8 +256,11 @@ def frequency_vs_voltage(
     failed one, starts from the seeded vector.  The start vector depends
     only on earlier points, so reruns stay bit-identical.  Failures at
     single points are recorded in the row flags instead of aborting the
-    sweep.
+    sweep; a ``k`` outside 3 to min(20, nx * ny - 2), which no point could
+    solve, raises DomainError before the first point.
     """
+    if not 3 <= k <= min(20, nx * ny - 2):
+        raise DomainError("k must be between 3 and min(20, nx * ny - 2)")
     rows = []
     warm = None
     for volt in voltages:
@@ -268,7 +271,7 @@ def frequency_vs_voltage(
             ham = build_hamiltonian(field_, win, nx=nx, ny=ny, constants=constants, order=4)
             if ham.edge_minimum:
                 flags.append("edge_minimum")
-            sol = eigenstates(ham, k=max(k, 3), seed=seed, v0=warm)
+            sol = eigenstates(ham, k=k, seed=seed, v0=warm)
             tset = transitions(sol)
             warm = np.sum(sol.states, axis=0).ravel()
             rows.append(

@@ -262,7 +262,7 @@ def test_missing_input_reports_json_error(tmp_path, capsys):
     assert "error" in payload and "message" in payload
 
 
-@pytest.mark.parametrize("sidecar", ["{not json", "[1, 2]"])
+@pytest.mark.parametrize("sidecar", ["{not json", "[1, 2]", '{"metadata": 5}'])
 def test_malformed_trace_sidecar_reports_json_error(tmp_path, capsys, sidecar):
     far = str(tmp_path / "far.csv")
     target = str(tmp_path / "target.csv")
@@ -351,6 +351,39 @@ def test_sweep_rejects_bad_voltage_axis(tmp_path, capsys, kind, n, vmax):
     assert code == 1
     assert not out.exists()
     assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--snr", "50"],
+    ["qsolve", "--a1x", "1.1e-8", "--a1y", "1.1e-8", "--nx", "9", "--ny", "9"],
+    ["sweep", "freq", "--nx", "9", "--ny", "9"],
+    ["sweep", "shift"],
+], ids=["synth", "qsolve", "sweep-freq", "sweep-shift"])
+def test_negative_seed_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "sweep":
+        argv = argv + ["--maps", _maps_file(tmp_path), "--electrode", "trap",
+                       "--vmin", "0.25", "--vmax", "0.3", "--n", "2"]
+    assert main(argv + ["--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "UsageError"
+    assert [p.name for p in tmp_path.iterdir()] in ([], ["maps.json"])
+
+
+@pytest.mark.parametrize("k", ["2", "25"])
+def test_sweep_freq_rejects_k_out_of_range(tmp_path, capsys, k):
+    # k < 3 has no f12; k > 20 exceeds what eigenstates solves at any grid
+    out = tmp_path / "freq.csv"
+    code = main(["sweep", "freq", "--maps", _maps_file(tmp_path), "--electrode", "trap",
+                 "--vmin", "0.25", "--vmax", "0.3", "--n", "2", "--k", k, "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "DomainError"
 
 
 def test_format_flag_only_on_synth():

@@ -193,15 +193,17 @@ def test_fit_trace_files(kind, trace, sidecar, far, window):
 
 
 @SETTINGS
-@given(target=trace_text(), far=trace_text(), sidecar=SIDECAR,
+@given(target=trace_text(), far=trace_text(), sidecar=SIDECAR, target_sidecar=SIDECAR,
        window=st.one_of(st.none(), NUMBER))
-def test_compensate_files(target, far, sidecar, window):
+def test_compensate_files(target, far, sidecar, target_sidecar, window):
     with tempfile.TemporaryDirectory() as work:
         argv = ["compensate", "--far", _write(work, "far.csv", far),
                 "--target", _write(work, "target.csv", target),
                 "--out", os.path.join(work, "comp.csv")]
         if sidecar is not None:
             _write(work, "far.csv.json", sidecar)
+        if target_sidecar is not None:
+            _write(work, "target.csv.json", target_sidecar)
         if window is not None:
             argv += ["--window", window]
         _run(argv, work)
@@ -305,7 +307,7 @@ def _sweep(data, kind: str, flags: dict) -> None:
                 "--maps", _write(work, "maps.json", data.draw(maps_text(), label="maps")),
                 "--electrode", "trap",
                 "--n", data.draw(st.sampled_from(["1", "2"]), label="n"),
-                "--seed", str(data.draw(st.integers(0, 2**16), label="seed"))]
+                "--seed", str(data.draw(st.integers(-2**16, 2**16), label="seed"))]
         for flag, value in flags.items():
             argv += [flag, value]
         _run(argv, work, out)

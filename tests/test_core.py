@@ -17,7 +17,7 @@ from heliumdot.core import (
     constants_from_config,
     default_resonator,
     derived_resonator_quantities,
-    load_config,
+    read_json_object,
     resonator_from_config,
 )
 
@@ -95,7 +95,7 @@ def test_config_roundtrip(tmp_path):
             }
         )
     )
-    cfg = load_config(str(path))
+    cfg = read_json_object(str(path), "config")
     consts = constants_from_config(cfg)
     assert consts.rho_he == 146.0
     assert consts.e == CONSTANTS.e
@@ -133,10 +133,10 @@ def test_config_invalid_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     with pytest.raises(FormatError):
-        load_config(str(path))
+        read_json_object(str(path), "config")
     path.write_text("[1, 2, 3]")
     with pytest.raises(FormatError):
-        load_config(str(path))
+        read_json_object(str(path), "config")
 
 
 def test_error_hierarchy():

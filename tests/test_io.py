@@ -17,7 +17,7 @@ from heliumdot.io import (
     write_fit_json,
     write_freq_sweep_csv,
     write_shift_sweep_csv,
-    write_svg,
+    write_text,
     write_trace,
 )
 
@@ -166,7 +166,7 @@ def test_svg_plot_structure_and_determinism(tmp_path):
     assert svg1.startswith("<svg")
     assert svg1.count("<polyline") == 2
     path = tmp_path / "plot.svg"
-    write_svg(str(path), svg1)
+    write_text(str(path), svg1)
     assert path.read_text() == svg1
 
 

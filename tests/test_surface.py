@@ -5,7 +5,8 @@ A public top-level function or class of ``src/heliumdot`` must be read, as a
 criteria; a public method, property or annotated class field must be read as
 an ``Attribute``.  Imports and ``__all__`` strings do not count as reads, and
 neither do the package's own unit tests: a name only its unit test reaches
-is a name no command uses.
+is a name no command uses.  The package module itself re-exports nothing,
+and only three helpers open files.
 """
 
 from __future__ import annotations
@@ -71,3 +72,22 @@ def test_every_public_name_has_a_reader():
         if not read:
             unread.append(f"{module}.{owner + '.' if owner else ''}{name}")
     assert not unread, "public names nothing reads: " + ", ".join(sorted(unread))
+
+
+def test_one_way_in_and_out():
+    """The package module re-exports nothing, and the builtin ``open`` is
+    called only by the JSON-object reader, the text writer and the CSV row
+    scanner, so each file-format decision has one home."""
+    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    for node in ast.walk(init):
+        assert not isinstance(node, (ast.Import, ast.ImportFrom)), "__init__ imports"
+        assert not (isinstance(node, ast.Name) and node.id == "__all__"), "__init__ has __all__"
+    openers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "open"):
+                    openers.add(f"{path.stem}.{owner}")
+    assert openers == {"core.read_json_object", "io.write_text", "io._rows"}
