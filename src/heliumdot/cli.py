@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -353,7 +354,10 @@ def _add_resonator_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kappa-int-mhz", type=float)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command tree, built once per process: parsing fills a fresh
+    namespace on every call and leaves the parser as it was."""
     parser = _Parser(prog="heliumdot")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -187,6 +187,8 @@ def read_json_object(path: str, what: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
+        except UnicodeDecodeError:
+            raise FormatError(f"{what} {path}: not UTF-8 text") from None
         except json.JSONDecodeError as exc:
             raise FormatError(f"{what} {path}: invalid JSON ({exc})") from None
     if not isinstance(obj, dict):

@@ -3,13 +3,15 @@
 Frequencies cross the file boundary in cyclic units (GHz for axes, Hz for
 fit parameters); everything internal stays angular.  All writers format
 floats with repr (shortest round-trip) and sort JSON keys, so a rerun with
-the same inputs produces byte-identical files.  The resolved run
-configuration rides along in every file: a ``# config:`` comment line in
-CSV, a ``config`` key in JSON.
+the same inputs produces byte-identical files.  Trace columns are formatted
+a whole column at a time with repr, and read back with one ``float`` map
+into one array.  The resolved run configuration rides along in every file:
+a ``# config:`` comment line in CSV, a ``config`` key in JSON.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -25,8 +27,6 @@ _GHZ = 1e9 * TWO_PI  # rad/s per GHz
 
 
 def _fmt(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
     return repr(float(x))
 
 
@@ -38,6 +38,8 @@ def _json_safe(obj):
     if isinstance(obj, (list, tuple)):
         return [_json_safe(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and np.isfinite(obj).all():
+            return obj.tolist()
         return [_json_safe(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer)):
         obj = obj.item()
@@ -64,14 +66,52 @@ def write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _rows(path: str) -> Iterator[tuple[str, list[str]]]:
+def _rows(path: str, what: str) -> Iterator[tuple[str, list[str]]]:
     """(line, comma-split cells) for each data row of a CSV file; blank
-    lines, ``#`` comments and a ``freq...`` header are skipped."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#") and not line.lower().startswith("freq"):
-                yield line, line.split(",")
+    lines, ``#`` comments and a ``freq...`` header are skipped.  FormatError
+    naming ``what`` when the file is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                line = line.strip()
+                if line and not line.startswith("#") and not line.lower().startswith("freq"):
+                    yield line, line.split(",")
+    except UnicodeDecodeError:
+        raise FormatError(f"{what}: not UTF-8 text") from None
+
+
+def _table(path: str, what: str, ncols: int, exact: bool) -> np.ndarray:
+    """The first ``ncols`` cells of each data row as an (ncols, rows) float
+    array, column 0 turned from GHz into rad/s.
+
+    A row needs exactly ``ncols`` cells when ``exact``, at least that many
+    otherwise, and every cell it keeps must be a finite number.  Only when
+    that fails are the rows scanned in order, so the FormatError names the
+    first bad one.
+    """
+    rows = list(_rows(path, what))
+    if all(len(p) == ncols if exact else len(p) >= ncols for _, p in rows):
+        try:
+            cells = map(float, itertools.chain.from_iterable(p[:ncols] for _, p in rows))
+            table = np.fromiter(cells, float).reshape(len(rows), ncols).T.copy()
+        except ValueError:
+            pass  # a non-numeric cell, named by the scan below
+        else:
+            with np.errstate(over="ignore"):  # overflow to inf: a non-finite row
+                table[0] *= _GHZ
+            if np.isfinite(table).all():
+                return table
+    for line, parts in rows:
+        if len(parts) != ncols if exact else len(parts) < ncols:
+            raise FormatError(f"{what}: expected {ncols} columns, got {len(parts)}" if exact
+                              else f"{what}: need {ncols} columns")
+        try:
+            values = [float(p) for p in parts[:ncols]]
+        except ValueError:
+            raise FormatError(f"{what}: non-numeric row {line!r}") from None
+        values[0] *= _GHZ
+        if not all(map(math.isfinite, values)):
+            raise FormatError(f"{what}: non-finite row {line!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -85,62 +125,39 @@ def write_trace(trace: SpectrumTrace, path: str, config: Mapping | None = None) 
     The sidecar (same path with .json appended) carries the trace metadata
     and the resolved config.
     """
-    lines = [_config_line(config), "freq_GHz,re_s21,im_s21\n"]
-    for w, s in zip(trace.probe, trace.s21):
-        lines.append(f"{_fmt(w / _GHZ)},{_fmt(s.real)},{_fmt(s.imag)}\n")
-    write_text(path, "".join(lines))
+    rows = map("{!r},{!r},{!r}\n".format, (trace.probe / _GHZ).tolist(),
+               trace.s21.real.tolist(), trace.s21.imag.tolist())
+    write_text(path, _config_line(config) + "freq_GHz,re_s21,im_s21\n" + "".join(rows))
     sidecar = {"metadata": trace.metadata, "config": config or {}}
     write_text(path + ".json", _json_dumps(sidecar))
 
 
 def read_trace(path: str) -> SpectrumTrace:
     """Read a trace CSV written by :func:`write_trace` (sidecar optional)."""
-    freqs = []
-    s21 = []
-    for line, parts in _rows(path):
-        if len(parts) != 3:
-            raise FormatError(f"trace {path}: expected 3 columns, got {len(parts)}")
-        try:
-            f, re, im = (float(p) for p in parts)
-        except ValueError:
-            raise FormatError(f"trace {path}: non-numeric row {line!r}") from None
-        if not all(map(math.isfinite, (f * _GHZ, re, im))):
-            raise FormatError(f"trace {path}: non-finite row {line!r}")
-        freqs.append(f * _GHZ)
-        s21.append(complex(re, im))
-    if len(freqs) < 2:
+    probe, re, im = _table(path, f"trace {path}", 3, exact=True)
+    if probe.size < 2:
         raise FormatError(f"trace {path}: fewer than 2 data rows")
+    s21 = np.empty(probe.size, complex)
+    s21.real, s21.imag = re, im  # re + 1j * im would turn a -0.0 part into +0.0
     metadata = {}
     sidecar = path + ".json"
     if os.path.exists(sidecar):
         metadata = read_json_object(sidecar, "trace sidecar").get("metadata", {})
         if not isinstance(metadata, dict):
             raise FormatError(f"trace sidecar {sidecar}: 'metadata' must be an object")
-    return SpectrumTrace(probe=np.array(freqs), s21=np.array(s21), metadata=metadata)
+    return SpectrumTrace(probe=probe, s21=s21, metadata=metadata)
 
 
 def read_twotone_csv(path: str) -> tuple:
     """Read two-tone data (freq_GHz, response; extra columns ignored).
 
-    Returns (drive [rad/s], response) arrays; FormatError on a short or
-    non-numeric row, or when the file has no data rows.
+    Returns (drive [rad/s], response) arrays; FormatError on a short,
+    non-numeric or non-finite row, or when the file has no data rows.
     """
-    drive = []
-    response = []
-    for line, parts in _rows(path):
-        if len(parts) < 2:
-            raise FormatError(f"two-tone data {path}: need 2 columns")
-        try:
-            f, r = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise FormatError(f"two-tone data {path}: non-numeric row {line!r}") from None
-        if not (math.isfinite(f * _GHZ) and math.isfinite(r)):
-            raise FormatError(f"two-tone data {path}: non-finite row {line!r}")
-        drive.append(f * _GHZ)
-        response.append(r)
-    if not drive:
+    drive, response = _table(path, f"two-tone data {path}", 2, exact=False)
+    if not drive.size:
         raise FormatError(f"two-tone data {path}: no data rows")
-    return np.array(drive), np.array(response)
+    return drive, response
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +241,8 @@ def write_compensation_json(
     """Record what background compensation removed from a target trace."""
     payload = {
         "leak": {"re": leak.real, "im": leak.imag},
-        "other_re": [float(v) for v in other.real],
-        "other_im": [float(v) for v in other.imag],
+        "other_re": other.real,
+        "other_im": other.imag,
         "config": config or {},
     }
     write_text(path, _json_dumps(payload))

@@ -329,6 +329,85 @@ def test_help_exits_zero(capsys):
     assert "--format" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("what, data, argv", [
+    ("config", b"\xff\xfe{}",
+     ["calc", "depression", "--height-um", "1", "--width-um", "5", "--config", "in"]),
+    ("trace", b"freq_GHz,re_s21,im_s21\n7.0,1.0,0.0\n7.1,1.\xff,0.0\n",
+     ["fit", "bare", "--trace", "in"]),
+], ids=["config", "trace"])
+def test_non_utf8_input_reports_json_error(tmp_path, monkeypatch, capsys, what, data, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in").write_bytes(data)
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {"error": "FormatError", "message": f"{what} in: not UTF-8 text"}
+    assert [p.name for p in tmp_path.iterdir()] == ["in"]
+
+
+def test_parser_reuse_drops_appended_voltages(tmp_path):
+    argv = ["sweep", "freq", "--maps", _maps_file(tmp_path), "--electrode", "trap",
+            "--vmin", "0.25", "--vmax", "0.25", "--n", "1", "--nx", "21", "--ny", "21",
+            "--k", "3", "--out", str(tmp_path / "freq.csv")]
+    assert main(argv + ["--voltage", "a=1"]) == 0
+    assert _csv_rows(tmp_path / "freq.csv")[0]["flags"] == "failed:DomainError"
+    assert main(argv) == 0
+    config = (tmp_path / "freq.csv").read_text().splitlines()[0].removeprefix("# config: ")
+    assert "voltage" not in json.loads(config)["options"]
+    assert _csv_rows(tmp_path / "freq.csv")[0]["flags"] == ""
+
+
+def test_parser_reuse_restores_defaults(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    base = ["synth", "--f-el-ghz", "7.162", "--points", "11"]
+    assert main(base + ["--g-mhz", "5"]) == 0
+    coupled = (tmp_path / "trace.csv").read_bytes()
+    assert main(base) == 0
+    default = (tmp_path / "trace.csv").read_bytes()
+    assert main(base + ["--g-mhz", "0"]) == 0
+    assert default == (tmp_path / "trace.csv").read_bytes() != coupled
+    options = json.loads((tmp_path / "trace.csv.json").read_text())["config"]["options"]
+    assert options["g_mhz"] == 0.0
+
+
+@pytest.mark.parametrize("first", [
+    ["synth", "--bogus"],
+    ["synth", "--points", "11", "--points", "abc"],
+    ["sweep", "freq", "--voltage", "a=1"],
+])
+def test_parser_reuse_after_usage_error(tmp_path, capsys, first):
+    assert main(first) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
+    out = tmp_path / "trace.csv"
+    assert main(["synth", "--points", "11", "--out", str(out)]) == 0
+    assert len(read_trace(str(out)).probe) == 11
+
+
+def test_parser_reuse_after_help(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--help"])
+    assert exc.value.code == 0
+    capsys.readouterr()
+    out = tmp_path / "trace.csv"
+    assert main(["synth", "--points", "11", "--out", str(out)]) == 0
+    assert len(read_trace(str(out)).probe) == 11
+
+
+def test_main_looks_up_build_parser_on_every_call(tmp_path, monkeypatch):
+    # the benchmark's traced run wraps cli.build_parser by name
+    assert cli.build_parser() is cli.build_parser()
+    calls = []
+
+    def counting():
+        calls.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for k in range(2):
+        assert main(["synth", "--points", "11", "--out", str(tmp_path / f"t{k}.csv")]) == 0
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("restarts", ["0", "-5"])
 def test_sweep_shift_rejects_nonpositive_restarts(tmp_path, capsys, restarts):
     maps = _maps_file(tmp_path)

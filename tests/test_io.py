@@ -10,8 +10,10 @@ from heliumdot.cavity import SpectrumTrace
 from heliumdot.core import FormatError, TWO_PI
 from heliumdot.fitters import FitResult
 from heliumdot.io import (
+    _json_safe,
     fit_to_json_dict,
     read_trace,
+    read_twotone_csv,
     svg_line_plot,
     write_compensation_json,
     write_fit_json,
@@ -64,6 +66,104 @@ def test_read_trace_errors(tmp_path):
         read_trace(str(bad))
     with pytest.raises(OSError):
         read_trace(str(tmp_path / "missing.csv"))
+
+
+def test_write_trace_matches_per_value_repr(tmp_path):
+    edges = [-0.0, 5e-324, 1e-5, 1e-4, 9.999e15, 1e16, 1e300, math.nan, math.inf, -math.inf]
+    probe = np.array([-math.inf, -1e300, -0.0, 5e-324, 1e-5, 1e-4, 9.999e15, 1e16, 1e300,
+                      math.inf])
+    s21 = np.empty(len(edges), complex)
+    s21.real, s21.imag = edges, edges[::-1]
+    path = tmp_path / "edges.csv"
+    write_trace(SpectrumTrace(probe=probe, s21=s21), str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    reference = [
+        f"{repr(float(f))},{repr(float(re))},{repr(float(im))}\n"
+        for f, re, im in zip(probe / GHZ, s21.real, s21.imag)
+    ]
+    assert lines == ["freq_GHz,re_s21,im_s21\n"] + reference
+    assert [line.split(",")[1] for line in lines[1:]] == [
+        "-0.0", "5e-324", "1e-05", "0.0001", "9999000000000000.0", "1e+16", "1e+300",
+        "nan", "inf", "-inf",
+    ]
+
+
+def test_json_safe_arrays():
+    assert _json_safe(np.array([1.5, -0.0, 5e-324])) == [1.5, -0.0, 5e-324]
+    assert _json_safe(np.array([1.0, math.nan, math.inf, -math.inf])) == [1.0, None, None, None]
+    assert _json_safe(np.array([[1.0, math.nan], [2.0, 3.0]])) == [[1.0, None], [2.0, 3.0]]
+
+
+def test_trace_roundtrip_bit_exact_1601_rows(tmp_path):
+    rng = np.random.default_rng(7)
+    n = 1601
+    probe = np.sort(rng.uniform(6.5, 7.5, n)) * GHZ
+    re, im = rng.normal(size=(2, n)) * 10.0 ** rng.integers(-300, 300, size=(2, n))
+    re[::97] = -0.0
+    im[::89] = -0.0
+    im[1::89] = 0.0
+    s21 = np.empty(n, complex)
+    s21.real, s21.imag = re, im
+    path = str(tmp_path / "trace.csv")
+    write_trace(SpectrumTrace(probe=probe, s21=s21), path)
+    back = read_trace(path)
+    for got, want in ((back.probe, probe), (back.s21.real, re), (back.s21.imag, im)):
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.signbit(back.s21.real[0]) and np.signbit(back.s21.imag[0])
+    assert not np.signbit(back.s21.imag[1])
+
+
+_TRACE_ERRORS = [
+    ("7.0,2.0\n7.1,1.0,0.0\n", "expected 3 columns, got 2"),
+    ("7.0,1.0,0.0\n7.1,1.0,0.0,4.0\n", "expected 3 columns, got 4"),
+    ("7.0,x,0.0\n7.1,1.0,0.0\n", "non-numeric row '7.0,x,0.0'"),
+    ("7.0,1.0,0.0\n7.1,nan,0.0\n7.2,x,0.0\n", "non-finite row '7.1,nan,0.0'"),
+    ("7.0,1.0,0.0\n7.1,x,0.0\n7.2,nan,0.0\n", "non-numeric row '7.1,x,0.0'"),
+    ("7.0,1.0,-inf\n7.1,1.0\n", "non-finite row '7.0,1.0,-inf'"),
+    ("7.0,1.0\n7.1,inf,0.0\n", "expected 3 columns, got 2"),
+    ("7.0,1.0,0.0\n1e308,1.0,0.0\n", "non-finite row '1e308,1.0,0.0'"),
+    ("7.0,1.0,0.0\n", "fewer than 2 data rows"),
+    ("# no rows\n", "fewer than 2 data rows"),
+]
+
+
+@pytest.mark.parametrize("rows, message", _TRACE_ERRORS)
+def test_read_trace_error_messages(tmp_path, rows, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("freq_GHz,re_s21,im_s21\n" + rows)
+    # the CLI reads under raising float errors; a frequency that overflows in
+    # the GHz to rad/s step is a non-finite row, not a FloatingPointError
+    with np.errstate(over="raise"), pytest.raises(FormatError) as exc:
+        read_trace(str(path))
+    assert str(exc.value) == f"trace {path}: {message}"
+
+
+_TWOTONE_ERRORS = [
+    ("8.6,0.9\n8.7\n", "need 2 columns"),
+    ("8.6,0.9\n8.7,y\n", "non-numeric row '8.7,y'"),
+    ("8.6,nan,1.0\n8.7,y\n", "non-finite row '8.6,nan,1.0'"),
+    ("8.6,0.9\ninf,0.8\n8.8\n", "non-finite row 'inf,0.8'"),
+    ("", "no data rows"),
+]
+
+
+@pytest.mark.parametrize("rows, message", _TWOTONE_ERRORS)
+def test_read_twotone_error_messages(tmp_path, rows, message):
+    path = tmp_path / "dip.csv"
+    path.write_text("freq_GHz,response\n" + rows)
+    with np.errstate(over="raise"), pytest.raises(FormatError) as exc:
+        read_twotone_csv(str(path))
+    assert str(exc.value) == f"two-tone data {path}: {message}"
+
+
+def test_read_twotone_ignores_extra_columns(tmp_path):
+    path = tmp_path / "dip.csv"
+    path.write_text("freq_GHz,response,note\n8.6,0.9,abc\n8.7,-0.0,\n8.8,0.7,1,2\n")
+    drive, response = read_twotone_csv(str(path))
+    assert np.array_equal(drive, np.array([8.6, 8.7, 8.8]) * GHZ)
+    assert np.array_equal(response, [0.9, -0.0, 0.7])
+    assert np.signbit(response[1])
 
 
 def _fit_result():
