@@ -230,23 +230,25 @@ def bias_capacitance(
     return (c.e**2 / (c.m_e * omega_e**2)) * dalpha_dy**2
 
 
+Z0_BIAS_LINE = 50.0  # ohm, the line impedance behind the bias filter
+
+
 @dataclass(frozen=True)
 class BiasFilterCircuit:
     """On-chip LC low-pass between a bias electrode and the 50 ohm environment.
 
-    l_f [H] and c_f [F] form the filter; z0 [ohm] is the line impedance;
-    c_c [F] the electron coupling capacitance; c_other [F] the electron's
-    total capacitance to everything else (c_c <= c_other).
+    l_f [H] and c_f [F] form the filter; c_c [F] the electron coupling
+    capacitance; c_other [F] the electron's total capacitance to everything
+    else (c_c <= c_other).
     """
 
     l_f: float
     c_f: float
     c_c: float
     c_other: float
-    z0: float = 50.0
 
     def __post_init__(self) -> None:
-        if min(self.l_f, self.c_f, self.c_c, self.c_other, self.z0) <= 0:
+        if min(self.l_f, self.c_f, self.c_c, self.c_other) <= 0:
             raise DomainError("circuit elements must be positive")
         if self.c_c > self.c_other:
             raise DomainError("c_c must not exceed c_other")
@@ -268,7 +270,7 @@ def purcell_bias(circuit: BiasFilterCircuit, omega_e: float) -> PurcellResult:
     """
     if omega_e <= 0:
         raise DomainError("omega_e must be positive")
-    cc, cf, lf, z0 = circuit.c_c, circuit.c_f, circuit.l_f, circuit.z0
+    cc, cf, lf, z0 = circuit.c_c, circuit.c_f, circuit.l_f, Z0_BIAS_LINE
     csum = cf + cc
     denom = (1.0 - omega_e**2 * lf * csum) ** 2 + (omega_e * z0 * csum) ** 2
     gamma = omega_e * (cc / circuit.c_other) * omega_e * z0 * cc / denom

@@ -7,10 +7,10 @@ susceptibility
 
 entering the two-port transmission through the mode denominator
 
-    d(omega_p) = kappa_tot/2 + i (omega_r - omega_p) + i chi <sigma_z>
+    d(omega_p) = kappa_tot/2 + i (omega_r - omega_p) - i chi
     S21 = sqrt(kappa_1 kappa_2) / d
 
-with <sigma_z> = -1 for a ground-state electron.  Im chi > 0 then adds loss
+for a ground-state electron (<sigma_z> = -1).  Im chi > 0 then adds loss
 (the electron broadens the resonance), and Re chi pushes the dressed peak
 away from the electron: for omega_e > omega_r the |S21| maximum sits BELOW
 the bare omega_r.
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -41,21 +40,18 @@ class TwoLevelElectron:
     """Two-level description of the trapped electron's in-plane transition.
 
     omega_e [rad/s] transition frequency; gamma_2 [rad/s] total dephasing
-    (half-width of the electron response); sigma_z in [-1, 0] population
-    inversion (-1: ground state).
+    (half-width of the electron response).  The electron is in its ground
+    state.
     """
 
     omega_e: float
     gamma_2: float
-    sigma_z: float = -1.0
 
     def __post_init__(self) -> None:
         if not 0 < self.omega_e < math.inf:
             raise DomainError("omega_e must be positive and finite")
         if not 0 < self.gamma_2 < math.inf:
             raise DomainError("gamma_2 must be positive and finite")
-        if not -1.0 <= self.sigma_z <= 0.0:
-            raise DomainError("sigma_z must lie in [-1, 0]")
 
 
 @dataclass(frozen=True)
@@ -107,8 +103,8 @@ class SpectrumTrace:
 
 def lorentzian(x, omega_r, kappa_tot, amp, pull=0.0):
     """Resonator transmission amp / (kappa_tot/2 + i (omega_r - x) + pull) over
-    probe frequencies x [rad/s]: the bare mode for pull = 0, dressed by an
-    electron for pull = i chi <sigma_z>."""
+    probe frequencies x [rad/s]: the bare mode for pull = 0, dressed by a
+    ground-state electron for pull = -i chi."""
     return amp / (kappa_tot / 2.0 + 1j * (omega_r - x) + pull)
 
 
@@ -143,7 +139,7 @@ def s21_resonant(
     omega_p = np.asarray(omega_p, dtype=float)
     pull = 0.0
     if el is not None and g != 0.0:
-        pull = 1j * susceptibility(el, g, omega_p) * el.sigma_z
+        pull = -1j * susceptibility(el, g, omega_p)
     amp = math.sqrt(res.kappa_1 * res.kappa_2)
     return lorentzian(omega_p, res.omega_r, res.kappa_tot, amp, pull)
 
@@ -204,20 +200,16 @@ def synthesize_trace(
     probe,
     snr: float = math.inf,
     seed: int = 0,
-    other: np.ndarray | Callable | None = None,
 ) -> SpectrumTrace:
     """Generate a noisy synthetic trace of the full model.
 
-    ``other`` adds a spurious-transmission background (array over the probe
-    axis, or a callable of omega_p).  Noise model: complex Gaussian with
-    per-quadrature standard deviation peak|S21| / (snr sqrt(2)), i.e. snr is
-    the ratio of the peak amplitude to the RMS complex noise magnitude.
-    Deterministic for a given seed (numpy default_rng).
+    Noise model: complex Gaussian with per-quadrature standard deviation
+    peak|S21| / (snr sqrt(2)), i.e. snr is the ratio of the peak amplitude to
+    the RMS complex noise magnitude.  Deterministic for a given seed (numpy
+    default_rng).
     """
     probe = np.asarray(probe, dtype=float)
     s21 = np.asarray(s21_with_crosstalk(res, el, g, ct, probe), dtype=complex)
-    if other is not None:
-        s21 = s21 + (other(probe) if callable(other) else np.asarray(other, dtype=complex))
     meta = {"snr": None if math.isinf(snr) else snr, "seed": seed, "far_detuned": el is None}
     if not math.isinf(snr):
         if snr <= 0:

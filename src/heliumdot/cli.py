@@ -55,6 +55,17 @@ def _resolved(args: argparse.Namespace) -> dict:
     return {"tool": "heliumdot", "options": io._json_safe(opts)}
 
 
+def _seed(text: str) -> int:
+    """The --seed type: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _resonator(args: argparse.Namespace) -> core.ResonatorParams:
     """The config's resonator section on top of the device defaults, then the
     --f-res-ghz and --kappa* flags on top of that."""
@@ -128,6 +139,11 @@ def _cmd_fit_bare(args: argparse.Namespace) -> None:
 def _cmd_fit_rabi(args: argparse.Namespace) -> None:
     trace = io.read_trace(args.trace)
     if args.far:
+        ignored = [name for name in ("config", "f_res_ghz", "kappa1_mhz", "kappa2_mhz",
+                                     "kappa_int_mhz") if getattr(args, name) is not None]
+        if ignored:
+            raise UsageError("fit rabi: --far calibrates the resonator, so it does not take "
+                             + ", ".join("--" + n.replace("_", "-") for n in ignored))
         far = io.read_trace(args.far)
         bare = fitters.fit_bare_resonator(far)
         res, _ct = fitters.resonator_from_bare_fit(bare)
@@ -203,6 +219,7 @@ def _cmd_sweep_shift(args: argparse.Namespace) -> None:
 def _cmd_sweep_freq(args: argparse.Namespace) -> None:
     maps = potential.load_coupling_maps(args.maps)
     base = _base_voltages(args)
+    maps.check_electrodes({args.electrode, *base})
 
     def factory(v: float) -> potential.PotentialField:
         voltages = dict(base)
@@ -341,10 +358,18 @@ def _cmd_calc_dispersive(args: argparse.Namespace) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file (constants, resonator)")
-    p.add_argument("--seed", type=int, default=0)
+def _command(sub, name: str, func, help: str, config: bool = False,
+             seed: bool = False) -> argparse.ArgumentParser:
+    """One subcommand: --out everywhere, --config where ``func`` reads the
+    config or its constants, --seed where it draws random numbers."""
+    p = sub.add_parser(name, help=help)
+    if config:
+        p.add_argument("--config", help="JSON config file (constants, resonator)")
+    if seed:
+        p.add_argument("--seed", type=_seed, default=0, help="non-negative integer")
     p.add_argument("--out", help="output path (default depends on command)")
+    p.set_defaults(func=func)
+    return p
 
 
 def _add_resonator_flags(p: argparse.ArgumentParser) -> None:
@@ -361,8 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="heliumdot")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="synthesize a transmission trace")
-    _add_common(p)
+    p = _command(sub, "synth", _cmd_synth, "synthesize a transmission trace",
+                 config=True, seed=True)
     _add_resonator_flags(p)
     p.add_argument("--f-el-ghz", type=float, help="electron frequency; omit for bare")
     p.add_argument("--gamma2-mhz", type=float, default=75.0)
@@ -374,41 +399,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=801)
     p.add_argument("--snr", type=float, default=float("inf"))
     p.add_argument("--format", choices=("csv", "svg"), default="csv")
-    p.set_defaults(func=_cmd_synth)
 
     fit = sub.add_parser("fit", help="fit a measured or synthesized trace")
     fit_sub = fit.add_subparsers(dest="fit_kind", required=True)
 
-    p = fit_sub.add_parser("bare", help="bare resonator with crosstalk leak")
-    _add_common(p)
+    p = _command(fit_sub, "bare", _cmd_fit_bare, "bare resonator with crosstalk leak")
     p.add_argument("--trace", required=True)
     p.add_argument("--window", type=float, default=2.0)
-    p.set_defaults(func=_cmd_fit_bare)
 
-    p = fit_sub.add_parser("rabi", help="hybridized doublet: g, gamma_2, f_el")
-    _add_common(p)
+    p = _command(fit_sub, "rabi", _cmd_fit_rabi, "hybridized doublet: g, gamma_2, f_el",
+                 config=True)
     _add_resonator_flags(p)
     p.add_argument("--trace", required=True)
-    p.add_argument("--far", help="far-detuned trace to calibrate the resonator")
-    p.set_defaults(func=_cmd_fit_rabi)
+    p.add_argument("--far", help="far-detuned trace to calibrate the resonator "
+                                 "(then no --config, --f-res-ghz or --kappa*)")
 
-    p = fit_sub.add_parser("twotone", help="Lorentzian dip in a drive sweep")
-    _add_common(p)
+    p = _command(fit_sub, "twotone", _cmd_fit_twotone, "Lorentzian dip in a drive sweep")
     p.add_argument("--data", required=True, help="CSV: freq_GHz,response")
-    p.set_defaults(func=_cmd_fit_twotone)
 
-    p = sub.add_parser("compensate", help="remove crosstalk and off-mode background")
-    _add_common(p)
+    p = _command(sub, "compensate", _cmd_compensate, "remove crosstalk and off-mode background")
     p.add_argument("--far", required=True, help="far-detuned reference trace")
     p.add_argument("--target", required=True)
     p.add_argument("--window", type=float, default=2.0)
-    p.set_defaults(func=_cmd_compensate)
 
     sweep = sub.add_parser("sweep", help="parameter sweeps")
     sweep_sub = sweep.add_subparsers(dest="sweep_kind", required=True)
 
-    p = sweep_sub.add_parser("shift", help="resonator shift vs electrode voltage")
-    _add_common(p)
+    p = _command(sweep_sub, "shift", _cmd_sweep_shift, "resonator shift vs electrode voltage",
+                 config=True, seed=True)
     _add_resonator_flags(p)
     p.add_argument("--maps", required=True, help="coupling map JSON")
     p.add_argument("--electrode", required=True)
@@ -422,10 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--grad-per-um", type=float,
                    help="override differential coupling gradient (1/um)")
-    p.set_defaults(func=_cmd_sweep_shift)
 
-    p = sweep_sub.add_parser("freq", help="transition frequencies vs voltage")
-    _add_common(p)
+    p = _command(sweep_sub, "freq", _cmd_sweep_freq, "transition frequencies vs voltage",
+                 config=True, seed=True)
     p.add_argument("--maps", required=True)
     p.add_argument("--electrode", required=True)
     p.add_argument("--vmin", type=float, required=True)
@@ -437,10 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nx", type=int, default=61)
     p.add_argument("--ny", type=int, default=61)
     p.add_argument("--k", type=int, default=4)
-    p.set_defaults(func=_cmd_sweep_freq)
 
-    p = sub.add_parser("qsolve", help="2D eigenstates of an analytic trap")
-    _add_common(p)
+    p = _command(sub, "qsolve", _cmd_qsolve, "2D eigenstates of an analytic trap",
+                 config=True, seed=True)
     p.add_argument("--a1x", type=float, required=True, help="J/m^2")
     p.add_argument("--a1y", type=float, required=True)
     p.add_argument("--a2x", type=float, default=0.0, help="J/m^4")
@@ -450,33 +466,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nx", type=int, default=61)
     p.add_argument("--ny", type=int, default=61)
     p.add_argument("--k", type=int, default=6)
-    p.set_defaults(func=_cmd_qsolve)
 
     calc = sub.add_parser("calc", help="closed-form estimates")
     calc_sub = calc.add_subparsers(dest="calc_kind", required=True)
 
-    p = calc_sub.add_parser("g", help="charge coupling from the mode gradient")
-    _add_common(p)
+    p = _command(calc_sub, "g", _cmd_calc_g, "charge coupling from the mode gradient",
+                 config=True)
     _add_resonator_flags(p)
     p.add_argument("--coupling-length-nm", type=float, required=True)
-    p.set_defaults(func=_cmd_calc_g)
 
-    p = calc_sub.add_parser("cardano", help="quartic trap minimum, closed form")
-    _add_common(p)
+    p = _command(calc_sub, "cardano", _cmd_calc_cardano, "quartic trap minimum, closed form",
+                 config=True)
     p.add_argument("--a1", type=float, required=True, help="J/m^2")
     p.add_argument("--a2", type=float, required=True, help="J/m^4")
     p.add_argument("--ey", type=float, required=True, help="V/m")
-    p.set_defaults(func=_cmd_calc_cardano)
 
-    p = calc_sub.add_parser("purcell-res", help="decay through the resonator")
-    _add_common(p)
+    p = _command(calc_sub, "purcell-res", _cmd_calc_purcell_res, "decay through the resonator")
     p.add_argument("--g-mhz", type=float, required=True)
     p.add_argument("--kappa-mhz", type=float, required=True)
     p.add_argument("--delta-ghz", type=float, required=True)
-    p.set_defaults(func=_cmd_calc_purcell_res)
 
-    p = calc_sub.add_parser("purcell-bias", help="decay through the bias line filter")
-    _add_common(p)
+    p = _command(calc_sub, "purcell-bias", _cmd_calc_purcell_bias,
+                 "decay through the bias line filter", config=True)
     p.add_argument("--f-el-ghz", type=float, required=True)
     p.add_argument("--dalpha-dy-per-um", type=float, default=0.03,
                    help="coupling gradient for c_c (1/um)")
@@ -484,35 +495,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lf-nh", type=float, default=12.0)
     p.add_argument("--cf-pf", type=float, default=0.8)
     p.add_argument("--cother-ff", type=float, default=500.0)
-    p.set_defaults(func=_cmd_calc_purcell_bias)
 
-    p = calc_sub.add_parser("spin", help="spin-charge and spin-photon coupling")
-    _add_common(p)
+    p = _command(calc_sub, "spin", _cmd_calc_spin, "spin-charge and spin-photon coupling",
+                 config=True)
     p.add_argument("--g-c-mhz", type=float, required=True)
     p.add_argument("--dbz-dx-t-per-um", type=float, required=True)
     p.add_argument("--ax-nm", type=float, required=True)
     p.add_argument("--delta-cs-ghz", type=float, required=True)
-    p.set_defaults(func=_cmd_calc_spin)
 
-    p = calc_sub.add_parser("depression", help="static surface dip in a channel")
-    _add_common(p)
+    p = _command(calc_sub, "depression", _cmd_calc_depression, "static surface dip in a channel",
+                 config=True)
     p.add_argument("--height-um", type=float, required=True)
     p.add_argument("--width-um", type=float, required=True)
-    p.set_defaults(func=_cmd_calc_depression)
 
-    p = calc_sub.add_parser("cooperativity", help="4g^2/(kappa gamma_2)")
-    _add_common(p)
+    p = _command(calc_sub, "cooperativity", _cmd_calc_cooperativity, "4g^2/(kappa gamma_2)")
     p.add_argument("--g-mhz", type=float, required=True)
     p.add_argument("--kappa-mhz", type=float, required=True)
     p.add_argument("--gamma2-mhz", type=float, required=True)
-    p.set_defaults(func=_cmd_calc_cooperativity)
 
-    p = calc_sub.add_parser("dispersive", help="electron frequency from a peak shift")
-    _add_common(p)
+    p = _command(calc_sub, "dispersive", _cmd_calc_dispersive,
+                 "electron frequency from a peak shift")
     p.add_argument("--f-res-ghz", type=float, required=True)
     p.add_argument("--f-peak-ghz", type=float, required=True)
     p.add_argument("--g-mhz", type=float, required=True)
-    p.set_defaults(func=_cmd_calc_dispersive)
 
     return parser
 
@@ -536,9 +541,8 @@ def main(argv: list[str] | None = None) -> int:
         for name, value in sorted(vars(args).items()):
             if isinstance(value, float) and math.isnan(value):
                 raise UsageError(f"--{name.replace('_', '-')}: NaN is not a value")
-        if args.seed < 0:
-            raise UsageError(f"--seed must be non-negative, got {args.seed}")
-        args._config = read_json_object(args.config, "config") if args.config else {}
+        config = getattr(args, "config", None)
+        args._config = read_json_object(config, "config") if config else {}
         args._constants = constants_from_config(args._config)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             payload = args.func(args)

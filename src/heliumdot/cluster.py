@@ -12,7 +12,7 @@ between the resonator mode and every cluster mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -280,7 +280,6 @@ class NormalModes:
     frequencies: np.ndarray
     eigenvectors: np.ndarray
     is_saddle: bool
-    metadata: dict = field(default_factory=dict)
 
 
 def normal_modes(
@@ -291,8 +290,7 @@ def normal_modes(
     """Diagonalize the Hessian at an equilibrium: omega_k = sqrt(lambda_k / m_e).
 
     A configuration with a negative Hessian eigenvalue is a saddle; its
-    unstable frequencies are reported as imaginary magnitudes in metadata
-    and excluded from ``frequencies``.
+    unstable modes get frequency 0.
     """
     n = config.positions.shape[0]
     if n == 0:
@@ -302,17 +300,7 @@ def normal_modes(
     tol = 1e-10 * max(float(np.abs(evals).max()), 1e-300)
     unstable = evals < -tol
     freqs = np.sqrt(np.clip(evals, 0.0, None) / constants.m_e)
-    meta = {}
-    if np.any(unstable):
-        meta["unstable_frequencies"] = tuple(
-            float(math.sqrt(-ev / constants.m_e)) for ev in evals[unstable]
-        )
-    return NormalModes(
-        frequencies=freqs,
-        eigenvectors=evecs,
-        is_saddle=bool(np.any(unstable)),
-        metadata=meta,
-    )
+    return NormalModes(frequencies=freqs, eigenvectors=evecs, is_saddle=bool(np.any(unstable)))
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +429,11 @@ def shift_vs_voltage_sweep(
     saddle, or whose field, minimum or coupled spectrum raises DomainError,
     is recorded with shift = nan and converged=False instead of aborting the
     sweep; a raised error is named in the row's flags as
-    ``failed:<ErrorName>``.
+    ``failed:<ErrorName>``.  An electrode name the maps lack raises
+    DomainError before the first point.
     """
     _check_counts(n_electrons, restarts)
-    if electrode not in maps.electrodes:
-        raise DomainError(f"unknown sweep electrode {electrode!r}")
+    maps.check_electrodes({electrode, *base_voltages})
     if gradient_map is None:
         gradient_map = maps.resonator_gradient
     if gradient_map is None:

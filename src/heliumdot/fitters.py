@@ -22,7 +22,7 @@ import numpy as np
 import scipy.optimize
 import scipy.signal
 
-from .core import DomainError, FitError, ResonatorParams
+from .core import DomainError, FitError, ResonatorParams, default_resonator
 from .cavity import (
     CrosstalkParams,
     SpectrumTrace,
@@ -248,10 +248,8 @@ def bare_model(x, omega_r, kappa_tot, amp, t, zeta):
     return lorentzian(x, omega_r, kappa_tot, amp) + crosstalk_leak(t, zeta)
 
 
-def resonator_from_bare_fit(
-    fit: FitResult, impedance: float = 3828.0
-) -> tuple[ResonatorParams, CrosstalkParams]:
-    """Physical parameter records from a bare fit.
+def resonator_from_bare_fit(fit: FitResult) -> tuple[ResonatorParams, CrosstalkParams]:
+    """Physical parameter records from a bare fit, at the device impedance.
 
     Symmetric ports kappa_1 = kappa_2 = amp reproduce the fitted amplitude
     exactly when amp <= kappa_tot/2 (the rest is internal loss).  A noisy
@@ -264,7 +262,7 @@ def resonator_from_bare_fit(
     if k12 != amp:
         fit.flags["overcoupled_amplitude"] = True
     res = ResonatorParams.from_mode(
-        fit.params["omega_r"], impedance, kappa_1=k12, kappa_2=k12,
+        fit.params["omega_r"], default_resonator().impedance, kappa_1=k12, kappa_2=k12,
         kappa_int=kappa_tot - 2.0 * k12,
     )
     return res, CrosstalkParams(t=fit.params["t"], zeta=fit.params["zeta"])
@@ -275,23 +273,19 @@ def resonator_from_bare_fit(
 # ---------------------------------------------------------------------------
 
 
-def fit_bare_resonator(
-    trace: SpectrumTrace,
-    init: Mapping[str, float] | None = None,
-    window_kappa_mult: float = 2.0,
-) -> FitResult:
+def fit_bare_resonator(trace: SpectrumTrace, window_kappa_mult: float = 2.0) -> FitResult:
     """Fit a far-detuned trace to the bare resonator plus crosstalk leakage.
 
     Parameters: omega_r, kappa_tot, amp = sqrt(kappa_1 kappa_2) (all rad/s),
     crosstalk power t and phase zeta.  The fit is restricted to probe points
     within window_kappa_mult * kappa_tot of the peak (kappa from a width
-    estimate, or from ``init``); leakage initials come from the off-peak
-    samples of the full trace.
+    estimate); leakage initials come from the off-peak samples of the full
+    trace.
     """
     probe = trace.probe
     mag = np.abs(trace.s21)
     peak, width = _estimate_peak_and_width(probe, mag)
-    defaults = {
+    start = {
         "omega_r": peak,
         "kappa_tot": width,
         "amp": float(mag.max()) * width / 2.0,
@@ -299,12 +293,11 @@ def fit_bare_resonator(
     far = np.abs(probe - peak) > 3.0 * width
     if np.any(far):
         leak_mean = complex(np.mean(trace.s21[far]))
-        defaults["t"] = float(min(max(abs(leak_mean) ** 2, 1e-8), 0.5))
-        defaults["zeta"] = float(np.angle(1j * leak_mean))
+        start["t"] = float(min(max(abs(leak_mean) ** 2, 1e-8), 0.5))
+        start["zeta"] = float(np.angle(1j * leak_mean))
     else:
-        defaults["t"] = 1e-4
-        defaults["zeta"] = 0.0
-    start = {**defaults, **dict(init or {})}
+        start["t"] = 1e-4
+        start["zeta"] = 0.0
 
     window = np.abs(probe - start["omega_r"]) <= window_kappa_mult * start["kappa_tot"]
     if window.sum() < 10:
@@ -323,11 +316,7 @@ def fit_bare_resonator(
     return fit
 
 
-def fit_rabi(
-    trace: SpectrumTrace,
-    res: ResonatorParams,
-    init: Mapping[str, float] | None = None,
-) -> FitResult:
+def fit_rabi(trace: SpectrumTrace, res: ResonatorParams) -> FitResult:
     """Fit a compensated resonant trace to the electron-dressed transmission.
 
     Free parameters: coupling g, electron linewidth gamma_2, electron
@@ -348,9 +337,8 @@ def fit_rabi(
     else:
         g0 = res.kappa_tot
         omega_e0 = omega_r
-    defaults = {"g": max(g0, res.kappa_tot / 10.0), "gamma_2": 2.0 * res.kappa_tot,
-                "omega_e": omega_e0}
-    start = {**defaults, **dict(init or {})}
+    start = {"g": max(g0, res.kappa_tot / 10.0), "gamma_2": 2.0 * res.kappa_tot,
+             "omega_e": omega_e0}
 
     def model(x, g, gamma_2, omega_e):
         el = TwoLevelElectron(omega_e=omega_e, gamma_2=gamma_2)
@@ -361,15 +349,11 @@ def fit_rabi(
     return least_squares(model, probe, trace.s21, init=start, bounds=bounds)
 
 
-def fit_lorentzian_dip(
-    drive: np.ndarray,
-    response: np.ndarray,
-    init: Mapping[str, float] | None = None,
-) -> FitResult:
+def fit_lorentzian_dip(drive: np.ndarray, response: np.ndarray) -> FitResult:
     """Fit a real-valued two-tone dip to a Lorentzian.
 
     Parameters: omega_e center, gamma half-width at half-depth (rad/s),
-    depth, offset.
+    depth, offset.  The drive may run up or down in frequency.
     """
     drive = np.asarray(drive, dtype=float)
     response = np.asarray(response, dtype=float)
@@ -382,10 +366,9 @@ def fit_lorentzian_dip(
     depth0 = max(offset0 - float(response[i_min]), 1e-12)
     below = response < offset0 - depth0 / 2.0
     n_below = int(np.count_nonzero(below))
-    dstep = float(np.mean(np.diff(drive)))
+    dstep = abs(float(np.mean(np.diff(drive))))
     gamma0 = max(n_below * dstep / 2.0, dstep)
-    defaults = {"omega_e": float(drive[i_min]), "gamma": gamma0,
-                "depth": depth0, "offset": offset0}
-    start = {**defaults, **dict(init or {})}
+    start = {"omega_e": float(drive[i_min]), "gamma": gamma0,
+             "depth": depth0, "offset": offset0}
     bounds = {"gamma": (0.0, math.inf), "depth": (0.0, math.inf)}
     return least_squares(lorentzian_dip, drive, response, init=start, bounds=bounds)

@@ -93,6 +93,13 @@ class CouplingMapSet:
     def electrodes(self) -> tuple:
         return tuple(self.grids)
 
+    def check_electrodes(self, names) -> None:
+        """DomainError listing every one of ``names`` that is no electrode here."""
+        unknown = sorted(set(names) - set(self.grids))
+        if unknown:
+            raise DomainError(f"unknown electrodes {unknown}; the maps define "
+                              f"{sorted(self.grids)}")
+
     @property
     def domain(self) -> tuple:
         """(x0, x1, y0, y1) in meters."""
@@ -127,12 +134,11 @@ class CouplingGradientMap:
         return _spline_eval(self._spline, x, y, domain)
 
 
-def uniform_gradient_map(domain: tuple, value: float, n: int = 2) -> CouplingGradientMap:
+def uniform_gradient_map(domain: tuple, value: float) -> CouplingGradientMap:
     """Constant d(alpha-)/dy map over a rectangular domain; handy for surrogates."""
     x0, x1, y0, y1 = domain
-    x = np.linspace(x0, x1, n)
-    y = np.linspace(y0, y1, n)
-    return CouplingGradientMap(x, y, np.full((n, n), float(value)))
+    return CouplingGradientMap(np.linspace(x0, x1, 2), np.linspace(y0, y1, 2),
+                               np.full((2, 2), float(value)))
 
 
 def load_coupling_maps(path: str) -> CouplingMapSet:
@@ -374,9 +380,7 @@ def compose(
     Unknown electrode names raise DomainError listing the offenders;
     electrodes missing from ``voltages`` default to 0 V.
     """
-    unknown = sorted(set(voltages) - set(maps.electrodes))
-    if unknown:
-        raise DomainError(f"voltages for unknown electrodes: {unknown}")
+    maps.check_electrodes(voltages)
     volts = {name: float(voltages.get(name, 0.0)) for name in maps.electrodes}
     return GriddedField(maps=maps, voltages=volts, e_x=e_x, e_y=e_y, constants=constants)
 

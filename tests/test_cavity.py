@@ -28,8 +28,6 @@ def test_electron_validation():
         TwoLevelElectron(omega_e=0.0, gamma_2=1.0)
     with pytest.raises(DomainError):
         TwoLevelElectron(omega_e=1.0, gamma_2=0.0)
-    with pytest.raises(DomainError):
-        TwoLevelElectron(omega_e=1.0, gamma_2=1.0, sigma_z=0.5)
 
 
 def test_susceptibility_on_resonance(electron_above):
@@ -140,29 +138,24 @@ def test_synthesize_rejects_bad_snr(res_7162, probe_half_ghz):
         synthesize_trace(res_7162, None, 0.0, None, probe_half_ghz, snr=-1.0)
 
 
-def test_synthesize_other_background(res_7162, probe_half_ghz):
-    other = 0.01 * np.exp(1j * probe_half_ghz / (10 * GHZ))
-    trace = synthesize_trace(res_7162, None, 0.0, None, probe_half_ghz, other=other)
-    clean = s21_resonant(res_7162, None, 0.0, probe_half_ghz)
-    assert np.allclose(trace.s21 - clean, other)
-
-
 # ---------------------------------------------------------------------------
 # background compensation
 # ---------------------------------------------------------------------------
 
 
-def _spurious(probe, res):
-    # slowly varying off-mode transmission
-    return 0.02 * np.exp(1j * (probe - res.omega_r) / (5.0 * GHZ) + 0.7j)
+def _with_spurious(trace, res):
+    """The trace plus a slowly varying off-mode transmission."""
+    probe = trace.probe
+    other = 0.02 * np.exp(1j * (probe - res.omega_r) / (5.0 * GHZ) + 0.7j)
+    return SpectrumTrace(probe=probe, s21=trace.s21 + other, metadata=trace.metadata)
 
 
 def test_compensation_recovers_resonant_model(res_7162, electron_above, probe_half_ghz):
     ct = CrosstalkParams(t=0.008, zeta=-0.30)
     g = 118.0 * MHZ
-    other = _spurious(probe_half_ghz, res_7162)
-    far = synthesize_trace(res_7162, None, 0.0, ct, probe_half_ghz, other=other)
-    target = synthesize_trace(res_7162, electron_above, g, ct, probe_half_ghz, other=other)
+    far = _with_spurious(synthesize_trace(res_7162, None, 0.0, ct, probe_half_ghz), res_7162)
+    target = _with_spurious(
+        synthesize_trace(res_7162, electron_above, g, ct, probe_half_ghz), res_7162)
     out = compensate_background(far, target)
     clean = s21_resonant(res_7162, electron_above, g, probe_half_ghz)
     err = float(np.max(np.abs(out.compensated.s21 - clean)))
@@ -186,10 +179,9 @@ def test_compensation_identifies_leak_without_background(res_7162, probe_half_gh
 def test_compensation_map_is_affine(res_7162, electron_above, probe_half_ghz):
     """Differences between targets pass through the compensation unchanged."""
     ct = CrosstalkParams(t=0.008, zeta=-0.30)
-    other = _spurious(probe_half_ghz, res_7162)
-    far = synthesize_trace(res_7162, None, 0.0, ct, probe_half_ghz, other=other)
-    t1 = synthesize_trace(res_7162, electron_above, 118.0 * MHZ, ct, probe_half_ghz, other=other)
-    t2 = synthesize_trace(res_7162, electron_above, 60.0 * MHZ, ct, probe_half_ghz, other=other)
+    far = _with_spurious(synthesize_trace(res_7162, None, 0.0, ct, probe_half_ghz), res_7162)
+    t1, t2 = (_with_spurious(synthesize_trace(res_7162, electron_above, g, ct, probe_half_ghz),
+                             res_7162) for g in (118.0 * MHZ, 60.0 * MHZ))
     c1 = compensate_background(far, t1).compensated.s21
     c2 = compensate_background(far, t2).compensated.s21
     assert np.allclose(c1 - c2, t1.s21 - t2.s21, atol=1e-14)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import warnings
@@ -345,12 +346,14 @@ def test_non_utf8_input_reports_json_error(tmp_path, monkeypatch, capsys, what, 
     assert [p.name for p in tmp_path.iterdir()] == ["in"]
 
 
-def test_parser_reuse_drops_appended_voltages(tmp_path):
+def test_parser_reuse_drops_appended_voltages(tmp_path, capsys):
     argv = ["sweep", "freq", "--maps", _maps_file(tmp_path), "--electrode", "trap",
             "--vmin", "0.25", "--vmax", "0.25", "--n", "1", "--nx", "21", "--ny", "21",
             "--k", "3", "--out", str(tmp_path / "freq.csv")]
-    assert main(argv + ["--voltage", "a=1"]) == 0
-    assert _csv_rows(tmp_path / "freq.csv")[0]["flags"] == "failed:DomainError"
+    # the maps have no electrode "a": kept from the first call, the voltage
+    # would fail the second one too
+    assert main(argv + ["--voltage", "a=1"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
     assert main(argv) == 0
     config = (tmp_path / "freq.csv").read_text().splitlines()[0].removeprefix("# config: ")
     assert "voltage" not in json.loads(config)["options"]
@@ -715,3 +718,126 @@ def test_sweep_shift_records_float_range_voltage(tmp_path, capsys):
     assert trap["converged"] == "true"
     assert huge["converged"] == "false"
     assert huge["flags"] == "failed:DomainError"
+
+
+
+@pytest.mark.parametrize("kind", ["freq", "shift"])
+@pytest.mark.parametrize("names", [["--electrode", "nosuch"],
+                                   ["--electrode", "trap", "--voltage", "bogus=1"]],
+                         ids=["electrode", "voltage"])
+def test_sweep_rejects_unknown_electrode(tmp_path, capsys, kind, names):
+    # an unknown name is one error before the first point, not a failed row each
+    out = tmp_path / "sweep.csv"
+    extra = {"freq": ["--nx", "5", "--ny", "5", "--k", "3"], "shift": ["--grad-per-um", "0.01"]}
+    code = main(["sweep", kind, "--maps", _maps_file(tmp_path), *names, "--vmin", "0.25",
+                 "--vmax", "0.3", "--n", "2", *extra[kind], "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {
+        "error": "DomainError",
+        "message": f"unknown electrodes ['{names[-1].partition('=')[0]}']; the maps define ['trap']",
+    }
+
+
+@pytest.mark.parametrize("flag", [["--f-res-ghz", "3"], ["--kappa1-mhz", "4"],
+                                  ["--kappa2-mhz", "4"], ["--kappa-int-mhz", "1"],
+                                  ["--config", "config.json"]],
+                         ids=lambda flag: flag[0])
+def test_fit_rabi_far_rejects_resonator_flags(tmp_path, monkeypatch, capsys, flag):
+    # the far trace calibrates the resonator: these flags would be dropped
+    monkeypatch.chdir(tmp_path)
+    _config_file(tmp_path, {"resonator": {"l_r": 85e-9}})
+    main(_synth_args("far.csv"))
+    main(_synth_args("target.csv", kind="rabi"))
+    capsys.readouterr()
+    assert main(["fit", "rabi", "--trace", "target.csv", "--far", "far.csv", *flag]) == 1
+    assert not (tmp_path / "fit_rabi.json").exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "UsageError"
+    assert flag[0] in json.loads(err[0])["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["calc", "cooperativity", "--g-mhz", "118", "--kappa-mhz", "23", "--gamma2-mhz", "75",
+     "--seed", "99"],
+    ["calc", "dispersive", "--f-res-ghz", "7.162", "--f-peak-ghz", "7.155", "--g-mhz", "118",
+     "--config", "config.json"],
+    ["fit", "bare", "--trace", "far.csv", "--seed", "1"],
+    ["compensate", "--far", "far.csv", "--target", "far.csv", "--config", "config.json"],
+], ids=["cooperativity-seed", "dispersive-config", "fit-bare-seed", "compensate-config"])
+def test_option_a_command_never_reads_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "UsageError"
+
+
+class _ReadLog(argparse.Namespace):
+    """A namespace that records the attributes read from it once ``_reads``
+    is set; ``vars`` reads none of them one by one."""
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "__dict__").get("_reads")
+        if reads is not None and not name.startswith("__"):
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+def _leaf_commands(parser, prefix=""):
+    """The names of the commands that run, as "calc g" for a subcommand."""
+    if parser._subparsers is None:
+        return {prefix}
+    (action,) = parser._subparsers._group_actions
+    return set().union(*(_leaf_commands(sub, f"{prefix} {name}".strip())
+                         for name, sub in action.choices.items()))
+
+
+def test_every_command_reads_every_flag_it_declares(tmp_path, monkeypatch):
+    # a flag that a command accepts and then never reads is dropped without a
+    # word; --config counts as read when the handler reads the config or its
+    # constants, which main loads from it
+    monkeypatch.chdir(tmp_path)
+    main(_synth_args("far.csv"))
+    main(_synth_args("target.csv", kind="rabi"))
+    freqs = np.linspace(8.0, 9.3, 101).tolist()
+    (tmp_path / "dip.csv").write_text("freq_GHz,response\n" + "".join(
+        f"{f!r},{1.0 - 0.005 / ((f - 8.66) ** 2 + 0.01)!r}\n" for f in freqs))
+    sweep = ["--maps", _maps_file(tmp_path), "--electrode", "trap", "--vmin", "0.25",
+             "--vmax", "0.3", "--n", "1"]
+    commands = {
+        "synth": ["--f-el-ghz", "7.162", "--points", "11"],
+        "fit bare": ["--trace", "far.csv"],
+        "fit rabi": ["--trace", "target.csv", "--far", "far.csv"],
+        "fit twotone": ["--data", "dip.csv"],
+        "compensate": ["--far", "far.csv", "--target", "target.csv"],
+        "sweep shift": [*sweep, "--grad-per-um", "0.01", "--restarts", "1"],
+        "sweep freq": [*sweep, "--nx", "21", "--ny", "21", "--k", "3"],
+        "qsolve": ["--a1x", "1.1e-8", "--a1y", "1.1e-8", "--nx", "21", "--ny", "21", "--k", "3"],
+        "calc g": ["--coupling-length-nm", "2200"],
+        "calc cardano": ["--a1", "0", "--a2", "2750", "--ey", "300"],
+        "calc purcell-res": ["--g-mhz", "110", "--kappa-mhz", "23", "--delta-ghz", "1.1"],
+        "calc purcell-bias": ["--f-el-ghz", "5.0"],
+        "calc spin": ["--g-c-mhz", "120", "--dbz-dx-t-per-um", "0.1", "--ax-nm", "50",
+                      "--delta-cs-ghz", "2"],
+        "calc depression": ["--height-um", "3000", "--width-um", "1.4"],
+        "calc cooperativity": ["--g-mhz", "118", "--kappa-mhz", "23", "--gamma2-mhz", "75"],
+        "calc dispersive": ["--f-res-ghz", "7.162", "--f-peak-ghz", "7.155", "--g-mhz", "118"],
+    }
+    assert set(commands) == _leaf_commands(build_parser())
+    exempt = {"func", "out", "command", "fit_kind", "sweep_kind", "calc_kind"}
+    unread = []
+    for command, flags in commands.items():
+        args = build_parser().parse_args(command.split() + flags, namespace=_ReadLog())
+        declared = set(vars(args)) - exempt
+        args._config = {}
+        args._constants = core.constants_from_config({})
+        args._reads = set()
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            args.func(args)
+        reads = args._reads | ({"config"} if {"_config", "_constants"} & args._reads else set())
+        unread += [f"{command} --{name.replace('_', '-')}" for name in sorted(declared - reads)]
+    assert not unread, "flags their command never reads: " + ", ".join(unread)

@@ -245,7 +245,6 @@ def test_saddle_configuration_detected():
     config = minimize(field, 2, seed=0, restarts=1, init=init)
     modes = normal_modes(field, config)
     assert modes.is_saddle
-    assert len(modes.metadata["unstable_frequencies"]) >= 1
     with pytest.raises(DomainError):
         coupled_spectrum(modes, config, default_resonator(),
                          uniform_gradient_map((-1e-6, 1e-6, -1e-6, 1e-6), 0.1e6))

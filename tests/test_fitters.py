@@ -13,7 +13,7 @@ from heliumdot.cavity import (
     synthesize_trace,
     two_tone_dip,
 )
-from heliumdot.core import DomainError, TWO_PI
+from heliumdot.core import DomainError, TWO_PI, default_resonator
 from heliumdot.fitters import (
     FitError,
     bare_model,
@@ -284,6 +284,7 @@ def test_resonator_from_bare_fit_roundtrip(res_7162, probe_half_ghz):
     fit = fit_bare_resonator(trace)
     res, ct_out = resonator_from_bare_fit(fit)
     assert res.omega_r == pytest.approx(res_7162.omega_r, rel=1e-6)
+    assert res.impedance == pytest.approx(default_resonator().impedance, rel=1e-12)
     assert res.kappa_tot == pytest.approx(res_7162.kappa_tot, rel=1e-3)
     assert math.sqrt(res.kappa_1 * res.kappa_2) == pytest.approx(
         fit.params["amp"], rel=1e-9
@@ -330,6 +331,19 @@ def test_fit_dip_noiseless():
     assert fit.params["gamma"] == pytest.approx(el.gamma_2, rel=1e-6)
     assert fit.params["depth"] == pytest.approx(0.5, rel=1e-6)
     assert fit.params["offset"] == pytest.approx(1.0, rel=1e-6)
+
+
+def test_fit_dip_descending_drive():
+    # the criterion-10 data recorded from high to low drive frequency
+    el = TwoLevelElectron(omega_e=8.66 * GHZ, gamma_2=102.0 * MHZ)
+    drive = np.linspace(el.omega_e - 1.2 * GHZ, el.omega_e + 1.2 * GHZ, 481)
+    noisy = two_tone_dip(el, drive, depth=0.3, offset=1.0)
+    noisy = noisy + 0.01 * np.random.default_rng(5).standard_normal(drive.size)
+    up = fit_lorentzian_dip(drive, noisy)
+    down = fit_lorentzian_dip(drive[::-1], noisy[::-1])
+    assert down.converged
+    for name, value in up.params.items():
+        assert down.params[name] == pytest.approx(value, rel=1e-8)
 
 
 def test_fit_dip_shape_mismatch():
