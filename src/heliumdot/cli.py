@@ -74,9 +74,9 @@ def _resonator(args: argparse.Namespace) -> core.ResonatorParams:
         name: getattr(args, flag) * _MHZ
         for flag, name in (("kappa1_mhz", "kappa_1"), ("kappa2_mhz", "kappa_2"),
                            ("kappa_int_mhz", "kappa_int"))
-        if getattr(args, flag, None) is not None
+        if getattr(args, flag) is not None
     }
-    if getattr(args, "f_res_ghz", None) is not None:
+    if args.f_res_ghz is not None:
         res = core.ResonatorParams.from_mode(
             args.f_res_ghz * _GHZ, res.impedance,
             kappa_1=res.kappa_1, kappa_2=res.kappa_2, kappa_int=res.kappa_int,
@@ -101,18 +101,29 @@ def _probe_axis(args: argparse.Namespace, center: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# What an omitted electron flag means once --f-el-ghz puts an electron in.
+_ELECTRON_DEFAULTS = {"g_mhz": 0.0, "gamma2_mhz": 75.0}
+
+
 def _cmd_synth(args: argparse.Namespace) -> None:
     res = _resonator(args)
-    el = None
-    if args.f_el_ghz is not None:
+    el, g = None, 0.0
+    if args.f_el_ghz is None:
+        given = [name for name in _ELECTRON_DEFAULTS if getattr(args, name) is not None]
+        if given:
+            raise UsageError("synth: without --f-el-ghz the trace is bare, so it does not take "
+                             + ", ".join("--" + n.replace("_", "-") for n in given))
+    else:
+        for name, default in _ELECTRON_DEFAULTS.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)  # so the config records what the trace used
         el = cavity.TwoLevelElectron(
             omega_e=args.f_el_ghz * _GHZ, gamma_2=args.gamma2_mhz * _MHZ
         )
+        g = args.g_mhz * _MHZ
     ct = cavity.CrosstalkParams(t=args.crosstalk_t, zeta=args.crosstalk_zeta)
     probe = _probe_axis(args, res.omega_r)
-    trace = cavity.synthesize_trace(
-        res, el, args.g_mhz * _MHZ, ct, probe, snr=args.snr, seed=args.seed
-    )
+    trace = cavity.synthesize_trace(res, el, g, ct, probe, snr=args.snr, seed=args.seed)
     if args.format == "svg":
         svg = io.svg_line_plot(
             probe / _GHZ,
@@ -304,9 +315,8 @@ def _cmd_calc_purcell_res(args: argparse.Namespace) -> dict:
 
 def _cmd_calc_purcell_bias(args: argparse.Namespace) -> dict:
     omega_e = args.f_el_ghz * _GHZ
-    c_c = args.cc_ff * 1e-15 if args.cc_ff is not None else analytic.bias_capacitance(
-        args.dalpha_dy_per_um * 1e6, omega_e, constants=args._constants
-    )
+    c_c = analytic.bias_capacitance(args.dalpha_dy_per_um * 1e6, omega_e,
+                                    constants=args._constants)
     circuit = analytic.BiasFilterCircuit(
         l_f=args.lf_nh * 1e-9,
         c_f=args.cf_pf * 1e-12,
@@ -379,6 +389,19 @@ def _add_resonator_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kappa-int-mhz", type=float)
 
 
+def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
+    """The maps, the swept electrode and its range, the other electrodes'
+    voltages and the uniform fields, shared by both sweeps."""
+    p.add_argument("--maps", required=True, help="coupling map JSON")
+    p.add_argument("--electrode", required=True)
+    p.add_argument("--vmin", type=float, required=True)
+    p.add_argument("--vmax", type=float, required=True)
+    p.add_argument("--n", type=int, default=11)
+    p.add_argument("--voltage", action="append", metavar="NAME=VALUE")
+    p.add_argument("--ex", type=float, default=0.0)
+    p.add_argument("--ey", type=float, default=0.0)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command tree, built once per process: parsing fills a fresh
@@ -390,8 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
                  config=True, seed=True)
     _add_resonator_flags(p)
     p.add_argument("--f-el-ghz", type=float, help="electron frequency; omit for bare")
-    p.add_argument("--gamma2-mhz", type=float, default=75.0)
-    p.add_argument("--g-mhz", type=float, default=0.0)
+    p.add_argument("--gamma2-mhz", type=float, help="needs --f-el-ghz (default 75)")
+    p.add_argument("--g-mhz", type=float, help="needs --f-el-ghz (default 0)")
     p.add_argument("--crosstalk-t", type=float, default=0.0)
     p.add_argument("--crosstalk-zeta", type=float, default=0.0)
     p.add_argument("--span-mhz", type=float, default=800.0)
@@ -428,29 +451,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(sweep_sub, "shift", _cmd_sweep_shift, "resonator shift vs electrode voltage",
                  config=True, seed=True)
     _add_resonator_flags(p)
-    p.add_argument("--maps", required=True, help="coupling map JSON")
-    p.add_argument("--electrode", required=True)
-    p.add_argument("--vmin", type=float, required=True)
-    p.add_argument("--vmax", type=float, required=True)
-    p.add_argument("--n", type=int, default=11)
-    p.add_argument("--voltage", action="append", metavar="NAME=VALUE")
+    _add_sweep_flags(p)
     p.add_argument("--n-electrons", type=int, default=1)
-    p.add_argument("--ex", type=float, default=0.0)
-    p.add_argument("--ey", type=float, default=0.0)
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--grad-per-um", type=float,
                    help="override differential coupling gradient (1/um)")
 
     p = _command(sweep_sub, "freq", _cmd_sweep_freq, "transition frequencies vs voltage",
                  config=True, seed=True)
-    p.add_argument("--maps", required=True)
-    p.add_argument("--electrode", required=True)
-    p.add_argument("--vmin", type=float, required=True)
-    p.add_argument("--vmax", type=float, required=True)
-    p.add_argument("--n", type=int, default=11)
-    p.add_argument("--voltage", action="append", metavar="NAME=VALUE")
-    p.add_argument("--ex", type=float, default=0.0)
-    p.add_argument("--ey", type=float, default=0.0)
+    _add_sweep_flags(p)
     p.add_argument("--nx", type=int, default=61)
     p.add_argument("--ny", type=int, default=61)
     p.add_argument("--k", type=int, default=4)
@@ -491,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f-el-ghz", type=float, required=True)
     p.add_argument("--dalpha-dy-per-um", type=float, default=0.03,
                    help="coupling gradient for c_c (1/um)")
-    p.add_argument("--cc-ff", type=float, help="bias coupling capacitance (fF)")
     p.add_argument("--lf-nh", type=float, default=12.0)
     p.add_argument("--cf-pf", type=float, default=0.8)
     p.add_argument("--cother-ff", type=float, default=500.0)

@@ -18,8 +18,8 @@ from typing import Sequence
 import numpy as np
 import scipy.optimize
 
-from .analytic import zero_point_length
-from .core import CONSTANTS, DomainError, PhysicalConstants, ResonatorParams, derived_resonator_quantities
+from .analytic import coupling_g
+from .core import CONSTANTS, DomainError, PhysicalConstants, ResonatorParams
 from .potential import CouplingGradientMap, CouplingMapSet, PotentialField, compose, scan_minimum
 
 # Electrons closer than this are a modeling error, not a physical configuration.
@@ -332,15 +332,14 @@ def electron_couplings(
 ) -> np.ndarray:
     """Per-electron coupling rates g_i [rad/s] at the equilibrium positions.
 
-    g_i = (e / hbar) l_y(omega_r) V_zpf (d alpha-/dy)(r_i): the vertical
-    zero-point dipole of electron i against the local differential lever arm.
+    g_i = (e / hbar) l_y(omega_r) V_zpf (d alpha-/dy)(r_i): the rate of
+    ``analytic.coupling_g`` at a 1 m coupling length, times the local
+    differential lever-arm derivative [1/m] at electron i.
     """
-    omega_r, _z, v_zpf = derived_resonator_quantities(res, constants)
-    l_y = zero_point_length(float(omega_r), constants)
     grads = np.atleast_1d(
         gradient_map.value_at(config.positions[:, 0], config.positions[:, 1])
     )
-    return (constants.e / constants.hbar) * l_y * v_zpf * np.asarray(grads, dtype=float)
+    return coupling_g(res, 1.0, constants).g * np.asarray(grads, dtype=float)
 
 
 def coupled_spectrum(

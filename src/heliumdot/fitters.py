@@ -202,20 +202,18 @@ def _find_peaks(x: np.ndarray, y: np.ndarray, min_prominence: float) -> list:
     """Local maxima of y(x) with at least the given (positive) prominence.
 
     Each peak location is refined by a parabola through the three samples
-    around the maximum.  Returns a list of (x_peak, height) sorted by x.
+    around the maximum; scipy never reports the first or last sample, and
+    with y1 >= y0, y2 the vertex lies within half a step of the middle one.
+    Returns a list of (x_peak, height) sorted by x.
     """
     idx, _props = scipy.signal.find_peaks(y, prominence=min_prominence)
     peaks = []
     for i in idx:
-        if 0 < i < x.size - 1:
-            y0, y1, y2 = y[i - 1], y[i], y[i + 1]
-            denom = y0 - 2 * y1 + y2
-            shift = 0.0 if denom == 0 else 0.5 * (y0 - y2) / denom
-            shift = float(np.clip(shift, -1.0, 1.0))
-            x_pk = x[i] + shift * (0.5 * (x[i + 1] - x[i - 1]))
-            peaks.append((float(x_pk), float(y1 - 0.25 * (y0 - y2) * shift)))
-        else:
-            peaks.append((float(x[i]), float(y[i])))
+        y0, y1, y2 = y[i - 1], y[i], y[i + 1]
+        denom = y0 - 2 * y1 + y2
+        shift = 0.0 if denom == 0 else 0.5 * (y0 - y2) / denom
+        x_pk = x[i] + shift * (0.5 * (x[i + 1] - x[i - 1]))
+        peaks.append((float(x_pk), float(y1 - 0.25 * (y0 - y2) * shift)))
     return sorted(peaks)
 
 

@@ -63,7 +63,6 @@ class CouplingMapSet:
     x_axis: np.ndarray
     y_axis: np.ndarray
     grids: dict
-    metadata: dict = field(default_factory=dict)
     resonator_gradient: "CouplingGradientMap | None" = None
 
     def __post_init__(self) -> None:
@@ -145,8 +144,8 @@ def load_coupling_maps(path: str) -> CouplingMapSet:
     """Load a coupling-map JSON file.
 
     Expected keys: x_axis_um, y_axis_um (strictly increasing, micrometers),
-    electrodes (name -> [ny][nx] lever arms), optional
-    resonator_diff_grad_per_um ([ny][nx], 1/um) and metadata.
+    electrodes (name -> [ny][nx] lever arms) and optional
+    resonator_diff_grad_per_um ([ny][nx], 1/um).
     """
     raw = read_json_object(path, "coupling maps")
     for key in ("x_axis_um", "y_axis_um", "electrodes"):
@@ -154,9 +153,6 @@ def load_coupling_maps(path: str) -> CouplingMapSet:
             raise FormatError(f"coupling maps {path}: missing key {key!r}")
     if not isinstance(raw["electrodes"], dict) or not raw["electrodes"]:
         raise FormatError(f"coupling maps {path}: 'electrodes' must be a non-empty object")
-    metadata = raw.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise FormatError(f"coupling maps {path}: 'metadata' must be an object")
     x_axis = _float_array(raw["x_axis_um"], "x_axis_um") * 1e-6
     y_axis = _float_array(raw["y_axis_um"], "y_axis_um") * 1e-6
     gradient = None
@@ -167,7 +163,6 @@ def load_coupling_maps(path: str) -> CouplingMapSet:
         x_axis=x_axis,
         y_axis=y_axis,
         grids=raw["electrodes"],
-        metadata=metadata,
         resonator_gradient=gradient,
     )
 
@@ -214,10 +209,9 @@ class PotentialField(ABC):
 
     A subclass supplies the electrode part ``_base`` [V] and the electron
     energy derivatives ``energy_gradient`` [J/m] and ``energy_hessian``
-    [J/m^2] over points of shape (..., 2), the ``domain`` where the field is
-    defined (None when unbounded), and the ``scan_region`` in which solvers
-    look for the trap minimum.  ``evaluate`` is defined here and only here,
-    so every field evaluation goes through one method.
+    [J/m^2] over points of shape (..., 2), and the ``scan_region`` in which
+    solvers look for the trap minimum.  ``evaluate`` is defined here and only
+    here, so every field evaluation goes through one method.
     """
 
     e_x: float = 0.0
@@ -254,11 +248,6 @@ class PotentialField(ABC):
 
     @property
     @abstractmethod
-    def domain(self) -> tuple | None:
-        """(x0, x1, y0, y1) where the field is defined, None when unbounded."""
-
-    @property
-    @abstractmethod
     def scan_region(self) -> tuple:
         """(x0, x1, y0, y1) searched for the trap minimum."""
 
@@ -290,12 +279,8 @@ class GriddedField(PotentialField):
         object.__setattr__(self, "_spline", spline)
 
     @property
-    def domain(self) -> tuple:
-        return self.maps.domain
-
-    @property
     def scan_region(self) -> tuple:
-        """The domain less one cell per side."""
+        """The map domain less one cell per side."""
         x0, x1, y0, y1 = self.maps.domain
         dx = float(np.max(np.diff(self.maps.x_axis)))
         dy = float(np.max(np.diff(self.maps.y_axis)))
@@ -338,7 +323,6 @@ class QuarticField(PotentialField):
     a2x: float = 0.0
     a2y: float = 0.0
 
-    domain = None
     scan_region = (-2e-6, 2e-6, -2e-6, 2e-6)
 
     def __post_init__(self) -> None:

@@ -53,6 +53,31 @@ def test_synth_svg(tmp_path):
     assert text.startswith("<svg")
 
 
+@pytest.mark.parametrize("flag", [["--g-mhz", "118"], ["--gamma2-mhz", "75"]],
+                         ids=lambda flag: flag[0])
+def test_synth_electron_flag_without_electron_is_usage_error(tmp_path, capsys, flag):
+    # without --f-el-ghz the trace is bare, so the flag would be dropped
+    out = tmp_path / "trace.csv"
+    assert main(["synth", "--points", "11", "--out", str(out), *flag]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "UsageError"
+    assert flag[0] in json.loads(err[0])["message"]
+
+
+def test_synth_records_the_electron_values_it_used(tmp_path):
+    # a bare trace records no electron values; with --f-el-ghz the omitted
+    # ones are recorded as the 0 and 75 MHz the trace used
+    assert main(["synth", "--points", "11", "--out", str(tmp_path / "bare.csv")]) == 0
+    assert main(["synth", "--points", "11", "--f-el-ghz", "7.162",
+                 "--out", str(tmp_path / "el.csv")]) == 0
+    bare = json.loads((tmp_path / "bare.csv.json").read_text())["config"]["options"]
+    el = json.loads((tmp_path / "el.csv.json").read_text())["config"]["options"]
+    assert not {"g_mhz", "gamma2_mhz"} & set(bare)
+    assert (el["g_mhz"], el["gamma2_mhz"]) == (0.0, 75.0)
+
+
 def test_fit_bare_pipeline(tmp_path):
     trace = str(tmp_path / "far.csv")
     main(_synth_args(trace))
@@ -767,7 +792,9 @@ def test_fit_rabi_far_rejects_resonator_flags(tmp_path, monkeypatch, capsys, fla
      "--config", "config.json"],
     ["fit", "bare", "--trace", "far.csv", "--seed", "1"],
     ["compensate", "--far", "far.csv", "--target", "far.csv", "--config", "config.json"],
-], ids=["cooperativity-seed", "dispersive-config", "fit-bare-seed", "compensate-config"])
+    ["calc", "purcell-bias", "--f-el-ghz", "5.0", "--cc-ff", "1"],
+], ids=["cooperativity-seed", "dispersive-config", "fit-bare-seed", "compensate-config",
+        "purcell-bias-cc-ff"])
 def test_option_a_command_never_reads_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 1
@@ -799,7 +826,8 @@ def _leaf_commands(parser, prefix=""):
 def test_every_command_reads_every_flag_it_declares(tmp_path, monkeypatch):
     # a flag that a command accepts and then never reads is dropped without a
     # word; --config counts as read when the handler reads the config or its
-    # constants, which main loads from it
+    # constants, which main loads from it; synth runs with and without an
+    # electron, since each branch must read every flag
     monkeypatch.chdir(tmp_path)
     main(_synth_args("far.csv"))
     main(_synth_args("target.csv", kind="rabi"))
@@ -808,29 +836,32 @@ def test_every_command_reads_every_flag_it_declares(tmp_path, monkeypatch):
         f"{f!r},{1.0 - 0.005 / ((f - 8.66) ** 2 + 0.01)!r}\n" for f in freqs))
     sweep = ["--maps", _maps_file(tmp_path), "--electrode", "trap", "--vmin", "0.25",
              "--vmax", "0.3", "--n", "1"]
-    commands = {
-        "synth": ["--f-el-ghz", "7.162", "--points", "11"],
-        "fit bare": ["--trace", "far.csv"],
-        "fit rabi": ["--trace", "target.csv", "--far", "far.csv"],
-        "fit twotone": ["--data", "dip.csv"],
-        "compensate": ["--far", "far.csv", "--target", "target.csv"],
-        "sweep shift": [*sweep, "--grad-per-um", "0.01", "--restarts", "1"],
-        "sweep freq": [*sweep, "--nx", "21", "--ny", "21", "--k", "3"],
-        "qsolve": ["--a1x", "1.1e-8", "--a1y", "1.1e-8", "--nx", "21", "--ny", "21", "--k", "3"],
-        "calc g": ["--coupling-length-nm", "2200"],
-        "calc cardano": ["--a1", "0", "--a2", "2750", "--ey", "300"],
-        "calc purcell-res": ["--g-mhz", "110", "--kappa-mhz", "23", "--delta-ghz", "1.1"],
-        "calc purcell-bias": ["--f-el-ghz", "5.0"],
-        "calc spin": ["--g-c-mhz", "120", "--dbz-dx-t-per-um", "0.1", "--ax-nm", "50",
-                      "--delta-cs-ghz", "2"],
-        "calc depression": ["--height-um", "3000", "--width-um", "1.4"],
-        "calc cooperativity": ["--g-mhz", "118", "--kappa-mhz", "23", "--gamma2-mhz", "75"],
-        "calc dispersive": ["--f-res-ghz", "7.162", "--f-peak-ghz", "7.155", "--g-mhz", "118"],
-    }
-    assert set(commands) == _leaf_commands(build_parser())
+    runs = [
+        ("synth", ["--f-el-ghz", "7.162", "--points", "11"]),
+        ("synth", ["--points", "11"]),
+        ("fit bare", ["--trace", "far.csv"]),
+        ("fit rabi", ["--trace", "target.csv", "--far", "far.csv"]),
+        ("fit twotone", ["--data", "dip.csv"]),
+        ("compensate", ["--far", "far.csv", "--target", "target.csv"]),
+        ("sweep shift", [*sweep, "--grad-per-um", "0.01", "--restarts", "1"]),
+        ("sweep freq", [*sweep, "--nx", "21", "--ny", "21", "--k", "3"]),
+        ("qsolve", ["--a1x", "1.1e-8", "--a1y", "1.1e-8", "--nx", "21", "--ny", "21",
+                    "--k", "3"]),
+        ("calc g", ["--coupling-length-nm", "2200"]),
+        ("calc cardano", ["--a1", "0", "--a2", "2750", "--ey", "300"]),
+        ("calc purcell-res", ["--g-mhz", "110", "--kappa-mhz", "23", "--delta-ghz", "1.1"]),
+        ("calc purcell-bias", ["--f-el-ghz", "5.0"]),
+        ("calc spin", ["--g-c-mhz", "120", "--dbz-dx-t-per-um", "0.1", "--ax-nm", "50",
+                       "--delta-cs-ghz", "2"]),
+        ("calc depression", ["--height-um", "3000", "--width-um", "1.4"]),
+        ("calc cooperativity", ["--g-mhz", "118", "--kappa-mhz", "23", "--gamma2-mhz", "75"]),
+        ("calc dispersive", ["--f-res-ghz", "7.162", "--f-peak-ghz", "7.155",
+                             "--g-mhz", "118"]),
+    ]
+    assert {command for command, _flags in runs} == _leaf_commands(build_parser())
     exempt = {"func", "out", "command", "fit_kind", "sweep_kind", "calc_kind"}
     unread = []
-    for command, flags in commands.items():
+    for command, flags in runs:
         args = build_parser().parse_args(command.split() + flags, namespace=_ReadLog())
         declared = set(vars(args)) - exempt
         args._config = {}

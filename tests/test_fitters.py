@@ -229,6 +229,18 @@ def test_find_peaks_prominence_filter():
     assert len(peaks) == 1
 
 
+def test_find_peaks_vertex_within_half_a_step():
+    # scipy reports no edge sample, and the parabola through a local maximum
+    # and its two neighbours peaks within half a step of it, plateaus too
+    rng = np.random.default_rng(5)
+    x = np.arange(12.0)
+    for _ in range(500):
+        y = rng.integers(0, 4, x.size).astype(float)  # ties and edge maxima
+        for x_pk, _height in fitters._find_peaks(x, y, min_prominence=0.5):
+            assert 0.5 <= x_pk <= x[-1] - 0.5
+            assert np.min(np.abs(x_pk - x[1:-1])) <= 0.5
+
+
 # ---------------------------------------------------------------------------
 # bare resonator recipe
 # ---------------------------------------------------------------------------

@@ -160,7 +160,6 @@ def test_analytic_energy_polynomial():
     y = 40e-9
     expect = 5.0e-8 * y**2 + 3.0e3 * y**4 - CONSTANTS.e * 100.0 * y
     assert float(f.energy(0.0, y)) == pytest.approx(expect, rel=1e-12)
-    assert f.domain is None
 
 
 def test_analytic_derivatives_closed_form():
@@ -283,7 +282,6 @@ def test_load_coupling_maps_units(tmp_path):
     maps = load_coupling_maps(_write_maps_json(tmp_path / "maps.json"))
     assert maps.x_axis[0] == pytest.approx(-1e-6)
     assert maps.grids["trap"][1, 1] == 0.9
-    assert maps.metadata["source"] == "unit test"
     # per-um gradient becomes per-m
     assert maps.resonator_gradient.value_at(0.0, 0.0) == pytest.approx(0.3e6)
 
@@ -308,8 +306,6 @@ _MALFORMED_MAPS = {
     "ragged-grid": '{' + _AXES + ', "electrodes": {"trap": [[0, 0], [0]]}}',
     "gradient-object": '{' + _AXES + ', "electrodes": {"trap": [[0, 0], [0, 0]]}, '
                        '"resonator_diff_grad_per_um": [[0, {}], [0, 0]]}',
-    "metadata-number": '{' + _AXES + ', "electrodes": {"trap": [[0, 0], [0, 0]]}, '
-                       '"metadata": 3}',
 }
 
 

@@ -2,16 +2,23 @@
 
 A public top-level function or class of ``src/heliumdot`` must be read, as a
 ``Name`` or an ``Attribute``, somewhere in the package or in the acceptance
-criteria; a public method, property or annotated class field must be read as
-an ``Attribute``.  Imports and ``__all__`` strings do not count as reads, and
-neither do the package's own unit tests: a name only its unit test reaches
-is a name no command uses.  The package module itself re-exports nothing,
-and only three helpers open files.
+criteria.  A public method, property or annotated class field must be read
+as an ``Attribute`` of its own class: the receiver of each read is resolved
+from ``self``, from parameter and variable annotations, from dataclass field
+and property annotations, and from the return annotations of package
+functions, methods and constructors.  A read counts for the class's bases
+and subclasses too.  Only where the receiver cannot be resolved (a loop
+variable, a subscript) does the read count for every member of that name.
+Imports and ``__all__`` strings do not count as reads, and neither do the
+package's own unit tests: a name only its unit test reaches is a name no
+command uses.  The package module itself re-exports nothing, and only three
+helpers open files.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -23,6 +30,12 @@ ALLOWED = {
     ("EigenSolution", "states"): "the orthonormality of the states is the "
                                  "eigensolver's own quality check",
 }
+
+# A receiver type is ("inst", classes), ("class", name), ("module", stem),
+# ("func", return annotation), EXTERNAL for anything outside the package,
+# or None when it cannot be resolved.
+EXTERNAL = ("external", None)
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _public(name: str) -> bool:
@@ -48,7 +61,230 @@ def _definitions():
                     yield path.stem, node.name, item.target.id, "member"
 
 
-def _reads():
+def _class_index():
+    """(bases, member name -> ("func" or "field", annotation)) per class."""
+    classes = {}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            members = {}
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    prop = any(getattr(d, "id", None) == "property" for d in item.decorator_list)
+                    members[item.name] = ("field" if prop else "func", item.returns)
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    members[item.target.id] = ("field", item.annotation)
+                elif isinstance(item, ast.Assign):
+                    members.update((t.id, ("field", None)) for t in item.targets
+                                   if isinstance(t, ast.Name))
+            bases = [getattr(b, "id", getattr(b, "attr", None)) for b in node.bases]
+            classes[node.name] = (bases, members)
+    return classes
+
+
+CLASSES = _class_index()
+
+
+def _annotation(node):
+    """The type an annotation names; ``X | None`` names X."""
+    if node is None:
+        return None
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        node = ast.parse(node.value, mode="eval").body
+    parts, names = [node], set()
+    while parts:
+        part = parts.pop()
+        if isinstance(part, ast.BinOp) and isinstance(part.op, ast.BitOr):
+            parts += [part.left, part.right]
+        elif not (isinstance(part, ast.Constant) and part.value is None):
+            names.add(part.id if isinstance(part, ast.Name)
+                      else part.attr if isinstance(part, ast.Attribute) else None)
+    if names and names <= set(CLASSES):
+        return ("inst", frozenset(names))
+    return EXTERNAL if not names & set(CLASSES) else None
+
+
+def _member_type(cls: str, attr: str):
+    bases, members = CLASSES[cls]
+    if attr in members:
+        kind, ann = members[attr]
+        return ("func", ann) if kind == "func" else _annotation(ann)
+    found = {_member_type(b, attr) for b in bases if b in CLASSES} - {None}
+    return found.pop() if len(found) == 1 else None
+
+
+def _type(node, scope):
+    if isinstance(node, ast.Name):
+        return scope.lookup(node.id)
+    if isinstance(node, ast.Constant):
+        return EXTERNAL
+    if isinstance(node, ast.Attribute):
+        owner = _type(node.value, scope)
+        if owner is None or owner == EXTERNAL:
+            return owner
+        if owner[0] == "module":
+            return MODULES[owner[1]].lookup(node.attr)
+        if owner[0] in ("inst", "class"):
+            found = {_member_type(c, node.attr) for c in _classes(owner)}
+            return found.pop() if len(found) == 1 else None
+    if isinstance(node, ast.Call):
+        func = _type(node.func, scope)
+        if func is not None and func[0] == "class":
+            return ("inst", frozenset({func[1]}))
+        if func is not None and func[0] == "func":
+            return _annotation(func[1])
+    return None
+
+
+def _classes(owner) -> frozenset:
+    return owner[1] if owner[0] == "inst" else frozenset({owner[1]})
+
+
+class _Scope:
+    """The name bindings of a module or function body.  A name bound more
+    than once resolves only if every binding other than ``None`` gives the
+    same type; a binding is an expression of this scope, a type, or
+    ("import", module, name)."""
+
+    def __init__(self, parent, bindings):
+        self.parent, self.bindings, self.types = parent, bindings, {}
+
+    def lookup(self, name):
+        if name not in self.bindings:
+            return self.parent.lookup(name) if self.parent else None
+        if name not in self.types:
+            self.types[name] = None  # a name bound through itself stays unknown
+            found = {_type(b, self) if isinstance(b, ast.AST)
+                     else MODULES[b[1]].lookup(b[2]) if b and b[0] == "import" else b
+                     for b in self.bindings[name]
+                     if not (isinstance(b, ast.Constant) and b.value is None)}
+            self.types[name] = found.pop() if len(found) == 1 else None
+        return self.types[name]
+
+
+def _own_nodes(roots):
+    """The nodes of one scope; a nested function or class is yielded with its
+    decorators, bases and defaults, but not its body."""
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, ast.ClassDef):
+            stack += node.decorator_list + node.bases
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack += node.decorator_list + node.args.defaults
+            stack += [d for d in node.args.kw_defaults if d]
+        else:
+            stack += ast.iter_child_nodes(node)
+
+
+def _target_names(target):
+    """The names an assignment target binds, not those it reads."""
+    if isinstance(target, ast.Name):
+        yield target
+    elif isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from _target_names(elt)
+    elif isinstance(target, ast.Starred):
+        yield from _target_names(target.value)
+
+
+def _import_types(node):
+    """(name, binding) for each name an import binds."""
+    ours = isinstance(node, ast.ImportFrom) and (
+        node.level > 0 or (node.module or "").startswith("heliumdot"))
+    stem = (node.module or "").rpartition(".")[2] if ours else None
+    for alias in node.names:
+        name = alias.asname or alias.name
+        if not ours:
+            yield name.split(".")[0], EXTERNAL
+        elif stem in ("", "heliumdot"):
+            yield name, ("module", alias.name) if alias.name in MODULES else None
+        else:
+            yield name, ("import", stem, alias.name)
+
+
+def _bindings(nodes, owner=None, params=None):
+    """Name -> list of bindings in a scope, starting from its parameters."""
+    bound = {}
+    for i, arg in enumerate(params or []):
+        if i == 0 and owner in CLASSES:
+            bound[arg.arg] = [("inst", frozenset({owner}))]
+        else:
+            bound[arg.arg] = [_annotation(arg.annotation)]
+    for node in nodes:
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.NamedExpr)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            value = (_annotation(node.annotation) if isinstance(node, ast.AnnAssign)
+                     else node.value if isinstance(node, (ast.Assign, ast.NamedExpr)) else None)
+            for target in targets:
+                for n in _target_names(target):
+                    bound.setdefault(n.id, []).append(value if n is target else None)
+        elif isinstance(node, (ast.For, ast.comprehension, ast.withitem)):
+            target = node.optional_vars if isinstance(node, ast.withitem) else node.target
+            for n in _target_names(target):
+                bound.setdefault(n.id, []).append(None)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for name, type_ in _import_types(node):
+                bound.setdefault(name, []).append(type_)
+        elif isinstance(node, _SCOPES):
+            kind = "class" if isinstance(node, ast.ClassDef) else "func"
+            what = node.name if kind == "class" else node.returns
+            bound.setdefault(node.name, []).append((kind, what))
+        elif isinstance(node, ast.Lambda):
+            for arg in node.args.args:
+                bound.setdefault(arg.arg, []).append(None)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.setdefault(node.name, []).append(None)
+    return bound
+
+
+def _module_scope(path: Path) -> _Scope:
+    body = ast.parse(path.read_text(encoding="utf-8")).body
+    return _Scope(None, _bindings(_own_nodes(body)))
+
+
+# filled in two steps, since binding an import asks which names are modules
+MODULES = dict.fromkeys(path.stem for path in PACKAGE.glob("*.py"))
+MODULES.update((path.stem, _module_scope(path)) for path in PACKAGE.glob("*.py"))
+
+
+def _member_reads():
+    """(class, member) pairs read on a resolved receiver, and the attribute
+    names read on receivers that do not resolve."""
+    reads, fallback = set(), set()
+
+    def visit(roots, scope):
+        for node in list(_own_nodes(roots)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                receiver = _type(node.value, scope)
+                if receiver is None:
+                    fallback.add(node.attr)
+                elif receiver[0] in ("inst", "class"):
+                    reads.update((c, node.attr) for c in _classes(receiver))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit_function(node, scope, None)
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        visit_function(item, scope, node.name)
+
+    def visit_function(node, scope, owner):
+        args = node.args
+        if any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list):
+            owner = None
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a]
+        visit(node.body, _Scope(scope, _bindings(_own_nodes(node.body), owner, params)))
+
+    for path in READERS:
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        visit(body, MODULES.get(path.stem) or _module_scope(path))
+    return reads, fallback
+
+
+def _names_read():
     """Names read as a Name, and attribute names read as an Attribute."""
     names, attrs = set(), set()
     for path in READERS:
@@ -60,18 +296,54 @@ def _reads():
     return names, attrs
 
 
+def _relatives(cls: str) -> set:
+    """The class, its bases and its subclasses, transitively."""
+    up, down = {cls}, {cls}
+    for _ in CLASSES:  # no chain of bases is longer than the number of classes
+        up |= {b for c in up for b in CLASSES[c][0] if b in CLASSES}
+        down |= {c for c, (bases, _m) in CLASSES.items() if down & set(bases)}
+    return up | down
+
+
 def test_every_public_name_has_a_reader():
-    names, attrs = _reads()
+    names, attrs = _names_read()
+    reads, fallback = _member_reads()
     definitions = list(_definitions())
     assert set(ALLOWED) <= {(owner, name) for _m, owner, name, _k in definitions}
     unread = []
     for module, owner, name, kind in definitions:
         if (owner, name) in ALLOWED:
             continue
-        read = name in attrs if kind == "member" else (name in names or name in attrs)
+        if kind == "member":
+            read = name in fallback or any((c, name) in reads for c in _relatives(owner))
+        else:
+            read = name in names or name in attrs
         if not read:
             unread.append(f"{module}.{owner + '.' if owner else ''}{name}")
     assert not unread, "public names nothing reads: " + ", ".join(sorted(unread))
+
+
+def test_every_name_the_bench_tracer_wraps_exists():
+    """Each ``tracer.wrap(owner, "name", ...)`` of ``bench/layers.py`` names an
+    attribute of a package module, or a method in a class's own ``__dict__``,
+    so a deletion that would break the traced benchmark run fails here."""
+    tree = ast.parse((ROOT / "bench" / "layers.py").read_text(encoding="utf-8"))
+    wraps = [node.args[:2] for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "wrap"]
+    assert wraps
+    missing = []
+    for owner, name in wraps:
+        module = owner.value if isinstance(owner, ast.Attribute) else owner
+        target = importlib.import_module(f"heliumdot.{module.id}")
+        if isinstance(owner, ast.Attribute):
+            target = getattr(target, owner.attr, None)
+            found = isinstance(target, type) and name.value in vars(target)
+        else:
+            found = hasattr(target, name.value)
+        if not found:
+            missing.append(f"{ast.unparse(owner)}.{name.value}")
+    assert not missing, "wrapped names the package lacks: " + ", ".join(missing)
 
 
 def test_one_way_in_and_out():
