@@ -258,7 +258,7 @@ def _cmd_qsolve(args: argparse.Namespace) -> dict:
     )
     window = qsolver.auto_window(field_, constants=constants)
     ham = qsolver.build_hamiltonian(field_, window, nx=args.nx, ny=args.ny,
-                                    constants=constants, order=4)
+                                    constants=constants, kinetic="sinc")
     sol = qsolver.eigenstates(ham, k=args.k, seed=args.seed)
     payload = {
         "energies_GHz": [e / constants.h / 1e9 for e in sol.energies],
@@ -460,8 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(sweep_sub, "freq", _cmd_sweep_freq, "transition frequencies vs voltage",
                  config=True, seed=True)
     _add_sweep_flags(p)
-    p.add_argument("--nx", type=int, default=61)
-    p.add_argument("--ny", type=int, default=61)
+    p.add_argument("--nx", type=int, default=23)
+    p.add_argument("--ny", type=int, default=23)
     p.add_argument("--k", type=int, default=4)
 
     p = _command(sub, "qsolve", _cmd_qsolve, "2D eigenstates of an analytic trap",
@@ -472,8 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a2y", type=float, default=0.0)
     p.add_argument("--ex", type=float, default=0.0, help="V/m")
     p.add_argument("--ey", type=float, default=0.0)
-    p.add_argument("--nx", type=int, default=61)
-    p.add_argument("--ny", type=int, default=61)
+    p.add_argument("--nx", type=int, default=23)
+    p.add_argument("--ny", type=int, default=23)
     p.add_argument("--k", type=int, default=6)
 
     calc = sub.add_parser("calc", help="closed-form estimates")

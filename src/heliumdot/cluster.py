@@ -419,7 +419,7 @@ def shift_vs_voltage_sweep(
     seed: int = 0,
     restarts: int = 8,
     constants: PhysicalConstants = CONSTANTS,
-) -> list:
+) -> list[ShiftSweepRow]:
     """Resonator shift and cluster mode frequencies along one electrode sweep.
 
     Each point re-minimizes from the previous point's configuration with a

@@ -20,8 +20,10 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .cavity import SpectrumTrace
+from .cluster import ShiftSweepRow
 from .core import FormatError, TWO_PI, read_json_object
 from .fitters import FitResult
+from .qsolver import FrequencySweepRow
 
 _GHZ = 1e9 * TWO_PI  # rad/s per GHz
 
@@ -201,7 +203,8 @@ def write_fit_json(fit: FitResult, path: str, config: Mapping | None = None) -> 
     write_text(path, _json_dumps(fit_to_json_dict(fit, config)))
 
 
-def write_shift_sweep_csv(rows: Sequence, path: str, config: Mapping | None = None) -> None:
+def write_shift_sweep_csv(rows: Sequence[ShiftSweepRow], path: str,
+                          config: Mapping | None = None) -> None:
     """Cluster sweep rows: electrode, voltage_V, shift in cyclic MHz, mode list in GHz,
     the minimizer diagnostics (gradient norm in J/m, accepted steps, saddle),
     and the point's flags (``failed:<ErrorName>``, empty for a good point)."""
@@ -220,7 +223,8 @@ def write_shift_sweep_csv(rows: Sequence, path: str, config: Mapping | None = No
     write_text(path, "".join(lines))
 
 
-def write_freq_sweep_csv(rows: Sequence, path: str, config: Mapping | None = None) -> None:
+def write_freq_sweep_csv(rows: Sequence[FrequencySweepRow], path: str,
+                         config: Mapping | None = None) -> None:
     """Level sweep rows: voltage_V, f01_GHz, f12_GHz, alpha_e_MHz, residual, flags."""
     lines = [
         _config_line(config),

@@ -3,7 +3,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,8 +193,7 @@ def test_calc_depression_and_dispersive(capsys):
 def test_qsolve_harmonic(tmp_path):
     a1 = 0.5 * CONSTANTS.m_e * (5.0 * GHZ) ** 2
     out = str(tmp_path / "levels.json")
-    assert main(["qsolve", "--a1x", repr(a1), "--a1y", repr(a1),
-                 "--nx", "101", "--ny", "101", "--out", out]) == 0
+    assert main(["qsolve", "--a1x", repr(a1), "--a1y", repr(a1), "--out", out]) == 0
     levels = json.loads((tmp_path / "levels.json").read_text())
     assert levels["f01_GHz"] == pytest.approx(5.0, rel=5e-3)
     assert max(levels["residuals"]) < 1e-8
@@ -245,7 +248,7 @@ def test_sweep_freq_cli(tmp_path):
     out = str(tmp_path / "freq.csv")
     argv = ["sweep", "freq", "--maps", maps, "--electrode", "trap",
             "--vmin", "0.25", "--vmax", "0.3", "--n", "2",
-            "--nx", "61", "--ny", "61", "--k", "3", "--out", out]
+            "--nx", "25", "--ny", "25", "--k", "3", "--out", out]
     assert main(argv) == 0
     lines = (tmp_path / "freq.csv").read_text().splitlines()
     assert lines[1].startswith("voltage_V,f01_GHz")
@@ -254,16 +257,72 @@ def test_sweep_freq_cli(tmp_path):
 
 
 def test_sweep_freq_default_grid_matches_fine_reference(tmp_path):
-    # f01 on the benchmark dome from the default 4th-order 61 x 61 grid, against
-    # frozen 4th-order 201 x 201 values; the error measured 2.1e-4, the old
-    # 2nd-order 151 x 151 default 1.2e-3
+    # f01 and f12 on the benchmark dome from the default 23 x 23 sinc grid,
+    # against frozen sinc 45 x 45 values on the default window widened 1.6-fold
+    # about its centre (1.3- and 2-fold windows and 51 x 51 nodes moved them by
+    # at most 4e-6); the error measured 3.3e-6 on f01 and 1.4e-6 on f12, the
+    # old 4th-order 61 x 61 default 2.1e-4 on f01
     out = tmp_path / "freq.csv"
     assert main(["sweep", "freq", "--maps", _dome_maps_file(tmp_path), "--electrode", "trap",
                  "--vmin", "0.25", "--vmax", "0.3", "--n", "2", "--out", str(out)]) == 0
     rows = _csv_rows(out)
-    for row, f01_ref_ghz in zip(rows, (47.176677754423004, 51.68141621170393)):
-        assert float(row["f01_GHz"]) == pytest.approx(f01_ref_ghz, rel=1.2e-3)
+    refs = ((47.17677250233896, 20.2131981265434), (51.68152796288015, 22.143884438107513))
+    for row, (f01_ref_ghz, f12_ref_ghz) in zip(rows, refs):
+        assert float(row["f01_GHz"]) == pytest.approx(f01_ref_ghz, rel=2e-5)
+        assert float(row["f12_GHz"]) == pytest.approx(f12_ref_ghz, rel=2e-5)
         assert float(row["residual"]) < 1e-12
+
+
+@pytest.mark.parametrize("argv", [
+    ["qsolve", "--a1x", "1.1e-8", "--a1y", "1.1e-8", "--out", "levels.json"],
+    ["sweep", "freq", "--electrode", "trap", "--vmin", "0.25", "--vmax", "0.3", "--n", "2",
+     "--out", "freq.csv"],
+], ids=["qsolve", "sweep-freq"])
+def test_dense_grid_over_node_cap_is_one_error(tmp_path, monkeypatch, capsys, argv):
+    # 51 x 51 = 2601 nodes is over the 2500-node cap of the dense sinc matrix;
+    # the sweep stops before its first point instead of writing failed rows
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "sweep":
+        argv = argv + ["--maps", _maps_file(tmp_path)]
+    assert main(argv + ["--nx", "51", "--ny", "51"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {
+        "error": "DomainError",
+        "message": "a sinc grid holds at most 2500 nodes, got 51 x 51 = 2601",
+    }
+    assert [p.name for p in tmp_path.iterdir()] in ([], ["maps.json"])
+
+
+_PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+@pytest.mark.parametrize("threads", ["pinned", "default"])
+def test_level_commands_rerun_byte_identical_per_blas_threads(tmp_path, threads):
+    # the dense Cholesky factor and the residuals run in BLAS, which splits the
+    # work over the default thread count unless one thread is pinned; a new
+    # process reads the setting at import
+    maps = _dome_maps_file(tmp_path)
+    env = {k: v for k, v in os.environ.items() if k not in _PINNED}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), *filter(None, [env.get("PYTHONPATH")])])
+    if threads == "pinned":
+        env.update(_PINNED)
+    script = ("import os; from heliumdot.cli import main\n"
+              "for d in ('a', 'b'):\n"
+              "    os.mkdir(d); os.chdir(d)\n"
+              "    assert main(['qsolve', '--a1x', '1.1e-8', '--a1y', '2e-8', '--seed', '4',"
+              " '--out', 'levels.json']) == 0\n"
+              f"    assert main(['sweep', 'freq', '--maps', {maps!r}, '--electrode', 'trap',"
+              " '--vmin', '0.2', '--vmax', '0.3', '--n', '3', '--seed', '4',"
+              " '--out', 'freq.csv']) == 0\n"
+              "    os.chdir('..')\n")
+    subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, check=True,
+                   timeout=120)
+    for name in ("levels.json", "freq.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_sweep_freq_rerun_byte_identical(tmp_path, monkeypatch):
@@ -617,7 +676,7 @@ def test_config_constants_reach_qsolve_and_sweeps(tmp_path, capsys):
     # the harmonic level spacing
     cfg = _config_file(tmp_path, {"constants": {"m_e": 4 * CONSTANTS.m_e}})
     a1 = repr(0.5 * CONSTANTS.m_e * (5.0 * GHZ) ** 2)
-    qsolve = ["qsolve", "--a1x", a1, "--a1y", a1, "--nx", "61", "--ny", "61", "--k", "3"]
+    qsolve = ["qsolve", "--a1x", a1, "--a1y", a1, "--nx", "25", "--ny", "25", "--k", "3"]
     assert main(qsolve) == 0
     plain = json.loads(capsys.readouterr().out)["f01_GHz"]
     assert main(qsolve + ["--config", cfg]) == 0

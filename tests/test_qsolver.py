@@ -6,11 +6,14 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from heliumdot import qsolver
 from heliumdot.core import CONSTANTS, DomainError, TWO_PI
 from heliumdot.potential import CouplingMapSet, QuarticField, compose
 from heliumdot.qsolver import (
+    WINDOW_FACTOR,
     auto_window,
     build_hamiltonian,
     eigenstates,
@@ -42,7 +45,26 @@ def test_build_hamiltonian_validation():
     with pytest.raises(DomainError):
         build_hamiltonian(field, _zp_window(5.0), nx=2)
     with pytest.raises(DomainError):
-        build_hamiltonian(field, _zp_window(5.0), nx=9, ny=9, order=3)
+        build_hamiltonian(field, _zp_window(5.0), nx=9, ny=9, kinetic="fd4")
+
+
+class _Sampled(Exception):
+    pass
+
+
+def test_sinc_node_cap_checked_before_sampling(monkeypatch):
+    # 50 x 50 = 2500 nodes is the largest dense grid, a 50 MB matrix
+    def sampled(*args, **kwargs):
+        raise _Sampled
+
+    monkeypatch.setattr(qsolver, "sample_grid", sampled)
+    field, window = _harmonic(5.0, 5.0), _zp_window(5.0)
+    with pytest.raises(_Sampled):
+        build_hamiltonian(field, window, nx=50, ny=50, kinetic="sinc")
+    with pytest.raises(DomainError, match="at most 2500 nodes"):
+        build_hamiltonian(field, window, nx=51, ny=50, kinetic="sinc")
+    with pytest.raises(DomainError, match="at most 2500 nodes"):
+        frequency_vs_voltage(lambda v: field, [0.0], nx=51, ny=51)
 
 
 def test_edge_minimum_flagged():
@@ -104,18 +126,20 @@ def _dome_maps():
     )
 
 
-def _small_dome_hamiltonian(order=2):
+def _small_dome_hamiltonian(kinetic="fd2"):
     """15 x 13 node Hamiltonian of a gridded Gaussian dome trap."""
     field = compose(_dome_maps(), {"trap": 0.3})
     return build_hamiltonian(field, (-0.4e-6, 0.4e-6, -0.3e-6, 0.3e-6), nx=15, ny=13,
-                             order=order)
+                             kinetic=kinetic)
 
 
-@pytest.mark.parametrize("order", (2, 4))
-def test_eigenstates_match_dense_eigh_on_gridded_dome(order):
-    ham = _small_dome_hamiltonian(order)
+@pytest.mark.parametrize("kinetic", ("fd2", "sinc"))
+def test_eigenstates_match_dense_eigh_on_gridded_dome(kinetic):
+    ham = _small_dome_hamiltonian(kinetic)
+    assert sp.issparse(ham.matrix) == (kinetic == "fd2")
     sol = eigenstates(ham, k=6, seed=0)
-    dense = scipy.linalg.eigh(ham.matrix.toarray(), eigvals_only=True)
+    matrix = ham.matrix.toarray() if kinetic == "fd2" else ham.matrix
+    dense = scipy.linalg.eigh(matrix, eigvals_only=True)
     np.testing.assert_allclose(sol.energies, dense[:6], rtol=1e-12, atol=0.0)
     assert sol.residuals.max() < 1e-10
 
@@ -160,20 +184,37 @@ def test_second_order_convergence():
     assert 3.5 <= ratio <= 4.5
 
 
-def test_fourth_order_convergence():
-    """Doubling the node count per axis cuts the 4th-order level error by
-    about 16 (31 -> 61; at 121 nodes the error is no longer asymptotic)."""
+def test_sinc_spectral_convergence():
+    """On the auto window, 21 -> 25 nodes per axis cut the sinc-DVR f01 error
+    by about 500 (measured 2.5e-5 -> 5.1e-8); any fixed order p would cut it
+    by (25/21)^p, 2 for p = 4."""
     f0 = 5.0
     field = _harmonic(f0, f0)
-    window = _zp_window(f0)
+    window = auto_window(field)
     errs = []
-    for n in (31, 61):
-        ham = build_hamiltonian(field, window, nx=n, ny=n, order=4)
-        sol = eigenstates(ham, k=2, seed=0)
-        gap = float(sol.energies[1] - sol.energies[0]) / CONSTANTS.hbar
-        errs.append(abs(gap - f0 * GHZ))
-    ratio = errs[0] / errs[1]
-    assert 13.0 <= ratio <= 19.0
+    for n in (21, 25):
+        ham = build_hamiltonian(field, window, nx=n, ny=n, kinetic="sinc")
+        gap = float(np.diff(eigenstates(ham, k=2, seed=0).energies)[0]) / CONSTANTS.hbar
+        errs.append(abs(gap - f0 * GHZ) / (f0 * GHZ))
+    assert errs[1] < 1e-7
+    assert errs[0] / errs[1] > 100.0
+
+
+def test_auto_window_sized_per_axis():
+    """A 1 x 30 GHz trap gets +-8 zero-point lengths on each axis; one window
+    from the geometric-mean curvature (5.5 GHz) cut the soft axis at 3.4 of
+    its lengths, which put f12 1.2e-3 off at 23 x 23 nodes."""
+    fx, fy = 1.0, 30.0
+    field = _harmonic(fx, fy)
+    x0, x1, y0, y1 = auto_window(field)
+    for lo, hi, f in ((x0, x1, fx), (y0, y1, fy)):
+        half = WINDOW_FACTOR * math.sqrt(CONSTANTS.hbar / (CONSTANTS.m_e * f * GHZ))
+        assert hi == pytest.approx(half, rel=1e-9)
+        assert lo == pytest.approx(-half, rel=1e-9)
+    ham = build_hamiltonian(field, (x0, x1, y0, y1), nx=23, ny=23, kinetic="sinc")
+    tset = transitions(eigenstates(ham, k=3, seed=0))
+    assert tset.omega_01.ghz == pytest.approx(fx, rel=1e-5)
+    assert tset.omega_12.ghz == pytest.approx(fx, rel=1e-4)
 
 
 def test_transitions_and_anharmonicity_sign():
@@ -238,7 +279,7 @@ def test_frequency_sweep_two_crossings():
         )
 
     volts = np.linspace(0.0, 1.0, 11)
-    rows = frequency_vs_voltage(factory, volts, nx=121, ny=121, k=3, seed=0)
+    rows = frequency_vs_voltage(factory, volts, k=3, seed=0)
     assert len(rows) == 11
     f01 = np.array([r.f01_hz for r in rows]) / 1e9
     assert np.all(np.isfinite(f01))
@@ -266,30 +307,26 @@ def test_frequency_sweep_records_failures():
 def test_frequency_sweep_warm_start_matches_cold_points(monkeypatch):
     """A sweep starts each point's Lanczos from the previous point's states:
     the levels match cold single-point sweeps, with fewer OPinv solves."""
-    real_splu = spla.splu
+    real_cho_solve = scipy.linalg.cho_solve
     solves = []
 
-    class CountingLU:
-        def __init__(self, lu):
-            self.lu = lu
+    def counting_cho_solve(*args, **kwargs):
+        solves.append(1)
+        return real_cho_solve(*args, **kwargs)
 
-        def solve(self, rhs):
-            solves.append(1)
-            return self.lu.solve(rhs)
-
-    monkeypatch.setattr(spla, "splu", lambda *a, **kw: CountingLU(real_splu(*a, **kw)))
+    monkeypatch.setattr(scipy.linalg, "cho_solve", counting_cho_solve)
     maps = _dome_maps()
 
     def factory(v: float):
         return compose(maps, {"trap": v})
 
     volts = [0.25, 0.3, 0.35]
-    warm = frequency_vs_voltage(factory, volts, nx=41, ny=41, k=4, seed=0)
+    warm = frequency_vs_voltage(factory, volts, k=4, seed=0)
     warm_solves = len(solves)
-    cold = [frequency_vs_voltage(factory, [v], nx=41, ny=41, k=4, seed=0)[0] for v in volts]
+    cold = [frequency_vs_voltage(factory, [v], k=4, seed=0)[0] for v in volts]
     cold_solves = len(solves) - warm_solves
     for w, c in zip(warm, cold):
         assert not w.flags and not c.flags
         for name in ("f01_hz", "f12_hz", "alpha_hz"):
             assert getattr(w, name) == pytest.approx(getattr(c, name), rel=1e-12, abs=0.0)
-    assert warm_solves < cold_solves
+    assert 0 < warm_solves < cold_solves

@@ -6,9 +6,10 @@ criteria.  A public method, property or annotated class field must be read
 as an ``Attribute`` of its own class: the receiver of each read is resolved
 from ``self``, from parameter and variable annotations, from dataclass field
 and property annotations, and from the return annotations of package
-functions, methods and constructors.  A read counts for the class's bases
-and subclasses too.  Only where the receiver cannot be resolved (a loop
-variable, a subscript) does the read count for every member of that name.
+functions, methods and constructors; a ``for`` loop over a ``Sequence[X]``
+or ``list[X]`` binds its variable to X.  A read counts for the class's bases
+and subclasses too.  Only where the receiver cannot be resolved (a tuple
+loop target, a subscript) does the read count for every member of that name.
 Imports and ``__all__`` strings do not count as reads, and neither do the
 package's own unit tests: a name only its unit test reaches is a name no
 command uses.  The package module itself re-exports nothing, and only three
@@ -32,10 +33,11 @@ ALLOWED = {
 }
 
 # A receiver type is ("inst", classes), ("class", name), ("module", stem),
-# ("func", return annotation), EXTERNAL for anything outside the package,
-# or None when it cannot be resolved.
+# ("func", return annotation), ("seq", element type), EXTERNAL for anything
+# outside the package, or None when it cannot be resolved.
 EXTERNAL = ("external", None)
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_SEQUENCES = {"Sequence", "list"}
 
 
 def _public(name: str) -> bool:
@@ -87,11 +89,15 @@ CLASSES = _class_index()
 
 
 def _annotation(node):
-    """The type an annotation names; ``X | None`` names X."""
+    """The type an annotation names; ``X | None`` names X, and
+    ``Sequence[X]`` or ``list[X]`` a sequence of X."""
     if node is None:
         return None
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         node = ast.parse(node.value, mode="eval").body
+    if (isinstance(node, ast.Subscript)
+            and getattr(node.value, "id", getattr(node.value, "attr", None)) in _SEQUENCES):
+        return ("seq", _annotation(node.slice))
     parts, names = [node], set()
     while parts:
         part = parts.pop()
@@ -123,6 +129,8 @@ def _type(node, scope):
         owner = _type(node.value, scope)
         if owner is None or owner == EXTERNAL:
             return owner
+        if owner[0] == "seq":
+            return EXTERNAL
         if owner[0] == "module":
             return MODULES[owner[1]].lookup(node.attr)
         if owner[0] in ("inst", "class"):
@@ -144,8 +152,8 @@ def _classes(owner) -> frozenset:
 class _Scope:
     """The name bindings of a module or function body.  A name bound more
     than once resolves only if every binding other than ``None`` gives the
-    same type; a binding is an expression of this scope, a type, or
-    ("import", module, name)."""
+    same type; a binding is an expression of this scope, a type,
+    ("import", module, name), or ("item", expression) for a loop variable."""
 
     def __init__(self, parent, bindings):
         self.parent, self.bindings, self.types = parent, bindings, {}
@@ -155,12 +163,20 @@ class _Scope:
             return self.parent.lookup(name) if self.parent else None
         if name not in self.types:
             self.types[name] = None  # a name bound through itself stays unknown
-            found = {_type(b, self) if isinstance(b, ast.AST)
-                     else MODULES[b[1]].lookup(b[2]) if b and b[0] == "import" else b
-                     for b in self.bindings[name]
+            found = {self._resolve(b) for b in self.bindings[name]
                      if not (isinstance(b, ast.Constant) and b.value is None)}
             self.types[name] = found.pop() if len(found) == 1 else None
         return self.types[name]
+
+    def _resolve(self, binding):
+        if isinstance(binding, ast.AST):
+            return _type(binding, self)
+        if binding and binding[0] == "import":
+            return MODULES[binding[1]].lookup(binding[2])
+        if binding and binding[0] == "item":
+            sequence = _type(binding[1], self)
+            return sequence[1] if sequence and sequence[0] == "seq" else None
+        return binding
 
 
 def _own_nodes(roots):
@@ -221,6 +237,8 @@ def _bindings(nodes, owner=None, params=None):
             for target in targets:
                 for n in _target_names(target):
                     bound.setdefault(n.id, []).append(value if n is target else None)
+        elif isinstance(node, (ast.For, ast.comprehension)) and isinstance(node.target, ast.Name):
+            bound.setdefault(node.target.id, []).append(("item", node.iter))
         elif isinstance(node, (ast.For, ast.comprehension, ast.withitem)):
             target = node.optional_vars if isinstance(node, ast.withitem) else node.target
             for n in _target_names(target):
