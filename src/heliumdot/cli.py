@@ -264,6 +264,7 @@ def _cmd_qsolve(args: argparse.Namespace) -> dict:
         "energies_GHz": [e / constants.h / 1e9 for e in sol.energies],
         "residuals": [float(r) for r in sol.residuals],
         "window_um": [v * 1e6 for v in window],
+        "flags": ["edge_minimum"] if ham.edge_minimum else [],
     }
     if len(sol.energies) >= 3:
         tr = qsolver.transitions(sol)

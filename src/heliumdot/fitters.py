@@ -20,7 +20,6 @@ from typing import Callable, Mapping
 
 import numpy as np
 import scipy.optimize
-import scipy.signal
 
 from .core import DomainError, FitError, ResonatorParams, default_resonator
 from .cavity import (
@@ -206,6 +205,8 @@ def _find_peaks(x: np.ndarray, y: np.ndarray, min_prominence: float) -> list:
     with y1 >= y0, y2 the vertex lies within half a step of the middle one.
     Returns a list of (x_peak, height) sorted by x.
     """
+    import scipy.signal  # late import: only `fit rabi` finds peaks
+
     idx, _props = scipy.signal.find_peaks(y, prominence=min_prominence)
     peaks = []
     for i in idx:

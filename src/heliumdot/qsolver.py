@@ -6,20 +6,20 @@ discrete-variable representation (DVR; Colbert and Miller, J. Chem. Phys.
 96, 1982, 1992), whose levels converge spectrally for a smooth U and which
 ``qsolve`` and ``sweep freq`` use on 23 x 23 nodes by default, at most
 MAX_DENSE_NODES; or the sparse 3-point stencil with hard walls just outside
-the window.  Shift-invert Lanczos (ARPACK) from a seeded or caller-given
-start vector, so reruns are bit-identical, finds the lowest levels; the
-transition frequencies and the motional anharmonicity follow from them.
+the window.  One ``scipy.sparse.linalg.eigsh`` call finds the lowest
+levels by shift-invert Lanczos (ARPACK), with scipy's own factorization of
+H - sigma I, from a seeded or caller-given start vector, so reruns are
+bit-identical; the transition frequencies and the motional anharmonicity
+follow from them.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -33,8 +33,14 @@ WINDOW_FACTOR = 8.0
 MAX_DENSE_NODES = 2500
 
 
-def _check_dense_nodes(nx: int, ny: int) -> None:
-    if nx * ny > MAX_DENSE_NODES:
+def _check_grid(nx: int, ny: int, kinetic: str) -> None:
+    """A known kinetic, at least 3 nodes per axis, and at most MAX_DENSE_NODES
+    nodes for sinc."""
+    if nx < 3 or ny < 3:
+        raise DomainError("need at least 3 nodes per axis")
+    if kinetic not in ("fd2", "sinc"):
+        raise DomainError(f"kinetic must be 'fd2' or 'sinc', got {kinetic!r}")
+    if kinetic == "sinc" and nx * ny > MAX_DENSE_NODES:
         raise DomainError(f"a sinc grid holds at most {MAX_DENSE_NODES} nodes, "
                           f"got {nx} x {ny} = {nx * ny}")
 
@@ -85,12 +91,7 @@ def build_hamiltonian(
     x0, x1, y0, y1 = window
     if not (x1 > x0 and y1 > y0):
         raise DomainError("window must have positive extent")
-    if nx < 3 or ny < 3:
-        raise DomainError("need at least 3 nodes per axis")
-    if kinetic == "sinc":
-        _check_dense_nodes(nx, ny)
-    elif kinetic != "fd2":
-        raise DomainError(f"kinetic must be 'fd2' or 'sinc', got {kinetic!r}")
+    _check_grid(nx, ny, kinetic)
     x, y, u = sample_grid(field_, window, nx, ny)
     hx, hy = x[1] - x[0], y[1] - y[0]
     if not np.all(np.isfinite(u)):
@@ -139,14 +140,13 @@ def eigenstates(
     Lanczos starts from ``v0`` when given (one value per node, for example
     the sum of a nearby problem's eigenvectors), else from a vector drawn
     from ``seed``.  The shift sigma lies 5% of the potential range below
-    min U, so H - sigma I is symmetric positive definite (both kinetic
-    symbols, 2 - 2 cos t and t^2, are positive away from t = 0).  It is
-    factored once, dense by ``scipy.linalg.cho_factor`` and sparse by
-    ``splu`` in SuperLU's symmetric mode (minimum-degree ordering of A + A^T,
-    no off-diagonal pivoting: about half the fill of the COLAMD factor
-    ``eigsh`` would build), and the factor's solve is ``eigsh``'s ``OPinv``.
-    ARPACK stops at a relative Ritz tolerance of 1e-13, which keeps every
-    residual below about 1e-12 of the spectral span.
+    min U, so H - sigma I is positive definite (both kinetic symbols,
+    2 - 2 cos t and t^2, are positive away from t = 0).  ``eigsh`` factors
+    it once itself, by LAPACK LU when the matrix is dense (sinc) and by
+    SuperLU when it is sparse (fd2), and applies the factor's solve in
+    ARPACK's shift-invert mode.  ARPACK stops at a relative Ritz tolerance
+    of 1e-13, which keeps every residual below about 1e-12 of the spectral
+    span.
     """
     size = ham.matrix.shape[0]
     if not 1 <= k <= min(20, size - 2):
@@ -154,22 +154,7 @@ def eigenstates(
     if v0 is None:
         v0 = np.random.default_rng(seed).standard_normal(size)
     sigma = float(ham.u.min()) - 0.05 * float(ham.u.max() - ham.u.min() + 1.0e-30)
-    if sp.issparse(ham.matrix):
-        solve = spla.splu(
-            ham.matrix - sigma * sp.identity(size, format="csc"),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        ).solve
-    else:
-        factor = scipy.linalg.cho_factor(
-            ham.matrix - sigma * np.eye(size), overwrite_a=True, check_finite=False
-        )
-        solve = functools.partial(scipy.linalg.cho_solve, factor, check_finite=False)
-    op_inv = spla.LinearOperator((size, size), matvec=solve, dtype=float)
-    vals, vecs = spla.eigsh(
-        ham.matrix, k=k, sigma=sigma, which="LM", v0=v0, tol=1e-13, OPinv=op_inv
-    )
+    vals, vecs = spla.eigsh(ham.matrix, k=k, sigma=sigma, which="LM", v0=v0, tol=1e-13)
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     span = float(vals[-1] - vals[0]) if k > 1 else max(abs(float(vals[0])), 1e-300)
@@ -261,13 +246,14 @@ def frequency_vs_voltage(
     wanted subspace; the first point, and any point after a failed one,
     starts from the seeded vector.  The start vector depends only on earlier
     points, so reruns stay bit-identical.  Failures at single points are
-    recorded in the row flags instead of aborting the sweep; a ``k`` outside
-    3 to min(20, nx * ny - 2), or more than MAX_DENSE_NODES nodes, which no
-    point could solve, raises DomainError before the first point.
+    recorded in the row flags instead of aborting the sweep; a grid of fewer
+    than 3 nodes per axis or more than MAX_DENSE_NODES nodes, or a ``k``
+    outside 3 to min(20, nx * ny - 2), which no point could solve, raises
+    DomainError before the first point.
     """
+    _check_grid(nx, ny, "sinc")
     if not 3 <= k <= min(20, nx * ny - 2):
         raise DomainError("k must be between 3 and min(20, nx * ny - 2)")
-    _check_dense_nodes(nx, ny)
     rows, warm = [], None
     for volt in voltages:
         flags = []

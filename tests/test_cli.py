@@ -296,12 +296,53 @@ def test_dense_grid_over_node_cap_is_one_error(tmp_path, monkeypatch, capsys, ar
     assert [p.name for p in tmp_path.iterdir()] in ([], ["maps.json"])
 
 
+@pytest.mark.parametrize("nx", ["0", "2"])
+@pytest.mark.parametrize("command", ["qsolve", "sweep-freq"])
+def test_grid_under_three_nodes_is_one_error(tmp_path, monkeypatch, capsys, command, nx):
+    # one grid check in both commands: the sweep stops before its first point
+    # instead of writing a failed row per point, and before its k check
+    monkeypatch.chdir(tmp_path)
+    if command == "qsolve":
+        argv = ["qsolve", "--a1x", "1.1e-8", "--a1y", "1.1e-8", "--out", "levels.json"]
+    else:
+        argv = ["sweep", "freq", "--maps", _maps_file(tmp_path), "--electrode", "trap",
+                "--vmin", "0.25", "--vmax", "0.3", "--n", "2", "--out", "freq.csv"]
+    assert main(argv + ["--nx", nx, "--ny", "40"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [json.loads(line) for line in captured.err.splitlines()] == [
+        {"error": "DomainError", "message": "need at least 3 nodes per axis"}]
+    assert [p.name for p in tmp_path.iterdir()] in ([], ["maps.json"])
+
+
+def test_qsolve_flags_edge_minimum(capsys):
+    # a1x < 0 puts the x minimum on the window edge: the levels are printed,
+    # flagged as in the sweep's flags column
+    assert main(["qsolve", "--a1x=-1e-9", "--a1y", "1e-9", "--k", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["flags"] == ["edge_minimum"]
+    assert main(["qsolve", "--a1x", "1.1e-8", "--a1y", "1.1e-8", "--k", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["flags"] == []
+
+
+def test_cli_import_leaves_out_signal_and_stats():
+    # scipy.signal (and the scipy.stats it pulls in) serves only `fit rabi`'s
+    # peak finder, so no other command pays for importing it
+    script = ("import sys, heliumdot.cli\n"
+              "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), *filter(None, [env.get("PYTHONPATH")])])
+    done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.strip() == "[]"
+
+
 _PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 @pytest.mark.parametrize("threads", ["pinned", "default"])
 def test_level_commands_rerun_byte_identical_per_blas_threads(tmp_path, threads):
-    # the dense Cholesky factor and the residuals run in BLAS, which splits the
+    # the dense LU factor and the residuals run in BLAS, which splits the
     # work over the default thread count unless one thread is pinned; a new
     # process reads the setting at import
     maps = _dome_maps_file(tmp_path)

@@ -145,20 +145,21 @@ def test_eigenstates_match_dense_eigh_on_gridded_dome(kinetic):
 
 
 def test_eigenstates_factors_once(monkeypatch):
-    """One sparse LU per solve: eigsh must use the factor it is handed, not
-    build its own from the shift."""
+    """One factorization of H - sigma I per call on either kinetic path:
+    eigsh builds it from the shift, SuperLU for sparse and LAPACK LU for
+    dense, and reuses it for every Lanczos solve."""
+    arpack = sys.modules[spla.eigsh.__module__]
     calls = []
-    real_splu = spla.splu
+    for name in ("splu", "lu_factor"):
+        def counting(*args, _name=name, _real=getattr(arpack, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
 
-    def counting_splu(*args, **kwargs):
-        calls.append(1)
-        return real_splu(*args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", counting_splu)
-    # eigsh's own module binds splu at import; count its factorizations too
-    monkeypatch.setattr(sys.modules[spla.eigsh.__module__], "splu", counting_splu)
-    eigenstates(_small_dome_hamiltonian(), k=4, seed=0)
-    assert len(calls) == 1
+        monkeypatch.setattr(arpack, name, counting)
+    for kinetic, factor in (("fd2", "splu"), ("sinc", "lu_factor")):
+        calls.clear()
+        eigenstates(_small_dome_hamiltonian(kinetic), k=4, seed=0)
+        assert calls == [factor]
 
 
 def test_eigenstates_seeded_deterministic():
@@ -306,15 +307,16 @@ def test_frequency_sweep_records_failures():
 
 def test_frequency_sweep_warm_start_matches_cold_points(monkeypatch):
     """A sweep starts each point's Lanczos from the previous point's states:
-    the levels match cold single-point sweeps, with fewer OPinv solves."""
-    real_cho_solve = scipy.linalg.cho_solve
+    the levels match cold single-point sweeps, with fewer shift-invert solves."""
+    arpack = sys.modules[spla.eigsh.__module__]
+    real_lu_solve = arpack.lu_solve
     solves = []
 
-    def counting_cho_solve(*args, **kwargs):
+    def counting_lu_solve(*args, **kwargs):
         solves.append(1)
-        return real_cho_solve(*args, **kwargs)
+        return real_lu_solve(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "cho_solve", counting_cho_solve)
+    monkeypatch.setattr(arpack, "lu_solve", counting_lu_solve)
     maps = _dome_maps()
 
     def factory(v: float):
