@@ -126,10 +126,8 @@ def _cmd_synth(args: argparse.Namespace) -> None:
     trace = cavity.synthesize_trace(res, el, g, ct, probe, snr=args.snr, seed=args.seed)
     if args.format == "svg":
         svg = io.svg_line_plot(
-            probe / _GHZ,
-            {"|S21|": np.abs(trace.s21)},
-            xlabel="probe frequency (GHz)",
-            ylabel="|S21|",
+            probe / _GHZ, np.abs(trace.s21), "|S21|",
+            xlabel="probe frequency (GHz)", ylabel="|S21|",
         )
         io.write_text(args.out or "trace.svg", svg)
     else:
@@ -538,7 +536,8 @@ def main(argv: list[str] | None = None) -> int:
     float range (a square that overflows, a product that underflows to
     zero) can fail in plain float math.  Numpy's float errors (overflow,
     division by zero, an invalid operation such as inf - inf) raise
-    FloatingPointError, one of them, instead of printing a warning.
+    FloatingPointError, one of them, instead of printing a warning.  A size
+    flag too large to allocate is a MemoryError.
 
     A command writes its own output files and returns None, or returns a
     JSON payload, which gains the resolved ``config`` and goes to ``--out``
@@ -563,9 +562,12 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 sys.stdout.write(text)
         return 0
-    except (UsageError, DomainError, FormatError, FitError, OSError, ArithmeticError) as exc:
+    except (UsageError, DomainError, FormatError, FitError, OSError, ArithmeticError,
+            MemoryError) as exc:
+        # numpy's MemoryError is a private subclass; report the builtin name
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
         sys.stderr.write(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)},
+            json.dumps({"error": name, "message": str(exc)},
                        sort_keys=True) + "\n"
         )
         return 1

@@ -1,8 +1,10 @@
 """Few-electron clusters in an electrostatic trap and their coupled mode spectrum.
 
-A cluster is N electrons on the helium surface sharing one trap.  The total
-energy is the single-particle trap energy plus pairwise Coulomb repulsion;
-equilibrium configurations come from a seeded multi-start trust-region
+A cluster is N electrons on the helium surface sharing one trap, at most
+MAX_ELECTRONS.  The total energy is the single-particle trap energy plus
+pairwise Coulomb repulsion; its pair terms in energy, gradient and Hessian
+are broadcast over one (N, N) table of displacements and distances.
+Equilibrium configurations come from a seeded multi-start trust-region
 Newton descent (Steihaug truncated conjugate gradients on the analytic
 Hessian), in-plane vibrational modes from the mass-scaled Hessian, and the
 observable resonator pull from a classical coupled-oscillator eigenproblem
@@ -28,6 +30,10 @@ GRAD_TOL = 1e-28  # J/m
 MAX_ITER = 500  # trust-region iterations per descent run
 FLOOR_ULPS = 4.0  # Newton decrease [ulp of the energy] below which a stall is converged
 
+# Largest cluster: the 2N x 2N Hessian, like each (N, N, 2, 2) pair array,
+# is 8 * 2000^2 bytes = 32 MB.
+MAX_ELECTRONS = 1000
+
 
 # ---------------------------------------------------------------------------
 # energy, gradient, Hessian
@@ -35,8 +41,11 @@ FLOOR_ULPS = 4.0  # Newton decrease [ulp of the energy] below which a stall is c
 
 
 def _pair_diffs(positions: np.ndarray):
+    """Displacements r_i - r_j, shape (N, N, 2), and distances (N, N) with an
+    inf diagonal, so every pair term vanishes there."""
     diff = positions[:, None, :] - positions[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=-1))
+    np.fill_diagonal(dist, np.inf)
     return diff, dist
 
 
@@ -58,17 +67,12 @@ def total_energy(
     comes closer than MIN_SEPARATION.
     """
     pos = _check_positions(positions)
-    n = pos.shape[0]
-    if n == 0:
-        return 0.0
     u = float(np.sum(field_.energy(pos[:, 0], pos[:, 1])))
-    if n > 1:
-        _, dist = _pair_diffs(pos)
-        iu = np.triu_indices(n, k=1)
-        if np.any(dist[iu] < MIN_SEPARATION):
-            raise DomainError(f"electron pair closer than {MIN_SEPARATION} m")
-        u += float(constants.coulomb * constants.e**2 * np.sum(1.0 / dist[iu]))
-    return u
+    _, dist = _pair_diffs(pos)
+    if np.any(dist < MIN_SEPARATION):
+        raise DomainError(f"electron pair closer than {MIN_SEPARATION} m")
+    pairs = dist[np.triu_indices(pos.shape[0], k=1)]
+    return u + float(constants.coulomb * constants.e**2 * np.sum(1.0 / pairs))
 
 
 def total_gradient(
@@ -78,16 +82,9 @@ def total_gradient(
 ) -> np.ndarray:
     """Gradient of the total energy, shape (N, 2) [J/m]."""
     pos = _check_positions(positions)
-    n = pos.shape[0]
-    if n == 0:
-        return np.zeros((0, 2))
-    grad = field_.energy_gradient(pos)
-    if n > 1:
-        diff, dist = _pair_diffs(pos)
-        np.fill_diagonal(dist, np.inf)
-        ke2 = constants.coulomb * constants.e**2
-        grad = grad - ke2 * (diff / dist[:, :, None] ** 3).sum(axis=1)
-    return grad
+    diff, dist = _pair_diffs(pos)
+    ke2 = constants.coulomb * constants.e**2
+    return field_.energy_gradient(pos) - ke2 * (diff / dist[:, :, None] ** 3).sum(axis=1)
 
 
 def total_hessian(
@@ -95,23 +92,21 @@ def total_hessian(
     positions,
     constants: PhysicalConstants = CONSTANTS,
 ) -> np.ndarray:
-    """Analytic 2N x 2N Hessian of the total energy [J/m^2], symmetric."""
+    """Analytic 2N x 2N Hessian of the total energy [J/m^2], symmetric.
+
+    Pair (i, j) contributes the block B = k e^2 (3 d d^T / r^5 - I / r^3),
+    d = r_i - r_j: -B off the diagonal, and +B to both diagonal blocks.
+    """
     pos = _check_positions(positions)
     n = pos.shape[0]
-    hess = np.zeros((2 * n, 2 * n))
-    for i, block in enumerate(field_.energy_hessian(pos)):
-        hess[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] += block
-    ke2 = constants.coulomb * constants.e**2
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = pos[i] - pos[j]
-            r = float(np.hypot(d[0], d[1]))
-            block = ke2 * (3.0 * np.outer(d, d) / r**5 - np.eye(2) / r**3)
-            hess[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] += block
-            hess[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] += block
-            hess[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] -= block
-            hess[2 * j : 2 * j + 2, 2 * i : 2 * i + 2] -= block
-    return 0.5 * (hess + hess.T)
+    diff, dist = _pair_diffs(pos)
+    r = dist[:, :, None, None]
+    outer = diff[:, :, :, None] * diff[:, :, None, :]
+    pair = constants.coulomb * constants.e**2 * (3.0 * outer / r**5 - np.eye(2) / r**3)
+    hess = -pair.transpose(0, 2, 1, 3)  # (N, 2, N, 2)
+    idx = np.arange(n)
+    hess[idx, :, idx, :] = field_.energy_hessian(pos) + pair.sum(axis=1)
+    return hess.reshape(2 * n, 2 * n)
 
 
 # ---------------------------------------------------------------------------
@@ -132,22 +127,19 @@ class ElectronConfiguration:
 
 
 def _triangular_lattice(center: np.ndarray, spacing: float, n: int) -> np.ndarray:
-    """First n sites of a triangular lattice around center, nearest first."""
-    sites = []
+    """First n sites of a triangular lattice around center, nearest first;
+    ties go to the smaller x, then the smaller y."""
     reach = max(2, int(math.ceil(math.sqrt(n))) + 2)
-    for row in range(-reach, reach + 1):
-        for col in range(-reach, reach + 1):
-            x = (col + 0.5 * (row % 2)) * spacing
-            y = row * spacing * math.sqrt(3.0) / 2.0
-            sites.append((x * x + y * y, x, y))
-    sites.sort()
-    picked = np.array([[x, y] for _, x, y in sites[:n]])
-    return picked + center[None, :]
+    row, col = np.mgrid[-reach : reach + 1, -reach : reach + 1].reshape(2, -1)
+    x = (col + 0.5 * (row % 2)) * spacing
+    y = row * spacing * math.sqrt(3.0) / 2.0
+    picked = np.lexsort((y, x, x * x + y * y))[:n]
+    return np.stack([x[picked], y[picked]], axis=1) + center[None, :]
 
 
 def _check_counts(n_electrons: int, restarts: int) -> None:
-    if n_electrons < 0:
-        raise DomainError("n_electrons must be >= 0")
+    if not 0 <= n_electrons <= MAX_ELECTRONS:
+        raise DomainError(f"n_electrons must be in [0, {MAX_ELECTRONS}], got {n_electrons}")
     if restarts < 1:
         raise DomainError("restarts must be >= 1")
 
@@ -360,8 +352,7 @@ def coupled_spectrum(
     if modes.is_saddle:
         raise DomainError("coupled spectrum undefined at a saddle configuration")
     omega_r = res.omega_r
-    n_modes = modes.frequencies.size
-    if n_modes == 0:
+    if modes.frequencies.size == 0:
         return CoupledModes(
             frequencies=np.array([omega_r]), participations=np.array([1.0]),
             shift=0.0, mode_couplings=np.zeros(0),
@@ -369,13 +360,8 @@ def coupled_spectrum(
     g_i = electron_couplings(config, res, gradient_map, constants)
     y_components = modes.eigenvectors[1::2, :]  # rows: electron y coords
     g_k = y_components.T @ g_i
-    size = n_modes + 1
-    mat = np.zeros((size, size))
-    mat[0, 0] = omega_r**2
-    for k in range(n_modes):
-        mat[k + 1, k + 1] = modes.frequencies[k] ** 2
-        coupling = 2.0 * g_k[k] * math.sqrt(omega_r * modes.frequencies[k])
-        mat[0, k + 1] = mat[k + 1, 0] = coupling
+    mat = np.diag(np.concatenate(([omega_r**2], modes.frequencies**2)))
+    mat[0, 1:] = mat[1:, 0] = 2.0 * g_k * np.sqrt(omega_r * modes.frequencies)
     evals, evecs = np.linalg.eigh(mat)
     if evals[0] <= 0:
         raise DomainError("coupled spectrum collapsed: non-positive squared frequency")

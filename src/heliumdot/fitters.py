@@ -228,13 +228,9 @@ def _estimate_peak_and_width(probe: np.ndarray, mag: np.ndarray) -> tuple:
     power = mag**2
     i_pk = int(np.argmax(power))
     half = 0.5 * (power[i_pk] + float(np.median(power)))
-    above = power >= half
-    lo = i_pk
-    while lo > 0 and above[lo - 1]:
-        lo -= 1
-    hi = i_pk
-    while hi < probe.size - 1 and above[hi + 1]:
-        hi += 1
+    below = np.flatnonzero(power < half)
+    lo = below[below < i_pk].max(initial=-1) + 1
+    hi = below[below > i_pk].min(initial=probe.size) - 1
     width = probe[hi] - probe[lo]
     if width <= 0:
         width = (probe[-1] - probe[0]) / 10.0

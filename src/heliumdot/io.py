@@ -256,9 +256,6 @@ def write_compensation_json(
 # SVG line plots
 # ---------------------------------------------------------------------------
 
-_SVG_COLORS = ("#1f6fb2", "#d1495b", "#3e8e5a", "#8661a8", "#b07a28")
-
-
 def _ticks(lo: float, hi: float, n: int = 5):
     if hi <= lo:
         hi = lo + 1.0
@@ -279,19 +276,20 @@ def _ticks(lo: float, hi: float, n: int = 5):
 
 def svg_line_plot(
     x: np.ndarray,
-    series: Mapping[str, np.ndarray],
+    y: np.ndarray,
+    label: str,
     xlabel: str,
     ylabel: str,
 ) -> str:
-    """Minimal deterministic SVG line plot (no external renderer needed)."""
+    """Minimal deterministic SVG plot of one labelled line (no external
+    renderer needed); non-finite points are left out."""
     width, height = 640, 420
     x = np.asarray(x, dtype=float)
     margin_l, margin_r, margin_t, margin_b = 62, 16, 30, 46
     pw = width - margin_l - margin_r
     ph = height - margin_t - margin_b
-    ys = [np.asarray(v, dtype=float) for v in series.values()]
-    y_all = np.concatenate(ys) if ys else np.array([0.0, 1.0])
-    finite = y_all[np.isfinite(y_all)]
+    y = np.asarray(y, dtype=float)
+    finite = y[np.isfinite(y)]
     y_lo, y_hi = (float(finite.min()), float(finite.max())) if finite.size else (0.0, 1.0)
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
@@ -344,19 +342,15 @@ def svg_line_plot(
         f'font-family="sans-serif" font-size="12" '
         f'transform="rotate(-90 16 {margin_t + ph / 2:.6g})">{ylabel}</text>'
     )
-    for i, (label, yv) in enumerate(series.items()):
-        color = _SVG_COLORS[i % len(_SVG_COLORS)]
-        pts = " ".join(
-            f"{sx(xi):.6g},{sy(yi):.6g}"
-            for xi, yi in zip(x, yv)
-            if math.isfinite(yi)
-        )
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-        )
-        parts.append(
-            f'<text x="{margin_l + pw - 6}" y="{margin_t + 16 + 14 * i}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11" fill="{color}">{label}</text>'
-        )
+    pts = " ".join(
+        f"{sx(xi):.6g},{sy(yi):.6g}" for xi, yi in zip(x, y) if math.isfinite(yi)
+    )
+    parts.append(
+        f'<polyline points="{pts}" fill="none" stroke="#1f6fb2" stroke-width="1.5"/>'
+    )
+    parts.append(
+        f'<text x="{margin_l + pw - 6}" y="{margin_t + 16}" text-anchor="end" '
+        f'font-family="sans-serif" font-size="11" fill="#1f6fb2">{label}</text>'
+    )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

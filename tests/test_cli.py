@@ -296,6 +296,18 @@ def test_dense_grid_over_node_cap_is_one_error(tmp_path, monkeypatch, capsys, ar
     assert [p.name for p in tmp_path.iterdir()] in ([], ["maps.json"])
 
 
+def test_unallocatable_size_is_one_error(tmp_path, monkeypatch, capsys):
+    # a 7 PiB probe axis: the allocation fails at once, nothing large is made
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--points", "1000000000000000", "--out", "trace.csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "MemoryError"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("nx", ["0", "2"])
 @pytest.mark.parametrize("command", ["qsolve", "sweep-freq"])
 def test_grid_under_three_nodes_is_one_error(tmp_path, monkeypatch, capsys, command, nx):

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from heliumdot.cluster import (
+    MAX_ELECTRONS,
+    _triangular_lattice,
     coupled_spectrum,
     electron_couplings,
     minimize,
@@ -87,6 +89,67 @@ def test_hessian_matches_finite_difference():
         assert np.allclose(hess[a], fd, rtol=1e-4, atol=1e-12)
 
 
+def _loop_hessian(field, pos):
+    """Reference: the field blocks plus each pair's block, one pair at a time."""
+    n = pos.shape[0]
+    hess = np.zeros((2 * n, 2 * n))
+    for i, block in enumerate(field.energy_hessian(pos)):
+        hess[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] += block
+    ke2 = CONSTANTS.coulomb * CONSTANTS.e**2
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = pos[i] - pos[j]
+            r = float(np.hypot(d[0], d[1]))
+            block = ke2 * (3.0 * np.outer(d, d) / r**5 - np.eye(2) / r**3)
+            hess[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] += block
+            hess[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] += block
+            hess[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] -= block
+            hess[2 * j : 2 * j + 2, 2 * i : 2 * i + 2] -= block
+    return 0.5 * (hess + hess.T)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+@pytest.mark.parametrize("kind", ["quartic", "gridded"])
+def test_hessian_matches_pair_loop(kind, n):
+    field = (compose(_sweep_maps(), {"trap": 0.25}) if kind == "gridded"
+             else QuarticField(a1x=1e-3, a1y=2e-3, a2x=1e9, a2y=3e9))
+    pos = np.random.default_rng(n).uniform(-0.5e-6, 0.5e-6, size=(n, 2))
+    hess = total_hessian(field, pos)
+    ref = _loop_hessian(field, pos)
+    assert hess.shape == (2 * n, 2 * n)
+    assert np.array_equal(hess, hess.T)
+    assert np.abs(hess - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("kind", ["quartic", "gridded"])
+def test_no_pair_terms_below_two_electrons(kind, n):
+    field = (compose(_sweep_maps(), {"trap": 0.25}) if kind == "gridded"
+             else _harmonic(5.0, 8.0))
+    pos = np.full((n, 2), 30e-9)
+    assert total_energy(field, pos) == float(np.sum(field.energy(pos[:, 0], pos[:, 1])))
+    grad = total_gradient(field, pos)
+    assert grad.shape == (n, 2)
+    assert np.array_equal(grad, field.energy_gradient(pos))
+    hess = total_hessian(field, pos)
+    assert hess.shape == (2 * n, 2 * n)
+    assert np.array_equal(hess, field.energy_hessian(pos).reshape(2 * n, 2 * n))
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_triangular_lattice_nearest_first(n):
+    center = np.array([0.1e-6, -0.2e-6])
+    spacing = 30e-9
+    sites = []
+    for row in range(-9, 10):
+        for col in range(-9, 10):
+            x = (col + 0.5 * (row % 2)) * spacing
+            y = row * spacing * math.sqrt(3.0) / 2.0
+            sites.append((x * x + y * y, x, y))
+    ref = np.array([[x, y] for _, x, y in sorted(sites)[:n]]) + center
+    assert np.array_equal(_triangular_lattice(center, spacing, n), ref)
+
+
 # ---------------------------------------------------------------------------
 # minimization
 # ---------------------------------------------------------------------------
@@ -130,6 +193,12 @@ def test_minimize_deterministic():
 def test_minimize_validation():
     with pytest.raises(DomainError):
         minimize(_harmonic(5.0, 8.0), -1)
+
+
+def test_minimize_rejects_more_than_max_electrons():
+    # refused before the lattice and the pair arrays are built
+    with pytest.raises(DomainError, match="n_electrons"):
+        minimize(_harmonic(5.0, 8.0), MAX_ELECTRONS + 1)
 
 
 @pytest.mark.parametrize("restarts", [0, -5])

@@ -259,12 +259,14 @@ def test_compensation_json(tmp_path):
 
 def test_svg_plot_structure_and_determinism(tmp_path):
     x = np.linspace(0.0, 1.0, 20)
-    series = {"first": np.sin(x), "second": np.cos(x)}
-    svg1 = svg_line_plot(x, series, xlabel="x", ylabel="y")
-    svg2 = svg_line_plot(x, series, xlabel="x", ylabel="y")
+    svg1 = svg_line_plot(x, np.sin(x), "sin", xlabel="x", ylabel="y")
+    svg2 = svg_line_plot(x, np.sin(x), "sin", xlabel="x", ylabel="y")
     assert svg1 == svg2
     assert svg1.startswith("<svg")
-    assert svg1.count("<polyline") == 2
+    assert svg1.count("<polyline") == 1
+    points = svg1.split('points="', 1)[1].split('"', 1)[0].split()
+    assert len(points) == x.size
+    assert ">sin</text>" in svg1
     path = tmp_path / "plot.svg"
     write_text(str(path), svg1)
     assert path.read_text() == svg1
@@ -273,7 +275,7 @@ def test_svg_plot_structure_and_determinism(tmp_path):
 def test_svg_plot_skips_nonfinite_points():
     x = np.array([0.0, 1.0, 2.0, 3.0])
     y = np.array([0.0, math.nan, 4.0, 9.0])
-    svg = svg_line_plot(x, {"y": y}, xlabel="x", ylabel="y")
+    svg = svg_line_plot(x, y, "y", xlabel="x", ylabel="y")
     assert "nan" not in svg
     assert "NaN" not in svg
     assert "inf" not in svg
