@@ -186,9 +186,9 @@ def minimize(
     region = field_.scan_region
     span = min(region[1] - region[0], region[3] - region[2])
     if init is not None:
-        base = _check_positions(init).copy()
+        base = _check_positions(init)
     else:
-        center = scan_minimum(field_, region, 61)
+        center = scan_minimum(field_, 61)
         hess = field_.energy_hessian(center)
         curv = float(np.trace(hess)) / 2.0
         if curv <= 0:
@@ -196,8 +196,8 @@ def minimize(
         spacing = (constants.coulomb * constants.e**2 / curv) ** (1.0 / 3.0)
         spacing = float(np.clip(spacing, span / 50.0, span / 4.0))
         base = _triangular_lattice(center, spacing, n_electrons)
-    base[:, 0] = np.clip(base[:, 0], region[0], region[1])
-    base[:, 1] = np.clip(base[:, 1], region[2], region[3])
+    lo, hi = region[::2], region[1::2]
+    base = np.clip(base, lo, hi)
 
     def fun_and_grad(x: np.ndarray):
         # off the domain, or a gradient past the float range: infinite energy
@@ -217,11 +217,8 @@ def minimize(
                     float(np.ptp(base, axis=0).max()) or span / 10.0)
     best = None
     for r in range(restarts):
-        start = base.copy()
-        if r > 0:
-            start = start + rng.normal(0.0, scale, size=start.shape)
-            start[:, 0] = np.clip(start[:, 0], region[0], region[1])
-            start[:, 1] = np.clip(start[:, 1], region[2], region[3])
+        start = base if r == 0 else np.clip(
+            base + rng.normal(0.0, scale, size=base.shape), lo, hi)
         path = [start.ravel()]
         if not math.isfinite(fun_and_grad(path[0])[0]):
             continue  # scipy builds the Hessian at the start before any check
@@ -411,10 +408,10 @@ def shift_vs_voltage_sweep(
     Each point re-minimizes from the previous point's configuration with a
     single run; the first point, and any point after a failed one, starts
     cold with the full seeded multi-start.  A point whose equilibrium is a
-    saddle, or whose field, minimum or coupled spectrum raises DomainError,
-    is recorded with shift = nan and converged=False instead of aborting the
-    sweep; a raised error is named in the row's flags as
-    ``failed:<ErrorName>``.  An electrode name the maps lack raises
+    saddle, or whose field, minimum or spectrum raises DomainError or a float
+    error (ArithmeticError), is recorded with shift = nan and converged=False
+    instead of aborting the sweep; a raised error is named in the row's flags
+    as ``failed:<ErrorName>``.  An electrode name the maps lack raises
     DomainError before the first point.
     """
     _check_counts(n_electrons, restarts)
@@ -439,7 +436,7 @@ def shift_vs_voltage_sweep(
             modes = normal_modes(field_, config, constants)
             shift = math.nan if modes.is_saddle else coupled_spectrum(
                 modes, config, res, gradient_map, constants).shift
-        except DomainError as exc:
+        except (DomainError, ArithmeticError) as exc:
             shift, flags = math.nan, (f"failed:{type(exc).__name__}",)
         else:
             flags = ()

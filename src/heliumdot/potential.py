@@ -14,8 +14,11 @@ Every field is a PotentialField: GriddedField (what ``compose`` returns)
 interpolates tabulated maps with a bicubic spline and differentiates the
 spline exactly; QuarticField is a quartic polynomial surrogate with
 closed-form derivatives, useful for oracles and solver cross-checks.
-``sample_grid``, ``edge_ring`` and ``scan_minimum`` are the grid scans the
-level and cluster solvers share.  Every field parameter must be finite.
+Values live on a map's ``domain``, derivatives on a field's ``scan_region``
+(the map less one cell); both are fixed at construction, and a field query
+checks its region once and makes one spline pass.  ``sample_grid``,
+``edge_ring`` and ``scan_minimum`` are the grid scans the level and cluster
+solvers share.  Every field parameter must be finite.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -52,34 +56,50 @@ def _require_axis(values, name: str) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class CouplingMapSet:
-    """Per-electrode lever-arm grids alpha_i(x, y) on a shared rectangular grid.
-
-    Grids are row-major [ny, nx]: first index follows y_axis, second x_axis.
-    Axes are in meters.  ``resonator_gradient`` optionally carries the
-    differential lever-arm derivative map used for electron-photon coupling.
-    """
+class _Grid:
+    """Strictly increasing axes [m] of row-major [ny, nx] grids, y first."""
 
     x_axis: np.ndarray
     y_axis: np.ndarray
-    grids: dict
-    resonator_gradient: "CouplingGradientMap | None" = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x_axis", _require_axis(self.x_axis, "x_axis"))
         object.__setattr__(self, "y_axis", _require_axis(self.y_axis, "y_axis"))
+
+    @cached_property
+    def domain(self) -> tuple:
+        """(x0, x1, y0, y1) in meters."""
+        return (self.x_axis[0], self.x_axis[-1], self.y_axis[0], self.y_axis[-1])
+
+    def _require_grid(self, values, name: str) -> np.ndarray:
+        """values as a float array of the axes' shape with finite entries."""
+        arr = _float_array(values, name)
+        shape = (self.y_axis.size, self.x_axis.size)
+        if arr.shape != shape:
+            raise FormatError(f"{name}: grid shape {arr.shape} does not match axes {shape}")
+        if not np.all(np.isfinite(arr)):
+            raise FormatError(f"{name}: non-finite map values")
+        return arr
+
+
+@dataclass(frozen=True, eq=False)
+class CouplingMapSet(_Grid):
+    """Per-electrode lever-arm grids alpha_i(x, y) on a shared rectangular grid.
+
+    ``resonator_gradient`` optionally carries the differential lever-arm
+    derivative map used for electron-photon coupling.
+    """
+
+    grids: dict
+    resonator_gradient: "CouplingGradientMap | None" = None
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
         if not self.grids:
             raise FormatError("coupling map set has no electrodes")
-        shape = (self.y_axis.size, self.x_axis.size)
         clean = {}
         for name, grid in self.grids.items():
-            arr = _float_array(grid, f"electrode {name!r}")
-            if arr.shape != shape:
-                raise FormatError(
-                    f"electrode {name!r}: grid shape {arr.shape} does not match axes {shape}"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise FormatError(f"electrode {name!r}: non-finite map values")
+            arr = self._require_grid(grid, f"electrode {name!r}")
             if arr.min() < -ALPHA_TOL or arr.max() > 1.0 + ALPHA_TOL:
                 raise FormatError(
                     f"electrode {name!r}: lever arm outside [{-ALPHA_TOL}, {1 + ALPHA_TOL}] "
@@ -99,38 +119,25 @@ class CouplingMapSet:
             raise DomainError(f"unknown electrodes {unknown}; the maps define "
                               f"{sorted(self.grids)}")
 
-    @property
-    def domain(self) -> tuple:
-        """(x0, x1, y0, y1) in meters."""
-        return (self.x_axis[0], self.x_axis[-1], self.y_axis[0], self.y_axis[-1])
-
 
 @dataclass(frozen=True, eq=False)
-class CouplingGradientMap:
+class CouplingGradientMap(_Grid):
     """Differential resonator lever-arm derivative d(alpha-)/dy on a grid [1/m],
     interpolated bilinearly (a degree-1 spline through the nodes)."""
 
-    x_axis: np.ndarray
-    y_axis: np.ndarray
     grid: np.ndarray
     _spline: RectBivariateSpline = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x_axis", _require_axis(self.x_axis, "x_axis"))
-        object.__setattr__(self, "y_axis", _require_axis(self.y_axis, "y_axis"))
-        arr = _float_array(self.grid, "gradient map")
-        if arr.shape != (self.y_axis.size, self.x_axis.size):
-            raise FormatError("gradient map shape does not match axes")
-        if not np.all(np.isfinite(arr)):
-            raise FormatError("gradient map has non-finite values")
+        super().__post_init__()
+        arr = self._require_grid(self.grid, "gradient map")
         object.__setattr__(self, "grid", arr)
         spline = RectBivariateSpline(self.x_axis, self.y_axis, arr.T, kx=1, ky=1)
         object.__setattr__(self, "_spline", spline)
 
     def value_at(self, x, y):
         """Interpolated derivative [1/m]; DomainError outside the grid."""
-        domain = (self.x_axis[0], self.x_axis[-1], self.y_axis[0], self.y_axis[-1])
-        return _spline_eval(self._spline, x, y, domain)
+        return _spline_eval(self._spline, x, y, self.domain)[0]
 
 
 def uniform_gradient_map(domain: tuple, value: float) -> CouplingGradientMap:
@@ -178,13 +185,14 @@ def _require_inside(region, x, y) -> None:
         raise DomainError("query point outside the map domain")
 
 
-def _spline_eval(spline: RectBivariateSpline, x, y, region, dx=0, dy=0):
-    """Spline value or partial derivative at broadcast x, y inside region;
-    a float for scalar queries."""
+def _spline_eval(spline: RectBivariateSpline, x, y, region, orders=((0, 0),)) -> list:
+    """The spline's (dx, dy) derivative for each of ``orders`` at broadcast
+    x, y inside region, checked once; floats for scalar queries."""
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     _require_inside(region, x, y)
-    out = spline.ev(x.ravel(), y.ravel(), dx=dx, dy=dy).reshape(x.shape)
-    return float(out) if out.ndim == 0 else out
+    xs, ys = x.ravel(), y.ravel()
+    outs = [spline.ev(xs, ys, dx=dx, dy=dy).reshape(x.shape) for dx, dy in orders]
+    return [float(out) if out.ndim == 0 else out for out in outs]
 
 
 def _require_finite(params: Mapping[str, float]) -> None:
@@ -278,7 +286,7 @@ class GriddedField(PotentialField):
         spline = RectBivariateSpline(self.maps.x_axis, self.maps.y_axis, w.T, kx=kx, ky=ky)
         object.__setattr__(self, "_spline", spline)
 
-    @property
+    @cached_property
     def scan_region(self) -> tuple:
         """The map domain less one cell per side."""
         x0, x1, y0, y1 = self.maps.domain
@@ -287,24 +295,19 @@ class GriddedField(PotentialField):
         return (x0 + dx, x1 - dx, y0 + dy, y1 - dy)
 
     def _base(self, x, y):
-        return _spline_eval(self._spline, x, y, self.maps.domain)
+        return _spline_eval(self._spline, x, y, self.maps.domain)[0]
 
     def energy_gradient(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        x, y = pts[..., 0], pts[..., 1]
-        region = self.scan_region
+        fx, fy = _spline_eval(self._spline, pts[..., 0], pts[..., 1], self.scan_region,
+                              ((1, 0), (0, 1)))
         e = self.constants.e
-        gx = -e * (_spline_eval(self._spline, x, y, region, dx=1) + self.e_x)
-        gy = -e * (_spline_eval(self._spline, x, y, region, dy=1) + self.e_y)
-        return np.stack([gx, gy], axis=-1)
+        return np.stack([-e * (fx + self.e_x), -e * (fy + self.e_y)], axis=-1)
 
     def energy_hessian(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        x, y = pts[..., 0], pts[..., 1]
-        region = self.scan_region
-        fxx = _spline_eval(self._spline, x, y, region, dx=2)
-        fxy = _spline_eval(self._spline, x, y, region, dx=1, dy=1)
-        fyy = _spline_eval(self._spline, x, y, region, dy=2)
+        fxx, fxy, fyy = _spline_eval(self._spline, pts[..., 0], pts[..., 1], self.scan_region,
+                                     ((2, 0), (1, 1), (0, 2)))
         return -self.constants.e * _sym2(fxx, fxy, fyy)
 
 
@@ -394,8 +397,9 @@ def edge_ring(shape: tuple) -> np.ndarray:
     return edge
 
 
-def scan_minimum(field_: PotentialField, region: tuple, samples: int) -> np.ndarray:
-    """(x, y) [m] of the lowest U on a samples x samples grid over region."""
-    xs, ys, u = sample_grid(field_, region, samples)
+def scan_minimum(field_: PotentialField, samples: int) -> np.ndarray:
+    """(x, y) [m] of the lowest U on a samples x samples grid over the field's
+    scan region."""
+    xs, ys, u = sample_grid(field_, field_.scan_region, samples)
     iy, ix = np.unravel_index(int(np.argmin(u)), u.shape)
     return np.array([xs[ix], ys[iy]])

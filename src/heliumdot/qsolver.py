@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -48,10 +49,9 @@ def _check_grid(nx: int, ny: int, kinetic: str) -> None:
 def _sinc_kinetic(n: int, h: float) -> np.ndarray:
     """Sinc-DVR -d^2/dx^2 on n nodes of spacing h: pi^2/3 on the diagonal and
     2 (-1)^(i-j) / (i-j)^2 off it, over h^2."""
-    d = np.subtract.outer(np.arange(n), np.arange(n))
-    off = np.where(d % 2, -2.0, 2.0) / np.maximum(d * d, 1)
-    np.fill_diagonal(off, math.pi**2 / 3.0)
-    return off / h**2
+    k = np.arange(1, n)
+    first = np.concatenate(([math.pi**2 / 3.0], np.where(k % 2, -2.0, 2.0) / (k * k)))
+    return scipy.linalg.toeplitz(first) / h**2
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,14 +208,11 @@ def auto_window(field_: PotentialField, constants: PhysicalConstants = CONSTANTS
     Clipped to the field's scan region.
     """
     region = field_.scan_region
-    cx, cy = scan_minimum(field_, region, 121)
-    curvs = np.clip(np.diag(field_.energy_hessian((cx, cy))), 1e-30, None)
-    half_x, half_y = WINDOW_FACTOR * np.sqrt(constants.hbar / np.sqrt(constants.m_e * curvs))
-    wx0 = max(cx - half_x, region[0])
-    wx1 = min(cx + half_x, region[1])
-    wy0 = max(cy - half_y, region[2])
-    wy1 = min(cy + half_y, region[3])
-    return (wx0, wx1, wy0, wy1)
+    center = scan_minimum(field_, 121)
+    curvs = np.clip(np.diag(field_.energy_hessian(center)), 1e-30, None)
+    half = WINDOW_FACTOR * np.sqrt(constants.hbar / np.sqrt(constants.m_e * curvs))
+    lo, hi = np.clip([center - half, center + half], region[::2], region[1::2])
+    return (lo[0], hi[0], lo[1], hi[1])
 
 
 @dataclass(frozen=True)
@@ -245,9 +242,10 @@ def frequency_vs_voltage(
     from the sum of the previous point's eigenvectors, which lies near the
     wanted subspace; the first point, and any point after a failed one,
     starts from the seeded vector.  The start vector depends only on earlier
-    points, so reruns stay bit-identical.  Failures at single points are
-    recorded in the row flags instead of aborting the sweep; a grid of fewer
-    than 3 nodes per axis or more than MAX_DENSE_NODES nodes, or a ``k``
+    points, so reruns stay bit-identical.  Failures at single points (a
+    DomainError, ARPACK's RuntimeError, a float error) are recorded in the
+    row flags instead of aborting the sweep; a grid of fewer than 3 nodes
+    per axis or more than MAX_DENSE_NODES nodes, or a ``k``
     outside 3 to min(20, nx * ny - 2), which no point could solve, raises
     DomainError before the first point.
     """
@@ -270,7 +268,7 @@ def frequency_vs_voltage(
             f01, f12, alpha = tset.omega_01.hz, tset.omega_12.hz, tset.alpha_hz
             residual = float(sol.residuals.max())
             warm = np.sum(sol.states, axis=0).ravel()
-        except (DomainError, RuntimeError) as exc:
+        except (DomainError, RuntimeError, ArithmeticError) as exc:
             warm = None
             flags.append(f"failed:{type(exc).__name__}")
         rows.append(FrequencySweepRow(float(volt), f01, f12, alpha, residual, tuple(flags)))

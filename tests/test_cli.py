@@ -858,6 +858,27 @@ def test_sweep_shift_records_float_range_voltage(tmp_path, capsys):
 
 
 
+def _data_rows(path):
+    return [ln for ln in path.read_text().splitlines() if not ln.startswith("#")][1:]
+
+
+@pytest.mark.parametrize("kind, vmax", [("freq", "1e100"), ("shift", "1e250")])
+def test_sweep_records_float_error_per_point(tmp_path, capsys, kind, vmax):
+    # on the benchmark dome a huge voltage trips a numpy float error (a
+    # FloatingPointError under main's errstate) inside that point's solve:
+    # the point fails alone, and the 0.25 V point reads as if swept alone
+    common = ["sweep", kind, "--maps", _dome_maps_file(tmp_path), "--electrode", "trap",
+              "--vmin", "0.25"]
+    out, alone = tmp_path / "sweep.csv", tmp_path / "alone.csv"
+    assert main([*common, "--vmax", vmax, "--n", "2", "--out", str(out)]) == 0
+    assert main([*common, "--vmax", "0.25", "--n", "1", "--out", str(alone)]) == 0
+    assert capsys.readouterr().err == ""
+    assert _data_rows(out)[0] == _data_rows(alone)[0]
+    trap, huge = _csv_rows(out)
+    assert huge["flags"].split(";")[-1] == "failed:FloatingPointError"
+    assert trap["flags"] == ""
+
+
 @pytest.mark.parametrize("kind", ["freq", "shift"])
 @pytest.mark.parametrize("names", [["--electrode", "nosuch"],
                                    ["--electrode", "trap", "--voltage", "bogus=1"]],

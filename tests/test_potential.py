@@ -6,6 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from scipy.interpolate import RectBivariateSpline
+
+from heliumdot import potential
 from heliumdot.core import CONSTANTS, DomainError, FormatError
 from heliumdot.potential import (
     CouplingGradientMap,
@@ -144,6 +147,69 @@ def test_gridded_gradient_and_hessian_match_finite_differences():
     assert hess[0, 1] == hess[1, 0]
 
 
+_QUERIES = {
+    "many": np.random.default_rng(5).uniform(-0.7e-6, 0.7e-6, size=(6, 2)),
+    "one": np.array([0.21e-6, -0.13e-6]),
+    "block": np.random.default_rng(6).uniform(-0.7e-6, 0.7e-6, size=(3, 4, 2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_QUERIES))
+def test_gridded_derivatives_are_the_spline_bit_for_bit(case):
+    # the spline fitted directly to the composed grid, evaluated one partial
+    # derivative at a time, gives the very same bits as the one-pass query
+    maps = _dome_maps()
+    f = compose(maps, {"trap": 0.3, "guard": 0.1}, e_x=-40.0, e_y=150.0)
+    w = np.zeros((maps.y_axis.size, maps.x_axis.size))
+    w += 0.3 * maps.grids["trap"]
+    w += 0.1 * maps.grids["guard"]
+    spline = RectBivariateSpline(maps.x_axis, maps.y_axis, w.T)
+    pts = _QUERIES[case]
+    x, y = pts[..., 0].ravel(), pts[..., 1].ravel()
+
+    def ev(dx, dy):
+        return spline.ev(x, y, dx=dx, dy=dy).reshape(pts.shape[:-1])
+
+    e = CONSTANTS.e
+    grad = np.stack([-e * (ev(1, 0) + f.e_x), -e * (ev(0, 1) + f.e_y)], axis=-1)
+    hess = -e * np.stack([np.stack([ev(2, 0), ev(1, 1)], axis=-1),
+                          np.stack([ev(1, 1), ev(0, 2)], axis=-1)], axis=-2)
+    assert np.array_equal(f.energy_gradient(pts), grad)
+    assert np.array_equal(f.energy_hessian(pts), hess)
+
+
+def test_scalar_queries_return_floats():
+    maps = _dome_maps()
+    f = compose(maps, {"trap": 0.3}, e_y=150.0)
+    assert isinstance(f.evaluate(0.2e-6, -0.1e-6), float)
+    assert np.ndim(f.evaluate(0.2e-6, -0.1e-6)) == 0
+    gm = uniform_gradient_map(maps.domain, 0.46e6)
+    assert type(gm.value_at(0.3e-6, -0.7e-6)) is float
+
+
+def test_each_derivative_query_checks_its_region_once(monkeypatch):
+    f = compose(_dome_maps(), {"trap": 0.3})
+    calls = []
+    check = potential._require_inside
+    monkeypatch.setattr(potential, "_require_inside",
+                        lambda *args: calls.append(1) or check(*args))
+    pts = _QUERIES["many"]
+    f.energy_gradient(pts)
+    assert len(calls) == 1
+    f.energy_hessian(pts)
+    assert len(calls) == 2
+
+
+def test_regions_are_computed_once():
+    maps = _dome_maps()
+    f = compose(maps, {"trap": 0.3})
+    assert maps.domain is maps.domain
+    assert f.scan_region is f.scan_region
+    dx = maps.x_axis[1] - maps.x_axis[0]
+    assert f.scan_region == pytest.approx(
+        (maps.domain[0] + dx, maps.domain[1] - dx, maps.domain[2] + dx, maps.domain[3] - dx))
+
+
 def test_gradient_stencil_near_edge_raises():
     f = compose(_dome_maps(), {"trap": 0.3})
     with pytest.raises(DomainError):
@@ -219,7 +285,7 @@ def test_field_protocol(case):
         np.testing.assert_allclose(hess, fd_hess, rtol=1e-4, atol=1e-9 * np.abs(fd_hess).max())
     region = f.scan_region
     samples = 81
-    found = scan_minimum(f, region, samples)
+    found = scan_minimum(f, samples)
     steps = ((region[1] - region[0]) / (samples - 1), (region[3] - region[2]) / (samples - 1))
     assert abs(found[0] - minimum[0]) <= steps[0]
     assert abs(found[1] - minimum[1]) <= steps[1]
@@ -250,12 +316,13 @@ def test_uniform_gradient_map_constant_everywhere():
 
 def test_gradient_map_validation():
     x = np.linspace(-1e-6, 1e-6, 4)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="gradient map"):
         CouplingGradientMap(x, x, np.zeros((3, 4)))
-    bad = np.zeros((4, 4))
-    bad[0, 0] = np.inf
-    with pytest.raises(FormatError):
-        CouplingGradientMap(x, x, bad)
+    for value in (np.inf, np.nan):
+        bad = np.zeros((4, 4))
+        bad[0, 0] = value
+        with pytest.raises(FormatError, match="gradient map"):
+            CouplingGradientMap(x, x, bad)
 
 
 # ---------------------------------------------------------------------------
