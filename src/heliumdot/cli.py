@@ -33,6 +33,11 @@ from .core import (
 _GHZ = 1e9 * TWO_PI
 _MHZ = 1e6 * TWO_PI
 
+# Largest size flags, refused before anything is allocated; far above the
+# defaults of 801 probe points and 11 sweep points.
+MAX_PROBE_POINTS = 1_000_000  # synth --points: a few 16 MB complex arrays
+MAX_SWEEP_POINTS = 10_000  # sweep freq|shift --n: one solve or descent each
+
 
 class UsageError(Exception):
     """A command line that does not parse."""
@@ -89,8 +94,8 @@ def _probe_axis(args: argparse.Namespace, center: float) -> np.ndarray:
     if args.center_ghz is not None:
         center = args.center_ghz * _GHZ
     lo, hi = center - span / 2, center + span / 2
-    if args.points < 2:
-        raise DomainError(f"--points must be at least 2, got {args.points}")
+    if not 2 <= args.points <= MAX_PROBE_POINTS:
+        raise DomainError(f"--points must be in [2, {MAX_PROBE_POINTS}], got {args.points}")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError("--center-ghz and --span-mhz must give a finite, non-empty band")
     return np.linspace(lo, hi, args.points)
@@ -195,8 +200,8 @@ def _base_voltages(args: argparse.Namespace) -> dict:
 
 
 def _sweep_voltages(args: argparse.Namespace) -> np.ndarray:
-    if args.n < 1:
-        raise DomainError(f"--n must be at least 1, got {args.n}")
+    if not 1 <= args.n <= MAX_SWEEP_POINTS:
+        raise DomainError(f"--n must be in [1, {MAX_SWEEP_POINTS}], got {args.n}")
     if not (math.isfinite(args.vmin) and math.isfinite(args.vmax)):
         raise DomainError("--vmin and --vmax must be finite")
     return np.linspace(args.vmin, args.vmax, args.n)

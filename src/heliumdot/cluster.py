@@ -3,12 +3,20 @@
 A cluster is N electrons on the helium surface sharing one trap, at most
 MAX_ELECTRONS.  The total energy is the single-particle trap energy plus
 pairwise Coulomb repulsion; its pair terms in energy, gradient and Hessian
-are broadcast over one (N, N) table of displacements and distances.
+are broadcast over one (..., N, N) table of displacements and distances,
+for one configuration (N, 2) or a stack of them (..., N, 2).
+
 Equilibrium configurations come from a seeded multi-start trust-region
 Newton descent (Steihaug truncated conjugate gradients on the analytic
-Hessian), in-plane vibrational modes from the mass-scaled Hessian, and the
-observable resonator pull from a classical coupled-oscillator eigenproblem
-between the resonator mode and every cluster mode.
+Hessian).  All restarts of one minimisation descend together as one
+(R, N, 2) batch: each iteration makes one energy, gradient and Hessian
+query over the live restarts, and each restart keeps its own trust radius
+and stops on its own.  The field's scan region is the descent's domain; a
+restart that leaves it, or brings a pair closer than MIN_SEPARATION, is
+masked out of the query as infinite energy.  In-plane vibrational modes
+come from the mass-scaled Hessian, and the observable resonator pull from a
+classical coupled-oscillator eigenproblem between the resonator mode and
+every cluster mode.
 """
 
 from __future__ import annotations
@@ -18,7 +26,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.optimize
 
 from .analytic import coupling_g
 from .core import CONSTANTS, DomainError, PhysicalConstants, ResonatorParams
@@ -27,12 +34,18 @@ from .potential import CouplingGradientMap, CouplingMapSet, PotentialField, comp
 # Electrons closer than this are a modeling error, not a physical configuration.
 MIN_SEPARATION = 1e-9  # m
 GRAD_TOL = 1e-28  # J/m
-MAX_ITER = 500  # trust-region iterations per descent run
+MAX_ITER = 500  # trust-region iterations per restart
 FLOOR_ULPS = 4.0  # Newton decrease [ulp of the energy] below which a stall is converged
+ETA = 0.15  # least actual / predicted decrease ratio of an accepted step
+MAX_RADIUS = 1000.0  # m, trust-radius cap (scipy's default); no scan region comes near it
 
 # Largest cluster: the 2N x 2N Hessian, like each (N, N, 2, 2) pair array,
 # is 8 * 2000^2 bytes = 32 MB.
 MAX_ELECTRONS = 1000
+# Largest descent batch: a minimize call holds restarts * (2N)^2 * 8 bytes
+# of Hessians, and as much in each (restarts, N, N, 2, 2) pair array; the
+# default 8 restarts of MAX_ELECTRONS electrons take 256 MB.
+MAX_BATCH_BYTES = 8 * (2 * MAX_ELECTRONS) ** 2 * 8
 
 
 # ---------------------------------------------------------------------------
@@ -41,18 +54,19 @@ MAX_ELECTRONS = 1000
 
 
 def _pair_diffs(positions: np.ndarray):
-    """Displacements r_i - r_j, shape (N, N, 2), and distances (N, N) with an
-    inf diagonal, so every pair term vanishes there."""
-    diff = positions[:, None, :] - positions[None, :, :]
+    """Displacements r_i - r_j, shape (..., N, N, 2), and distances (..., N, N)
+    with an inf diagonal, so every pair term vanishes there."""
+    diff = positions[..., :, None, :] - positions[..., None, :, :]
     dist = np.sqrt((diff**2).sum(axis=-1))
-    np.fill_diagonal(dist, np.inf)
+    idx = np.arange(positions.shape[-2])
+    dist[..., idx, idx] = np.inf
     return diff, dist
 
 
 def _check_positions(positions) -> np.ndarray:
     pos = np.asarray(positions, dtype=float)
-    if pos.ndim != 2 or pos.shape[1] != 2:
-        raise DomainError("positions must have shape (N, 2)")
+    if pos.ndim < 2 or pos.shape[-1] != 2:
+        raise DomainError("positions must have shape (N, 2) or (..., N, 2)")
     return pos
 
 
@@ -60,19 +74,23 @@ def total_energy(
     field_: PotentialField,
     positions,
     constants: PhysicalConstants = CONSTANTS,
-) -> float:
-    """Trap plus Coulomb energy of a configuration [J].
+):
+    """Trap plus Coulomb energy of a configuration [J]: a float for positions
+    of shape (N, 2), an array of shape (...) for a stack (..., N, 2).
 
     Raises DomainError when any electron leaves the field domain or any pair
     comes closer than MIN_SEPARATION.
     """
     pos = _check_positions(positions)
-    u = float(np.sum(field_.energy(pos[:, 0], pos[:, 1])))
+    u = field_.energy(pos[..., 0], pos[..., 1]).sum(axis=-1)
     _, dist = _pair_diffs(pos)
     if np.any(dist < MIN_SEPARATION):
         raise DomainError(f"electron pair closer than {MIN_SEPARATION} m")
-    pairs = dist[np.triu_indices(pos.shape[0], k=1)]
-    return u + float(constants.coulomb * constants.e**2 * np.sum(1.0 / pairs))
+    # contiguous rows, so each sums in the order a single configuration's does
+    iu, ju = np.triu_indices(pos.shape[-2], k=1)
+    pairs = np.ascontiguousarray(dist[..., iu, ju])
+    energy = u + constants.coulomb * constants.e**2 * (1.0 / pairs).sum(axis=-1)
+    return float(energy) if np.ndim(energy) == 0 else energy
 
 
 def total_gradient(
@@ -80,11 +98,11 @@ def total_gradient(
     positions,
     constants: PhysicalConstants = CONSTANTS,
 ) -> np.ndarray:
-    """Gradient of the total energy, shape (N, 2) [J/m]."""
+    """Gradient of the total energy, shape (..., N, 2) like positions [J/m]."""
     pos = _check_positions(positions)
     diff, dist = _pair_diffs(pos)
     ke2 = constants.coulomb * constants.e**2
-    return field_.energy_gradient(pos) - ke2 * (diff / dist[:, :, None] ** 3).sum(axis=1)
+    return field_.energy_gradient(pos) - ke2 * (diff / dist[..., None] ** 3).sum(axis=-2)
 
 
 def total_hessian(
@@ -92,21 +110,22 @@ def total_hessian(
     positions,
     constants: PhysicalConstants = CONSTANTS,
 ) -> np.ndarray:
-    """Analytic 2N x 2N Hessian of the total energy [J/m^2], symmetric.
+    """Analytic 2N x 2N Hessian of the total energy [J/m^2], symmetric; shape
+    (..., 2N, 2N) for a stack (..., N, 2).
 
     Pair (i, j) contributes the block B = k e^2 (3 d d^T / r^5 - I / r^3),
     d = r_i - r_j: -B off the diagonal, and +B to both diagonal blocks.
     """
     pos = _check_positions(positions)
-    n = pos.shape[0]
+    n = pos.shape[-2]
     diff, dist = _pair_diffs(pos)
-    r = dist[:, :, None, None]
-    outer = diff[:, :, :, None] * diff[:, :, None, :]
+    r = dist[..., None, None]
+    outer = diff[..., :, None] * diff[..., None, :]
     pair = constants.coulomb * constants.e**2 * (3.0 * outer / r**5 - np.eye(2) / r**3)
-    hess = -pair.transpose(0, 2, 1, 3)  # (N, 2, N, 2)
+    hess = -pair  # (..., N, N, 2, 2)
     idx = np.arange(n)
-    hess[idx, :, idx, :] = field_.energy_hessian(pos) + pair.sum(axis=1)
-    return hess.reshape(2 * n, 2 * n)
+    hess[..., idx, idx, :, :] = field_.energy_hessian(pos) + pair.sum(axis=-3)
+    return hess.swapaxes(-3, -2).reshape(*pos.shape[:-2], 2 * n, 2 * n)
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +161,12 @@ def _check_counts(n_electrons: int, restarts: int) -> None:
         raise DomainError(f"n_electrons must be in [0, {MAX_ELECTRONS}], got {n_electrons}")
     if restarts < 1:
         raise DomainError("restarts must be >= 1")
+    footprint = int(restarts) * (2 * int(n_electrons)) ** 2 * 8
+    if footprint > MAX_BATCH_BYTES:
+        raise DomainError(
+            f"{restarts} restarts of {n_electrons} electrons need {footprint} bytes "
+            f"of Hessians, over the {MAX_BATCH_BYTES}-byte cap"
+        )
 
 
 def _newton_decrease(grad: np.ndarray, hess: np.ndarray) -> float:
@@ -150,6 +175,179 @@ def _newton_decrease(grad: np.ndarray, hess: np.ndarray) -> float:
         return 0.5 * abs(float(grad @ np.linalg.solve(hess, grad)))
     except np.linalg.LinAlgError:
         return math.inf
+
+
+def _query(field_: PotentialField, positions: np.ndarray, constants: PhysicalConstants):
+    """Energy (R,) [J] and flat gradient (R, 2N) [J/m] of each configuration
+    of a stack (R, N, 2), from one total_energy and one total_gradient call.
+
+    A configuration with an electron outside the field's scan region or a
+    pair closer than MIN_SEPARATION is masked out before the query; it, and
+    one whose gradient is not finite, gets infinite energy and a zero
+    gradient, so it never raises for the others.
+    """
+    region = field_.scan_region
+    energy = np.full(len(positions), np.inf)
+    grad = np.zeros((len(positions), positions[0].size))
+    ok = np.all((positions >= region[::2]) & (positions <= region[1::2]), axis=(-2, -1))
+    if ok.any():
+        ok[ok] = _pair_diffs(positions[ok])[1].min(axis=(-2, -1)) >= MIN_SEPARATION
+    if ok.any():
+        e = total_energy(field_, positions[ok], constants)
+        g = total_gradient(field_, positions[ok], constants).reshape(len(e), -1)
+        finite = np.all(np.isfinite(g), axis=-1)
+        rows = np.flatnonzero(ok)[finite]
+        energy[rows], grad[rows] = e[finite], g[finite]
+    return energy, grad
+
+
+def _model(energy, grad, hess, step):
+    """Quadratic model E + g.p + p.H.p / 2 of each row at its step [J]."""
+    return energy + np.vecdot(grad, step) + 0.5 * np.vecdot(step, np.matvec(hess, step))
+
+
+def _to_boundary(z, d, radius):
+    """Roots t_a <= t_b of |z + t d| = radius per row, in the form that
+    avoids cancellation (Golub and Van Loan, Matrix Computations, p. 97)."""
+    a = np.vecdot(d, d)
+    b = 2.0 * np.vecdot(z, d)
+    c = np.vecdot(z, z) - radius**2
+    aux = b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b)
+    ta, tb = -aux / (2.0 * a), -2.0 * c / aux
+    return np.minimum(ta, tb), np.maximum(ta, tb)
+
+
+def _steihaug(energy, grad, hess, radius):
+    """Steihaug truncated-CG step of each row's trust-region subproblem, the
+    least model value over |p| <= radius (Nocedal and Wright, Numerical
+    Optimization, 2nd ed. 2006, Algorithm 7.2), with scipy trust-ncg's rules.
+
+    A row stops on non-positive curvature (at whichever boundary point along
+    d has the lower model value), on a step past its radius (at the boundary
+    along d), or when its residual falls below min(0.5, sqrt|g|) |g|.  The
+    rows still iterating share each Hessian-vector product.  Returns the
+    steps (R, 2N) and whether each ends on the boundary.
+    """
+    step = np.zeros_like(grad)
+    hits = np.zeros(len(grad), dtype=bool)
+    gnorm = np.linalg.norm(grad, axis=-1)
+    tol = np.minimum(0.5, np.sqrt(gnorm)) * gnorm
+    rows = np.arange(len(grad))
+    z, r, d = np.zeros_like(grad), grad, -grad
+    rr = np.vecdot(r, r)
+    while rows.size:
+        hd = np.matvec(hess, d)
+        dhd = np.vecdot(d, hd)
+        curved = dhd > 0
+        alpha = np.divide(rr, dhd, out=np.zeros_like(rr), where=curved)
+        z_next = z + alpha[:, None] * d
+        r_next = r + alpha[:, None] * hd
+        rr_next = np.vecdot(r_next, r_next)
+        flat = ~curved
+        past = curved & (np.linalg.norm(z_next, axis=-1) >= radius)
+        small = curved & ~past & (np.sqrt(rr_next) < tol)
+        if flat.any():
+            zf, df = z[flat], d[flat]
+            ta, tb = _to_boundary(zf, df, radius[flat])
+            pa, pb = zf + ta[:, None] * df, zf + tb[:, None] * df
+            args = energy[flat], grad[flat], hess[flat]
+            lower = _model(*args, pa) < _model(*args, pb)
+            step[rows[flat]] = np.where(lower[:, None], pa, pb)
+        if past.any():
+            _, tb = _to_boundary(z[past], d[past], radius[past])
+            step[rows[past]] = z[past] + tb[:, None] * d[past]
+        step[rows[small]] = z_next[small]
+        hits[rows[flat | past]] = True
+        more = curved & ~past & ~small
+        beta = rr_next[more] / rr[more]
+        z, r, rr = z_next[more], r_next[more], rr_next[more]
+        d = -r + beta[:, None] * d[more]
+        if not more.all():
+            rows, tol, radius = rows[more], tol[more], radius[more]
+            energy, grad, hess = energy[more], grad[more], hess[more]
+    return step, hits
+
+
+def _descend(
+    field_: PotentialField,
+    starts: np.ndarray,
+    constants: PhysicalConstants,
+) -> list:
+    """Trust-region Newton descent of every start of a stack (R, N, 2) at once.
+
+    Each iteration builds the Hessians at the restarts that moved, in one
+    total_hessian call; takes one Steihaug step per live restart; and checks
+    and queries the proposals once (``_query``).  Each restart keeps its own
+    trust radius, span / 2 of the scan region at first, and follows scipy's
+    trust-ncg: the actual over predicted energy decrease rho accepts a step
+    when above ETA, shrinks the radius x0.25 below 0.25 and doubles it, up
+    to MAX_RADIUS, above 0.75 on the boundary.  A restart stops on its own
+    at a gradient norm below GRAD_TOL (status 0), after MAX_ITER iterations
+    (1), or when no finite decrease is predicted (2).
+
+    Returns each start's ElectronConfiguration, or None where the start has
+    no finite energy.
+    """
+    region = field_.scan_region
+    x = starts.copy()
+    n_starts, n = x.shape[:2]
+    energy, grad = _query(field_, x, constants)
+    hess = np.empty((n_starts, 2 * n, 2 * n))
+    radius = np.full(n_starts, 0.5 * min(region[1] - region[0], region[3] - region[2]))
+    iters = np.zeros(n_starts, dtype=int)
+    steps = np.zeros(n_starts, dtype=int)
+    status = np.zeros(n_starts, dtype=int)
+    running = np.isfinite(energy) & (np.linalg.norm(grad, axis=-1) >= GRAD_TOL)
+    stale = running.copy()  # the Hessian at x is still to build
+    max_iter = MAX_ITER
+    while running.any():
+        live = np.flatnonzero(running)
+        build = live[stale[live]]
+        if build.size:
+            hess[build] = total_hessian(field_, x[build], constants)
+            stale[build] = False
+        e, g, h = energy[live], grad[live], hess[live]
+        step, hits = _steihaug(e, g, h, radius[live])
+        predicted = e - _model(e, g, h, step)
+        stop = ~(np.isfinite(predicted) & (predicted > 0))
+        status[live[stop]] = 2
+        running[live[stop]] = False
+        live, step, hits, predicted = live[~stop], step[~stop], hits[~stop], predicted[~stop]
+        if not live.size:
+            continue
+        proposal = x[live] + step.reshape(-1, n, 2)
+        e_new, g_new = _query(field_, proposal, constants)
+        rho = (energy[live] - e_new) / predicted
+        old = radius[live]
+        grow = (rho > 0.75) & hits
+        radius[live] = np.where(rho < 0.25, 0.25 * old,
+                                np.where(grow, np.minimum(2.0 * old, MAX_RADIUS), old))
+        take = rho > ETA
+        moved = live[take]
+        x[moved], energy[moved], grad[moved] = proposal[take], e_new[take], g_new[take]
+        stale[moved] = True
+        steps[moved] += 1
+        iters[live] += 1
+        flat = np.linalg.norm(grad[live], axis=-1) < GRAD_TOL
+        spent = ~flat & (iters[live] >= max_iter)
+        status[live[spent]] = 1
+        running[live[flat | spent]] = False
+    configs = []
+    for k in range(n_starts):
+        if not math.isfinite(energy[k]):
+            configs.append(None)
+            continue
+        # status 0: gradient below GRAD_TOL; 2: no predicted decrease left
+        converged = status[k] == 0 or (
+            status[k] == 2
+            and _newton_decrease(grad[k], hess[k]) <= FLOOR_ULPS * np.spacing(abs(energy[k]))
+        )
+        configs.append(ElectronConfiguration(
+            positions=x[k].copy(), energy=float(energy[k]),
+            gradient_norm=float(np.linalg.norm(grad[k])),
+            converged=bool(converged), iterations=int(steps[k]),
+        ))
+    return configs
 
 
 def minimize(
@@ -163,19 +361,26 @@ def minimize(
     """Find the minimum-energy configuration of n_electrons in the trap.
 
     Deterministic for a given (field, n_electrons, seed): the descent is
-    seeded multi-start (``restarts`` runs, at least 1) around a
+    seeded multi-start (``restarts`` starts, at least 1) around a
     triangular-lattice guess centered on the scanned trap minimum, or around
-    ``init`` when given.  Each run is scipy's trust-region Newton-CG on the
-    analytic gradient and Hessian; its steps follow negative curvature, so a
-    run leaves a saddle unless symmetry pins it there.  A step off the field
-    domain, or to where the gradient is not finite, counts as infinite
-    energy and shrinks the trust radius.  A run has converged when the
-    gradient norm fell below GRAD_TOL, or when it stopped because no step
-    could be predicted to lower the energy and a full Newton step would
-    lower it by at most FLOOR_ULPS units in the last place of the energy:
-    the point is stationary as far as the energy can resolve.  MAX_ITER
-    iterations, or a stop short of that floor, is not converged.  The best
-    run wins by convergence then energy.
+    ``init`` when given.  All starts descend as one batch (``_descend``):
+    trust-region Newton with Steihaug truncated-CG steps on the analytic
+    gradient and Hessian, each restart with its own trust radius and its
+    own stop.  Steps follow negative curvature, so a run leaves a saddle
+    unless symmetry pins it there.
+
+    The descent's domain is the field's ``scan_region``: a step out of it,
+    onto a pair closer than MIN_SEPARATION, or to where the gradient is not
+    finite counts as infinite energy and shrinks that restart's radius, and
+    a start there is dropped.  For a GriddedField that region is where its
+    derivatives are defined; for a QuarticField it bounds the descent to
+    +-2 um.  A run has converged when the gradient norm fell below
+    GRAD_TOL, or when it stopped because no step could be predicted to lower
+    the energy and a full Newton step would lower it by at most FLOOR_ULPS
+    units in the last place of the energy: the point is stationary as far
+    as the energy can resolve.  MAX_ITER iterations, or a stop short of that
+    floor, is not converged.  The best run wins by convergence then energy,
+    the earlier start on a tie.
     """
     _check_counts(n_electrons, restarts)
     if n_electrons == 0:
@@ -187,6 +392,8 @@ def minimize(
     span = min(region[1] - region[0], region[3] - region[2])
     if init is not None:
         base = _check_positions(init)
+        if base.shape != (n_electrons, 2):
+            raise DomainError(f"init must have shape ({n_electrons}, 2), got {base.shape}")
     else:
         center = scan_minimum(field_, 61)
         hess = field_.energy_hessian(center)
@@ -198,62 +405,15 @@ def minimize(
         base = _triangular_lattice(center, spacing, n_electrons)
     lo, hi = region[::2], region[1::2]
     base = np.clip(base, lo, hi)
-
-    def fun_and_grad(x: np.ndarray):
-        # off the domain, or a gradient past the float range: infinite energy
-        pos = x.reshape(-1, 2)
-        try:
-            energy = total_energy(field_, pos, constants)
-            grad = total_gradient(field_, pos, constants).ravel()
-        except DomainError:
-            return math.inf, np.zeros_like(x)
-        return (energy, grad) if np.all(np.isfinite(grad)) else (math.inf, np.zeros_like(x))
-
-    def hessian(x: np.ndarray) -> np.ndarray:
-        return total_hessian(field_, x.reshape(-1, 2), constants)
-
     rng = np.random.default_rng(seed)
     scale = 0.25 * (span / 10.0 if n_electrons == 1 else
                     float(np.ptp(base, axis=0).max()) or span / 10.0)
-    best = None
-    for r in range(restarts):
-        start = base if r == 0 else np.clip(
-            base + rng.normal(0.0, scale, size=base.shape), lo, hi)
-        path = [start.ravel()]
-        if not math.isfinite(fun_and_grad(path[0])[0]):
-            continue  # scipy builds the Hessian at the start before any check
-
-        def on_iteration(intermediate_result):
-            # a rejected step leaves x where it was
-            if not np.array_equal(intermediate_result.x, path[-1]):
-                path.append(intermediate_result.x)
-
-        sol = scipy.optimize.minimize(
-            fun_and_grad, path[0], jac=True, hess=hessian, method="trust-ncg",
-            callback=on_iteration,
-            options={"gtol": GRAD_TOL, "initial_trust_radius": span / 2.0,
-                     "maxiter": MAX_ITER},
-        )
-        if not math.isfinite(sol.fun):
-            continue
-        # status 0: gradient below GRAD_TOL; 2: no predicted decrease left
-        converged = sol.status == 0 or (
-            sol.status == 2
-            and _newton_decrease(sol.jac, hessian(sol.x))
-            <= FLOOR_ULPS * np.spacing(abs(sol.fun))
-        )
-        candidate = ElectronConfiguration(
-            positions=sol.x.reshape(-1, 2), energy=float(sol.fun),
-            gradient_norm=float(np.linalg.norm(sol.jac)),
-            converged=bool(converged), iterations=len(path) - 1,
-        )
-        if best is None or (candidate.converged, -candidate.energy) > (
-            best.converged, -best.energy
-        ):
-            best = candidate
-    if best is None:
+    jitter = rng.normal(0.0, scale, size=(restarts - 1, *base.shape))
+    starts = np.concatenate([base[None], np.clip(base + jitter, lo, hi)])
+    found = [c for c in _descend(field_, starts, constants) if c is not None]
+    if not found:
         raise DomainError("no finite-energy configuration found; check the trap region")
-    return best
+    return max(found, key=lambda c: (c.converged, -c.energy))  # the first on a tie
 
 
 # ---------------------------------------------------------------------------

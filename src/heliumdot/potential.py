@@ -180,8 +180,10 @@ def load_coupling_maps(path: str) -> CouplingMapSet:
 
 
 def _require_inside(region, x, y) -> None:
+    """Raise DomainError if any x, y lies outside region; NaN passes, since
+    every comparison with it is false, but not the points beside it."""
     x0, x1, y0, y1 = region
-    if np.any(x < x0) or np.any(x > x1) or np.any(y < y0) or np.any(y > y1):
+    if ((x < x0) | (x > x1) | (y < y0) | (y > y1)).any():
         raise DomainError("query point outside the map domain")
 
 
@@ -318,7 +320,8 @@ class QuarticField(PotentialField):
         U(x, y) = a1x x^2 + a2x x^4 + a1y y^2 + a2y y^4 - e (E_x x + E_y y)
 
     with coefficients in J/m^2 and J/m^4; phi = -U/e.  Unbounded; the trap
-    minimum is searched within +-2 um of the origin.
+    minimum is searched, and cluster descents stay, within +-2 um of the
+    origin.
     """
 
     a1x: float = 0.0

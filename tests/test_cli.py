@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heliumdot import analytic, cli, core
+from heliumdot import analytic, cavity, cli, cluster, core, qsolver
 from heliumdot.cli import build_parser, main
 from heliumdot.core import CONSTANTS, TWO_PI
 from heliumdot.io import read_trace
@@ -297,15 +297,66 @@ def test_dense_grid_over_node_cap_is_one_error(tmp_path, monkeypatch, capsys, ar
 
 
 def test_unallocatable_size_is_one_error(tmp_path, monkeypatch, capsys):
-    # a 7 PiB probe axis: the allocation fails at once, nothing large is made
+    # an allocation that fails inside a worker: sizes past the caps never get
+    # there (test_size_over_cap_is_refused_up_front)
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.11 PiB for an array")
+
+    monkeypatch.setattr(cavity, "synthesize_trace", out_of_memory)
     monkeypatch.chdir(tmp_path)
-    assert main(["synth", "--points", "1000000000000000", "--out", "trace.csv"]) == 1
+    assert main(["synth", "--points", "11", "--out", "trace.csv"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1
     assert json.loads(err[0])["error"] == "MemoryError"
     assert list(tmp_path.iterdir()) == []
+
+
+def _must_not_run(*args, **kwargs):
+    pytest.fail("a size over its cap reached the worker")
+
+
+@pytest.mark.parametrize("command, size", [
+    ("synth", cli.MAX_PROBE_POINTS + 1),
+    ("synth", 10**15),
+    ("sweep-freq", cli.MAX_SWEEP_POINTS + 1),
+    ("sweep-shift", cli.MAX_SWEEP_POINTS + 1),
+])
+def test_size_over_cap_is_refused_up_front(tmp_path, monkeypatch, capsys, command, size):
+    # one DomainError line before the worker runs or the axis is allocated
+    monkeypatch.setattr(cavity, "synthesize_trace", _must_not_run)
+    monkeypatch.setattr(qsolver, "frequency_vs_voltage", _must_not_run)
+    monkeypatch.setattr(cluster, "shift_vs_voltage_sweep", _must_not_run)
+    monkeypatch.chdir(tmp_path)
+    if command == "synth":
+        argv, cap = ["synth", "--points", str(size), "--out", "trace.csv"], cli.MAX_PROBE_POINTS
+    else:
+        argv = ["sweep", command.split("-")[1], "--maps", _maps_file(tmp_path),
+                "--electrode", "trap", "--vmin", "0.25", "--vmax", "0.3", "--n", str(size),
+                "--out", "sweep.csv"]
+        cap = cli.MAX_SWEEP_POINTS
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [err] = [json.loads(line) for line in captured.err.splitlines()]
+    assert err["error"] == "DomainError"
+    assert str(cap) in err["message"] and str(size) in err["message"]
+    assert [p.name for p in tmp_path.iterdir()] in ([], ["maps.json"])
+
+
+def test_sweep_shift_restarts_over_batch_cap_is_one_error(tmp_path, monkeypatch, capsys):
+    # 10^9 restarts would be 32 GB of 2 x 2 Hessians: refused before any descent
+    monkeypatch.setattr(cluster, "minimize", _must_not_run)
+    out = tmp_path / "shift.csv"
+    code = main(["sweep", "shift", "--maps", _maps_file(tmp_path), "--electrode", "trap",
+                 "--vmin", "0.25", "--vmax", "0.3", "--n", "2", "--grad-per-um", "0.01",
+                 "--restarts", "1000000000", "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    [err] = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert err["error"] == "DomainError"
+    assert str(32 * 10**9) in err["message"] and str(cluster.MAX_BATCH_BYTES) in err["message"]
 
 
 @pytest.mark.parametrize("nx", ["0", "2"])

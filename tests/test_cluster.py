@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import ast
 import math
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from heliumdot import cluster
 from heliumdot.cluster import (
     MAX_ELECTRONS,
     _triangular_lattice,
@@ -22,6 +25,7 @@ from heliumdot.cluster import (
 from heliumdot.core import CONSTANTS, DomainError, TWO_PI, default_resonator
 from heliumdot.potential import (
     CouplingMapSet,
+    GriddedField,
     QuarticField,
     compose,
     uniform_gradient_map,
@@ -150,6 +154,24 @@ def test_triangular_lattice_nearest_first(n):
     assert np.array_equal(_triangular_lattice(center, spacing, n), ref)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+@pytest.mark.parametrize("kind", ["quartic", "gridded"])
+def test_totals_of_a_stack_are_each_configuration_bit_for_bit(kind, n):
+    field = (compose(_sweep_maps(), {"trap": 0.25}) if kind == "gridded"
+             else QuarticField(a1x=1e-3, a1y=2e-3, a2x=1e9, a2y=3e9))
+    stack = np.random.default_rng(n).uniform(-0.5e-6, 0.5e-6, size=(2, 3, n, 2))
+    energy = total_energy(field, stack)
+    grad = total_gradient(field, stack)
+    hess = total_hessian(field, stack)
+    assert energy.shape == (2, 3)
+    assert grad.shape == stack.shape
+    assert hess.shape == (2, 3, 2 * n, 2 * n)
+    for idx in np.ndindex(2, 3):
+        assert energy[idx] == total_energy(field, stack[idx])
+        assert np.array_equal(grad[idx], total_gradient(field, stack[idx]))
+        assert np.array_equal(hess[idx], total_hessian(field, stack[idx]))
+
+
 # ---------------------------------------------------------------------------
 # minimization
 # ---------------------------------------------------------------------------
@@ -193,6 +215,9 @@ def test_minimize_deterministic():
 def test_minimize_validation():
     with pytest.raises(DomainError):
         minimize(_harmonic(5.0, 8.0), -1)
+    # a start for another cluster size would slip past the batch memory cap
+    with pytest.raises(DomainError, match="init"):
+        minimize(_harmonic(5.0, 8.0), 2, init=np.zeros((3, 2)))
 
 
 def test_minimize_rejects_more_than_max_electrons():
@@ -274,6 +299,114 @@ def test_minimize_reaches_stationary_point_on_gridded_map():
     step = np.linalg.solve(hess, total_gradient(field, config.positions).ravel())
     d = float(np.linalg.norm(config.positions[0] - config.positions[1]))
     assert np.linalg.norm(step) < 1e-6 * d
+
+
+def _dome_field(volts):
+    """The 81 x 81 dome exp(-(x/1 um)^2 - (y/0.7 um)^2) at one voltage."""
+    axis = np.linspace(-1e-6, 1e-6, 81)
+    xx, yy = np.meshgrid(axis, axis)
+    dome = np.exp(-(xx / 1e-6) ** 2 - (yy / 0.7e-6) ** 2)
+    return compose(CouplingMapSet(x_axis=axis, y_axis=axis, grids={"trap": dome}),
+                   {"trap": volts})
+
+
+def _scipy_reference(field, starts):
+    """One scipy trust-ncg run per start, with the batch's rules: the winner
+    by convergence then energy, the earlier start on a tie."""
+    import scipy.optimize
+
+    region = field.scan_region
+    span = min(region[1] - region[0], region[3] - region[2])
+
+    def fun_and_grad(x):
+        pos = x.reshape(-1, 2)
+        try:
+            energy = total_energy(field, pos)
+            grad = total_gradient(field, pos).ravel()
+        except DomainError:
+            return math.inf, np.zeros_like(x)
+        return (energy, grad) if np.all(np.isfinite(grad)) else (math.inf, np.zeros_like(x))
+
+    def hessian(x):
+        return total_hessian(field, x.reshape(-1, 2))
+
+    best = None
+    for start in starts:
+        if not math.isfinite(fun_and_grad(start.ravel())[0]):
+            continue
+        sol = scipy.optimize.minimize(
+            fun_and_grad, start.ravel(), jac=True, hess=hessian, method="trust-ncg",
+            options={"gtol": cluster.GRAD_TOL, "initial_trust_radius": span / 2.0,
+                     "maxiter": cluster.MAX_ITER})
+        converged = sol.status == 0 or (
+            sol.status == 2
+            and cluster._newton_decrease(sol.jac, hessian(sol.x))
+            <= cluster.FLOOR_ULPS * np.spacing(abs(sol.fun)))
+        if best is None or (converged, -sol.fun) > best[:2]:
+            best = (bool(converged), -float(sol.fun), sol.x.reshape(-1, 2))
+    return best
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+@pytest.mark.parametrize("volts", [0.25, 0.35])
+def test_batched_descent_matches_scipy_trust_ncg(monkeypatch, volts, n):
+    field = _dome_field(volts)
+    seen = []
+    descend = cluster._descend
+    monkeypatch.setattr(cluster, "_descend",
+                        lambda field_, starts, constants: seen.append(starts) or
+                        descend(field_, starts, constants))
+    config = minimize(field, n, seed=n)
+    [starts] = seen
+    assert starts.shape == (8, n, 2)
+    converged, neg_energy, _ = _scipy_reference(field, starts)
+    assert converged and config.converged
+    assert not normal_modes(field, config).is_saddle
+    assert abs(config.energy + neg_energy) <= 4 * np.spacing(abs(neg_energy))
+
+
+def test_cold_minimize_builds_one_hessian_stack_per_iteration(monkeypatch):
+    field = _dome_field(0.3)
+    shapes, iterations = [], []
+    build = GriddedField.energy_hessian
+    monkeypatch.setattr(GriddedField, "energy_hessian",
+                        lambda self, pts: shapes.append(np.shape(pts)) or build(self, pts))
+    step = cluster._steihaug
+    monkeypatch.setattr(cluster, "_steihaug", lambda *args: iterations.append(1) or step(*args))
+    config = minimize(field, 2, seed=0, restarts=8)
+    assert config.converged
+    # the scanned trap centre, then one (R, 2, 2) stack of the restarts that moved
+    assert shapes[0] == (2,)
+    assert shapes[1] == (8, 2, 2)
+    assert all(len(shape) == 3 for shape in shapes[1:])
+    assert len(shapes) - 1 <= len(iterations)
+
+
+def test_bad_restart_does_not_stop_or_change_the_others():
+    field = _harmonic(5.0, 8.0)
+    good = np.array([[-60e-9, 10e-9], [70e-9, -5e-9]])
+    off_region = good + 5e-6  # the scan region is +-2 um
+    coincident = np.zeros((2, 2))
+    [alone] = cluster._descend(field, good[None], CONSTANTS)
+    with np.errstate(all="raise"):
+        batch = cluster._descend(field, np.stack([off_region, good, coincident]), CONSTANTS)
+    assert batch[0] is None and batch[2] is None
+    assert alone.converged and batch[1].converged
+    assert np.array_equal(batch[1].positions, alone.positions)
+    assert (batch[1].energy, batch[1].iterations) == (alone.energy, alone.iterations)
+
+
+def test_cluster_does_not_use_scipy_optimize():
+    tree = ast.parse(Path(cluster.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith("scipy.optimize") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            assert not module.startswith("scipy.optimize")
+            assert not (module == "scipy" and any(a.name == "optimize" for a in node.names))
+        elif isinstance(node, ast.Attribute):
+            assert node.attr != "optimize"
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,24 @@ def test_evaluate_outside_domain_raises():
         f.evaluate(2e-6, 0.0)
 
 
+@pytest.mark.parametrize("x, y, raises", [
+    ([math.nan, 0.0], [0.0, 0.0], False),  # a NaN coordinate passes
+    ([math.nan, 0.0], [0.0, math.nan], False),
+    ([math.nan, 2e-6], [0.0, 0.0], True),  # but not an outside point beside it
+    ([math.nan, 0.0], [0.0, -2e-6], True),
+    ([0.0, 0.0], [math.nan, 2e-6], True),
+    ([2e-6], [math.nan], True),  # nor an outside coordinate of the same point
+    ([math.nan], [-2e-6], True),
+])
+def test_region_check_with_nan_beside_outside_points(x, y, raises):
+    f = compose(_dome_maps(), {"trap": 0.3})
+    if raises:
+        with pytest.raises(DomainError):
+            f.evaluate(np.array(x), np.array(y))
+    else:
+        assert np.isnan(f.evaluate(np.array(x), np.array(y))).sum() >= 1
+
+
 def test_energy_is_minus_e_phi():
     f = compose(_dome_maps(), {"trap": 0.3, "guard": 0.1}, e_y=200.0)
     x, y = 0.2e-6, -0.1e-6
