@@ -246,12 +246,11 @@ class CompensationResult:
 def compensate_background(
     far_detuned: SpectrumTrace,
     target: SpectrumTrace,
-    window_kappa_mult: float = 2.0,
 ) -> CompensationResult:
     """Remove crosstalk and spurious transmission from a resonant trace.
 
     Three steps: (1) fit the far-detuned trace to the bare resonator plus
-    leakage, restricted to probe points within window_kappa_mult * kappa_tot
+    leakage, restricted to probe points within fitters.WINDOW_KAPPAS * kappa_tot
     of the peak; (2) whatever the fit does not explain, evaluated over the
     full axis, is the spurious background; (3) subtract leakage and
     background from the target.  The map applied to the target is affine, so
@@ -264,7 +263,7 @@ def compensate_background(
     ):
         raise DomainError("far-detuned and target traces must share one probe axis")
 
-    fit = fitters.fit_bare_resonator(far_detuned, window_kappa_mult=window_kappa_mult)
+    fit = fitters.fit_bare_resonator(far_detuned)
     probe = target.probe
     leak = crosstalk_leak(fit.params["t"], fit.params["zeta"])
     other = far_detuned.s21 - fitters.bare_model(probe, **fit.params)

@@ -38,6 +38,9 @@ _MHZ = 1e6 * TWO_PI
 MAX_PROBE_POINTS = 1_000_000  # synth --points: a few 16 MB complex arrays
 MAX_SWEEP_POINTS = 10_000  # sweep freq|shift --n: one solve or descent each
 
+# The decay-rate flags of synth and fit rabi, and the fields they set.
+_KAPPAS = {"kappa1_mhz": "kappa_1", "kappa2_mhz": "kappa_2", "kappa_int_mhz": "kappa_int"}
+
 
 class UsageError(Exception):
     """A command line that does not parse."""
@@ -75,12 +78,8 @@ def _resonator(args: argparse.Namespace) -> core.ResonatorParams:
     """The config's resonator section on top of the device defaults, then the
     --f-res-ghz and --kappa* flags on top of that."""
     res = resonator_from_config(args._config)
-    kappas = {
-        name: getattr(args, flag) * _MHZ
-        for flag, name in (("kappa1_mhz", "kappa_1"), ("kappa2_mhz", "kappa_2"),
-                           ("kappa_int_mhz", "kappa_int"))
-        if getattr(args, flag) is not None
-    }
+    kappas = {name: getattr(args, flag) * _MHZ for flag, name in _KAPPAS.items()
+              if getattr(args, flag, None) is not None}
     if args.f_res_ghz is not None:
         res = core.ResonatorParams.from_mode(
             args.f_res_ghz * _GHZ, res.impedance,
@@ -146,15 +145,14 @@ def _cmd_synth(args: argparse.Namespace) -> None:
 
 def _cmd_fit_bare(args: argparse.Namespace) -> None:
     trace = io.read_trace(args.trace)
-    fit = fitters.fit_bare_resonator(trace, window_kappa_mult=args.window)
+    fit = fitters.fit_bare_resonator(trace)
     io.write_fit_json(fit, args.out or "fit_bare.json", config=_resolved(args))
 
 
 def _cmd_fit_rabi(args: argparse.Namespace) -> None:
     trace = io.read_trace(args.trace)
     if args.far:
-        ignored = [name for name in ("config", "f_res_ghz", "kappa1_mhz", "kappa2_mhz",
-                                     "kappa_int_mhz") if getattr(args, name) is not None]
+        ignored = [n for n in ("config", "f_res_ghz", *_KAPPAS) if getattr(args, n) is not None]
         if ignored:
             raise UsageError("fit rabi: --far calibrates the resonator, so it does not take "
                              + ", ".join("--" + n.replace("_", "-") for n in ignored))
@@ -176,7 +174,7 @@ def _cmd_fit_twotone(args: argparse.Namespace) -> None:
 def _cmd_compensate(args: argparse.Namespace) -> None:
     far = io.read_trace(args.far)
     target = io.read_trace(args.target)
-    result = cavity.compensate_background(far, target, window_kappa_mult=args.window)
+    result = cavity.compensate_background(far, target)
     out = args.out or "compensated.csv"
     io.write_trace(result.compensated, out, config=_resolved(args))
     io.write_compensation_json(result.leak, result.other, out + ".comp.json",
@@ -189,13 +187,20 @@ def _cmd_compensate(args: argparse.Namespace) -> None:
 
 
 def _base_voltages(args: argparse.Namespace) -> dict:
+    """The fixed electrode voltages; a NAME given twice, or naming the swept
+    --electrode, would have its value dropped, so it is refused."""
     voltages = {}
     for spec_ in args.voltage or []:
         name, _, value = spec_.partition("=")
         try:  # without "=" the value is "", which is no number either
-            voltages[name] = float(value)
+            volts = float(value)
         except ValueError:
             raise FormatError(f"--voltage expects NAME=VALUE, got {spec_!r}") from None
+        if name == args.electrode:
+            raise UsageError(f"--voltage {spec_}: {name} is the swept --electrode")
+        if name in voltages:
+            raise UsageError(f"--voltage {spec_}: {name} is given twice")
+        voltages[name] = volts
     return voltages
 
 
@@ -208,6 +213,7 @@ def _sweep_voltages(args: argparse.Namespace) -> np.ndarray:
 
 
 def _cmd_sweep_shift(args: argparse.Namespace) -> None:
+    base = _base_voltages(args)
     maps = potential.load_coupling_maps(args.maps)
     res = _resonator(args)
     grad = None
@@ -215,7 +221,7 @@ def _cmd_sweep_shift(args: argparse.Namespace) -> None:
         grad = potential.uniform_gradient_map(maps.domain, args.grad_per_um * 1e6)
     rows = cluster.shift_vs_voltage_sweep(
         maps,
-        _base_voltages(args),
+        base,
         args.electrode,
         _sweep_voltages(args),
         args.n_electrons,
@@ -231,8 +237,8 @@ def _cmd_sweep_shift(args: argparse.Namespace) -> None:
 
 
 def _cmd_sweep_freq(args: argparse.Namespace) -> None:
-    maps = potential.load_coupling_maps(args.maps)
     base = _base_voltages(args)
+    maps = potential.load_coupling_maps(args.maps)
     maps.check_electrodes({args.electrode, *base})
 
     def factory(v: float) -> potential.PotentialField:
@@ -372,13 +378,15 @@ def _cmd_calc_dispersive(args: argparse.Namespace) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _command(sub, name: str, func, help: str, config: bool = False,
+def _command(sub, name: str, func, help: str, config: tuple = (),
              seed: bool = False) -> argparse.ArgumentParser:
     """One subcommand: --out everywhere, --config where ``func`` reads the
-    config or its constants, --seed where it draws random numbers."""
+    config sections named in ``config``, --seed where it draws random
+    numbers."""
     p = sub.add_parser(name, help=help)
     if config:
-        p.add_argument("--config", help="JSON config file (constants, resonator)")
+        p.add_argument("--config", help=f"JSON config file ({', '.join(config)})")
+        p.set_defaults(_sections=config)
     if seed:
         p.add_argument("--seed", type=_seed, default=0, help="non-negative integer")
     p.add_argument("--out", help="output path (default depends on command)")
@@ -386,11 +394,11 @@ def _command(sub, name: str, func, help: str, config: bool = False,
     return p
 
 
-def _add_resonator_flags(p: argparse.ArgumentParser) -> None:
+def _add_resonator_flags(p: argparse.ArgumentParser, kappas: bool = True) -> None:
     p.add_argument("--f-res-ghz", type=float, help="resonator frequency (GHz)")
-    p.add_argument("--kappa1-mhz", type=float)
-    p.add_argument("--kappa2-mhz", type=float)
-    p.add_argument("--kappa-int-mhz", type=float)
+    if kappas:  # only where the result reads a decay rate
+        for flag in _KAPPAS:
+            p.add_argument("--" + flag.replace("_", "-"), type=float)
 
 
 def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
@@ -414,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = _command(sub, "synth", _cmd_synth, "synthesize a transmission trace",
-                 config=True, seed=True)
+                 config=("resonator",), seed=True)
     _add_resonator_flags(p)
     p.add_argument("--f-el-ghz", type=float, help="electron frequency; omit for bare")
     p.add_argument("--gamma2-mhz", type=float, help="needs --f-el-ghz (default 75)")
@@ -432,10 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _command(fit_sub, "bare", _cmd_fit_bare, "bare resonator with crosstalk leak")
     p.add_argument("--trace", required=True)
-    p.add_argument("--window", type=float, default=2.0)
 
     p = _command(fit_sub, "rabi", _cmd_fit_rabi, "hybridized doublet: g, gamma_2, f_el",
-                 config=True)
+                 config=("resonator",))
     _add_resonator_flags(p)
     p.add_argument("--trace", required=True)
     p.add_argument("--far", help="far-detuned trace to calibrate the resonator "
@@ -447,14 +454,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(sub, "compensate", _cmd_compensate, "remove crosstalk and off-mode background")
     p.add_argument("--far", required=True, help="far-detuned reference trace")
     p.add_argument("--target", required=True)
-    p.add_argument("--window", type=float, default=2.0)
 
     sweep = sub.add_parser("sweep", help="parameter sweeps")
     sweep_sub = sweep.add_subparsers(dest="sweep_kind", required=True)
 
     p = _command(sweep_sub, "shift", _cmd_sweep_shift, "resonator shift vs electrode voltage",
-                 config=True, seed=True)
-    _add_resonator_flags(p)
+                 config=("constants", "resonator"), seed=True)
+    _add_resonator_flags(p, kappas=False)
     _add_sweep_flags(p)
     p.add_argument("--n-electrons", type=int, default=1)
     p.add_argument("--restarts", type=int, default=8)
@@ -462,14 +468,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override differential coupling gradient (1/um)")
 
     p = _command(sweep_sub, "freq", _cmd_sweep_freq, "transition frequencies vs voltage",
-                 config=True, seed=True)
+                 config=("constants",), seed=True)
     _add_sweep_flags(p)
     p.add_argument("--nx", type=int, default=23)
     p.add_argument("--ny", type=int, default=23)
     p.add_argument("--k", type=int, default=4)
 
     p = _command(sub, "qsolve", _cmd_qsolve, "2D eigenstates of an analytic trap",
-                 config=True, seed=True)
+                 config=("constants",), seed=True)
     p.add_argument("--a1x", type=float, required=True, help="J/m^2")
     p.add_argument("--a1y", type=float, required=True)
     p.add_argument("--a2x", type=float, default=0.0, help="J/m^4")
@@ -484,12 +490,12 @@ def build_parser() -> argparse.ArgumentParser:
     calc_sub = calc.add_subparsers(dest="calc_kind", required=True)
 
     p = _command(calc_sub, "g", _cmd_calc_g, "charge coupling from the mode gradient",
-                 config=True)
-    _add_resonator_flags(p)
+                 config=("constants", "resonator"))
+    _add_resonator_flags(p, kappas=False)
     p.add_argument("--coupling-length-nm", type=float, required=True)
 
     p = _command(calc_sub, "cardano", _cmd_calc_cardano, "quartic trap minimum, closed form",
-                 config=True)
+                 config=("constants",))
     p.add_argument("--a1", type=float, required=True, help="J/m^2")
     p.add_argument("--a2", type=float, required=True, help="J/m^4")
     p.add_argument("--ey", type=float, required=True, help="V/m")
@@ -500,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-ghz", type=float, required=True)
 
     p = _command(calc_sub, "purcell-bias", _cmd_calc_purcell_bias,
-                 "decay through the bias line filter", config=True)
+                 "decay through the bias line filter", config=("constants",))
     p.add_argument("--f-el-ghz", type=float, required=True)
     p.add_argument("--dalpha-dy-per-um", type=float, default=0.03,
                    help="coupling gradient for c_c (1/um)")
@@ -509,14 +515,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cother-ff", type=float, default=500.0)
 
     p = _command(calc_sub, "spin", _cmd_calc_spin, "spin-charge and spin-photon coupling",
-                 config=True)
+                 config=("constants",))
     p.add_argument("--g-c-mhz", type=float, required=True)
     p.add_argument("--dbz-dx-t-per-um", type=float, required=True)
     p.add_argument("--ax-nm", type=float, required=True)
     p.add_argument("--delta-cs-ghz", type=float, required=True)
 
     p = _command(calc_sub, "depression", _cmd_calc_depression, "static surface dip in a channel",
-                 config=True)
+                 config=("constants",))
     p.add_argument("--height-um", type=float, required=True)
     p.add_argument("--width-um", type=float, required=True)
 
@@ -556,6 +562,10 @@ def main(argv: list[str] | None = None) -> int:
                 raise UsageError(f"--{name.replace('_', '-')}: NaN is not a value")
         config = getattr(args, "config", None)
         args._config = read_json_object(config, "config") if config else {}
+        dropped = sorted(set(args._config) - set(getattr(args, "_sections", ())))
+        if dropped:
+            raise FormatError(f"config {config}: sections {dropped} are not read by this "
+                              f"command, which reads {list(args._sections)}")
         args._constants = constants_from_config(args._config)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             payload = args.func(args)

@@ -43,8 +43,8 @@ MAX_RADIUS = 1000.0  # m, trust-radius cap (scipy's default); no scan region com
 # is 8 * 2000^2 bytes = 32 MB.
 MAX_ELECTRONS = 1000
 # Largest descent batch: a minimize call holds restarts * (2N)^2 * 8 bytes
-# of Hessians, and as much in each (restarts, N, N, 2, 2) pair array; the
-# default 8 restarts of MAX_ELECTRONS electrons take 256 MB.
+# of Hessians, and total_hessian peaks near twice that; the default 8
+# restarts of MAX_ELECTRONS electrons take 256 MB.
 MAX_BATCH_BYTES = 8 * (2 * MAX_ELECTRONS) ** 2 * 8
 
 
@@ -118,14 +118,26 @@ def total_hessian(
     """
     pos = _check_positions(positions)
     n = pos.shape[-2]
-    diff, dist = _pair_diffs(pos)
-    r = dist[..., None, None]
-    outer = diff[..., :, None] * diff[..., None, :]
-    pair = constants.coulomb * constants.e**2 * (3.0 * outer / r**5 - np.eye(2) / r**3)
-    hess = -pair  # (..., N, N, 2, 2)
+    pair = _pair_blocks(pos, constants.coulomb * constants.e**2)
+    diagonal = field_.energy_hessian(pos) + pair.sum(axis=-3)
+    hess = np.negative(pair, out=pair)  # (..., N, N, 2, 2)
     idx = np.arange(n)
-    hess[..., idx, idx, :, :] = field_.energy_hessian(pos) + pair.sum(axis=-3)
+    hess[..., idx, idx, :, :] = diagonal
     return hess.swapaxes(-3, -2).reshape(*pos.shape[:-2], 2 * n, 2 * n)
+
+
+def _pair_blocks(pos: np.ndarray, ke2: float) -> np.ndarray:
+    """The blocks B of every pair, shape (..., N, N, 2, 2), built in place in
+    one array so that total_hessian peaks near twice the stack it returns."""
+    diff, dist = _pair_diffs(pos)
+    pair = diff[..., :, None] * diff[..., None, :]
+    pair *= 3.0
+    pair /= dist[..., None, None] ** 5
+    inv_r3 = 1.0 / dist**3  # I / r^3 off the diagonal is 0, which subtracts nothing
+    pair[..., 0, 0] -= inv_r3
+    pair[..., 1, 1] -= inv_r3
+    pair *= ke2
+    return pair
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +295,8 @@ def _descend(
     when above ETA, shrinks the radius x0.25 below 0.25 and doubles it, up
     to MAX_RADIUS, above 0.75 on the boundary.  A restart stops on its own
     at a gradient norm below GRAD_TOL (status 0), after MAX_ITER iterations
-    (1), or when no finite decrease is predicted (2).
+    (1), or when no finite decrease is predicted or its radius falls below
+    the float spacing of the region's coordinates (2).
 
     Returns each start's ElectronConfiguration, or None where the start has
     no finite energy.
@@ -294,6 +307,7 @@ def _descend(
     energy, grad = _query(field_, x, constants)
     hess = np.empty((n_starts, 2 * n, 2 * n))
     radius = np.full(n_starts, 0.5 * min(region[1] - region[0], region[3] - region[2]))
+    min_radius = np.spacing(max(map(abs, region)))
     iters = np.zeros(n_starts, dtype=int)
     steps = np.zeros(n_starts, dtype=int)
     status = np.zeros(n_starts, dtype=int)
@@ -330,8 +344,12 @@ def _descend(
         iters[live] += 1
         flat = np.linalg.norm(grad[live], axis=-1) < GRAD_TOL
         spent = ~flat & (iters[live] >= max_iter)
+        # every step rejected (an energy kink) shrinks the radius until its
+        # square underflows; below the resolution of the region it moves nothing
+        stuck = ~flat & ~spent & (radius[live] < min_radius)
         status[live[spent]] = 1
-        running[live[flat | spent]] = False
+        status[live[stuck]] = 2
+        running[live[flat | spent | stuck]] = False
     configs = []
     for k in range(n_starts):
         if not math.isfinite(energy[k]):

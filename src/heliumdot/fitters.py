@@ -32,6 +32,9 @@ from .cavity import (
     s21_resonant,
 )
 
+# Half-width of the window of every bare fit about the peak, in estimated kappa_tot.
+WINDOW_KAPPAS = 2.0
+
 # ---------------------------------------------------------------------------
 # bounded-parameter transforms
 # ---------------------------------------------------------------------------
@@ -268,12 +271,12 @@ def resonator_from_bare_fit(fit: FitResult) -> tuple[ResonatorParams, CrosstalkP
 # ---------------------------------------------------------------------------
 
 
-def fit_bare_resonator(trace: SpectrumTrace, window_kappa_mult: float = 2.0) -> FitResult:
+def fit_bare_resonator(trace: SpectrumTrace) -> FitResult:
     """Fit a far-detuned trace to the bare resonator plus crosstalk leakage.
 
     Parameters: omega_r, kappa_tot, amp = sqrt(kappa_1 kappa_2) (all rad/s),
     crosstalk power t and phase zeta.  The fit is restricted to probe points
-    within window_kappa_mult * kappa_tot of the peak (kappa from a width
+    within WINDOW_KAPPAS * kappa_tot of the peak (kappa from a width
     estimate); leakage initials come from the off-peak samples of the full
     trace.
     """
@@ -294,7 +297,7 @@ def fit_bare_resonator(trace: SpectrumTrace, window_kappa_mult: float = 2.0) -> 
         start["t"] = 1e-4
         start["zeta"] = 0.0
 
-    window = np.abs(probe - start["omega_r"]) <= window_kappa_mult * start["kappa_tot"]
+    window = np.abs(probe - start["omega_r"]) <= WINDOW_KAPPAS * start["kappa_tot"]
     if window.sum() < 10:
         raise FitError("fewer than 10 samples inside the fit window")
     bounds = {

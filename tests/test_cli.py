@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -199,17 +200,20 @@ def test_qsolve_harmonic(tmp_path):
     assert max(levels["residuals"]) < 1e-8
 
 
-def _maps_file(tmp_path):
+def _maps_file(tmp_path, name="maps.json", gate=False, x_width=0.5):
+    """A 21-node dome "trap", and with ``gate`` a wider dome "gate"."""
     n = 21
     axis = np.linspace(-1.0, 1.0, n)
     xx, yy = np.meshgrid(axis, axis)
-    dome = np.exp(-(xx / 0.5) ** 2 - (yy / 0.4) ** 2)
+    electrodes = {"trap": np.exp(-(xx / x_width) ** 2 - (yy / 0.4) ** 2).tolist()}
+    if gate:
+        electrodes["gate"] = np.exp(-(xx / 0.7) ** 2 - (yy / 0.6) ** 2).tolist()
     payload = {
         "x_axis_um": axis.tolist(),
         "y_axis_um": axis.tolist(),
-        "electrodes": {"trap": dome.tolist()},
+        "electrodes": electrodes,
     }
-    path = tmp_path / "maps.json"
+    path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
 
@@ -738,7 +742,7 @@ def _config_file(tmp_path, cfg):
 def test_config_constants_and_resonator_flags_combine(tmp_path, capsys):
     cfg = {"constants": {"m_e": 1.8e-30}, "resonator": {"l_r": 85e-9}}
     assert main(["calc", "g", "--coupling-length-nm", "2200", "--f-res-ghz", "5",
-                 "--kappa1-mhz", "4", "--config", _config_file(tmp_path, cfg)]) == 0
+                 "--config", _config_file(tmp_path, cfg)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["f_res_GHz"] == pytest.approx(5.0, rel=1e-12)
     res = core.ResonatorParams.from_mode(5.0 * GHZ, core.default_resonator().impedance)
@@ -1007,24 +1011,28 @@ def _leaf_commands(parser, prefix=""):
                          for name, sub in action.choices.items()))
 
 
-def test_every_command_reads_every_flag_it_declares(tmp_path, monkeypatch):
-    # a flag that a command accepts and then never reads is dropped without a
-    # word; --config counts as read when the handler reads the config or its
-    # constants, which main loads from it; synth runs with and without an
-    # electron, since each branch must read every flag
-    monkeypatch.chdir(tmp_path)
-    main(_synth_args("far.csv"))
-    main(_synth_args("target.csv", kind="rabi"))
+def _command_runs(tmp_path):
+    """Write the input files into tmp_path, and return one argv per branch of
+    each command, as (command, flags); inputs named with a 2 are the second
+    values of the file flags."""
+    main(_synth_args(str(tmp_path / "far.csv")))
+    main(_synth_args(str(tmp_path / "target.csv"), kind="rabi"))
+    main(_synth_args(str(tmp_path / "far2.csv")) + ["--crosstalk-t", "0.01"])
+    main(_synth_args(str(tmp_path / "target2.csv"), kind="rabi") + ["--g-mhz", "100"])
     freqs = np.linspace(8.0, 9.3, 101).tolist()
-    (tmp_path / "dip.csv").write_text("freq_GHz,response\n" + "".join(
-        f"{f!r},{1.0 - 0.005 / ((f - 8.66) ** 2 + 0.01)!r}\n" for f in freqs))
-    sweep = ["--maps", _maps_file(tmp_path), "--electrode", "trap", "--vmin", "0.25",
-             "--vmax", "0.3", "--n", "1"]
+    for name, center in (("dip.csv", 8.66), ("dip2.csv", 8.7)):
+        (tmp_path / name).write_text("freq_GHz,response\n" + "".join(
+            f"{f!r},{1.0 - 0.005 / ((f - center) ** 2 + 0.01)!r}\n" for f in freqs))
+    _maps_file(tmp_path, "maps2.json", gate=True, x_width=0.6)
+    sweep = ["--maps", _maps_file(tmp_path, gate=True), "--electrode", "trap",
+             "--vmin", "0.25", "--vmax", "0.3", "--n", "2"]
+    synth = ["--crosstalk-t", "0.008", "--snr", "50", "--points", "11"]
     runs = [
-        ("synth", ["--f-el-ghz", "7.162", "--points", "11"]),
-        ("synth", ["--points", "11"]),
+        ("synth", ["--f-el-ghz", "7.162", "--g-mhz", "118", *synth]),
+        ("synth", synth),
         ("fit bare", ["--trace", "far.csv"]),
         ("fit rabi", ["--trace", "target.csv", "--far", "far.csv"]),
+        ("fit rabi", ["--trace", "target.csv"]),
         ("fit twotone", ["--data", "dip.csv"]),
         ("compensate", ["--far", "far.csv", "--target", "target.csv"]),
         ("sweep shift", [*sweep, "--grad-per-um", "0.01", "--restarts", "1"]),
@@ -1043,11 +1051,27 @@ def test_every_command_reads_every_flag_it_declares(tmp_path, monkeypatch):
                              "--g-mhz", "118"]),
     ]
     assert {command for command, _flags in runs} == _leaf_commands(build_parser())
-    exempt = {"func", "out", "command", "fit_kind", "sweep_kind", "calc_kind"}
+    return runs
+
+
+# what parsing adds beside the flags: the handler, --out and the subcommand names
+_NOT_FLAGS = {"func", "out", "command", "fit_kind", "sweep_kind", "calc_kind"}
+
+
+def _declared(args: argparse.Namespace) -> set:
+    return {name for name in vars(args) if not name.startswith("_")} - _NOT_FLAGS
+
+
+def test_every_command_reads_every_flag_it_declares(tmp_path, monkeypatch):
+    # a flag that a command accepts and then never reads is dropped without a
+    # word; --config counts as read when the handler reads the config or its
+    # constants, which main loads from it; synth and fit rabi run on each of
+    # their branches, since each branch must read every flag
+    monkeypatch.chdir(tmp_path)
     unread = []
-    for command, flags in runs:
+    for command, flags in _command_runs(tmp_path):
         args = build_parser().parse_args(command.split() + flags, namespace=_ReadLog())
-        declared = set(vars(args)) - exempt
+        declared = _declared(args)
         args._config = {}
         args._constants = core.constants_from_config({})
         args._reads = set()
@@ -1056,3 +1080,200 @@ def test_every_command_reads_every_flag_it_declares(tmp_path, monkeypatch):
         reads = args._reads | ({"config"} if {"_config", "_constants"} & args._reads else set())
         unread += [f"{command} --{name.replace('_', '-')}" for name in sorted(declared - reads)]
     assert not unread, "flags their command never reads: " + ", ".join(unread)
+
+
+# A second valid value of each flag; a (command, flag) key overrides a flag's
+# plain entry.  --config gets one file per section the command reads.
+_SECOND = {
+    "seed": "1", "f_res_ghz": "7.2", "kappa1_mhz": "20", "kappa2_mhz": "20",
+    "kappa_int_mhz": "5", "f_el_ghz": "7.15", "gamma2_mhz": "60", "g_mhz": "100",
+    "crosstalk_t": "0.01", "crosstalk_zeta": "0.2", "span_mhz": "600", "center_ghz": "7.1",
+    "points": "13", "snr": "40", "format": "svg",
+    "trace": "target2.csv", "far": "far2.csv", "target": "target2.csv", "data": "dip2.csv",
+    "maps": "maps2.json", "electrode": "gate", "vmin": "0.26", "vmax": "0.31", "n": "3",
+    "voltage": "gate=0.02", "ex": "400", "ey": "400", "n_electrons": "2", "grad_per_um": "0.02",
+    "nx": "23", "ny": "23", "k": "4", "a1x": "1.2e-8", "a1y": "1.2e-8", "a2x": "1e3",
+    "a2y": "1e3", "coupling_length_nm": "2000", "a1": "1e-9", "a2": "3000",
+    "kappa_mhz": "25", "delta_ghz": "1.2", "dalpha_dy_per_um": "0.04", "lf_nh": "13",
+    "cf_pf": "0.9", "cother_ff": "450", "g_c_mhz": "130", "dbz_dx_t_per_um": "0.2",
+    "ax_nm": "60", "delta_cs_ghz": "2.5", "height_um": "2000", "width_um": "1.5",
+    "f_peak_ghz": "7.15",
+    ("fit bare", "trace"): "far2.csv",
+    ("fit rabi", "f_res_ghz"): "7.17",
+}
+_SECOND_SECTIONS = {
+    "constants": {"e": 2 * CONSTANTS.e, "mu_b": 2 * CONSTANTS.mu_b,
+                  "rho_he": 2 * CONSTANTS.rho_he, "m_e": 3 * CONSTANTS.m_e},
+    "resonator": {"l_r": 85.1e-9},
+}
+# Flags whose second value may leave the output as it is, each with its reason.
+_SAME_OUTPUT_ALLOWED = {
+    ("sweep shift", "seed"): "it draws the start jitter; every start of the run descends "
+                             "to the same minimum",
+    ("sweep shift", "restarts"): "a second start descends to the same minimum as the first",
+}
+
+
+def _stripped_outputs(out_dir: Path) -> dict:
+    """Each output file's text without the config echo: the `# config:` line
+    of a CSV, the "config" key of a JSON file."""
+    files = {}
+    for path in sorted(out_dir.iterdir()):
+        text = path.read_text()
+        if text.startswith("# config: "):
+            text = text.partition("\n")[2]
+        elif path.suffix == ".json" or path.name == "o":
+            try:
+                payload = json.loads(text)
+            except ValueError:  # the SVG plot
+                payload = None
+            if isinstance(payload, dict):
+                payload.pop("config", None)
+                text = json.dumps(payload, sort_keys=True)
+        files[path.name] = text
+    return files
+
+
+def test_every_flag_changes_the_output(tmp_path, monkeypatch, capsys):
+    # reading a flag is not using it: each declared flag set to a second
+    # valid value must change what its command writes, beyond the config
+    # echo, on at least one branch; on another branch a usage error that
+    # refuses the flag is fine too
+    monkeypatch.chdir(tmp_path)
+    runs = _command_runs(tmp_path)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+
+    def outcome(argv):
+        for path in out_dir.iterdir():
+            path.unlink()
+        code = main(argv + ["--out", str(out_dir / "o")])
+        err = capsys.readouterr().err
+        return code, err, _stripped_outputs(out_dir)
+
+    changed, required, broken = set(), set(), []
+    for command, flags in runs:
+        argv = command.split() + flags
+        code, err, base = outcome(argv)
+        assert code == 0, (command, err)
+        args = build_parser().parse_args(argv)
+        perturbed = []
+        for name in sorted(_declared(args)):
+            if name == "config":
+                for section in args._sections:
+                    cfg = tmp_path / f"config_{section}.json"
+                    cfg.write_text(json.dumps({section: _SECOND_SECTIONS[section]}))
+                    perturbed.append((f"config:{section}", ["--config", str(cfg)]))
+            elif (command, name) not in _SAME_OUTPUT_ALLOWED:
+                value = _SECOND.get((command, name), _SECOND.get(name))
+                assert value is not None, f"no second value for {command} --{name}"
+                perturbed.append((name, ["--" + name.replace("_", "-"), value]))
+        for name, extra in perturbed:
+            required.add((command, name))
+            code, err, files = outcome(argv + extra)
+            if code == 0 and files != base:
+                changed.add((command, name))
+            elif code != 0 and json.loads(err)["error"] != "UsageError":
+                broken.append(f"{command} {' '.join(extra)}: exit {code} {err.strip()}")
+    assert not broken, "second values that fail: " + "; ".join(broken)
+    same = sorted(required - changed)
+    assert not same, "flags that leave the output as it is: " + ", ".join(
+        f"{command} --{name.replace('_', '-')}" for command, name in same)
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("calc g", "--kappa1-mhz"), ("calc g", "--kappa2-mhz"), ("calc g", "--kappa-int-mhz"),
+    ("sweep shift", "--kappa1-mhz"), ("sweep shift", "--kappa2-mhz"),
+    ("sweep shift", "--kappa-int-mhz"), ("fit bare", "--window"), ("compensate", "--window"),
+])
+def test_removed_flag_is_usage_error(tmp_path, monkeypatch, capsys, command, flag):
+    # no decay rate reaches the coupling or the cluster spectrum, and the bare
+    # fit's window is one fixed value
+    monkeypatch.chdir(tmp_path)
+    main(_synth_args("far.csv"))
+    flags = {
+        "calc g": ["--coupling-length-nm", "2200"],
+        "sweep shift": ["--maps", _maps_file(tmp_path), "--electrode", "trap",
+                        "--vmin", "0.25", "--vmax", "0.3", "--n", "1"],
+        "fit bare": ["--trace", "far.csv"],
+        "compensate": ["--far", "far.csv", "--target", "far.csv"],
+    }[command]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(command.split() + flags + [flag, "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "UsageError"
+    assert flag in json.loads(err[0])["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("kind", ["freq", "shift"])
+@pytest.mark.parametrize("voltages, message", [
+    (["trap=0.9"], "--voltage trap=0.9: trap is the swept --electrode"),
+    (["gate=0.1", "gate=0.2"], "--voltage gate=0.2: gate is given twice"),
+], ids=["swept-electrode", "twice"])
+def test_sweep_refuses_a_voltage_it_would_drop(tmp_path, capsys, kind, voltages, message):
+    # the swept electrode's voltage is set at every point, and a repeated
+    # name keeps one value: either way a given value would go unused
+    out = tmp_path / "sweep.csv"
+    extra = {"freq": ["--nx", "5", "--ny", "5", "--k", "3"], "shift": ["--grad-per-um", "0.01"]}
+    argv = ["sweep", kind, "--maps", _maps_file(tmp_path, gate=True), "--electrode", "trap",
+            "--vmin", "0.25", "--vmax", "0.3", "--n", "2", *extra[kind], "--out", str(out)]
+    for spec in voltages:
+        argv += ["--voltage", spec]
+    assert main(argv) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {"error": "UsageError", "message": message}
+
+
+@pytest.mark.parametrize("argv, cfg", [
+    (["synth", "--points", "11"], {"constants": {"m_e": 1e-30}}),
+    (["fit", "rabi", "--trace", "target.csv"], {"constants": {"m_e": 1e-30}}),
+    (["qsolve", "--a1x", "1.1e-8", "--a1y", "1.1e-8"], {"resonator": {"l_r": 80e-9}}),
+    (["sweep", "freq", "--electrode", "trap", "--vmin", "0.25", "--vmax", "0.3"],
+     {"resonator": {"l_r": 80e-9}}),
+    (["calc", "cardano", "--a1", "0", "--a2", "2750", "--ey", "300"],
+     {"resonator": {"l_r": 80e-9}}),
+    (["calc", "g", "--coupling-length-nm", "2200"], {"resonater": {"l_r": 80e-9}}),
+], ids=["synth-constants", "fit-rabi-constants", "qsolve-resonator", "sweep-freq-resonator",
+        "calc-cardano-resonator", "unknown-key"])
+def test_config_section_the_command_drops_is_format_error(tmp_path, monkeypatch, capsys,
+                                                          argv, cfg):
+    monkeypatch.chdir(tmp_path)
+    main(_synth_args("target.csv", kind="rabi"))
+    if argv[:2] == ["sweep", "freq"]:
+        argv = argv + ["--maps", _maps_file(tmp_path)]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(argv + ["--config", _config_file(tmp_path, cfg), "--out", "out"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    error = json.loads(err[0])
+    assert error["error"] == "FormatError"
+    assert repr(next(iter(cfg))) in error["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before + ["config.json"])
+
+
+def _readme_command_lines():
+    """Each `heliumdot ...` line of README's code blocks, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = []
+    for block in text.split("```")[1::2]:
+        joined = block.replace("\\\n", " ")
+        lines += [ln.strip() for ln in joined.splitlines() if ln.strip().startswith("heliumdot ")]
+    return lines
+
+
+def test_readme_command_lines_parse():
+    lines = _readme_command_lines()
+    assert len(lines) >= 8
+    for line in lines:
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        assert callable(args.func), line

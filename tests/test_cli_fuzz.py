@@ -41,7 +41,7 @@ FINITE = st.floats(-1e12, 1e12, allow_nan=False)
 CELL = st.one_of(FINITE.map(repr), st.sampled_from(["nan", "inf", "-inf", "1e308", "x", ""]))
 
 CALC = {
-    "g": ["--coupling-length-nm", "--f-res-ghz", "--kappa1-mhz"],
+    "g": ["--coupling-length-nm", "--f-res-ghz"],
     "cardano": ["--a1", "--a2", "--ey"],
     "purcell-res": ["--g-mhz", "--kappa-mhz", "--delta-ghz"],
     "purcell-bias": ["--f-el-ghz", "--dalpha-dy-per-um", "--lf-nh", "--cf-pf"],
@@ -180,8 +180,8 @@ def test_synth_flags(points, flags, config):
 
 @SETTINGS
 @given(kind=st.sampled_from(["bare", "rabi"]), trace=trace_text(), sidecar=SIDECAR,
-       far=st.one_of(st.none(), trace_text()), window=st.one_of(st.none(), NUMBER))
-def test_fit_trace_files(kind, trace, sidecar, far, window):
+       far=st.one_of(st.none(), trace_text()))
+def test_fit_trace_files(kind, trace, sidecar, far):
     with tempfile.TemporaryDirectory() as work:
         path = _write(work, "trace.csv", trace)
         if sidecar is not None:
@@ -189,15 +189,12 @@ def test_fit_trace_files(kind, trace, sidecar, far, window):
         argv = ["fit", kind, "--trace", path, "--out", os.path.join(work, "fit.json")]
         if kind == "rabi" and far is not None:
             argv += ["--far", _write(work, "far.csv", far)]
-        if kind == "bare" and window is not None:
-            argv += ["--window", window]
         _run(argv, work)
 
 
 @SETTINGS
-@given(target=trace_text(), far=trace_text(), sidecar=SIDECAR, target_sidecar=SIDECAR,
-       window=st.one_of(st.none(), NUMBER))
-def test_compensate_files(target, far, sidecar, target_sidecar, window):
+@given(target=trace_text(), far=trace_text(), sidecar=SIDECAR, target_sidecar=SIDECAR)
+def test_compensate_files(target, far, sidecar, target_sidecar):
     with tempfile.TemporaryDirectory() as work:
         argv = ["compensate", "--far", _write(work, "far.csv", far),
                 "--target", _write(work, "target.csv", target),
@@ -206,8 +203,6 @@ def test_compensate_files(target, far, sidecar, target_sidecar, window):
             _write(work, "far.csv.json", sidecar)
         if target_sidecar is not None:
             _write(work, "target.csv.json", target_sidecar)
-        if window is not None:
-            argv += ["--window", window]
         _run(argv, work)
 
 
@@ -280,8 +275,10 @@ def maps_text(draw):
     axis = np.linspace(-half, half, n)
     xx, yy = np.meshgrid(axis, axis)
     dome = np.exp(-(xx**2 + (yy / 0.7) ** 2) / width**2).tolist()
+    # a second electrode, so a drawn --voltage names one that is not swept
+    gate = np.exp(-(xx**2 + yy**2) / (2 * width**2)).tolist()
     payload = {"x_axis_um": axis.tolist(), "y_axis_um": axis.tolist(),
-               "electrodes": {"trap": dome}}
+               "electrodes": {"trap": dome, "gate": gate}}
     if draw(st.booleans()):
         payload["resonator_diff_grad_per_um"] = (0.15 * np.exp(-(xx**2 + yy**2))).tolist()
     if kind == "bad cell":
@@ -302,7 +299,7 @@ def _sweep(data, kind: str, flags: dict) -> None:
     flags = {"--vmin": "0.25", "--vmax": "0.3", **flags}
     overrides = st.lists(st.tuples(SWEEP_FLAG, NUMBER), max_size=3, unique_by=lambda t: t[0])
     for flag, value in data.draw(overrides, label="overrides"):
-        flags[flag] = f"trap={value}" if flag == "--voltage" else value
+        flags[flag] = f"gate={value}" if flag == "--voltage" else value
     with tempfile.TemporaryDirectory() as work:
         out = os.path.join(work, f"{kind}.csv")
         argv = ["sweep", kind, "--out", out,

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import math
+import tracemalloc
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 from heliumdot import cluster
 from heliumdot.cluster import (
     MAX_ELECTRONS,
+    _pair_diffs,
     _triangular_lattice,
     coupled_spectrum,
     electron_couplings,
@@ -138,6 +140,30 @@ def test_no_pair_terms_below_two_electrons(kind, n):
     hess = total_hessian(field, pos)
     assert hess.shape == (2 * n, 2 * n)
     assert np.array_equal(hess, field.energy_hessian(pos).reshape(2 * n, 2 * n))
+
+
+def test_hessian_stack_in_place_peak_and_bits():
+    # the pair blocks are built in one array: the call peaks near twice the
+    # stack it returns (the broadcast expression below peaks near 4.75 times),
+    # with the same bits
+    field = QuarticField(a1x=1e-3, a1y=2e-3, a2x=1e9, a2y=3e9)
+    pos = np.random.default_rng(8).uniform(-0.5e-6, 0.5e-6, size=(8, 100, 2))
+    tracemalloc.start()
+    try:
+        hess = total_hessian(field, pos)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * hess.nbytes
+
+    diff, dist = _pair_diffs(pos)
+    r = dist[..., None, None]
+    outer = diff[..., :, None] * diff[..., None, :]
+    pair = CONSTANTS.coulomb * CONSTANTS.e**2 * (3.0 * outer / r**5 - np.eye(2) / r**3)
+    ref = -pair
+    idx = np.arange(100)
+    ref[..., idx, idx, :, :] = field.energy_hessian(pos) + pair.sum(axis=-3)
+    assert np.array_equal(hess, ref.swapaxes(-3, -2).reshape(8, 200, 200))
 
 
 @pytest.mark.parametrize("n", range(1, 41))
@@ -283,8 +309,9 @@ def test_minimize_stop_at_energy_kink_not_converged():
     kink = 2 * a1x * 50e-9
     field = _KinkedEnergy(a1x=a1x, a1y=0.5 * CONSTANTS.m_e * wy**2, kink=kink,
                           e_x=kink / CONSTANTS.e)
-    # at the kink scipy's boundary step meets a zero direction and divides by it
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # every step at the kink is rejected: the restart stops once its radius is
+    # below the spacing of its positions, before the radius squared underflows
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
         config = minimize(field, 1, seed=0, restarts=2)
     assert abs(config.positions[0, 0]) < 25e-9  # short of the gradient's zero
     assert not config.converged
