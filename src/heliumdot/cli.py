@@ -76,8 +76,14 @@ def _seed(text: str) -> int:
 
 def _resonator(args: argparse.Namespace) -> core.ResonatorParams:
     """The config's resonator section on top of the device defaults, then the
-    --f-res-ghz and --kappa* flags on top of that."""
+    --f-res-ghz and --kappa* flags on top of that.  A command without the
+    --kappa* flags reads no decay rate, so its config may not set one."""
     res = resonator_from_config(args._config)
+    if not hasattr(args, "kappa1_mhz"):
+        dropped = sorted(set(_KAPPAS.values()) & set(args._config.get("resonator", {})))
+        if dropped:
+            raise FormatError(f"config {args.config}: resonator fields {dropped} are not "
+                              "read by this command, which reads no decay rate")
     kappas = {name: getattr(args, flag) * _MHZ for flag, name in _KAPPAS.items()
               if getattr(args, flag, None) is not None}
     if args.f_res_ghz is not None:
@@ -105,22 +111,20 @@ def _probe_axis(args: argparse.Namespace, center: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-# What an omitted electron flag means once --f-el-ghz puts an electron in.
-_ELECTRON_DEFAULTS = {"g_mhz": 0.0, "gamma2_mhz": 75.0}
-
-
 def _cmd_synth(args: argparse.Namespace) -> None:
     res = _resonator(args)
     el, g = None, 0.0
     if args.f_el_ghz is None:
-        given = [name for name in _ELECTRON_DEFAULTS if getattr(args, name) is not None]
+        given = [name for name in ("g_mhz", "gamma2_mhz") if getattr(args, name) is not None]
         if given:
             raise UsageError("synth: without --f-el-ghz the trace is bare, so it does not take "
                              + ", ".join("--" + n.replace("_", "-") for n in given))
     else:
-        for name, default in _ELECTRON_DEFAULTS.items():
-            if getattr(args, name) is None:
-                setattr(args, name, default)  # so the config records what the trace used
+        if args.g_mhz is None:
+            raise UsageError("synth: --f-el-ghz needs --g-mhz, since an uncoupled electron "
+                             "changes no row of the trace")
+        if args.gamma2_mhz is None:
+            args.gamma2_mhz = 75.0  # so the config records what the trace used
         el = cavity.TwoLevelElectron(
             omega_e=args.f_el_ghz * _GHZ, gamma_2=args.gamma2_mhz * _MHZ
         )
@@ -213,9 +217,9 @@ def _sweep_voltages(args: argparse.Namespace) -> np.ndarray:
 
 
 def _cmd_sweep_shift(args: argparse.Namespace) -> None:
+    res = _resonator(args)
     base = _base_voltages(args)
     maps = potential.load_coupling_maps(args.maps)
-    res = _resonator(args)
     grad = None
     if args.grad_per_um is not None:
         grad = potential.uniform_gradient_map(maps.domain, args.grad_per_um * 1e6)
@@ -247,30 +251,21 @@ def _cmd_sweep_freq(args: argparse.Namespace) -> None:
         return potential.compose(maps, voltages, e_x=args.ex, e_y=args.ey,
                                  constants=args._constants)
 
-    rows = qsolver.frequency_vs_voltage(
-        factory,
-        _sweep_voltages(args),
-        nx=args.nx,
-        ny=args.ny,
-        k=args.k,
-        seed=args.seed,
-        constants=args._constants,
-    )
+    rows = qsolver.frequency_vs_voltage(factory, _sweep_voltages(args), nx=args.nx, ny=args.ny,
+                                        k=args.k, seed=args.seed)
     io.write_freq_sweep_csv(rows, args.out or "freq_sweep.csv", config=_resolved(args))
 
 
 def _cmd_qsolve(args: argparse.Namespace) -> dict:
-    constants = args._constants
     field_ = potential.QuarticField(
         a1x=args.a1x, a1y=args.a1y, a2x=args.a2x, a2y=args.a2y,
-        e_x=args.ex, e_y=args.ey, constants=constants,
+        e_x=args.ex, e_y=args.ey, constants=args._constants,
     )
-    window = qsolver.auto_window(field_, constants=constants)
-    ham = qsolver.build_hamiltonian(field_, window, nx=args.nx, ny=args.ny,
-                                    constants=constants, kinetic="sinc")
+    window = qsolver.auto_window(field_)
+    ham = qsolver.build_hamiltonian(field_, window, nx=args.nx, ny=args.ny, kinetic="sinc")
     sol = qsolver.eigenstates(ham, k=args.k, seed=args.seed)
     payload = {
-        "energies_GHz": [e / constants.h / 1e9 for e in sol.energies],
+        "energies_GHz": [e / field_.constants.h / 1e9 for e in sol.energies],
         "residuals": [float(r) for r in sol.residuals],
         "window_um": [v * 1e6 for v in window],
         "flags": ["edge_minimum"] if ham.edge_minimum else [],
@@ -426,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_resonator_flags(p)
     p.add_argument("--f-el-ghz", type=float, help="electron frequency; omit for bare")
     p.add_argument("--gamma2-mhz", type=float, help="needs --f-el-ghz (default 75)")
-    p.add_argument("--g-mhz", type=float, help="needs --f-el-ghz (default 0)")
+    p.add_argument("--g-mhz", type=float, help="required with --f-el-ghz")
     p.add_argument("--crosstalk-t", type=float, default=0.0)
     p.add_argument("--crosstalk-zeta", type=float, default=0.0)
     p.add_argument("--span-mhz", type=float, default=800.0)

@@ -16,7 +16,9 @@ restart that leaves it, or brings a pair closer than MIN_SEPARATION, is
 masked out of the query as infinite energy.  In-plane vibrational modes
 come from the mass-scaled Hessian, and the observable resonator pull from a
 classical coupled-oscillator eigenproblem between the resonator mode and
-every cluster mode.
+every cluster mode.  Every function that takes a field reads e, m_e and
+eps0 from the field's ``constants``; the coupling functions, which take no
+field, and the sweep, which builds its fields, take them as an argument.
 """
 
 from __future__ import annotations
@@ -70,13 +72,16 @@ def _check_positions(positions) -> np.ndarray:
     return pos
 
 
-def total_energy(
-    field_: PotentialField,
-    positions,
-    constants: PhysicalConstants = CONSTANTS,
-):
+def _ke2(field_: PotentialField) -> float:
+    """k e^2 [J m] of the field's constants, the scale of every pair term."""
+    c = field_.constants
+    return c.coulomb * c.e**2
+
+
+def total_energy(field_: PotentialField, positions):
     """Trap plus Coulomb energy of a configuration [J]: a float for positions
-    of shape (N, 2), an array of shape (...) for a stack (..., N, 2).
+    of shape (N, 2), an array of shape (...) for a stack (..., N, 2).  The
+    Coulomb constant and charge are the field's ``constants``.
 
     Raises DomainError when any electron leaves the field domain or any pair
     comes closer than MIN_SEPARATION.
@@ -89,27 +94,18 @@ def total_energy(
     # contiguous rows, so each sums in the order a single configuration's does
     iu, ju = np.triu_indices(pos.shape[-2], k=1)
     pairs = np.ascontiguousarray(dist[..., iu, ju])
-    energy = u + constants.coulomb * constants.e**2 * (1.0 / pairs).sum(axis=-1)
+    energy = u + _ke2(field_) * (1.0 / pairs).sum(axis=-1)
     return float(energy) if np.ndim(energy) == 0 else energy
 
 
-def total_gradient(
-    field_: PotentialField,
-    positions,
-    constants: PhysicalConstants = CONSTANTS,
-) -> np.ndarray:
+def total_gradient(field_: PotentialField, positions) -> np.ndarray:
     """Gradient of the total energy, shape (..., N, 2) like positions [J/m]."""
     pos = _check_positions(positions)
     diff, dist = _pair_diffs(pos)
-    ke2 = constants.coulomb * constants.e**2
-    return field_.energy_gradient(pos) - ke2 * (diff / dist[..., None] ** 3).sum(axis=-2)
+    return field_.energy_gradient(pos) - _ke2(field_) * (diff / dist[..., None] ** 3).sum(axis=-2)
 
 
-def total_hessian(
-    field_: PotentialField,
-    positions,
-    constants: PhysicalConstants = CONSTANTS,
-) -> np.ndarray:
+def total_hessian(field_: PotentialField, positions) -> np.ndarray:
     """Analytic 2N x 2N Hessian of the total energy [J/m^2], symmetric; shape
     (..., 2N, 2N) for a stack (..., N, 2).
 
@@ -118,7 +114,7 @@ def total_hessian(
     """
     pos = _check_positions(positions)
     n = pos.shape[-2]
-    pair = _pair_blocks(pos, constants.coulomb * constants.e**2)
+    pair = _pair_blocks(pos, _ke2(field_))
     diagonal = field_.energy_hessian(pos) + pair.sum(axis=-3)
     hess = np.negative(pair, out=pair)  # (..., N, N, 2, 2)
     idx = np.arange(n)
@@ -189,7 +185,7 @@ def _newton_decrease(grad: np.ndarray, hess: np.ndarray) -> float:
         return math.inf
 
 
-def _query(field_: PotentialField, positions: np.ndarray, constants: PhysicalConstants):
+def _query(field_: PotentialField, positions: np.ndarray):
     """Energy (R,) [J] and flat gradient (R, 2N) [J/m] of each configuration
     of a stack (R, N, 2), from one total_energy and one total_gradient call.
 
@@ -205,8 +201,8 @@ def _query(field_: PotentialField, positions: np.ndarray, constants: PhysicalCon
     if ok.any():
         ok[ok] = _pair_diffs(positions[ok])[1].min(axis=(-2, -1)) >= MIN_SEPARATION
     if ok.any():
-        e = total_energy(field_, positions[ok], constants)
-        g = total_gradient(field_, positions[ok], constants).reshape(len(e), -1)
+        e = total_energy(field_, positions[ok])
+        g = total_gradient(field_, positions[ok]).reshape(len(e), -1)
         finite = np.all(np.isfinite(g), axis=-1)
         rows = np.flatnonzero(ok)[finite]
         energy[rows], grad[rows] = e[finite], g[finite]
@@ -280,11 +276,7 @@ def _steihaug(energy, grad, hess, radius):
     return step, hits
 
 
-def _descend(
-    field_: PotentialField,
-    starts: np.ndarray,
-    constants: PhysicalConstants,
-) -> list:
+def _descend(field_: PotentialField, starts: np.ndarray) -> list:
     """Trust-region Newton descent of every start of a stack (R, N, 2) at once.
 
     Each iteration builds the Hessians at the restarts that moved, in one
@@ -304,7 +296,7 @@ def _descend(
     region = field_.scan_region
     x = starts.copy()
     n_starts, n = x.shape[:2]
-    energy, grad = _query(field_, x, constants)
+    energy, grad = _query(field_, x)
     hess = np.empty((n_starts, 2 * n, 2 * n))
     radius = np.full(n_starts, 0.5 * min(region[1] - region[0], region[3] - region[2]))
     min_radius = np.spacing(max(map(abs, region)))
@@ -318,7 +310,7 @@ def _descend(
         live = np.flatnonzero(running)
         build = live[stale[live]]
         if build.size:
-            hess[build] = total_hessian(field_, x[build], constants)
+            hess[build] = total_hessian(field_, x[build])
             stale[build] = False
         e, g, h = energy[live], grad[live], hess[live]
         step, hits = _steihaug(e, g, h, radius[live])
@@ -330,7 +322,7 @@ def _descend(
         if not live.size:
             continue
         proposal = x[live] + step.reshape(-1, n, 2)
-        e_new, g_new = _query(field_, proposal, constants)
+        e_new, g_new = _query(field_, proposal)
         rho = (energy[live] - e_new) / predicted
         old = radius[live]
         grow = (rho > 0.75) & hits
@@ -374,7 +366,6 @@ def minimize(
     seed: int = 0,
     restarts: int = 8,
     init: np.ndarray | None = None,
-    constants: PhysicalConstants = CONSTANTS,
 ) -> ElectronConfiguration:
     """Find the minimum-energy configuration of n_electrons in the trap.
 
@@ -418,7 +409,7 @@ def minimize(
         curv = float(np.trace(hess)) / 2.0
         if curv <= 0:
             curv = abs(float(np.trace(hess))) / 2.0 or 1e-12
-        spacing = (constants.coulomb * constants.e**2 / curv) ** (1.0 / 3.0)
+        spacing = (_ke2(field_) / curv) ** (1.0 / 3.0)
         spacing = float(np.clip(spacing, span / 50.0, span / 4.0))
         base = _triangular_lattice(center, spacing, n_electrons)
     lo, hi = region[::2], region[1::2]
@@ -428,7 +419,7 @@ def minimize(
                     float(np.ptp(base, axis=0).max()) or span / 10.0)
     jitter = rng.normal(0.0, scale, size=(restarts - 1, *base.shape))
     starts = np.concatenate([base[None], np.clip(base + jitter, lo, hi)])
-    found = [c for c in _descend(field_, starts, constants) if c is not None]
+    found = [c for c in _descend(field_, starts) if c is not None]
     if not found:
         raise DomainError("no finite-energy configuration found; check the trap region")
     return max(found, key=lambda c: (c.converged, -c.energy))  # the first on a tie
@@ -449,12 +440,9 @@ class NormalModes:
     is_saddle: bool
 
 
-def normal_modes(
-    field_: PotentialField,
-    config: ElectronConfiguration,
-    constants: PhysicalConstants = CONSTANTS,
-) -> NormalModes:
-    """Diagonalize the Hessian at an equilibrium: omega_k = sqrt(lambda_k / m_e).
+def normal_modes(field_: PotentialField, config: ElectronConfiguration) -> NormalModes:
+    """Diagonalize the Hessian at an equilibrium: omega_k = sqrt(lambda_k / m_e),
+    with m_e from the field's ``constants``.
 
     A configuration with a negative Hessian eigenvalue is a saddle; its
     unstable modes get frequency 0.
@@ -462,11 +450,11 @@ def normal_modes(
     n = config.positions.shape[0]
     if n == 0:
         return NormalModes(np.zeros(0), np.zeros((0, 0)), False)
-    hess = total_hessian(field_, config.positions, constants)
+    hess = total_hessian(field_, config.positions)
     evals, evecs = np.linalg.eigh(hess)
     tol = 1e-10 * max(float(np.abs(evals).max()), 1e-300)
     unstable = evals < -tol
-    freqs = np.sqrt(np.clip(evals, 0.0, None) / constants.m_e)
+    freqs = np.sqrt(np.clip(evals, 0.0, None) / field_.constants.m_e)
     return NormalModes(frequencies=freqs, eigenvectors=evecs, is_saddle=bool(np.any(unstable)))
 
 
@@ -606,12 +594,9 @@ def shift_vs_voltage_sweep(
         config = modes = None
         try:
             field_ = compose(maps, volts, e_x=e_x, e_y=e_y, constants=constants)
-            config = minimize(
-                field_, n_electrons, seed=seed,
-                restarts=restarts if prev_positions is None else 1,
-                init=prev_positions, constants=constants,
-            )
-            modes = normal_modes(field_, config, constants)
+            config = minimize(field_, n_electrons, seed=seed, init=prev_positions,
+                              restarts=restarts if prev_positions is None else 1)
+            modes = normal_modes(field_, config)
             shift = math.nan if modes.is_saddle else coupled_spectrum(
                 modes, config, res, gradient_map, constants).shift
         except (DomainError, ArithmeticError) as exc:

@@ -10,7 +10,7 @@ the window.  One ``scipy.sparse.linalg.eigsh`` call finds the lowest
 levels by shift-invert Lanczos (ARPACK), with scipy's own factorization of
 H - sigma I, from a seeded or caller-given start vector, so reruns are
 bit-identical; the transition frequencies and the motional anharmonicity
-follow from them.
+follow from them.  hbar and m_e are the solved field's own ``constants``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .core import CONSTANTS, DomainError, Frequency, PhysicalConstants
+from .core import DomainError, Frequency, PhysicalConstants
 from .potential import PotentialField, edge_ring, sample_grid, scan_minimum
 
 # Half-width of an auto window, in zero-point lengths sqrt(hbar / (m_e omega)).
@@ -61,7 +61,8 @@ class DiscreteHamiltonian:
     x/y are the grid node coordinates [m] (uniform spacing), u the sampled
     potential energy [J] with shape (ny, nx), matrix the symmetric operator
     over row-major raveled nodes.  edge_minimum flags a window whose sampled
-    minimum sits on the boundary ring (the trap is probably not inside).
+    minimum sits on the boundary ring (the trap is probably not inside), and
+    constants are the field's.
     """
 
     x: np.ndarray
@@ -69,7 +70,7 @@ class DiscreteHamiltonian:
     u: np.ndarray
     matrix: sp.spmatrix | np.ndarray
     edge_minimum: bool
-    constants: PhysicalConstants = CONSTANTS
+    constants: PhysicalConstants
 
 
 def build_hamiltonian(
@@ -77,10 +78,10 @@ def build_hamiltonian(
     window: tuple,
     nx: int = 151,
     ny: int = 151,
-    constants: PhysicalConstants = CONSTANTS,
     kinetic: str = "fd2",
 ) -> DiscreteHamiltonian:
-    """Assemble the discrete Hamiltonian over window = (x0, x1, y0, y1).
+    """Assemble the discrete Hamiltonian over window = (x0, x1, y0, y1), with
+    hbar and m_e from the field's ``constants``.
 
     ``kinetic`` is ``"fd2"`` (sparse 3-point stencil, zero on the ghost
     nodes outside the window) or ``"sinc"`` (dense sinc DVR, at most
@@ -100,7 +101,7 @@ def build_hamiltonian(
     edge = edge_ring(u.shape)
     edge_minimum = bool(u[~edge].min() >= u[edge].min())
 
-    t = constants.hbar**2 / (2.0 * constants.m_e)
+    t = field_.constants.hbar**2 / (2.0 * field_.constants.m_e)
     if kinetic == "fd2":
         dx = sp.diags((1.0, -2.0, 1.0), (-1, 0, 1), shape=(nx, nx)) / hx**2
         dy = sp.diags((1.0, -2.0, 1.0), (-1, 0, 1), shape=(ny, ny)) / hy**2
@@ -113,7 +114,7 @@ def build_hamiltonian(
         ham[iy, :, iy, :] += t * _sinc_kinetic(nx, hx)
         ham = ham.reshape(nx * ny, nx * ny)
         ham.flat[:: nx * ny + 1] += u.ravel()
-    return DiscreteHamiltonian(x, y, u, ham, edge_minimum, constants)
+    return DiscreteHamiltonian(x, y, u, ham, edge_minimum, field_.constants)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,18 +200,20 @@ def transitions(sol: EigenSolution) -> TransitionSet:
 # ---------------------------------------------------------------------------
 
 
-def auto_window(field_: PotentialField, constants: PhysicalConstants = CONSTANTS) -> tuple:
+def auto_window(field_: PotentialField) -> tuple:
     """Window centered on the trap minimum, sized by the local curvature.
 
     Half-width = WINDOW_FACTOR * sqrt(hbar / (m_e omega)) per axis, with
     omega = sqrt(U_xx / m_e) for x and sqrt(U_yy / m_e) for y at the scanned
-    minimum, so the soft axis of an anisotropic trap gets the wider window.
-    Clipped to the field's scan region.
+    minimum (hbar and m_e from the field's ``constants``), so the soft axis
+    of an anisotropic trap gets the wider window.  Clipped to the field's
+    scan region.
     """
     region = field_.scan_region
     center = scan_minimum(field_, 121)
     curvs = np.clip(np.diag(field_.energy_hessian(center)), 1e-30, None)
-    half = WINDOW_FACTOR * np.sqrt(constants.hbar / np.sqrt(constants.m_e * curvs))
+    c = field_.constants
+    half = WINDOW_FACTOR * np.sqrt(c.hbar / np.sqrt(c.m_e * curvs))
     lo, hi = np.clip([center - half, center + half], region[::2], region[1::2])
     return (lo[0], hi[0], lo[1], hi[1])
 
@@ -232,12 +235,12 @@ def frequency_vs_voltage(
     ny: int = 23,
     k: int = 4,
     seed: int = 0,
-    constants: PhysicalConstants = CONSTANTS,
 ) -> list[FrequencySweepRow]:
     """Transition frequencies along a control-voltage sweep.
 
     ``field_factory`` maps a voltage to a PotentialField (compose an
-    electrode set, or scale an analytic surrogate).  Each point is
+    electrode set, or scale an analytic surrogate), which carries the
+    physical constants of that point's solve.  Each point is
     auto-windowed and solved on the sinc DVR.  Lanczos at each point starts
     from the sum of the previous point's eigenvectors, which lies near the
     wanted subspace; the first point, and any point after a failed one,
@@ -258,9 +261,7 @@ def frequency_vs_voltage(
         f01 = f12 = alpha = residual = math.nan
         try:
             field_ = field_factory(float(volt))
-            win = auto_window(field_, constants=constants)
-            ham = build_hamiltonian(field_, win, nx=nx, ny=ny, constants=constants,
-                                    kinetic="sinc")
+            ham = build_hamiltonian(field_, auto_window(field_), nx=nx, ny=ny, kinetic="sinc")
             if ham.edge_minimum:
                 flags.append("edge_minimum")
             sol = eigenstates(ham, k=k, seed=seed, v0=warm)

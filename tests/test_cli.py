@@ -71,16 +71,29 @@ def test_synth_electron_flag_without_electron_is_usage_error(tmp_path, capsys, f
     assert flag[0] in json.loads(err[0])["message"]
 
 
+def test_synth_electron_without_coupling_is_usage_error(tmp_path, capsys):
+    # an electron at g = 0 changes no row of the trace, so --f-el-ghz and
+    # --gamma2-mhz would be dropped: --g-mhz is required with them
+    out = tmp_path / "trace.csv"
+    assert main(["synth", "--points", "11", "--f-el-ghz", "7.162", "--gamma2-mhz", "60",
+                 "--out", str(out)]) == 1
+    assert not out.exists() and not (tmp_path / "trace.csv.json").exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "UsageError"
+    assert "--g-mhz" in json.loads(err[0])["message"]
+
+
 def test_synth_records_the_electron_values_it_used(tmp_path):
-    # a bare trace records no electron values; with --f-el-ghz the omitted
-    # ones are recorded as the 0 and 75 MHz the trace used
+    # a bare trace records no electron values; with --f-el-ghz and --g-mhz an
+    # omitted --gamma2-mhz is recorded as the 75 MHz the trace used
     assert main(["synth", "--points", "11", "--out", str(tmp_path / "bare.csv")]) == 0
-    assert main(["synth", "--points", "11", "--f-el-ghz", "7.162",
+    assert main(["synth", "--points", "11", "--f-el-ghz", "7.162", "--g-mhz", "118",
                  "--out", str(tmp_path / "el.csv")]) == 0
     bare = json.loads((tmp_path / "bare.csv.json").read_text())["config"]["options"]
     el = json.loads((tmp_path / "el.csv.json").read_text())["config"]["options"]
     assert not {"g_mhz", "gamma2_mhz"} & set(bare)
-    assert (el["g_mhz"], el["gamma2_mhz"]) == (0.0, 75.0)
+    assert (el["g_mhz"], el["gamma2_mhz"]) == (118.0, 75.0)
 
 
 def test_fit_bare_pipeline(tmp_path):
@@ -552,17 +565,20 @@ def test_parser_reuse_drops_appended_voltages(tmp_path, capsys):
     assert _csv_rows(tmp_path / "freq.csv")[0]["flags"] == ""
 
 
-def test_parser_reuse_restores_defaults(tmp_path, monkeypatch):
+def test_parser_reuse_restores_defaults(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     base = ["synth", "--f-el-ghz", "7.162", "--points", "11"]
-    assert main(base + ["--g-mhz", "5"]) == 0
-    coupled = (tmp_path / "trace.csv").read_bytes()
-    assert main(base) == 0
+    assert main(base + ["--g-mhz", "118", "--gamma2-mhz", "60"]) == 0
+    narrow = (tmp_path / "trace.csv").read_bytes()
+    assert main(base + ["--g-mhz", "118"]) == 0
     default = (tmp_path / "trace.csv").read_bytes()
-    assert main(base + ["--g-mhz", "0"]) == 0
-    assert default == (tmp_path / "trace.csv").read_bytes() != coupled
+    assert main(base + ["--g-mhz", "118", "--gamma2-mhz", "75"]) == 0
+    assert default == (tmp_path / "trace.csv").read_bytes() != narrow
     options = json.loads((tmp_path / "trace.csv.json").read_text())["config"]["options"]
-    assert options["g_mhz"] == 0.0
+    assert options["gamma2_mhz"] == 75.0
+    # nor is the --g-mhz of an earlier call kept
+    assert main(base) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
 
 
 @pytest.mark.parametrize("first", [
@@ -1259,6 +1275,31 @@ def test_config_section_the_command_drops_is_format_error(tmp_path, monkeypatch,
     assert error["error"] == "FormatError"
     assert repr(next(iter(cfg))) in error["message"]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before + ["config.json"])
+
+
+@pytest.mark.parametrize("command", ["calc g", "sweep shift"])
+def test_config_decay_rate_the_command_drops_is_format_error(tmp_path, monkeypatch, capsys,
+                                                             command):
+    # no decay rate reaches the coupling or the cluster spectrum, so a kappa
+    # field of the resonator section would be dropped
+    monkeypatch.chdir(tmp_path)
+    flags = {
+        "calc g": ["--coupling-length-nm", "2200"],
+        "sweep shift": ["--maps", _maps_file(tmp_path), "--electrode", "trap",
+                        "--vmin", "0.25", "--vmax", "0.3", "--n", "1"],
+    }[command]
+    cfg = _config_file(tmp_path, {"resonator": {"l_r": 80e-9, "kappa_1": 1e9,
+                                                "kappa_int": 1e6}})
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(command.split() + flags + ["--config", cfg, "--out", "out"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    error = json.loads(err[0])
+    assert error["error"] == "FormatError"
+    assert "['kappa_1', 'kappa_int']" in error["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 def _readme_command_lines():

@@ -4,7 +4,7 @@ import ast
 import math
 import tracemalloc
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -381,8 +381,7 @@ def test_batched_descent_matches_scipy_trust_ncg(monkeypatch, volts, n):
     seen = []
     descend = cluster._descend
     monkeypatch.setattr(cluster, "_descend",
-                        lambda field_, starts, constants: seen.append(starts) or
-                        descend(field_, starts, constants))
+                        lambda field_, starts: seen.append(starts) or descend(field_, starts))
     config = minimize(field, n, seed=n)
     [starts] = seen
     assert starts.shape == (8, n, 2)
@@ -414,9 +413,9 @@ def test_bad_restart_does_not_stop_or_change_the_others():
     good = np.array([[-60e-9, 10e-9], [70e-9, -5e-9]])
     off_region = good + 5e-6  # the scan region is +-2 um
     coincident = np.zeros((2, 2))
-    [alone] = cluster._descend(field, good[None], CONSTANTS)
+    [alone] = cluster._descend(field, good[None])
     with np.errstate(all="raise"):
-        batch = cluster._descend(field, np.stack([off_region, good, coincident]), CONSTANTS)
+        batch = cluster._descend(field, np.stack([off_region, good, coincident]))
     assert batch[0] is None and batch[2] is None
     assert alone.converged and batch[1].converged
     assert np.array_equal(batch[1].positions, alone.positions)
@@ -453,6 +452,22 @@ def test_two_electron_mode_frequencies_closed_form():
     expect = np.sort(
         [wx, wy, math.sqrt(3.0) * wx, math.sqrt(wy**2 - wx**2)]
     )
+    assert np.allclose(modes.frequencies, expect, rtol=1e-6)
+
+
+def test_minimize_and_modes_follow_the_field_constants():
+    """A field built with twice the charge and four times the mass: the pair
+    spacing d^3 = 2 k e^2 / (m omega_x^2) and the mode frequencies use them."""
+    c = replace(CONSTANTS, e=2 * CONSTANTS.e, m_e=4 * CONSTANTS.m_e)
+    wx, wy = 5.0 * GHZ, 8.0 * GHZ
+    field = QuarticField(a1x=0.5 * c.m_e * wx**2, a1y=0.5 * c.m_e * wy**2, constants=c)
+    config = minimize(field, 2, seed=0)
+    assert config.converged
+    d_expect = (2 * c.coulomb * c.e**2 / (c.m_e * wx**2)) ** (1 / 3)
+    d = float(np.linalg.norm(config.positions[0] - config.positions[1]))
+    assert d == pytest.approx(d_expect, rel=1e-9)
+    modes = normal_modes(field, config)
+    expect = np.sort([wx, wy, math.sqrt(3.0) * wx, math.sqrt(wy**2 - wx**2)])
     assert np.allclose(modes.frequencies, expect, rtol=1e-6)
 
 

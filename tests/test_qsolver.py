@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -216,6 +217,26 @@ def test_auto_window_sized_per_axis():
     tset = transitions(eigenstates(ham, k=3, seed=0))
     assert tset.omega_01.ghz == pytest.approx(fx, rel=1e-5)
     assert tset.omega_12.ghz == pytest.approx(fx, rel=1e-4)
+
+
+def test_solve_follows_the_field_constants():
+    """A field built with four times the electron mass is solved with that
+    mass at every step: the window, the kinetic term and the levels."""
+    heavy = replace(CONSTANTS, m_e=4 * CONSTANTS.m_e)
+    fx, fy = 5.0, 8.0
+    wx, wy = fx * GHZ, fy * GHZ
+    field = QuarticField(a1x=0.5 * heavy.m_e * wx**2, a1y=0.5 * heavy.m_e * wy**2,
+                         constants=heavy)
+    x0, x1, y0, y1 = auto_window(field)
+    for lo, hi, w in ((x0, x1, wx), (y0, y1, wy)):
+        half = WINDOW_FACTOR * math.sqrt(heavy.hbar / (heavy.m_e * w))
+        assert (lo, hi) == pytest.approx((-half, half), rel=1e-9)
+    ham = build_hamiltonian(field, (x0, x1, y0, y1), nx=23, ny=23, kinetic="sinc")
+    assert ham.constants is heavy
+    sol = eigenstates(ham, k=4, seed=0)
+    gaps = (sol.energies[1:] - sol.energies[0]) / heavy.hbar
+    assert gaps == pytest.approx([wx, wy, 2 * wx], rel=1e-4)
+    assert transitions(sol).omega_01.ghz == pytest.approx(fx, rel=1e-5)
 
 
 def test_transitions_and_anharmonicity_sign():

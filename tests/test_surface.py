@@ -13,7 +13,8 @@ loop target, a subscript) does the read count for every member of that name.
 Imports and ``__all__`` strings do not count as reads, and neither do the
 package's own unit tests: a name only its unit test reaches is a name no
 command uses.  The package module itself re-exports nothing, and only three
-helpers open files.
+helpers open files.  No function takes both a field, which carries its
+physical constants, and a second ``constants`` argument.
 """
 
 from __future__ import annotations
@@ -349,6 +350,61 @@ def test_an_allowed_name_with_a_reader_is_stale():
     # qsolver.frequency_vs_voltage reads EigenSolution.states
     assert _unread_and_stale({("EigenSolution", "states"): "test"}) == (
         [], ["qsolver.EigenSolution.states"])
+
+
+def _annotation_names(node) -> set:
+    """Every class name an annotation mentions, inside ``Callable[...]``,
+    ``X | None`` or a string too."""
+    if node is None:
+        return set()
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        node = ast.parse(node.value, mode="eval").body
+    names = set()
+    for part in ast.walk(node):
+        if isinstance(part, ast.Name):
+            names.add(part.id)
+        elif isinstance(part, ast.Attribute):
+            names.add(part.attr)
+        elif isinstance(part, ast.Constant) and isinstance(part.value, str):
+            names |= _annotation_names(part)
+    return names
+
+
+def _field_and_constants(sources: dict) -> list:
+    """The functions of ``sources`` (stem -> text), public or private, that
+    take a parameter annotated with a PotentialField class and also a
+    ``constants`` parameter."""
+    fields_ = _relatives("PotentialField")
+    both = []
+    for stem, text in sorted(sources.items()):
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            if ("constants" in {a.arg for a in params}
+                    and any(_annotation_names(a.annotation) & fields_ for a in params)):
+                both.append(f"{stem}.{node.name}")
+    return both
+
+
+def test_no_function_takes_a_field_and_constants():
+    """A field carries its physical constants; a function that took a second
+    set beside it could solve one problem with two sets of constants."""
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in PACKAGE.glob("*.py")}
+    both = _field_and_constants(sources)
+    assert not both, "functions that take a field and constants: " + ", ".join(both)
+
+
+def test_field_and_constants_guard_sees_wrapped_annotations():
+    source = (
+        "def a(field_: PotentialField, positions, constants=None): ...\n"
+        "def _b(f: 'GriddedField | None', *, constants): ...\n"
+        "def c(factory: Callable[[float], QuarticField], constants=None): ...\n"
+        "def d(maps: CouplingMapSet, constants=None): ...\n"
+        "def e(field_: PotentialField): ...\n"
+    )
+    assert _field_and_constants({"m": source}) == ["m.a", "m._b", "m.c"]
 
 
 def test_every_name_the_bench_tracer_wraps_exists():
