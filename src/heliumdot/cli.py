@@ -120,9 +120,9 @@ def _cmd_synth(args: argparse.Namespace) -> None:
             raise UsageError("synth: without --f-el-ghz the trace is bare, so it does not take "
                              + ", ".join("--" + n.replace("_", "-") for n in given))
     else:
-        if args.g_mhz is None:
-            raise UsageError("synth: --f-el-ghz needs --g-mhz, since an uncoupled electron "
-                             "changes no row of the trace")
+        if args.g_mhz is None or args.g_mhz == 0.0:
+            raise UsageError("synth: --f-el-ghz needs a nonzero --g-mhz, since an uncoupled "
+                             "electron changes no row of the trace")
         if args.gamma2_mhz is None:
             args.gamma2_mhz = 75.0  # so the config records what the trace used
         el = cavity.TwoLevelElectron(
@@ -421,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_resonator_flags(p)
     p.add_argument("--f-el-ghz", type=float, help="electron frequency; omit for bare")
     p.add_argument("--gamma2-mhz", type=float, help="needs --f-el-ghz (default 75)")
-    p.add_argument("--g-mhz", type=float, help="required with --f-el-ghz")
+    p.add_argument("--g-mhz", type=float, help="required, nonzero, with --f-el-ghz")
     p.add_argument("--crosstalk-t", type=float, default=0.0)
     p.add_argument("--crosstalk-zeta", type=float, default=0.0)
     p.add_argument("--span-mhz", type=float, default=800.0)

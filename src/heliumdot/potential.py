@@ -18,7 +18,10 @@ Values live on a map's ``domain``, derivatives on a field's ``scan_region``
 (the map less one cell); both are fixed at construction, and a field query
 checks its region once and makes one spline pass.  ``sample_grid``,
 ``edge_ring`` and ``scan_minimum`` are the grid scans the level and cluster
-solvers share.  Every field parameter must be finite.
+solvers share: ``scan_minimum`` gives the lowest node of a coarse scan of
+the scan region (31 x 31 for the level solver's window, which then polishes
+it by Newton steps; 61 x 61 for a cluster's cold start).  Every field
+parameter must be finite.
 """
 
 from __future__ import annotations

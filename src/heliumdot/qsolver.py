@@ -6,11 +6,14 @@ discrete-variable representation (DVR; Colbert and Miller, J. Chem. Phys.
 96, 1982, 1992), whose levels converge spectrally for a smooth U and which
 ``qsolve`` and ``sweep freq`` use on 23 x 23 nodes by default, at most
 MAX_DENSE_NODES; or the sparse 3-point stencil with hard walls just outside
-the window.  One ``scipy.sparse.linalg.eigsh`` call finds the lowest
-levels by shift-invert Lanczos (ARPACK), with scipy's own factorization of
-H - sigma I, from a seeded or caller-given start vector, so reruns are
-bit-identical; the transition frequencies and the motional anharmonicity
-follow from them.  hbar and m_e are the solved field's own ``constants``.
+the window.  ``auto_window`` centers the window on the trap minimum, found
+by a 31 x 31 scan and a Newton polish on the field's own derivatives, and
+sizes it from the curvature there.  One ``scipy.sparse.linalg.eigsh`` call
+finds the lowest levels by shift-invert Lanczos (ARPACK) at sigma = min U,
+with scipy's own factorization of H - sigma I, from a seeded or
+caller-given start vector, so reruns are bit-identical; the transition
+frequencies and the motional anharmonicity follow from them.  hbar and m_e
+are the solved field's own ``constants``.
 """
 
 from __future__ import annotations
@@ -29,6 +32,11 @@ from .potential import PotentialField, edge_ring, sample_grid, scan_minimum
 
 # Half-width of an auto window, in zero-point lengths sqrt(hbar / (m_e omega)).
 WINDOW_FACTOR = 8.0
+
+# The auto window's minimum search: scan nodes per axis, then at most this
+# many Newton steps.
+SCAN_NODES = 31
+NEWTON_STEPS = 4
 
 # Largest n_x n_y of a dense (sinc) Hamiltonian: 8 * 2500^2 bytes = 50 MB.
 MAX_DENSE_NODES = 2500
@@ -140,21 +148,24 @@ def eigenstates(
 
     Lanczos starts from ``v0`` when given (one value per node, for example
     the sum of a nearby problem's eigenvectors), else from a vector drawn
-    from ``seed``.  The shift sigma lies 5% of the potential range below
-    min U, so H - sigma I is positive definite (both kinetic symbols,
-    2 - 2 cos t and t^2, are positive away from t = 0).  ``eigsh`` factors
-    it once itself, by LAPACK LU when the matrix is dense (sinc) and by
-    SuperLU when it is sparse (fd2), and applies the factor's solve in
-    ARPACK's shift-invert mode.  ARPACK stops at a relative Ritz tolerance
-    of 1e-13, which keeps every residual below about 1e-12 of the spectral
-    span.
+    from ``seed``.  The shift is sigma = min U, the lowest sampled
+    potential.  H - sigma I = T + (U - min U) is positive definite: U - min U
+    is a non-negative diagonal, so by Weyl's inequality its lowest eigenvalue
+    is at least that of the kinetic T, which is positive (both kinetic
+    symbols, 2 - 2 cos t and t^2, are positive away from t = 0).  And sigma
+    lies only about the zero-point energy below E0, so Lanczos needs few
+    solves.  ``eigsh`` factors H - sigma I once itself, by LAPACK LU when
+    the matrix is dense (sinc) and by SuperLU when it is sparse (fd2), and
+    applies the factor's solve in ARPACK's shift-invert mode.  ARPACK stops
+    at a relative Ritz tolerance of 1e-13, which keeps every residual below
+    about 1e-12 of the spectral span.
     """
     size = ham.matrix.shape[0]
     if not 1 <= k <= min(20, size - 2):
         raise DomainError("k must be between 1 and min(20, n_nodes - 2)")
     if v0 is None:
         v0 = np.random.default_rng(seed).standard_normal(size)
-    sigma = float(ham.u.min()) - 0.05 * float(ham.u.max() - ham.u.min() + 1.0e-30)
+    sigma = float(ham.u.min())
     vals, vecs = spla.eigsh(ham.matrix, k=k, sigma=sigma, which="LM", v0=v0, tol=1e-13)
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
@@ -203,18 +214,38 @@ def transitions(sol: EigenSolution) -> TransitionSet:
 def auto_window(field_: PotentialField) -> tuple:
     """Window centered on the trap minimum, sized by the local curvature.
 
-    Half-width = WINDOW_FACTOR * sqrt(hbar / (m_e omega)) per axis, with
-    omega = sqrt(U_xx / m_e) for x and sqrt(U_yy / m_e) for y at the scanned
-    minimum (hbar and m_e from the field's ``constants``), so the soft axis
-    of an anisotropic trap gets the wider window.  Clipped to the field's
-    scan region.
+    The minimum is the lowest node of a SCAN_NODES x SCAN_NODES scan of the
+    field's scan region, polished by at most NEWTON_STEPS Newton steps on the
+    field's gradient and Hessian.  A step is taken only while the Hessian is
+    positive definite, is clipped to the scan region, and is kept only if U
+    does not rise; so on a saddle, a flat field or a non-finite step the
+    center stays on the last point kept.  Half-width = WINDOW_FACTOR *
+    sqrt(hbar / (m_e omega)) per axis, with omega = sqrt(U_xx / m_e) for x
+    and sqrt(U_yy / m_e) for y from the Hessian at the center (hbar and m_e
+    from the field's ``constants``), so the soft axis of an anisotropic trap
+    gets the wider window.  Clipped to the field's scan region.
     """
     region = field_.scan_region
-    center = scan_minimum(field_, 121)
-    curvs = np.clip(np.diag(field_.energy_hessian(center)), 1e-30, None)
+    r_lo, r_hi = region[::2], region[1::2]
+    center = scan_minimum(field_, SCAN_NODES)
+    u = field_.energy(*center)
+    hess = field_.energy_hessian(center)
+    for _ in range(NEWTON_STEPS):
+        if not (hess[0, 0] > 0.0 and hess[0, 0] * hess[1, 1] - hess[0, 1] ** 2 > 0.0):
+            break
+        step = np.linalg.solve(hess, field_.energy_gradient(center))
+        trial = np.clip(center - step, r_lo, r_hi)
+        if not np.all(np.isfinite(trial)):
+            break
+        u_trial = field_.energy(*trial)
+        if not u_trial <= u:
+            break
+        center, u = trial, u_trial
+        hess = field_.energy_hessian(center)
+    curvs = np.clip(np.diag(hess), 1e-30, None)
     c = field_.constants
     half = WINDOW_FACTOR * np.sqrt(c.hbar / np.sqrt(c.m_e * curvs))
-    lo, hi = np.clip([center - half, center + half], region[::2], region[1::2])
+    lo, hi = np.clip([center - half, center + half], r_lo, r_hi)
     return (lo[0], hi[0], lo[1], hi[1])
 
 

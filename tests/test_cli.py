@@ -84,6 +84,18 @@ def test_synth_electron_without_coupling_is_usage_error(tmp_path, capsys):
     assert "--g-mhz" in json.loads(err[0])["message"]
 
 
+def test_synth_electron_at_zero_coupling_is_usage_error(tmp_path, capsys):
+    # g = 0 writes the rows of a bare trace whatever --f-el-ghz says
+    out = tmp_path / "trace.csv"
+    assert main(["synth", "--points", "11", "--f-el-ghz", "7.162", "--g-mhz", "0",
+                 "--out", str(out)]) == 1
+    assert not out.exists() and not (tmp_path / "trace.csv.json").exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "UsageError"
+    assert "nonzero --g-mhz" in json.loads(err[0])["message"]
+
+
 def test_synth_records_the_electron_values_it_used(tmp_path):
     # a bare trace records no electron values; with --f-el-ghz and --g-mhz an
     # omitted --gamma2-mhz is recorded as the 75 MHz the trace used

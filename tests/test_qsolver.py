@@ -12,7 +12,7 @@ import scipy.sparse.linalg as spla
 
 from heliumdot import qsolver
 from heliumdot.core import CONSTANTS, DomainError, TWO_PI
-from heliumdot.potential import CouplingMapSet, QuarticField, compose
+from heliumdot.potential import CouplingMapSet, QuarticField, compose, scan_minimum
 from heliumdot.qsolver import (
     WINDOW_FACTOR,
     auto_window,
@@ -287,6 +287,111 @@ def test_auto_window_contains_minimum():
     y_min = CONSTANTS.e * 400.0 / (2 * 2e-9)
     assert x0 < 0.0 < x1
     assert y0 < y_min < y1
+
+
+def test_auto_window_centers_on_the_closed_form_minimum():
+    """A minimum between the scanned nodes, harmonic in x and the soft quartic
+    of the 1D oracle in y, each with a field: the window center comes from
+    the Newton polish, not from a node, to 1e-9 of a zero-point length."""
+    from heliumdot.analytic import CubicTrap1D, cardano_minimum
+
+    a1x, a1y, a2y = 0.5 * CONSTANTS.m_e * (7.0 * GHZ) ** 2, 1e-12, 2750.0
+    x_min = 0.3137e-6
+    e_x = 2 * a1x * x_min / CONSTANTS.e
+    e_y = 300.0
+    field = QuarticField(a1x=a1x, a1y=a1y, a2y=a2y, e_x=e_x, e_y=e_y)
+    y_min = cardano_minimum(CubicTrap1D(a1=a1y, a2=a2y, e_y=e_y)).y0
+    x0, x1, y0, y1 = auto_window(field)
+    for lo, hi, r_min, curv in ((x0, x1, x_min, 2 * a1x),
+                                (y0, y1, y_min, 2 * a1y + 12 * a2y * y_min**2)):
+        length = math.sqrt(CONSTANTS.hbar / math.sqrt(CONSTANTS.m_e * curv))
+        assert abs(0.5 * (lo + hi) - r_min) < 1e-9 * length
+        assert 0.5 * (hi - lo) == pytest.approx(WINDOW_FACTOR * length, rel=1e-9)
+
+
+class _CountingQuartic(QuarticField):
+    """QuarticField that counts the points its energy is evaluated at and
+    its gradient and Hessian queries."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        object.__setattr__(self, "counts", {"points": 0, "gradients": 0, "hessians": 0})
+
+    def _base(self, x, y):
+        self.counts["points"] += np.broadcast(x, y).size
+        return super()._base(x, y)
+
+    def energy_gradient(self, points):
+        self.counts["gradients"] += 1
+        return super().energy_gradient(points)
+
+    def energy_hessian(self, points):
+        self.counts["hessians"] += 1
+        return super().energy_hessian(points)
+
+
+def test_auto_window_cost_is_a_coarse_scan_and_four_newton_steps():
+    """An off-node quartic minimum takes every Newton step; the window still
+    costs at most a 31 x 31 scan plus 5 points and 5 Hessians, where a
+    121 x 121 scan would evaluate 14641 points."""
+    field = _CountingQuartic(a1x=1e-12, a2x=2750.0, a1y=2e-12, a2y=4000.0, e_x=300.0,
+                             e_y=-250.0)
+    auto_window(field)
+    assert field.counts["gradients"] == qsolver.NEWTON_STEPS
+    assert field.counts["points"] <= 31**2 + 5
+    assert field.counts["hessians"] <= 5
+
+
+class _NanGradientQuartic(_CountingQuartic):
+    def energy_gradient(self, points):
+        return np.full(np.shape(points), math.nan)
+
+
+@pytest.mark.parametrize("cls, params", [
+    (_CountingQuartic, {"a1x": -1e-9, "a1y": 2e-9}),  # saddle: the scan ends on the x edge
+    (_CountingQuartic, {}),  # flat: a zero Hessian
+    (_CountingQuartic, {"a2x": 3e12, "a2y": 3e12, "e_y": 50.0}),  # flat in x at the node
+    (_NanGradientQuartic, {"a1x": 1e-9, "a1y": 2e-9, "e_x": 33.0}),  # a NaN step
+], ids=["saddle", "flat", "quartic-x", "nan-step"])
+def test_auto_window_takes_no_step_off_a_minimum(cls, params):
+    """Without a positive-definite Hessian, or with a non-finite step, the
+    center stays on the scanned node and the window inside the scan region."""
+    field = cls(**params)
+    x0, x1, y0, y1 = auto_window(field)
+    r0, r1, s0, s1 = field.scan_region
+    assert r0 <= x0 < x1 <= r1 and s0 <= y0 < y1 <= s1
+    assert field.counts["hessians"] == 1
+    assert field.counts["points"] == 31**2 + 1  # no trial point is evaluated
+
+
+def test_auto_window_keeps_no_step_that_raises_u():
+    """A stiff quartic y trap: the full Newton step from the scanned node
+    overshoots the minimum and U rises, so the center stays on the node."""
+    field = _CountingQuartic(a1x=2e-9, a1y=1e-9, a2y=4e12, e_y=211.0)
+    x0, x1, y0, y1 = auto_window(field)
+    assert field.counts == {"points": 31**2 + 2, "gradients": 1, "hessians": 1}
+    node = scan_minimum(field, 31)
+    assert (0.5 * (x0 + x1), 0.5 * (y0 + y1)) == pytest.approx(tuple(node), abs=1e-15)
+
+
+def _bench_dome_field(volts: float):
+    """The 81-node benchmark dome, exp(-x^2 - (y/0.7)^2) over +-1 um."""
+    axis = np.linspace(-1e-6, 1e-6, 81)
+    xx, yy = np.meshgrid(axis, axis)
+    maps = CouplingMapSet(x_axis=axis, y_axis=axis,
+                          grids={"trap": np.exp(-(xx / 1e-6) ** 2 - (yy / 0.7e-6) ** 2)})
+    return compose(maps, {"trap": volts})
+
+
+@pytest.mark.parametrize("kinetic", ("fd2", "sinc"))
+@pytest.mark.parametrize("field", [_harmonic(5.0, 7.0), _bench_dome_field(0.25)],
+                         ids=["harmonic", "bench-dome"])
+def test_shift_at_min_u_leaves_a_positive_definite_matrix(field, kinetic):
+    """eigenstates shifts by sigma = min U: H - sigma I = T + (U - min U) is
+    positive definite, because T is for both kinetic matrices."""
+    ham = build_hamiltonian(field, auto_window(field), nx=23, ny=23, kinetic=kinetic)
+    matrix = ham.matrix.toarray() if kinetic == "fd2" else ham.matrix
+    np.linalg.cholesky(matrix - ham.u.min() * np.eye(matrix.shape[0]))
 
 
 def test_frequency_sweep_two_crossings():
