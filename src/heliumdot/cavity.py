@@ -232,9 +232,14 @@ class CompensationResult:
     """Output of the three-step background removal.
 
     compensated: the target trace with leakage and spurious transmission
-    subtracted; reference_fit: the bare-resonator fit of the far-detuned
-    trace; leak: the fitted crosstalk transmission constant; other: the
-    spurious background sampled on the shared probe axis.
+    subtracted, its metadata marked ``compensated`` and carrying the
+    reference fit's parameters as ``reference_fit``; reference_fit: the
+    bare-resonator fit of the far-detuned trace; leak: the fitted crosstalk
+    transmission constant; other: the spurious background sampled on the
+    shared probe axis.  The ``compensate`` command adds ``far_sha256``, the
+    SHA-256 of the far trace's CSV text, next to ``reference_fit``, so that
+    ``fit rabi --far`` given that same file takes the stored fit instead of
+    fitting the far trace again.
     """
 
     compensated: SpectrumTrace

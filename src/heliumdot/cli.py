@@ -153,6 +153,25 @@ def _cmd_fit_bare(args: argparse.Namespace) -> None:
     io.write_fit_json(fit, args.out or "fit_bare.json", config=_resolved(args))
 
 
+def _far_resonator(far: str, target: str, metadata: dict) -> core.ResonatorParams:
+    """The resonator of the far-detuned trace ``far``.
+
+    A target compensated against this very text carries its bare fit in
+    ``metadata`` (``reference_fit``, with the text's ``far_sha256``), which
+    is taken as it stands; otherwise the far trace is read and fit.
+    """
+    if ("far_sha256" in metadata and "reference_fit" in metadata
+            and metadata["far_sha256"] == io.text_sha256(far, f"trace {far}")):
+        ref = metadata["reference_fit"]
+        if not (isinstance(ref, dict) and set(ref) == set(fitters.BARE_PARAMS)
+                and all(map(core.is_finite_number, ref.values()))):
+            raise FormatError(f"trace sidecar {target}.json: reference_fit must be an "
+                              f"object of the finite numbers {list(fitters.BARE_PARAMS)}")
+        return fitters.resonator_from_bare_params(ref)[0]
+    bare = fitters.fit_bare_resonator(io.read_trace(far))
+    return fitters.resonator_from_bare_fit(bare)[0]
+
+
 def _cmd_fit_rabi(args: argparse.Namespace) -> None:
     trace = io.read_trace(args.trace)
     if args.far:
@@ -160,9 +179,7 @@ def _cmd_fit_rabi(args: argparse.Namespace) -> None:
         if ignored:
             raise UsageError("fit rabi: --far calibrates the resonator, so it does not take "
                              + ", ".join("--" + n.replace("_", "-") for n in ignored))
-        far = io.read_trace(args.far)
-        bare = fitters.fit_bare_resonator(far)
-        res, _ct = fitters.resonator_from_bare_fit(bare)
+        res = _far_resonator(args.far, args.trace, trace.metadata)
     else:
         res = _resonator(args)
     fit = fitters.fit_rabi(trace, res)
@@ -179,6 +196,7 @@ def _cmd_compensate(args: argparse.Namespace) -> None:
     far = io.read_trace(args.far)
     target = io.read_trace(args.target)
     result = cavity.compensate_background(far, target)
+    result.compensated.metadata["far_sha256"] = io.text_sha256(args.far, f"trace {args.far}")
     out = args.out or "compensated.csv"
     io.write_trace(result.compensated, out, config=_resolved(args))
     io.write_compensation_json(result.leak, result.other, out + ".comp.json",
@@ -441,7 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_resonator_flags(p)
     p.add_argument("--trace", required=True)
     p.add_argument("--far", help="far-detuned trace to calibrate the resonator "
-                                 "(then no --config, --f-res-ghz or --kappa*)")
+                                 "(then no --config, --f-res-ghz or --kappa*); a trace "
+                                 "compensated against it reuses the stored fit")
 
     p = _command(fit_sub, "twotone", _cmd_fit_twotone, "Lorentzian dip in a drive sweep")
     p.add_argument("--data", required=True, help="CSV: freq_GHz,response")

@@ -196,6 +196,17 @@ def read_json_object(path: str, what: str) -> dict:
     return obj
 
 
+def is_finite_number(value) -> bool:
+    """True for a JSON number of finite float value: an int or a float, not
+    a bool, and not an int too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _config_section(cfg: dict, name: str, record: type) -> dict:
     """The config's ``name`` section: an object of finite numbers keyed by
     fields of ``record``; FormatError otherwise."""
@@ -206,8 +217,7 @@ def _config_section(cfg: dict, name: str, record: type) -> dict:
     if unknown:
         raise FormatError(f"unknown {name} fields in config: {sorted(unknown)}")
     for key, value in section.items():
-        if isinstance(value, bool) or not (isinstance(value, (int, float))
-                                           and math.isfinite(value)):
+        if not is_finite_number(value):
             raise FormatError(f"config {name}.{key} must be a finite number, got {value!r}")
     return dict(section)
 

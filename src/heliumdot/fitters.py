@@ -7,6 +7,10 @@ enforced by smooth reparameterization (log for positive rates, scaled logit
 for intervals), never by clipping, so MINPACK always works on an
 unconstrained vector.  Identical inputs give bit-identical results.
 
+The bare-resonator fit hands MINPACK the closed-form Jacobian of
+:func:`bare_model` (:func:`bare_jacobian`); the doublet and dip fits take
+forward differences (an exact doublet Jacobian measured no faster).
+
 Parameter uncertainties come from the Jacobian at the optimum,
 cov = s^2 (J^T J)^-1 with s^2 the reduced residual variance; sigmas are NaN
 only when that matrix is singular, and the result is flagged accordingly.
@@ -97,9 +101,11 @@ class FitResult:
     params/sigmas are keyed by parameter name in the recipe's units
     (angular rad/s for every frequency-like quantity).  rss is the sum of
     squared residuals in data units; iterations is MINPACK's count of
-    residual evaluations (scipy 1.17 leaves out the finite-difference
-    Jacobian columns).  flags: max_iter (evaluation budget spent),
-    singular_covariance, underdetermined, plus recipe-specific entries.
+    residual evaluations.  It counts no Jacobian: a bare fit evaluates its
+    Jacobian in closed form, and scipy 1.17 leaves the finite-difference
+    columns of the other fits out of the count.  flags: max_iter
+    (evaluation budget spent), singular_covariance, underdetermined, plus
+    recipe-specific entries.
     """
 
     params: dict
@@ -122,14 +128,20 @@ def least_squares(
     ydata: np.ndarray,
     init: Mapping[str, float],
     bounds: Mapping[str, tuple] | None = None,
+    jac: Callable | None = None,
 ) -> FitResult:
     """Fit ``model(x, **params)`` to data by MINPACK's Levenberg-Marquardt.
 
     ydata may be complex; residuals are then the stacked real and imaginary
     parts.  ``bounds`` maps parameter names to (lo, hi): (0, inf) gives a
     log transform, finite intervals a scaled logit, omitted names are
-    unbounded.  Raises FitError when there are fewer residuals than free
-    parameters or the model is not finite at the start.
+    unbounded.  ``jac(x, **params)``, when given, returns the model's
+    derivative in each external parameter as a mapping from name to a
+    column (or a scalar for a column constant in x); each column is chained
+    through the parameter's transform, and MINPACK then takes no finite
+    differences.  Without it the Jacobian is taken by forward differences.
+    Raises FitError when there are fewer residuals than free parameters or
+    the model is not finite at the start.
     """
     names = list(init)
     transforms = [_Transform(*(bounds or {}).get(n, (-math.inf, math.inf))) for n in names]
@@ -151,10 +163,19 @@ def least_squares(
             return np.full(n_res, math.inf)
         return np.concatenate([r.real, r.imag]) if complex_data else r.astype(float)
 
+    def jacobian(internal: np.ndarray) -> np.ndarray:
+        columns = jac(xdata, **external(internal))
+        out = np.empty((ydata.size, len(names)), complex if complex_data else float)
+        for k, (n, tr, v) in enumerate(zip(names, transforms, internal)):
+            out[:, k] = columns[n]
+            out[:, k] *= tr.dext_dint(v)
+        return np.concatenate([out.real, out.imag]) if complex_data else out
+
     theta0 = np.array([tr.to_internal(float(init[n])) for n, tr in zip(names, transforms)])
     try:
         sol = scipy.optimize.least_squares(
-            residuals, theta0, method="lm", x_scale="jac", ftol=1e-10, xtol=1e-10, gtol=1e-12
+            residuals, theta0, jac="2-point" if jac is None else jacobian, method="lm",
+            x_scale="jac", ftol=1e-10, xtol=1e-10, gtol=1e-12
         )
     except ValueError as exc:
         # scipy checks the residuals at theta0 itself before MINPACK starts
@@ -240,30 +261,57 @@ def _estimate_peak_and_width(probe: np.ndarray, mag: np.ndarray) -> tuple:
     return float(probe[i_pk]), float(width)
 
 
+# The parameters of bare_model, in the order a bare fit reports them.
+BARE_PARAMS = ("omega_r", "kappa_tot", "amp", "t", "zeta")
+
+
 def bare_model(x, omega_r, kappa_tot, amp, t, zeta):
     """Bare-resonator fit model: the resonant Lorentzian plus the crosstalk
     leak -i sqrt(t) e^(i zeta), over probe frequencies x [rad/s]."""
     return lorentzian(x, omega_r, kappa_tot, amp) + crosstalk_leak(t, zeta)
 
 
-def resonator_from_bare_fit(fit: FitResult) -> tuple[ResonatorParams, CrosstalkParams]:
-    """Physical parameter records from a bare fit, at the device impedance.
+def bare_jacobian(x, omega_r, kappa_tot, amp, t, zeta) -> dict:
+    """Closed-form derivatives of :func:`bare_model`, keyed by parameter.
+
+    With D = kappa_tot/2 + i (omega_r - x) and L the leak: d/d omega_r =
+    -i amp/D^2, d/d kappa_tot = -amp/(2 D^2), d/d amp = 1/D, d/dt = L/(2t),
+    d/d zeta = i L; the leak columns are scalars.  1/D is squared rather
+    than D, so a huge trial D underflows instead of overflowing.
+    """
+    inv = 1.0 / (kappa_tot / 2.0 + 1j * (omega_r - np.asarray(x)))
+    inv2 = inv * inv
+    leak = crosstalk_leak(t, zeta)
+    return {"omega_r": -1j * amp * inv2, "kappa_tot": -0.5 * amp * inv2, "amp": inv,
+            "t": leak / (2.0 * t), "zeta": 1j * leak}
+
+
+def resonator_from_bare_params(
+    params: Mapping[str, float],
+) -> tuple[ResonatorParams, CrosstalkParams]:
+    """Physical parameter records from bare-fit parameters, at the device
+    impedance.
 
     Symmetric ports kappa_1 = kappa_2 = amp reproduce the fitted amplitude
     exactly when amp <= kappa_tot/2 (the rest is internal loss).  A noisy
     fit can land slightly beyond that bound; then the ports are set to
-    kappa_tot/2 (amplitude error at the noise level) and the result is
-    flagged.
+    kappa_tot/2, an amplitude error at the noise level.
     """
-    kappa_tot, amp = fit.params["kappa_tot"], fit.params["amp"]
-    k12 = amp if amp <= kappa_tot / 2.0 else kappa_tot / 2.0
-    if k12 != amp:
-        fit.flags["overcoupled_amplitude"] = True
+    kappa_tot, amp = params["kappa_tot"], params["amp"]
+    k12 = min(amp, kappa_tot / 2.0)
     res = ResonatorParams.from_mode(
-        fit.params["omega_r"], default_resonator().impedance, kappa_1=k12, kappa_2=k12,
+        params["omega_r"], default_resonator().impedance, kappa_1=k12, kappa_2=k12,
         kappa_int=kappa_tot - 2.0 * k12,
     )
-    return res, CrosstalkParams(t=fit.params["t"], zeta=fit.params["zeta"])
+    return res, CrosstalkParams(t=params["t"], zeta=params["zeta"])
+
+
+def resonator_from_bare_fit(fit: FitResult) -> tuple[ResonatorParams, CrosstalkParams]:
+    """:func:`resonator_from_bare_params` of a bare fit, flagging the fit
+    ``overcoupled_amplitude`` when its ports had to be set to kappa_tot/2."""
+    if fit.params["amp"] > fit.params["kappa_tot"] / 2.0:
+        fit.flags["overcoupled_amplitude"] = True
+    return resonator_from_bare_params(fit.params)
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +353,9 @@ def fit_bare_resonator(trace: SpectrumTrace) -> FitResult:
         "amp": (0.0, math.inf),
         "t": (1e-12, 1.0),
     }
-    order = ["omega_r", "kappa_tot", "amp", "t", "zeta"]
     fit = least_squares(
         bare_model, probe[window], trace.s21[window],
-        init={k: start[k] for k in order}, bounds=bounds,
+        init={k: start[k] for k in BARE_PARAMS}, bounds=bounds, jac=bare_jacobian,
     )
     fit.flags["window_points"] = int(window.sum())
     return fit

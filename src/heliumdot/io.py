@@ -11,6 +11,7 @@ a ``# config:`` comment line in CSV, a ``config`` key in JSON.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -68,18 +69,29 @@ def write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _rows(path: str, what: str) -> Iterator[tuple[str, list[str]]]:
-    """(line, comma-split cells) for each data row of a CSV file; blank
-    lines, ``#`` comments and a ``freq...`` header are skipped.  FormatError
-    naming ``what`` when the file is not UTF-8."""
+def read_text(path: str, what: str) -> str:
+    """The whole text of a UTF-8 file, with every line ending read as "\\n";
+    FormatError naming ``what`` when the file is not UTF-8.  The one reader
+    of CSV files, so a digest and a parse see the same text."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line and not line.startswith("#") and not line.lower().startswith("freq"):
-                    yield line, line.split(",")
+            return fh.read()
     except UnicodeDecodeError:
         raise FormatError(f"{what}: not UTF-8 text") from None
+
+
+def text_sha256(path: str, what: str) -> str:
+    """Hex SHA-256 of a file's text as :func:`read_text` reads it."""
+    return hashlib.sha256(read_text(path, what).encode("utf-8")).hexdigest()
+
+
+def _rows(path: str, what: str) -> Iterator[tuple[str, list[str]]]:
+    """(line, comma-split cells) for each data row of a CSV file; blank
+    lines, ``#`` comments and a ``freq...`` header are skipped."""
+    for line in read_text(path, what).split("\n"):
+        line = line.strip()
+        if line and not line.startswith("#") and not line.lower().startswith("freq"):
+            yield line, line.split(",")
 
 
 def _table(path: str, what: str, ncols: int, exact: bool) -> np.ndarray:

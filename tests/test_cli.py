@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heliumdot import analytic, cavity, cli, cluster, core, qsolver
+from heliumdot import analytic, cavity, cli, cluster, core, fitters, io, qsolver
 from heliumdot.cli import build_parser, main
 from heliumdot.core import CONSTANTS, TWO_PI
 from heliumdot.io import read_trace
@@ -136,6 +137,117 @@ def test_fit_rabi_with_reference(tmp_path):
     # compensation also drops a record of what was removed
     removed = json.loads((tmp_path / "comp.csv.comp.json").read_text())
     assert "leak" in removed
+
+
+_FIT_RABI_FAR = ["fit", "rabi", "--trace", "comp.csv", "--far", "far.csv", "--out", "fit.json"]
+
+
+def _compensated_chain(tmp_path, monkeypatch):
+    """Synthesize far.csv and target.csv in tmp_path and compensate them into
+    comp.csv, with a spy on the bare fit; returns the list of its calls."""
+    monkeypatch.chdir(tmp_path)
+    main(_synth_args("far.csv", seed=1004))
+    main(_synth_args("target.csv", kind="rabi", seed=4))
+    calls = []
+    bare_fit = fitters.fit_bare_resonator
+    monkeypatch.setattr(fitters, "fit_bare_resonator",
+                        lambda trace: calls.append(trace) or bare_fit(trace))
+    assert main(["compensate", "--far", "far.csv", "--target", "target.csv",
+                 "--out", "comp.csv"]) == 0
+    return calls
+
+
+def test_readout_chain_fits_the_far_trace_once(tmp_path, monkeypatch):
+    # compensate stores the bare fit and the digest of the far text; fit rabi
+    # --far on that same text takes the stored fit, and neither parses nor
+    # fits far.csv again
+    calls = _compensated_chain(tmp_path, monkeypatch)
+    reads = []
+    read = io.read_trace
+    monkeypatch.setattr(io, "read_trace", lambda path: reads.append(path) or read(path))
+    assert main(_FIT_RABI_FAR) == 0
+    assert len(calls) == 1
+    assert reads == ["comp.csv"]
+    meta = json.loads((tmp_path / "comp.csv.json").read_text())["metadata"]
+    assert meta["far_sha256"] == hashlib.sha256((tmp_path / "far.csv").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("tamper", ["no_digest", "no_reference_fit", "other_digest",
+                                    "no_sidecar"])
+def test_fit_rabi_far_refit_writes_what_the_reuse_writes(tmp_path, monkeypatch, tamper):
+    # without a stored fit of this very far text, fit rabi --far reads and
+    # fits far.csv, and fit.json comes out byte for byte as on the reuse path
+    calls = _compensated_chain(tmp_path, monkeypatch)
+    assert main(_FIT_RABI_FAR) == 0
+    reused = (tmp_path / "fit.json").read_bytes()
+    sidecar = tmp_path / "comp.csv.json"
+    payload = json.loads(sidecar.read_text())
+    meta = payload["metadata"]
+    if tamper == "no_sidecar":
+        sidecar.unlink()
+    else:
+        if tamper == "no_digest":
+            del meta["far_sha256"]
+        elif tamper == "no_reference_fit":
+            del meta["reference_fit"]
+        else:
+            meta["far_sha256"] = hashlib.sha256(b"another trace").hexdigest()
+        sidecar.write_text(json.dumps(payload))
+    assert main(_FIT_RABI_FAR) == 0
+    assert len(calls) == 2
+    assert (tmp_path / "fit.json").read_bytes() == reused
+
+
+def test_fit_rabi_far_refits_a_far_trace_changed_in_one_row(tmp_path, monkeypatch):
+    calls = _compensated_chain(tmp_path, monkeypatch)
+    assert main(_FIT_RABI_FAR) == 0
+    reused = json.loads((tmp_path / "fit.json").read_text())["params"]
+    far = tmp_path / "far.csv"
+    lines = far.read_text().splitlines(keepends=True)
+    mid = 2 + 200  # config line, header, then the row at the peak
+    freq, re, im = lines[mid].rstrip("\n").split(",")
+    lines[mid] = f"{freq},{float(re) + 0.01!r},{im}\n"
+    far.write_text("".join(lines))
+    assert main(_FIT_RABI_FAR) == 0
+    assert len(calls) == 2
+    params = json.loads((tmp_path / "fit.json").read_text())["params"]
+    res, _ct = fitters.resonator_from_bare_fit(fitters.fit_bare_resonator(read_trace("far.csv")))
+    direct = fitters.fit_rabi(read_trace("comp.csv"), res)
+    assert params == json.loads(io._json_dumps(io.fit_to_json_dict(direct)))["params"]
+    assert params != reused
+
+
+_BAD_REFERENCE_FITS = {
+    "list": lambda good: list(good.values()),
+    "null": lambda good: None,
+    "missing_key": lambda good: {k: v for k, v in good.items() if k != "zeta"},
+    "extra_key": lambda good: {**good, "g": 1.0},
+    "string": lambda good: {**good, "amp": str(good["amp"])},
+    "bool": lambda good: {**good, "zeta": True},
+    "nan": lambda good: {**good, "t": math.nan},
+    "inf": lambda good: {**good, "kappa_tot": math.inf},
+    "int_beyond_float": lambda good: {**good, "omega_r": 10**400},
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_REFERENCE_FITS))
+def test_fit_rabi_far_rejects_a_bad_stored_fit(tmp_path, monkeypatch, capsys, bad):
+    # the digest matches, so the stored fit stands for the far trace: one it
+    # cannot use is a format error, never a traceback and never a silent refit
+    calls = _compensated_chain(tmp_path, monkeypatch)
+    sidecar = tmp_path / "comp.csv.json"
+    payload = json.loads(sidecar.read_text())
+    meta = payload["metadata"]
+    meta["reference_fit"] = _BAD_REFERENCE_FITS[bad](meta["reference_fit"])
+    sidecar.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(_FIT_RABI_FAR) == 1
+    assert not (tmp_path / "fit.json").exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "FormatError"
+    assert "reference_fit" in json.loads(err[0])["message"]
+    assert len(calls) == 1
 
 
 def test_fit_twotone(tmp_path):
@@ -765,6 +877,20 @@ def _config_file(tmp_path, cfg):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def test_config_int_beyond_float_range_is_format_error(tmp_path, capsys):
+    # an int JSON number too large for a float is not a finite number: it is
+    # refused by name, not left to overflow in float()
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"resonator": {"l_r": 1' + "0" * 400 + "}}")
+    out = tmp_path / "trace.csv"
+    assert main(["synth", "--points", "11", "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "FormatError"
+    assert "resonator.l_r" in json.loads(err[0])["message"]
 
 
 def test_config_constants_and_resonator_flags_combine(tmp_path, capsys):

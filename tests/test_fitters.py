@@ -16,6 +16,7 @@ from heliumdot.cavity import (
 from heliumdot.core import DomainError, TWO_PI, default_resonator
 from heliumdot.fitters import (
     FitError,
+    bare_jacobian,
     bare_model,
     fit_bare_resonator,
     fit_lorentzian_dip,
@@ -288,6 +289,53 @@ def test_bare_model_arrays_match_fit_model(res_7162, probe_half_ghz):
     assert leak == pytest.approx(
         np.full(probe_half_ghz.size, CrosstalkParams(t=0.008, zeta=-0.30).s21_leak)
     )
+
+
+_BARE_BOUNDS = {"kappa_tot": (0.0, math.inf), "amp": (0.0, math.inf), "t": (1e-12, 1.0)}
+
+
+@pytest.mark.parametrize("params", [
+    dict(omega_r=7.162 * GHZ, kappa_tot=23.0 * MHZ, amp=11.5 * MHZ, t=0.008, zeta=-0.30),
+    dict(omega_r=7.17 * GHZ, kappa_tot=5.0 * MHZ, amp=2.0 * MHZ, t=1e-10, zeta=2.9),
+    dict(omega_r=7.15 * GHZ, kappa_tot=80.0 * MHZ, amp=45.0 * MHZ, t=0.999, zeta=-3.1),
+    dict(omega_r=7.162 * GHZ, kappa_tot=23.0 * MHZ, amp=11.5 * MHZ, t=1e-11 + 1e-12,
+         zeta=0.0),
+], ids=["device", "t_low", "t_near_upper_bound", "t_near_lower_bound"])
+def test_bare_jacobian_matches_central_differences(params, probe_half_ghz):
+    # each closed-form column, chained into the fit's internal (log, logit)
+    # coordinate, against a central difference of bare_model in that coordinate;
+    # the bound allows the difference's truncation and its rounding of |model|
+    x = probe_half_ghz[::8]
+    exact = bare_jacobian(x, **params)
+    rounding = 10.0 * np.finfo(float).eps * np.max(np.abs(bare_model(x, **params)))
+    for name, value in params.items():
+        tr = fitters._Transform(*_BARE_BOUNDS.get(name, (-math.inf, math.inf)))
+        v = tr.to_internal(value)
+        h = 1e-4 * params["kappa_tot"] if name == "omega_r" else 1e-4
+        up = bare_model(x, **{**params, name: tr.to_external(v + h)})
+        down = bare_model(x, **{**params, name: tr.to_external(v - h)})
+        numeric = (up - down) / (2.0 * h)
+        column = np.broadcast_to(exact[name] * tr.dext_dint(v), x.shape)
+        scale = np.max(np.abs(column))
+        assert scale > 0
+        assert np.max(np.abs(column - numeric)) <= 1e-6 * scale + rounding / h, name
+
+
+def test_exact_bare_jacobian_fits_as_finite_differences(res_7162, probe_half_ghz):
+    # least_squares chains the supplied columns through the transforms: the
+    # fit lands where the forward-difference fit lands, with the same sigmas
+    ct = CrosstalkParams(t=0.008, zeta=-0.30)
+    trace = synthesize_trace(res_7162, None, 0.0, ct, probe_half_ghz, snr=50.0, seed=3)
+    init = dict(omega_r=res_7162.omega_r + 2.0 * MHZ, kappa_tot=30.0 * MHZ, amp=10.0 * MHZ,
+                t=0.01, zeta=-0.2)
+    window = np.abs(probe_half_ghz - res_7162.omega_r) <= 50.0 * MHZ
+    args = (bare_model, probe_half_ghz[window], trace.s21[window], init, _BARE_BOUNDS)
+    exact = least_squares(*args, jac=bare_jacobian)
+    numeric = least_squares(*args)
+    assert exact.converged and numeric.converged
+    for name in init:
+        assert exact.params[name] == pytest.approx(numeric.params[name], rel=1e-8, abs=1e-9)
+        assert exact.sigmas[name] == pytest.approx(numeric.sigmas[name], rel=1e-4)
 
 
 def test_resonator_from_bare_fit_roundtrip(res_7162, probe_half_ghz):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -15,6 +16,7 @@ from heliumdot.io import (
     read_trace,
     read_twotone_csv,
     svg_line_plot,
+    text_sha256,
     write_compensation_json,
     write_fit_json,
     write_freq_sweep_csv,
@@ -66,6 +68,22 @@ def test_read_trace_errors(tmp_path):
         read_trace(str(bad))
     with pytest.raises(OSError):
         read_trace(str(tmp_path / "missing.csv"))
+
+
+def test_digest_and_parse_read_the_same_text(tmp_path):
+    # a trace's digest is the SHA-256 of its file as written; CRLF line ends
+    # read as "\n", so a CRLF copy parses to the same trace and digest
+    path = tmp_path / "t.csv"
+    write_trace(_trace(), str(path))
+    digest = text_sha256(str(path), "trace")
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert text_sha256(str(crlf), "trace") == digest
+    assert np.array_equal(read_trace(str(crlf)).s21, read_trace(str(path)).s21)
+    crlf.write_bytes(b"\xff" + path.read_bytes())
+    with pytest.raises(FormatError, match="trace: not UTF-8 text"):
+        text_sha256(str(crlf), "trace")
 
 
 def test_write_trace_matches_per_value_repr(tmp_path):

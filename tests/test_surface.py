@@ -432,8 +432,8 @@ def test_every_name_the_bench_tracer_wraps_exists():
 
 def test_one_way_in_and_out():
     """The package module re-exports nothing, and the builtin ``open`` is
-    called only by the JSON-object reader, the text writer and the CSV row
-    scanner, so each file-format decision has one home."""
+    called only by the JSON-object reader, the text writer and the CSV text
+    reader, so each file-format decision has one home."""
     init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     for node in ast.walk(init):
         assert not isinstance(node, (ast.Import, ast.ImportFrom)), "__init__ imports"
@@ -446,4 +446,4 @@ def test_one_way_in_and_out():
                 if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                         and node.func.id == "open"):
                     openers.add(f"{path.stem}.{owner}")
-    assert openers == {"core.read_json_object", "io.write_text", "io._rows"}
+    assert openers == {"core.read_json_object", "io.write_text", "io.read_text"}
