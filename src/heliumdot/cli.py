@@ -153,8 +153,8 @@ def _cmd_fit_bare(args: argparse.Namespace) -> None:
     io.write_fit_json(fit, args.out or "fit_bare.json", config=_resolved(args))
 
 
-def _far_resonator(far: str, target: str, metadata: dict) -> core.ResonatorParams:
-    """The resonator of the far-detuned trace ``far``.
+def _far_params(far: str, target: str, metadata: dict) -> dict:
+    """The bare-fit parameters of the far-detuned trace ``far``.
 
     A target compensated against this very text carries its bare fit in
     ``metadata`` (``reference_fit``, with the text's ``far_sha256``), which
@@ -167,9 +167,8 @@ def _far_resonator(far: str, target: str, metadata: dict) -> core.ResonatorParam
                 and all(map(core.is_finite_number, ref.values()))):
             raise FormatError(f"trace sidecar {target}.json: reference_fit must be an "
                               f"object of the finite numbers {list(fitters.BARE_PARAMS)}")
-        return fitters.resonator_from_bare_params(ref)[0]
-    bare = fitters.fit_bare_resonator(io.read_trace(far))
-    return fitters.resonator_from_bare_fit(bare)[0]
+        return ref
+    return fitters.fit_bare_resonator(io.read_trace(far)).params
 
 
 def _cmd_fit_rabi(args: argparse.Namespace) -> None:
@@ -179,10 +178,13 @@ def _cmd_fit_rabi(args: argparse.Namespace) -> None:
         if ignored:
             raise UsageError("fit rabi: --far calibrates the resonator, so it does not take "
                              + ", ".join("--" + n.replace("_", "-") for n in ignored))
-        res = _far_resonator(args.far, args.trace, trace.metadata)
+        far = _far_params(args.far, args.trace, trace.metadata)
+        res = fitters.resonator_from_bare_params(far)[0]
     else:
         res = _resonator(args)
     fit = fitters.fit_rabi(trace, res)
+    if args.far and fitters.overcoupled(far):
+        fit.flags["overcoupled_amplitude"] = True
     io.write_fit_json(fit, args.out or "fit_rabi.json", config=_resolved(args))
 
 

@@ -31,13 +31,13 @@ import numpy as np
 
 from .analytic import coupling_g
 from .core import CONSTANTS, DomainError, PhysicalConstants, ResonatorParams
-from .potential import CouplingGradientMap, CouplingMapSet, PotentialField, compose, scan_minimum
+from .potential import (FLOOR_ULPS, CouplingGradientMap, CouplingMapSet, PotentialField, compose,
+                        trap_minimum)
 
 # Electrons closer than this are a modeling error, not a physical configuration.
 MIN_SEPARATION = 1e-9  # m
 GRAD_TOL = 1e-28  # J/m
 MAX_ITER = 500  # trust-region iterations per restart
-FLOOR_ULPS = 4.0  # Newton decrease [ulp of the energy] below which a stall is converged
 ETA = 0.15  # least actual / predicted decrease ratio of an accepted step
 MAX_RADIUS = 1000.0  # m, trust-radius cap (scipy's default); no scan region comes near it
 
@@ -371,12 +371,13 @@ def minimize(
 
     Deterministic for a given (field, n_electrons, seed): the descent is
     seeded multi-start (``restarts`` starts, at least 1) around a
-    triangular-lattice guess centered on the scanned trap minimum, or around
-    ``init`` when given.  All starts descend as one batch (``_descend``):
-    trust-region Newton with Steihaug truncated-CG steps on the analytic
-    gradient and Hessian, each restart with its own trust radius and its
-    own stop.  Steps follow negative curvature, so a run leaves a saddle
-    unless symmetry pins it there.
+    triangular-lattice guess centered on ``potential.trap_minimum`` and
+    spaced by the curvature there, or around ``init`` when given.  All
+    starts descend as one batch (``_descend``): trust-region Newton with
+    Steihaug truncated-CG steps on the analytic gradient and Hessian, each
+    restart with its own trust radius and its own stop.  Steps follow
+    negative curvature, so a run leaves a saddle unless symmetry pins it
+    there.
 
     The descent's domain is the field's ``scan_region``: a step out of it,
     onto a pair closer than MIN_SEPARATION, or to where the gradient is not
@@ -404,11 +405,8 @@ def minimize(
         if base.shape != (n_electrons, 2):
             raise DomainError(f"init must have shape ({n_electrons}, 2), got {base.shape}")
     else:
-        center = scan_minimum(field_, 61)
-        hess = field_.energy_hessian(center)
-        curv = float(np.trace(hess)) / 2.0
-        if curv <= 0:
-            curv = abs(float(np.trace(hess))) / 2.0 or 1e-12
+        center, hess = trap_minimum(field_)
+        curv = abs(float(np.trace(hess))) / 2.0 or 1e-12
         spacing = (_ke2(field_) / curv) ** (1.0 / 3.0)
         spacing = float(np.clip(spacing, span / 50.0, span / 4.0))
         base = _triangular_lattice(center, spacing, n_electrons)

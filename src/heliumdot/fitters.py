@@ -306,10 +306,15 @@ def resonator_from_bare_params(
     return res, CrosstalkParams(t=params["t"], zeta=params["zeta"])
 
 
+def overcoupled(params: Mapping[str, float]) -> bool:
+    """Whether :func:`resonator_from_bare_params` clamps these ports to kappa_tot/2."""
+    return params["amp"] > params["kappa_tot"] / 2.0
+
+
 def resonator_from_bare_fit(fit: FitResult) -> tuple[ResonatorParams, CrosstalkParams]:
     """:func:`resonator_from_bare_params` of a bare fit, flagging the fit
     ``overcoupled_amplitude`` when its ports had to be set to kappa_tot/2."""
-    if fit.params["amp"] > fit.params["kappa_tot"] / 2.0:
+    if overcoupled(fit.params):
         fit.flags["overcoupled_amplitude"] = True
     return resonator_from_bare_params(fit.params)
 

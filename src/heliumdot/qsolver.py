@@ -6,14 +6,13 @@ discrete-variable representation (DVR; Colbert and Miller, J. Chem. Phys.
 96, 1982, 1992), whose levels converge spectrally for a smooth U and which
 ``qsolve`` and ``sweep freq`` use on 23 x 23 nodes by default, at most
 MAX_DENSE_NODES; or the sparse 3-point stencil with hard walls just outside
-the window.  ``auto_window`` centers the window on the trap minimum, found
-by a 31 x 31 scan and a Newton polish on the field's own derivatives, and
-sizes it from the curvature there.  One ``scipy.sparse.linalg.eigsh`` call
-finds the lowest levels by shift-invert Lanczos (ARPACK) at sigma = min U,
-with scipy's own factorization of H - sigma I, from a seeded or
-caller-given start vector, so reruns are bit-identical; the transition
-frequencies and the motional anharmonicity follow from them.  hbar and m_e
-are the solved field's own ``constants``.
+the window.  ``auto_window`` centers the window on the trap minimum
+(``potential.trap_minimum``) and sizes it from the curvature there.  One
+``scipy.sparse.linalg.eigsh`` call finds the lowest levels by shift-invert
+Lanczos (ARPACK) at sigma = min U, with scipy's own factorization of
+H - sigma I, from a seeded or caller-given start vector, so reruns are
+bit-identical; the transition frequencies and the motional anharmonicity
+follow from them.  hbar and m_e are the solved field's own ``constants``.
 """
 
 from __future__ import annotations
@@ -28,15 +27,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .core import DomainError, Frequency, PhysicalConstants
-from .potential import PotentialField, edge_ring, sample_grid, scan_minimum
+from .potential import PotentialField, edge_ring, sample_grid, trap_minimum
 
 # Half-width of an auto window, in zero-point lengths sqrt(hbar / (m_e omega)).
 WINDOW_FACTOR = 8.0
-
-# The auto window's minimum search: scan nodes per axis, then at most this
-# many Newton steps.
-SCAN_NODES = 31
-NEWTON_STEPS = 4
 
 # Largest n_x n_y of a dense (sinc) Hamiltonian: 8 * 2500^2 bytes = 50 MB.
 MAX_DENSE_NODES = 2500
@@ -212,40 +206,18 @@ def transitions(sol: EigenSolution) -> TransitionSet:
 
 
 def auto_window(field_: PotentialField) -> tuple:
-    """Window centered on the trap minimum, sized by the local curvature.
-
-    The minimum is the lowest node of a SCAN_NODES x SCAN_NODES scan of the
-    field's scan region, polished by at most NEWTON_STEPS Newton steps on the
-    field's gradient and Hessian.  A step is taken only while the Hessian is
-    positive definite, is clipped to the scan region, and is kept only if U
-    does not rise; so on a saddle, a flat field or a non-finite step the
-    center stays on the last point kept.  Half-width = WINDOW_FACTOR *
-    sqrt(hbar / (m_e omega)) per axis, with omega = sqrt(U_xx / m_e) for x
-    and sqrt(U_yy / m_e) for y from the Hessian at the center (hbar and m_e
-    from the field's ``constants``), so the soft axis of an anisotropic trap
-    gets the wider window.  Clipped to the field's scan region.
+    """Window centered on ``potential.trap_minimum``, sized by the curvature
+    there: half-width = WINDOW_FACTOR * sqrt(hbar / (m_e omega)) per axis,
+    with omega = sqrt(U_xx / m_e) for x and sqrt(U_yy / m_e) for y (hbar and
+    m_e from the field's ``constants``), so the soft axis of an anisotropic
+    trap gets the wider window.  Clipped to the field's scan region.
     """
+    center, hess = trap_minimum(field_)
     region = field_.scan_region
-    r_lo, r_hi = region[::2], region[1::2]
-    center = scan_minimum(field_, SCAN_NODES)
-    u = field_.energy(*center)
-    hess = field_.energy_hessian(center)
-    for _ in range(NEWTON_STEPS):
-        if not (hess[0, 0] > 0.0 and hess[0, 0] * hess[1, 1] - hess[0, 1] ** 2 > 0.0):
-            break
-        step = np.linalg.solve(hess, field_.energy_gradient(center))
-        trial = np.clip(center - step, r_lo, r_hi)
-        if not np.all(np.isfinite(trial)):
-            break
-        u_trial = field_.energy(*trial)
-        if not u_trial <= u:
-            break
-        center, u = trial, u_trial
-        hess = field_.energy_hessian(center)
     curvs = np.clip(np.diag(hess), 1e-30, None)
     c = field_.constants
     half = WINDOW_FACTOR * np.sqrt(c.hbar / np.sqrt(c.m_e * curvs))
-    lo, hi = np.clip([center - half, center + half], r_lo, r_hi)
+    lo, hi = np.clip([center - half, center + half], region[::2], region[1::2])
     return (lo[0], hi[0], lo[1], hi[1])
 
 

@@ -217,6 +217,31 @@ def test_fit_rabi_far_refits_a_far_trace_changed_in_one_row(tmp_path, monkeypatc
     assert params != reused
 
 
+@pytest.mark.parametrize("far_seed, clamped", [(1000, True), (1002, False)])
+def test_fit_rabi_far_flags_clamped_ports_on_both_paths(tmp_path, monkeypatch, far_seed,
+                                                        clamped):
+    # at SNR 50 the bare fit of far seed 1000 lands at amp = 1.0028 kappa_tot/2,
+    # so the ports are clamped to kappa_tot/2, and fit.json says so whether
+    # the stored fit is reused or far.csv is refit; seed 1002 lands at 0.9963
+    monkeypatch.chdir(tmp_path)
+    main(_synth_args("far.csv", seed=far_seed) + ["--snr", "50"])
+    main(_synth_args("target.csv", kind="rabi", seed=4) + ["--snr", "50"])
+    assert main(["compensate", "--far", "far.csv", "--target", "target.csv",
+                 "--out", "comp.csv"]) == 0
+    sidecar = tmp_path / "comp.csv.json"
+    payload = json.loads(sidecar.read_text())
+    ref = payload["metadata"]["reference_fit"]
+    assert (ref["amp"] > ref["kappa_tot"] / 2) == clamped
+    assert main(_FIT_RABI_FAR) == 0
+    reused = (tmp_path / "fit.json").read_bytes()
+    flags = json.loads(reused)["flags"]
+    assert flags.get("overcoupled_amplitude", False) == clamped
+    del payload["metadata"]["far_sha256"]
+    sidecar.write_text(json.dumps(payload))
+    assert main(_FIT_RABI_FAR) == 0
+    assert (tmp_path / "fit.json").read_bytes() == reused
+
+
 _BAD_REFERENCE_FITS = {
     "list": lambda good: list(good.values()),
     "null": lambda good: None,

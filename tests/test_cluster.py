@@ -26,6 +26,7 @@ from heliumdot.cluster import (
 )
 from heliumdot.core import CONSTANTS, DomainError, TWO_PI, default_resonator
 from heliumdot.potential import (
+    FLOOR_ULPS,
     CouplingMapSet,
     GriddedField,
     QuarticField,
@@ -368,7 +369,7 @@ def _scipy_reference(field, starts):
         converged = sol.status == 0 or (
             sol.status == 2
             and cluster._newton_decrease(sol.jac, hessian(sol.x))
-            <= cluster.FLOOR_ULPS * np.spacing(abs(sol.fun)))
+            <= FLOOR_ULPS * np.spacing(abs(sol.fun)))
         if best is None or (converged, -sol.fun) > best[:2]:
             best = (bool(converged), -float(sol.fun), sol.x.reshape(-1, 2))
     return best

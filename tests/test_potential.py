@@ -8,7 +8,8 @@ import pytest
 
 from scipy.interpolate import RectBivariateSpline
 
-from heliumdot import potential
+from heliumdot import potential, qsolver
+from heliumdot.analytic import CubicTrap1D, cardano_minimum
 from heliumdot.core import CONSTANTS, DomainError, FormatError
 from heliumdot.potential import (
     CouplingGradientMap,
@@ -19,7 +20,7 @@ from heliumdot.potential import (
     compose,
     edge_ring,
     load_coupling_maps,
-    scan_minimum,
+    trap_minimum,
     uniform_gradient_map,
 )
 
@@ -301,12 +302,95 @@ def test_field_protocol(case):
             for step in (np.array([h, 0.0]), np.array([0.0, h]))
         ])
         np.testing.assert_allclose(hess, fd_hess, rtol=1e-4, atol=1e-9 * np.abs(fd_hess).max())
-    region = f.scan_region
-    samples = 81
-    found = scan_minimum(f, samples)
-    steps = ((region[1] - region[0]) / (samples - 1), (region[3] - region[2]) / (samples - 1))
-    assert abs(found[0] - minimum[0]) <= steps[0]
-    assert abs(found[1] - minimum[1]) <= steps[1]
+    found, hess = trap_minimum(f)
+    assert found == pytest.approx(minimum, abs=1e-15)
+    assert np.array_equal(hess, f.energy_hessian(found))
+
+
+# ---------------------------------------------------------------------------
+# trap minimum
+# ---------------------------------------------------------------------------
+
+
+class _CountingQuartic(QuarticField):
+    """QuarticField that counts the points its energy is evaluated at and
+    its gradient and Hessian queries."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        object.__setattr__(self, "counts", {"points": 0, "gradients": 0, "hessians": 0})
+
+    def _base(self, x, y):
+        self.counts["points"] += np.broadcast(x, y).size
+        return super()._base(x, y)
+
+    def energy_gradient(self, points):
+        self.counts["gradients"] += 1
+        return super().energy_gradient(points)
+
+    def energy_hessian(self, points):
+        self.counts["hessians"] += 1
+        return super().energy_hessian(points)
+
+
+class _NanGradientQuartic(_CountingQuartic):
+    def energy_gradient(self, points):
+        return np.full(np.shape(points), math.nan)
+
+
+def test_trap_minimum_cost_is_a_coarse_scan_and_a_newton_budget():
+    """An off-node quartic minimum takes Newton steps; the search still
+    costs at most a 31 x 31 scan plus NEWTON_STEPS steps of HALVINGS + 1
+    trial points each (the full step and its halvings) and one Hessian per
+    point kept, where a 121 x 121 scan would evaluate 14641 points."""
+    field = _CountingQuartic(a1x=1e-12, a2x=2750.0, a1y=2e-12, a2y=4000.0, e_x=300.0,
+                             e_y=-250.0)
+    trap_minimum(field)
+    assert 1 <= field.counts["gradients"] <= potential.NEWTON_STEPS
+    assert field.counts["points"] <= 31**2 + potential.NEWTON_STEPS * (potential.HALVINGS + 1)
+    assert field.counts["hessians"] <= potential.NEWTON_STEPS + 1
+
+
+@pytest.mark.parametrize("cls, params", [
+    (_CountingQuartic, {"a1x": -1e-9, "a1y": 2e-9}),  # saddle: the scan ends on the x edge
+    (_CountingQuartic, {}),  # flat: a zero Hessian
+    (_CountingQuartic, {"a2x": 3e12, "a2y": 3e12, "e_y": 50.0}),  # flat in x at the node
+    (_NanGradientQuartic, {"a1x": 1e-9, "a1y": 2e-9, "e_x": 33.0}),  # a NaN step
+], ids=["saddle", "flat", "quartic-x", "nan-step"])
+def test_trap_minimum_takes_no_step_off_a_minimum(cls, params):
+    """Without a positive-definite Hessian, or with a non-finite step, the
+    center stays on the scanned node, whose U the scan itself gave, and the
+    window built on it stays inside the scan region."""
+    field = cls(**params)
+    center, hess = trap_minimum(field)
+    assert field.counts["hessians"] == 1
+    assert field.counts["points"] == 31**2  # no trial point is evaluated
+    r0, r1, s0, s1 = field.scan_region
+    nodes = np.linspace(r0, r1, 31), np.linspace(s0, s1, 31)
+    assert center[0] in nodes[0] and center[1] in nodes[1]
+    assert np.array_equal(hess, field.energy_hessian(center))
+    x0, x1, y0, y1 = qsolver.auto_window(field)
+    assert r0 <= x0 < x1 <= r1 and s0 <= y0 < y1 <= s1
+
+
+def test_trap_minimum_backtracks_a_step_that_raises_u():
+    """Harmonic at 7 GHz in x with the minimum between nodes, and a stiff
+    quartic in y: the full Newton step from the scanned node overshoots the
+    y minimum, so U rises, and halving it lands the center, the window's
+    too, on the closed-form minimum to 1e-9 of a zero-point length.  Kept
+    unhalved, such a step would leave the center on the node, 67 nm off."""
+    a1x, a1y, a2y, e_y = 0.5 * CONSTANTS.m_e * (7.0 * 2e9 * math.pi) ** 2, 1e-9, 4e12, 211.0
+    x_min = 0.3137e-6
+    field = _CountingQuartic(a1x=a1x, a1y=a1y, a2y=a2y, e_x=2 * a1x * x_min / CONSTANTS.e,
+                             e_y=e_y)
+    y_min = cardano_minimum(CubicTrap1D(a1=a1y, a2=a2y, e_y=e_y)).y0
+    center, hess = trap_minimum(field)
+    # more trial points than Newton steps: some step was halved
+    assert field.counts["points"] - 31**2 > field.counts["hessians"] - 1
+    x0, x1, y0, y1 = qsolver.auto_window(field)
+    lengths = np.sqrt(CONSTANTS.hbar / np.sqrt(CONSTANTS.m_e * np.diag(hess)))
+    for found in (center, ((x0 + x1) / 2, (y0 + y1) / 2)):
+        assert np.all(np.abs(np.subtract(found, (x_min, y_min))) < 1e-9 * lengths)
 
 
 def test_edge_ring_marks_outer_cells():
