@@ -67,11 +67,6 @@ class CrosstalkParams:
         if not math.isfinite(self.zeta):
             raise DomainError("crosstalk phase must be finite")
 
-    @property
-    def s21_leak(self) -> complex:
-        """The transmission element -i sqrt(T) e^(i zeta)."""
-        return crosstalk_leak(self.t, self.zeta)
-
 
 @dataclass(eq=False)
 class SpectrumTrace:
@@ -144,20 +139,6 @@ def s21_resonant(
     return lorentzian(omega_p, res.omega_r, res.kappa_tot, amp, pull)
 
 
-def s21_with_crosstalk(
-    res: ResonatorParams,
-    el: TwoLevelElectron | None,
-    g: float,
-    ct: CrosstalkParams | None,
-    omega_p,
-):
-    """Transmission including the direct leakage path: S21_res + leak."""
-    out = s21_resonant(res, el, g, omega_p)
-    if ct is not None:
-        out = out + ct.s21_leak
-    return out
-
-
 def dispersive_electron_freq(delta_omega_r: float, g: float, omega_r: float) -> Frequency:
     """Invert a dispersive resonator pull into the electron frequency.
 
@@ -201,7 +182,7 @@ def synthesize_trace(
     snr: float = math.inf,
     seed: int = 0,
 ) -> SpectrumTrace:
-    """Generate a noisy synthetic trace of the full model.
+    """Generate a noisy synthetic trace of S21_res plus the leak of ``ct``.
 
     Noise model: complex Gaussian with per-quadrature standard deviation
     peak|S21| / (snr sqrt(2)), i.e. snr is the ratio of the peak amplitude to
@@ -209,7 +190,9 @@ def synthesize_trace(
     default_rng).
     """
     probe = np.asarray(probe, dtype=float)
-    s21 = np.asarray(s21_with_crosstalk(res, el, g, ct, probe), dtype=complex)
+    s21 = s21_resonant(res, el, g, probe)
+    if ct is not None:
+        s21 = s21 + crosstalk_leak(ct.t, ct.zeta)
     meta = {"snr": None if math.isinf(snr) else snr, "seed": seed, "far_detuned": el is None}
     if not math.isinf(snr):
         if snr <= 0:

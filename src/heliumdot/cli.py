@@ -158,17 +158,18 @@ def _far_params(far: str, target: str, metadata: dict) -> dict:
 
     A target compensated against this very text carries its bare fit in
     ``metadata`` (``reference_fit``, with the text's ``far_sha256``), which
-    is taken as it stands; otherwise the far trace is read and fit.
+    is taken as it stands; otherwise the far trace is parsed and fit.
     """
+    text = io.read_text(far, f"trace {far}")
     if ("far_sha256" in metadata and "reference_fit" in metadata
-            and metadata["far_sha256"] == io.text_sha256(far, f"trace {far}")):
+            and metadata["far_sha256"] == io.text_sha256(text)):
         ref = metadata["reference_fit"]
         if not (isinstance(ref, dict) and set(ref) == set(fitters.BARE_PARAMS)
                 and all(map(core.is_finite_number, ref.values()))):
             raise FormatError(f"trace sidecar {target}.json: reference_fit must be an "
                               f"object of the finite numbers {list(fitters.BARE_PARAMS)}")
         return ref
-    return fitters.fit_bare_resonator(io.read_trace(far)).params
+    return fitters.fit_bare_resonator(io.parse_trace(text, far)).params
 
 
 def _cmd_fit_rabi(args: argparse.Namespace) -> None:
@@ -195,10 +196,11 @@ def _cmd_fit_twotone(args: argparse.Namespace) -> None:
 
 
 def _cmd_compensate(args: argparse.Namespace) -> None:
-    far = io.read_trace(args.far)
+    far_text = io.read_text(args.far, f"trace {args.far}")
+    far = io.parse_trace(far_text, args.far)
     target = io.read_trace(args.target)
     result = cavity.compensate_background(far, target)
-    result.compensated.metadata["far_sha256"] = io.text_sha256(args.far, f"trace {args.far}")
+    result.compensated.metadata["far_sha256"] = io.text_sha256(far_text)
     out = args.out or "compensated.csv"
     io.write_trace(result.compensated, out, config=_resolved(args))
     io.write_compensation_json(result.leak, result.other, out + ".comp.json",
@@ -288,7 +290,7 @@ def _cmd_qsolve(args: argparse.Namespace) -> dict:
         "energies_GHz": [e / field_.constants.h / 1e9 for e in sol.energies],
         "residuals": [float(r) for r in sol.residuals],
         "window_um": [v * 1e6 for v in window],
-        "flags": ["edge_minimum"] if ham.edge_minimum else [],
+        "flags": ham.flags,
     }
     if len(sol.energies) >= 3:
         tr = qsolver.transitions(sol)

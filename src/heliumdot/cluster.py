@@ -39,7 +39,6 @@ MIN_SEPARATION = 1e-9  # m
 GRAD_TOL = 1e-28  # J/m
 MAX_ITER = 500  # trust-region iterations per restart
 ETA = 0.15  # least actual / predicted decrease ratio of an accepted step
-MAX_RADIUS = 1000.0  # m, trust-radius cap (scipy's default); no scan region comes near it
 
 # Largest cluster: the 2N x 2N Hessian, like each (N, N, 2, 2) pair array,
 # is 8 * 2000^2 bytes = 32 MB.
@@ -284,11 +283,12 @@ def _descend(field_: PotentialField, starts: np.ndarray) -> list:
     and queries the proposals once (``_query``).  Each restart keeps its own
     trust radius, span / 2 of the scan region at first, and follows scipy's
     trust-ncg: the actual over predicted energy decrease rho accepts a step
-    when above ETA, shrinks the radius x0.25 below 0.25 and doubles it, up
-    to MAX_RADIUS, above 0.75 on the boundary.  A restart stops on its own
-    at a gradient norm below GRAD_TOL (status 0), after MAX_ITER iterations
-    (1), or when no finite decrease is predicted or its radius falls below
-    the float spacing of the region's coordinates (2).
+    when above ETA, shrinks the radius x0.25 below 0.25 and doubles it
+    above 0.75 on the boundary.  An accepted step stays in the region, so
+    the radius stays below twice its diagonal.  A restart stops on its own
+    at a gradient norm below GRAD_TOL, after MAX_ITER iterations, or when
+    no finite decrease is predicted or its radius falls below the float
+    spacing of the region's coordinates.
 
     Returns each start's ElectronConfiguration, or None where the start has
     no finite energy.
@@ -302,10 +302,8 @@ def _descend(field_: PotentialField, starts: np.ndarray) -> list:
     min_radius = np.spacing(max(map(abs, region)))
     iters = np.zeros(n_starts, dtype=int)
     steps = np.zeros(n_starts, dtype=int)
-    status = np.zeros(n_starts, dtype=int)
     running = np.isfinite(energy) & (np.linalg.norm(grad, axis=-1) >= GRAD_TOL)
     stale = running.copy()  # the Hessian at x is still to build
-    max_iter = MAX_ITER
     while running.any():
         live = np.flatnonzero(running)
         build = live[stale[live]]
@@ -316,7 +314,6 @@ def _descend(field_: PotentialField, starts: np.ndarray) -> list:
         step, hits = _steihaug(e, g, h, radius[live])
         predicted = e - _model(e, g, h, step)
         stop = ~(np.isfinite(predicted) & (predicted > 0))
-        status[live[stop]] = 2
         running[live[stop]] = False
         live, step, hits, predicted = live[~stop], step[~stop], hits[~stop], predicted[~stop]
         if not live.size:
@@ -326,8 +323,7 @@ def _descend(field_: PotentialField, starts: np.ndarray) -> list:
         rho = (energy[live] - e_new) / predicted
         old = radius[live]
         grow = (rho > 0.75) & hits
-        radius[live] = np.where(rho < 0.25, 0.25 * old,
-                                np.where(grow, np.minimum(2.0 * old, MAX_RADIUS), old))
+        radius[live] = np.where(rho < 0.25, 0.25 * old, np.where(grow, 2.0 * old, old))
         take = rho > ETA
         moved = live[take]
         x[moved], energy[moved], grad[moved] = proposal[take], e_new[take], g_new[take]
@@ -335,21 +331,21 @@ def _descend(field_: PotentialField, starts: np.ndarray) -> list:
         steps[moved] += 1
         iters[live] += 1
         flat = np.linalg.norm(grad[live], axis=-1) < GRAD_TOL
-        spent = ~flat & (iters[live] >= max_iter)
         # every step rejected (an energy kink) shrinks the radius until its
         # square underflows; below the resolution of the region it moves nothing
-        stuck = ~flat & ~spent & (radius[live] < min_radius)
-        status[live[spent]] = 1
-        status[live[stuck]] = 2
-        running[live[flat | spent | stuck]] = False
+        stuck = radius[live] < min_radius
+        running[live[flat | (iters[live] >= MAX_ITER) | stuck]] = False
+    gnorm = np.linalg.norm(grad, axis=-1)
     configs = []
     for k in range(n_starts):
         if not math.isfinite(energy[k]):
             configs.append(None)
             continue
-        # status 0: gradient below GRAD_TOL; 2: no predicted decrease left
-        converged = status[k] == 0 or (
-            status[k] == 2
+        # below GRAD_TOL, or stopped short of MAX_ITER (no decrease predicted,
+        # or a radius below the region's resolution) at the energy's floor
+        spent = iters[k] >= MAX_ITER
+        converged = gnorm[k] < GRAD_TOL or (
+            not spent
             and _newton_decrease(grad[k], hess[k]) <= FLOOR_ULPS * np.spacing(abs(energy[k]))
         )
         configs.append(ElectronConfiguration(
@@ -477,24 +473,6 @@ class CoupledModes:
     mode_couplings: np.ndarray
 
 
-def electron_couplings(
-    config: ElectronConfiguration,
-    res: ResonatorParams,
-    gradient_map: CouplingGradientMap,
-    constants: PhysicalConstants = CONSTANTS,
-) -> np.ndarray:
-    """Per-electron coupling rates g_i [rad/s] at the equilibrium positions.
-
-    g_i = (e / hbar) l_y(omega_r) V_zpf (d alpha-/dy)(r_i): the rate of
-    ``analytic.coupling_g`` at a 1 m coupling length, times the local
-    differential lever-arm derivative [1/m] at electron i.
-    """
-    grads = np.atleast_1d(
-        gradient_map.value_at(config.positions[:, 0], config.positions[:, 1])
-    )
-    return coupling_g(res, 1.0, constants).g * np.asarray(grads, dtype=float)
-
-
 def coupled_spectrum(
     modes: NormalModes,
     config: ElectronConfiguration,
@@ -507,7 +485,10 @@ def coupled_spectrum(
     Symmetric eigenproblem in squared-frequency space: diagonal
     (omega_r^2, omega_k^2), off-diagonal 2 g_k sqrt(omega_r omega_k) between
     the resonator and mode k, where g_k projects the per-electron couplings
-    onto the y components of mode k's eigenvector.  With zero couplings the
+    onto the y components of mode k's eigenvector.  Electron i at r_i couples
+    at g_i = (e / hbar) l_y(omega_r) V_zpf (d alpha-/dy)(r_i) [rad/s]: the
+    rate of ``analytic.coupling_g`` at a 1 m coupling length, times the
+    local differential lever-arm derivative [1/m].  With zero couplings the
     spectrum reduces exactly to (omega_r, omega_k).
     """
     if modes.is_saddle:
@@ -518,7 +499,7 @@ def coupled_spectrum(
             frequencies=np.array([omega_r]), participations=np.array([1.0]),
             shift=0.0, mode_couplings=np.zeros(0),
         )
-    g_i = electron_couplings(config, res, gradient_map, constants)
+    g_i = coupling_g(res, 1.0, constants).g * gradient_map.value_at(*config.positions.T)
     y_components = modes.eigenvectors[1::2, :]  # rows: electron y coords
     g_k = y_components.T @ g_i
     mat = np.diag(np.concatenate(([omega_r**2], modes.frequencies**2)))

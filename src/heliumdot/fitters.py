@@ -263,6 +263,7 @@ def _estimate_peak_and_width(probe: np.ndarray, mag: np.ndarray) -> tuple:
 
 # The parameters of bare_model, in the order a bare fit reports them.
 BARE_PARAMS = ("omega_r", "kappa_tot", "amp", "t", "zeta")
+CLAMP_ULPS = 64  # noiseless fits of lossless ports land within 16 ulp of kappa_tot/2
 
 
 def bare_model(x, omega_r, kappa_tot, amp, t, zeta):
@@ -307,8 +308,10 @@ def resonator_from_bare_params(
 
 
 def overcoupled(params: Mapping[str, float]) -> bool:
-    """Whether :func:`resonator_from_bare_params` clamps these ports to kappa_tot/2."""
-    return params["amp"] > params["kappa_tot"] / 2.0
+    """Whether :func:`resonator_from_bare_params` clamps these ports to
+    kappa_tot/2 by more than CLAMP_ULPS ulp, the rounding of a noiseless fit."""
+    half = params["kappa_tot"] / 2.0
+    return params["amp"] > half + CLAMP_ULPS * np.spacing(abs(half))
 
 
 def resonator_from_bare_fit(fit: FitResult) -> tuple[ResonatorParams, CrosstalkParams]:

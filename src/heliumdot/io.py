@@ -16,7 +16,7 @@ import itertools
 import json
 import math
 import os
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -80,30 +80,24 @@ def read_text(path: str, what: str) -> str:
         raise FormatError(f"{what}: not UTF-8 text") from None
 
 
-def text_sha256(path: str, what: str) -> str:
-    """Hex SHA-256 of a file's text as :func:`read_text` reads it."""
-    return hashlib.sha256(read_text(path, what).encode("utf-8")).hexdigest()
+def text_sha256(text: str) -> str:
+    """Hex SHA-256 of a file's text as :func:`read_text` returns it."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _rows(path: str, what: str) -> Iterator[tuple[str, list[str]]]:
-    """(line, comma-split cells) for each data row of a CSV file; blank
-    lines, ``#`` comments and a ``freq...`` header are skipped."""
-    for line in read_text(path, what).split("\n"):
-        line = line.strip()
-        if line and not line.startswith("#") and not line.lower().startswith("freq"):
-            yield line, line.split(",")
-
-
-def _table(path: str, what: str, ncols: int, exact: bool) -> np.ndarray:
-    """The first ``ncols`` cells of each data row as an (ncols, rows) float
-    array, column 0 turned from GHz into rad/s.
+def _table(text: str, what: str, ncols: int, exact: bool) -> np.ndarray:
+    """The first ``ncols`` cells of each data row of a CSV text as an
+    (ncols, rows) float array, column 0 turned from GHz into rad/s.  Blank
+    lines, ``#`` comments and a ``freq...`` header are no data rows.
 
     A row needs exactly ``ncols`` cells when ``exact``, at least that many
     otherwise, and every cell it keeps must be a finite number.  Only when
     that fails are the rows scanned in order, so the FormatError names the
     first bad one.
     """
-    rows = list(_rows(path, what))
+    lines = (line.strip() for line in text.split("\n"))
+    rows = [(line, line.split(",")) for line in lines
+            if line and not line.startswith("#") and not line.lower().startswith("freq")]
     if all(len(p) == ncols if exact else len(p) >= ncols for _, p in rows):
         try:
             cells = map(float, itertools.chain.from_iterable(p[:ncols] for _, p in rows))
@@ -148,7 +142,13 @@ def write_trace(trace: SpectrumTrace, path: str, config: Mapping | None = None) 
 
 def read_trace(path: str) -> SpectrumTrace:
     """Read a trace CSV written by :func:`write_trace` (sidecar optional)."""
-    probe, re, im = _table(path, f"trace {path}", 3, exact=True)
+    return parse_trace(read_text(path, f"trace {path}"), path)
+
+
+def parse_trace(text: str, path: str) -> SpectrumTrace:
+    """The trace in ``text``, the CSV text of ``path`` as :func:`read_text`
+    returns it, with the metadata of that path's sidecar when there is one."""
+    probe, re, im = _table(text, f"trace {path}", 3, exact=True)
     if probe.size < 2:
         raise FormatError(f"trace {path}: fewer than 2 data rows")
     s21 = np.empty(probe.size, complex)
@@ -168,9 +168,10 @@ def read_twotone_csv(path: str) -> tuple:
     Returns (drive [rad/s], response) arrays; FormatError on a short,
     non-numeric or non-finite row, or when the file has no data rows.
     """
-    drive, response = _table(path, f"two-tone data {path}", 2, exact=False)
+    what = f"two-tone data {path}"
+    drive, response = _table(read_text(path, what), what, 2, exact=False)
     if not drive.size:
-        raise FormatError(f"two-tone data {path}: no data rows")
+        raise FormatError(f"{what}: no data rows")
     return drive, response
 
 

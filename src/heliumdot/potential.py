@@ -16,11 +16,10 @@ spline exactly; QuarticField is a quartic polynomial surrogate with
 closed-form derivatives, useful for oracles and solver cross-checks.
 Values live on a map's ``domain``, derivatives on a field's ``scan_region``
 (the map less one cell); both are fixed at construction, and a field query
-checks its region once and makes one spline pass.  ``sample_grid`` and
-``edge_ring`` are the grid scans the solvers share; ``trap_minimum``, a
-31 x 31 scan polished by backtracking Newton steps, centers both the level
-solver's window and a cluster's cold start.  Every field parameter must be
-finite.
+checks its region once and makes one spline pass.  ``sample_grid`` is the
+grid scan the solvers share; ``trap_minimum``, a 31 x 31 scan polished by
+backtracking Newton steps, centers both the level solver's window and a
+cluster's cold start.  Every field parameter must be finite.
 """
 
 from __future__ import annotations
@@ -399,14 +398,6 @@ def sample_grid(field_: PotentialField, region: tuple, nx: int, ny: int | None =
     ys = np.linspace(y0, y1, nx if ny is None else ny)
     xx, yy = np.meshgrid(xs, ys)
     return xs, ys, np.asarray(field_.energy(xx, yy), dtype=float)
-
-
-def edge_ring(shape: tuple) -> np.ndarray:
-    """Boolean mask of the outermost rows and columns of a 2-D grid."""
-    edge = np.zeros(shape, dtype=bool)
-    edge[0, :] = edge[-1, :] = True
-    edge[:, 0] = edge[:, -1] = True
-    return edge
 
 
 def trap_minimum(field_: PotentialField) -> tuple:

@@ -22,12 +22,11 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .core import DomainError, Frequency, PhysicalConstants
-from .potential import PotentialField, edge_ring, sample_grid, trap_minimum
+from .potential import PotentialField, sample_grid, trap_minimum
 
 # Half-width of an auto window, in zero-point lengths sqrt(hbar / (m_e omega)).
 WINDOW_FACTOR = 8.0
@@ -53,7 +52,8 @@ def _sinc_kinetic(n: int, h: float) -> np.ndarray:
     2 (-1)^(i-j) / (i-j)^2 off it, over h^2."""
     k = np.arange(1, n)
     first = np.concatenate(([math.pi**2 / 3.0], np.where(k % 2, -2.0, 2.0) / (k * k)))
-    return scipy.linalg.toeplitz(first) / h**2
+    i = np.arange(n)
+    return first[np.abs(np.subtract.outer(i, i))] / h**2
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,8 +63,9 @@ class DiscreteHamiltonian:
     x/y are the grid node coordinates [m] (uniform spacing), u the sampled
     potential energy [J] with shape (ny, nx), matrix the symmetric operator
     over row-major raveled nodes.  edge_minimum flags a window whose sampled
-    minimum sits on the boundary ring (the trap is probably not inside), and
-    constants are the field's.
+    minimum sits on the boundary ring (the trap is probably not inside),
+    window_clipped one that reaches the field's scan region (an auto_window
+    cut to it, whose levels may be unresolved), and constants are the field's.
     """
 
     x: np.ndarray
@@ -72,7 +73,14 @@ class DiscreteHamiltonian:
     u: np.ndarray
     matrix: sp.spmatrix | np.ndarray
     edge_minimum: bool
+    window_clipped: bool
     constants: PhysicalConstants
+
+    @property
+    def flags(self) -> list:
+        """The names of the set flags, as ``qsolve`` and ``sweep freq`` report them."""
+        return [name for name, on in (("edge_minimum", self.edge_minimum),
+                                      ("window_clipped", self.window_clipped)) if on]
 
 
 def build_hamiltonian(
@@ -88,8 +96,8 @@ def build_hamiltonian(
     ``kinetic`` is ``"fd2"`` (sparse 3-point stencil, zero on the ghost
     nodes outside the window) or ``"sinc"`` (dense sinc DVR, at most
     MAX_DENSE_NODES nodes, checked before anything is sampled).  The window
-    must lie inside the field domain; a sampled-minimum-on-edge condition is
-    flagged, not fatal.
+    must lie inside the field domain; a sampled minimum on its edge, or a
+    window that reaches the scan region, is flagged, not fatal.
     """
     x0, x1, y0, y1 = window
     if not (x1 > x0 and y1 > y0):
@@ -100,8 +108,10 @@ def build_hamiltonian(
     if not np.all(np.isfinite(u)):
         raise DomainError("potential is not finite over the window")
 
-    edge = edge_ring(u.shape)
-    edge_minimum = bool(u[~edge].min() >= u[edge].min())
+    edge = min(u[0].min(), u[-1].min(), u[:, 0].min(), u[:, -1].min())
+    edge_minimum = bool(u[1:-1, 1:-1].min() >= edge)
+    r = field_.scan_region
+    window_clipped = not (r[0] < x0 and x1 < r[1] and r[2] < y0 and y1 < r[3])
 
     t = field_.constants.hbar**2 / (2.0 * field_.constants.m_e)
     if kinetic == "fd2":
@@ -116,7 +126,7 @@ def build_hamiltonian(
         ham[iy, :, iy, :] += t * _sinc_kinetic(nx, hx)
         ham = ham.reshape(nx * ny, nx * ny)
         ham.flat[:: nx * ny + 1] += u.ravel()
-    return DiscreteHamiltonian(x, y, u, ham, edge_minimum, field_.constants)
+    return DiscreteHamiltonian(x, y, u, ham, edge_minimum, window_clipped, field_.constants)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,7 +220,8 @@ def auto_window(field_: PotentialField) -> tuple:
     there: half-width = WINDOW_FACTOR * sqrt(hbar / (m_e omega)) per axis,
     with omega = sqrt(U_xx / m_e) for x and sqrt(U_yy / m_e) for y (hbar and
     m_e from the field's ``constants``), so the soft axis of an anisotropic
-    trap gets the wider window.  Clipped to the field's scan region.
+    trap gets the wider window.  Clipped to the field's scan region, which
+    ``build_hamiltonian`` then flags as ``window_clipped``.
     """
     center, hess = trap_minimum(field_)
     region = field_.scan_region
@@ -265,8 +276,7 @@ def frequency_vs_voltage(
         try:
             field_ = field_factory(float(volt))
             ham = build_hamiltonian(field_, auto_window(field_), nx=nx, ny=ny, kinetic="sinc")
-            if ham.edge_minimum:
-                flags.append("edge_minimum")
+            flags += ham.flags
             sol = eigenstates(ham, k=k, seed=seed, v0=warm)
             tset = transitions(sol)
             f01, f12, alpha = tset.omega_01.hz, tset.omega_12.hz, tset.alpha_hz

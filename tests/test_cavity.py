@@ -10,9 +10,9 @@ from heliumdot.cavity import (
     SpectrumTrace,
     TwoLevelElectron,
     compensate_background,
+    crosstalk_leak,
     dispersive_electron_freq,
     s21_resonant,
-    s21_with_crosstalk,
     susceptibility,
     synthesize_trace,
     two_tone_dip,
@@ -64,9 +64,11 @@ def test_crosstalk_validation():
 
 def test_crosstalk_adds_leak(res_7162, probe_half_ghz):
     ct = CrosstalkParams(t=0.008, zeta=-0.30)
-    with_ct = s21_with_crosstalk(res_7162, None, 0.0, ct, probe_half_ghz)
+    with_ct = synthesize_trace(res_7162, None, 0.0, ct, probe_half_ghz).s21
     without = s21_resonant(res_7162, None, 0.0, probe_half_ghz)
-    assert np.allclose(with_ct - without, ct.s21_leak)
+    leak = -1j * math.sqrt(0.008) * np.exp(-0.30j)  # -i sqrt(T) e^(i zeta)
+    assert np.allclose(with_ct - without, leak)
+    assert crosstalk_leak(ct.t, ct.zeta) == pytest.approx(leak)
 
 
 def test_dispersive_inversion_roundtrip(res_7162):
@@ -110,7 +112,8 @@ def test_spectrum_trace_validation():
 def test_synthesize_noiseless_equals_model(res_7162, electron_above, probe_half_ghz):
     ct = CrosstalkParams(t=0.008, zeta=-0.30)
     trace = synthesize_trace(res_7162, electron_above, 118.0 * MHZ, ct, probe_half_ghz)
-    model = s21_with_crosstalk(res_7162, electron_above, 118.0 * MHZ, ct, probe_half_ghz)
+    model = (s21_resonant(res_7162, electron_above, 118.0 * MHZ, probe_half_ghz)
+             + crosstalk_leak(ct.t, ct.zeta))
     assert np.array_equal(trace.s21, model)
     assert trace.metadata["snr"] is None
 
@@ -172,7 +175,7 @@ def test_compensation_identifies_leak_without_background(res_7162, probe_half_gh
     far = synthesize_trace(res_7162, None, 0.0, ct, probe_half_ghz)
     target = synthesize_trace(res_7162, None, 0.0, ct, probe_half_ghz)
     out = compensate_background(far, target)
-    assert out.leak == pytest.approx(ct.s21_leak, abs=2e-3)
+    assert out.leak == pytest.approx(crosstalk_leak(ct.t, ct.zeta), abs=2e-3)
     assert np.max(np.abs(out.other)) < 1e-3
 
 

@@ -242,6 +242,29 @@ def test_fit_rabi_far_flags_clamped_ports_on_both_paths(tmp_path, monkeypatch, f
     assert (tmp_path / "fit.json").read_bytes() == reused
 
 
+def test_fit_rabi_far_leaves_a_clamp_of_one_rounding_unflagged(tmp_path, monkeypatch):
+    # a noiseless far trace of lossless ports fits a few ulp above amp =
+    # kappa_tot/2: the ports are clamped, by a rounding, which is not flagged
+    _compensated_chain(tmp_path, monkeypatch)
+    ref = json.loads((tmp_path / "comp.csv.json").read_text())["metadata"]["reference_fit"]
+    assert ref["amp"] > ref["kappa_tot"] / 2
+    assert main(_FIT_RABI_FAR) == 0
+    assert "overcoupled_amplitude" not in json.loads((tmp_path / "fit.json").read_text())["flags"]
+
+
+def test_compensate_reads_each_csv_once(tmp_path, monkeypatch):
+    # the far digest is taken from the text that was parsed, not from a re-read
+    monkeypatch.chdir(tmp_path)
+    main(_synth_args("far.csv", seed=1004))
+    main(_synth_args("target.csv", kind="rabi", seed=4))
+    reads = []
+    read = io.read_text
+    monkeypatch.setattr(io, "read_text", lambda path, what: reads.append(path) or read(path, what))
+    assert main(["compensate", "--far", "far.csv", "--target", "target.csv",
+                 "--out", "comp.csv"]) == 0
+    assert reads == ["far.csv", "target.csv"]
+
+
 _BAD_REFERENCE_FITS = {
     "list": lambda good: list(good.values()),
     "null": lambda good: None,
@@ -546,11 +569,24 @@ def test_grid_under_three_nodes_is_one_error(tmp_path, monkeypatch, capsys, comm
 
 def test_qsolve_flags_edge_minimum(capsys):
     # a1x < 0 puts the x minimum on the window edge: the levels are printed,
-    # flagged as in the sweep's flags column
+    # flagged as in the sweep's flags column; the x window, sized from a
+    # negative curvature, is cut to the scan region too
     assert main(["qsolve", "--a1x=-1e-9", "--a1y", "1e-9", "--k", "3"]) == 0
-    assert json.loads(capsys.readouterr().out)["flags"] == ["edge_minimum"]
+    assert json.loads(capsys.readouterr().out)["flags"] == ["edge_minimum", "window_clipped"]
     assert main(["qsolve", "--a1x", "1.1e-8", "--a1y", "1.1e-8", "--k", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["flags"] == []
+
+
+@pytest.mark.parametrize("a1y", ["-1e-14", "0", "1e-15"])
+def test_qsolve_flags_a_clipped_window(capsys, a1y):
+    # a 20 GHz x mode and a quartic y trap near the frequency floor: the y
+    # half-width, sized from the curvature at a scan node, is cut to the scan
+    # region, so the levels are not resolved, and qsolve says so
+    assert main(["qsolve", "--a1x=7.192481077722885e-09", f"--a1y={a1y}", "--a2y", "1e6",
+                 "--ey", "10", "--k", "3"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["window_um"][2:] == [-2.0, 2.0]
+    assert out["flags"] == ["window_clipped"]
 
 
 def test_cli_import_leaves_out_signal_and_stats():

@@ -16,7 +16,6 @@ from heliumdot.cluster import (
     _pair_diffs,
     _triangular_lattice,
     coupled_spectrum,
-    electron_couplings,
     minimize,
     normal_modes,
     shift_vs_voltage_sweep,
@@ -500,17 +499,20 @@ def test_saddle_configuration_detected():
 # ---------------------------------------------------------------------------
 
 
-def test_electron_couplings_uniform_gradient():
+def test_coupled_spectrum_uniform_gradient_couples_the_y_mode():
+    # one electron in a uniform gradient couples at the g of a coupling
+    # length 1 / gradient, through its y mode (the higher one) alone
     from heliumdot.analytic import coupling_g
 
     res = default_resonator()
-    field = _harmonic(res.omega_r / GHZ, res.omega_r / GHZ)
+    field = _harmonic(5.0, 8.0)
     config = minimize(field, 1, seed=0)
     grad = 0.46e6
     gmap = uniform_gradient_map((-1e-6, 1e-6, -1e-6, 1e-6), grad)
-    g_i = electron_couplings(config, res, gmap)
-    assert g_i.shape == (1,)
-    assert g_i[0] == pytest.approx(coupling_g(res, 1.0 / grad).g, rel=1e-12)
+    g_k = coupled_spectrum(normal_modes(field, config), config, res, gmap).mode_couplings
+    assert g_k.shape == (2,)
+    assert g_k[0] == 0.0
+    assert abs(g_k[1]) == pytest.approx(coupling_g(res, 1.0 / grad).g, rel=1e-12)
 
 
 def test_coupled_spectrum_zero_coupling_is_bare():

@@ -9,6 +9,7 @@ from heliumdot import fitters
 from heliumdot.cavity import (
     CrosstalkParams,
     TwoLevelElectron,
+    crosstalk_leak,
     s21_resonant,
     synthesize_trace,
     two_tone_dip,
@@ -287,7 +288,7 @@ def test_bare_model_arrays_match_fit_model(res_7162, probe_half_ghz):
     assert np.allclose(resonant, clean, rtol=1e-12)
     leak = bare_model(probe_half_ghz, **params) - resonant
     assert leak == pytest.approx(
-        np.full(probe_half_ghz.size, CrosstalkParams(t=0.008, zeta=-0.30).s21_leak)
+        np.full(probe_half_ghz.size, crosstalk_leak(0.008, -0.30))
     )
 
 

@@ -13,6 +13,8 @@ from heliumdot.fitters import FitResult
 from heliumdot.io import (
     _json_safe,
     fit_to_json_dict,
+    parse_trace,
+    read_text,
     read_trace,
     read_twotone_csv,
     svg_line_plot,
@@ -75,15 +77,17 @@ def test_digest_and_parse_read_the_same_text(tmp_path):
     # read as "\n", so a CRLF copy parses to the same trace and digest
     path = tmp_path / "t.csv"
     write_trace(_trace(), str(path))
-    digest = text_sha256(str(path), "trace")
+    text = read_text(str(path), "trace")
+    digest = text_sha256(text)
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert np.array_equal(parse_trace(text, str(path)).s21, read_trace(str(path)).s21)
     crlf = tmp_path / "crlf.csv"
     crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-    assert text_sha256(str(crlf), "trace") == digest
+    assert text_sha256(read_text(str(crlf), "trace")) == digest
     assert np.array_equal(read_trace(str(crlf)).s21, read_trace(str(path)).s21)
     crlf.write_bytes(b"\xff" + path.read_bytes())
     with pytest.raises(FormatError, match="trace: not UTF-8 text"):
-        text_sha256(str(crlf), "trace")
+        read_text(str(crlf), "trace")
 
 
 def test_write_trace_matches_per_value_repr(tmp_path):

@@ -18,7 +18,6 @@ from heliumdot.potential import (
     PotentialField,
     QuarticField,
     compose,
-    edge_ring,
     load_coupling_maps,
     trap_minimum,
     uniform_gradient_map,
@@ -391,12 +390,6 @@ def test_trap_minimum_backtracks_a_step_that_raises_u():
     lengths = np.sqrt(CONSTANTS.hbar / np.sqrt(CONSTANTS.m_e * np.diag(hess)))
     for found in (center, ((x0 + x1) / 2, (y0 + y1) / 2)):
         assert np.all(np.abs(np.subtract(found, (x_min, y_min))) < 1e-9 * lengths)
-
-
-def test_edge_ring_marks_outer_cells():
-    ring = edge_ring((4, 5))
-    assert ring.sum() == 14
-    assert not ring[1:-1, 1:-1].any()
 
 
 def test_evaluate_defined_only_on_base_class():

@@ -75,6 +75,29 @@ def test_edge_minimum_flagged():
     assert ham.edge_minimum
 
 
+def test_edge_minimum_on_every_border_row_and_column():
+    # 5 x 4 nodes at x = -1, -0.5, 0, 0.5, 1 and y = -1, -1/3, 1/3, 1 (x 1e-7 m):
+    # a harmonic trap centered on a node puts the sampled minimum there, and
+    # only a node of the outer rows and columns is flagged
+    a = 1e-10
+    for ix, iy in np.ndindex(5, 4):
+        x, y = -1e-7 + 0.5e-7 * ix, -1e-7 + 2e-7 / 3 * iy
+        field = QuarticField(a1x=a, a1y=a, e_x=2 * a * x / CONSTANTS.e,
+                             e_y=2 * a * y / CONSTANTS.e)
+        ham = build_hamiltonian(field, (-1e-7, 1e-7, -1e-7, 1e-7), nx=5, ny=4)
+        assert np.argmin(ham.u) == np.ravel_multi_index((iy, ix), (4, 5))
+        assert ham.edge_minimum == (ix in (0, 4) or iy in (0, 3)), (ix, iy)
+
+
+def test_sinc_kinetic_entries():
+    # Colbert and Miller: pi^2/3 on the diagonal, 2 (-1)^(i-j) / (i-j)^2 off it, over h^2
+    h = 0.37e-9
+    got = qsolver._sinc_kinetic(7, h)
+    want = [[(math.pi**2 / 3 if i == j else 2 * (-1) ** (i - j) / (i - j) ** 2) / h**2
+             for j in range(7)] for i in range(7)]
+    assert np.array_equal(got, want)
+
+
 def test_isotropic_harmonic_spectrum():
     """Level pattern (1, 2, 3)-fold degenerate, spacings at hbar omega."""
     f0 = 5.0
@@ -362,6 +385,22 @@ def test_frequency_sweep_two_crossings():
     assert f01[0] > 8.0
     assert f01.min() < 5.0
     assert f01.argmin() not in (0, len(f01) - 1)
+
+
+# a 20 GHz x mode and a quartic y trap near the frequency floor: the finder
+# stops on a node of zero or negative y curvature, and auto_window cuts the y
+# half-width it sizes from that curvature to the scan region
+FLOOR_TRAP = {"a1x": 7.192481077722885e-09, "a2y": 1e6, "e_y": 10.0}
+
+
+@pytest.mark.parametrize("a1y", [-1e-14, 0.0, 1e-15])
+def test_frequency_sweep_flags_a_clipped_window(a1y):
+    field = QuarticField(a1y=a1y, **FLOOR_TRAP)
+    assert auto_window(field)[2:] == field.scan_region[2:]
+    rows = frequency_vs_voltage(lambda v: field, [0.0], k=3)
+    assert rows[0].flags == ("window_clipped",)
+    ham = build_hamiltonian(field, _zp_window(20.0), nx=5, ny=5)
+    assert not ham.window_clipped
 
 
 def test_frequency_sweep_records_failures():
