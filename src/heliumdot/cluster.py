@@ -13,7 +13,10 @@ Hessian).  All restarts of one minimisation descend together as one
 query over the live restarts, and each restart keeps its own trust radius
 and stops on its own.  The field's scan region is the descent's domain; a
 restart that leaves it, or brings a pair closer than MIN_SEPARATION, is
-masked out of the query as infinite energy.  In-plane vibrational modes
+masked out of the query as infinite energy.  The same descent, of one
+electron from the best node of a grid scan, finds the trap minimum
+(``trap_minimum``) that centers a cold start and the level solver's window.
+In-plane vibrational modes
 come from the mass-scaled Hessian, and the observable resonator pull from a
 classical coupled-oscillator eigenproblem between the resonator mode and
 every cluster mode.  Every function that takes a field reads e, m_e and
@@ -31,14 +34,19 @@ import numpy as np
 
 from .analytic import coupling_g
 from .core import CONSTANTS, DomainError, PhysicalConstants, ResonatorParams
-from .potential import (FLOOR_ULPS, CouplingGradientMap, CouplingMapSet, PotentialField, compose,
-                        trap_minimum)
+from .potential import (CouplingGradientMap, CouplingMapSet, PotentialField, compose,
+                        sample_grid)
 
 # Electrons closer than this are a modeling error, not a physical configuration.
 MIN_SEPARATION = 1e-9  # m
 GRAD_TOL = 1e-28  # J/m
 MAX_ITER = 500  # trust-region iterations per restart
 ETA = 0.15  # least actual / predicted decrease ratio of an accepted step
+# Newton decrease [ulp of the energy] at or below which a point is
+# stationary as far as the energy can resolve.
+FLOOR_ULPS = 4.0
+SCAN_NODES = 31  # trap_minimum: scan nodes per axis
+STEP_ZPL = 1e-11  # trap_minimum: shortest final Newton step [zero-point lengths]
 
 # Largest cluster: the 2N x 2N Hessian, like each (N, N, 2, 2) pair array,
 # is 8 * 2000^2 bytes = 32 MB.
@@ -356,6 +364,37 @@ def _descend(field_: PotentialField, starts: np.ndarray) -> list:
     return configs
 
 
+def trap_minimum(field_: PotentialField) -> tuple:
+    """The trap minimum (x, y) [m] and the energy Hessian there [J/m^2].
+
+    One electron descends (``_descend``, one restart) from the lowest node
+    of a SCAN_NODES x SCAN_NODES scan of the scan region; the node is kept
+    when the descent has no finite start.  One Newton step H^-1 g, clipped
+    to the region, then lands the center on the minimum to float precision.
+    It is taken only where H is positive definite, the step is finite and
+    longer than STEP_ZPL zero-point lengths sqrt(hbar / sqrt(m_e H_ii)) on
+    some axis, and U does not rise, so a center already resolved to that,
+    such as the node at a symmetric trap's top, stays put.
+    """
+    region = field_.scan_region
+    xs, ys, u = sample_grid(field_, region, SCAN_NODES)
+    iy, ix = np.unravel_index(int(np.argmin(u)), u.shape)
+    center, energy = np.array([xs[ix], ys[iy]]), u[iy, ix]
+    [found] = _descend(field_, center[None, None])
+    if found is not None:
+        center, energy = found.positions[0], found.energy
+    hess = field_.energy_hessian(center)
+    if hess[0, 0] > 0.0 and hess[0, 0] * hess[1, 1] - hess[0, 1] ** 2 > 0.0:
+        c = field_.constants
+        step = np.linalg.solve(hess, field_.energy_gradient(center))
+        zpl = np.sqrt(c.hbar / np.sqrt(c.m_e * np.diag(hess)))
+        if np.isfinite(step).all() and np.any(np.abs(step) > STEP_ZPL * zpl):
+            trial = np.clip(center - step, region[::2], region[1::2])
+            if field_.energy(*trial) <= energy:
+                center, hess = trial, field_.energy_hessian(trial)
+    return center, hess
+
+
 def minimize(
     field_: PotentialField,
     n_electrons: int,
@@ -367,7 +406,7 @@ def minimize(
 
     Deterministic for a given (field, n_electrons, seed): the descent is
     seeded multi-start (``restarts`` starts, at least 1) around a
-    triangular-lattice guess centered on ``potential.trap_minimum`` and
+    triangular-lattice guess centered on ``trap_minimum`` and
     spaced by the curvature there, or around ``init`` when given.  All
     starts descend as one batch (``_descend``): trust-region Newton with
     Steihaug truncated-CG steps on the analytic gradient and Hessian, each

@@ -17,9 +17,7 @@ closed-form derivatives, useful for oracles and solver cross-checks.
 Values live on a map's ``domain``, derivatives on a field's ``scan_region``
 (the map less one cell); both are fixed at construction, and a field query
 checks its region once and makes one spline pass.  ``sample_grid`` is the
-grid scan the solvers share; ``trap_minimum``, a 31 x 31 scan polished by
-backtracking Newton steps, centers both the level solver's window and a
-cluster's cold start.  Every field parameter must be finite.
+grid scan the solvers share.  Every field parameter must be finite.
 """
 
 from __future__ import annotations
@@ -38,13 +36,6 @@ from .core import CONSTANTS, DomainError, FormatError, PhysicalConstants, read_j
 # Loader tolerance on the lever-arm range: maps are physical fractions in
 # [0, 1] but FEM exports ring slightly outside, so accept [-0.01, 1.01].
 ALPHA_TOL = 0.01
-
-# Newton decrease [ulp of U] at or below which a point is stationary as far
-# as U can resolve; trap_minimum stops there, and so does a cluster descent.
-FLOOR_ULPS = 4.0
-SCAN_NODES = 31  # trap_minimum: scan nodes per axis,
-NEWTON_STEPS = 8  # then at most this many Newton steps,
-HALVINGS = 8  # each halved at most this often while it raises U
 
 
 def _float_array(values, name: str) -> np.ndarray:
@@ -399,36 +390,3 @@ def sample_grid(field_: PotentialField, region: tuple, nx: int, ny: int | None =
     xx, yy = np.meshgrid(xs, ys)
     return xs, ys, np.asarray(field_.energy(xx, yy), dtype=float)
 
-
-def trap_minimum(field_: PotentialField) -> tuple:
-    """The trap minimum (x, y) [m] and the energy Hessian there [J/m^2].
-
-    The lowest node of a SCAN_NODES x SCAN_NODES scan of the scan region is
-    polished by Newton steps while the Hessian is positive definite.  A step
-    that raises U is halved, at most HALVINGS times, each trial clipped to
-    the region (backtracking; Nocedal and Wright, Numerical Optimization,
-    2nd ed. 2006, 3.1).  The polish stops after NEWTON_STEPS steps, on a
-    step not finite or not made downhill, or at a predicted decrease
-    g.H^-1.g / 2 of at most FLOOR_ULPS ulp of |U|.
-    """
-    region = field_.scan_region
-    xs, ys, u_grid = sample_grid(field_, region, SCAN_NODES)
-    iy, ix = np.unravel_index(int(np.argmin(u_grid)), u_grid.shape)
-    center, u = np.array([xs[ix], ys[iy]]), u_grid[iy, ix]
-    hess = field_.energy_hessian(center)
-    for _ in range(NEWTON_STEPS):
-        if not (hess[0, 0] > 0.0 and hess[0, 0] * hess[1, 1] - hess[0, 1] ** 2 > 0.0):
-            break
-        grad = field_.energy_gradient(center)
-        step = np.linalg.solve(hess, grad)
-        if not (np.isfinite(step).all() and grad @ step / 2 > FLOOR_ULPS * np.spacing(abs(u))):
-            break
-        for k in range(HALVINGS + 1):
-            trial = np.clip(center - step / 2**k, region[::2], region[1::2])
-            if (u_trial := field_.energy(*trial)) <= u:
-                break
-        else:
-            break
-        center, u = trial, u_trial
-        hess = field_.energy_hessian(center)
-    return center, hess

@@ -7,7 +7,7 @@ discrete-variable representation (DVR; Colbert and Miller, J. Chem. Phys.
 ``qsolve`` and ``sweep freq`` use on 23 x 23 nodes by default, at most
 MAX_DENSE_NODES; or the sparse 3-point stencil with hard walls just outside
 the window.  ``auto_window`` centers the window on the trap minimum
-(``potential.trap_minimum``) and sizes it from the curvature there.  One
+(``cluster.trap_minimum``) and sizes it from the curvature there.  One
 ``scipy.sparse.linalg.eigsh`` call finds the lowest levels by shift-invert
 Lanczos (ARPACK) at sigma = min U, with scipy's own factorization of
 H - sigma I, from a seeded or caller-given start vector, so reruns are
@@ -26,7 +26,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .core import DomainError, Frequency, PhysicalConstants
-from .potential import PotentialField, sample_grid, trap_minimum
+from .cluster import trap_minimum
+from .potential import PotentialField, sample_grid
 
 # Half-width of an auto window, in zero-point lengths sqrt(hbar / (m_e omega)).
 WINDOW_FACTOR = 8.0
@@ -216,7 +217,7 @@ def transitions(sol: EigenSolution) -> TransitionSet:
 
 
 def auto_window(field_: PotentialField) -> tuple:
-    """Window centered on ``potential.trap_minimum``, sized by the curvature
+    """Window centered on ``cluster.trap_minimum``, sized by the curvature
     there: half-width = WINDOW_FACTOR * sqrt(hbar / (m_e omega)) per axis,
     with omega = sqrt(U_xx / m_e) for x and sqrt(U_yy / m_e) for y (hbar and
     m_e from the field's ``constants``), so the soft axis of an anisotropic

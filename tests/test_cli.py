@@ -579,14 +579,27 @@ def test_qsolve_flags_edge_minimum(capsys):
 
 @pytest.mark.parametrize("a1y", ["-1e-14", "0", "1e-15"])
 def test_qsolve_flags_a_clipped_window(capsys, a1y):
-    # a 20 GHz x mode and a quartic y trap near the frequency floor: the y
-    # half-width, sized from the curvature at a scan node, is cut to the scan
-    # region, so the levels are not resolved, and qsolve says so
-    assert main(["qsolve", "--a1x=7.192481077722885e-09", f"--a1y={a1y}", "--a2y", "1e6",
+    # a 20 GHz x mode and a very soft quartic y trap: 8 zero-point lengths of
+    # y reach past the top of the scan region, so the window is cut there,
+    # the levels may not be resolved, and qsolve says so
+    assert main(["qsolve", "--a1x=7.192481077722885e-09", f"--a1y={a1y}", "--a2y", "1",
                  "--ey", "10", "--k", "3"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["window_um"][2:] == [-2.0, 2.0]
+    assert out["window_um"][3] == 2.0
     assert out["flags"] == ["window_clipped"]
+
+
+def test_qsolve_resolves_the_soft_mode_at_the_floor(capsys):
+    # a 20 GHz x mode and a quartic y trap near the frequency floor: the
+    # window is centred on the true minimum, so it stays inside the scan
+    # region and the soft y mode sets f01 (13.81 GHz on 23 x 61 nodes and
+    # more); a window cut to the region reports the 20 GHz x mode instead
+    assert main(["qsolve", "--a1x=7.192481077722885e-09", "--a1y=-1e-14", "--a2y", "1e6",
+                 "--ey", "10", "--k", "3"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["flags"] == []
+    assert -2.0 < out["window_um"][2] and out["window_um"][3] < 2.0
+    assert out["f01_GHz"] == pytest.approx(13.81, rel=0.05)
 
 
 def test_cli_import_leaves_out_signal_and_stats():

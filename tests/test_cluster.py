@@ -12,6 +12,7 @@ import pytest
 
 from heliumdot import cluster
 from heliumdot.cluster import (
+    FLOOR_ULPS,
     MAX_ELECTRONS,
     _pair_diffs,
     _triangular_lattice,
@@ -25,7 +26,6 @@ from heliumdot.cluster import (
 )
 from heliumdot.core import CONSTANTS, DomainError, TWO_PI, default_resonator
 from heliumdot.potential import (
-    FLOOR_ULPS,
     CouplingMapSet,
     GriddedField,
     QuarticField,
@@ -383,7 +383,8 @@ def test_batched_descent_matches_scipy_trust_ncg(monkeypatch, volts, n):
     monkeypatch.setattr(cluster, "_descend",
                         lambda field_, starts: seen.append(starts) or descend(field_, starts))
     config = minimize(field, n, seed=n)
-    [starts] = seen
+    trap_start, starts = seen  # trap_minimum's one electron, then the restarts
+    assert trap_start.shape == (1, 1, 2)
     assert starts.shape == (8, n, 2)
     converged, neg_energy, _ = _scipy_reference(field, starts)
     assert converged and config.converged

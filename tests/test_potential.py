@@ -8,8 +8,9 @@ import pytest
 
 from scipy.interpolate import RectBivariateSpline
 
-from heliumdot import potential, qsolver
+from heliumdot import cluster, potential, qsolver
 from heliumdot.analytic import CubicTrap1D, cardano_minimum
+from heliumdot.cluster import trap_minimum
 from heliumdot.core import CONSTANTS, DomainError, FormatError
 from heliumdot.potential import (
     CouplingGradientMap,
@@ -19,7 +20,6 @@ from heliumdot.potential import (
     QuarticField,
     compose,
     load_coupling_maps,
-    trap_minimum,
     uniform_gradient_map,
 )
 
@@ -337,33 +337,41 @@ class _NanGradientQuartic(_CountingQuartic):
         return np.full(np.shape(points), math.nan)
 
 
-def test_trap_minimum_cost_is_a_coarse_scan_and_a_newton_budget():
-    """An off-node quartic minimum takes Newton steps; the search still
-    costs at most a 31 x 31 scan plus NEWTON_STEPS steps of HALVINGS + 1
-    trial points each (the full step and its halvings) and one Hessian per
-    point kept, where a 121 x 121 scan would evaluate 14641 points."""
+def test_trap_minimum_cost_is_a_coarse_scan_and_a_newton_budget(monkeypatch):
+    """An off-node quartic minimum: the search costs a 31 x 31 scan, then per
+    iteration of the one-electron trust-region descent at most one trial
+    point, one gradient and one Hessian (and one each at its start), and a
+    final Newton step of one trial point, one gradient and two Hessians,
+    where a 121 x 121 scan would evaluate 14641 points."""
     field = _CountingQuartic(a1x=1e-12, a2x=2750.0, a1y=2e-12, a2y=4000.0, e_x=300.0,
                              e_y=-250.0)
+    iterations = []
+    steihaug = cluster._steihaug
+    monkeypatch.setattr(cluster, "_steihaug",
+                        lambda *args: iterations.append(1) or steihaug(*args))
     trap_minimum(field)
-    assert 1 <= field.counts["gradients"] <= potential.NEWTON_STEPS
-    assert field.counts["points"] <= 31**2 + potential.NEWTON_STEPS * (potential.HALVINGS + 1)
-    assert field.counts["hessians"] <= potential.NEWTON_STEPS + 1
+    n = len(iterations)
+    assert 1 <= n <= 8
+    assert field.counts["points"] <= 31**2 + 1 + n + 1
+    assert field.counts["gradients"] <= 1 + n + 1
+    assert field.counts["hessians"] <= n + 2
 
 
 @pytest.mark.parametrize("cls, params", [
     (_CountingQuartic, {"a1x": -1e-9, "a1y": 2e-9}),  # saddle: the scan ends on the x edge
     (_CountingQuartic, {}),  # flat: a zero Hessian
-    (_CountingQuartic, {"a2x": 3e12, "a2y": 3e12, "e_y": 50.0}),  # flat in x at the node
+    (_CountingQuartic, {"a2x": 3e12, "a1y": 2e-9}),  # flat in x at the minimum node
     (_NanGradientQuartic, {"a1x": 1e-9, "a1y": 2e-9, "e_x": 33.0}),  # a NaN step
 ], ids=["saddle", "flat", "quartic-x", "nan-step"])
 def test_trap_minimum_takes_no_step_off_a_minimum(cls, params):
-    """Without a positive-definite Hessian, or with a non-finite step, the
-    center stays on the scanned node, whose U the scan itself gave, and the
+    """Without a descent step that lowers U, a positive-definite Hessian or
+    a finite Newton step, the center stays on the scanned node, whose U the
+    scan itself gave: no point past the descent's start is evaluated.  The
     window built on it stays inside the scan region."""
     field = cls(**params)
     center, hess = trap_minimum(field)
-    assert field.counts["hessians"] == 1
-    assert field.counts["points"] == 31**2  # no trial point is evaluated
+    assert field.counts["hessians"] <= 2  # the descent's first, if it runs, and the center's
+    assert field.counts["points"] == 31**2 + 1  # the scan and the descent's start
     r0, r1, s0, s1 = field.scan_region
     nodes = np.linspace(r0, r1, 31), np.linspace(s0, s1, 31)
     assert center[0] in nodes[0] and center[1] in nodes[1]
@@ -372,24 +380,86 @@ def test_trap_minimum_takes_no_step_off_a_minimum(cls, params):
     assert r0 <= x0 < x1 <= r1 and s0 <= y0 < y1 <= s1
 
 
+def test_trap_minimum_descends_off_a_node_of_singular_hessian():
+    """Quartic in both axes, with a field along y: the scanned node x = 0 is
+    flat in x, so its Hessian is singular and no Newton step can start
+    there.  The descent still reaches the closed-form y minimum, and x stays
+    on the node, where it is exact."""
+    a2, e_y = 3e12, 50.0
+    field = QuarticField(a2x=a2, a2y=a2, e_y=e_y)
+    y_min = cardano_minimum(CubicTrap1D(a1=0.0, a2=a2, e_y=e_y)).y0
+    center, hess = trap_minimum(field)
+    assert center[0] == 0.0
+    length = math.sqrt(CONSTANTS.hbar / math.sqrt(CONSTANTS.m_e * hess[1, 1]))
+    assert abs(center[1] - y_min) < 1e-9 * length
+
+
 def test_trap_minimum_backtracks_a_step_that_raises_u():
     """Harmonic at 7 GHz in x with the minimum between nodes, and a stiff
     quartic in y: the full Newton step from the scanned node overshoots the
-    y minimum, so U rises, and halving it lands the center, the window's
-    too, on the closed-form minimum to 1e-9 of a zero-point length.  Kept
-    unhalved, such a step would leave the center on the node, 67 nm off."""
+    y minimum, so U rises, yet the trust-region descent lands the center,
+    the window's too, on the closed-form minimum to 1e-9 of a zero-point
+    length.  Kept on the node, it would be 67 nm off."""
     a1x, a1y, a2y, e_y = 0.5 * CONSTANTS.m_e * (7.0 * 2e9 * math.pi) ** 2, 1e-9, 4e12, 211.0
     x_min = 0.3137e-6
     field = _CountingQuartic(a1x=a1x, a1y=a1y, a2y=a2y, e_x=2 * a1x * x_min / CONSTANTS.e,
                              e_y=e_y)
     y_min = cardano_minimum(CubicTrap1D(a1=a1y, a2=a2y, e_y=e_y)).y0
+    xs, ys, u = potential.sample_grid(field, field.scan_region, 31)
+    iy, ix = np.unravel_index(int(np.argmin(u)), u.shape)
+    node = np.array([xs[ix], ys[iy]])
+    full = node - np.linalg.solve(field.energy_hessian(node), field.energy_gradient(node))
+    assert field.energy(*full) > u[iy, ix]
     center, hess = trap_minimum(field)
-    # more trial points than Newton steps: some step was halved
-    assert field.counts["points"] - 31**2 > field.counts["hessians"] - 1
     x0, x1, y0, y1 = qsolver.auto_window(field)
     lengths = np.sqrt(CONSTANTS.hbar / np.sqrt(CONSTANTS.m_e * np.diag(hess)))
     for found in (center, ((x0 + x1) / 2, (y0 + y1) / 2)):
         assert np.all(np.abs(np.subtract(found, (x_min, y_min))) < 1e-9 * lengths)
+
+
+def _off_by(field, a1y, a2y, e_y, x_min):
+    """Largest distance of trap_minimum's center from the closed-form minimum
+    of a harmonic-x, quartic-y QuarticField, in zero-point lengths per axis."""
+    y_min = cardano_minimum(CubicTrap1D(a1=a1y, a2=a2y, e_y=e_y)).y0
+    curvs = np.array([2 * field.a1x, 2 * a1y + 12 * a2y * y_min**2])
+    lengths = np.sqrt(CONSTANTS.hbar / np.sqrt(CONSTANTS.m_e * curvs))
+    center, _ = trap_minimum(field)
+    return float(np.max(np.abs(center - (x_min, y_min)) / lengths))
+
+
+def test_trap_minimum_centers_near_floor_traps():
+    """Quartic y traps near the frequency floor, a 4-9 GHz harmonic x mode
+    with its minimum anywhere within +-1 um: every center lies within 1e-3
+    zero-point lengths of the closed form, where the scan node's Hessian is
+    often not positive definite and a full Newton step overshoots."""
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    for _ in range(200):
+        a1y = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-16, -9)
+        a2y, e_y = 10 ** rng.uniform(2, 12), 10 ** rng.uniform(0, 3.5)
+        a1x = 0.5 * CONSTANTS.m_e * (2 * math.pi * rng.uniform(4e9, 9e9)) ** 2
+        x_min = rng.uniform(-1e-6, 1e-6)
+        field = QuarticField(a1x=a1x, a1y=a1y, a2y=a2y, e_x=2 * a1x * x_min / CONSTANTS.e,
+                             e_y=e_y)
+        worst = max(worst, _off_by(field, a1y, a2y, e_y, x_min))
+    assert worst < 1e-3
+
+
+@pytest.mark.parametrize("a1y, a2y, e_y, x_min", [
+    (1e-10, 1e12, 150.0, -0.45e-6),
+    (1e-9, 4e12, 211.0, 0.267e-6),
+], ids=["overshoot", "offset"])
+def test_trap_minimum_centers_a_stiff_y_quartic(a1y, a2y, e_y, x_min):
+    """A 7 GHz x mode and a y quartic that dominates at the minimum.  In the
+    first, the y curvature at the scanned node is 2000 times below the one
+    at the minimum, so the full Newton step from the node overshoots
+    660-fold.  In the second, the x minimum is a node where -e E_x x makes
+    |U| large, so U resolves a step only to a few ulp of that offset.  Both
+    centers land within 1e-9 zero-point lengths of the closed form."""
+    a1x = 0.5 * CONSTANTS.m_e * (7.0 * 2e9 * math.pi) ** 2
+    field = QuarticField(a1x=a1x, a1y=a1y, a2y=a2y, e_x=2 * a1x * x_min / CONSTANTS.e,
+                         e_y=e_y)
+    assert _off_by(field, a1y, a2y, e_y, x_min) < 1e-9
 
 
 def test_evaluate_defined_only_on_base_class():

@@ -10,7 +10,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from heliumdot import qsolver
+from heliumdot import cluster, qsolver
 from heliumdot.core import CONSTANTS, DomainError, TWO_PI
 from heliumdot.potential import CouplingMapSet, QuarticField, compose
 from heliumdot.qsolver import (
@@ -387,20 +387,56 @@ def test_frequency_sweep_two_crossings():
     assert f01.argmin() not in (0, len(f01) - 1)
 
 
-# a 20 GHz x mode and a quartic y trap near the frequency floor: the finder
-# stops on a node of zero or negative y curvature, and auto_window cuts the y
-# half-width it sizes from that curvature to the scan region
+# a 20 GHz x mode and a quartic y trap near the frequency floor: at its
+# minimum the y half-width is 0.53 um, well inside the scan region
 FLOOR_TRAP = {"a1x": 7.192481077722885e-09, "a2y": 1e6, "e_y": 10.0}
+# the same with a y quartic a millionth as stiff: 8 zero-point lengths of y
+# reach past the top of the scan region, so auto_window cuts the window there
+SOFT_TRAP = {**FLOOR_TRAP, "a2y": 1.0}
 
 
 @pytest.mark.parametrize("a1y", [-1e-14, 0.0, 1e-15])
 def test_frequency_sweep_flags_a_clipped_window(a1y):
-    field = QuarticField(a1y=a1y, **FLOOR_TRAP)
-    assert auto_window(field)[2:] == field.scan_region[2:]
+    field = QuarticField(a1y=a1y, **SOFT_TRAP)
+    assert auto_window(field)[3] == field.scan_region[3]
     rows = frequency_vs_voltage(lambda v: field, [0.0], k=3)
     assert rows[0].flags == ("window_clipped",)
     ham = build_hamiltonian(field, _zp_window(20.0), nx=5, ny=5)
     assert not ham.window_clipped
+
+
+def test_frequency_sweep_flags_a_window_wider_than_the_region():
+    # no quartic term and a1y = 1e-16: the y half-width is 22 um
+    field = QuarticField(a1x=FLOOR_TRAP["a1x"], a1y=1e-16)
+    assert auto_window(field)[2:] == field.scan_region[2:]
+    rows = frequency_vs_voltage(lambda v: field, [0.0], k=3)
+    assert rows[0].flags == ("window_clipped",)
+
+
+@pytest.mark.parametrize("a1y", [-1e-14, 0.0, 1e-15])
+def test_auto_window_centers_the_floor_trap(a1y):
+    """The finder reaches the floor trap's minimum, so its window is sized
+    from the curvature there, inside the scan region, and not flagged."""
+    from heliumdot.analytic import CubicTrap1D, cardano_minimum
+
+    field = QuarticField(a1y=a1y, **FLOOR_TRAP)
+    trap = CubicTrap1D(a1=a1y, a2=FLOOR_TRAP["a2y"], e_y=FLOOR_TRAP["e_y"])
+    y_min = cardano_minimum(trap).y0
+    length = math.sqrt(CONSTANTS.hbar / math.sqrt(CONSTANTS.m_e * trap.curvature(y_min)))
+    x0, x1, y0, y1 = auto_window(field)
+    assert abs(0.5 * (y0 + y1) - y_min) < 1e-3 * length
+    r = field.scan_region
+    assert r[2] < y0 and y1 < r[3]
+    assert frequency_vs_voltage(lambda v: field, [0.0], k=3)[0].flags == ()
+
+
+def test_auto_window_runs_one_one_restart_descent(monkeypatch):
+    seen = []
+    descend = cluster._descend
+    monkeypatch.setattr(cluster, "_descend",
+                        lambda field_, starts: seen.append(starts.shape) or descend(field_, starts))
+    auto_window(QuarticField(a1x=1e-9, a1y=2e-9, e_x=33.0, e_y=400.0))
+    assert seen == [(1, 1, 2)]
 
 
 def test_frequency_sweep_records_failures():
