@@ -40,6 +40,10 @@ MAX_SWEEP_POINTS = 10_000  # sweep freq|shift --n: one solve or descent each
 
 # The decay-rate flags of synth and fit rabi, and the fields they set.
 _KAPPAS = {"kappa1_mhz": "kappa_1", "kappa2_mhz": "kappa_2", "kappa_int_mhz": "kappa_int"}
+# Config fields read by more than one command: the whole resonator, and the
+# constants of a single electron's levels (eps0 only sets the pair term).
+_RESONATOR = ("l_r", "c_r", *_KAPPAS.values())
+_LEVELS = ("e", "m_e", "h")
 
 
 class UsageError(Exception):
@@ -76,14 +80,8 @@ def _seed(text: str) -> int:
 
 def _resonator(args: argparse.Namespace) -> core.ResonatorParams:
     """The config's resonator section on top of the device defaults, then the
-    --f-res-ghz and --kappa* flags on top of that.  A command without the
-    --kappa* flags reads no decay rate, so its config may not set one."""
+    --f-res-ghz and --kappa* flags on top of that."""
     res = resonator_from_config(args._config)
-    if not hasattr(args, "kappa1_mhz"):
-        dropped = sorted(set(_KAPPAS.values()) & set(args._config.get("resonator", {})))
-        if dropped:
-            raise FormatError(f"config {args.config}: resonator fields {dropped} are not "
-                              "read by this command, which reads no decay rate")
     kappas = {name: getattr(args, flag) * _MHZ for flag, name in _KAPPAS.items()
               if getattr(args, flag, None) is not None}
     if args.f_res_ghz is not None:
@@ -214,7 +212,8 @@ def _cmd_compensate(args: argparse.Namespace) -> None:
 
 def _base_voltages(args: argparse.Namespace) -> dict:
     """The fixed electrode voltages; a NAME given twice, or naming the swept
-    --electrode, would have its value dropped, so it is refused."""
+    --electrode, would have its value dropped, so it is refused, and so is a
+    value that is not finite, which would fail every point."""
     voltages = {}
     for spec_ in args.voltage or []:
         name, _, value = spec_.partition("=")
@@ -222,6 +221,8 @@ def _base_voltages(args: argparse.Namespace) -> dict:
             volts = float(value)
         except ValueError:
             raise FormatError(f"--voltage expects NAME=VALUE, got {spec_!r}") from None
+        if not math.isfinite(volts):
+            raise DomainError(f"--voltage {spec_}: the value must be finite")
         if name == args.electrode:
             raise UsageError(f"--voltage {spec_}: {name} is the swept --electrode")
         if name in voltages:
@@ -233,8 +234,10 @@ def _base_voltages(args: argparse.Namespace) -> dict:
 def _sweep_voltages(args: argparse.Namespace) -> np.ndarray:
     if not 1 <= args.n <= MAX_SWEEP_POINTS:
         raise DomainError(f"--n must be in [1, {MAX_SWEEP_POINTS}], got {args.n}")
-    if not (math.isfinite(args.vmin) and math.isfinite(args.vmax)):
-        raise DomainError("--vmin and --vmax must be finite")
+    if not all(map(math.isfinite, (args.vmin, args.vmax, args.ex, args.ey))):
+        raise DomainError("--vmin, --vmax, --ex and --ey must be finite")
+    if args.n == 1 and args.vmax != args.vmin:
+        raise UsageError("--n 1 sweeps the one voltage --vmin, so --vmax must equal it")
     return np.linspace(args.vmin, args.vmax, args.n)
 
 
@@ -395,15 +398,16 @@ def _cmd_calc_dispersive(args: argparse.Namespace) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _command(sub, name: str, func, help: str, config: tuple = (),
+def _command(sub, name: str, func, help: str, config: dict | None = None,
              seed: bool = False) -> argparse.ArgumentParser:
-    """One subcommand: --out everywhere, --config where ``func`` reads the
-    config sections named in ``config``, --seed where it draws random
-    numbers."""
+    """One subcommand: --out everywhere, --config where the result of
+    ``func`` reads config fields, given by section in ``config``, --seed
+    where it draws random numbers."""
     p = sub.add_parser(name, help=help)
     if config:
-        p.add_argument("--config", help=f"JSON config file ({', '.join(config)})")
-        p.set_defaults(_sections=config)
+        fields = "; ".join(f"{section} {', '.join(names)}" for section, names in config.items())
+        p.add_argument("--config", help=f"JSON config file ({fields})")
+        p.set_defaults(_fields=config)
     if seed:
         p.add_argument("--seed", type=_seed, default=0, help="non-negative integer")
     p.add_argument("--out", help="output path (default depends on command)")
@@ -439,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = _command(sub, "synth", _cmd_synth, "synthesize a transmission trace",
-                 config=("resonator",), seed=True)
+                 config={"resonator": _RESONATOR}, seed=True)
     _add_resonator_flags(p)
     p.add_argument("--f-el-ghz", type=float, help="electron frequency; omit for bare")
     p.add_argument("--gamma2-mhz", type=float, help="needs --f-el-ghz (default 75)")
@@ -459,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", required=True)
 
     p = _command(fit_sub, "rabi", _cmd_fit_rabi, "hybridized doublet: g, gamma_2, f_el",
-                 config=("resonator",))
+                 config={"resonator": _RESONATOR})
     _add_resonator_flags(p)
     p.add_argument("--trace", required=True)
     p.add_argument("--far", help="far-detuned trace to calibrate the resonator "
@@ -477,7 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_sub = sweep.add_subparsers(dest="sweep_kind", required=True)
 
     p = _command(sweep_sub, "shift", _cmd_sweep_shift, "resonator shift vs electrode voltage",
-                 config=("constants", "resonator"), seed=True)
+                 config={"constants": ("e", "m_e", "eps0"), "resonator": ("l_r", "c_r")},
+                 seed=True)
     _add_resonator_flags(p, kappas=False)
     _add_sweep_flags(p)
     p.add_argument("--n-electrons", type=int, default=1)
@@ -486,14 +491,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override differential coupling gradient (1/um)")
 
     p = _command(sweep_sub, "freq", _cmd_sweep_freq, "transition frequencies vs voltage",
-                 config=("constants",), seed=True)
+                 config={"constants": _LEVELS}, seed=True)
     _add_sweep_flags(p)
     p.add_argument("--nx", type=int, default=23)
     p.add_argument("--ny", type=int, default=23)
     p.add_argument("--k", type=int, default=4)
 
     p = _command(sub, "qsolve", _cmd_qsolve, "2D eigenstates of an analytic trap",
-                 config=("constants",), seed=True)
+                 config={"constants": _LEVELS}, seed=True)
     p.add_argument("--a1x", type=float, required=True, help="J/m^2")
     p.add_argument("--a1y", type=float, required=True)
     p.add_argument("--a2x", type=float, default=0.0, help="J/m^4")
@@ -508,12 +513,12 @@ def build_parser() -> argparse.ArgumentParser:
     calc_sub = calc.add_subparsers(dest="calc_kind", required=True)
 
     p = _command(calc_sub, "g", _cmd_calc_g, "charge coupling from the mode gradient",
-                 config=("constants", "resonator"))
+                 config={"constants": _LEVELS, "resonator": ("l_r", "c_r")})
     _add_resonator_flags(p, kappas=False)
     p.add_argument("--coupling-length-nm", type=float, required=True)
 
     p = _command(calc_sub, "cardano", _cmd_calc_cardano, "quartic trap minimum, closed form",
-                 config=("constants",))
+                 config={"constants": ("e", "m_e")})
     p.add_argument("--a1", type=float, required=True, help="J/m^2")
     p.add_argument("--a2", type=float, required=True, help="J/m^4")
     p.add_argument("--ey", type=float, required=True, help="V/m")
@@ -524,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-ghz", type=float, required=True)
 
     p = _command(calc_sub, "purcell-bias", _cmd_calc_purcell_bias,
-                 "decay through the bias line filter", config=("constants",))
+                 "decay through the bias line filter", config={"constants": ("e", "m_e")})
     p.add_argument("--f-el-ghz", type=float, required=True)
     p.add_argument("--dalpha-dy-per-um", type=float, default=0.03,
                    help="coupling gradient for c_c (1/um)")
@@ -533,14 +538,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cother-ff", type=float, default=500.0)
 
     p = _command(calc_sub, "spin", _cmd_calc_spin, "spin-charge and spin-photon coupling",
-                 config=("constants",))
+                 config={"constants": ("mu_b", "h")})
     p.add_argument("--g-c-mhz", type=float, required=True)
     p.add_argument("--dbz-dx-t-per-um", type=float, required=True)
     p.add_argument("--ax-nm", type=float, required=True)
     p.add_argument("--delta-cs-ghz", type=float, required=True)
 
     p = _command(calc_sub, "depression", _cmd_calc_depression, "static surface dip in a channel",
-                 config=("constants",))
+                 config={"constants": ("rho_he", "sigma_he", "g_earth")})
     p.add_argument("--height-um", type=float, required=True)
     p.add_argument("--width-um", type=float, required=True)
 
@@ -580,10 +585,14 @@ def main(argv: list[str] | None = None) -> int:
                 raise UsageError(f"--{name.replace('_', '-')}: NaN is not a value")
         config = getattr(args, "config", None)
         args._config = read_json_object(config, "config") if config else {}
-        dropped = sorted(set(args._config) - set(getattr(args, "_sections", ())))
-        if dropped:
-            raise FormatError(f"config {config}: sections {dropped} are not read by this "
-                              f"command, which reads {list(args._sections)}")
+        reads = getattr(args, "_fields", {})
+        for section, body in sorted(args._config.items()):
+            read = reads.get(section, ())
+            # a read section that is no object is refused where it is parsed
+            dropped = sorted(set(body) - set(read)) if isinstance(body, dict) else []
+            if dropped or not read:
+                raise FormatError(f"config {config}: {section!r} fields {dropped} are not read "
+                                  f"by this command, which reads {reads}")
         args._constants = constants_from_config(args._config)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             payload = args.func(args)

@@ -65,19 +65,18 @@ class Frequency:
 class PhysicalConstants:
     """CODATA values plus the few material constants the models need.
 
-    All fields are overridable through a config file (see
+    A config file overrides the fields a command's result reads (see
     :func:`constants_from_config`), but there is exactly one definition
     site: nothing else in the package redefines a constant.
 
-    Units: e [C], m_e [kg], h [J s], hbar [J s], eps0 [F/m], mu_B [J/T],
-    rho_he [kg/m^3] (liquid helium density), sigma_he [N/m] (helium surface
+    Units: e [C], m_e [kg], h [J s], eps0 [F/m], mu_B [J/T], rho_he
+    [kg/m^3] (liquid helium density), sigma_he [N/m] (helium surface
     tension), g_earth [m/s^2].
     """
 
     e: float = 1.602176634e-19
     m_e: float = 9.1093837015e-31
     h: float = 6.62607015e-34
-    hbar: float = 6.62607015e-34 / TWO_PI
     eps0: float = 8.8541878128e-12
     mu_b: float = 9.2740100783e-24
     rho_he: float = 145.0
@@ -89,8 +88,11 @@ class PhysicalConstants:
             value = getattr(self, f.name)
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise DomainError(f"constant {f.name} must be finite and positive, got {value!r}")
-        if abs(self.hbar - self.h / TWO_PI) > 1e-12 * self.hbar:
-            raise DomainError("inconsistent h and hbar: hbar must equal h / 2pi")
+
+    @property
+    def hbar(self) -> float:
+        """Reduced Planck constant h/2pi [J s]."""
+        return self.h / TWO_PI
 
     @property
     def coulomb(self) -> float:
@@ -223,17 +225,9 @@ def _config_section(cfg: dict, name: str, record: type) -> dict:
 
 
 def constants_from_config(cfg: dict) -> PhysicalConstants:
-    """Apply the 'constants' section of a config on top of the defaults.
-
-    h and hbar stay consistent: overriding one derives the other unless both
-    are given, in which case they must agree to double precision.
-    """
-    overrides = _config_section(cfg, "constants", PhysicalConstants)
-    if "h" in overrides and "hbar" not in overrides:
-        overrides["hbar"] = overrides["h"] / TWO_PI
-    elif "hbar" in overrides and "h" not in overrides:
-        overrides["h"] = overrides["hbar"] * TWO_PI
-    return replace(CONSTANTS, **overrides)
+    """Apply the 'constants' section of a config on top of the defaults; hbar
+    is no field but follows h."""
+    return replace(CONSTANTS, **_config_section(cfg, "constants", PhysicalConstants))
 
 
 def resonator_from_config(cfg: dict) -> ResonatorParams:

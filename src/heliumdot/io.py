@@ -257,7 +257,7 @@ def write_compensation_json(
 ) -> None:
     """Record what background compensation removed from a target trace."""
     payload = {
-        "leak": {"re": leak.real, "im": leak.imag},
+        "leak": leak,
         "other_re": other.real,
         "other_im": other.imag,
         "config": config or {},

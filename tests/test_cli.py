@@ -997,10 +997,9 @@ def test_config_kappa_flags_apply_on_top_of_resonator_section(tmp_path):
     (["calc", "purcell-bias", "--f-el-ghz", "5.0"], "c_c_fF"),
 ])
 def test_config_constants_reach_calc(tmp_path, capsys, argv, key):
-    # doubling e, mu_b and rho_he moves every one of these closed forms
-    cfg = _config_file(tmp_path, {"constants": {"e": 2 * CONSTANTS.e,
-                                                "mu_b": 2 * CONSTANTS.mu_b,
-                                                "rho_he": 2 * CONSTANTS.rho_he}})
+    # doubling the one constant of each closed form it reads moves the result
+    name = {"cardano": "e", "spin": "mu_b", "depression": "rho_he", "purcell-bias": "e"}[argv[1]]
+    cfg = _config_file(tmp_path, {"constants": {name: 2 * getattr(CONSTANTS, name)}})
     assert main(argv) == 0
     plain = json.loads(capsys.readouterr().out)[key]
     assert main(argv + ["--config", cfg]) == 0
@@ -1088,15 +1087,37 @@ def test_qsolve_rejects_nonfinite_field(capsys, flag):
     assert json.loads(err[0])["error"] == "DomainError"
 
 
-@pytest.mark.parametrize("flag", ["--ex", "--ey"])
-def test_sweep_freq_records_nonfinite_field(tmp_path, capsys, flag):
-    out = tmp_path / "freq.csv"
-    argv = ["sweep", "freq", "--maps", _maps_file(tmp_path), "--electrode", "trap",
-            "--vmin", "0.25", "--vmax", "0.3", "--n", "2", "--nx", "5", "--ny", "5",
-            "--k", "3", flag, "inf", "--out", str(out)]
-    assert main(argv) == 0
-    assert capsys.readouterr().err == ""
-    assert [r["flags"] for r in _csv_rows(out)] == ["failed:DomainError"] * 2
+@pytest.mark.parametrize("kind, fixed", [
+    ("freq", ["--ex", "inf"]), ("freq", ["--ey=-inf"]), ("freq", ["--voltage", "gate=nan"]),
+    ("shift", ["--ex", "inf"]), ("shift", ["--voltage", "gate=inf"]),
+], ids=["freq-ex", "freq-ey", "freq-voltage-nan", "shift-ex", "shift-voltage-inf"])
+def test_sweep_refuses_nonfinite_fixed_input(tmp_path, capsys, kind, fixed):
+    # a fixed input that is not finite fails every point alike, so it is one
+    # error before the first point, as in qsolve, not a failed row each
+    out = tmp_path / "sweep.csv"
+    extra = {"freq": ["--nx", "5", "--ny", "5", "--k", "3"], "shift": ["--grad-per-um", "0.01"]}
+    argv = ["sweep", kind, "--maps", _maps_file(tmp_path, gate=True), "--electrode", "trap",
+            "--vmin", "0.25", "--vmax", "0.3", "--n", "2", *extra[kind], *fixed,
+            "--out", str(out)]
+    assert main(argv) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "DomainError"
+
+
+@pytest.mark.parametrize("kind", ["freq", "shift"])
+def test_sweep_of_one_point_refuses_a_second_bound(tmp_path, capsys, kind):
+    # --n 1 sweeps --vmin alone: a different --vmax would be dropped
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", kind, "--maps", _maps_file(tmp_path), "--electrode", "trap",
+            "--vmin", "0.25", "--vmax", "0.35", "--n", "1", "--out", str(out)]
+    assert main(argv) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {"error": "UsageError", "message": (
+        "--n 1 sweeps the one voltage --vmin, so --vmax must equal it")}
 
 
 def test_sweep_shift_records_failed_point(tmp_path, capsys):
@@ -1311,7 +1332,7 @@ def test_every_command_reads_every_flag_it_declares(tmp_path, monkeypatch):
 
 
 # A second valid value of each flag; a (command, flag) key overrides a flag's
-# plain entry.  --config gets one file per section the command reads.
+# plain entry.  --config gets one file per config field the command reads.
 _SECOND = {
     "seed": "1", "f_res_ghz": "7.2", "kappa1_mhz": "20", "kappa2_mhz": "20",
     "kappa_int_mhz": "5", "f_el_ghz": "7.15", "gamma2_mhz": "60", "g_mhz": "100",
@@ -1329,10 +1350,19 @@ _SECOND = {
     ("fit bare", "trace"): "far2.csv",
     ("fit rabi", "f_res_ghz"): "7.17",
 }
-_SECOND_SECTIONS = {
-    "constants": {"e": 2 * CONSTANTS.e, "mu_b": 2 * CONSTANTS.mu_b,
-                  "rho_he": 2 * CONSTANTS.rho_he, "m_e": 3 * CONSTANTS.m_e},
-    "resonator": {"l_r": 85.1e-9},
+_SECOND_FIELDS = {
+    "e": 2 * CONSTANTS.e, "m_e": 3 * CONSTANTS.m_e, "h": 2 * CONSTANTS.h,
+    "eps0": 2 * CONSTANTS.eps0, "mu_b": 2 * CONSTANTS.mu_b, "rho_he": 2 * CONSTANTS.rho_he,
+    "sigma_he": 2 * CONSTANTS.sigma_he, "g_earth": 2 * CONSTANTS.g_earth,
+    "l_r": 85.1e-9, "c_r": 5.9e-15, "kappa_1": 20e6 * TWO_PI, "kappa_2": 20e6 * TWO_PI,
+    "kappa_int": 5e6 * TWO_PI,
+}
+# The flags of a run on which a config field matters, where the command's
+# plain run leaves it out: e acts on one electron through a uniform field,
+# eps0 only between two electrons.
+_FIELD_RUN_FLAGS = {
+    ("qsolve", "e"): ["--ey", "300"],
+    ("sweep shift", "eps0"): ["--n-electrons", "2"],
 }
 # Flags whose second value may leave the output as it is, each with its reason.
 _SAME_OUTPUT_ALLOWED = {
@@ -1363,10 +1393,10 @@ def _stripped_outputs(out_dir: Path) -> dict:
 
 
 def test_every_flag_changes_the_output(tmp_path, monkeypatch, capsys):
-    # reading a flag is not using it: each declared flag set to a second
-    # valid value must change what its command writes, beyond the config
-    # echo, on at least one branch; on another branch a usage error that
-    # refuses the flag is fine too
+    # reading a flag is not using it: each declared flag, and each config
+    # field the command declares, set on its own to a second valid value must
+    # change what its command writes, beyond the config echo, on at least one
+    # branch; on another branch a usage error that refuses it is fine too
     monkeypatch.chdir(tmp_path)
     runs = _command_runs(tmp_path)
     out_dir = tmp_path / "out"
@@ -1388,18 +1418,21 @@ def test_every_flag_changes_the_output(tmp_path, monkeypatch, capsys):
         perturbed = []
         for name in sorted(_declared(args)):
             if name == "config":
-                for section in args._sections:
-                    cfg = tmp_path / f"config_{section}.json"
-                    cfg.write_text(json.dumps({section: _SECOND_SECTIONS[section]}))
-                    perturbed.append((f"config:{section}", ["--config", str(cfg)]))
+                for section, fields in args._fields.items():
+                    for field in fields:
+                        cfg = tmp_path / f"config_{field}.json"
+                        cfg.write_text(json.dumps({section: {field: _SECOND_FIELDS[field]}}))
+                        perturbed.append((f"config:{section}.{field}", ["--config", str(cfg)],
+                                          _FIELD_RUN_FLAGS.get((command, field), [])))
             elif (command, name) not in _SAME_OUTPUT_ALLOWED:
                 value = _SECOND.get((command, name), _SECOND.get(name))
                 assert value is not None, f"no second value for {command} --{name}"
-                perturbed.append((name, ["--" + name.replace("_", "-"), value]))
-        for name, extra in perturbed:
+                perturbed.append((name, ["--" + name.replace("_", "-"), value], []))
+        for name, extra, run in perturbed:
             required.add((command, name))
-            code, err, files = outcome(argv + extra)
-            if code == 0 and files != base:
+            plain = outcome(argv + run)[2] if run else base
+            code, err, files = outcome(argv + run + extra)
+            if code == 0 and files != plain:
                 changed.add((command, name))
             elif code != 0 and json.loads(err)["error"] != "UsageError":
                 broken.append(f"{command} {' '.join(extra)}: exit {code} {err.strip()}")
@@ -1511,6 +1544,35 @@ def test_config_decay_rate_the_command_drops_is_format_error(tmp_path, monkeypat
     error = json.loads(err[0])
     assert error["error"] == "FormatError"
     assert "['kappa_1', 'kappa_int']" in error["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["qsolve", "--a1x", "1.1e-8", "--a1y", "1.1e-8"], "rho_he"),
+    (["sweep", "freq", "--electrode", "trap", "--vmin", "0.25", "--vmax", "0.3"], "eps0"),
+    (["calc", "depression", "--height-um", "3000", "--width-um", "1.4"], "mu_b"),
+    (["calc", "g", "--coupling-length-nm", "2200"], "hbar"),
+    (["calc", "spin", "--g-c-mhz", "120", "--dbz-dx-t-per-um", "0.1", "--ax-nm", "50",
+      "--delta-cs-ghz", "2"], "hbar"),
+], ids=["qsolve-rho_he", "sweep-freq-eps0", "calc-depression-mu_b", "calc-g-hbar",
+        "calc-spin-hbar"])
+def test_config_field_the_command_drops_is_format_error(tmp_path, monkeypatch, capsys,
+                                                        argv, field):
+    # a constant the result never reads would be dropped; hbar is no field
+    # at all, since it follows h
+    monkeypatch.chdir(tmp_path)
+    if argv[:2] == ["sweep", "freq"]:
+        argv = argv + ["--maps", _maps_file(tmp_path)]
+    cfg = _config_file(tmp_path, {"constants": {field: 2 * getattr(CONSTANTS, field)}})
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(argv + ["--config", cfg, "--out", "out"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    error = json.loads(err[0])
+    assert error["error"] == "FormatError"
+    assert f"fields ['{field}'] are not read by this command" in error["message"]
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 

@@ -296,7 +296,9 @@ SWEEP_FLAG = st.sampled_from(["--vmin", "--vmax", "--ex", "--ey", "--voltage"])
 def _sweep(data, kind: str, flags: dict) -> None:
     """Run one sweep on a drawn maps file with the given flags, and with up
     to three of the shared sweep flags set to a NUMBER value."""
-    flags = {"--vmin": "0.25", "--vmax": "0.3", **flags}
+    n = data.draw(st.sampled_from(["1", "2"]), label="n")
+    # one point sweeps --vmin alone, so its default --vmax equals it
+    flags = {"--vmin": "0.25", "--vmax": "0.25" if n == "1" else "0.3", **flags}
     overrides = st.lists(st.tuples(SWEEP_FLAG, NUMBER), max_size=3, unique_by=lambda t: t[0])
     for flag, value in data.draw(overrides, label="overrides"):
         flags[flag] = f"gate={value}" if flag == "--voltage" else value
@@ -305,7 +307,7 @@ def _sweep(data, kind: str, flags: dict) -> None:
         argv = ["sweep", kind, "--out", out,
                 "--maps", _write(work, "maps.json", data.draw(maps_text(), label="maps")),
                 "--electrode", "trap",
-                "--n", data.draw(st.sampled_from(["1", "2"]), label="n"),
+                "--n", n,
                 "--seed", str(data.draw(st.integers(-2**16, 2**16), label="seed"))]
         for flag, value in flags.items():
             argv += [flag, value]

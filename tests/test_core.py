@@ -39,7 +39,9 @@ def test_constants_reject_bad_values():
     with pytest.raises(DomainError):
         PhysicalConstants(e=-1.0)
     with pytest.raises(DomainError):
-        PhysicalConstants(hbar=2.0e-34)  # inconsistent with h
+        PhysicalConstants(h=0.0)
+    with pytest.raises(TypeError):
+        PhysicalConstants(hbar=2.0e-34)  # no field: hbar follows h
 
 
 def test_resonator_from_mode_inverts_properties():
@@ -106,13 +108,12 @@ def test_config_roundtrip(tmp_path):
 
 
 def test_config_h_hbar_coderivation(tmp_path):
-    cfg = {"constants": {"h": 2.0 * CONSTANTS.h}}
-    consts = constants_from_config(cfg)
-    assert consts.hbar == pytest.approx(2.0 * CONSTANTS.hbar, rel=1e-15)
-    with pytest.raises(DomainError):
-        constants_from_config(
-            {"constants": {"h": CONSTANTS.h, "hbar": 2.0 * CONSTANTS.hbar}}
-        )
+    # hbar is h / 2pi, the same expression as the default, so it is no field
+    consts = constants_from_config({"constants": {"h": 2.0 * CONSTANTS.h}})
+    assert consts.hbar == 2.0 * CONSTANTS.h / TWO_PI
+    assert CONSTANTS.hbar == 6.62607015e-34 / TWO_PI
+    with pytest.raises(FormatError, match="unknown constants fields in config: \\['hbar'\\]"):
+        constants_from_config({"constants": {"hbar": 2.0 * CONSTANTS.hbar}})
 
 
 def test_config_rejects_unknown_keys():
