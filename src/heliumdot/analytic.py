@@ -64,9 +64,9 @@ def coupling_g(
     if coupling_length <= 0:
         raise DomainError("coupling length must be positive")
     omega_r, impedance, v_zpf = derived_resonator_quantities(res, constants)
-    l_y = zero_point_length(float(omega_r), constants)
+    l_y = zero_point_length(omega_r, constants)
     g = constants.e * l_y * v_zpf / (constants.hbar * coupling_length)
-    return CouplingResult(g=g, l_y=l_y, v_zpf=v_zpf, impedance=impedance, omega_r=float(omega_r))
+    return CouplingResult(g=g, l_y=l_y, v_zpf=v_zpf, impedance=impedance, omega_r=omega_r)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +196,8 @@ def omega_min(a2: float, e_y: float, constants: PhysicalConstants = CONSTANTS) -
 
 @dataclass(frozen=True)
 class PurcellResult:
-    """Energy decay rate gamma_1 [rad/s] and lifetime t1 = 1/gamma_1 [s]."""
+    """Energy decay rate gamma_1 [1/s], a probability decay rate and not an
+    angular frequency, and lifetime t1 = 1/gamma_1 [s]."""
 
     gamma_1: float
     t1: float
@@ -205,9 +206,9 @@ class PurcellResult:
 def purcell_resonator(g: float, kappa: float, delta: float) -> PurcellResult:
     """Photon-emission decay through the resonator.
 
-    gamma_1 = g^2 kappa / (delta^2 + (kappa/2)^2) with delta the
-    electron-resonator detuning.  On resonance this is 4 g^2 / kappa; far
-    detuned it falls off as (g/delta)^2 kappa.
+    gamma_1 = g^2 kappa / (delta^2 + (kappa/2)^2) [1/s] for g, kappa and
+    the electron-resonator detuning delta in rad/s.  On resonance this is
+    4 g^2 / kappa; far detuned it falls off as (g/delta)^2 kappa.
     """
     if g < 0 or kappa <= 0:
         raise DomainError("need g >= 0 and kappa > 0")
@@ -262,7 +263,7 @@ class BiasFilterCircuit:
 def purcell_bias(circuit: BiasFilterCircuit, omega_e: float) -> PurcellResult:
     """Electron energy decay into the filtered bias line.
 
-    gamma_1 = omega_e (C_c / C_other) * omega_e Z0 C_c /
+    gamma_1 [1/s] = omega_e (C_c / C_other) * omega_e Z0 C_c /
               [ (1 - omega_e^2 L_f (C_f + C_c))^2 + (omega_e Z0 (C_f + C_c))^2 ]
 
     The filter stopband suppresses the environment's real impedance at the

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DomainError, Frequency, ResonatorParams
+from .core import DomainError, ResonatorParams
 
 
 # ---------------------------------------------------------------------------
@@ -139,21 +139,21 @@ def s21_resonant(
     return lorentzian(omega_p, res.omega_r, res.kappa_tot, amp, pull)
 
 
-def dispersive_electron_freq(delta_omega_r: float, g: float, omega_r: float) -> Frequency:
+def dispersive_electron_freq(delta_omega_r: float, g: float, omega_r: float) -> float:
     """Invert a dispersive resonator pull into the electron frequency.
 
-    omega_e = omega_r + g^2 / delta_omega_r.  Sign convention: the argument
-    is the pull toward the electron, delta_omega_r = omega_r - omega_peak
-    for the measured dressed-peak location.  An electron above the resonator
-    pushes the peak down, giving delta_omega_r > 0 and omega_e > omega_r;
-    below the resonator both signs flip.  Valid far from resonance where
-    |delta_omega_r| << g.
+    omega_e = omega_r + g^2 / delta_omega_r, all in rad/s.  Sign
+    convention: the argument is the pull toward the electron, delta_omega_r
+    = omega_r - omega_peak for the measured dressed-peak location.  An
+    electron above the resonator pushes the peak down, giving delta_omega_r
+    > 0 and omega_e > omega_r; below the resonator both signs flip.  Valid
+    far from resonance where |delta_omega_r| << g.
     """
     if delta_omega_r == 0.0:
         raise DomainError("zero dispersive shift carries no electron-frequency information")
     if g <= 0:
         raise DomainError("coupling g must be positive")
-    return Frequency(omega_r + g**2 / delta_omega_r)
+    return omega_r + g**2 / delta_omega_r
 
 
 def two_tone_dip(el: TwoLevelElectron, drive_freq, depth: float, offset: float):
@@ -186,17 +186,18 @@ def synthesize_trace(
 
     Noise model: complex Gaussian with per-quadrature standard deviation
     peak|S21| / (snr sqrt(2)), i.e. snr is the ratio of the peak amplitude to
-    the RMS complex noise magnitude.  Deterministic for a given seed (numpy
-    default_rng).
+    the RMS complex noise magnitude; snr = +inf means no noise, and an snr
+    not above 0 (-inf and nan included) is a DomainError.  Deterministic for
+    a given seed (numpy default_rng).
     """
+    if not snr > 0:
+        raise DomainError(f"snr must be positive (inf for noiseless), got {snr!r}")
     probe = np.asarray(probe, dtype=float)
     s21 = s21_resonant(res, el, g, probe)
     if ct is not None:
         s21 = s21 + crosstalk_leak(ct.t, ct.zeta)
     meta = {"snr": None if math.isinf(snr) else snr, "seed": seed, "far_detuned": el is None}
     if not math.isinf(snr):
-        if snr <= 0:
-            raise DomainError("snr must be positive (or omitted for noiseless)")
         rng = np.random.default_rng(seed)
         sigma = float(np.max(np.abs(s21))) / (snr * math.sqrt(2.0))
         with np.errstate(over="raise"):  # an snr near 1e-308 overflows the noise

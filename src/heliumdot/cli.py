@@ -24,14 +24,13 @@ from .core import (
     DomainError,
     FitError,
     FormatError,
+    GHZ,
+    MHZ,
     TWO_PI,
     constants_from_config,
     read_json_object,
     resonator_from_config,
 )
-
-_GHZ = 1e9 * TWO_PI
-_MHZ = 1e6 * TWO_PI
 
 # Largest size flags, refused before anything is allocated; far above the
 # defaults of 801 probe points and 11 sweep points.
@@ -82,20 +81,20 @@ def _resonator(args: argparse.Namespace) -> core.ResonatorParams:
     """The config's resonator section on top of the device defaults, then the
     --f-res-ghz and --kappa* flags on top of that."""
     res = resonator_from_config(args._config)
-    kappas = {name: getattr(args, flag) * _MHZ for flag, name in _KAPPAS.items()
+    kappas = {name: getattr(args, flag) * MHZ for flag, name in _KAPPAS.items()
               if getattr(args, flag, None) is not None}
     if args.f_res_ghz is not None:
         res = core.ResonatorParams.from_mode(
-            args.f_res_ghz * _GHZ, res.impedance,
+            args.f_res_ghz * GHZ, res.impedance,
             kappa_1=res.kappa_1, kappa_2=res.kappa_2, kappa_int=res.kappa_int,
         )
     return dataclasses.replace(res, **kappas)
 
 
 def _probe_axis(args: argparse.Namespace, center: float) -> np.ndarray:
-    span = args.span_mhz * _MHZ
+    span = args.span_mhz * MHZ
     if args.center_ghz is not None:
-        center = args.center_ghz * _GHZ
+        center = args.center_ghz * GHZ
     lo, hi = center - span / 2, center + span / 2
     if not 2 <= args.points <= MAX_PROBE_POINTS:
         raise DomainError(f"--points must be in [2, {MAX_PROBE_POINTS}], got {args.points}")
@@ -124,15 +123,15 @@ def _cmd_synth(args: argparse.Namespace) -> None:
         if args.gamma2_mhz is None:
             args.gamma2_mhz = 75.0  # so the config records what the trace used
         el = cavity.TwoLevelElectron(
-            omega_e=args.f_el_ghz * _GHZ, gamma_2=args.gamma2_mhz * _MHZ
+            omega_e=args.f_el_ghz * GHZ, gamma_2=args.gamma2_mhz * MHZ
         )
-        g = args.g_mhz * _MHZ
+        g = args.g_mhz * MHZ
     ct = cavity.CrosstalkParams(t=args.crosstalk_t, zeta=args.crosstalk_zeta)
     probe = _probe_axis(args, res.omega_r)
     trace = cavity.synthesize_trace(res, el, g, ct, probe, snr=args.snr, seed=args.seed)
     if args.format == "svg":
         svg = io.svg_line_plot(
-            probe / _GHZ, np.abs(trace.s21), "|S21|",
+            probe / GHZ, np.abs(trace.s21), "|S21|",
             xlabel="probe frequency (GHz)", ylabel="|S21|",
         )
         io.write_text(args.out or "trace.svg", svg)
@@ -297,9 +296,9 @@ def _cmd_qsolve(args: argparse.Namespace) -> dict:
     }
     if len(sol.energies) >= 3:
         tr = qsolver.transitions(sol)
-        payload["f01_GHz"] = tr.omega_01.ghz
-        payload["f12_GHz"] = tr.omega_12.ghz
-        payload["alpha_MHz"] = tr.alpha_hz / 1e6
+        payload["f01_GHz"] = tr.omega_01 / TWO_PI / 1e9
+        payload["f12_GHz"] = tr.omega_12 / TWO_PI / 1e9
+        payload["alpha_MHz"] = tr.alpha / TWO_PI / 1e6
     return payload
 
 
@@ -312,11 +311,11 @@ def _cmd_calc_g(args: argparse.Namespace) -> dict:
     res = _resonator(args)
     result = analytic.coupling_g(res, args.coupling_length_nm * 1e-9, constants=args._constants)
     return {
-        "g_MHz": result.g / _MHZ,
+        "g_MHz": result.g / MHZ,
         "l_y_nm": result.l_y * 1e9,
         "v_zpf_uV": result.v_zpf * 1e6,
         "impedance_ohm": result.impedance,
-        "f_res_GHz": result.omega_r / _GHZ,
+        "f_res_GHz": result.omega_r / GHZ,
     }
 
 
@@ -330,7 +329,7 @@ def _cmd_calc_cardano(args: argparse.Namespace) -> dict:
         "roots_nm": [r * 1e9 for r in result.roots],
     }
     try:
-        payload["f_trap_GHz"] = analytic.effective_frequency(trap) / _GHZ
+        payload["f_trap_GHz"] = analytic.effective_frequency(trap) / GHZ
     except DomainError:
         payload["f_trap_GHz"] = None
     return payload
@@ -338,13 +337,13 @@ def _cmd_calc_cardano(args: argparse.Namespace) -> dict:
 
 def _cmd_calc_purcell_res(args: argparse.Namespace) -> dict:
     result = analytic.purcell_resonator(
-        g=args.g_mhz * _MHZ, kappa=args.kappa_mhz * _MHZ, delta=args.delta_ghz * _GHZ
+        g=args.g_mhz * MHZ, kappa=args.kappa_mhz * MHZ, delta=args.delta_ghz * GHZ
     )
     return {"gamma1_per_s": result.gamma_1, "t1_us": result.t1 * 1e6}
 
 
 def _cmd_calc_purcell_bias(args: argparse.Namespace) -> dict:
-    omega_e = args.f_el_ghz * _GHZ
+    omega_e = args.f_el_ghz * GHZ
     c_c = analytic.bias_capacitance(args.dalpha_dy_per_um * 1e6, omega_e,
                                     constants=args._constants)
     circuit = analytic.BiasFilterCircuit(
@@ -356,7 +355,7 @@ def _cmd_calc_purcell_bias(args: argparse.Namespace) -> dict:
     result = analytic.purcell_bias(circuit, omega_e)
     return {
         "c_c_fF": c_c * 1e15,
-        "filter_resonance_GHz": circuit.filter_resonance / _GHZ,
+        "filter_resonance_GHz": circuit.filter_resonance / GHZ,
         "gamma1_per_s": result.gamma_1,
         "t1_ms": result.t1 * 1e3,
     }
@@ -364,13 +363,13 @@ def _cmd_calc_purcell_bias(args: argparse.Namespace) -> dict:
 
 def _cmd_calc_spin(args: argparse.Namespace) -> dict:
     result = analytic.spin_couplings(
-        g_c=args.g_c_mhz * _MHZ,
+        g_c=args.g_c_mhz * MHZ,
         dbz_dx=args.dbz_dx_t_per_um * 1e6,
         a_x=args.ax_nm * 1e-9,
-        delta_cs=args.delta_cs_ghz * _GHZ,
+        delta_cs=args.delta_cs_ghz * GHZ,
         constants=args._constants,
     )
-    return {"g_cs_MHz": result.g_cs / _MHZ, "g_s_MHz": result.g_s / _MHZ}
+    return {"g_cs_MHz": result.g_cs / MHZ, "g_s_MHz": result.g_s / MHZ}
 
 
 def _cmd_calc_depression(args: argparse.Namespace) -> dict:
@@ -381,16 +380,16 @@ def _cmd_calc_depression(args: argparse.Namespace) -> dict:
 
 def _cmd_calc_cooperativity(args: argparse.Namespace) -> dict:
     value = analytic.cooperativity(
-        g=args.g_mhz * _MHZ, kappa=args.kappa_mhz * _MHZ, gamma_2=args.gamma2_mhz * _MHZ
+        g=args.g_mhz * MHZ, kappa=args.kappa_mhz * MHZ, gamma_2=args.gamma2_mhz * MHZ
     )
     return {"cooperativity": value}
 
 
 def _cmd_calc_dispersive(args: argparse.Namespace) -> dict:
-    omega_r = args.f_res_ghz * _GHZ
-    delta = omega_r - args.f_peak_ghz * _GHZ
-    freq = cavity.dispersive_electron_freq(delta, args.g_mhz * _MHZ, omega_r)
-    return {"f_el_GHz": freq.ghz}
+    omega_r = args.f_res_ghz * GHZ
+    delta = omega_r - args.f_peak_ghz * GHZ
+    omega_e = cavity.dispersive_electron_freq(delta, args.g_mhz * MHZ, omega_r)
+    return {"f_el_GHz": omega_e / TWO_PI / 1e9}
 
 
 # ---------------------------------------------------------------------------

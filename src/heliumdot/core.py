@@ -1,10 +1,11 @@
 """Shared constants, unit conventions, and device parameter records.
 
 Every internal computation in this package works in SI units with
-*angular* frequencies (rad/s).  Cyclic frequencies (Hz and friends) appear
-only at I/O boundaries: file formats, CLI arguments, and printed reports.
-The :class:`Frequency` record makes that boundary explicit instead of
-leaving factors of 2*pi to convention.
+*angular* frequencies (rad/s), held as plain floats; no record, field or
+parameter outside ``io`` and ``cli`` carries a cyclic unit.  Cyclic
+frequencies (Hz and friends) appear only at those I/O boundaries: file
+formats, CLI arguments, and printed reports.  :data:`GHZ` and :data:`MHZ`,
+the rad/s in one GHz and one MHz, are the one conversion.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import math
 from dataclasses import dataclass, fields, replace
 
 TWO_PI = 2.0 * math.pi
+GHZ = 1e9 * TWO_PI  # rad/s per GHz
+MHZ = 1e6 * TWO_PI  # rad/s per MHz
 
 
 class DomainError(ValueError):
@@ -27,33 +30,6 @@ class FormatError(ValueError):
 class FitError(RuntimeError):
     """Nonlinear fit could not proceed (too few data points, or a model not
     finite at the initial point)."""
-
-
-# ---------------------------------------------------------------------------
-# frequency conventions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Frequency:
-    """A frequency stored as an angular value in rad/s.
-
-    Accessors carry the unit in their names so call sites never have to
-    guess whether a number includes the 2*pi.
-    """
-
-    rad_per_s: float
-
-    @property
-    def hz(self) -> float:
-        return self.rad_per_s / TWO_PI
-
-    @property
-    def ghz(self) -> float:
-        return self.rad_per_s / TWO_PI / 1e9
-
-    def __float__(self) -> float:
-        return float(self.rad_per_s)
 
 
 # ---------------------------------------------------------------------------
@@ -154,15 +130,15 @@ class ResonatorParams:
 
 def derived_resonator_quantities(
     params: ResonatorParams, constants: PhysicalConstants = CONSTANTS
-) -> tuple[Frequency, float, float]:
-    """Return (omega_r, impedance, v_zpf) for a resonator.
+) -> tuple[float, float, float]:
+    """Return (omega_r [rad/s], impedance, v_zpf) for a resonator.
 
     v_zpf = sqrt(2 hbar omega_r / C) is the zero-point voltage amplitude of
     the mode across the coupling capacitance [V].
     """
     omega_r = params.omega_r
     v_zpf = math.sqrt(2.0 * constants.hbar * omega_r / params.c_r)
-    return Frequency(omega_r), params.impedance, v_zpf
+    return omega_r, params.impedance, v_zpf
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,9 @@ import numpy as np
 
 from .cavity import SpectrumTrace
 from .cluster import ShiftSweepRow
-from .core import FormatError, TWO_PI, read_json_object
+from .core import FormatError, GHZ, TWO_PI, read_json_object
 from .fitters import FitResult
 from .qsolver import FrequencySweepRow
-
-_GHZ = 1e9 * TWO_PI  # rad/s per GHz
 
 
 def _fmt(x: float) -> str:
@@ -106,7 +104,7 @@ def _table(text: str, what: str, ncols: int, exact: bool) -> np.ndarray:
             pass  # a non-numeric cell, named by the scan below
         else:
             with np.errstate(over="ignore"):  # overflow to inf: a non-finite row
-                table[0] *= _GHZ
+                table[0] *= GHZ
             if np.isfinite(table).all():
                 return table
     for line, parts in rows:
@@ -117,7 +115,7 @@ def _table(text: str, what: str, ncols: int, exact: bool) -> np.ndarray:
             values = [float(p) for p in parts[:ncols]]
         except ValueError:
             raise FormatError(f"{what}: non-numeric row {line!r}") from None
-        values[0] *= _GHZ
+        values[0] *= GHZ
         if not all(map(math.isfinite, values)):
             raise FormatError(f"{what}: non-finite row {line!r}")
 
@@ -133,7 +131,7 @@ def write_trace(trace: SpectrumTrace, path: str, config: Mapping | None = None) 
     The sidecar (same path with .json appended) carries the trace metadata
     and the resolved config.
     """
-    rows = map("{!r},{!r},{!r}\n".format, (trace.probe / _GHZ).tolist(),
+    rows = map("{!r},{!r},{!r}\n".format, (trace.probe / GHZ).tolist(),
                trace.s21.real.tolist(), trace.s21.imag.tolist())
     write_text(path, _config_line(config) + "freq_GHz,re_s21,im_s21\n" + "".join(rows))
     sidecar = {"metadata": trace.metadata, "config": config or {}}
@@ -227,7 +225,7 @@ def write_shift_sweep_csv(rows: Sequence[ShiftSweepRow], path: str,
         "gradient_norm,iterations,is_saddle,flags\n",
     ]
     for row in rows:
-        freqs = ";".join(_fmt(f / _GHZ) for f in row.mode_frequencies)
+        freqs = ";".join(_fmt(f / GHZ) for f in row.mode_frequencies)
         lines.append(
             f"{row.electrode},{_fmt(row.voltage)},{_fmt(row.shift / TWO_PI / 1e6)},"
             f"{freqs},{str(row.converged).lower()},{_fmt(row.gradient_norm)},"
@@ -246,8 +244,9 @@ def write_freq_sweep_csv(rows: Sequence[FrequencySweepRow], path: str,
     for row in rows:
         flags = ";".join(row.flags)
         lines.append(
-            f"{_fmt(row.voltage)},{_fmt(row.f01_hz / 1e9)},{_fmt(row.f12_hz / 1e9)},"
-            f"{_fmt(row.alpha_hz / 1e6)},{_fmt(row.residual)},{flags}\n"
+            f"{_fmt(row.voltage)},{_fmt(row.omega_01 / TWO_PI / 1e9)},"
+            f"{_fmt(row.omega_12 / TWO_PI / 1e9)},{_fmt(row.alpha / TWO_PI / 1e6)},"
+            f"{_fmt(row.residual)},{flags}\n"
         )
     write_text(path, "".join(lines))
 

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .core import DomainError, Frequency, PhysicalConstants
+from .core import DomainError, PhysicalConstants
 from .cluster import trap_minimum
 from .potential import PotentialField, sample_grid
 
@@ -186,15 +186,16 @@ def eigenstates(
 
 @dataclass(frozen=True)
 class TransitionSet:
-    """Lowest transition frequencies and the anharmonicity.
+    """Lowest transition frequencies and the anharmonicity, all angular
+    [rad/s] like every frequency in the package.
 
-    alpha_hz = (omega_12 - omega_01) / 2pi [Hz, cyclic], negative when the
-    level spacing shrinks with excitation.
+    alpha = omega_12 - omega_01, negative when the level spacing shrinks
+    with excitation.  ``cli`` converts to the cyclic units it prints.
     """
 
-    omega_01: Frequency
-    omega_12: Frequency
-    alpha_hz: float
+    omega_01: float
+    omega_12: float
+    alpha: float
 
 
 def transitions(sol: EigenSolution) -> TransitionSet:
@@ -204,11 +205,7 @@ def transitions(sol: EigenSolution) -> TransitionSet:
     hbar = sol.ham.constants.hbar
     w01 = float(sol.energies[1] - sol.energies[0]) / hbar
     w12 = float(sol.energies[2] - sol.energies[1]) / hbar
-    return TransitionSet(
-        omega_01=Frequency(w01),
-        omega_12=Frequency(w12),
-        alpha_hz=(w12 - w01) / (2.0 * math.pi),
-    )
+    return TransitionSet(omega_01=w01, omega_12=w12, alpha=w12 - w01)
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +232,13 @@ def auto_window(field_: PotentialField) -> tuple:
 
 @dataclass(frozen=True)
 class FrequencySweepRow:
+    """One sweep point: the ``TransitionSet`` values in rad/s (nan where the
+    point failed), which ``io.write_freq_sweep_csv`` writes in GHz and MHz."""
+
     voltage: float
-    f01_hz: float
-    f12_hz: float
-    alpha_hz: float
+    omega_01: float
+    omega_12: float
+    alpha: float
     residual: float
     flags: tuple
 
@@ -273,18 +273,18 @@ def frequency_vs_voltage(
     rows, warm = [], None
     for volt in voltages:
         flags = []
-        f01 = f12 = alpha = residual = math.nan
+        w01 = w12 = alpha = residual = math.nan
         try:
             field_ = field_factory(float(volt))
             ham = build_hamiltonian(field_, auto_window(field_), nx=nx, ny=ny, kinetic="sinc")
             flags += ham.flags
             sol = eigenstates(ham, k=k, seed=seed, v0=warm)
             tset = transitions(sol)
-            f01, f12, alpha = tset.omega_01.hz, tset.omega_12.hz, tset.alpha_hz
+            w01, w12, alpha = tset.omega_01, tset.omega_12, tset.alpha
             residual = float(sol.residuals.max())
             warm = np.sum(sol.states, axis=0).ravel()
         except (DomainError, RuntimeError, ArithmeticError) as exc:
             warm = None
             flags.append(f"failed:{type(exc).__name__}")
-        rows.append(FrequencySweepRow(float(volt), f01, f12, alpha, residual, tuple(flags)))
+        rows.append(FrequencySweepRow(float(volt), w01, w12, alpha, residual, tuple(flags)))
     return rows

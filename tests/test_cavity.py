@@ -76,7 +76,7 @@ def test_dispersive_inversion_roundtrip(res_7162):
     omega_e = res_7162.omega_r + 2.0 * GHZ
     shift = g**2 / (omega_e - res_7162.omega_r)
     out = dispersive_electron_freq(shift, g, res_7162.omega_r)
-    assert float(out) == pytest.approx(omega_e, rel=1e-12)
+    assert out == pytest.approx(omega_e, rel=1e-12)
     with pytest.raises(DomainError):
         dispersive_electron_freq(0.0, g, res_7162.omega_r)
     with pytest.raises(DomainError):
@@ -137,8 +137,10 @@ def test_synthesize_noise_level(res_7162):
 
 
 def test_synthesize_rejects_bad_snr(res_7162, probe_half_ghz):
-    with pytest.raises(DomainError):
-        synthesize_trace(res_7162, None, 0.0, None, probe_half_ghz, snr=-1.0)
+    # only +inf means noiseless; -inf is an snr below 0, not "no noise"
+    for snr in (-1.0, 0.0, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            synthesize_trace(res_7162, None, 0.0, None, probe_half_ghz, snr=snr)
 
 
 # ---------------------------------------------------------------------------

@@ -924,6 +924,17 @@ def test_nonfinite_outputs_print_strict_json(capsys):
     assert _strict_json(capsys.readouterr().out)["cooperativity"] is None
 
 
+@pytest.mark.parametrize("snr", ["-inf", "0", "-1"])
+def test_synth_refuses_snr_not_above_zero(tmp_path, capsys, snr):
+    # only +inf means noiseless: -inf is refused like 0 and -1, not read as inf
+    out = tmp_path / "trace.csv"
+    assert main(["synth", f"--snr={snr}", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert _strict_json(err[0])["error"] == "DomainError"
+    assert not out.exists()
+
+
 def test_nan_flag_is_usage_error(tmp_path, capsys):
     out = tmp_path / "trace.csv"
     assert main(["synth", "--snr", "nan", "--out", str(out)]) == 1

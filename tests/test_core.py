@@ -10,7 +10,8 @@ from heliumdot.core import (
     CONSTANTS,
     DomainError,
     FormatError,
-    Frequency,
+    GHZ,
+    MHZ,
     PhysicalConstants,
     ResonatorParams,
     TWO_PI,
@@ -22,11 +23,10 @@ from heliumdot.core import (
 )
 
 
-def test_frequency_roundtrip():
-    f = Frequency(TWO_PI * 7.162e9)
-    assert f.hz == pytest.approx(7.162e9, rel=1e-15)
-    assert f.ghz == pytest.approx(7.162, rel=1e-15)
-    assert float(f) == pytest.approx(TWO_PI * 7.162e9, rel=1e-15)
+def test_cyclic_unit_constants():
+    assert GHZ == 2.0 * math.pi * 1e9
+    assert MHZ == 2.0 * math.pi * 1e6
+    assert 7.162 * GHZ / TWO_PI == pytest.approx(7.162e9, rel=1e-15)
 
 
 def test_constants_consistency():
@@ -71,7 +71,7 @@ def test_default_resonator_mode_quantities():
 def test_derived_quantities_zero_point_voltage():
     res = default_resonator()
     omega_r, z, v_zpf = derived_resonator_quantities(res)
-    assert float(omega_r) == res.omega_r
+    assert type(omega_r) is float and omega_r == res.omega_r
     assert z == res.impedance
     assert v_zpf == pytest.approx(4.0469454623366644e-05, rel=1e-12)
     # definition check: v_zpf^2 = 2 hbar omega / C

@@ -244,17 +244,17 @@ def test_shift_sweep_csv(tmp_path):
 def test_freq_sweep_csv_with_failed_row(tmp_path):
     class Good:
         voltage = 0.1
-        f01_hz = 5.0e9
-        f12_hz = 4.8e9
-        alpha_hz = -2.0e8
+        omega_01 = 5.0 * GHZ
+        omega_12 = 4.8 * GHZ
+        alpha = -0.2 * GHZ
         residual = 1e-12
         flags = ()
 
     class Bad:
         voltage = 0.2
-        f01_hz = math.nan
-        f12_hz = math.nan
-        alpha_hz = math.nan
+        omega_01 = math.nan
+        omega_12 = math.nan
+        alpha = math.nan
         residual = math.nan
         flags = ("failed:DomainError",)
 

@@ -238,8 +238,8 @@ def test_auto_window_sized_per_axis():
         assert lo == pytest.approx(-half, rel=1e-9)
     ham = build_hamiltonian(field, (x0, x1, y0, y1), nx=23, ny=23, kinetic="sinc")
     tset = transitions(eigenstates(ham, k=3, seed=0))
-    assert tset.omega_01.ghz == pytest.approx(fx, rel=1e-5)
-    assert tset.omega_12.ghz == pytest.approx(fx, rel=1e-4)
+    assert tset.omega_01 / GHZ == pytest.approx(fx, rel=1e-5)
+    assert tset.omega_12 / GHZ == pytest.approx(fx, rel=1e-4)
 
 
 def test_solve_follows_the_field_constants():
@@ -259,7 +259,7 @@ def test_solve_follows_the_field_constants():
     sol = eigenstates(ham, k=4, seed=0)
     gaps = (sol.energies[1:] - sol.energies[0]) / heavy.hbar
     assert gaps == pytest.approx([wx, wy, 2 * wx], rel=1e-4)
-    assert transitions(sol).omega_01.ghz == pytest.approx(fx, rel=1e-5)
+    assert transitions(sol).omega_01 / GHZ == pytest.approx(fx, rel=1e-5)
 
 
 def test_transitions_and_anharmonicity_sign():
@@ -273,8 +273,9 @@ def test_transitions_and_anharmonicity_sign():
     ham = build_hamiltonian(field, (-half, half, -half, half), nx=121, ny=121)
     tset = transitions(eigenstates(ham, k=3, seed=0))
     # hardening quartic pushes 1->2 above 0->1
-    assert tset.alpha_hz > 0
-    assert tset.omega_01.ghz > fy  # stiffened relative to the bare harmonic
+    assert tset.alpha > 0
+    assert tset.alpha == tset.omega_12 - tset.omega_01
+    assert tset.omega_01 / GHZ > fy  # stiffened relative to the bare harmonic
     with pytest.raises(DomainError):
         transitions(eigenstates(ham, k=2, seed=0))
 
@@ -299,9 +300,9 @@ def test_quartic_trap_against_dense_1d_oracle():
     ham = build_hamiltonian(field, window, nx=121, ny=301)
     tset = transitions(eigenstates(ham, k=3, seed=0))
     f01_oracle_ghz = 4.540017698583527  # dense 16001-point 1D solve
-    assert tset.omega_01.ghz == pytest.approx(f01_oracle_ghz, rel=3e-3)
+    assert tset.omega_01 / GHZ == pytest.approx(f01_oracle_ghz, rel=3e-3)
     # quantum level spacing sits well below the classical curvature frequency
-    assert tset.omega_01.ghz < w_cl / GHZ
+    assert tset.omega_01 < w_cl
 
 
 def test_auto_window_contains_minimum():
@@ -376,7 +377,7 @@ def test_frequency_sweep_two_crossings():
     volts = np.linspace(0.0, 1.0, 11)
     rows = frequency_vs_voltage(factory, volts, k=3, seed=0)
     assert len(rows) == 11
-    f01 = np.array([r.f01_hz for r in rows]) / 1e9
+    f01 = np.array([r.omega_01 for r in rows]) / GHZ
     assert np.all(np.isfinite(f01))
     assert all(not r.flags for r in rows)
     crossings = int(np.sum(np.diff(np.sign(f01 - 6.0)) != 0))
@@ -447,7 +448,7 @@ def test_frequency_sweep_records_failures():
 
     rows = frequency_vs_voltage(factory, [0.0, 1.0], nx=41, ny=41, k=3, seed=0)
     assert not rows[0].flags
-    assert math.isnan(rows[1].f01_hz)
+    assert math.isnan(rows[1].omega_01)
     assert any(f.startswith("failed:") for f in rows[1].flags)
 
 
@@ -475,6 +476,6 @@ def test_frequency_sweep_warm_start_matches_cold_points(monkeypatch):
     cold_solves = len(solves) - warm_solves
     for w, c in zip(warm, cold):
         assert not w.flags and not c.flags
-        for name in ("f01_hz", "f12_hz", "alpha_hz"):
+        for name in ("omega_01", "omega_12", "alpha"):
             assert getattr(w, name) == pytest.approx(getattr(c, name), rel=1e-12, abs=0.0)
     assert 0 < warm_solves < cold_solves

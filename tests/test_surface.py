@@ -14,13 +14,17 @@ Imports and ``__all__`` strings do not count as reads, and neither do the
 package's own unit tests: a name only its unit test reaches is a name no
 command uses.  The package module itself re-exports nothing, and only three
 helpers open files.  No function takes both a field, which carries its
-physical constants, and a second ``constants`` argument.
+physical constants, and a second ``constants`` argument.  Frequencies are
+angular inside the package: outside ``io`` and ``cli`` no name of a public
+function, a parameter or a class field ends in a cyclic unit, and only
+``core`` binds the rad/s-per-GHz and rad/s-per-MHz constants.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import math
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -447,3 +451,112 @@ def test_one_way_in_and_out():
                         and node.func.id == "open"):
                     openers.add(f"{path.stem}.{owner}")
     assert openers == {"core.read_json_object", "io.write_text", "io.read_text"}
+
+
+# the I/O boundary, where cyclic units are read and written
+BOUNDARY = {"io", "cli"}
+_CYCLIC_SUFFIXES = ("_hz", "_ghz", "_mhz")
+
+
+def _cyclic_names(sources: dict) -> list:
+    """Each public function, parameter (of any function) and class field of
+    ``sources`` (stem -> text) whose name ends in a cyclic unit."""
+    found = []
+    for stem, text in sorted(sources.items()):
+        for node in ast.walk(ast.parse(text)):
+            names = []
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs
+                params += [a for a in (args.vararg, args.kwarg) if a is not None]
+                names = [node.name] if _public(node.name) else []
+                names += [f"{node.name}({a.arg})" for a in params]
+            elif isinstance(node, ast.ClassDef):
+                names = [f"{node.name}.{item.target.id}" for item in node.body
+                         if isinstance(item, ast.AnnAssign)
+                         and isinstance(item.target, ast.Name)]
+            found += [f"{stem}.{name}" for name in names
+                      if name.rstrip(")").lower().endswith(_CYCLIC_SUFFIXES)]
+    return found
+
+
+def test_no_cyclic_unit_names_inside_the_package():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in PACKAGE.glob("*.py") if path.stem not in BOUNDARY}
+    found = _cyclic_names(sources)
+    assert not found, "cyclic-unit names outside io and cli: " + ", ".join(found)
+
+
+def test_cyclic_name_guard_sees_functions_parameters_and_fields():
+    source = (
+        "def rate_mhz(x): ...\n"
+        "def _private_ghz(f_hz, *, span_MHz=1.0, **_): ...\n"
+        "class Row:\n"
+        "    f01_hz: float\n"
+        "    omega_01: float\n"
+        "    def shift_ghz(self): ...\n"
+    )
+    assert _cyclic_names({"m": source}) == [
+        "m.rate_mhz", "m._private_ghz(f_hz)", "m._private_ghz(span_MHz)",
+        "m.Row.f01_hz", "m.shift_ghz",
+    ]
+
+
+_PER_GHZ_AND_MHZ = (1e9 * 2.0 * math.pi, 1e6 * 2.0 * math.pi)
+
+
+def _product(node):
+    """The value of a product of number literals, ``TWO_PI`` and ``math.pi``,
+    or None for any other expression."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+        return float(node.value)
+    if isinstance(node, ast.Name) and node.id == "TWO_PI":
+        return 2.0 * math.pi
+    if isinstance(node, ast.Attribute) and node.attr in ("pi", "TWO_PI"):
+        return math.pi if node.attr == "pi" else 2.0 * math.pi
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        left, right = _product(node.left), _product(node.right)
+        if left is not None and right is not None:
+            return left * right
+    return None
+
+
+def _unit_bindings(sources: dict) -> list:
+    """Each name of ``sources`` (stem -> text) bound to the rad/s in one GHz
+    or one MHz, however the product is written."""
+    found = []
+    for stem, text in sorted(sources.items()):
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets = [node.target]
+            else:
+                continue
+            value = _product(node.value)
+            if value is not None and any(math.isclose(value, unit, rel_tol=1e-12)
+                                         for unit in _PER_GHZ_AND_MHZ):
+                found += [f"{stem}.{ast.unparse(t)}" for t in targets]
+    return found
+
+
+def test_only_core_binds_the_cyclic_unit_constants():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    core_source = sources.pop("core")
+    found = _unit_bindings(sources)
+    assert not found, "cyclic-unit constants bound outside core: " + ", ".join(found)
+    assert _unit_bindings({"core": core_source}) == ["core.GHZ", "core.MHZ"]
+
+
+def test_unit_binding_guard_sees_each_spelling():
+    source = (
+        "_GHZ = 1e9 * TWO_PI\n"
+        "MHZ: float = TWO_PI * 1e6\n"
+        "per_ghz = 2.0 * math.pi * 1e9\n"
+        "def f():\n"
+        "    w = 1e6 * core.TWO_PI\n"
+        "two_pi = TWO_PI\n"
+        "khz = 1e3 * TWO_PI\n"
+        "ghz = 1e9 * TWO_PI * x\n"
+    )
+    assert _unit_bindings({"m": source}) == ["m._GHZ", "m.MHZ", "m.per_ghz", "m.w"]
