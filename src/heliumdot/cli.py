@@ -26,7 +26,6 @@ from .core import (
     FormatError,
     GHZ,
     MHZ,
-    TWO_PI,
     constants_from_config,
     read_json_object,
     resonator_from_config,
@@ -296,9 +295,9 @@ def _cmd_qsolve(args: argparse.Namespace) -> dict:
     }
     if len(sol.energies) >= 3:
         tr = qsolver.transitions(sol)
-        payload["f01_GHz"] = tr.omega_01 / TWO_PI / 1e9
-        payload["f12_GHz"] = tr.omega_12 / TWO_PI / 1e9
-        payload["alpha_MHz"] = tr.alpha / TWO_PI / 1e6
+        payload["f01_GHz"] = tr.omega_01 / GHZ
+        payload["f12_GHz"] = tr.omega_12 / GHZ
+        payload["alpha_MHz"] = tr.alpha / MHZ
     return payload
 
 
@@ -389,7 +388,7 @@ def _cmd_calc_dispersive(args: argparse.Namespace) -> dict:
     omega_r = args.f_res_ghz * GHZ
     delta = omega_r - args.f_peak_ghz * GHZ
     omega_e = cavity.dispersive_electron_freq(delta, args.g_mhz * MHZ, omega_r)
-    return {"f_el_GHz": omega_e / TWO_PI / 1e9}
+    return {"f_el_GHz": omega_e / GHZ}
 
 
 # ---------------------------------------------------------------------------

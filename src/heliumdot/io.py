@@ -22,7 +22,7 @@ import numpy as np
 
 from .cavity import SpectrumTrace
 from .cluster import ShiftSweepRow
-from .core import FormatError, GHZ, TWO_PI, read_json_object
+from .core import FormatError, GHZ, MHZ, TWO_PI, read_json_object
 from .fitters import FitResult
 from .qsolver import FrequencySweepRow
 
@@ -227,7 +227,7 @@ def write_shift_sweep_csv(rows: Sequence[ShiftSweepRow], path: str,
     for row in rows:
         freqs = ";".join(_fmt(f / GHZ) for f in row.mode_frequencies)
         lines.append(
-            f"{row.electrode},{_fmt(row.voltage)},{_fmt(row.shift / TWO_PI / 1e6)},"
+            f"{row.electrode},{_fmt(row.voltage)},{_fmt(row.shift / MHZ)},"
             f"{freqs},{str(row.converged).lower()},{_fmt(row.gradient_norm)},"
             f"{row.iterations},{str(row.is_saddle).lower()},{';'.join(row.flags)}\n"
         )
@@ -244,8 +244,8 @@ def write_freq_sweep_csv(rows: Sequence[FrequencySweepRow], path: str,
     for row in rows:
         flags = ";".join(row.flags)
         lines.append(
-            f"{_fmt(row.voltage)},{_fmt(row.omega_01 / TWO_PI / 1e9)},"
-            f"{_fmt(row.omega_12 / TWO_PI / 1e9)},{_fmt(row.alpha / TWO_PI / 1e6)},"
+            f"{_fmt(row.voltage)},{_fmt(row.omega_01 / GHZ)},"
+            f"{_fmt(row.omega_12 / GHZ)},{_fmt(row.alpha / MHZ)},"
             f"{_fmt(row.residual)},{flags}\n"
         )
     write_text(path, "".join(lines))

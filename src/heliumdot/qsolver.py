@@ -7,12 +7,17 @@ discrete-variable representation (DVR; Colbert and Miller, J. Chem. Phys.
 ``qsolve`` and ``sweep freq`` use on 23 x 23 nodes by default, at most
 MAX_DENSE_NODES; or the sparse 3-point stencil with hard walls just outside
 the window.  ``auto_window`` centers the window on the trap minimum
-(``cluster.trap_minimum``) and sizes it from the curvature there.  One
-``scipy.sparse.linalg.eigsh`` call finds the lowest levels by shift-invert
-Lanczos (ARPACK) at sigma = min U, with scipy's own factorization of
-H - sigma I, from a seeded or caller-given start vector, so reruns are
-bit-identical; the transition frequencies and the motional anharmonicity
-follow from them.  hbar and m_e are the solved field's own ``constants``.
+(``cluster.trap_minimum``) and sizes it from the curvature there.  On the
+sinc DVR, H = T_y (x) I + I (x) T_x + diag(U), and block Davidson (Davidson,
+J. Comput. Phys. 17, 87 (1975)) finds the lowest levels from the products of
+the exact 1D levels of U cut along the grid lines through its lowest node
+(fast diagonalization; Lynch, Rice and Thomas, Numer. Math. 6, 185 (1964)),
+applying H matrix-free.  On fd2, and where Davidson stalls, one
+``scipy.sparse.linalg.eigsh`` call runs shift-invert Lanczos (ARPACK) at
+sigma = min U from a seeded start vector.  Both are deterministic, so reruns
+are bit-identical; the transition frequencies and the motional
+anharmonicity follow from the levels.  hbar and m_e are the solved field's
+own ``constants``.
 """
 
 from __future__ import annotations
@@ -67,6 +72,8 @@ class DiscreteHamiltonian:
     minimum sits on the boundary ring (the trap is probably not inside),
     window_clipped one that reaches the field's scan region (an auto_window
     cut to it, whose levels may be unresolved), and constants are the field's.
+    kinetic_axes is (T_x, T_y) [J], the sinc kinetic energy along each axis,
+    so that matrix = T_y (x) I + I (x) T_x + diag(u); None on fd2.
     """
 
     x: np.ndarray
@@ -76,6 +83,7 @@ class DiscreteHamiltonian:
     edge_minimum: bool
     window_clipped: bool
     constants: PhysicalConstants
+    kinetic_axes: tuple | None
 
     @property
     def flags(self) -> list:
@@ -115,19 +123,22 @@ def build_hamiltonian(
     window_clipped = not (r[0] < x0 and x1 < r[1] and r[2] < y0 and y1 < r[3])
 
     t = field_.constants.hbar**2 / (2.0 * field_.constants.m_e)
+    axes = None
     if kinetic == "fd2":
         dx = sp.diags((1.0, -2.0, 1.0), (-1, 0, 1), shape=(nx, nx)) / hx**2
         dy = sp.diags((1.0, -2.0, 1.0), (-1, 0, 1), shape=(ny, ny)) / hy**2
         lap = sp.kron(sp.identity(ny), dx) + sp.kron(dy, sp.identity(nx))
         ham = (-t * lap + sp.diags(u.ravel())).tocsc()
     else:
+        axes = (t * _sinc_kinetic(nx, hx), t * _sinc_kinetic(ny, hy))
         # Kronecker sum T_y (+) T_x over (iy, ix, jy, jx), by broadcasting
-        ham = (t * _sinc_kinetic(ny, hy))[:, None, :, None] * np.eye(nx)[None, :, None, :]
+        ham = axes[1][:, None, :, None] * np.eye(nx)[None, :, None, :]
         iy = np.arange(ny)
-        ham[iy, :, iy, :] += t * _sinc_kinetic(nx, hx)
+        ham[iy, :, iy, :] += axes[0]
         ham = ham.reshape(nx * ny, nx * ny)
         ham.flat[:: nx * ny + 1] += u.ravel()
-    return DiscreteHamiltonian(x, y, u, ham, edge_minimum, window_clipped, field_.constants)
+    return DiscreteHamiltonian(x, y, u, ham, edge_minimum, window_clipped, field_.constants,
+                               axes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,51 +148,149 @@ class EigenSolution:
     energies ascending [J]; states: list of (ny, nx) arrays, L2-normalized
     with the grid measure and sign-fixed (largest-magnitude sample
     positive); residuals: ||H psi - E psi|| over the spectral span of the
-    computed set, one per state.
+    computed set, one per state; path: the solver that found them,
+    ``"davidson"`` or ``"eigsh"``.
     """
 
     energies: np.ndarray
     states: list
     residuals: np.ndarray
     ham: DiscreteHamiltonian
+    path: str
 
 
-def eigenstates(
-    ham: DiscreteHamiltonian, k: int = 6, seed: int = 0, v0: np.ndarray | None = None
-) -> EigenSolution:
-    """Lowest k eigenpairs by shift-invert Lanczos.
+# Davidson stops when every residual is below this share of the level span,
+# the bound eigsh's results meet; working with H - min U keeps the rounding
+# floor of its matrix-free residual near 5e-14, well below it.
+DAVIDSON_TOL = 1e-12
+# Davidson steps before the ARPACK fallback, and the steps over which the
+# largest residual must at least halve before it counts as stalled.
+DAVIDSON_STEPS = 30
+STALL_STEPS = 4
+# Largest Davidson basis before a restart from its lowest 2k Ritz vectors
+# (at least 3k), which keeps each step's projected eigh small.
+DAVIDSON_BASIS = 24
 
-    Lanczos starts from ``v0`` when given (one value per node, for example
-    the sum of a nearby problem's eigenvectors), else from a vector drawn
-    from ``seed``.  The shift is sigma = min U, the lowest sampled
-    potential.  H - sigma I = T + (U - min U) is positive definite: U - min U
-    is a non-negative diagonal, so by Weyl's inequality its lowest eigenvalue
-    is at least that of the kinetic T, which is positive (both kinetic
-    symbols, 2 - 2 cos t and t^2, are positive away from t = 0).  And sigma
-    lies only about the zero-point energy below E0, so Lanczos needs few
-    solves.  ``eigsh`` factors H - sigma I once itself, by LAPACK LU when
-    the matrix is dense (sinc) and by SuperLU when it is sparse (fd2), and
-    applies the factor's solve in ARPACK's shift-invert mode.  ARPACK stops
-    at a relative Ritz tolerance of 1e-13, which keeps every residual below
-    about 1e-12 of the spectral span.
+
+def _span(vals: np.ndarray) -> float:
+    """The spectral span of ascending levels, |E0| for one level."""
+    return float(vals[-1] - vals[0]) if vals.size > 1 else max(abs(float(vals[0])), 1e-300)
+
+
+def _kron_apply(ham: DiscreteHamiltonian, u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(T_y (x) I + I (x) T_x + diag(u)) applied to each row of ``rows``, a
+    flattened (ny, nx) state, as T_y psi + psi T_x + u psi on the stack."""
+    t_x, t_y = ham.kinetic_axes
+    psi = rows.reshape(-1, *u.shape)
+    return (t_y @ psi + psi @ t_x + u * psi).reshape(rows.shape)
+
+
+def _davidson(ham: DiscreteHamiltonian, k: int):
+    """Lowest k eigenpairs of a sinc Hamiltonian by block Davidson, as
+    (ascending energies, unit eigenvectors in columns), or None when the
+    residuals stall or DAVIDSON_STEPS run out.
+
+    U is split at its lowest node (x*, y*) into a(x) = U(x, y*) and
+    b(y) = U(x*, y) - U(x*, y*); h_x = T_x + a and h_y = T_y + b are
+    diagonalized exactly, and the k lowest products of their eigenvectors
+    start the search (exact for a separable U).  H is applied matrix-free on
+    (m, ny, nx) stacks, and each open residual is preconditioned by
+    (lambda_x + lambda_y - theta)^-1 in the product eigenbasis.
+    """
+    t_x, t_y = ham.kinetic_axes
+    ny, nx = ham.u.shape
+    iy, ix = np.unravel_index(np.argmin(ham.u), ham.u.shape)
+    # work with H - min U, whose levels are of the order of their span
+    sigma = ham.u[iy, ix]
+    u = ham.u - sigma
+    lam_x, vec_x = np.linalg.eigh(t_x + np.diag(u[iy]))
+    lam_y, vec_y = np.linalg.eigh(t_y + np.diag(u[:, ix]))
+    lam = lam_y[:, None] + lam_x
+    jy, jx = np.unravel_index(np.argsort(lam, axis=None, kind="stable")[:k], lam.shape)
+    basis = (vec_y[:, jy].T[:, :, None] * vec_x[:, jx].T[:, None, :]).reshape(k, -1)
+
+    hbasis = _kron_apply(ham, u, basis)
+    gram = basis @ hbasis.T
+    worst = []
+    for _ in range(DAVIDSON_STEPS):
+        theta, coef = np.linalg.eigh(gram)
+        if len(basis) + k > max(DAVIDSON_BASIS, 3 * k):
+            basis, hbasis = coef[:, :2 * k].T @ basis, coef[:, :2 * k].T @ hbasis
+            gram = basis @ hbasis.T
+            theta, coef = np.linalg.eigh(gram)
+        theta, coef = theta[:k], coef[:, :k]
+        vecs, resid = coef.T @ basis, coef.T @ hbasis
+        resid -= theta[:, None] * vecs
+        span = _span(theta + sigma)
+        norms = np.linalg.norm(resid, axis=1) / span
+        if norms.max() < DAVIDSON_TOL:
+            return theta + sigma, vecs.T
+        worst.append(norms.max())
+        if len(worst) > STALL_STEPS and worst[-1] > 0.5 * worst[-1 - STALL_STEPS]:
+            return None
+        open_ = norms >= DAVIDSON_TOL
+        # a product level next to theta would blow its correction up
+        gap = lam - theta[open_, None, None]
+        gap[np.abs(gap) < 1e-8 * span] = 1e-8 * span
+        corr = vec_y.T @ resid[open_].reshape(-1, ny, nx) @ vec_x
+        corr = (vec_y @ (corr / gap) @ vec_x.T).reshape(-1, nx * ny)
+        corr /= np.linalg.norm(corr, axis=1)[:, None]
+        for _ in range(2):
+            corr -= (corr @ basis.T) @ basis
+        # orthonormal, dropping what the basis already spans
+        q, tri = np.linalg.qr(corr.T)
+        new = q[:, np.abs(np.diag(tri)) > 1e-8].T
+        if not len(new):
+            return None
+        hnew = _kron_apply(ham, u, new)
+        cross = basis @ hnew.T
+        gram = np.block([[gram, cross], [cross.T, new @ hnew.T]])
+        basis, hbasis = np.vstack((basis, new)), np.vstack((hbasis, hnew))
+    return None
+
+
+def eigenstates(ham: DiscreteHamiltonian, k: int = 6, seed: int = 0) -> EigenSolution:
+    """Lowest k eigenpairs: block Davidson on the sinc DVR, shift-invert
+    Lanczos on fd2 and wherever Davidson gives up.
+
+    On sinc, ``_davidson`` runs until every residual, measured matrix-free,
+    is below DAVIDSON_TOL of the level span; it stops early when the largest
+    residual stalls, and after DAVIDSON_STEPS.  Then, and on fd2, one
+    ``scipy.sparse.linalg.eigsh`` call runs Lanczos (ARPACK) in shift-invert
+    mode from a vector drawn from ``seed``.  The shift is sigma = min U, the
+    lowest sampled potential.  H - sigma I = T + (U - min U) is positive
+    definite: U - min U is a non-negative diagonal, so by Weyl's inequality
+    its lowest eigenvalue is at least that of the kinetic T, which is
+    positive (both kinetic symbols, 2 - 2 cos t and t^2, are positive away
+    from t = 0).  And sigma lies only about the zero-point energy below E0,
+    so Lanczos needs few solves.  ``eigsh`` factors H - sigma I once itself,
+    by LAPACK LU when the matrix is dense (sinc) and by SuperLU when it is
+    sparse (fd2), and stops at a relative Ritz tolerance of 1e-13.  Both
+    paths are deterministic, so reruns are bit-identical, and ``path`` names
+    the one taken.  The reported residuals apply H to the returned vectors
+    afresh: ``ham.matrix`` on fd2, matrix-free on sinc.
     """
     size = ham.matrix.shape[0]
     if not 1 <= k <= min(20, size - 2):
         raise DomainError("k must be between 1 and min(20, n_nodes - 2)")
-    if v0 is None:
+    found = None if ham.kinetic_axes is None else _davidson(ham, k)
+    if found is not None:
+        path, (vals, vecs) = "davidson", found
+    else:
+        path = "eigsh"
         v0 = np.random.default_rng(seed).standard_normal(size)
-    sigma = float(ham.u.min())
-    vals, vecs = spla.eigsh(ham.matrix, k=k, sigma=sigma, which="LM", v0=v0, tol=1e-13)
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    span = float(vals[-1] - vals[0]) if k > 1 else max(abs(float(vals[0])), 1e-300)
-    residuals = np.linalg.norm(ham.matrix @ vecs - vecs * vals, axis=0) / (
-        np.linalg.norm(vecs, axis=0) * span)
+        vals, vecs = spla.eigsh(ham.matrix, k=k, sigma=float(ham.u.min()), which="LM", v0=v0,
+                                tol=1e-13)
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
+    hvecs = ham.matrix @ vecs if ham.kinetic_axes is None else _kron_apply(ham, ham.u, vecs.T).T
+    residuals = np.linalg.norm(hvecs - vecs * vals, axis=0) / (
+        np.linalg.norm(vecs, axis=0) * _span(vals))
     # unit L2 norm under the grid measure, largest-magnitude sample positive
     psi = vecs / math.sqrt((ham.x[1] - ham.x[0]) * (ham.y[1] - ham.y[0]))
     psi *= np.sign(psi[np.abs(psi).argmax(axis=0), np.arange(k)])
     states = list(psi.T.reshape(k, *ham.u.shape))
-    return EigenSolution(energies=vals, states=states, residuals=residuals, ham=ham)
+    return EigenSolution(energies=vals, states=states, residuals=residuals, ham=ham, path=path)
 
 
 @dataclass(frozen=True)
@@ -256,21 +365,19 @@ def frequency_vs_voltage(
     ``field_factory`` maps a voltage to a PotentialField (compose an
     electrode set, or scale an analytic surrogate), which carries the
     physical constants of that point's solve.  Each point is
-    auto-windowed and solved on the sinc DVR.  Lanczos at each point starts
-    from the sum of the previous point's eigenvectors, which lies near the
-    wanted subspace; the first point, and any point after a failed one,
-    starts from the seeded vector.  The start vector depends only on earlier
-    points, so reruns stay bit-identical.  Failures at single points (a
-    DomainError, ARPACK's RuntimeError, a float error) are recorded in the
-    row flags instead of aborting the sweep; a grid of fewer than 3 nodes
-    per axis or more than MAX_DENSE_NODES nodes, or a ``k``
+    auto-windowed and solved on the sinc DVR on its own, so a row does not
+    depend on the points before it, and reruns stay bit-identical; ``seed``
+    reaches only the ARPACK fallback of ``eigenstates``.  Failures at single
+    points (a DomainError, ARPACK's RuntimeError, a float error) are
+    recorded in the row flags instead of aborting the sweep; a grid of fewer
+    than 3 nodes per axis or more than MAX_DENSE_NODES nodes, or a ``k``
     outside 3 to min(20, nx * ny - 2), which no point could solve, raises
     DomainError before the first point.
     """
     _check_grid(nx, ny, "sinc")
     if not 3 <= k <= min(20, nx * ny - 2):
         raise DomainError("k must be between 3 and min(20, nx * ny - 2)")
-    rows, warm = [], None
+    rows = []
     for volt in voltages:
         flags = []
         w01 = w12 = alpha = residual = math.nan
@@ -278,13 +385,11 @@ def frequency_vs_voltage(
             field_ = field_factory(float(volt))
             ham = build_hamiltonian(field_, auto_window(field_), nx=nx, ny=ny, kinetic="sinc")
             flags += ham.flags
-            sol = eigenstates(ham, k=k, seed=seed, v0=warm)
+            sol = eigenstates(ham, k=k, seed=seed)
             tset = transitions(sol)
             w01, w12, alpha = tset.omega_01, tset.omega_12, tset.alpha
             residual = float(sol.residuals.max())
-            warm = np.sum(sol.states, axis=0).ravel()
         except (DomainError, RuntimeError, ArithmeticError) as exc:
-            warm = None
             flags.append(f"failed:{type(exc).__name__}")
         rows.append(FrequencySweepRow(float(volt), w01, w12, alpha, residual, tuple(flags)))
     return rows

@@ -620,32 +620,32 @@ _PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS
 
 @pytest.mark.parametrize("threads", ["pinned", "default"])
 def test_level_commands_rerun_byte_identical_per_blas_threads(tmp_path, threads):
-    # the dense LU factor and the residuals run in BLAS, which splits the
-    # work over the default thread count unless one thread is pinned; a new
-    # process reads the setting at import
+    # Davidson's small products, the residuals and any fallback LU run in
+    # BLAS, which splits the work over the default thread count unless one
+    # thread is pinned; each run is a new process, which reads the setting
+    # at import
     maps = _dome_maps_file(tmp_path)
     env = {k: v for k, v in os.environ.items() if k not in _PINNED}
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(cli.__file__).parents[1]), *filter(None, [env.get("PYTHONPATH")])])
     if threads == "pinned":
         env.update(_PINNED)
-    script = ("import os; from heliumdot.cli import main\n"
-              "for d in ('a', 'b'):\n"
-              "    os.mkdir(d); os.chdir(d)\n"
-              "    assert main(['qsolve', '--a1x', '1.1e-8', '--a1y', '2e-8', '--seed', '4',"
+    script = ("from heliumdot.cli import main\n"
+              "assert main(['qsolve', '--a1x', '1.1e-8', '--a1y', '2e-8', '--seed', '4',"
               " '--out', 'levels.json']) == 0\n"
-              f"    assert main(['sweep', 'freq', '--maps', {maps!r}, '--electrode', 'trap',"
+              f"assert main(['sweep', 'freq', '--maps', {maps!r}, '--electrode', 'trap',"
               " '--vmin', '0.2', '--vmax', '0.3', '--n', '3', '--seed', '4',"
-              " '--out', 'freq.csv']) == 0\n"
-              "    os.chdir('..')\n")
-    subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, check=True,
-                   timeout=120)
+              " '--out', 'freq.csv']) == 0\n")
+    for run in ("a", "b"):
+        (tmp_path / run).mkdir()
+        subprocess.run([sys.executable, "-c", script], cwd=tmp_path / run, env=env, check=True,
+                       timeout=120)
     for name in ("levels.json", "freq.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_sweep_freq_rerun_byte_identical(tmp_path, monkeypatch):
-    # points after the first start Lanczos from the previous point's states
+    # every point is solved on its own, the same way on every run
     argv = ["sweep", "freq", "--maps", _maps_file(tmp_path), "--electrode", "trap",
             "--vmin", "0.25", "--vmax", "0.35", "--n", "3", "--seed", "3",
             "--out", "freq.csv"]
@@ -1380,6 +1380,8 @@ _SAME_OUTPUT_ALLOWED = {
     ("sweep shift", "seed"): "it draws the start jitter; every start of the run descends "
                              "to the same minimum",
     ("sweep shift", "restarts"): "a second start descends to the same minimum as the first",
+    ("qsolve", "seed"): "it seeds only the ARPACK fallback's start vector",
+    ("sweep freq", "seed"): "it seeds only the ARPACK fallback's start vector",
 }
 
 

@@ -169,9 +169,9 @@ def test_eigenstates_match_dense_eigh_on_gridded_dome(kinetic):
 
 
 def test_eigenstates_factors_once(monkeypatch):
-    """One factorization of H - sigma I per call on either kinetic path:
-    eigsh builds it from the shift, SuperLU for sparse and LAPACK LU for
-    dense, and reuses it for every Lanczos solve."""
+    """On fd2, eigsh factors H - sigma I once with SuperLU and reuses it for
+    every Lanczos solve; a sinc solve that Davidson converges factors
+    nothing."""
     arpack = sys.modules[spla.eigsh.__module__]
     calls = []
     for name in ("splu", "lu_factor"):
@@ -180,10 +180,108 @@ def test_eigenstates_factors_once(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(arpack, name, counting)
-    for kinetic, factor in (("fd2", "splu"), ("sinc", "lu_factor")):
+    for kinetic, factors, path in (("fd2", ["splu"], "eigsh"), ("sinc", [], "davidson")):
         calls.clear()
-        eigenstates(_small_dome_hamiltonian(kinetic), k=4, seed=0)
-        assert calls == [factor]
+        assert eigenstates(_small_dome_hamiltonian(kinetic), k=4, seed=0).path == path
+        assert calls == factors
+
+
+def test_separable_trap_converges_on_the_start_states(monkeypatch):
+    """A QuarticField is a sum of an x and a y potential, so the products of
+    the 1D eigenvectors along the lines through the lowest node are exact:
+    Davidson applies H to its k start states, the residual check applies it
+    once more, and nothing else runs."""
+    applied = []
+    kron_apply = qsolver._kron_apply
+    monkeypatch.setattr(qsolver, "_kron_apply",
+                        lambda ham, u, rows: applied.append(len(rows)) or kron_apply(ham, u, rows))
+    field = QuarticField(a1x=1.1e-8, a1y=2e-8, a2y=3e3, e_y=20.0)
+    ham = build_hamiltonian(field, auto_window(field), nx=23, ny=23, kinetic="sinc")
+    sol = eigenstates(ham, k=6, seed=0)
+    assert sol.path == "davidson"
+    assert applied == [6, 6]
+    assert sol.residuals.max() < 1e-12
+
+
+# a 5 GHz x mode under a y quartic so stiff that U over the clipped window
+# spans about 1e11 times the level span: the matrix-free residual's rounding
+# floor lies far above the stop, so Davidson stalls
+NEAR_FLOOR_TRAP = QuarticField(a1x=0.5 * CONSTANTS.m_e * (5.0 * GHZ) ** 2, a1y=1e-14, a2y=1e11)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_stalled_davidson_falls_back_to_seeded_eigsh(monkeypatch, seed):
+    starts = []
+    eigsh = spla.eigsh
+    monkeypatch.setattr(qsolver.spla, "eigsh",
+                        lambda *args, v0, **kwargs: starts.append(v0) or eigsh(*args, v0=v0,
+                                                                               **kwargs))
+    ham = build_hamiltonian(NEAR_FLOOR_TRAP, auto_window(NEAR_FLOOR_TRAP), nx=23, ny=23,
+                            kinetic="sinc")
+    assert ham.window_clipped
+    sol = eigenstates(ham, k=4, seed=seed)
+    assert sol.path == "eigsh"
+    assert len(starts) == 1
+    assert np.array_equal(starts[0], np.random.default_rng(seed).standard_normal(23 * 23))
+    # dense eigh is good only to about eps ||H||, here 2e-5 of the level span
+    dense = scipy.linalg.eigh(ham.matrix, eigvals_only=True)
+    norm = np.abs(dense).max()
+    np.testing.assert_allclose(sol.energies, dense[:4], rtol=0.0,
+                               atol=8 * np.finfo(float).eps * norm)
+    assert sol.residuals.max() < 1e-12
+
+
+def _rotated_dome_field(degrees: float, volts: float = 0.3, ratio: float = 0.7):
+    """The benchmark dome, with its y axis ``ratio`` times its x axis,
+    turned by ``degrees`` about its top, so that its axes no longer lie
+    along the grid and U is not separable."""
+    axis = np.linspace(-1e-6, 1e-6, 81)
+    xx, yy = np.meshgrid(axis, axis)
+    c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
+    lever = np.exp(-((c * xx + s * yy) / 1e-6) ** 2 - ((c * yy - s * xx) / (ratio * 1e-6)) ** 2)
+    return compose(CouplingMapSet(x_axis=axis, y_axis=axis, grids={"trap": lever}),
+                   {"trap": volts})
+
+
+@pytest.mark.parametrize("degrees", [30.0, 45.0])
+def test_rotated_dome_matches_dense_eigh(monkeypatch, degrees):
+    """19 to 21 Davidson steps, restarted whenever the basis would pass
+    DAVIDSON_BASIS vectors, so no projected eigh grows past that size (a
+    32 x 32 one already went to threaded BLAS)."""
+    sizes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
+    field = _rotated_dome_field(degrees)
+    ham = build_hamiltonian(field, auto_window(field), nx=23, ny=23, kinetic="sinc")
+    sol = eigenstates(ham, k=4, seed=0)
+    assert sol.path == "davidson"
+    assert len(sizes) > 20 and max(sizes) <= qsolver.DAVIDSON_BASIS
+    assert sol.residuals.max() < 1e-10
+    dense = scipy.linalg.eigh(ham.matrix, eigvals_only=True)[:4]
+    np.testing.assert_allclose(sol.energies, dense, rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(np.diff(sol.energies), np.diff(dense), rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("degrees, n, k, capped", [(45.0, 23, 4, True), (30.0, 31, 6, False)],
+                         ids=["step-cap", "stall"])
+def test_slow_davidson_falls_back_to_eigsh(monkeypatch, degrees, n, k, capped):
+    """A dome 0.4 times as wide in y as in x, turned off the grid axes, is
+    far from the separable start: at 23^2 Davidson is still converging when
+    DAVIDSON_STEPS run out, and at 31^2 its largest residual stops halving.
+    Either way eigsh takes over and the levels are right."""
+    applied = []
+    kron_apply = qsolver._kron_apply
+    monkeypatch.setattr(qsolver, "_kron_apply",
+                        lambda ham, u, rows: applied.append(len(rows)) or kron_apply(ham, u, rows))
+    field = _rotated_dome_field(degrees, ratio=0.4)
+    ham = build_hamiltonian(field, auto_window(field), nx=n, ny=n, kinetic="sinc")
+    sol = eigenstates(ham, k=k, seed=0)
+    assert sol.path == "eigsh"
+    # the start block, one block per step, and the residual check
+    assert (len(applied) == qsolver.DAVIDSON_STEPS + 2) == capped
+    assert sol.residuals.max() < 1e-12
+    dense = scipy.linalg.eigh(ham.matrix, eigvals_only=True)[:k]
+    np.testing.assert_allclose(sol.energies, dense, rtol=1e-10, atol=0.0)
 
 
 def test_eigenstates_seeded_deterministic():
@@ -452,30 +550,15 @@ def test_frequency_sweep_records_failures():
     assert any(f.startswith("failed:") for f in rows[1].flags)
 
 
-def test_frequency_sweep_warm_start_matches_cold_points(monkeypatch):
-    """A sweep starts each point's Lanczos from the previous point's states:
-    the levels match cold single-point sweeps, with fewer shift-invert solves."""
-    arpack = sys.modules[spla.eigsh.__module__]
-    real_lu_solve = arpack.lu_solve
-    solves = []
-
-    def counting_lu_solve(*args, **kwargs):
-        solves.append(1)
-        return real_lu_solve(*args, **kwargs)
-
-    monkeypatch.setattr(arpack, "lu_solve", counting_lu_solve)
+def test_frequency_sweep_rows_match_single_point_sweeps():
+    """Each point is solved on its own, so every row of a sweep equals, bit
+    for bit, the row of a sweep over that point alone."""
     maps = _dome_maps()
 
     def factory(v: float):
         return compose(maps, {"trap": v})
 
     volts = [0.25, 0.3, 0.35]
-    warm = frequency_vs_voltage(factory, volts, k=4, seed=0)
-    warm_solves = len(solves)
-    cold = [frequency_vs_voltage(factory, [v], k=4, seed=0)[0] for v in volts]
-    cold_solves = len(solves) - warm_solves
-    for w, c in zip(warm, cold):
-        assert not w.flags and not c.flags
-        for name in ("omega_01", "omega_12", "alpha"):
-            assert getattr(w, name) == pytest.approx(getattr(c, name), rel=1e-12, abs=0.0)
-    assert 0 < warm_solves < cold_solves
+    rows = frequency_vs_voltage(factory, volts, k=4, seed=0)
+    assert all(not row.flags for row in rows)
+    assert rows == [frequency_vs_voltage(factory, [v], k=4, seed=0)[0] for v in volts]
