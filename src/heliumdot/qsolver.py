@@ -1,18 +1,18 @@
 """Single-electron levels of a trap on a uniform grid.
 
 H = -(hbar^2 / 2 m_e) laplacian + U(x, y) is sampled on a uniform window
-grid with one of two kinetic matrices per axis: the dense sinc
-discrete-variable representation (DVR; Colbert and Miller, J. Chem. Phys.
-96, 1982, 1992), whose levels converge spectrally for a smooth U and which
-``qsolve`` and ``sweep freq`` use on 23 x 23 nodes by default, at most
-MAX_DENSE_NODES; or the sparse 3-point stencil with hard walls just outside
-the window.  ``auto_window`` centers the window on the trap minimum
-(``cluster.trap_minimum``) and sizes it from the curvature there.  On the
-sinc DVR, H = T_y (x) I + I (x) T_x + diag(U), and block Davidson (Davidson,
-J. Comput. Phys. 17, 87 (1975)) finds the lowest levels from the products of
-the exact 1D levels of U cut along the grid lines through its lowest node
-(fast diagonalization; Lynch, Rice and Thomas, Numer. Math. 6, 185 (1964)),
-applying H matrix-free.  On fd2, and where Davidson stalls, one
+grid as one Kronecker sum, H = T_y (x) I + I (x) T_x + diag(U), with one of
+two 1D kinetic matrices per axis: the sinc discrete-variable representation
+(DVR; Colbert and Miller, J. Chem. Phys. 96, 1982, 1992), whose levels
+converge spectrally for a smooth U and which ``qsolve`` and ``sweep freq``
+use on 23 x 23 nodes by default, at most MAX_DENSE_NODES; or the 3-point
+stencil with hard walls just outside the window.  ``auto_window`` centers
+the window on the trap minimum (``cluster.trap_minimum``) and sizes it from
+the curvature there.  On both grids block Davidson (Davidson, J. Comput.
+Phys. 17, 87 (1975)) finds the lowest levels from the products of the exact
+1D levels of U cut along the grid lines through its lowest node (fast
+diagonalization; Lynch, Rice and Thomas, Numer. Math. 6, 185 (1964)),
+applying H matrix-free.  Where Davidson stalls, one
 ``scipy.sparse.linalg.eigsh`` call runs shift-invert Lanczos (ARPACK) at
 sigma = min U from a seeded start vector.  Both are deterministic, so reruns
 are bit-identical; the transition frequencies and the motional
@@ -22,6 +22,7 @@ own ``constants``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -37,20 +38,15 @@ from .potential import PotentialField, sample_grid
 # Half-width of an auto window, in zero-point lengths sqrt(hbar / (m_e omega)).
 WINDOW_FACTOR = 8.0
 
-# Largest n_x n_y of a dense (sinc) Hamiltonian: 8 * 2500^2 bytes = 50 MB.
+# Largest n_x n_y of a sinc grid, and of a fallback that factors H - sigma I
+# by dense LU (above it SuperLU): 8 * 2500^2 bytes = 50 MB.
 MAX_DENSE_NODES = 2500
 
 
-def _check_grid(nx: int, ny: int, kinetic: str) -> None:
-    """A known kinetic, at least 3 nodes per axis, and at most MAX_DENSE_NODES
-    nodes for sinc."""
-    if nx < 3 or ny < 3:
-        raise DomainError("need at least 3 nodes per axis")
-    if kinetic not in ("fd2", "sinc"):
-        raise DomainError(f"kinetic must be 'fd2' or 'sinc', got {kinetic!r}")
-    if kinetic == "sinc" and nx * ny > MAX_DENSE_NODES:
-        raise DomainError(f"a sinc grid holds at most {MAX_DENSE_NODES} nodes, "
-                          f"got {nx} x {ny} = {nx * ny}")
+def _fd2_kinetic(n: int, h: float) -> np.ndarray:
+    """3-point -d^2/dx^2 on n nodes of spacing h, zero on the ghost nodes
+    outside: 2 on the diagonal and -1 next to it, over h^2."""
+    return (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / h**2
 
 
 def _sinc_kinetic(n: int, h: float) -> np.ndarray:
@@ -62,34 +58,52 @@ def _sinc_kinetic(n: int, h: float) -> np.ndarray:
     return first[np.abs(np.subtract.outer(i, i))] / h**2
 
 
+_KINETIC = {"fd2": _fd2_kinetic, "sinc": _sinc_kinetic}
+
+
+def _check_grid(nx: int, ny: int, kinetic: str) -> None:
+    """A known kinetic, at least 3 nodes per axis, and at most MAX_DENSE_NODES
+    nodes for sinc."""
+    if nx < 3 or ny < 3:
+        raise DomainError("need at least 3 nodes per axis")
+    if kinetic not in _KINETIC:
+        raise DomainError(f"kinetic must be 'fd2' or 'sinc', got {kinetic!r}")
+    if kinetic == "sinc" and nx * ny > MAX_DENSE_NODES:
+        raise DomainError(f"a sinc grid holds at most {MAX_DENSE_NODES} nodes, "
+                          f"got {nx} x {ny} = {nx * ny}")
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteHamiltonian:
-    """Grid Hamiltonian on a window, sparse (fd2) or dense (sinc).
+    """Grid Hamiltonian on a window, H = T_y (x) I + I (x) T_x + diag(u).
 
     x/y are the grid node coordinates [m] (uniform spacing), u the sampled
-    potential energy [J] with shape (ny, nx), matrix the symmetric operator
-    over row-major raveled nodes.  edge_minimum flags a window whose sampled
-    minimum sits on the boundary ring (the trap is probably not inside),
-    window_clipped one that reaches the field's scan region (an auto_window
-    cut to it, whose levels may be unresolved), and constants are the field's.
-    kinetic_axes is (T_x, T_y) [J], the sinc kinetic energy along each axis,
-    so that matrix = T_y (x) I + I (x) T_x + diag(u); None on fd2.
+    potential energy [J] with shape (ny, nx), and kinetic_axes (T_x, T_y)
+    [J] the dense 1D kinetic energy along each axis.  edge_minimum flags a
+    window whose sampled minimum sits on the boundary ring (the trap is
+    probably not inside), window_clipped one that reaches the field's scan
+    region (an auto_window cut to it, whose levels may be unresolved), and
+    constants are the field's.
     """
 
     x: np.ndarray
     y: np.ndarray
     u: np.ndarray
-    matrix: sp.spmatrix | np.ndarray
     edge_minimum: bool
     window_clipped: bool
     constants: PhysicalConstants
-    kinetic_axes: tuple | None
+    kinetic_axes: tuple
 
     @property
     def flags(self) -> list:
         """The names of the set flags, as ``qsolve`` and ``sweep freq`` report them."""
         return [name for name, on in (("edge_minimum", self.edge_minimum),
                                       ("window_clipped", self.window_clipped)) if on]
+
+    @functools.cached_property
+    def matrix(self) -> sp.csc_matrix:
+        """H over row-major raveled nodes, sparse, built on first use."""
+        return (sp.kronsum(*self.kinetic_axes) + sp.diags(self.u.ravel())).tocsc()
 
 
 def build_hamiltonian(
@@ -99,21 +113,20 @@ def build_hamiltonian(
     ny: int = 151,
     kinetic: str = "fd2",
 ) -> DiscreteHamiltonian:
-    """Assemble the discrete Hamiltonian over window = (x0, x1, y0, y1), with
-    hbar and m_e from the field's ``constants``.
+    """Sample U over window = (x0, x1, y0, y1) and set up the kinetic matrix
+    of each axis, with hbar and m_e from the field's ``constants``.
 
-    ``kinetic`` is ``"fd2"`` (sparse 3-point stencil, zero on the ghost
-    nodes outside the window) or ``"sinc"`` (dense sinc DVR, at most
-    MAX_DENSE_NODES nodes, checked before anything is sampled).  The window
-    must lie inside the field domain; a sampled minimum on its edge, or a
-    window that reaches the scan region, is flagged, not fatal.
+    ``kinetic`` is ``"fd2"`` (3-point stencil, zero on the ghost nodes
+    outside the window) or ``"sinc"`` (sinc DVR, at most MAX_DENSE_NODES
+    nodes, checked before anything is sampled).  The window must lie inside
+    the field domain; a sampled minimum on its edge, or a window that
+    reaches the scan region, is flagged, not fatal.
     """
     x0, x1, y0, y1 = window
     if not (x1 > x0 and y1 > y0):
         raise DomainError("window must have positive extent")
     _check_grid(nx, ny, kinetic)
     x, y, u = sample_grid(field_, window, nx, ny)
-    hx, hy = x[1] - x[0], y[1] - y[0]
     if not np.all(np.isfinite(u)):
         raise DomainError("potential is not finite over the window")
 
@@ -123,22 +136,8 @@ def build_hamiltonian(
     window_clipped = not (r[0] < x0 and x1 < r[1] and r[2] < y0 and y1 < r[3])
 
     t = field_.constants.hbar**2 / (2.0 * field_.constants.m_e)
-    axes = None
-    if kinetic == "fd2":
-        dx = sp.diags((1.0, -2.0, 1.0), (-1, 0, 1), shape=(nx, nx)) / hx**2
-        dy = sp.diags((1.0, -2.0, 1.0), (-1, 0, 1), shape=(ny, ny)) / hy**2
-        lap = sp.kron(sp.identity(ny), dx) + sp.kron(dy, sp.identity(nx))
-        ham = (-t * lap + sp.diags(u.ravel())).tocsc()
-    else:
-        axes = (t * _sinc_kinetic(nx, hx), t * _sinc_kinetic(ny, hy))
-        # Kronecker sum T_y (+) T_x over (iy, ix, jy, jx), by broadcasting
-        ham = axes[1][:, None, :, None] * np.eye(nx)[None, :, None, :]
-        iy = np.arange(ny)
-        ham[iy, :, iy, :] += axes[0]
-        ham = ham.reshape(nx * ny, nx * ny)
-        ham.flat[:: nx * ny + 1] += u.ravel()
-    return DiscreteHamiltonian(x, y, u, ham, edge_minimum, window_clipped, field_.constants,
-                               axes)
+    axes = (t * _KINETIC[kinetic](nx, x[1] - x[0]), t * _KINETIC[kinetic](ny, y[1] - y[0]))
+    return DiscreteHamiltonian(x, y, u, edge_minimum, window_clipped, field_.constants, axes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,7 +185,7 @@ def _kron_apply(ham: DiscreteHamiltonian, u: np.ndarray, rows: np.ndarray) -> np
 
 
 def _davidson(ham: DiscreteHamiltonian, k: int):
-    """Lowest k eigenpairs of a sinc Hamiltonian by block Davidson, as
+    """Lowest k eigenpairs of a grid Hamiltonian by block Davidson, as
     (ascending energies, unit eigenvectors in columns), or None when the
     residuals stall or DAVIDSON_STEPS run out.
 
@@ -250,40 +249,40 @@ def _davidson(ham: DiscreteHamiltonian, k: int):
 
 
 def eigenstates(ham: DiscreteHamiltonian, k: int = 6, seed: int = 0) -> EigenSolution:
-    """Lowest k eigenpairs: block Davidson on the sinc DVR, shift-invert
-    Lanczos on fd2 and wherever Davidson gives up.
+    """Lowest k eigenpairs: block Davidson, then shift-invert Lanczos
+    wherever Davidson gives up.
 
-    On sinc, ``_davidson`` runs until every residual, measured matrix-free,
-    is below DAVIDSON_TOL of the level span; it stops early when the largest
-    residual stalls, and after DAVIDSON_STEPS.  Then, and on fd2, one
-    ``scipy.sparse.linalg.eigsh`` call runs Lanczos (ARPACK) in shift-invert
-    mode from a vector drawn from ``seed``.  The shift is sigma = min U, the
-    lowest sampled potential.  H - sigma I = T + (U - min U) is positive
-    definite: U - min U is a non-negative diagonal, so by Weyl's inequality
-    its lowest eigenvalue is at least that of the kinetic T, which is
-    positive (both kinetic symbols, 2 - 2 cos t and t^2, are positive away
-    from t = 0).  And sigma lies only about the zero-point energy below E0,
-    so Lanczos needs few solves.  ``eigsh`` factors H - sigma I once itself,
-    by LAPACK LU when the matrix is dense (sinc) and by SuperLU when it is
-    sparse (fd2), and stops at a relative Ritz tolerance of 1e-13.  Both
-    paths are deterministic, so reruns are bit-identical, and ``path`` names
-    the one taken.  The reported residuals apply H to the returned vectors
-    afresh: ``ham.matrix`` on fd2, matrix-free on sinc.
+    ``_davidson`` runs until every residual, measured matrix-free, is below
+    DAVIDSON_TOL of the level span; it stops early when the largest residual
+    stalls, and after DAVIDSON_STEPS.  Then one ``scipy.sparse.linalg.eigsh``
+    call runs Lanczos (ARPACK) in shift-invert mode from a vector drawn from
+    ``seed``.  The shift is sigma = min U, the lowest sampled potential.
+    H - sigma I = T + (U - min U) is positive definite: U - min U is a
+    non-negative diagonal, so by Weyl's inequality its lowest eigenvalue is
+    at least that of the kinetic T, which is positive (both kinetic symbols,
+    2 - 2 cos t and t^2, are positive away from t = 0).  And sigma lies only
+    about the zero-point energy below E0, so Lanczos needs few solves.
+    ``eigsh`` factors H - sigma I once itself, by LAPACK LU on grids of at
+    most MAX_DENSE_NODES nodes and by SuperLU above, and stops at a relative
+    Ritz tolerance of 1e-13.  Both paths are deterministic, so reruns are
+    bit-identical, and ``path`` names the one taken.  The reported residuals
+    apply H to the returned vectors afresh, matrix-free.
     """
-    size = ham.matrix.shape[0]
+    size = ham.u.size
     if not 1 <= k <= min(20, size - 2):
         raise DomainError("k must be between 1 and min(20, n_nodes - 2)")
-    found = None if ham.kinetic_axes is None else _davidson(ham, k)
+    found = _davidson(ham, k)
     if found is not None:
         path, (vals, vecs) = "davidson", found
     else:
         path = "eigsh"
         v0 = np.random.default_rng(seed).standard_normal(size)
-        vals, vecs = spla.eigsh(ham.matrix, k=k, sigma=float(ham.u.min()), which="LM", v0=v0,
+        matrix = ham.matrix.toarray() if size <= MAX_DENSE_NODES else ham.matrix
+        vals, vecs = spla.eigsh(matrix, k=k, sigma=float(ham.u.min()), which="LM", v0=v0,
                                 tol=1e-13)
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
-    hvecs = ham.matrix @ vecs if ham.kinetic_axes is None else _kron_apply(ham, ham.u, vecs.T).T
+    hvecs = _kron_apply(ham, ham.u, vecs.T).T
     residuals = np.linalg.norm(hvecs - vecs * vals, axis=0) / (
         np.linalg.norm(vecs, axis=0) * _span(vals))
     # unit L2 norm under the grid measure, largest-magnitude sample positive

@@ -468,7 +468,7 @@ def test_sweep_freq_default_grid_matches_fine_reference(tmp_path):
      "--out", "freq.csv"],
 ], ids=["qsolve", "sweep-freq"])
 def test_dense_grid_over_node_cap_is_one_error(tmp_path, monkeypatch, capsys, argv):
-    # 51 x 51 = 2601 nodes is over the 2500-node cap of the dense sinc matrix;
+    # 51 x 51 = 2601 nodes is over the 2500-node cap of a sinc grid;
     # the sweep stops before its first point instead of writing failed rows
     monkeypatch.chdir(tmp_path)
     if argv[0] == "sweep":

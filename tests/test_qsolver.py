@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -54,7 +55,7 @@ class _Sampled(Exception):
 
 
 def test_sinc_node_cap_checked_before_sampling(monkeypatch):
-    # 50 x 50 = 2500 nodes is the largest dense grid, a 50 MB matrix
+    # 50 x 50 = 2500 nodes is the largest sinc grid
     def sampled(*args, **kwargs):
         raise _Sampled
 
@@ -160,18 +161,40 @@ def _small_dome_hamiltonian(kinetic="fd2"):
 @pytest.mark.parametrize("kinetic", ("fd2", "sinc"))
 def test_eigenstates_match_dense_eigh_on_gridded_dome(kinetic):
     ham = _small_dome_hamiltonian(kinetic)
-    assert sp.issparse(ham.matrix) == (kinetic == "fd2")
+    assert sp.issparse(ham.matrix)
     sol = eigenstates(ham, k=6, seed=0)
-    matrix = ham.matrix.toarray() if kinetic == "fd2" else ham.matrix
-    dense = scipy.linalg.eigh(matrix, eigvals_only=True)
+    dense = scipy.linalg.eigh(ham.matrix.toarray(), eigvals_only=True)
     np.testing.assert_allclose(sol.energies, dense[:6], rtol=1e-12, atol=0.0)
     assert sol.residuals.max() < 1e-10
 
 
+@pytest.mark.parametrize("kinetic", ("fd2", "sinc"))
+def test_matrix_is_the_kronecker_sum(kinetic):
+    ham = _small_dome_hamiltonian(kinetic)
+    t_x, t_y = ham.kinetic_axes
+    ny, nx = ham.u.shape
+    want = np.kron(np.eye(ny), t_x) + np.kron(t_y, np.eye(nx)) + np.diag(ham.u.ravel())
+    assert np.array_equal(ham.matrix.toarray(), want)
+
+
+def test_sinc_build_allocates_no_node_square_array():
+    """A 50 x 50 sinc build keeps the two 50 x 50 kinetic matrices and U; the
+    2500 x 2500 matrix, 50 MB, is left to the fallback that reads it."""
+    field = _harmonic(5.0, 5.0)
+    build_hamiltonian(field, _zp_window(5.0), nx=50, ny=50, kinetic="sinc")
+    tracemalloc.start()
+    try:
+        build_hamiltonian(field, _zp_window(5.0), nx=50, ny=50, kinetic="sinc")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 def test_eigenstates_factors_once(monkeypatch):
-    """On fd2, eigsh factors H - sigma I once with SuperLU and reuses it for
-    every Lanczos solve; a sinc solve that Davidson converges factors
-    nothing."""
+    """A solve that Davidson converges factors nothing, on fd2 and on sinc;
+    the eigsh fallback factors H - sigma I once with dense LU and reuses it
+    for every Lanczos solve."""
     arpack = sys.modules[spla.eigsh.__module__]
     calls = []
     for name in ("splu", "lu_factor"):
@@ -180,9 +203,13 @@ def test_eigenstates_factors_once(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(arpack, name, counting)
-    for kinetic, factors, path in (("fd2", ["splu"], "eigsh"), ("sinc", [], "davidson")):
+    fallback = build_hamiltonian(NEAR_FLOOR_TRAP, auto_window(NEAR_FLOOR_TRAP), nx=23, ny=23,
+                                 kinetic="sinc")
+    for ham, factors, path in ((_small_dome_hamiltonian("fd2"), [], "davidson"),
+                               (_small_dome_hamiltonian("sinc"), [], "davidson"),
+                               (fallback, ["lu_factor"], "eigsh")):
         calls.clear()
-        assert eigenstates(_small_dome_hamiltonian(kinetic), k=4, seed=0).path == path
+        assert eigenstates(ham, k=4, seed=0).path == path
         assert calls == factors
 
 
@@ -224,7 +251,7 @@ def test_stalled_davidson_falls_back_to_seeded_eigsh(monkeypatch, seed):
     assert len(starts) == 1
     assert np.array_equal(starts[0], np.random.default_rng(seed).standard_normal(23 * 23))
     # dense eigh is good only to about eps ||H||, here 2e-5 of the level span
-    dense = scipy.linalg.eigh(ham.matrix, eigvals_only=True)
+    dense = scipy.linalg.eigh(ham.matrix.toarray(), eigvals_only=True)
     norm = np.abs(dense).max()
     np.testing.assert_allclose(sol.energies, dense[:4], rtol=0.0,
                                atol=8 * np.finfo(float).eps * norm)
@@ -243,44 +270,51 @@ def _rotated_dome_field(degrees: float, volts: float = 0.3, ratio: float = 0.7):
                    {"trap": volts})
 
 
-@pytest.mark.parametrize("degrees", [30.0, 45.0])
-def test_rotated_dome_matches_dense_eigh(monkeypatch, degrees):
-    """19 to 21 Davidson steps, restarted whenever the basis would pass
-    DAVIDSON_BASIS vectors, so no projected eigh grows past that size (a
-    32 x 32 one already went to threaded BLAS)."""
+@pytest.mark.parametrize("kinetic, degrees",
+                         [("sinc", 30.0), ("sinc", 45.0), ("fd2", 30.0), ("fd2", 45.0)],
+                         ids=["30.0", "45.0", "fd2-30.0", "fd2-45.0"])
+def test_rotated_dome_matches_dense_eigh(monkeypatch, kinetic, degrees):
+    """Davidson converges on both grids, restarted whenever the basis would
+    pass DAVIDSON_BASIS vectors, so no projected eigh grows past that size (a
+    32 x 32 one already went to threaded BLAS); on sinc it takes 19 to 21
+    steps."""
     sizes = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
     field = _rotated_dome_field(degrees)
-    ham = build_hamiltonian(field, auto_window(field), nx=23, ny=23, kinetic="sinc")
+    ham = build_hamiltonian(field, auto_window(field), nx=23, ny=23, kinetic=kinetic)
     sol = eigenstates(ham, k=4, seed=0)
     assert sol.path == "davidson"
-    assert len(sizes) > 20 and max(sizes) <= qsolver.DAVIDSON_BASIS
+    assert max(sizes) <= qsolver.DAVIDSON_BASIS
+    if kinetic == "sinc":
+        assert len(sizes) > 20
     assert sol.residuals.max() < 1e-10
-    dense = scipy.linalg.eigh(ham.matrix, eigvals_only=True)[:4]
+    dense = scipy.linalg.eigh(ham.matrix.toarray(), eigvals_only=True)[:4]
     np.testing.assert_allclose(sol.energies, dense, rtol=1e-10, atol=0.0)
     np.testing.assert_allclose(np.diff(sol.energies), np.diff(dense), rtol=1e-10, atol=0.0)
 
 
-@pytest.mark.parametrize("degrees, n, k, capped", [(45.0, 23, 4, True), (30.0, 31, 6, False)],
-                         ids=["step-cap", "stall"])
-def test_slow_davidson_falls_back_to_eigsh(monkeypatch, degrees, n, k, capped):
+@pytest.mark.parametrize("kinetic, degrees, n, k, capped",
+                         [("sinc", 45.0, 23, 4, True), ("sinc", 30.0, 31, 6, False),
+                          ("fd2", 45.0, 23, 4, True)],
+                         ids=["step-cap", "stall", "fd2-step-cap"])
+def test_slow_davidson_falls_back_to_eigsh(monkeypatch, kinetic, degrees, n, k, capped):
     """A dome 0.4 times as wide in y as in x, turned off the grid axes, is
     far from the separable start: at 23^2 Davidson is still converging when
-    DAVIDSON_STEPS run out, and at 31^2 its largest residual stops halving.
-    Either way eigsh takes over and the levels are right."""
+    DAVIDSON_STEPS run out, on either grid, and at 31^2 its largest residual
+    stops halving.  Either way eigsh takes over and the levels are right."""
     applied = []
     kron_apply = qsolver._kron_apply
     monkeypatch.setattr(qsolver, "_kron_apply",
                         lambda ham, u, rows: applied.append(len(rows)) or kron_apply(ham, u, rows))
     field = _rotated_dome_field(degrees, ratio=0.4)
-    ham = build_hamiltonian(field, auto_window(field), nx=n, ny=n, kinetic="sinc")
+    ham = build_hamiltonian(field, auto_window(field), nx=n, ny=n, kinetic=kinetic)
     sol = eigenstates(ham, k=k, seed=0)
     assert sol.path == "eigsh"
     # the start block, one block per step, and the residual check
     assert (len(applied) == qsolver.DAVIDSON_STEPS + 2) == capped
     assert sol.residuals.max() < 1e-12
-    dense = scipy.linalg.eigh(ham.matrix, eigvals_only=True)[:k]
+    dense = scipy.linalg.eigh(ham.matrix.toarray(), eigvals_only=True)[:k]
     np.testing.assert_allclose(sol.energies, dense, rtol=1e-10, atol=0.0)
 
 
@@ -457,7 +491,7 @@ def test_shift_at_min_u_leaves_a_positive_definite_matrix(field, kinetic):
     """eigenstates shifts by sigma = min U: H - sigma I = T + (U - min U) is
     positive definite, because T is for both kinetic matrices."""
     ham = build_hamiltonian(field, auto_window(field), nx=23, ny=23, kinetic=kinetic)
-    matrix = ham.matrix.toarray() if kinetic == "fd2" else ham.matrix
+    matrix = ham.matrix.toarray()
     np.linalg.cholesky(matrix - ham.u.min() * np.eye(matrix.shape[0]))
 
 
