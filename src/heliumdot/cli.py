@@ -20,16 +20,7 @@ import sys
 import numpy as np
 
 from . import analytic, cavity, cluster, core, fitters, io, potential, qsolver
-from .core import (
-    DomainError,
-    FitError,
-    FormatError,
-    GHZ,
-    MHZ,
-    constants_from_config,
-    read_json_object,
-    resonator_from_config,
-)
+from .core import DomainError, FitError, FormatError, GHZ, MHZ, read_json_object
 
 # Largest size flags, refused before anything is allocated; far above the
 # defaults of 801 probe points and 11 sweep points.
@@ -77,9 +68,9 @@ def _seed(text: str) -> int:
 
 
 def _resonator(args: argparse.Namespace) -> core.ResonatorParams:
-    """The config's resonator section on top of the device defaults, then the
-    --f-res-ghz and --kappa* flags on top of that."""
-    res = resonator_from_config(args._config)
+    """The config's resonator record, then the --f-res-ghz and --kappa* flags
+    on top of that."""
+    res = args._resonator_config
     kappas = {name: getattr(args, flag) * MHZ for flag, name in _KAPPAS.items()
               if getattr(args, flag, None) is not None}
     if args.f_res_ghz is not None:
@@ -491,8 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(sweep_sub, "freq", _cmd_sweep_freq, "transition frequencies vs voltage",
                  config={"constants": _LEVELS}, seed=True)
     _add_sweep_flags(p)
-    p.add_argument("--nx", type=int, default=23)
-    p.add_argument("--ny", type=int, default=23)
+    p.add_argument("--nx", type=int, default=qsolver.LEVEL_GRID)
+    p.add_argument("--ny", type=int, default=qsolver.LEVEL_GRID)
     p.add_argument("--k", type=int, default=4)
 
     p = _command(sub, "qsolve", _cmd_qsolve, "2D eigenstates of an analytic trap",
@@ -503,8 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a2y", type=float, default=0.0)
     p.add_argument("--ex", type=float, default=0.0, help="V/m")
     p.add_argument("--ey", type=float, default=0.0)
-    p.add_argument("--nx", type=int, default=23)
-    p.add_argument("--ny", type=int, default=23)
+    p.add_argument("--nx", type=int, default=qsolver.LEVEL_GRID)
+    p.add_argument("--ny", type=int, default=qsolver.LEVEL_GRID)
     p.add_argument("--k", type=int, default=6)
 
     calc = sub.add_parser("calc", help="closed-form estimates")
@@ -582,16 +573,23 @@ def main(argv: list[str] | None = None) -> int:
             if isinstance(value, float) and math.isnan(value):
                 raise UsageError(f"--{name.replace('_', '-')}: NaN is not a value")
         config = getattr(args, "config", None)
-        args._config = read_json_object(config, "config") if config else {}
         reads = getattr(args, "_fields", {})
-        for section, body in sorted(args._config.items()):
+        records = {"constants": core.CONSTANTS, "resonator": core.default_resonator()}
+        cfg = read_json_object(config, "config") if config else {}
+        for section, body in sorted(cfg.items()):
             read = reads.get(section, ())
-            # a read section that is no object is refused where it is parsed
             dropped = sorted(set(body) - set(read)) if isinstance(body, dict) else []
             if dropped or not read:
                 raise FormatError(f"config {config}: {section!r} fields {dropped} are not read "
                                   f"by this command, which reads {reads}")
-        args._constants = constants_from_config(args._config)
+            if not isinstance(body, dict):
+                raise FormatError(f"config section {section!r} must be an object")
+            for key, value in body.items():
+                if not core.is_finite_number(value):
+                    raise FormatError(f"config {section}.{key} must be a finite number, "
+                                      f"got {value!r}")
+            records[section] = dataclasses.replace(records[section], **body)
+        args._constants, args._resonator_config = records["constants"], records["resonator"]
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             payload = args.func(args)
         if payload is not None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 TWO_PI = 2.0 * math.pi
 GHZ = 1e9 * TWO_PI  # rad/s per GHz
@@ -41,9 +41,9 @@ class FitError(RuntimeError):
 class PhysicalConstants:
     """CODATA values plus the few material constants the models need.
 
-    A config file overrides the fields a command's result reads (see
-    :func:`constants_from_config`), but there is exactly one definition
-    site: nothing else in the package redefines a constant.
+    A config file overrides the fields a command's result reads (``cli``
+    applies it with ``dataclasses.replace``), but there is exactly one
+    definition site: nothing else in the package redefines a constant.
 
     Units: e [C], m_e [kg], h [J s], eps0 [F/m], mu_B [J/T], rho_he
     [kg/m^3] (liquid helium density), sigma_he [N/m] (helium surface
@@ -145,18 +145,11 @@ def derived_resonator_quantities(
 # run configuration
 # ---------------------------------------------------------------------------
 
-_DEFAULT_RESONATOR = dict(
-    l_r=85e-9,
-    c_r=5.8e-15,
-    kappa_1=TWO_PI * 11.5e6,
-    kappa_2=TWO_PI * 11.5e6,
-    kappa_int=0.0,
-)
-
 
 def default_resonator() -> ResonatorParams:
     """Device-default resonator: 85 nH, 5.8 fF, symmetric 23 MHz total linewidth."""
-    return ResonatorParams(**_DEFAULT_RESONATOR)
+    return ResonatorParams(l_r=85e-9, c_r=5.8e-15, kappa_1=TWO_PI * 11.5e6,
+                           kappa_2=TWO_PI * 11.5e6)
 
 
 def read_json_object(path: str, what: str) -> dict:
@@ -183,32 +176,3 @@ def is_finite_number(value) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
-
-
-def _config_section(cfg: dict, name: str, record: type) -> dict:
-    """The config's ``name`` section: an object of finite numbers keyed by
-    fields of ``record``; FormatError otherwise."""
-    section = cfg.get(name, {})
-    if not isinstance(section, dict):
-        raise FormatError(f"config section {name!r} must be an object")
-    unknown = set(section) - {f.name for f in fields(record)}
-    if unknown:
-        raise FormatError(f"unknown {name} fields in config: {sorted(unknown)}")
-    for key, value in section.items():
-        if not is_finite_number(value):
-            raise FormatError(f"config {name}.{key} must be a finite number, got {value!r}")
-    return dict(section)
-
-
-def constants_from_config(cfg: dict) -> PhysicalConstants:
-    """Apply the 'constants' section of a config on top of the defaults; hbar
-    is no field but follows h."""
-    return replace(CONSTANTS, **_config_section(cfg, "constants", PhysicalConstants))
-
-
-def resonator_from_config(cfg: dict) -> ResonatorParams:
-    """Apply the 'resonator' section of a config on top of the device defaults."""
-    overrides = _config_section(cfg, "resonator", ResonatorParams)
-    merged = dict(_DEFAULT_RESONATOR)
-    merged.update(overrides)
-    return ResonatorParams(**merged)

@@ -16,15 +16,17 @@ import itertools
 import json
 import math
 import os
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from .cavity import SpectrumTrace
-from .cluster import ShiftSweepRow
 from .core import FormatError, GHZ, MHZ, TWO_PI, read_json_object
-from .fitters import FitResult
-from .qsolver import FrequencySweepRow
+
+if TYPE_CHECKING:  # the writers' row and fit types, for annotations only
+    from .cluster import ShiftSweepRow
+    from .fitters import FitResult
+    from .qsolver import FrequencySweepRow
 
 
 def _fmt(x: float) -> str:

@@ -5,8 +5,9 @@ grid as one Kronecker sum, H = T_y (x) I + I (x) T_x + diag(U), with one of
 two 1D kinetic matrices per axis: the sinc discrete-variable representation
 (DVR; Colbert and Miller, J. Chem. Phys. 96, 1982, 1992), whose levels
 converge spectrally for a smooth U and which ``qsolve`` and ``sweep freq``
-use on 23 x 23 nodes by default, at most MAX_DENSE_NODES; or the 3-point
-stencil with hard walls just outside the window.  ``auto_window`` centers
+use on LEVEL_GRID nodes per axis by default, at most MAX_DENSE_NODES in
+all; or the 3-point stencil with hard walls just outside the window.
+``auto_window`` centers
 the window on the trap minimum (``cluster.trap_minimum``) and sizes it from
 the curvature there.  On both grids block Davidson (Davidson, J. Comput.
 Phys. 17, 87 (1975)) finds the lowest levels from the products of the exact
@@ -37,6 +38,9 @@ from .potential import PotentialField, sample_grid
 
 # Half-width of an auto window, in zero-point lengths sqrt(hbar / (m_e omega)).
 WINDOW_FACTOR = 8.0
+
+# Sinc nodes per axis of the commands' level solves.
+LEVEL_GRID = 23
 
 # Largest n_x n_y of a sinc grid, and of a fallback that factors H - sigma I
 # by dense LU (above it SuperLU): 8 * 2500^2 bytes = 50 MB.
@@ -354,8 +358,8 @@ class FrequencySweepRow:
 def frequency_vs_voltage(
     field_factory: Callable[[float], PotentialField],
     voltages: Sequence[float],
-    nx: int = 23,
-    ny: int = 23,
+    nx: int = LEVEL_GRID,
+    ny: int = LEVEL_GRID,
     k: int = 4,
     seed: int = 0,
 ) -> list[FrequencySweepRow]:

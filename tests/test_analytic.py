@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,6 +56,17 @@ def test_coupling_g_formula():
     assert out.g == pytest.approx(expect, rel=1e-14)
     assert out.l_y == pytest.approx(zero_point_length(res.omega_r), rel=1e-14)
     assert out.omega_r == res.omega_r
+
+
+@pytest.mark.parametrize("scale", [0.1, 1.0, 10.0])
+def test_coupling_g_does_not_depend_on_h(scale):
+    # l_y V_zpf grows as hbar, so g = e / (ell sqrt(m_e C_r)): sweep shift
+    # takes no h for this reason
+    res = default_resonator()
+    ell = 2.2e-6
+    out = coupling_g(res, ell, replace(CONSTANTS, h=scale * CONSTANTS.h))
+    expect = CONSTANTS.e / (ell * math.sqrt(CONSTANTS.m_e * res.c_r))
+    assert out.g == pytest.approx(expect, rel=1e-14)
 
 
 def test_coupling_g_validation():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -985,16 +986,21 @@ def test_config_constants_and_resonator_flags_combine(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["f_res_GHz"] == pytest.approx(5.0, rel=1e-12)
     res = core.ResonatorParams.from_mode(5.0 * GHZ, core.default_resonator().impedance)
-    expect = analytic.coupling_g(res, 2.2e-6, constants=core.constants_from_config(cfg))
+    consts = dataclasses.replace(CONSTANTS, m_e=1.8e-30)
+    expect = analytic.coupling_g(res, 2.2e-6, constants=consts)
     assert out["g_MHz"] == pytest.approx(expect.g / (1e6 * TWO_PI), rel=1e-12)
     assert out["impedance_ohm"] == pytest.approx(expect.impedance, rel=1e-12)
 
 
-def test_config_kappa_flags_apply_on_top_of_resonator_section(tmp_path):
+def test_config_kappa_flags_apply_on_top_of_resonator_section(tmp_path, monkeypatch):
     cfg = _config_file(tmp_path, {"resonator": {"kappa_2": 1e6, "kappa_int": 2e6}})
-    args = build_parser().parse_args(["synth", "--config", cfg, "--kappa1-mhz", "3"])
-    args._config = json.loads((tmp_path / "config.json").read_text())
-    res = cli._resonator(args)
+    seen = []
+    synthesize = cavity.synthesize_trace
+    monkeypatch.setattr(cavity, "synthesize_trace",
+                        lambda res, *a, **kw: seen.append(res) or synthesize(res, *a, **kw))
+    assert main(["synth", "--points", "11", "--config", cfg, "--kappa1-mhz", "3",
+                 "--out", str(tmp_path / "trace.csv")]) == 0
+    (res,) = seen
     assert res.kappa_1 == pytest.approx(3e6 * TWO_PI)
     assert (res.kappa_2, res.kappa_int) == (1e6, 2e6)
     assert (res.l_r, res.c_r) == (85e-9, 5.8e-15)
@@ -1324,20 +1330,20 @@ def _declared(args: argparse.Namespace) -> set:
 
 def test_every_command_reads_every_flag_it_declares(tmp_path, monkeypatch):
     # a flag that a command accepts and then never reads is dropped without a
-    # word; --config counts as read when the handler reads the config or its
-    # constants, which main loads from it; synth and fit rabi run on each of
-    # their branches, since each branch must read every flag
+    # word; --config counts as read when the handler reads either record that
+    # main loads from it; synth and fit rabi run on each of their branches,
+    # since each branch must read every flag
     monkeypatch.chdir(tmp_path)
     unread = []
     for command, flags in _command_runs(tmp_path):
         args = build_parser().parse_args(command.split() + flags, namespace=_ReadLog())
         declared = _declared(args)
-        args._config = {}
-        args._constants = core.constants_from_config({})
+        args._constants, args._resonator_config = CONSTANTS, core.default_resonator()
         args._reads = set()
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             args.func(args)
-        reads = args._reads | ({"config"} if {"_config", "_constants"} & args._reads else set())
+        records = {"_constants", "_resonator_config"}
+        reads = args._reads | ({"config"} if records & args._reads else set())
         unread += [f"{command} --{name.replace('_', '-')}" for name in sorted(declared - reads)]
     assert not unread, "flags their command never reads: " + ", ".join(unread)
 

@@ -472,6 +472,31 @@ def test_minimize_and_modes_follow_the_field_constants():
     assert np.allclose(modes.frequencies, expect, rtol=1e-6)
 
 
+@pytest.mark.parametrize("n, ratio_lo", [(2, 1.5), (3, 1.7)])
+def test_linear_chains_match_closed_forms_over_seeded_traps(n, ratio_lo):
+    """Two and three electrons in 20 seeded harmonic traps with omega_y >
+    omega_x lie on the x axis, where James, Appl. Phys. B 66, 181 (1998)
+    gives the spacing d (d^3 = 2 k e^2 / (m_e omega_x^2) for two, 5/4 of the
+    pair's for three) and every mode: mu omega_x along x, with mu^2 = 1, 3
+    (and 29/5), and sqrt(omega_y^2 - (mu^2 - 1) omega_x^2 / 2) across.  The
+    three-electron ratios keep clear of the zigzag at sqrt(12/5)."""
+    rng = np.random.default_rng(0)
+    mu2 = [1.0, 3.0, 29.0 / 5.0][:n]
+    ke2 = CONSTANTS.coulomb * CONSTANTS.e**2
+    for fx, ratio in zip(rng.uniform(4.0, 9.0, 20), rng.uniform(ratio_lo, 4.0, 20)):
+        wx, wy = fx * GHZ, ratio * fx * GHZ
+        field = _harmonic(fx, ratio * fx)
+        config = minimize(field, n, seed=0)
+        assert config.converged
+        d = ((2.0 if n == 2 else 1.25) * ke2 / (CONSTANTS.m_e * wx**2)) ** (1 / 3)
+        spacings = np.diff(np.sort(config.positions[:, 0]))
+        assert np.allclose(spacings, d, rtol=1e-7, atol=0.0)
+        modes = normal_modes(field, config)
+        expect = np.sqrt([m * wx**2 for m in mu2] + [wy**2 - (m - 1) * wx**2 / 2 for m in mu2])
+        assert not modes.is_saddle
+        assert np.allclose(modes.frequencies, np.sort(expect), rtol=1e-7, atol=0.0)
+
+
 def test_normal_modes_orthonormal_eigenvectors():
     field = _harmonic(5.0, 8.0)
     config = minimize(field, 3, seed=0)

@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from heliumdot import core
+from heliumdot import analytic, cavity, core
+from heliumdot.cli import main
 from heliumdot.core import (
     CONSTANTS,
     DomainError,
@@ -15,11 +16,9 @@ from heliumdot.core import (
     PhysicalConstants,
     ResonatorParams,
     TWO_PI,
-    constants_from_config,
     default_resonator,
     derived_resonator_quantities,
     read_json_object,
-    resonator_from_config,
 )
 
 
@@ -87,47 +86,90 @@ def test_kappa_tot_is_sum():
     assert res.kappa_tot == 6.5
 
 
-def test_config_roundtrip(tmp_path):
-    path = tmp_path / "run.json"
-    path.write_text(
-        json.dumps(
-            {
-                "constants": {"rho_he": 146.0},
-                "resonator": {"l_r": 90e-9, "kappa_int": 1e5},
-            }
-        )
-    )
-    cfg = read_json_object(str(path), "config")
-    consts = constants_from_config(cfg)
-    assert consts.rho_he == 146.0
-    assert consts.e == CONSTANTS.e
-    res = resonator_from_config(cfg)
-    assert res.l_r == 90e-9
+def _run_with_config(tmp_path, argv, cfg) -> int:
+    """Run ``argv`` through the CLI with ``cfg`` as its --config."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    return main(argv + ["--config", str(path), "--out", str(tmp_path / "out")])
+
+
+def _spy(monkeypatch, module, name) -> list:
+    """Record the (args, kwargs) of each call to ``module.name``."""
+    calls, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *a, **kw: calls.append((a, kw)) or real(*a, **kw))
+    return calls
+
+
+def _one_format_error(capsys, tmp_path) -> str:
+    """The message of the one FormatError line a refused config writes."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    error = json.loads(err[0])
+    assert error["error"] == "FormatError"
+    assert not (tmp_path / "out").exists()
+    return error["message"]
+
+
+_CALC_G = ["calc", "g", "--coupling-length-nm", "2200"]
+_SYNTH = ["synth", "--points", "11"]
+
+
+def test_config_roundtrip(tmp_path, monkeypatch):
+    # a partial section keeps the other defaults, on both records
+    default = default_resonator()
+    calls = _spy(monkeypatch, analytic, "coupling_g")
+    cfg = {"constants": {"m_e": 2.0 * CONSTANTS.m_e}, "resonator": {"l_r": 90e-9}}
+    assert _run_with_config(tmp_path, _CALC_G, cfg) == 0
+    ((res, _ell), kwargs), = calls
+    consts = kwargs["constants"]
+    assert consts.m_e == 2.0 * CONSTANTS.m_e
+    assert (consts.e, consts.h, consts.rho_he) == (CONSTANTS.e, CONSTANTS.h, CONSTANTS.rho_he)
+    assert res == ResonatorParams(l_r=90e-9, c_r=5.8e-15, kappa_1=default.kappa_1,
+                                  kappa_2=default.kappa_2)
+
+    calls = _spy(monkeypatch, cavity, "synthesize_trace")
+    assert _run_with_config(tmp_path, _SYNTH, {"resonator": {"l_r": 90e-9,
+                                                             "kappa_int": 1e5}}) == 0
+    res = calls[0][0][0]
+    assert (res.l_r, res.kappa_int) == (90e-9, 1e5)
     assert res.c_r == 5.8e-15  # default carried through
-    assert res.kappa_int == 1e5
+    assert (res.kappa_1, res.kappa_2) == (default.kappa_1, default.kappa_2)
 
 
-def test_config_h_hbar_coderivation(tmp_path):
-    # hbar is h / 2pi, the same expression as the default, so it is no field
-    consts = constants_from_config({"constants": {"h": 2.0 * CONSTANTS.h}})
-    assert consts.hbar == 2.0 * CONSTANTS.h / TWO_PI
+def test_config_h_hbar_coderivation(tmp_path, monkeypatch, capsys):
+    # hbar is h / 2pi, the same expression as the default, so it is no field:
+    # an h override moves it, and with it the zero-point voltage of calc g
     assert CONSTANTS.hbar == 6.62607015e-34 / TWO_PI
-    with pytest.raises(FormatError, match="unknown constants fields in config: \\['hbar'\\]"):
-        constants_from_config({"constants": {"hbar": 2.0 * CONSTANTS.hbar}})
+    calls = _spy(monkeypatch, analytic, "coupling_g")
+    assert _run_with_config(tmp_path, _CALC_G, {"constants": {"h": 2.0 * CONSTANTS.h}}) == 0
+    assert calls[0][1]["constants"].hbar == 2.0 * CONSTANTS.h / TWO_PI
+    doubled = json.loads((tmp_path / "out").read_text())
+    (tmp_path / "out").unlink()
+    assert main(_CALC_G) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert doubled["v_zpf_uV"] == pytest.approx(math.sqrt(2.0) * plain["v_zpf_uV"], rel=1e-14)
+
+    assert _run_with_config(tmp_path, _CALC_G, {"constants": {"hbar": CONSTANTS.hbar}}) == 1
+    assert "'constants' fields ['hbar'] are not read" in _one_format_error(capsys, tmp_path)
 
 
-def test_config_rejects_unknown_keys():
-    with pytest.raises(FormatError):
-        constants_from_config({"constants": {"speed_of_sound": 343.0}})
-    with pytest.raises(FormatError):
-        resonator_from_config({"resonator": {"quality": 1e6}})
+def test_config_rejects_unknown_keys(tmp_path, capsys):
+    for argv, section, name in ((_CALC_G, "constants", "speed_of_sound"),
+                                (_SYNTH, "resonator", "quality")):
+        assert _run_with_config(tmp_path, argv, {section: {name: 343.0}}) == 1
+        assert f"{section!r} fields [{name!r}] are not read" in _one_format_error(capsys,
+                                                                                  tmp_path)
 
 
-def test_config_rejects_removed_resonator_fields():
+def test_config_rejects_removed_resonator_fields(tmp_path, capsys):
     # l_tail and c_dot were provenance-only fields that no model read
     for name in ("l_tail", "c_dot"):
-        with pytest.raises(FormatError, match="unknown resonator fields"):
-            resonator_from_config({"resonator": {name: 1e-9}})
+        assert _run_with_config(tmp_path, _SYNTH, {"resonator": {name: 1e-9}}) == 1
+        assert f"'resonator' fields [{name!r}] are not read" in _one_format_error(capsys,
+                                                                                 tmp_path)
 
 
 def test_config_invalid_json(tmp_path):

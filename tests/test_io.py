@@ -3,10 +3,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from heliumdot import io
 from heliumdot.cavity import SpectrumTrace
 from heliumdot.core import FormatError, TWO_PI
 from heliumdot.fitters import FitResult
@@ -301,3 +306,16 @@ def test_svg_plot_skips_nonfinite_points():
     assert "nan" not in svg
     assert "NaN" not in svg
     assert "inf" not in svg
+
+
+def test_io_import_loads_no_scipy():
+    # io names the sweep rows and the fit result in annotations only, so
+    # reading or writing a file pulls in neither the solvers nor scipy
+    script = ("import sys, heliumdot.io\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(io.__file__).parents[1]), *filter(None, [env.get("PYTHONPATH")])])
+    done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.strip() == "[]"
