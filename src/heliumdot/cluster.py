@@ -4,30 +4,36 @@ A cluster is N electrons on the helium surface sharing one trap, at most
 MAX_ELECTRONS.  The total energy is the single-particle trap energy plus
 pairwise Coulomb repulsion; its pair terms in energy, gradient and Hessian
 are broadcast over one (..., N, N) table of displacements and distances,
-for one configuration (N, 2) or a stack of them (..., N, 2).
+for one configuration (N, 2) or a stack of them (..., N, 2).  Each pair
+term is defined once, in a private helper that the public totals and the
+descent's query share, so they agree bit for bit.
 
 Equilibrium configurations come from a seeded multi-start trust-region
 Newton descent (Steihaug truncated conjugate gradients on the analytic
 Hessian).  All restarts of one minimisation descend together as one
-(R, N, 2) batch: each iteration makes one energy, gradient and Hessian
-query over the live restarts, and each restart keeps its own trust radius
-and stops on its own.  The field's scan region is the descent's domain; a
-restart that leaves it, or brings a pair closer than MIN_SEPARATION, is
-masked out of the query as infinite energy.  The same descent, of one
-electron from the best node of a grid scan, finds the trap minimum
-(``trap_minimum``) that centers a cold start and the level solver's window.
-In-plane vibrational modes
-come from the mass-scaled Hessian, and the observable resonator pull from a
-classical coupled-oscillator eigenproblem between the resonator mode and
-every cluster mode.  Every function that takes a field reads e, m_e and
-eps0 from the field's ``constants``; the coupling functions, which take no
-field, and the sweep, which builds its fields, take them as an argument.
+(R, N, 2) batch, and each restart keeps its own trust radius and stops on
+its own.  Each iteration queries the proposals of the live restarts once:
+one pair table, one field energy call and one field derivative call
+(``energy_derivatives``) give the energies, gradients and the field's
+Hessian blocks, and the 2N x 2N Hessians are assembled only where a step
+is accepted.  The field's scan region is the descent's domain; a restart
+that leaves it, or brings a pair closer than MIN_SEPARATION, is masked out
+of the query as infinite energy.  The same descent, of one electron from
+the best node of a grid scan, finds the trap minimum (``trap_minimum``)
+that centers a cold start and the level solver's window.  In-plane
+vibrational modes come from the mass-scaled Hessian, and the observable
+resonator pull from a classical coupled-oscillator eigenproblem between the
+resonator mode and every cluster mode.  Every function that takes a field
+reads e, m_e and eps0 from the field's ``constants``; the coupling
+functions, which take no field, and the sweep, which builds its fields,
+take them as an argument.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -52,8 +58,10 @@ STEP_ZPL = 1e-11  # trap_minimum: shortest final Newton step [zero-point lengths
 # is 8 * 2000^2 bytes = 32 MB.
 MAX_ELECTRONS = 1000
 # Largest descent batch: a minimize call holds restarts * (2N)^2 * 8 bytes
-# of Hessians, and total_hessian peaks near twice that; the default 8
-# restarts of MAX_ELECTRONS electrons take 256 MB.
+# of Hessians, the default 8 restarts of MAX_ELECTRONS electrons 256 MB.
+# Its peak, with the live rows' copy, the accepted rows' assembly and the
+# query's pair table, is about four times that: 10.1 MB under tracemalloc
+# for 8 restarts of 100 electrons, whose Hessians take 2.56 MB.
 MAX_BATCH_BYTES = 8 * (2 * MAX_ELECTRONS) ** 2 * 8
 
 
@@ -79,10 +87,65 @@ def _check_positions(positions) -> np.ndarray:
     return pos
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of v, the sum np.linalg.norm(v, axis=-1)
+    takes, without its argument handling."""
+    return np.sqrt(np.add.reduce(v * v, axis=-1))
+
+
 def _ke2(field_: PotentialField) -> float:
     """k e^2 [J m] of the field's constants, the scale of every pair term."""
     c = field_.constants
     return c.coulomb * c.e**2
+
+
+@cache
+def _upper_pairs(n: int) -> tuple:
+    """Index arrays (i, j) of the pairs i < j of n electrons, read-only since
+    every caller shares them."""
+    iu, ju = np.triu_indices(n, k=1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
+def _pair_energy(dist: np.ndarray, ke2: float) -> np.ndarray:
+    """Coulomb energy k e^2 sum_{i<j} 1 / r_ij [J] of each configuration of a
+    distance table (..., N, N)."""
+    # contiguous rows, so each sums in the order a single configuration's does
+    iu, ju = _upper_pairs(dist.shape[-1])
+    return ke2 * (1.0 / np.ascontiguousarray(dist[..., iu, ju])).sum(axis=-1)
+
+
+def _pair_force(diff: np.ndarray, dist: np.ndarray, ke2: float) -> np.ndarray:
+    """Coulomb force k e^2 sum_j d_ij / r_ij^3 [N] on each electron, shape
+    (..., N, 2): minus the pair terms' gradient."""
+    return ke2 * (diff / dist[..., None] ** 3).sum(axis=-2)
+
+
+def _pair_blocks(pos: np.ndarray, ke2: float) -> np.ndarray:
+    """The blocks B of every pair, shape (..., N, N, 2, 2), built in place in
+    one array so that a Hessian stack peaks near twice the stack it returns."""
+    diff, dist = _pair_diffs(pos)
+    pair = diff[..., :, None] * diff[..., None, :]
+    pair *= 3.0
+    pair /= dist[..., None, None] ** 5
+    inv_r3 = 1.0 / dist**3  # I / r^3 off the diagonal is 0, which subtracts nothing
+    pair[..., 0, 0] -= inv_r3
+    pair[..., 1, 1] -= inv_r3
+    pair *= ke2
+    return pair
+
+
+def _assemble_hessian(blocks: np.ndarray, pos: np.ndarray, ke2: float) -> np.ndarray:
+    """2N x 2N Hessians (..., 2N, 2N) of a stack (..., N, 2) from the field's
+    Hessian blocks (..., N, 2, 2) and the pair blocks B."""
+    n = pos.shape[-2]
+    pair = _pair_blocks(pos, ke2)
+    diagonal = blocks + pair.sum(axis=-3)
+    hess = np.negative(pair, out=pair)  # (..., N, N, 2, 2)
+    idx = np.arange(n)
+    hess[..., idx, idx, :, :] = diagonal
+    return hess.swapaxes(-3, -2).reshape(*pos.shape[:-2], 2 * n, 2 * n)
 
 
 def total_energy(field_: PotentialField, positions):
@@ -98,18 +161,14 @@ def total_energy(field_: PotentialField, positions):
     _, dist = _pair_diffs(pos)
     if np.any(dist < MIN_SEPARATION):
         raise DomainError(f"electron pair closer than {MIN_SEPARATION} m")
-    # contiguous rows, so each sums in the order a single configuration's does
-    iu, ju = np.triu_indices(pos.shape[-2], k=1)
-    pairs = np.ascontiguousarray(dist[..., iu, ju])
-    energy = u + _ke2(field_) * (1.0 / pairs).sum(axis=-1)
+    energy = u + _pair_energy(dist, _ke2(field_))
     return float(energy) if np.ndim(energy) == 0 else energy
 
 
 def total_gradient(field_: PotentialField, positions) -> np.ndarray:
     """Gradient of the total energy, shape (..., N, 2) like positions [J/m]."""
     pos = _check_positions(positions)
-    diff, dist = _pair_diffs(pos)
-    return field_.energy_gradient(pos) - _ke2(field_) * (diff / dist[..., None] ** 3).sum(axis=-2)
+    return field_.energy_gradient(pos) - _pair_force(*_pair_diffs(pos), _ke2(field_))
 
 
 def total_hessian(field_: PotentialField, positions) -> np.ndarray:
@@ -120,27 +179,7 @@ def total_hessian(field_: PotentialField, positions) -> np.ndarray:
     d = r_i - r_j: -B off the diagonal, and +B to both diagonal blocks.
     """
     pos = _check_positions(positions)
-    n = pos.shape[-2]
-    pair = _pair_blocks(pos, _ke2(field_))
-    diagonal = field_.energy_hessian(pos) + pair.sum(axis=-3)
-    hess = np.negative(pair, out=pair)  # (..., N, N, 2, 2)
-    idx = np.arange(n)
-    hess[..., idx, idx, :, :] = diagonal
-    return hess.swapaxes(-3, -2).reshape(*pos.shape[:-2], 2 * n, 2 * n)
-
-
-def _pair_blocks(pos: np.ndarray, ke2: float) -> np.ndarray:
-    """The blocks B of every pair, shape (..., N, N, 2, 2), built in place in
-    one array so that total_hessian peaks near twice the stack it returns."""
-    diff, dist = _pair_diffs(pos)
-    pair = diff[..., :, None] * diff[..., None, :]
-    pair *= 3.0
-    pair /= dist[..., None, None] ** 5
-    inv_r3 = 1.0 / dist**3  # I / r^3 off the diagonal is 0, which subtracts nothing
-    pair[..., 0, 0] -= inv_r3
-    pair[..., 1, 1] -= inv_r3
-    pair *= ke2
-    return pair
+    return _assemble_hessian(field_.energy_hessian(pos), pos, _ke2(field_))
 
 
 # ---------------------------------------------------------------------------
@@ -193,27 +232,45 @@ def _newton_decrease(grad: np.ndarray, hess: np.ndarray) -> float:
 
 
 def _query(field_: PotentialField, positions: np.ndarray):
-    """Energy (R,) [J] and flat gradient (R, 2N) [J/m] of each configuration
-    of a stack (R, N, 2), from one total_energy and one total_gradient call.
+    """Energy (R,) [J], flat gradient (R, 2N) [J/m] and the field's Hessian
+    blocks (R, N, 2, 2) [J/m^2] of each configuration of a stack (R, N, 2).
 
-    A configuration with an electron outside the field's scan region or a
-    pair closer than MIN_SEPARATION is masked out before the query; it, and
-    one whose gradient is not finite, gets infinite energy and a zero
-    gradient, so it never raises for the others.
+    One pair table serves the MIN_SEPARATION check and the Coulomb energy and
+    gradient, and one ``energy`` and one ``energy_derivatives`` call serve
+    the field terms, each over the configurations that pass the checks; the
+    sums are total_energy's and total_gradient's.  A configuration with an
+    electron outside the field's scan region or a pair closer than
+    MIN_SEPARATION is masked out before the field is queried; it, and one
+    whose gradient is not finite, gets infinite energy, a zero gradient and
+    zero blocks, so it never raises for the others.
     """
     region = field_.scan_region
-    energy = np.full(len(positions), np.inf)
-    grad = np.zeros((len(positions), positions[0].size))
-    ok = np.all((positions >= region[::2]) & (positions <= region[1::2]), axis=(-2, -1))
+    ok = ((positions >= region[::2]) & (positions <= region[1::2])).all(axis=(-2, -1))
     if ok.any():
-        ok[ok] = _pair_diffs(positions[ok])[1].min(axis=(-2, -1)) >= MIN_SEPARATION
-    if ok.any():
-        e = total_energy(field_, positions[ok])
-        g = total_gradient(field_, positions[ok]).reshape(len(e), -1)
-        finite = np.all(np.isfinite(g), axis=-1)
-        rows = np.flatnonzero(ok)[finite]
-        energy[rows], grad[rows] = e[finite], g[finite]
-    return energy, grad
+        diff, dist = _pair_diffs(positions[ok])
+        apart = dist.min(axis=(-2, -1)) >= MIN_SEPARATION
+        if not apart.all():
+            ok[ok], diff, dist = apart, diff[apart], dist[apart]
+    if not ok.any():
+        return _masked(positions)
+    pos, ke2 = positions[ok], _ke2(field_)
+    g_field, h = field_.energy_derivatives(pos)
+    e = field_.energy(pos[..., 0], pos[..., 1]).sum(axis=-1) + _pair_energy(dist, ke2)
+    g = (g_field - _pair_force(diff, dist, ke2)).reshape(len(e), -1)
+    finite = np.isfinite(g).all(axis=-1)
+    if finite.all() and ok.all():
+        return e, g, h
+    energy, grad, blocks = _masked(positions)
+    rows = np.flatnonzero(ok)[finite]
+    energy[rows], grad[rows], blocks[rows] = e[finite], g[finite], h[finite]
+    return energy, grad, blocks
+
+
+def _masked(positions: np.ndarray):
+    """_query's answer for a stack (R, N, 2) of masked configurations:
+    infinite energies, zero gradients and zero Hessian blocks."""
+    return (np.full(len(positions), np.inf), np.zeros((len(positions), positions[0].size)),
+            np.zeros((*positions.shape, 2)))
 
 
 def _model(energy, grad, hess, step):
@@ -240,12 +297,14 @@ def _steihaug(energy, grad, hess, radius):
     A row stops on non-positive curvature (at whichever boundary point along
     d has the lower model value), on a step past its radius (at the boundary
     along d), or when its residual falls below min(0.5, sqrt|g|) |g|.  The
-    rows still iterating share each Hessian-vector product.  Returns the
-    steps (R, 2N) and whether each ends on the boundary.
+    rows still iterating share each Hessian-vector product; a pass in which
+    every row goes on skips the stopping branches and the compaction, with
+    the same arithmetic per row.  Returns the steps (R, 2N) and whether each
+    ends on the boundary.
     """
     step = np.zeros_like(grad)
     hits = np.zeros(len(grad), dtype=bool)
-    gnorm = np.linalg.norm(grad, axis=-1)
+    gnorm = _row_norms(grad)
     tol = np.minimum(0.5, np.sqrt(gnorm)) * gnorm
     rows = np.arange(len(grad))
     z, r, d = np.zeros_like(grad), grad, -grad
@@ -254,42 +313,52 @@ def _steihaug(energy, grad, hess, radius):
         hd = np.matvec(hess, d)
         dhd = np.vecdot(d, hd)
         curved = dhd > 0
-        alpha = np.divide(rr, dhd, out=np.zeros_like(rr), where=curved)
+        if curved.all():
+            alpha = rr / dhd
+        else:
+            alpha = np.divide(rr, dhd, out=np.zeros_like(rr), where=curved)
         z_next = z + alpha[:, None] * d
         r_next = r + alpha[:, None] * hd
         rr_next = np.vecdot(r_next, r_next)
-        flat = ~curved
-        past = curved & (np.linalg.norm(z_next, axis=-1) >= radius)
-        small = curved & ~past & (np.sqrt(rr_next) < tol)
-        if flat.any():
-            zf, df = z[flat], d[flat]
-            ta, tb = _to_boundary(zf, df, radius[flat])
-            pa, pb = zf + ta[:, None] * df, zf + tb[:, None] * df
-            args = energy[flat], grad[flat], hess[flat]
-            lower = _model(*args, pa) < _model(*args, pb)
-            step[rows[flat]] = np.where(lower[:, None], pa, pb)
-        if past.any():
-            _, tb = _to_boundary(z[past], d[past], radius[past])
-            step[rows[past]] = z[past] + tb[:, None] * d[past]
-        step[rows[small]] = z_next[small]
-        hits[rows[flat | past]] = True
+        past = _row_norms(z_next) >= radius
+        small = np.sqrt(rr_next) < tol
         more = curved & ~past & ~small
-        beta = rr_next[more] / rr[more]
-        z, r, rr = z_next[more], r_next[more], rr_next[more]
-        d = -r + beta[:, None] * d[more]
-        if not more.all():
+        if not more.all():  # some rows stop: write their steps, drop them
+            flat = ~curved
+            past &= curved
+            small &= curved & ~past
+            if flat.any():
+                zf, df = z[flat], d[flat]
+                ta, tb = _to_boundary(zf, df, radius[flat])
+                pa, pb = zf + ta[:, None] * df, zf + tb[:, None] * df
+                args = energy[flat], grad[flat], hess[flat]
+                lower = _model(*args, pa) < _model(*args, pb)
+                step[rows[flat]] = np.where(lower[:, None], pa, pb)
+            if past.any():
+                _, tb = _to_boundary(z[past], d[past], radius[past])
+                step[rows[past]] = z[past] + tb[:, None] * d[past]
+            step[rows[small]] = z_next[small]
+            hits[rows[flat | past]] = True
             rows, tol, radius = rows[more], tol[more], radius[more]
             energy, grad, hess = energy[more], grad[more], hess[more]
+            z_next, r_next, rr_next, rr, d = (
+                z_next[more], r_next[more], rr_next[more], rr[more], d[more])
+        beta = rr_next / rr
+        z, r, rr = z_next, r_next, rr_next
+        d = -r + beta[:, None] * d
     return step, hits
 
 
 def _descend(field_: PotentialField, starts: np.ndarray) -> list:
     """Trust-region Newton descent of every start of a stack (R, N, 2) at once.
 
-    Each iteration builds the Hessians at the restarts that moved, in one
-    total_hessian call; takes one Steihaug step per live restart; and checks
-    and queries the proposals once (``_query``).  Each restart keeps its own
-    trust radius, span / 2 of the scan region at first, and follows scipy's
+    Each iteration takes one Steihaug step per live restart; checks and
+    queries the proposals once (``_query``: one pair table and one field
+    derivative call over them); and assembles the 2N x 2N Hessians of the
+    accepted proposals only, from the field blocks the query returned and
+    the pair blocks, so no Hessian is built at a rejected proposal and no
+    pair table outlives its step.  Each restart keeps its own trust
+    radius, span / 2 of the scan region at first, and follows scipy's
     trust-ncg: the actual over predicted energy decrease rho accepts a step
     when above ETA, shrinks the radius x0.25 below 0.25 and doubles it
     above 0.75 on the boundary.  An accepted step stays in the region, so
@@ -302,32 +371,30 @@ def _descend(field_: PotentialField, starts: np.ndarray) -> list:
     no finite energy.
     """
     region = field_.scan_region
+    ke2 = _ke2(field_)
     x = starts.copy()
     n_starts, n = x.shape[:2]
-    energy, grad = _query(field_, x)
+    energy, grad, blocks = _query(field_, x)
     hess = np.empty((n_starts, 2 * n, 2 * n))
     radius = np.full(n_starts, 0.5 * min(region[1] - region[0], region[3] - region[2]))
     min_radius = np.spacing(max(map(abs, region)))
     iters = np.zeros(n_starts, dtype=int)
     steps = np.zeros(n_starts, dtype=int)
-    running = np.isfinite(energy) & (np.linalg.norm(grad, axis=-1) >= GRAD_TOL)
-    stale = running.copy()  # the Hessian at x is still to build
+    running = np.isfinite(energy) & (_row_norms(grad) >= GRAD_TOL)
+    hess[running] = _assemble_hessian(blocks[running], x[running], ke2)
     while running.any():
         live = np.flatnonzero(running)
-        build = live[stale[live]]
-        if build.size:
-            hess[build] = total_hessian(field_, x[build])
-            stale[build] = False
         e, g, h = energy[live], grad[live], hess[live]
         step, hits = _steihaug(e, g, h, radius[live])
         predicted = e - _model(e, g, h, step)
         stop = ~(np.isfinite(predicted) & (predicted > 0))
-        running[live[stop]] = False
-        live, step, hits, predicted = live[~stop], step[~stop], hits[~stop], predicted[~stop]
-        if not live.size:
-            continue
+        if stop.any():
+            running[live[stop]] = False
+            live, step, hits, predicted = live[~stop], step[~stop], hits[~stop], predicted[~stop]
+            if not live.size:
+                continue
         proposal = x[live] + step.reshape(-1, n, 2)
-        e_new, g_new = _query(field_, proposal)
+        e_new, g_new, b_new = _query(field_, proposal)
         rho = (energy[live] - e_new) / predicted
         old = radius[live]
         grow = (rho > 0.75) & hits
@@ -335,15 +402,16 @@ def _descend(field_: PotentialField, starts: np.ndarray) -> list:
         take = rho > ETA
         moved = live[take]
         x[moved], energy[moved], grad[moved] = proposal[take], e_new[take], g_new[take]
-        stale[moved] = True
+        if moved.size:
+            hess[moved] = _assemble_hessian(b_new[take], proposal[take], ke2)
         steps[moved] += 1
         iters[live] += 1
-        flat = np.linalg.norm(grad[live], axis=-1) < GRAD_TOL
+        flat = _row_norms(grad[live]) < GRAD_TOL
         # every step rejected (an energy kink) shrinks the radius until its
         # square underflows; below the resolution of the region it moves nothing
         stuck = radius[live] < min_radius
         running[live[flat | (iters[live] >= MAX_ITER) | stuck]] = False
-    gnorm = np.linalg.norm(grad, axis=-1)
+    gnorm = _row_norms(grad)
     configs = []
     for k in range(n_starts):
         if not math.isfinite(energy[k]):
@@ -383,10 +451,10 @@ def trap_minimum(field_: PotentialField) -> tuple:
     [found] = _descend(field_, center[None, None])
     if found is not None:
         center, energy = found.positions[0], found.energy
-    hess = field_.energy_hessian(center)
+    grad, hess = field_.energy_derivatives(center)
     if hess[0, 0] > 0.0 and hess[0, 0] * hess[1, 1] - hess[0, 1] ** 2 > 0.0:
         c = field_.constants
-        step = np.linalg.solve(hess, field_.energy_gradient(center))
+        step = np.linalg.solve(hess, grad)
         zpl = np.sqrt(c.hbar / np.sqrt(c.m_e * np.diag(hess)))
         if np.isfinite(step).all() and np.any(np.abs(step) > STEP_ZPL * zpl):
             trial = np.clip(center - step, region[::2], region[1::2])

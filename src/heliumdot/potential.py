@@ -15,9 +15,12 @@ interpolates tabulated maps with a bicubic spline and differentiates the
 spline exactly; QuarticField is a quartic polynomial surrogate with
 closed-form derivatives, useful for oracles and solver cross-checks.
 Values live on a map's ``domain``, derivatives on a field's ``scan_region``
-(the map less one cell); both are fixed at construction, and a field query
-checks its region once and makes one spline pass.  ``sample_grid`` is the
-grid scan the solvers share.  Every field parameter must be finite.
+(the map less one cell); both are fixed at construction.  A GriddedField
+query checks its region once and makes one FITPACK call per spline
+derivative order it needs: one for a value, two for a gradient, three for
+a Hessian, and five for ``energy_derivatives``, which returns the gradient
+and the Hessian together.  ``sample_grid`` is the grid scan the solvers share.
+Every field parameter must be finite.
 """
 
 from __future__ import annotations
@@ -188,7 +191,8 @@ def _require_inside(region, x, y) -> None:
 
 def _spline_eval(spline: RectBivariateSpline, x, y, region, orders=((0, 0),)) -> list:
     """The spline's (dx, dy) derivative for each of ``orders`` at broadcast
-    x, y inside region, checked once; floats for scalar queries."""
+    x, y inside region, checked once; one FITPACK call per order, floats for
+    scalar queries."""
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     _require_inside(region, x, y)
     xs, ys = x.ravel(), y.ravel()
@@ -207,9 +211,19 @@ def _require_finite(params: Mapping[str, float]) -> None:
 # ---------------------------------------------------------------------------
 
 
+# spline derivative orders (dx, dy) of a gradient and of a Hessian
+_GRADIENT = ((1, 0), (0, 1))
+_HESSIAN = ((2, 0), (1, 1), (0, 2))
+
+
 def _sym2(hxx, hxy, hyy) -> np.ndarray:
-    """Symmetric 2 x 2 blocks [[hxx, hxy], [hxy, hyy]], shape (..., 2, 2)."""
-    return np.stack([np.stack([hxx, hxy], axis=-1), np.stack([hxy, hyy], axis=-1)], axis=-2)
+    """Symmetric 2 x 2 blocks [[hxx, hxy], [hxy, hyy]], shape (..., 2, 2), of
+    entries of one shape."""
+    out = np.empty((*np.shape(hxx), 2, 2))
+    out[..., 0, 0] = hxx
+    out[..., 0, 1] = out[..., 1, 0] = hxy
+    out[..., 1, 1] = hyy
+    return out
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
@@ -219,8 +233,10 @@ class PotentialField(ABC):
     A subclass supplies the electrode part ``_base`` [V] and the electron
     energy derivatives ``energy_gradient`` [J/m] and ``energy_hessian``
     [J/m^2] over points of shape (..., 2), and the ``scan_region`` in which
-    solvers look for the trap minimum.  ``evaluate`` is defined here and only
-    here, so every field evaluation goes through one method.
+    solvers look for the trap minimum.  ``energy_derivatives`` returns both
+    derivatives of one query; a subclass overrides it where one pass is
+    cheaper than two.  ``evaluate`` is defined here and only here, so every
+    field evaluation goes through one method.
     """
 
     e_x: float = 0.0
@@ -254,6 +270,10 @@ class PotentialField(ABC):
     def energy_hessian(self, points) -> np.ndarray:
         """Second derivatives of U [J/m^2] at points of shape (..., 2); shape
         (..., 2, 2) out, each 2 x 2 block symmetric."""
+
+    def energy_derivatives(self, points) -> tuple:
+        """(energy_gradient, energy_hessian) at points of shape (..., 2)."""
+        return self.energy_gradient(points), self.energy_hessian(points)
 
     @property
     @abstractmethod
@@ -298,18 +318,29 @@ class GriddedField(PotentialField):
     def _base(self, x, y):
         return _spline_eval(self._spline, x, y, self.maps.domain)[0]
 
-    def energy_gradient(self, points) -> np.ndarray:
+    def _partials(self, points, orders) -> list:
+        """The spline's partial derivative [V/m^k] for each of ``orders`` at
+        points (..., 2) inside the scan region."""
         pts = np.asarray(points, dtype=float)
-        fx, fy = _spline_eval(self._spline, pts[..., 0], pts[..., 1], self.scan_region,
-                              ((1, 0), (0, 1)))
+        return _spline_eval(self._spline, pts[..., 0], pts[..., 1], self.scan_region, orders)
+
+    def _gradient(self, fx, fy) -> np.ndarray:
         e = self.constants.e
         return np.stack([-e * (fx + self.e_x), -e * (fy + self.e_y)], axis=-1)
 
-    def energy_hessian(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        fxx, fxy, fyy = _spline_eval(self._spline, pts[..., 0], pts[..., 1], self.scan_region,
-                                     ((2, 0), (1, 1), (0, 2)))
+    def _hessian(self, fxx, fxy, fyy) -> np.ndarray:
         return -self.constants.e * _sym2(fxx, fxy, fyy)
+
+    def energy_gradient(self, points) -> np.ndarray:
+        return self._gradient(*self._partials(points, _GRADIENT))
+
+    def energy_hessian(self, points) -> np.ndarray:
+        return self._hessian(*self._partials(points, _HESSIAN))
+
+    def energy_derivatives(self, points) -> tuple:
+        """Gradient and Hessian from one region check and one spline call."""
+        partials = self._partials(points, _GRADIENT + _HESSIAN)
+        return self._gradient(*partials[:2]), self._hessian(*partials[2:])
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,6 +14,7 @@ from heliumdot import cluster
 from heliumdot.cluster import (
     FLOOR_ULPS,
     MAX_ELECTRONS,
+    MIN_SEPARATION,
     _pair_diffs,
     _triangular_lattice,
     coupled_spectrum,
@@ -392,21 +393,99 @@ def test_batched_descent_matches_scipy_trust_ncg(monkeypatch, volts, n):
     assert abs(config.energy + neg_energy) <= 4 * np.spacing(abs(neg_energy))
 
 
-def test_cold_minimize_builds_one_hessian_stack_per_iteration(monkeypatch):
+def test_cold_minimize_makes_one_derivative_call_per_query(monkeypatch):
     field = _dome_field(0.3)
-    shapes, iterations = [], []
-    build = GriddedField.energy_hessian
-    monkeypatch.setattr(GriddedField, "energy_hessian",
-                        lambda self, pts: shapes.append(np.shape(pts)) or build(self, pts))
-    step = cluster._steihaug
-    monkeypatch.setattr(cluster, "_steihaug", lambda *args: iterations.append(1) or step(*args))
+    events, runs = [], []
+    query, descend = cluster._query, cluster._descend
+    derivatives, assemble = GriddedField.energy_derivatives, cluster._assemble_hessian
+    monkeypatch.setattr(cluster, "_query", lambda field_, pos: (
+        events.append(("query", pos.shape)) or query(field_, pos)))
+    monkeypatch.setattr(GriddedField, "energy_derivatives", lambda self, pts: (
+        events.append(("derivatives", np.shape(pts))) or derivatives(self, pts)))
+    monkeypatch.setattr(cluster, "_assemble_hessian", lambda blocks, pos, ke2: (
+        events.append(("hessians", pos.shape)) or assemble(blocks, pos, ke2)))
+    monkeypatch.setattr(cluster, "_descend", lambda field_, starts: (
+        runs.append(descend(field_, starts)) or runs[-1]))
     config = minimize(field, 2, seed=0, restarts=8)
     assert config.converged
-    # the scanned trap centre, then one (R, 2, 2) stack of the restarts that moved
-    assert shapes[0] == (2,)
-    assert shapes[1] == (8, 2, 2)
-    assert all(len(shape) == 3 for shape in shapes[1:])
-    assert len(shapes) - 1 <= len(iterations)
+    # each query makes at most one derivative call, on the stack of its
+    # proposals that pass the checks; the only other one is the trap
+    # centre's final Newton step
+    for before, (kind, shape) in zip(events, events[1:]):
+        if kind == "derivatives" and len(shape) == 3:
+            assert before[0] == "query"
+            assert shape[0] <= before[1][0] and shape[1:] == before[1][1:]
+    assert [s for k, s in events if k == "derivatives" and len(s) != 3] == [(2,)]
+    assert ("derivatives", (8, 2, 2)) in events  # the cold starts, in one call
+    # Hessians are assembled at the starts, then only at accepted steps
+    stacks = [s for k, s in events if k == "hessians"]
+    accepted = sum(c.iterations for run in runs for c in run if c is not None)
+    assert len(stacks) <= accepted + len(runs)
+    assert sum(s[0] for s in stacks) <= accepted + sum(len(run) for run in runs)
+
+
+def _nan_right_of(field, monkeypatch, hole):
+    """Make every gradient of field's class NaN at points right of x = hole."""
+    cls = type(field)
+    gradient, derivatives = cls.energy_gradient, cls.energy_derivatives
+
+    def holed(grad, points):
+        return np.where(np.asarray(points)[..., :1] > hole, np.nan, grad)
+
+    def holed_derivatives(self, points):
+        grad, hess = derivatives(self, points)
+        return holed(grad, points), hess
+
+    monkeypatch.setattr(cls, "energy_gradient", lambda self, pts: holed(gradient(self, pts), pts))
+    monkeypatch.setattr(cls, "energy_derivatives", holed_derivatives)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("kind", ["dome", "quartic"])
+def test_query_is_the_public_totals_bit_for_bit(monkeypatch, kind, n):
+    field = (_dome_field(0.3) if kind == "dome"
+             else QuarticField(a1x=1e-3, a1y=2e-3, a2x=1e9, a2y=3e9))
+    hole = 0.6e-6
+    _nan_right_of(field, monkeypatch, hole)
+    stack = np.random.default_rng(29 + n).uniform(-0.5e-6, 0.5e-6, size=(7, n, 2))
+    stack[1, 0, 0] = 5e-6  # outside the scan region
+    if n > 1:
+        stack[2, 1] = stack[2, 0] + 0.5 * MIN_SEPARATION  # a pair too close
+    stack[3, -1, 0] = hole + 0.1e-6  # a gradient of NaN
+    bad = [1, 3] if n == 1 else [1, 2, 3]
+    energy, grad, blocks = cluster._query(field, stack)
+    assert np.all(energy[bad] == np.inf)
+    assert not grad[bad].any() and not blocks[bad].any()
+    good = [k for k in range(len(stack)) if k not in bad]
+    hess = cluster._assemble_hessian(blocks[good], stack[good], cluster._ke2(field))
+    for k, h in zip(good, hess):
+        assert energy[k] == total_energy(field, stack[k])
+        assert np.array_equal(grad[k], total_gradient(field, stack[k]).ravel())
+        assert np.array_equal(h, total_hessian(field, stack[k]))
+
+
+def test_batched_steihaug_gives_each_row_its_own_step():
+    # rows whose CG stops after 1, 2, 3 and 4 iterations (that many distinct
+    # curvatures), on negative curvature at the fifth, and at a small trust
+    # radius at the first
+    rng = np.random.default_rng(29)
+    spectra = [[2.0] * 8, [1.0, 3.0] * 4, [1.0, 2.0, 5.0, 5.0] * 2, [1.0, 2.0, 4.0, 8.0] * 2,
+               [-1.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]]
+    hess = []
+    for curvatures in spectra:
+        q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
+        hess.append((q * curvatures) @ q.T)
+    hess = np.array(hess)
+    # a small gradient makes the residual tolerance sqrt|g| |g| tight
+    grad = 1e-8 * rng.normal(size=(len(spectra), 8))
+    energy = rng.normal(size=len(spectra))
+    radius = np.array([1.0] * 5 + [1e-9])
+    step, hits = cluster._steihaug(energy, grad, hess, radius)
+    assert hits.tolist() == [False] * 4 + [True, True]
+    for k in range(len(spectra)):
+        row = slice(k, k + 1)
+        alone, hit = cluster._steihaug(energy[row], grad[row], hess[row], radius[row])
+        assert np.array_equal(step[k], alone[0]) and hits[k] == hit[0]
 
 
 def test_bad_restart_does_not_stop_or_change_the_others():

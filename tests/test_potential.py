@@ -218,6 +218,22 @@ def test_each_derivative_query_checks_its_region_once(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("case", sorted(_QUERIES))
+def test_energy_derivatives_are_one_checked_spline_call(monkeypatch, case):
+    f = compose(_dome_maps(), {"trap": 0.3, "guard": 0.1}, e_x=-40.0, e_y=150.0)
+    pts = _QUERIES[case]
+    grad, hess = f.energy_gradient(pts), f.energy_hessian(pts)
+    calls = []
+    check, spline_eval = potential._require_inside, potential._spline_eval
+    monkeypatch.setattr(potential, "_require_inside",
+                        lambda *args: calls.append("check") or check(*args))
+    monkeypatch.setattr(potential, "_spline_eval",
+                        lambda *args: calls.append("spline") or spline_eval(*args))
+    both = f.energy_derivatives(pts)
+    assert calls == ["spline", "check"]
+    assert np.array_equal(both[0], grad) and np.array_equal(both[1], hess)
+
+
 def test_regions_are_computed_once():
     maps = _dome_maps()
     f = compose(maps, {"trap": 0.3})

@@ -38,6 +38,10 @@ ALLOWED: dict = {
                                  "writes them since the sweep's warm start went",
     ("EigenSolution", "path"): "names the solver taken for callers and tests, and is kept "
                                "out of every output file",
+    (None, "total_energy"): "the public energy model: the reference the descent's fused "
+                            "query is tested against, bit for bit, and a traced layer",
+    (None, "total_gradient"): "the public gradient of total_energy: the reference the "
+                              "descent's fused query is tested against, bit for bit",
 }
 
 # A receiver type is ("inst", classes), ("class", name), ("module", stem),
