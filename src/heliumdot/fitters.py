@@ -7,9 +7,9 @@ enforced by smooth reparameterization (log for positive rates, scaled logit
 for intervals), never by clipping, so MINPACK always works on an
 unconstrained vector.  Identical inputs give bit-identical results.
 
-The bare-resonator fit hands MINPACK the closed-form Jacobian of
-:func:`bare_model` (:func:`bare_jacobian`); the doublet and dip fits take
-forward differences (an exact doublet Jacobian measured no faster).
+The bare-resonator and doublet fits hand MINPACK the closed-form Jacobians
+of their models (:func:`bare_jacobian`, :func:`rabi_jacobian`); only the
+dip fit takes forward differences.
 
 Parameter uncertainties come from the Jacobian at the optimum,
 cov = s^2 (J^T J)^-1 with s^2 the reduced residual variance; sigmas are NaN
@@ -101,11 +101,11 @@ class FitResult:
     params/sigmas are keyed by parameter name in the recipe's units
     (angular rad/s for every frequency-like quantity).  rss is the sum of
     squared residuals in data units; iterations is MINPACK's count of
-    residual evaluations.  It counts no Jacobian: a bare fit evaluates its
-    Jacobian in closed form, and scipy 1.17 leaves the finite-difference
-    columns of the other fits out of the count.  flags: max_iter
-    (evaluation budget spent), singular_covariance, underdetermined, plus
-    recipe-specific entries.
+    residual evaluations.  It counts no Jacobian: bare and doublet fits
+    evaluate theirs in closed form, and scipy 1.17 leaves the
+    finite-difference columns of the dip fit out of the count.  flags:
+    max_iter (evaluation budget spent), singular_covariance,
+    underdetermined, plus recipe-specific entries.
     """
 
     params: dict
@@ -139,7 +139,8 @@ def least_squares(
     derivative in each external parameter as a mapping from name to a
     column (or a scalar for a column constant in x); each column is chained
     through the parameter's transform, and MINPACK then takes no finite
-    differences.  Without it the Jacobian is taken by forward differences.
+    differences.  Without it (the dip fit) the Jacobian is taken by forward
+    differences.
     Raises FitError when there are fewer residuals than free parameters or
     the model is not finite at the start.
     """
@@ -287,6 +288,26 @@ def bare_jacobian(x, omega_r, kappa_tot, amp, t, zeta) -> dict:
             "t": leak / (2.0 * t), "zeta": 1j * leak}
 
 
+def rabi_jacobian(res: ResonatorParams, x, g, gamma_2, omega_e) -> dict:
+    """Closed-form derivatives of the doublet model ``s21_resonant(res,
+    TwoLevelElectron(omega_e, gamma_2), g, x)`` in g, gamma_2 and omega_e.
+
+    With D = kappa_tot/2 + i (omega_r - x), P = omega_e - x - i gamma_2 and
+    q = 1/(D - i g^2/P), the model is amp q and d/dg = 2i amp g q^2/P,
+    d/d gamma_2 = -amp g^2 q^2/P^2, d/d omega_e = -i amp g^2 q^2/P^2.  Like
+    :func:`bare_jacobian` it squares a reciprocal: w = g q/P, which is
+    g/(P D - i g^2) and so bounded where P is tiny, then w^2, so the columns
+    overflow nowhere the model does not.
+    """
+    x = np.asarray(x, dtype=float)
+    amp = math.sqrt(res.kappa_1 * res.kappa_2)
+    p = omega_e - x - 1j * gamma_2
+    q = 1.0 / (res.kappa_tot / 2.0 + 1j * (res.omega_r - x) - 1j * (g**2 / p))
+    w = g * q / p
+    w2 = amp * w * w
+    return {"g": 2j * amp * q * w, "gamma_2": -w2, "omega_e": -1j * w2}
+
+
 def resonator_from_bare_params(
     params: Mapping[str, float],
 ) -> tuple[ResonatorParams, CrosstalkParams]:
@@ -397,16 +418,23 @@ def fit_rabi(trace: SpectrumTrace, res: ResonatorParams) -> FitResult:
         el = TwoLevelElectron(omega_e=omega_e, gamma_2=gamma_2)
         return s21_resonant(res, el, g, x)
 
+    def jac(x, g, gamma_2, omega_e):
+        return rabi_jacobian(res, x, g, gamma_2, omega_e)
+
     bounds = {"g": (0.0, math.inf), "gamma_2": (0.0, math.inf),
               "omega_e": (0.0, math.inf)}
-    return least_squares(model, probe, trace.s21, init=start, bounds=bounds)
+    return least_squares(model, probe, trace.s21, init=start, bounds=bounds, jac=jac)
 
 
 def fit_lorentzian_dip(drive: np.ndarray, response: np.ndarray) -> FitResult:
     """Fit a real-valued two-tone dip to a Lorentzian.
 
     Parameters: omega_e center, gamma half-width at half-depth (rad/s),
-    depth, offset.  The drive may run up or down in frequency.
+    depth, offset.  The drive may run up or down in frequency, or there and
+    back: the initial half-width counts the samples below half depth at a
+    step of the drive's spread over its sample count, so a there-and-back
+    sweep, with twice the samples at half the step, starts where its
+    one-way half does.  DomainError when the drive has no spread.
     """
     drive = np.asarray(drive, dtype=float)
     response = np.asarray(response, dtype=float)
@@ -419,7 +447,9 @@ def fit_lorentzian_dip(drive: np.ndarray, response: np.ndarray) -> FitResult:
     depth0 = max(offset0 - float(response[i_min]), 1e-12)
     below = response < offset0 - depth0 / 2.0
     n_below = int(np.count_nonzero(below))
-    dstep = abs(float(np.mean(np.diff(drive))))
+    dstep = float(np.ptp(drive)) / (drive.size - 1)
+    if not dstep > 0:
+        raise DomainError("the drive axis has no spread: every drive frequency is the same")
     gamma0 = max(n_below * dstep / 2.0, dstep)
     start = {"omega_e": float(drive[i_min]), "gamma": gamma0,
              "depth": depth0, "offset": offset0}

@@ -4,15 +4,15 @@ Frequencies cross the file boundary in cyclic units (GHz for axes, Hz for
 fit parameters); everything internal stays angular.  All writers format
 floats with repr (shortest round-trip) and sort JSON keys, so a rerun with
 the same inputs produces byte-identical files.  Trace columns are formatted
-a whole column at a time with repr, and read back with one ``float`` map
-into one array.  The resolved run configuration rides along in every file:
-a ``# config:`` comment line in CSV, a ``config`` key in JSON.
+a whole column at a time with repr, and read back by one ``np.loadtxt``
+call, numpy's C reader, whose values are ``float``'s bit for bit.  The
+resolved run configuration rides along in every file: a ``# config:``
+comment line in CSV, a ``config`` key in JSON.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -91,35 +91,42 @@ def _table(text: str, what: str, ncols: int, exact: bool) -> np.ndarray:
     lines, ``#`` comments and a ``freq...`` header are no data rows.
 
     A row needs exactly ``ncols`` cells when ``exact``, at least that many
-    otherwise, and every cell it keeps must be a finite number.  Only when
-    that fails are the rows scanned in order, so the FormatError names the
-    first bad one.
+    otherwise, and every cell it keeps must be a finite number.  The rows
+    are parsed by one call of numpy's C reader, ``np.loadtxt``, whose values
+    equal ``float``'s bit for bit.  Only when that fails are the rows
+    scanned in order with ``float``, which also takes the cells loadtxt
+    refuses (``1_0``, non-ASCII digits), so the grammar is ``float``'s and
+    a FormatError names the first bad row.
     """
-    lines = (line.strip() for line in text.split("\n"))
-    rows = [(line, line.split(",")) for line in lines
+    rows = [line for line in (line.strip() for line in text.split("\n"))
             if line and not line.startswith("#") and not line.lower().startswith("freq")]
-    if all(len(p) == ncols if exact else len(p) >= ncols for _, p in rows):
+    if rows:  # loadtxt warns on empty input
         try:
-            cells = map(float, itertools.chain.from_iterable(p[:ncols] for _, p in rows))
-            table = np.fromiter(cells, float).reshape(len(rows), ncols).T.copy()
+            table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2,
+                               usecols=None if exact else range(ncols)).T.copy()
         except ValueError:
-            pass  # a non-numeric cell, named by the scan below
+            pass  # a cell or a row length loadtxt refuses: the scan below decides
         else:
-            with np.errstate(over="ignore"):  # overflow to inf: a non-finite row
-                table[0] *= GHZ
-            if np.isfinite(table).all():
-                return table
-    for line, parts in rows:
+            if table.shape == (ncols, len(rows)):
+                with np.errstate(over="ignore"):  # overflow to inf: a non-finite row
+                    table[0] *= GHZ
+                if np.isfinite(table).all():
+                    return table
+    values = []
+    for line in rows:
+        parts = line.split(",")
         if len(parts) != ncols if exact else len(parts) < ncols:
             raise FormatError(f"{what}: expected {ncols} columns, got {len(parts)}" if exact
                               else f"{what}: need {ncols} columns")
         try:
-            values = [float(p) for p in parts[:ncols]]
+            row = [float(p) for p in parts[:ncols]]
         except ValueError:
             raise FormatError(f"{what}: non-numeric row {line!r}") from None
-        values[0] *= GHZ
-        if not all(map(math.isfinite, values)):
+        row[0] *= GHZ
+        if not all(map(math.isfinite, row)):
             raise FormatError(f"{what}: non-finite row {line!r}")
+        values.extend(row)
+    return np.array(values, float).reshape(len(rows), ncols).T.copy()
 
 
 # ---------------------------------------------------------------------------

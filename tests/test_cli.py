@@ -315,6 +315,24 @@ def test_fit_twotone(tmp_path):
     assert fit["params"]["gamma"]["value"] == pytest.approx(102e6, rel=1e-2)
 
 
+def test_fit_twotone_there_and_back_sweep(tmp_path):
+    # the drive runs up and back down, so its first and last values are equal
+    center, hwhm = 8.66, 0.102
+    up = np.linspace(8.0, 9.3, 201)
+    freqs = np.concatenate([up, up[::-1][1:]])
+    resp = 1.0 - 0.5 * hwhm**2 / ((freqs - center) ** 2 + hwhm**2)
+    data = tmp_path / "dip.csv"
+    data.write_text(
+        "freq_GHz,response\n"
+        + "".join(f"{float(f)!r},{float(r)!r}\n" for f, r in zip(freqs, resp))
+    )
+    out = str(tmp_path / "dip.json")
+    assert main(["fit", "twotone", "--data", str(data), "--out", out]) == 0
+    fit = json.loads((tmp_path / "dip.json").read_text())
+    assert fit["params"]["omega_e"]["value"] == pytest.approx(8.66e9, abs=1e6)
+    assert fit["params"]["gamma"]["value"] == pytest.approx(102e6, rel=1e-2)
+
+
 def test_calc_cooperativity_stdout_deterministic(capsys):
     argv = ["calc", "cooperativity", "--g-mhz", "118", "--kappa-mhz", "23",
             "--gamma2-mhz", "75"]

@@ -9,6 +9,7 @@ from heliumdot import fitters
 from heliumdot.cavity import (
     CrosstalkParams,
     TwoLevelElectron,
+    compensate_background,
     crosstalk_leak,
     s21_resonant,
     synthesize_trace,
@@ -23,6 +24,7 @@ from heliumdot.fitters import (
     fit_lorentzian_dip,
     fit_rabi,
     least_squares,
+    rabi_jacobian,
     resonator_from_bare_fit,
 )
 
@@ -377,6 +379,82 @@ def test_fit_rabi_detuned_electron(res_7162, probe_half_ghz):
     assert fit.params["omega_e"] == pytest.approx(el.omega_e, abs=0.5 * MHZ)
 
 
+def _rabi_model(res, x, g, gamma_2, omega_e):
+    return s21_resonant(res, TwoLevelElectron(omega_e=omega_e, gamma_2=gamma_2), g, x)
+
+
+@pytest.mark.parametrize("g_mhz, gamma2_mhz, detuning_mhz", [
+    (118.0, 75.0, 0.0),
+    (8.0, 75.0, 20.0),
+    (118.0, 75.0, 1000.0),
+    (60.0, 0.5, -30.0),
+], ids=["resolved_doublet", "g_below_kappa", "far_detuned", "small_gamma_2"])
+def test_rabi_jacobian_matches_central_differences(res_7162, probe_half_ghz, g_mhz,
+                                                   gamma2_mhz, detuning_mhz):
+    # each closed-form column, chained into the fit's log coordinate, against
+    # a central difference of the model there; each parameter steps at most a
+    # relative 1e-4 and at most 1e-4 of the narrowest feature of the trace
+    params = dict(g=g_mhz * MHZ, gamma_2=gamma2_mhz * MHZ,
+                  omega_e=res_7162.omega_r + detuning_mhz * MHZ)
+    x = probe_half_ghz[::4]
+    exact = rabi_jacobian(res_7162, x, **params)
+    rounding = 10.0 * np.finfo(float).eps * np.max(np.abs(_rabi_model(res_7162, x, **params)))
+    feature = min(params["gamma_2"], res_7162.kappa_tot)
+    tr = fitters._Transform(0.0, math.inf)
+    for name, value in params.items():
+        v = tr.to_internal(value)
+        h = 1e-4 * min(1.0, feature / value)
+        up = _rabi_model(res_7162, x, **{**params, name: tr.to_external(v + h)})
+        down = _rabi_model(res_7162, x, **{**params, name: tr.to_external(v - h)})
+        numeric = (up - down) / (2.0 * h)
+        column = exact[name] * tr.dext_dint(v)
+        scale = np.max(np.abs(column))
+        assert scale > 0
+        assert np.max(np.abs(column - numeric)) <= 1e-6 * scale + rounding / h, name
+
+
+def test_rabi_jacobian_raises_no_float_error_the_model_does_not(res_7162, probe_half_ghz):
+    # a probe point on omega_e with a vanishing gamma_2 and g, and an omega_e
+    # at the log transform's ceiling: the model stays finite, so must the columns
+    x = probe_half_ghz
+    for params in (dict(g=1e-150, gamma_2=1e-300, omega_e=float(x[200])),
+                   dict(g=1e-150, gamma_2=1e-300, omega_e=float(x[7])),
+                   dict(g=118.0 * MHZ, gamma_2=75.0 * MHZ, omega_e=math.exp(700.0))):
+        with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+            model = _rabi_model(res_7162, x, **params)
+            columns = rabi_jacobian(res_7162, x, **params)
+        assert np.isfinite(model).all()
+        for name, column in columns.items():
+            assert np.isfinite(column).all(), name
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_exact_rabi_jacobian_fits_as_finite_differences(res_7162, probe_half_ghz,
+                                                        monkeypatch, seed):
+    # README chain (seed 4 is the README's own): compensate a seeded doublet
+    # against a seeded far trace, then fit it with the closed-form columns and
+    # with MINPACK's forward differences.  Each fit stops within ftol = 1e-10
+    # of the optimum, which over 802 residuals leaves about 3e-4 sigma of
+    # slack, so the bound is in sigmas: the two land within 1e-5 sigma (at
+    # most 1.5e-8 relative) of each other, and their sigmas agree to 1e-6
+    ct = CrosstalkParams(t=0.008, zeta=-0.30)
+    el = TwoLevelElectron(omega_e=res_7162.omega_r, gamma_2=75.0 * MHZ)
+    far = synthesize_trace(res_7162, None, 0.0, ct, probe_half_ghz, snr=50.0, seed=1000 + seed)
+    target = synthesize_trace(res_7162, el, 118.0 * MHZ, ct, probe_half_ghz, snr=50.0,
+                              seed=seed)
+    comp = compensate_background(far, target)
+    res, _ct = resonator_from_bare_fit(comp.reference_fit)
+    exact = fit_rabi(comp.compensated, res)
+    engine = fitters.least_squares
+    monkeypatch.setattr(fitters, "least_squares",
+                        lambda *args, jac=None, **kwargs: engine(*args, **kwargs))
+    numeric = fit_rabi(comp.compensated, res)
+    assert exact.converged and numeric.converged
+    for name, value in numeric.params.items():
+        assert abs(exact.params[name] - value) <= 1e-4 * numeric.sigmas[name], name
+        assert exact.sigmas[name] == pytest.approx(numeric.sigmas[name], rel=1e-5), name
+
+
 # ---------------------------------------------------------------------------
 # two-tone dip recipe
 # ---------------------------------------------------------------------------
@@ -405,6 +483,30 @@ def test_fit_dip_descending_drive():
     assert down.converged
     for name, value in up.params.items():
         assert down.params[name] == pytest.approx(value, rel=1e-8)
+
+
+def _there_and_back(values):
+    return np.concatenate([values, values[::-1][1:]])
+
+
+def test_fit_dip_there_and_back_drive():
+    # a 61-point sweep up and back down starts and ends on the same drive
+    # frequency; its fit agrees with its one-way half within that half's noise
+    el = TwoLevelElectron(omega_e=8.66 * GHZ, gamma_2=102.0 * MHZ)
+    drive = _there_and_back(np.linspace(el.omega_e - 0.6 * GHZ, el.omega_e + 0.6 * GHZ, 31))
+    assert drive[0] == drive[-1]
+    noisy = two_tone_dip(el, drive, depth=0.3, offset=1.0)
+    noisy = noisy + 0.01 * np.random.default_rng(5).standard_normal(drive.size)
+    both = fit_lorentzian_dip(drive, noisy)
+    half = fit_lorentzian_dip(drive[:31], noisy[:31])
+    assert both.converged and half.converged
+    for name, value in half.params.items():
+        assert abs(both.params[name] - value) <= 3.0 * half.sigmas[name], name
+
+
+def test_fit_dip_drive_without_spread():
+    with pytest.raises(DomainError, match="drive axis has no spread"):
+        fit_lorentzian_dip(np.full(6, 8.66 * GHZ), np.linspace(1.0, 0.5, 6))
 
 
 def test_fit_dip_shape_mismatch():

@@ -141,6 +141,66 @@ def test_trace_roundtrip_bit_exact_1601_rows(tmp_path):
     assert not np.signbit(back.s21.imag[1])
 
 
+# The trace grammar is float()'s on each stripped, comma-split cell: numpy's
+# reader parses the common case, and float() takes the cells it refuses.
+_GRAMMAR = [
+    # (rows, ncols, exact, the rows as parsed in the file's GHz, or the message)
+    (" 7.0 , 1.0 ,\t-0.0\n7.1,\t2.5e-3 ,0\n", 3, True,
+     [[7.0, 1.0, -0.0], [7.1, 2.5e-3, 0.0]]),
+    ("+7.0,+1,-1\n7.1,1_0,1_0.5e-1_0\n", 3, True, [[7.0, 1.0, -1.0], [7.1, 10.0, 10.5e-10]]),
+    ("7.0,\u0661,0\n7.1,\uff12.5,0\n", 3, True, [[7.0, 1.0, 0.0], [7.1, 2.5, 0.0]]),
+    ("7.0,1.0,0.0,\n7.1,1.0,0.0,\n", 3, True, "expected 3 columns, got 4"),
+    ("7.0,1.0,0.0\n7.1,1.0,0.0 # note\n", 3, True, "non-numeric row '7.1,1.0,0.0 # note'"),
+    ("7.0,1.0,0.0\nfreq_GHz,re_s21,im_s21\n7.1,2.0,0.5\n", 3, True,
+     [[7.0, 1.0, 0.0], [7.1, 2.0, 0.5]]),
+    ("7.0,1.0,0.0,4.0\n7.1,1.0,0.0,4.0\n", 3, True, "expected 3 columns, got 4"),
+    ("7.0,1.0\n7.1,1.0\n", 3, True, "expected 3 columns, got 2"),
+    ("7.0,1.0,0.0\n7.1,1.0_,0.0\n", 3, True, "non-numeric row '7.1,1.0_,0.0'"),
+    ("# only\n#comments\n\n", 3, True, []),
+    ("8.6,0.9,abc\n8.7,-0.0,\n8.8,0.7,1,2\n", 2, False,
+     [[8.6, 0.9], [8.7, -0.0], [8.8, 0.7]]),
+    ("8.6,0.9,\n8.7,1_0\n", 2, False, [[8.6, 0.9], [8.7, 10.0]]),
+    ("8.6,0.9,1\n8.7\n", 2, False, "need 2 columns"),
+    ("8.6, 0.9 # note\n", 2, False, "non-numeric row '8.6, 0.9 # note'"),
+    ("# only comments\n", 2, False, []),
+]
+
+
+@pytest.mark.parametrize("rows, ncols, exact, want", _GRAMMAR)
+def test_table_grammar_is_floats(rows, ncols, exact, want):
+    text = "# config: {}\nfreq_GHz,a,b\n" + rows
+    if isinstance(want, str):
+        with np.errstate(over="raise"), pytest.raises(FormatError) as exc:
+            io._table(text, "data", ncols, exact)
+        assert str(exc.value) == f"data: {want}"
+        return
+    table = io._table(text, "data", ncols, exact)
+    expected = np.array(want, float).reshape(len(want), ncols).T.copy()
+    expected[0] *= GHZ
+    assert table.shape == expected.shape and table.dtype == np.float64
+    assert np.array_equal(table.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [401, 1601])
+def test_synthesized_trace_file_round_trips_bit_for_bit(tmp_path, n):
+    # a README-chain trace with some -0.0 parts: read back bit for bit, and
+    # written again byte for byte
+    rng = np.random.default_rng(n)
+    probe = np.linspace(6.662, 7.662, n) * GHZ
+    s21 = 0.5 / (1.0 + 1j * (probe - 7.162 * GHZ) / (0.0115 * GHZ))
+    s21 += 0.01 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    s21.real[::53] = -0.0
+    s21.imag[7::41] = -0.0
+    first, second = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    write_trace(SpectrumTrace(probe=probe, s21=s21), first)
+    back = read_trace(first)
+    for got, want in ((back.probe, probe), (back.s21.real, s21.real),
+                      (back.s21.imag, s21.imag)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    write_trace(back, second)
+    assert Path(first).read_bytes() == Path(second).read_bytes()
+
+
 _TRACE_ERRORS = [
     ("7.0,2.0\n7.1,1.0,0.0\n", "expected 3 columns, got 2"),
     ("7.0,1.0,0.0\n7.1,1.0,0.0,4.0\n", "expected 3 columns, got 4"),
