@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
-import scipy.optimize
 
 from .core import DomainError, FitError, ResonatorParams, default_resonator
 from .cavity import (
@@ -173,6 +172,8 @@ def least_squares(
         return np.concatenate([out.real, out.imag]) if complex_data else out
 
     theta0 = np.array([tr.to_internal(float(init[n])) for n, tr in zip(names, transforms)])
+    import scipy.optimize  # late import: only `compensate` and `fit` run least squares
+
     try:
         sol = scipy.optimize.least_squares(
             residuals, theta0, jac="2-point" if jac is None else jacobian, method="lm",

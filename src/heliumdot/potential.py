@@ -12,8 +12,9 @@ decreases toward positive y (the field pulls the electron that way).
 
 Every field is a PotentialField: GriddedField (what ``compose`` returns)
 interpolates tabulated maps with a bicubic spline and differentiates the
-spline exactly; QuarticField is a quartic polynomial surrogate with
-closed-form derivatives, useful for oracles and solver cross-checks.
+spline exactly (scipy.interpolate, imported when the first spline is fit);
+QuarticField is a quartic polynomial surrogate with closed-form
+derivatives, useful for oracles and solver cross-checks.
 Values live on a map's ``domain``, derivatives on a field's ``scan_region``
 (the map less one cell); both are fixed at construction.  A GriddedField
 query checks its region once and makes one FITPACK call per spline
@@ -29,12 +30,14 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from .core import CONSTANTS, DomainError, FormatError, PhysicalConstants, read_json_object
+
+if TYPE_CHECKING:  # the spline type, for annotations only
+    from scipy.interpolate import RectBivariateSpline
 
 # Loader tolerance on the lever-arm range: maps are physical fractions in
 # [0, 1] but FEM exports ring slightly outside, so accept [-0.01, 1.01].
@@ -134,6 +137,8 @@ class CouplingGradientMap(_Grid):
         super().__post_init__()
         arr = self._require_grid(self.grid, "gradient map")
         object.__setattr__(self, "grid", arr)
+        from scipy.interpolate import RectBivariateSpline  # late import: map commands only
+
         spline = RectBivariateSpline(self.x_axis, self.y_axis, arr.T, kx=1, ky=1)
         object.__setattr__(self, "_spline", spline)
 
@@ -304,6 +309,8 @@ class GriddedField(PotentialField):
             w += float(volt) * self.maps.grids[name]
         # with fewer than four nodes on an axis the spline drops to that degree
         kx, ky = min(3, self.maps.x_axis.size - 1), min(3, self.maps.y_axis.size - 1)
+        from scipy.interpolate import RectBivariateSpline  # late import: map commands only
+
         spline = RectBivariateSpline(self.maps.x_axis, self.maps.y_axis, w.T, kx=kx, ky=ky)
         object.__setattr__(self, "_spline", spline)
 

@@ -15,8 +15,10 @@ Phys. 17, 87 (1975)) finds the lowest levels from the products of the exact
 diagonalization; Lynch, Rice and Thomas, Numer. Math. 6, 185 (1964)),
 applying H matrix-free.  Where Davidson stalls, one
 ``scipy.sparse.linalg.eigsh`` call runs shift-invert Lanczos (ARPACK) at
-sigma = min U from a seeded start vector.  Both are deterministic, so reruns
-are bit-identical; the transition frequencies and the motional
+sigma = min U from a seeded start vector.  Only that fallback and the full
+sparse matrix, ``DiscreteHamiltonian.matrix``, import scipy.sparse, so a
+solve that Davidson finishes loads no scipy.  Both are deterministic, so
+reruns are bit-identical; the transition frequencies and the motional
 anharmonicity follow from the levels.  hbar and m_e are the solved field's
 own ``constants``.
 """
@@ -26,15 +28,16 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .core import DomainError, PhysicalConstants
 from .cluster import trap_minimum
 from .potential import PotentialField, sample_grid
+
+if TYPE_CHECKING:  # the fallback's matrix type, for annotations only
+    import scipy.sparse as sp
 
 # Half-width of an auto window, in zero-point lengths sqrt(hbar / (m_e omega)).
 WINDOW_FACTOR = 8.0
@@ -107,6 +110,8 @@ class DiscreteHamiltonian:
     @functools.cached_property
     def matrix(self) -> sp.csc_matrix:
         """H over row-major raveled nodes, sparse, built on first use."""
+        import scipy.sparse as sp  # late import: only the eigsh fallback reads the matrix
+
         return (sp.kronsum(*self.kinetic_axes) + sp.diags(self.u.ravel())).tocsc()
 
 
@@ -260,7 +265,8 @@ def eigenstates(ham: DiscreteHamiltonian, k: int = 6, seed: int = 0) -> EigenSol
     DAVIDSON_TOL of the level span; it stops early when the largest residual
     stalls, and after DAVIDSON_STEPS.  Then one ``scipy.sparse.linalg.eigsh``
     call runs Lanczos (ARPACK) in shift-invert mode from a vector drawn from
-    ``seed``.  The shift is sigma = min U, the lowest sampled potential.
+    ``seed``; only this fallback imports scipy.sparse.  The shift is
+    sigma = min U, the lowest sampled potential.
     H - sigma I = T + (U - min U) is positive definite: U - min U is a
     non-negative diagonal, so by Weyl's inequality its lowest eigenvalue is
     at least that of the kinetic T, which is positive (both kinetic symbols,
@@ -280,6 +286,8 @@ def eigenstates(ham: DiscreteHamiltonian, k: int = 6, seed: int = 0) -> EigenSol
         path, (vals, vecs) = "davidson", found
     else:
         path = "eigsh"
+        import scipy.sparse.linalg as spla  # late import: only a stalled Davidson needs ARPACK
+
         v0 = np.random.default_rng(seed).standard_normal(size)
         matrix = ham.matrix.toarray() if size <= MAX_DENSE_NODES else ham.matrix
         vals, vecs = spla.eigsh(matrix, k=k, sigma=float(ham.u.min()), which="LM", v0=v0,

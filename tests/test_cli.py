@@ -621,17 +621,50 @@ def test_qsolve_resolves_the_soft_mode_at_the_floor(capsys):
     assert out["f01_GHz"] == pytest.approx(13.81, rel=0.05)
 
 
-def test_cli_import_leaves_out_signal_and_stats():
-    # scipy.signal (and the scipy.stats it pulls in) serves only `fit rabi`'s
-    # peak finder, so no other command pays for importing it
-    script = ("import sys, heliumdot.cli\n"
-              "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+def _run_python(script, cwd=None):
+    """stdout of a fresh interpreter running script on this checkout's package."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(cli.__file__).parents[1]), *filter(None, [env.get("PYTHONPATH")])])
-    done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+    done = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env, check=True,
                           capture_output=True, text=True, timeout=60)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+_SCIPY_MODULES = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+
+
+def test_cli_import_loads_no_scipy():
+    # every module imports scipy where a command uses it, so importing the
+    # command line, which imports every module, loads none of it
+    assert _run_python("import sys, heliumdot.cli\n" + _SCIPY_MODULES) == "[]"
+
+
+def test_commands_import_scipy_only_where_they_use_it(tmp_path):
+    # synth, calc and a QuarticField qsolve, which Davidson solves, run on
+    # numpy alone; compensate, fit and the map commands import scipy as they
+    # go, and each deferred import still resolves in a fresh process
+    maps = _dome_maps_file(tmp_path)  # with a gradient map, so both spline builds run
+    bare = _synth_args("far.csv", seed=1004)
+    coupled = _synth_args("trace.csv", kind="rabi", seed=4)
+    numpy_only = ("import sys\nfrom heliumdot.cli import main\n"
+                  f"for argv in ({bare!r}, {coupled!r},\n"
+                  "             ['calc', 'g', '--coupling-length-nm', '2200'],\n"
+                  "             ['calc', 'cardano', '--a1', '0', '--a2', '2750', '--ey', '300'],\n"
+                  "             ['qsolve', '--a1x', '1.1e-8', '--a1y', '2e-8', '--k', '3']):\n"
+                  "    assert main(argv) == 0, argv\n" + _SCIPY_MODULES)
+    assert _run_python(numpy_only, cwd=tmp_path).splitlines()[-1] == "[]"
+    with_scipy = ("from heliumdot.cli import main\n"
+                  "for argv in (['compensate', '--far', 'far.csv', '--target', 'trace.csv',\n"
+                  "              '--out', 'comp.csv'],\n"
+                  "             ['fit', 'rabi', '--trace', 'comp.csv', '--far', 'far.csv',\n"
+                  "              '--out', 'fit.json'],\n"
+                  f"             ['sweep', 'freq', '--maps', {maps!r}, '--electrode', 'trap',\n"
+                  "              '--vmin', '0.3', '--vmax', '0.3', '--n', '1',\n"
+                  "              '--out', 'freq.csv']):\n"
+                  "    assert main(argv) == 0, argv\n")
+    _run_python(with_scipy, cwd=tmp_path)
+    assert {p.name for p in tmp_path.iterdir()} >= {"comp.csv", "fit.json", "freq.csv"}
 
 
 _PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}

@@ -240,7 +240,8 @@ NEAR_FLOOR_TRAP = QuarticField(a1x=0.5 * CONSTANTS.m_e * (5.0 * GHZ) ** 2, a1y=1
 def test_stalled_davidson_falls_back_to_seeded_eigsh(monkeypatch, seed):
     starts = []
     eigsh = spla.eigsh
-    monkeypatch.setattr(qsolver.spla, "eigsh",
+    # the fallback imports scipy.sparse.linalg when it runs, so spy on that module
+    monkeypatch.setattr(spla, "eigsh",
                         lambda *args, v0, **kwargs: starts.append(v0) or eigsh(*args, v0=v0,
                                                                                **kwargs))
     ham = build_hamiltonian(NEAR_FLOOR_TRAP, auto_window(NEAR_FLOOR_TRAP), nx=23, ny=23,
