@@ -154,12 +154,27 @@ def default_resonator() -> ResonatorParams:
 
 def read_json_object(path: str, what: str) -> dict:
     """Parse the UTF-8 JSON file at ``path``, whose top level must be an
-    object; FormatError naming ``what`` (say "config") otherwise."""
+    object; FormatError naming ``what`` (say "config") otherwise.
+
+    orjson parses the text; whatever it refuses goes to the stdlib parser,
+    so NaN and Infinity tokens, numbers beyond float range, a BOM and every
+    syntax error keep json's value or message.  Two inputs read differently
+    from ``json.load``: an integer literal outside [-2**63, 2**64) becomes
+    the nearest float, not an int, and nesting deeper than the interpreter's
+    recursion limit parses instead of raising RecursionError.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            text = fh.read()
         except UnicodeDecodeError:
             raise FormatError(f"{what} {path}: not UTF-8 text") from None
+    import orjson  # late import: not every command reads JSON
+
+    try:
+        obj = orjson.loads(text)
+    except orjson.JSONDecodeError:
+        try:
+            obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{what} {path}: invalid JSON ({exc})") from None
     if not isinstance(obj, dict):

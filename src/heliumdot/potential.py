@@ -17,11 +17,13 @@ QuarticField is a quartic polynomial surrogate with closed-form
 derivatives, useful for oracles and solver cross-checks.
 Values live on a map's ``domain``, derivatives on a field's ``scan_region``
 (the map less one cell); both are fixed at construction.  A GriddedField
-query checks its region once and makes one FITPACK call per spline
-derivative order it needs: one for a value, two for a gradient, three for
-a Hessian, and five for ``energy_derivatives``, which returns the gradient
-and the Hessian together.  ``sample_grid`` is the grid scan the solvers share.
-Every field parameter must be finite.
+derives the spline of each (dx, dy) derivative order once, on its first
+query, and a query checks its region once and makes one FITPACK value call
+per order it needs: one for a value, two for a gradient, three for a
+Hessian, and five for ``energy_derivatives``, which returns the gradient
+and the Hessian together.  ``sample_grid``, the grid scan the solvers
+share, queries a row of x against a column of y, which a GriddedField
+evaluates in one FITPACK grid call.  Every field parameter must be finite.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
@@ -47,7 +49,7 @@ ALPHA_TOL = 0.01
 def _float_array(values, name: str) -> np.ndarray:
     try:
         return np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float range
         raise FormatError(f"{name} must be a rectangular array of numbers") from None
 
 
@@ -131,20 +133,21 @@ class CouplingGradientMap(_Grid):
     interpolated bilinearly (a degree-1 spline through the nodes)."""
 
     grid: np.ndarray
-    _spline: RectBivariateSpline = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        arr = self._require_grid(self.grid, "gradient map")
-        object.__setattr__(self, "grid", arr)
+        object.__setattr__(self, "grid", self._require_grid(self.grid, "gradient map"))
+
+    @cached_property
+    def _spline(self) -> RectBivariateSpline:
+        """Fit on the first ``value_at``: ``sweep freq`` loads the map but never reads it."""
         from scipy.interpolate import RectBivariateSpline  # late import: map commands only
 
-        spline = RectBivariateSpline(self.x_axis, self.y_axis, arr.T, kx=1, ky=1)
-        object.__setattr__(self, "_spline", spline)
+        return RectBivariateSpline(self.x_axis, self.y_axis, self.grid.T, kx=1, ky=1)
 
     def value_at(self, x, y):
         """Interpolated derivative [1/m]; DomainError outside the grid."""
-        return _spline_eval(self._spline, x, y, self.domain)[0]
+        return _spline_eval((self._spline,), x, y, self.domain)[0]
 
 
 def uniform_gradient_map(domain: tuple, value: float) -> CouplingGradientMap:
@@ -194,14 +197,26 @@ def _require_inside(region, x, y) -> None:
         raise DomainError("query point outside the map domain")
 
 
-def _spline_eval(spline: RectBivariateSpline, x, y, region, orders=((0, 0),)) -> list:
-    """The spline's (dx, dy) derivative for each of ``orders`` at broadcast
-    x, y inside region, checked once; one FITPACK call per order, floats for
-    scalar queries."""
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+def _increasing(axis) -> bool:
+    return axis.size < 2 or bool(np.all(np.diff(axis) >= 0))
+
+
+def _spline_eval(splines, x, y, region) -> list:
+    """The value of each of ``splines``, an iterable taken after the region
+    check, at broadcast x, y inside region, checked once; floats for scalar
+    queries.  A row x of shape (1, nx) against a column y of shape (ny, 1),
+    both sorted, takes one FITPACK grid call per spline, any other query
+    one point call; both give the same bits."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if (x.ndim == y.ndim == 2 and x.shape[0] == 1 and y.shape[1] == 1
+            and _increasing(x[0]) and _increasing(y[:, 0])):
+        _require_inside(region, x, y)
+        # FITPACK's grid is (nx, ny); transposed and in C order, as a point query's
+        return [np.ascontiguousarray(spline(x[0], y[:, 0]).T) for spline in splines]
+    x, y = np.broadcast_arrays(x, y)
     _require_inside(region, x, y)
     xs, ys = x.ravel(), y.ravel()
-    outs = [spline.ev(xs, ys, dx=dx, dy=dy).reshape(x.shape) for dx, dy in orders]
+    outs = [spline(xs, ys, grid=False).reshape(x.shape) for spline in splines]
     return [float(out) if out.ndim == 0 else out for out in outs]
 
 
@@ -294,12 +309,16 @@ class GriddedField(PotentialField):
 
     Derivatives are taken only inside the scan region, away from the
     spline's end conditions; within one cell of the map edge they raise
-    DomainError.
+    DomainError.  Each derivative order's spline is derived from the fitted
+    one (``partial_derivative``) on that order's first query and kept, so a
+    query evaluates values only; this gives the bits of ``ev(dx=, dy=)``,
+    which rebuilds the derivative coefficients on every call.
     """
 
     maps: CouplingMapSet
     voltages: dict
     _spline: RectBivariateSpline = field(init=False, repr=False)
+    _derived: dict = field(init=False, repr=False, default_factory=dict)  # (dx, dy) -> spline
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -323,13 +342,30 @@ class GriddedField(PotentialField):
         return (x0 + dx, x1 - dx, y0 + dy, y1 - dy)
 
     def _base(self, x, y):
-        return _spline_eval(self._spline, x, y, self.maps.domain)[0]
+        return _spline_eval((self._spline,), x, y, self.maps.domain)[0]
+
+    def _derivative(self, order):
+        """The (dx, dy) partial derivative of the spline, called as (x, y,
+        grid) and derived on first use.  An order ``partial_derivative``
+        cannot derive stays a call of the fitted spline with dx, dy, as
+        ``ev``: one at or above the spline's degree, with ``ev``'s error, and
+        dx >= ky on a 2- or 3-node y axis, which ``ev`` takes but scipy's
+        FITPACK wrapper refuses (it checks dx against the y degree too)."""
+        if order not in self._derived:
+            dx, dy = order
+            kx, ky = self._spline.degrees
+            if dx < min(kx, ky) and dy < ky:
+                self._derived[order] = self._spline.partial_derivative(dx, dy)
+            else:
+                self._derived[order] = partial(self._spline, dx=dx, dy=dy)
+        return self._derived[order]
 
     def _partials(self, points, orders) -> list:
         """The spline's partial derivative [V/m^k] for each of ``orders`` at
         points (..., 2) inside the scan region."""
         pts = np.asarray(points, dtype=float)
-        return _spline_eval(self._spline, pts[..., 0], pts[..., 1], self.scan_region, orders)
+        splines = (self._derivative(order) for order in orders)  # taken after the region check
+        return _spline_eval(splines, pts[..., 0], pts[..., 1], self.scan_region)
 
     def _gradient(self, fx, fy) -> np.ndarray:
         e = self.constants.e
@@ -420,11 +456,12 @@ def compose(
 def sample_grid(field_: PotentialField, region: tuple, nx: int, ny: int | None = None):
     """U [J] on nx x ny nodes spanning region = (x0, x1, y0, y1), edges included.
 
-    Returns (xs, ys, U) with U of shape (ny, nx); ny defaults to nx.
+    Returns (xs, ys, U) with U of shape (ny, nx); ny defaults to nx.  The
+    field is queried with the row xs against the column ys, which gives the
+    bits of a meshgrid query.
     """
     x0, x1, y0, y1 = region
     xs = np.linspace(x0, x1, nx)
     ys = np.linspace(y0, y1, nx if ny is None else ny)
-    xx, yy = np.meshgrid(xs, ys)
-    return xs, ys, np.asarray(field_.energy(xx, yy), dtype=float)
+    return xs, ys, np.asarray(field_.energy(xs[None, :], ys[:, None]), dtype=float)
 

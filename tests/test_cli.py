@@ -481,6 +481,21 @@ def test_sweep_freq_default_grid_matches_fine_reference(tmp_path):
         assert float(row["residual"]) < 1e-12
 
 
+def test_map_cell_beyond_float_range_is_format_error(tmp_path, capsys):
+    # json reads a cell of 1 and 400 zeros as an exact int, which no float
+    # holds: a FormatError naming the electrode, not an OverflowError
+    path = Path(_maps_file(tmp_path))
+    payload = json.loads(path.read_text())
+    payload["electrodes"]["trap"][3][4] = 10**400
+    path.write_text(json.dumps(payload))
+    assert main(["sweep", "freq", "--maps", str(path), "--electrode", "trap", "--vmin", "0.25",
+                 "--vmax", "0.3", "--n", "2", "--out", str(tmp_path / "freq.csv")]) == 1
+    assert [json.loads(line) for line in capsys.readouterr().err.splitlines()] == [{
+        "error": "FormatError",
+        "message": "electrode 'trap' must be a rectangular array of numbers",
+    }]
+
+
 @pytest.mark.parametrize("argv", [
     ["qsolve", "--a1x", "1.1e-8", "--a1y", "1.1e-8", "--out", "levels.json"],
     ["sweep", "freq", "--electrode", "trap", "--vmin", "0.25", "--vmax", "0.3", "--n", "2",
@@ -638,6 +653,8 @@ def test_cli_import_loads_no_scipy():
     # every module imports scipy where a command uses it, so importing the
     # command line, which imports every module, loads none of it
     assert _run_python("import sys, heliumdot.cli\n" + _SCIPY_MODULES) == "[]"
+    # nor orjson, which the JSON reader imports on its first file
+    assert _run_python("import sys, heliumdot.cli\nprint('orjson' in sys.modules)") == "False"
 
 
 def test_commands_import_scipy_only_where_they_use_it(tmp_path):
@@ -661,10 +678,14 @@ def test_commands_import_scipy_only_where_they_use_it(tmp_path):
                   "              '--out', 'fit.json'],\n"
                   f"             ['sweep', 'freq', '--maps', {maps!r}, '--electrode', 'trap',\n"
                   "              '--vmin', '0.3', '--vmax', '0.3', '--n', '1',\n"
-                  "              '--out', 'freq.csv']):\n"
+                  "              '--out', 'freq.csv'],\n"
+                  f"             ['sweep', 'shift', '--maps', {maps!r}, '--electrode', 'trap',\n"
+                  "              '--vmin', '0.3', '--vmax', '0.3', '--n', '1',\n"
+                  "              '--restarts', '2', '--out', 'shift.csv']):\n"
                   "    assert main(argv) == 0, argv\n")
     _run_python(with_scipy, cwd=tmp_path)
-    assert {p.name for p in tmp_path.iterdir()} >= {"comp.csv", "fit.json", "freq.csv"}
+    assert {p.name for p in tmp_path.iterdir()} >= {"comp.csv", "fit.json", "freq.csv",
+                                                    "shift.csv"}
 
 
 _PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}

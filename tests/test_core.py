@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import json
 import math
+import random
+import struct
+from decimal import Context, Decimal
 
 import pytest
 
@@ -180,6 +183,157 @@ def test_config_invalid_json(tmp_path):
     path.write_text("[1, 2, 3]")
     with pytest.raises(FormatError):
         read_json_object(str(path), "config")
+
+
+# ---------------------------------------------------------------------------
+# the JSON reader: orjson, with json for whatever orjson refuses
+# ---------------------------------------------------------------------------
+
+
+def _same(a, b) -> bool:
+    """a and b are equal with the same types, key order and float bits."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(_same(u, v) for u, v in zip(a, b))
+    return a == b
+
+
+_EXACT = Context(prec=1200)  # enough digits for the exact midpoint of any two doubles
+
+
+def _number_text(rng: random.Random) -> str:
+    """A JSON number: a float's repr from random bits, a 1-60-digit decimal,
+    an exact or near midpoint of two adjacent doubles, a subnormal, or an
+    integer within 64 bits."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        value = struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0]
+        return repr(value) if math.isfinite(value) else "0.5"
+    if kind == 1:
+        digits = "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 60)))
+        sign = rng.choice(("", "-"))
+        return f"{sign}{digits[0]}.{digits[1:] or '0'}e{rng.randint(-340, 300)}"
+    if kind in (2, 3):
+        low = struct.unpack("<d", struct.pack("<Q", rng.getrandbits(63)))[0]
+        if not math.isfinite(math.nextafter(low, math.inf)):
+            low = 1.0
+        mid = _EXACT.divide(_EXACT.add(Decimal(low), Decimal(math.nextafter(low, math.inf))), 2)
+        if kind == 2:
+            return f"{mid:e}"
+        near = Context(prec=rng.randint(17, 40), rounding=rng.choice(("ROUND_UP", "ROUND_DOWN")))
+        return f"{near.plus(mid):e}"
+    if kind == 4:
+        return repr(rng.getrandbits(52) * 5e-324)
+    return str(rng.randint(-2**63, 2**64 - 1))
+
+
+_CHARS = 'ab"\\/\b\f\n\r\t\x00\x1f\u00e9\u2028\ufeff\U0001f600 '
+
+
+def _string_text(rng: random.Random) -> str:
+    text = "".join(rng.choice(_CHARS) for _ in range(rng.randint(0, 12)))
+    quoted = json.dumps(text, ensure_ascii=rng.random() < 0.5)
+    return quoted[:-1] + rng.choice(("", "\\/", "\\u00e9", "\\ud83d\\ude00")) + '"'
+
+
+def _document_text(rng: random.Random, depth=0) -> str:
+    roll = rng.random()
+    if depth < 4 and roll < 0.2:
+        items = (f"{_string_text(rng)}: {_document_text(rng, depth + 1)}"
+                 for _ in range(rng.randint(0, 6)))
+        return "{" + ", ".join(items) + "}"
+    if depth < 4 and roll < 0.4:
+        return "[" + ",".join(_document_text(rng, depth + 1) for _ in range(rng.randint(0, 6))) + "]"
+    if roll < 0.75:
+        return _number_text(rng)
+    if roll < 0.9:
+        return _string_text(rng)
+    return rng.choice(("true", "false", "null"))
+
+
+def _read_both(path):
+    with open(path, encoding="utf-8") as fh:
+        return read_json_object(str(path), "doc"), json.load(fh)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_read_json_object_equals_json_load(tmp_path, seed):
+    # seeded documents of nested objects and arrays, escaped strings, ints
+    # within 64 bits and floats of every kind read as json.load reads them,
+    # to the type and the float bit
+    rng = random.Random(seed)
+    path = tmp_path / "doc.json"
+    for _ in range(25):
+        path.write_text('{"doc": ' + _document_text(rng) + "}", encoding="utf-8")
+        got, want = _read_both(path)
+        assert _same(got, want), path.read_text(encoding="utf-8")
+    path.write_text('{"numbers": [' + ", ".join(_number_text(rng) for _ in range(5000)) + "]}",
+                    encoding="utf-8")
+    got, want = _read_both(path)
+    assert _same(got, want)
+
+
+_REFUSED_BY_ORJSON = {
+    "nan": '{"a": NaN}',
+    "infinity": '{"a": Infinity}',
+    "-infinity": '{"a": -Infinity}',
+    "1e400": '{"a": 1e400}',
+    "bom": '\ufeff{"a": 1}',
+    "trailing-comma": '{"a": 1,}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED_BY_ORJSON))
+def test_read_json_object_falls_back_to_json(tmp_path, case):
+    # what orjson refuses goes to json, which keeps its value or its message
+    import orjson
+
+    text = _REFUSED_BY_ORJSON[case]
+    with pytest.raises(orjson.JSONDecodeError):
+        orjson.loads(text)
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    try:
+        want = json.loads(text)
+    except json.JSONDecodeError as exc:
+        with pytest.raises(FormatError) as info:
+            read_json_object(str(path), "config")
+        assert str(info.value) == f"config {path}: invalid JSON ({exc})"
+    else:
+        assert _same(read_json_object(str(path), "config"), want)
+
+
+def test_read_json_object_reads_ints_beyond_64_bits_as_floats(tmp_path):
+    # the one number orjson reads differently from json: an integer literal
+    # outside [-2**63, 2**64) is the nearest float, not an int
+    ints = [2**64 - 1, -2**63, 2**64, -2**63 - 1, 10**30]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"n": ints}))
+    got = read_json_object(str(path), "doc")["n"]
+    assert _same(got, ints[:2] + [float(v) for v in ints[2:]])
+    # a literal beyond float range orjson refuses, so json reads the document
+    path.write_text(json.dumps({"n": ints + [10**400]}))
+    assert _same(read_json_object(str(path), "doc")["n"], ints + [10**400])
+
+
+def test_read_json_object_reads_nesting_json_cannot(tmp_path):
+    # the other input read differently: json's parser recurses, and nesting
+    # this deep raises RecursionError, which orjson's does not
+    depth = 100_000
+    text = '{"a": ' + "[" * depth + "]" * depth + "}"
+    with pytest.raises(RecursionError):
+        json.loads(text)
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    node = read_json_object(str(path), "doc")["a"]
+    for _ in range(depth - 1):
+        (node,) = node
+    assert node == []
 
 
 def test_error_hierarchy():

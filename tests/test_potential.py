@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -194,6 +195,83 @@ def test_gridded_derivatives_are_the_spline_bit_for_bit(case):
                           np.stack([ev(1, 1), ev(0, 2)], axis=-1)], axis=-2)
     assert np.array_equal(f.energy_gradient(pts), grad)
     assert np.array_equal(f.energy_hessian(pts), hess)
+
+
+def _bench_dome_maps():
+    """The benchmark's dome: lever arm exp(-x^2 - (y/0.7)^2) on 81 x 81 nodes
+    over +-1 um."""
+    axis = np.linspace(-1.0, 1.0, 81)
+    xx, yy = np.meshgrid(axis, axis)
+    return CouplingMapSet(x_axis=axis * 1e-6, y_axis=axis * 1e-6,
+                          grids={"trap": np.exp(-xx**2 - (yy / 0.7) ** 2)})
+
+
+@pytest.mark.parametrize("case", ["dome", "quartic"])
+def test_sample_grid_is_the_meshgrid_query_bit_for_bit(case):
+    # sample_grid queries a row of x against a column of y, which the dome
+    # evaluates in one FITPACK grid call; the bits are those of the
+    # point-by-point query over the meshgrid, and an unsorted row falls
+    # back to that query
+    if case == "dome":
+        f = compose(_bench_dome_maps(), {"trap": 0.27}, e_x=-37.0, e_y=121.0)
+    else:
+        f = QuarticField(a1x=2.0e-8, a1y=5.0e-8, a2x=1.3e3, a2y=3.0e3, e_x=11.0, e_y=100.0)
+    for region, nx, ny in ((f.scan_region, 31, 31), ((-0.3e-6, 0.35e-6, -0.2e-6, 0.4e-6), 23, 29)):
+        xs, ys, u = potential.sample_grid(f, region, nx, ny)
+        xx, yy = np.meshgrid(xs, ys)
+        assert u.shape == (ny, nx)
+        assert np.array_equal(u, f.energy(xx, yy))
+        assert np.array_equal(f.energy(xs[::-1][None, :], ys[:, None]), u[:, ::-1])
+
+
+def test_each_derivative_order_is_derived_once(monkeypatch):
+    f = compose(_dome_maps(), {"trap": 0.3, "guard": 0.1})
+    spline_type = type(f._spline)
+    derive = spline_type.partial_derivative
+    derived = []
+    monkeypatch.setattr(spline_type, "partial_derivative",
+                        lambda self, dx, dy: derived.append((dx, dy)) or derive(self, dx, dy))
+    pts = _QUERIES["many"]
+    first = f.energy_derivatives(pts)
+    assert derived == [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    again = f.energy_derivatives(pts)
+    f.energy_gradient(pts), f.energy_hessian(pts)
+    assert len(derived) == 5
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+
+
+def test_three_node_map_refuses_a_second_derivative():
+    # a 3-node axis fits a quadratic spline, whose second derivative FITPACK
+    # refuses with a ValueError, not a DomainError, on every query
+    axis = np.array([-1e-6, 0.0, 1e-6])
+    maps = CouplingMapSet(x_axis=axis, y_axis=axis, grids={"trap": np.full((3, 3), 0.5)})
+    f = compose(maps, {"trap": 0.3})
+    assert f.energy_gradient((0.0, 0.0)).shape == (2,)
+    for query in (f.energy_hessian, f.energy_derivatives, f.energy_hessian):
+        with pytest.raises(ValueError) as info:
+            query((0.0, 0.0))
+        assert not isinstance(info.value, DomainError)
+
+
+@pytest.mark.parametrize("nx, ny", [(3, 3), (5, 3), (3, 5), (4, 4), (9, 3)])
+def test_small_map_derivatives_are_ev_or_its_error(nx, ny):
+    # a 3-node axis drops the spline to degree 2; each order gives ev's bits,
+    # or ev's error where ev refuses it, also (2, 0) on a 3-node y axis,
+    # which scipy's partial_derivative refuses though ev takes it
+    x, y = np.linspace(-1e-6, 1e-6, nx), np.linspace(-1e-6, 1e-6, ny)
+    lever = np.random.default_rng(10 * nx + ny).uniform(0.2, 0.8, (ny, nx))
+    f = compose(CouplingMapSet(x_axis=x, y_axis=y, grids={"trap": lever}), {"trap": 0.3})
+    spline = RectBivariateSpline(x, y, 0.3 * lever.T, kx=min(3, nx - 1), ky=min(3, ny - 1))
+    x0, x1, y0, y1 = f.scan_region
+    pts = np.stack(np.broadcast_arrays(np.linspace(x0, x1, 4), np.linspace(y0, y1, 4)), axis=-1)
+    for order in potential._GRADIENT + potential._HESSIAN:
+        try:
+            want = spline.ev(pts[:, 0], pts[:, 1], *order)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                f._partials(pts, (order,))
+        else:
+            assert np.array_equal(f._partials(pts, (order,))[0], want)
 
 
 def test_scalar_queries_return_floats():
@@ -495,6 +573,14 @@ def test_uniform_gradient_map_constant_everywhere():
     assert gm.value_at(0.3e-6, -0.7e-6) == pytest.approx(0.46e6)
 
 
+def test_gradient_map_fits_its_spline_on_first_read(tmp_path):
+    # sweep freq loads the gradient map but never reads it
+    gm = load_coupling_maps(_write_maps_json(tmp_path / "maps.json")).resonator_gradient
+    assert "_spline" not in vars(gm)
+    gm.value_at(0.0, 0.0)
+    assert "_spline" in vars(gm)
+
+
 def test_gradient_map_validation():
     x = np.linspace(-1e-6, 1e-6, 4)
     with pytest.raises(FormatError, match="gradient map"):
@@ -555,6 +641,26 @@ _MALFORMED_MAPS = {
     "gradient-object": '{' + _AXES + ', "electrodes": {"trap": [[0, 0], [0, 0]]}, '
                        '"resonator_diff_grad_per_um": [[0, {}], [0, 0]]}',
 }
+
+
+_BEYOND_FLOAT = 10**400  # an int that json reads exactly and no float holds
+
+
+@pytest.mark.parametrize("key, name", [
+    ("x_axis_um", "x_axis_um"),
+    ("electrodes", "electrode 'trap'"),
+    ("resonator_diff_grad_per_um", "gradient map"),
+])
+def test_load_coupling_maps_names_an_int_beyond_float_range(tmp_path, key, name):
+    # a FormatError naming the array, not numpy's bare OverflowError
+    big = {
+        "x_axis_um": [-1.0, 0.0, _BEYOND_FLOAT],
+        "electrodes": {"trap": [[0.1, 0.2, 0.1], [0.2, _BEYOND_FLOAT, 0.2], [0.1, 0.2, 0.1]]},
+        "resonator_diff_grad_per_um": [[0.3] * 3, [0.3, _BEYOND_FLOAT, 0.3], [0.3] * 3],
+    }
+    path = _write_maps_json(tmp_path / "maps.json", extra={key: big[key]})
+    with pytest.raises(FormatError, match=f"^{name} must be a rectangular array of numbers$"):
+        load_coupling_maps(path)
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED_MAPS))

@@ -25,7 +25,11 @@ from __future__ import annotations
 import ast
 import importlib
 import math
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "heliumdot"
@@ -460,6 +464,29 @@ def test_one_way_in_and_out():
                         and node.func.id == "open"):
                     openers.add(f"{path.stem}.{owner}")
     assert openers == {"core.read_json_object", "io.write_text", "io.read_text"}
+
+
+def _third_party_imports() -> set:
+    """Top-level modules the package imports anywhere, in a function body
+    too, less the standard library and the package itself."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                found.add(node.module.split(".")[0])
+    return found - set(sys.stdlib_module_names) - {"heliumdot"}
+
+
+def test_every_imported_package_is_a_declared_dependency():
+    tomllib = pytest.importorskip("tomllib", reason="tomllib is new in Python 3.11")
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower()
+                for dep in tomllib.loads(text)["project"]["dependencies"]}
+    imported = _third_party_imports()
+    assert imported >= {"numpy", "scipy", "orjson"}
+    assert imported <= declared, f"imported but not declared: {sorted(imported - declared)}"
 
 
 # the I/O boundary, where cyclic units are read and written
