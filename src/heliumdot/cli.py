@@ -560,7 +560,8 @@ def main(argv: list[str] | None = None) -> int:
     zero) can fail in plain float math.  Numpy's float errors (overflow,
     division by zero, an invalid operation such as inf - inf) raise
     FloatingPointError, one of them, instead of printing a warning.  A size
-    flag too large to allocate is a MemoryError.
+    flag too large to allocate is a MemoryError, and data nested too deeply
+    to copy into an output (trace metadata from a sidecar) a RecursionError.
 
     A command writes its own output files and returns None, or returns a
     JSON payload, which gains the resolved ``config`` and goes to ``--out``
@@ -601,7 +602,7 @@ def main(argv: list[str] | None = None) -> int:
                 sys.stdout.write(text)
         return 0
     except (UsageError, DomainError, FormatError, FitError, OSError, ArithmeticError,
-            MemoryError) as exc:
+            MemoryError, RecursionError) as exc:
         # numpy's MemoryError is a private subclass; report the builtin name
         name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
         sys.stderr.write(

@@ -6,21 +6,22 @@ pairwise Coulomb repulsion; its pair terms in energy, gradient and Hessian
 are broadcast over one (..., N, N) table of displacements and distances,
 for one configuration (N, 2) or a stack of them (..., N, 2).  Each pair
 term is defined once, in a private helper that the public totals and the
-descent's query share, so they agree bit for bit.
+descent's query share, and the field terms of both come from the field's
+one derivative query, ``energy_derivatives``, so they agree bit for bit.
 
 Equilibrium configurations come from a seeded multi-start trust-region
 Newton descent (Steihaug truncated conjugate gradients on the analytic
 Hessian).  All restarts of one minimisation descend together as one
 (R, N, 2) batch, and each restart keeps its own trust radius and stops on
 its own.  Each iteration queries the proposals of the live restarts once:
-one pair table, one field energy call and one field derivative call
-(``energy_derivatives``) give the energies, gradients and the field's
-Hessian blocks, and the 2N x 2N Hessians are assembled only where a step
-is accepted.  The field's scan region is the descent's domain; a restart
-that leaves it, or brings a pair closer than MIN_SEPARATION, is masked out
-of the query as infinite energy.  The same descent, of one electron from
-the best node of a grid scan, finds the trap minimum (``trap_minimum``)
-that centers a cold start and the level solver's window.  In-plane
+one pair table, one field energy call and one field derivative query give
+the energies, gradients and the field's Hessian blocks, and the 2N x 2N
+Hessians are assembled only where a step is accepted.  The field's scan
+region is the descent's domain; a restart that leaves it, or brings a pair
+closer than MIN_SEPARATION, is masked out of the query as infinite energy.
+The same descent, of one electron from the best node of a grid scan, finds
+the trap minimum (``trap_minimum``) that centers a cold start and the level
+solver's window.  In-plane
 vibrational modes come from the mass-scaled Hessian, and the observable
 resonator pull from a classical coupled-oscillator eigenproblem between the
 resonator mode and every cluster mode.  Every function that takes a field
@@ -168,7 +169,7 @@ def total_energy(field_: PotentialField, positions):
 def total_gradient(field_: PotentialField, positions) -> np.ndarray:
     """Gradient of the total energy, shape (..., N, 2) like positions [J/m]."""
     pos = _check_positions(positions)
-    return field_.energy_gradient(pos) - _pair_force(*_pair_diffs(pos), _ke2(field_))
+    return field_.energy_derivatives(pos)[0] - _pair_force(*_pair_diffs(pos), _ke2(field_))
 
 
 def total_hessian(field_: PotentialField, positions) -> np.ndarray:
@@ -179,7 +180,7 @@ def total_hessian(field_: PotentialField, positions) -> np.ndarray:
     d = r_i - r_j: -B off the diagonal, and +B to both diagonal blocks.
     """
     pos = _check_positions(positions)
-    return _assemble_hessian(field_.energy_hessian(pos), pos, _ke2(field_))
+    return _assemble_hessian(field_.energy_derivatives(pos)[1], pos, _ke2(field_))
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +460,7 @@ def trap_minimum(field_: PotentialField) -> tuple:
         if np.isfinite(step).all() and np.any(np.abs(step) > STEP_ZPL * zpl):
             trial = np.clip(center - step, region[::2], region[1::2])
             if field_.energy(*trial) <= energy:
-                center, hess = trial, field_.energy_hessian(trial)
+                center, hess = trial, field_.energy_derivatives(trial)[1]
     return center, hess
 
 

@@ -14,6 +14,8 @@ import json
 import math
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
 GHZ = 1e9 * TWO_PI  # rad/s per GHz
 MHZ = 1e6 * TWO_PI  # rad/s per MHz
@@ -152,31 +154,54 @@ def default_resonator() -> ResonatorParams:
                            kappa_2=TWO_PI * 11.5e6)
 
 
+# Most opening brackets in a document orjson parses: orjson recurses on the
+# C stack without a limit, and 150 000 levels overflowed an 8 MB stack.
+MAX_ORJSON_BRACKETS = 10_000
+
+
+def _parse_json(raw: bytes):
+    """orjson's value of the file bytes raw when they hold at most
+    MAX_ORJSON_BRACKETS "[" and "{", the most they can nest, and orjson
+    takes them; otherwise the stdlib parser's value of the text a text-mode
+    read gives (UTF-8, universal newlines).  numpy counts the brackets in
+    about an eighth of orjson's parse time."""
+    codes = np.frombuffer(raw, np.uint8)
+    brackets = np.count_nonzero(codes == ord("[")) + np.count_nonzero(codes == ord("{"))
+    if brackets <= MAX_ORJSON_BRACKETS:
+        import orjson  # late import: not every command reads JSON
+
+        try:
+            return orjson.loads(raw)
+        except orjson.JSONDecodeError:
+            pass  # the stdlib parser keeps its value or its message
+    return json.loads(raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+
+
 def read_json_object(path: str, what: str) -> dict:
     """Parse the UTF-8 JSON file at ``path``, whose top level must be an
     object; FormatError naming ``what`` (say "config") otherwise.
 
-    orjson parses the text; whatever it refuses goes to the stdlib parser,
-    so NaN and Infinity tokens, numbers beyond float range, a BOM and every
-    syntax error keep json's value or message.  Two inputs read differently
-    from ``json.load``: an integer literal outside [-2**63, 2**64) becomes
-    the nearest float, not an int, and nesting deeper than the interpreter's
-    recursion limit parses instead of raising RecursionError.
+    orjson parses a file of at most MAX_ORJSON_BRACKETS opening brackets;
+    a larger one, and whatever orjson refuses, goes to the stdlib parser, so
+    NaN and Infinity tokens, numbers beyond float range, a BOM and every
+    syntax error keep json's value or message, and nesting deeper than the
+    interpreter's recursion limit is a FormatError.  Two inputs read
+    differently from ``json.load``: an integer literal outside
+    [-2**63, 2**64) becomes the nearest float, not an int, and nesting past
+    the recursion limit within MAX_ORJSON_BRACKETS brackets parses instead
+    of raising RecursionError.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError:
-            raise FormatError(f"{what} {path}: not UTF-8 text") from None
-    import orjson  # late import: not every command reads JSON
-
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        obj = orjson.loads(text)
-    except orjson.JSONDecodeError:
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{what} {path}: invalid JSON ({exc})") from None
+        obj = _parse_json(raw)
+    except UnicodeDecodeError:
+        raise FormatError(f"{what} {path}: not UTF-8 text") from None
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{what} {path}: invalid JSON ({exc})") from None
+    except RecursionError:
+        raise FormatError(f"{what} {path}: JSON nested deeper than the parser's "
+                          f"recursion limit") from None
     if not isinstance(obj, dict):
         raise FormatError(f"{what} {path}: top level must be an object")
     return obj

@@ -138,13 +138,16 @@ def write_trace(trace: SpectrumTrace, path: str, config: Mapping | None = None) 
     """Write a trace as CSV (freq_GHz, re_s21, im_s21) plus a JSON sidecar.
 
     The sidecar (same path with .json appended) carries the trace metadata
-    and the resolved config.
+    and the resolved config.  Both texts are formatted before either file is
+    written, so metadata that cannot be encoded leaves no CSV without its
+    sidecar.
     """
     rows = map("{!r},{!r},{!r}\n".format, (trace.probe / GHZ).tolist(),
                trace.s21.real.tolist(), trace.s21.imag.tolist())
-    write_text(path, _config_line(config) + "freq_GHz,re_s21,im_s21\n" + "".join(rows))
-    sidecar = {"metadata": trace.metadata, "config": config or {}}
-    write_text(path + ".json", _json_dumps(sidecar))
+    csv = _config_line(config) + "freq_GHz,re_s21,im_s21\n" + "".join(rows)
+    sidecar = _json_dumps({"metadata": trace.metadata, "config": config or {}})
+    write_text(path, csv)
+    write_text(path + ".json", sidecar)
 
 
 def read_trace(path: str) -> SpectrumTrace:

@@ -14,16 +14,17 @@ Every field is a PotentialField: GriddedField (what ``compose`` returns)
 interpolates tabulated maps with a bicubic spline and differentiates the
 spline exactly (scipy.interpolate, imported when the first spline is fit);
 QuarticField is a quartic polynomial surrogate with closed-form
-derivatives, useful for oracles and solver cross-checks.
-Values live on a map's ``domain``, derivatives on a field's ``scan_region``
-(the map less one cell); both are fixed at construction.  A GriddedField
-derives the spline of each (dx, dy) derivative order once, on its first
-query, and a query checks its region once and makes one FITPACK value call
-per order it needs: one for a value, two for a gradient, three for a
-Hessian, and five for ``energy_derivatives``, which returns the gradient
-and the Hessian together.  ``sample_grid``, the grid scan the solvers
-share, queries a row of x against a column of y, which a GriddedField
-evaluates in one FITPACK grid call.  Every field parameter must be finite.
+derivatives, useful for oracles and solver cross-checks.  A field's one
+derivative query, ``energy_derivatives``, returns the energy gradient and
+Hessian together.  Values live on a map's ``domain``, derivatives on a
+field's ``scan_region`` (the map less one cell); both are fixed at
+construction.  A map set needs MIN_NODES = 4 nodes per axis, the fewest a
+bicubic spline takes.  A GriddedField derives the splines of all five
+derivative orders when it is built, so a derivative query checks its region
+once and makes five FITPACK value calls.  ``sample_grid``, the grid scan
+the solvers share, queries a row of x against a column of y, which a
+GriddedField evaluates in one FITPACK grid call.  Every field parameter
+must be finite.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
@@ -44,6 +45,8 @@ if TYPE_CHECKING:  # the spline type, for annotations only
 # Loader tolerance on the lever-arm range: maps are physical fractions in
 # [0, 1] but FEM exports ring slightly outside, so accept [-0.01, 1.01].
 ALPHA_TOL = 0.01
+# Fewest nodes per axis of a map set: a bicubic spline needs four.
+MIN_NODES = 4
 
 
 def _float_array(values, name: str) -> np.ndarray:
@@ -102,6 +105,10 @@ class CouplingMapSet(_Grid):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        shape = (self.y_axis.size, self.x_axis.size)
+        if min(shape) < MIN_NODES:
+            raise FormatError(f"coupling maps need at least {MIN_NODES} nodes per axis for "
+                              f"a bicubic spline, got a {shape[1]} x {shape[0]} grid")
         if not self.grids:
             raise FormatError("coupling map set has no electrodes")
         clean = {}
@@ -160,9 +167,9 @@ def uniform_gradient_map(domain: tuple, value: float) -> CouplingGradientMap:
 def load_coupling_maps(path: str) -> CouplingMapSet:
     """Load a coupling-map JSON file.
 
-    Expected keys: x_axis_um, y_axis_um (strictly increasing, micrometers),
-    electrodes (name -> [ny][nx] lever arms) and optional
-    resonator_diff_grad_per_um ([ny][nx], 1/um).
+    Expected keys: x_axis_um, y_axis_um (strictly increasing, micrometers,
+    at least MIN_NODES = 4 each), electrodes (name -> [ny][nx] lever arms)
+    and optional resonator_diff_grad_per_um ([ny][nx], 1/um).
     """
     raw = read_json_object(path, "coupling maps")
     for key in ("x_axis_um", "y_axis_um", "electrodes"):
@@ -202,11 +209,11 @@ def _increasing(axis) -> bool:
 
 
 def _spline_eval(splines, x, y, region) -> list:
-    """The value of each of ``splines``, an iterable taken after the region
-    check, at broadcast x, y inside region, checked once; floats for scalar
-    queries.  A row x of shape (1, nx) against a column y of shape (ny, 1),
-    both sorted, takes one FITPACK grid call per spline, any other query
-    one point call; both give the same bits."""
+    """The value of each of ``splines`` at broadcast x, y inside region,
+    checked once; floats for scalar queries.  A row x of shape (1, nx)
+    against a column y of shape (ny, 1), both sorted, takes one FITPACK grid
+    call per spline, any other query one point call; both give the same
+    bits."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if (x.ndim == y.ndim == 2 and x.shape[0] == 1 and y.shape[1] == 1
             and _increasing(x[0]) and _increasing(y[:, 0])):
@@ -231,9 +238,8 @@ def _require_finite(params: Mapping[str, float]) -> None:
 # ---------------------------------------------------------------------------
 
 
-# spline derivative orders (dx, dy) of a gradient and of a Hessian
-_GRADIENT = ((1, 0), (0, 1))
-_HESSIAN = ((2, 0), (1, 1), (0, 2))
+# spline derivative orders (dx, dy): a gradient's, then a Hessian's
+_ORDERS = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
 def _sym2(hxx, hxy, hyy) -> np.ndarray:
@@ -250,13 +256,10 @@ def _sym2(hxx, hxy, hyy) -> np.ndarray:
 class PotentialField(ABC):
     """Electrostatic potential on the helium surface, phi = base + E_x x + E_y y.
 
-    A subclass supplies the electrode part ``_base`` [V] and the electron
-    energy derivatives ``energy_gradient`` [J/m] and ``energy_hessian``
-    [J/m^2] over points of shape (..., 2), and the ``scan_region`` in which
-    solvers look for the trap minimum.  ``energy_derivatives`` returns both
-    derivatives of one query; a subclass overrides it where one pass is
-    cheaper than two.  ``evaluate`` is defined here and only here, so every
-    field evaluation goes through one method.
+    A subclass supplies the electrode part ``_base`` [V], the electron
+    energy derivatives ``energy_derivatives``, and the ``scan_region`` in
+    which solvers look for the trap minimum.  ``evaluate`` is defined here
+    and only here, so every field evaluation goes through one method.
     """
 
     e_x: float = 0.0
@@ -283,17 +286,10 @@ class PotentialField(ABC):
         """Electrode potential [V] without the uniform field terms."""
 
     @abstractmethod
-    def energy_gradient(self, points) -> np.ndarray:
-        """dU/dr [J/m] at points of shape (..., 2); same shape out."""
-
-    @abstractmethod
-    def energy_hessian(self, points) -> np.ndarray:
-        """Second derivatives of U [J/m^2] at points of shape (..., 2); shape
-        (..., 2, 2) out, each 2 x 2 block symmetric."""
-
     def energy_derivatives(self, points) -> tuple:
-        """(energy_gradient, energy_hessian) at points of shape (..., 2)."""
-        return self.energy_gradient(points), self.energy_hessian(points)
+        """(gradient, Hessian) of U at points of shape (..., 2): dU/dr [J/m]
+        of the same shape, and the second derivatives [J/m^2] of shape
+        (..., 2, 2), each 2 x 2 block symmetric."""
 
     @property
     @abstractmethod
@@ -309,16 +305,16 @@ class GriddedField(PotentialField):
 
     Derivatives are taken only inside the scan region, away from the
     spline's end conditions; within one cell of the map edge they raise
-    DomainError.  Each derivative order's spline is derived from the fitted
-    one (``partial_derivative``) on that order's first query and kept, so a
-    query evaluates values only; this gives the bits of ``ev(dx=, dy=)``,
-    which rebuilds the derivative coefficients on every call.
+    DomainError.  The spline of each derivative order is derived from the
+    fitted one (``partial_derivative``) when the field is built, so a query
+    evaluates values only; this gives the bits of ``ev(dx=, dy=)``, which
+    rebuilds the derivative coefficients on every call.
     """
 
     maps: CouplingMapSet
     voltages: dict
     _spline: RectBivariateSpline = field(init=False, repr=False)
-    _derived: dict = field(init=False, repr=False, default_factory=dict)  # (dx, dy) -> spline
+    _derived: tuple = field(init=False, repr=False)  # one spline per _ORDERS entry
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -326,12 +322,12 @@ class GriddedField(PotentialField):
         w = np.zeros((self.maps.y_axis.size, self.maps.x_axis.size))
         for name, volt in self.voltages.items():
             w += float(volt) * self.maps.grids[name]
-        # with fewer than four nodes on an axis the spline drops to that degree
-        kx, ky = min(3, self.maps.x_axis.size - 1), min(3, self.maps.y_axis.size - 1)
         from scipy.interpolate import RectBivariateSpline  # late import: map commands only
 
-        spline = RectBivariateSpline(self.maps.x_axis, self.maps.y_axis, w.T, kx=kx, ky=ky)
+        spline = RectBivariateSpline(self.maps.x_axis, self.maps.y_axis, w.T)
         object.__setattr__(self, "_spline", spline)
+        object.__setattr__(self, "_derived",
+                           tuple(spline.partial_derivative(dx, dy) for dx, dy in _ORDERS))
 
     @cached_property
     def scan_region(self) -> tuple:
@@ -344,46 +340,14 @@ class GriddedField(PotentialField):
     def _base(self, x, y):
         return _spline_eval((self._spline,), x, y, self.maps.domain)[0]
 
-    def _derivative(self, order):
-        """The (dx, dy) partial derivative of the spline, called as (x, y,
-        grid) and derived on first use.  An order ``partial_derivative``
-        cannot derive stays a call of the fitted spline with dx, dy, as
-        ``ev``: one at or above the spline's degree, with ``ev``'s error, and
-        dx >= ky on a 2- or 3-node y axis, which ``ev`` takes but scipy's
-        FITPACK wrapper refuses (it checks dx against the y degree too)."""
-        if order not in self._derived:
-            dx, dy = order
-            kx, ky = self._spline.degrees
-            if dx < min(kx, ky) and dy < ky:
-                self._derived[order] = self._spline.partial_derivative(dx, dy)
-            else:
-                self._derived[order] = partial(self._spline, dx=dx, dy=dy)
-        return self._derived[order]
-
-    def _partials(self, points, orders) -> list:
-        """The spline's partial derivative [V/m^k] for each of ``orders`` at
-        points (..., 2) inside the scan region."""
-        pts = np.asarray(points, dtype=float)
-        splines = (self._derivative(order) for order in orders)  # taken after the region check
-        return _spline_eval(splines, pts[..., 0], pts[..., 1], self.scan_region)
-
-    def _gradient(self, fx, fy) -> np.ndarray:
-        e = self.constants.e
-        return np.stack([-e * (fx + self.e_x), -e * (fy + self.e_y)], axis=-1)
-
-    def _hessian(self, fxx, fxy, fyy) -> np.ndarray:
-        return -self.constants.e * _sym2(fxx, fxy, fyy)
-
-    def energy_gradient(self, points) -> np.ndarray:
-        return self._gradient(*self._partials(points, _GRADIENT))
-
-    def energy_hessian(self, points) -> np.ndarray:
-        return self._hessian(*self._partials(points, _HESSIAN))
-
     def energy_derivatives(self, points) -> tuple:
         """Gradient and Hessian from one region check and one spline call."""
-        partials = self._partials(points, _GRADIENT + _HESSIAN)
-        return self._gradient(*partials[:2]), self._hessian(*partials[2:])
+        pts = np.asarray(points, dtype=float)
+        fx, fy, fxx, fxy, fyy = _spline_eval(self._derived, pts[..., 0], pts[..., 1],
+                                             self.scan_region)
+        e = self.constants.e
+        gradient = np.stack([-e * (fx + self.e_x), -e * (fy + self.e_y)], axis=-1)
+        return gradient, -e * _sym2(fxx, fxy, fyy)
 
 
 @dataclass(frozen=True, eq=False)
@@ -415,20 +379,15 @@ class QuarticField(PotentialField):
             self.a1x * x**2 + self.a2x * x**4 + self.a1y * y**2 + self.a2y * y**4
         ) / self.constants.e
 
-    def energy_gradient(self, points) -> np.ndarray:
+    def energy_derivatives(self, points) -> tuple:
         pts = np.asarray(points, dtype=float)
         x, y = pts[..., 0], pts[..., 1]
         e = self.constants.e
         gx = 2 * self.a1x * x + 4 * self.a2x * x**3 - e * self.e_x
         gy = 2 * self.a1y * y + 4 * self.a2y * y**3 - e * self.e_y
-        return np.stack([gx, gy], axis=-1)
-
-    def energy_hessian(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        x, y = pts[..., 0], pts[..., 1]
         hxx = 2 * self.a1x + 12 * self.a2x * x**2
         hyy = 2 * self.a1y + 12 * self.a2y * y**2
-        return _sym2(hxx, np.zeros_like(hxx), hyy)
+        return np.stack([gx, gy], axis=-1), _sym2(hxx, np.zeros_like(hxx), hyy)
 
 
 def compose(

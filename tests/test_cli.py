@@ -601,6 +601,47 @@ def test_grid_under_three_nodes_is_one_error(tmp_path, monkeypatch, capsys, comm
     assert [p.name for p in tmp_path.iterdir()] in ([], ["maps.json"])
 
 
+@pytest.mark.parametrize("nx, ny", [(3, 3), (5, 3)])
+@pytest.mark.parametrize("command", ["freq", "shift"])
+def test_map_under_four_nodes_per_axis_is_one_error(tmp_path, capsys, command, nx, ny):
+    # refused when the maps load, before any spline is fit: one FormatError
+    # line instead of FITPACK's traceback, and no output file
+    axis_x, axis_y = np.linspace(-1.0, 1.0, nx), np.linspace(-1.0, 1.0, ny)
+    maps = tmp_path / "maps.json"
+    maps.write_text(json.dumps({"x_axis_um": axis_x.tolist(), "y_axis_um": axis_y.tolist(),
+                                "electrodes": {"trap": np.full((ny, nx), 0.5).tolist()}}))
+    argv = ["sweep", command, "--maps", str(maps), "--electrode", "trap", "--vmin", "0.25",
+            "--vmax", "0.3", "--n", "2", "--out", str(tmp_path / "sweep.csv")]
+    assert main(argv + (["--grad-per-um", "0.01"] if command == "shift" else [])) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [json.loads(line) for line in captured.err.splitlines()] == [{
+        "error": "FormatError",
+        "message": f"coupling maps need at least 4 nodes per axis for a bicubic spline, "
+                   f"got a {nx} x {ny} grid"}]
+    assert [p.name for p in tmp_path.iterdir()] == ["maps.json"]
+
+
+def test_compensate_of_deeply_nested_sidecar_metadata_is_one_error(tmp_path, monkeypatch,
+                                                                  capsys):
+    # metadata nested 5000 deep reads, but copying it into the compensated
+    # trace's sidecar recurses too deep: one JSON error line, and neither the
+    # CSV nor its sidecar is written
+    monkeypatch.chdir(tmp_path)
+    assert main(_synth_args("far.csv", seed=1)) == 0
+    assert main(_synth_args("target.csv", kind="rabi", seed=2)) == 0
+    depth = 5000
+    (tmp_path / "target.csv.json").write_text(
+        '{"metadata": {"deep": ' + "[" * depth + "]" * depth + "}}")
+    assert main(["compensate", "--far", "far.csv", "--target", "target.csv",
+                 "--out", "comp.csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [err] = [json.loads(line) for line in captured.err.splitlines()]
+    assert err["error"] == "RecursionError"
+    assert not list(tmp_path.glob("comp.csv*"))
+
+
 def test_qsolve_flags_edge_minimum(capsys):
     # a1x < 0 puts the x minimum on the window edge: the levels are printed,
     # flagged as in the sweep's flags column; the x window, sized from a

@@ -27,6 +27,7 @@ from heliumdot.cluster import (
 )
 from heliumdot.core import CONSTANTS, DomainError, TWO_PI, default_resonator
 from heliumdot.potential import (
+    CouplingGradientMap,
     CouplingMapSet,
     GriddedField,
     QuarticField,
@@ -100,7 +101,7 @@ def _loop_hessian(field, pos):
     """Reference: the field blocks plus each pair's block, one pair at a time."""
     n = pos.shape[0]
     hess = np.zeros((2 * n, 2 * n))
-    for i, block in enumerate(field.energy_hessian(pos)):
+    for i, block in enumerate(field.energy_derivatives(pos)[1]):
         hess[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] += block
     ke2 = CONSTANTS.coulomb * CONSTANTS.e**2
     for i in range(n):
@@ -135,12 +136,13 @@ def test_no_pair_terms_below_two_electrons(kind, n):
              else _harmonic(5.0, 8.0))
     pos = np.full((n, 2), 30e-9)
     assert total_energy(field, pos) == float(np.sum(field.energy(pos[:, 0], pos[:, 1])))
+    field_grad, field_hess = field.energy_derivatives(pos)
     grad = total_gradient(field, pos)
     assert grad.shape == (n, 2)
-    assert np.array_equal(grad, field.energy_gradient(pos))
+    assert np.array_equal(grad, field_grad)
     hess = total_hessian(field, pos)
     assert hess.shape == (2 * n, 2 * n)
-    assert np.array_equal(hess, field.energy_hessian(pos).reshape(2 * n, 2 * n))
+    assert np.array_equal(hess, field_hess.reshape(2 * n, 2 * n))
 
 
 def test_hessian_stack_in_place_peak_and_bits():
@@ -163,7 +165,7 @@ def test_hessian_stack_in_place_peak_and_bits():
     pair = CONSTANTS.coulomb * CONSTANTS.e**2 * (3.0 * outer / r**5 - np.eye(2) / r**3)
     ref = -pair
     idx = np.arange(100)
-    ref[..., idx, idx, :, :] = field.energy_hessian(pos) + pair.sum(axis=-3)
+    ref[..., idx, idx, :, :] = field.energy_derivatives(pos)[1] + pair.sum(axis=-3)
     assert np.array_equal(hess, ref.swapaxes(-3, -2).reshape(8, 200, 200))
 
 
@@ -303,6 +305,10 @@ class _KinkedEnergy(QuarticField):
     def _base(self, x, y):
         return super()._base(x, y) - self.kink * np.abs(x) / self.constants.e
 
+    def energy_derivatives(self, points):
+        """The harmonic trap's, without the kink."""
+        return super().energy_derivatives(points)
+
 
 def test_minimize_stop_at_energy_kink_not_converged():
     wx, wy = 5.0 * GHZ, 8.0 * GHZ
@@ -315,6 +321,7 @@ def test_minimize_stop_at_energy_kink_not_converged():
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         config = minimize(field, 1, seed=0, restarts=2)
     assert abs(config.positions[0, 0]) < 25e-9  # short of the gradient's zero
+    assert config.gradient_norm > cluster.GRAD_TOL  # the kink stopped it, not the gradient
     assert not config.converged
 
 
@@ -426,18 +433,13 @@ def test_cold_minimize_makes_one_derivative_call_per_query(monkeypatch):
 
 def _nan_right_of(field, monkeypatch, hole):
     """Make every gradient of field's class NaN at points right of x = hole."""
-    cls = type(field)
-    gradient, derivatives = cls.energy_gradient, cls.energy_derivatives
-
-    def holed(grad, points):
-        return np.where(np.asarray(points)[..., :1] > hole, np.nan, grad)
+    derivatives = type(field).energy_derivatives
 
     def holed_derivatives(self, points):
         grad, hess = derivatives(self, points)
-        return holed(grad, points), hess
+        return np.where(np.asarray(points)[..., :1] > hole, np.nan, grad), hess
 
-    monkeypatch.setattr(cls, "energy_gradient", lambda self, pts: holed(gradient(self, pts), pts))
-    monkeypatch.setattr(cls, "energy_derivatives", holed_derivatives)
+    monkeypatch.setattr(type(field), "energy_derivatives", holed_derivatives)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
@@ -453,6 +455,7 @@ def test_query_is_the_public_totals_bit_for_bit(monkeypatch, kind, n):
         stack[2, 1] = stack[2, 0] + 0.5 * MIN_SEPARATION  # a pair too close
     stack[3, -1, 0] = hole + 0.1e-6  # a gradient of NaN
     bad = [1, 3] if n == 1 else [1, 2, 3]
+    assert np.isnan(total_gradient(field, stack[3])).any()  # the hole is live
     energy, grad, blocks = cluster._query(field, stack)
     assert np.all(energy[bad] == np.inf)
     assert not grad[bad].any() and not blocks[bad].any()
@@ -786,3 +789,106 @@ def test_shift_sweep_unknown_electrode():
             maps, {}, "gate7", [0.1], 1, default_resonator(),
             gradient_map=uniform_gradient_map(maps.domain, 0.01e6),
         )
+
+
+# ---------------------------------------------------------------------------
+# symmetry oracles
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", [2, 3])
+def test_uniform_field_only_translates_a_cluster_in_a_harmonic_trap(seed, n):
+    """In a 6 x 9 GHz harmonic trap a uniform E_x shifts every electron by
+    e E_x / (2 a1x): the centroid moves by that to 1e-12, y not at all, the
+    energy falls by N (e E_x)^2 / (4 a1x) to 1e-12, and the modes stay.  Two
+    descents stop anywhere within the floor at which a full Newton step
+    would lower the energy by at most FLOOR_ULPS ulp, so the squared modes,
+    the Hessian's eigenvalues, agree to that floor over the spacing of the
+    largest (measured: at most a tenth of it over 30 seeds)."""
+    e_x = float(np.random.default_rng(seed).uniform(0.5e3, 3e3)) * (-1) ** seed
+    still, pulled = _harmonic(6.0, 9.0), replace(_harmonic(6.0, 9.0), e_x=e_x)
+    shift = CONSTANTS.e * e_x / (2 * still.a1x)
+    drop = n * (CONSTANTS.e * e_x) ** 2 / (4 * still.a1x)
+    rest, moved = minimize(still, n, seed=seed), minimize(pulled, n, seed=seed)
+    assert rest.converged and moved.converged
+    centroid = moved.positions.mean(axis=0) - rest.positions.mean(axis=0)
+    assert abs(centroid[0] - shift) <= 1e-12 * abs(shift)
+    assert abs(centroid[1]) <= 1e-12 * abs(shift)
+    assert abs(rest.energy - moved.energy - drop) <= 1e-12 * drop
+    lowest = np.linalg.eigvalsh(total_hessian(still, rest.positions))[0]
+    floor = math.sqrt(2 * FLOOR_ULPS * np.spacing(abs(rest.energy)) / lowest)
+    spacing = _pair_diffs(rest.positions)[1].min()
+    modes, pulled_modes = (normal_modes(f, c).frequencies for f, c in ((still, rest),
+                                                                       (pulled, moved)))
+    assert np.abs(pulled_modes**2 - modes**2).max() <= floor / spacing * modes[-1] ** 2
+
+
+def _skewed_dome_maps(seed: int, mirrored: bool = False):
+    """Maps of a seeded dome with an off-centre top and an xy term, and a
+    Gaussian resonator gradient off the top, or the mirror image in x of
+    both; and the voltage to compose them at."""
+    rng = np.random.default_rng(seed)
+    axis = np.linspace(-1e-6, 1e-6, 81)
+    xx, yy = np.meshgrid(axis, axis)
+    cx, cy = rng.uniform(-0.15e-6, 0.15e-6, 2)
+    dx, dy = (xx - cx) / rng.uniform(0.8e-6, 1.1e-6), (yy - cy) / rng.uniform(0.55e-6, 0.75e-6)
+    lever = np.exp(-(dx**2 + dy**2 - rng.uniform(-0.4, 0.4) * dx * dy))
+    grad = 0.15e6 * np.exp(-((xx - 0.2e-6) ** 2 + (yy + 0.1e-6) ** 2) / (2 * 0.5e-6**2))
+    x_axis = axis
+    if mirrored:
+        x_axis, lever, grad = -axis[::-1], lever[:, ::-1], grad[:, ::-1]
+    maps = CouplingMapSet(x_axis=x_axis, y_axis=axis, grids={"trap": lever},
+                          resonator_gradient=CouplingGradientMap(x_axis, axis, grad))
+    return maps, float(rng.uniform(0.2, 0.4))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mirrored_map_mirrors_the_cluster(seed, n):
+    """Mirroring the map in x mirrors the minimised positions, to the floor
+    at which a full Newton step would lower the energy by at most
+    FLOOR_ULPS ulp, since two descents stop anywhere within it.  At the
+    mirrored configuration itself the energy keeps to 1e-15, the modes to
+    1e-11 (measured 4e-12) and the sweep shift to 1e-12, the splines of the
+    two maps differing in rounding only."""
+    maps, volts = _skewed_dome_maps(seed)
+    mirror_maps, _ = _skewed_dome_maps(seed, mirrored=True)
+    field, mirror = compose(maps, {"trap": volts}), compose(mirror_maps, {"trap": volts})
+    config = minimize(field, n, seed=seed)
+    found = minimize(mirror, n, seed=seed).positions * (-1.0, 1.0)
+    assert config.converged
+    lowest = np.linalg.eigvalsh(total_hessian(field, config.positions))[0]
+    floor = math.sqrt(2 * FLOOR_ULPS * np.spacing(abs(config.energy)) / lowest)
+    order = np.lexsort(config.positions.T[::-1])
+    assert np.abs(found[np.lexsort(found.T[::-1])] - config.positions[order]).max() <= floor
+
+    image = replace(config, positions=config.positions * (-1.0, 1.0))
+    assert abs(total_energy(mirror, image.positions) - config.energy) <= 1e-15 * abs(config.energy)
+    modes, image_modes = normal_modes(field, config), normal_modes(mirror, image)
+    np.testing.assert_allclose(image_modes.frequencies, modes.frequencies, rtol=1e-11, atol=0)
+    res = default_resonator()
+    [row] = shift_vs_voltage_sweep(maps, {}, "trap", [volts], n, res, seed=seed)
+    assert row.shift == coupled_spectrum(modes, config, res, maps.resonator_gradient).shift
+    image_shift = coupled_spectrum(image_modes, image, res, mirror_maps.resonator_gradient).shift
+    assert abs(image_shift - row.shift) <= 1e-12 * abs(row.shift)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_permuting_electrons_keeps_energy_and_modes(seed):
+    """Relabelling the electrons reorders the pair sums only: the energy
+    keeps to 4 ulp and the mode frequencies to 1e-13, at a minimum of five
+    electrons on a gridded dome and at a seeded off-equilibrium stack."""
+    maps, volts = _skewed_dome_maps(seed)
+    field = compose(maps, {"trap": volts})
+    rng = np.random.default_rng(seed)
+    config = minimize(field, 5, seed=seed)
+    modes = normal_modes(field, config).frequencies
+    stack = rng.uniform(-0.5e-6, 0.5e-6, size=(4, 5, 2))
+    for _ in range(3):
+        perm = rng.permutation(5)
+        for pos in (config.positions, *stack):
+            energy = total_energy(field, pos)
+            assert abs(total_energy(field, pos[perm]) - energy) <= 4 * np.spacing(abs(energy))
+        permuted = normal_modes(field, replace(config, positions=config.positions[perm]))
+        np.testing.assert_allclose(permuted.frequencies, modes, rtol=1e-13, atol=0)

@@ -2,9 +2,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
+import re
 import struct
+import subprocess
+import sys
 from decimal import Context, Decimal
+from pathlib import Path
 
 import pytest
 
@@ -308,6 +313,26 @@ def test_read_json_object_falls_back_to_json(tmp_path, case):
         assert _same(read_json_object(str(path), "config"), want)
 
 
+@pytest.mark.parametrize("text", ['{"a": 1,\r\n "b": [1, 2]}', '{"a": 1,\r\n "b": }',
+                                  '{"a":\r 1,\r "b": x}', '{"a": NaN,\r\n"b": 1}'],
+                         ids=["crlf", "crlf-error", "cr-error", "crlf-fallback"])
+def test_read_json_object_reads_line_ends_as_a_text_mode_read(tmp_path, text):
+    # the file's bytes are parsed, but json sees the text a text-mode read
+    # gives, with every line end read as "\n", so its messages keep their
+    # positions
+    path = tmp_path / "doc.json"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        try:
+            want = json.load(fh)
+        except json.JSONDecodeError as exc:
+            with pytest.raises(FormatError) as info:
+                read_json_object(str(path), "doc")
+            assert str(info.value) == f"doc {path}: invalid JSON ({exc})"
+            return
+    assert _same(read_json_object(str(path), "doc"), want)
+
+
 def test_read_json_object_reads_ints_beyond_64_bits_as_floats(tmp_path):
     # the one number orjson reads differently from json: an integer literal
     # outside [-2**63, 2**64) is the nearest float, not an int
@@ -324,7 +349,7 @@ def test_read_json_object_reads_ints_beyond_64_bits_as_floats(tmp_path):
 def test_read_json_object_reads_nesting_json_cannot(tmp_path):
     # the other input read differently: json's parser recurses, and nesting
     # this deep raises RecursionError, which orjson's does not
-    depth = 100_000
+    depth = 5000
     text = '{"a": ' + "[" * depth + "]" * depth + "}"
     with pytest.raises(RecursionError):
         json.loads(text)
@@ -334,6 +359,42 @@ def test_read_json_object_reads_nesting_json_cannot(tmp_path):
     for _ in range(depth - 1):
         (node,) = node
     assert node == []
+
+
+def test_read_json_object_sends_many_brackets_to_json(tmp_path, monkeypatch):
+    # past MAX_ORJSON_BRACKETS opening brackets orjson is not called: a flat
+    # document reads as json reads it, a deep one is a FormatError
+    import orjson
+
+    monkeypatch.setattr(orjson, "loads", lambda text: pytest.fail("orjson parsed it"))
+    many = core.MAX_ORJSON_BRACKETS + 1
+    path = tmp_path / "doc.json"
+    flat = '{"a": [' + ", ".join(['[1, {"b": 2.5}]'] * (many // 2 + 1)) + "]}"
+    path.write_text(flat)
+    assert _same(read_json_object(str(path), "doc"), json.loads(flat))
+    path.write_text('{"a": ' + "[" * many + "]" * many + "}")
+    message = f"^doc {re.escape(str(path))}: JSON nested deeper than the parser's recursion limit$"
+    with pytest.raises(FormatError, match=message):
+        read_json_object(str(path), "doc")
+
+
+def test_cli_reports_a_config_nested_too_deep_for_orjson(tmp_path):
+    # 300 000 levels overflow the C stack in orjson's recursive parser, which
+    # kills the process; the command must print one JSON error line instead
+    (tmp_path / "deep.json").write_text(
+        '{"constants": ' + "[" * 300_000 + "]" * 300_000 + "}")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(core.__file__).parents[1]), *filter(None, [env.get("PYTHONPATH")])])
+    done = subprocess.run(
+        [sys.executable, "-m", "heliumdot.cli", "qsolve", "--a1x", "1.1e-8", "--a1y", "1.1e-8",
+         "--config", "deep.json"], cwd=tmp_path, env=env, capture_output=True, text=True,
+        timeout=60)
+    assert done.returncode == 1, done.stderr[-2000:]
+    assert done.stdout == ""
+    assert [json.loads(line) for line in done.stderr.splitlines()] == [{
+        "error": "FormatError",
+        "message": "config deep.json: JSON nested deeper than the parser's recursion limit"}]
 
 
 def test_error_hierarchy():

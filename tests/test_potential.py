@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 
 import numpy as np
 import pytest
@@ -104,10 +103,6 @@ def test_bilinear_exact_on_bilinear_function():
     assert grid.shape == (3, 4)
     expect_grid = 2.0 * (0.5 + 0.2 * xb / 1e-6 + 0.1 * yb / 1e-6)
     assert np.allclose(grid, expect_grid, rtol=1e-12)
-    # two nodes per axis: the interpolant drops to first degree, still exact
-    ends = [0, n - 1]
-    coarse = CouplingMapSet(x_axis=x[ends], y_axis=y[ends], grids={"e": alpha[np.ix_(ends, ends)]})
-    assert np.allclose(compose(coarse, {"e": 2.0}).evaluate(xq, yq), expect, rtol=1e-12)
 
 
 def test_nonfinite_field_parameters_raise():
@@ -159,10 +154,10 @@ def test_gridded_gradient_and_hessian_match_finite_differences():
     h = 2.0e-9
     gx = (f.evaluate(pt[0] + h, pt[1]) - f.evaluate(pt[0] - h, pt[1])) / (2 * h)
     gy = (f.evaluate(pt[0], pt[1] + h) - f.evaluate(pt[0], pt[1] - h)) / (2 * h)
-    grad = -f.energy_gradient(pt) / CONSTANTS.e
+    grad, hess = f.energy_derivatives(pt)
+    grad = -grad / CONSTANTS.e
     assert grad[0] == pytest.approx(gx, rel=2e-2, abs=1e-4)
     assert grad[1] == pytest.approx(gy, rel=2e-2, abs=1e-4)
-    hess = f.energy_hessian(pt)
     assert hess[0, 1] == hess[1, 0]
 
 
@@ -193,8 +188,9 @@ def test_gridded_derivatives_are_the_spline_bit_for_bit(case):
     grad = np.stack([-e * (ev(1, 0) + f.e_x), -e * (ev(0, 1) + f.e_y)], axis=-1)
     hess = -e * np.stack([np.stack([ev(2, 0), ev(1, 1)], axis=-1),
                           np.stack([ev(1, 1), ev(0, 2)], axis=-1)], axis=-2)
-    assert np.array_equal(f.energy_gradient(pts), grad)
-    assert np.array_equal(f.energy_hessian(pts), hess)
+    both = f.energy_derivatives(pts)
+    assert np.array_equal(both[0], grad)
+    assert np.array_equal(both[1], hess)
 
 
 def _bench_dome_maps():
@@ -225,53 +221,35 @@ def test_sample_grid_is_the_meshgrid_query_bit_for_bit(case):
 
 
 def test_each_derivative_order_is_derived_once(monkeypatch):
-    f = compose(_dome_maps(), {"trap": 0.3, "guard": 0.1})
-    spline_type = type(f._spline)
-    derive = spline_type.partial_derivative
+    # compose derives the five orders; a query derives none
+    derive = RectBivariateSpline.partial_derivative
     derived = []
-    monkeypatch.setattr(spline_type, "partial_derivative",
+    monkeypatch.setattr(RectBivariateSpline, "partial_derivative",
                         lambda self, dx, dy: derived.append((dx, dy)) or derive(self, dx, dy))
+    f = compose(_dome_maps(), {"trap": 0.3, "guard": 0.1})
+    assert derived == [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
     pts = _QUERIES["many"]
     first = f.energy_derivatives(pts)
-    assert derived == [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
     again = f.energy_derivatives(pts)
-    f.energy_gradient(pts), f.energy_hessian(pts)
+    trap_minimum(f)
     assert len(derived) == 5
     assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
 
-def test_three_node_map_refuses_a_second_derivative():
-    # a 3-node axis fits a quadratic spline, whose second derivative FITPACK
-    # refuses with a ValueError, not a DomainError, on every query
-    axis = np.array([-1e-6, 0.0, 1e-6])
-    maps = CouplingMapSet(x_axis=axis, y_axis=axis, grids={"trap": np.full((3, 3), 0.5)})
-    f = compose(maps, {"trap": 0.3})
-    assert f.energy_gradient((0.0, 0.0)).shape == (2,)
-    for query in (f.energy_hessian, f.energy_derivatives, f.energy_hessian):
-        with pytest.raises(ValueError) as info:
-            query((0.0, 0.0))
-        assert not isinstance(info.value, DomainError)
-
-
-@pytest.mark.parametrize("nx, ny", [(3, 3), (5, 3), (3, 5), (4, 4), (9, 3)])
-def test_small_map_derivatives_are_ev_or_its_error(nx, ny):
-    # a 3-node axis drops the spline to degree 2; each order gives ev's bits,
-    # or ev's error where ev refuses it, also (2, 0) on a 3-node y axis,
-    # which scipy's partial_derivative refuses though ev takes it
+@pytest.mark.parametrize("nx, ny", [(3, 3), (5, 3), (3, 5), (2, 9), (2, 2)])
+def test_map_set_under_four_nodes_per_axis_is_refused(tmp_path, nx, ny):
+    # a bicubic spline needs four nodes per axis: a smaller map set is one
+    # FormatError at construction and at load, before any spline is fit
     x, y = np.linspace(-1e-6, 1e-6, nx), np.linspace(-1e-6, 1e-6, ny)
-    lever = np.random.default_rng(10 * nx + ny).uniform(0.2, 0.8, (ny, nx))
-    f = compose(CouplingMapSet(x_axis=x, y_axis=y, grids={"trap": lever}), {"trap": 0.3})
-    spline = RectBivariateSpline(x, y, 0.3 * lever.T, kx=min(3, nx - 1), ky=min(3, ny - 1))
-    x0, x1, y0, y1 = f.scan_region
-    pts = np.stack(np.broadcast_arrays(np.linspace(x0, x1, 4), np.linspace(y0, y1, 4)), axis=-1)
-    for order in potential._GRADIENT + potential._HESSIAN:
-        try:
-            want = spline.ev(pts[:, 0], pts[:, 1], *order)
-        except ValueError as exc:
-            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-                f._partials(pts, (order,))
-        else:
-            assert np.array_equal(f._partials(pts, (order,))[0], want)
+    lever = np.full((ny, nx), 0.5)
+    message = f"at least 4 nodes per axis .* got a {nx} x {ny} grid$"
+    with pytest.raises(FormatError, match=message):
+        CouplingMapSet(x_axis=x, y_axis=y, grids={"trap": lever})
+    path = tmp_path / "maps.json"
+    path.write_text(json.dumps({"x_axis_um": (x * 1e6).tolist(), "y_axis_um": (y * 1e6).tolist(),
+                                "electrodes": {"trap": lever.tolist()}}))
+    with pytest.raises(FormatError, match=message):
+        load_coupling_maps(str(path))
 
 
 def test_scalar_queries_return_floats():
@@ -289,18 +267,16 @@ def test_each_derivative_query_checks_its_region_once(monkeypatch):
     check = potential._require_inside
     monkeypatch.setattr(potential, "_require_inside",
                         lambda *args: calls.append(1) or check(*args))
-    pts = _QUERIES["many"]
-    f.energy_gradient(pts)
-    assert len(calls) == 1
-    f.energy_hessian(pts)
-    assert len(calls) == 2
+    for pts in _QUERIES.values():
+        f.energy_derivatives(pts)
+    assert len(calls) == len(_QUERIES)
 
 
 @pytest.mark.parametrize("case", sorted(_QUERIES))
 def test_energy_derivatives_are_one_checked_spline_call(monkeypatch, case):
     f = compose(_dome_maps(), {"trap": 0.3, "guard": 0.1}, e_x=-40.0, e_y=150.0)
     pts = _QUERIES[case]
-    grad, hess = f.energy_gradient(pts), f.energy_hessian(pts)
+    grad, hess = f.energy_derivatives(pts)
     calls = []
     check, spline_eval = potential._require_inside, potential._spline_eval
     monkeypatch.setattr(potential, "_require_inside",
@@ -325,7 +301,7 @@ def test_regions_are_computed_once():
 def test_gradient_stencil_near_edge_raises():
     f = compose(_dome_maps(), {"trap": 0.3})
     with pytest.raises(DomainError):
-        f.energy_gradient((1e-6, 0.0))
+        f.energy_derivatives((1e-6, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +320,11 @@ def test_analytic_derivatives_closed_form():
     a1x, a1y, a2x, a2y = 2.0e-8, 5.0e-8, 1.0e3, 3.0e3
     f = QuarticField(a1x=a1x, a1y=a1y, a2x=a2x, a2y=a2y, e_y=100.0)
     x, y = 30e-9, -20e-9
-    g = f.energy_gradient((x, y))
+    g, hess = f.energy_derivatives((x, y))
     assert g[0] == pytest.approx(2 * a1x * x + 4 * a2x * x**3, rel=1e-12)
     assert g[1] == pytest.approx(
         2 * a1y * y + 4 * a2y * y**3 - CONSTANTS.e * 100.0, rel=1e-12
     )
-    hess = f.energy_hessian((x, y))
     assert hess[0, 0] == pytest.approx(2 * a1x + 12 * a2x * x**2, rel=1e-12)
     assert hess[1, 1] == pytest.approx(2 * a1y + 12 * a2y * y**2, rel=1e-12)
     assert hess[0, 1] == 0.0
@@ -375,9 +350,12 @@ def test_field_protocol(case):
     make, minimum = _PROTOCOL_CASES[case]
     f = make()
     pts = np.random.default_rng(3).uniform(-0.5e-6, 0.5e-6, size=(7, 2))
-    many = f.energy_gradient(pts)
+    many, hess_many = f.energy_derivatives(pts)
     assert many.shape == (7, 2)
-    assert np.array_equal(many, np.array([f.energy_gradient(p) for p in pts]))
+    assert hess_many.shape == (7, 2, 2)
+    for p, grad, hess in zip(pts, many, hess_many):
+        one = f.energy_derivatives(p)
+        assert np.array_equal(grad, one[0]) and np.array_equal(hess, one[1])
     # a step far below one cell, so the difference quotient is the derivative
     h = 1e-11
     fd = np.column_stack([
@@ -385,19 +363,16 @@ def test_field_protocol(case):
         (f.energy(pts[:, 0], pts[:, 1] + h) - f.energy(pts[:, 0], pts[:, 1] - h)) / (2 * h),
     ])
     np.testing.assert_allclose(many, fd, rtol=1e-4, atol=1e-9 * np.abs(fd).max())
-    hess_many = f.energy_hessian(pts)
-    assert hess_many.shape == (7, 2, 2)
     for p, hess in zip(pts, hess_many):
-        assert np.array_equal(hess, f.energy_hessian(p))
         assert np.array_equal(hess, hess.T)
         fd_hess = np.column_stack([
-            (f.energy_gradient(p + step) - f.energy_gradient(p - step)) / (2 * h)
+            (f.energy_derivatives(p + step)[0] - f.energy_derivatives(p - step)[0]) / (2 * h)
             for step in (np.array([h, 0.0]), np.array([0.0, h]))
         ])
         np.testing.assert_allclose(hess, fd_hess, rtol=1e-4, atol=1e-9 * np.abs(fd_hess).max())
     found, hess = trap_minimum(f)
     assert found == pytest.approx(minimum, abs=1e-15)
-    assert np.array_equal(hess, f.energy_hessian(found))
+    assert np.array_equal(hess, f.energy_derivatives(found)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -407,36 +382,36 @@ def test_field_protocol(case):
 
 class _CountingQuartic(QuarticField):
     """QuarticField that counts the points its energy is evaluated at and
-    its gradient and Hessian queries."""
+    its derivative queries."""
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        object.__setattr__(self, "counts", {"points": 0, "gradients": 0, "hessians": 0})
+        object.__setattr__(self, "counts", {"points": 0, "derivatives": 0, "nan_gradients": 0})
 
     def _base(self, x, y):
         self.counts["points"] += np.broadcast(x, y).size
         return super()._base(x, y)
 
-    def energy_gradient(self, points):
-        self.counts["gradients"] += 1
-        return super().energy_gradient(points)
-
-    def energy_hessian(self, points):
-        self.counts["hessians"] += 1
-        return super().energy_hessian(points)
+    def energy_derivatives(self, points):
+        self.counts["derivatives"] += 1
+        return super().energy_derivatives(points)
 
 
 class _NanGradientQuartic(_CountingQuartic):
-    def energy_gradient(self, points):
-        return np.full(np.shape(points), math.nan)
+    """A NaN gradient at every point, with the true Hessian."""
+
+    def energy_derivatives(self, points):
+        grad, hess = super().energy_derivatives(points)
+        self.counts["nan_gradients"] += 1
+        return np.full_like(grad, math.nan), hess
 
 
 def test_trap_minimum_cost_is_a_coarse_scan_and_a_newton_budget(monkeypatch):
     """An off-node quartic minimum: the search costs a 31 x 31 scan, then per
     iteration of the one-electron trust-region descent at most one trial
-    point, one gradient and one Hessian (and one each at its start), and a
-    final Newton step of one trial point, one gradient and two Hessians,
-    where a 121 x 121 scan would evaluate 14641 points."""
+    point and one derivative query (and one query at its start), and a
+    final Newton step of one trial point and two derivative queries, where
+    a 121 x 121 scan would evaluate 14641 points."""
     field = _CountingQuartic(a1x=1e-12, a2x=2750.0, a1y=2e-12, a2y=4000.0, e_x=300.0,
                              e_y=-250.0)
     iterations = []
@@ -447,8 +422,7 @@ def test_trap_minimum_cost_is_a_coarse_scan_and_a_newton_budget(monkeypatch):
     n = len(iterations)
     assert 1 <= n <= 8
     assert field.counts["points"] <= 31**2 + 1 + n + 1
-    assert field.counts["gradients"] <= 1 + n + 1
-    assert field.counts["hessians"] <= n + 2
+    assert field.counts["derivatives"] <= n + 2
 
 
 @pytest.mark.parametrize("cls, params", [
@@ -464,12 +438,14 @@ def test_trap_minimum_takes_no_step_off_a_minimum(cls, params):
     window built on it stays inside the scan region."""
     field = cls(**params)
     center, hess = trap_minimum(field)
-    assert field.counts["hessians"] <= 2  # the descent's first, if it runs, and the center's
+    assert field.counts["derivatives"] <= 2  # the descent's first, if it runs, and the center's
+    # the NaN fake answers both: the descent drops its start and the center takes no step
+    assert field.counts["nan_gradients"] == (2 if cls is _NanGradientQuartic else 0)
     assert field.counts["points"] == 31**2 + 1  # the scan and the descent's start
     r0, r1, s0, s1 = field.scan_region
     nodes = np.linspace(r0, r1, 31), np.linspace(s0, s1, 31)
     assert center[0] in nodes[0] and center[1] in nodes[1]
-    assert np.array_equal(hess, field.energy_hessian(center))
+    assert np.array_equal(hess, field.energy_derivatives(center)[1])
     x0, x1, y0, y1 = qsolver.auto_window(field)
     assert r0 <= x0 < x1 <= r1 and s0 <= y0 < y1 <= s1
 
@@ -502,7 +478,8 @@ def test_trap_minimum_backtracks_a_step_that_raises_u():
     xs, ys, u = potential.sample_grid(field, field.scan_region, 31)
     iy, ix = np.unravel_index(int(np.argmin(u)), u.shape)
     node = np.array([xs[ix], ys[iy]])
-    full = node - np.linalg.solve(field.energy_hessian(node), field.energy_gradient(node))
+    grad, hess = field.energy_derivatives(node)
+    full = node - np.linalg.solve(hess, grad)
     assert field.energy(*full) > u[iy, ix]
     center, hess = trap_minimum(field)
     x0, x1, y0, y1 = qsolver.auto_window(field)
@@ -599,10 +576,11 @@ def test_gradient_map_validation():
 
 def _write_maps_json(path, extra=None, drop=None):
     payload = {
-        "x_axis_um": [-1.0, 0.0, 1.0],
-        "y_axis_um": [-1.0, 0.0, 1.0],
-        "electrodes": {"trap": [[0.1, 0.2, 0.1], [0.2, 0.9, 0.2], [0.1, 0.2, 0.1]]},
-        "resonator_diff_grad_per_um": [[0.3] * 3] * 3,
+        "x_axis_um": [-1.0, 0.0, 1.0, 2.0],
+        "y_axis_um": [-1.0, 0.0, 1.0, 2.0],
+        "electrodes": {"trap": [[0.1, 0.2, 0.1, 0.1], [0.2, 0.9, 0.2, 0.1],
+                                [0.1, 0.2, 0.1, 0.1], [0.1, 0.1, 0.1, 0.1]]},
+        "resonator_diff_grad_per_um": [[0.3] * 4] * 4,
         "metadata": {"source": "unit test"},
     }
     payload.update(extra or {})
@@ -631,15 +609,20 @@ def test_load_coupling_maps_errors(tmp_path):
         load_coupling_maps(str(bad))
 
 
-_AXES = '"x_axis_um": [0, 1], "y_axis_um": [0, 1]'
+_AXES = '"x_axis_um": [0, 1, 2, 3], "y_axis_um": [0, 1, 2, 3]'
+_ROWS = "[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]"  # three rows of a 4 x 4 grid
+# (file text, the start of the error message): each case reaches its own check
 _MALFORMED_MAPS = {
-    "top-level-number": "3",
-    "axis-text": '{"x_axis_um": ["a", 1], "y_axis_um": [0, 1], '
-                 '"electrodes": {"trap": [[0, 0], [0, 0]]}}',
-    "cell-text": '{' + _AXES + ', "electrodes": {"trap": [[0, "x"], [0, 0]]}}',
-    "ragged-grid": '{' + _AXES + ', "electrodes": {"trap": [[0, 0], [0]]}}',
-    "gradient-object": '{' + _AXES + ', "electrodes": {"trap": [[0, 0], [0, 0]]}, '
-                       '"resonator_diff_grad_per_um": [[0, {}], [0, 0]]}',
+    "top-level-number": ("3", "coupling maps .*: top level must be an object"),
+    "axis-text": ('{"x_axis_um": ["a", 1, 2, 3], "y_axis_um": [0, 1, 2, 3], '
+                  '"electrodes": {"trap": [[0, 0, 0, 0], ' + _ROWS + ']}}', "x_axis_um"),
+    "cell-text": ('{' + _AXES + ', "electrodes": {"trap": [[0, "x", 0, 0], ' + _ROWS + ']}}',
+                  "electrode 'trap'"),
+    "ragged-grid": ('{' + _AXES + ', "electrodes": {"trap": [[0], ' + _ROWS + ']}}',
+                    "electrode 'trap'"),
+    "gradient-object": ('{' + _AXES + ', "electrodes": {"trap": [[0, 0, 0, 0], ' + _ROWS
+                        + ']}, "resonator_diff_grad_per_um": [[0, {}, 0, 0], ' + _ROWS + ']}',
+                        "gradient map"),
 }
 
 
@@ -654,9 +637,10 @@ _BEYOND_FLOAT = 10**400  # an int that json reads exactly and no float holds
 def test_load_coupling_maps_names_an_int_beyond_float_range(tmp_path, key, name):
     # a FormatError naming the array, not numpy's bare OverflowError
     big = {
-        "x_axis_um": [-1.0, 0.0, _BEYOND_FLOAT],
-        "electrodes": {"trap": [[0.1, 0.2, 0.1], [0.2, _BEYOND_FLOAT, 0.2], [0.1, 0.2, 0.1]]},
-        "resonator_diff_grad_per_um": [[0.3] * 3, [0.3, _BEYOND_FLOAT, 0.3], [0.3] * 3],
+        "x_axis_um": [-1.0, 0.0, 1.0, _BEYOND_FLOAT],
+        "electrodes": {"trap": [[0.1] * 4, [0.2, _BEYOND_FLOAT, 0.2, 0.1], [0.1] * 4, [0.1] * 4]},
+        "resonator_diff_grad_per_um": [[0.3] * 4, [0.3, _BEYOND_FLOAT, 0.3, 0.3], [0.3] * 4,
+                                       [0.3] * 4],
     }
     path = _write_maps_json(tmp_path / "maps.json", extra={key: big[key]})
     with pytest.raises(FormatError, match=f"^{name} must be a rectangular array of numbers$"):
@@ -667,7 +651,8 @@ def test_load_coupling_maps_names_an_int_beyond_float_range(tmp_path, key, name)
 def test_load_coupling_maps_rejects_malformed_content(tmp_path, case):
     # valid JSON that is not a map set: a FormatError, not a TypeError or a
     # bare ValueError from the float conversion
+    text, message = _MALFORMED_MAPS[case]
     path = tmp_path / "maps.json"
-    path.write_text(_MALFORMED_MAPS[case])
-    with pytest.raises(FormatError):
+    path.write_text(text)
+    with pytest.raises(FormatError, match=f"^{message}"):
         load_coupling_maps(str(path))
