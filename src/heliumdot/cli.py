@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -47,23 +48,29 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+def _utf8(value):
+    """value with each str in it as valid UTF-8, an undecodable argv byte as its escape."""
+    if isinstance(value, list):
+        return list(map(_utf8, value))
+    if isinstance(value, str):
+        return os.fsencode(value).decode("utf-8", "backslashreplace")
+    return value
+
+
 def _resolved(args: argparse.Namespace) -> dict:
-    opts = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in ("func",) and not k.startswith("_") and v is not None
-    }
-    return {"tool": "heliumdot", "options": io._json_safe(opts)}
+    opts = {k: _utf8(v) for k, v in sorted(vars(args).items())
+            if k not in ("func",) and not k.startswith("_") and v is not None}
+    return {"tool": "heliumdot", "options": opts}
 
 
 def _seed(text: str) -> int:
-    """The --seed type: a non-negative integer."""
+    """The --seed type: an integer in [0, 2**64), which the config echo writes."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {value}")
     return value
 
 
@@ -398,7 +405,7 @@ def _command(sub, name: str, func, help: str, config: dict | None = None,
         p.add_argument("--config", help=f"JSON config file ({fields})")
         p.set_defaults(_fields=config)
     if seed:
-        p.add_argument("--seed", type=_seed, default=0, help="non-negative integer")
+        p.add_argument("--seed", type=_seed, default=0, help="integer in [0, 2**64)")
     p.add_argument("--out", help="output path (default depends on command)")
     p.set_defaults(func=func)
     return p
@@ -560,12 +567,11 @@ def main(argv: list[str] | None = None) -> int:
     zero) can fail in plain float math.  Numpy's float errors (overflow,
     division by zero, an invalid operation such as inf - inf) raise
     FloatingPointError, one of them, instead of printing a warning.  A size
-    flag too large to allocate is a MemoryError, and data nested too deeply
-    to copy into an output (trace metadata from a sidecar) a RecursionError.
+    flag too large to allocate is a MemoryError.
 
     A command writes its own output files and returns None, or returns a
     JSON payload, which gains the resolved ``config`` and goes to ``--out``
-    or stdout.
+    or stdout as ``io.json_text`` writes it; only the error line is json's.
     """
     try:
         args = build_parser().parse_args(argv)
@@ -595,20 +601,18 @@ def main(argv: list[str] | None = None) -> int:
             payload = args.func(args)
         if payload is not None:
             payload["config"] = _resolved(args)
-            text = io._json_dumps(payload)
+            text = io.json_text(payload)
             if args.out:
                 io.write_text(args.out, text)
             else:
                 sys.stdout.write(text)
         return 0
     except (UsageError, DomainError, FormatError, FitError, OSError, ArithmeticError,
-            MemoryError, RecursionError) as exc:
+            MemoryError) as exc:
         # numpy's MemoryError is a private subclass; report the builtin name
         name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
-        sys.stderr.write(
-            json.dumps({"error": name, "message": str(exc)},
-                       sort_keys=True) + "\n"
-        )
+        # json, not orjson: its ASCII escapes keep an undecodable argv byte in a message
+        sys.stderr.write(json.dumps({"error": name, "message": str(exc)}, sort_keys=True) + "\n")
         return 1
 
 

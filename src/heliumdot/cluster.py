@@ -439,11 +439,12 @@ def trap_minimum(field_: PotentialField) -> tuple:
     One electron descends (``_descend``, one restart) from the lowest node
     of a SCAN_NODES x SCAN_NODES scan of the scan region; the node is kept
     when the descent has no finite start.  One Newton step H^-1 g, clipped
-    to the region, then lands the center on the minimum to float precision.
-    It is taken only where H is positive definite, the step is finite and
-    longer than STEP_ZPL zero-point lengths sqrt(hbar / sqrt(m_e H_ii)) on
-    some axis, and U does not rise, so a center already resolved to that,
-    such as the node at a symmetric trap's top, stays put.
+    to the region, then moves the center onto the minimum as closely as U
+    resolves it.  It is taken only where H is positive definite, the step is
+    finite and longer than STEP_ZPL zero-point lengths sqrt(hbar / sqrt(m_e
+    H_ii)) on some axis, and U does not rise, which near the minimum rounding
+    noise alone can refuse; a center already resolved to that, such as the
+    node at a symmetric trap's top, stays put.
     """
     region = field_.scan_region
     xs, ys, u = sample_grid(field_, region, SCAN_NODES)

@@ -1,19 +1,18 @@
 """File formats: trace CSV, sweep CSV, fit JSON, and SVG line plots.
 
 Frequencies cross the file boundary in cyclic units (GHz for axes, Hz for
-fit parameters); everything internal stays angular.  All writers format
-floats with repr (shortest round-trip) and sort JSON keys, so a rerun with
-the same inputs produces byte-identical files.  Trace columns are formatted
-a whole column at a time with repr, and read back by one ``np.loadtxt``
-call, numpy's C reader, whose values are ``float``'s bit for bit.  The
-resolved run configuration rides along in every file: a ``# config:``
-comment line in CSV, a ``config`` key in JSON.
+fit parameters); everything internal stays angular.  CSV floats are repr's,
+JSON is orjson's with sorted keys, both shortest round-trip, so reruns of
+the same inputs write byte-identical files.  Trace columns are formatted a
+whole column at a time with repr, and read back by one ``np.loadtxt`` call,
+numpy's C reader, whose values are ``float``'s bit for bit.  The resolved
+run configuration rides along in every file: a ``# config:`` comment line
+in CSV, a ``config`` key in JSON.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -33,34 +32,30 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _json_safe(obj):
-    """obj with numpy values made plain, complex numbers split into re/im,
-    and non-finite floats turned into None, so strict JSON can encode it."""
-    if isinstance(obj, Mapping):
-        return {str(k): _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f" and np.isfinite(obj).all():
-            return obj.tolist()
-        return [_json_safe(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        obj = obj.item()
+def _json_default(obj):
+    """What orjson does not encode itself: a complex number as {"re", "im"},
+    an array it refuses (complex, or a strided view) as nested lists."""
     if isinstance(obj, complex):
-        return {"re": _json_safe(obj.real), "im": _json_safe(obj.imag)}
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    return obj
+        return {"re": obj.real, "im": obj.imag}
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _json_dumps(obj) -> str:
-    return json.dumps(_json_safe(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+def json_text(obj, indent: bool = True) -> str:
+    """obj as JSON with sorted keys and non-finite floats as null, 2-space
+    indented with a final "\n", or on one line; a TypeError (orjson's) when obj
+    nests past 255 levels or holds an int beyond 64 bits or invalid UTF-8."""
+    import orjson  # late import, as core's reader, so importing cli loads no orjson
+
+    option = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
+    text = orjson.dumps(obj, default=_json_default,
+                        option=option | orjson.OPT_INDENT_2 if indent else option).decode()
+    return text + "\n" if indent else text
 
 
 def _config_line(config: Mapping | None) -> str:
-    if not config:
-        return ""
-    return "# config: " + json.dumps(_json_safe(config), sort_keys=True, allow_nan=False) + "\n"
+    return f"# config: {json_text(config, indent=False)}\n" if config else ""
 
 
 def write_text(path: str, text: str) -> None:
@@ -145,7 +140,7 @@ def write_trace(trace: SpectrumTrace, path: str, config: Mapping | None = None) 
     rows = map("{!r},{!r},{!r}\n".format, (trace.probe / GHZ).tolist(),
                trace.s21.real.tolist(), trace.s21.imag.tolist())
     csv = _config_line(config) + "freq_GHz,re_s21,im_s21\n" + "".join(rows)
-    sidecar = _json_dumps({"metadata": trace.metadata, "config": config or {}})
+    sidecar = json_text({"metadata": trace.metadata, "config": config or {}})
     write_text(path, csv)
     write_text(path + ".json", sidecar)
 
@@ -169,6 +164,11 @@ def parse_trace(text: str, path: str) -> SpectrumTrace:
         metadata = read_json_object(sidecar, "trace sidecar").get("metadata", {})
         if not isinstance(metadata, dict):
             raise FormatError(f"trace sidecar {sidecar}: 'metadata' must be an object")
+        try:  # at the depth write_trace puts it
+            json_text({"metadata": metadata})
+        except TypeError as exc:
+            raise FormatError(f"trace sidecar {sidecar}: 'metadata' cannot be written "
+                              f"back ({exc})") from None
     return SpectrumTrace(probe=probe, s21=s21, metadata=metadata)
 
 
@@ -223,7 +223,7 @@ def fit_to_json_dict(fit: FitResult, config: Mapping | None = None) -> dict:
 
 
 def write_fit_json(fit: FitResult, path: str, config: Mapping | None = None) -> None:
-    write_text(path, _json_dumps(fit_to_json_dict(fit, config)))
+    write_text(path, json_text(fit_to_json_dict(fit, config)))
 
 
 def write_shift_sweep_csv(rows: Sequence[ShiftSweepRow], path: str,
@@ -267,13 +267,8 @@ def write_compensation_json(
     leak: complex, other: np.ndarray, path: str, config: Mapping | None = None
 ) -> None:
     """Record what background compensation removed from a target trace."""
-    payload = {
-        "leak": leak,
-        "other_re": other.real,
-        "other_im": other.imag,
-        "config": config or {},
-    }
-    write_text(path, _json_dumps(payload))
+    write_text(path, json_text({"leak": leak, "other_re": other.real, "other_im": other.imag,
+                                "config": config or {}}))
 
 
 # ---------------------------------------------------------------------------

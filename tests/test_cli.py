@@ -214,7 +214,7 @@ def test_fit_rabi_far_refits_a_far_trace_changed_in_one_row(tmp_path, monkeypatc
     params = json.loads((tmp_path / "fit.json").read_text())["params"]
     res, _ct = fitters.resonator_from_bare_fit(fitters.fit_bare_resonator(read_trace("far.csv")))
     direct = fitters.fit_rabi(read_trace("comp.csv"), res)
-    assert params == json.loads(io._json_dumps(io.fit_to_json_dict(direct)))["params"]
+    assert params == json.loads(io.json_text(io.fit_to_json_dict(direct)))["params"]
     assert params != reused
 
 
@@ -295,7 +295,11 @@ def test_fit_rabi_far_rejects_a_bad_stored_fit(tmp_path, monkeypatch, capsys, ba
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert json.loads(err[0])["error"] == "FormatError"
-    assert "reference_fit" in json.loads(err[0])["message"]
+    # orjson cannot write an int beyond 64 bits back, so that sidecar is
+    # refused by name when the trace is read
+    name = ("comp.csv.json: 'metadata' cannot be written back" if bad == "int_beyond_float"
+            else "reference_fit")
+    assert name in json.loads(err[0])["message"]
     assert len(calls) == 1
 
 
@@ -624,9 +628,9 @@ def test_map_under_four_nodes_per_axis_is_one_error(tmp_path, capsys, command, n
 
 def test_compensate_of_deeply_nested_sidecar_metadata_is_one_error(tmp_path, monkeypatch,
                                                                   capsys):
-    # metadata nested 5000 deep reads, but copying it into the compensated
-    # trace's sidecar recurses too deep: one JSON error line, and neither the
-    # CSV nor its sidecar is written
+    # metadata nested 5000 deep parses, but the sidecar writer cannot copy it
+    # back: the target's sidecar is refused by name when it is read, and
+    # neither the CSV nor its sidecar is written
     monkeypatch.chdir(tmp_path)
     assert main(_synth_args("far.csv", seed=1)) == 0
     assert main(_synth_args("target.csv", kind="rabi", seed=2)) == 0
@@ -638,8 +642,77 @@ def test_compensate_of_deeply_nested_sidecar_metadata_is_one_error(tmp_path, mon
     captured = capsys.readouterr()
     assert captured.out == ""
     [err] = [json.loads(line) for line in captured.err.splitlines()]
-    assert err["error"] == "RecursionError"
+    assert err["error"] == "FormatError"
+    assert "target.csv.json" in err["message"]
     assert not list(tmp_path.glob("comp.csv*"))
+
+
+@pytest.mark.parametrize("depth, written", [(254, True), (255, False)])
+def test_sidecar_metadata_reads_as_deep_as_it_writes(tmp_path, monkeypatch, capsys, depth,
+                                                      written):
+    # the writer nests at most 255 levels, the sidecar's object and 254 of
+    # metadata: the deepest metadata read is copied into the compensated
+    # trace's sidecar unchanged, and one level more is refused at read
+    monkeypatch.chdir(tmp_path)
+    assert main(_synth_args("far.csv", seed=1)) == 0
+    assert main(_synth_args("target.csv", kind="rabi", seed=2)) == 0
+    metadata = "[" * (depth - 1) + "3" + "]" * (depth - 1)
+    (tmp_path / "target.csv.json").write_text('{"metadata": {"deep": ' + metadata + "}}")
+    capsys.readouterr()
+    assert main(["compensate", "--far", "far.csv", "--target", "target.csv",
+                 "--out", "comp.csv"]) == (0 if written else 1)
+    if written:
+        copied = json.loads((tmp_path / "comp.csv.json").read_text())["metadata"]["deep"]
+        assert copied == json.loads(metadata)
+    else:
+        [err] = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert err["error"] == "FormatError"
+        assert err["message"].startswith("trace sidecar target.csv.json: 'metadata' cannot "
+                                         "be written back (")
+        assert not list(tmp_path.glob("comp.csv*"))
+
+
+_UNDECODABLE = os.fsdecode(b"tr\xffce")  # argv's spelling of a byte that is no UTF-8
+
+
+@pytest.mark.parametrize("command", ["synth", "qsolve"])
+def test_undecodable_byte_in_a_path_argument_still_works(tmp_path, capsys, command):
+    # the file is written under the name given, and its config echo is JSON
+    out = str(tmp_path / f"{_UNDECODABLE}.csv")
+    argv = (["synth", "--points", "11"] if command == "synth"
+            else ["qsolve", "--a1x", "1.1e-8", "--a1y", "1.1e-8", "--k", "3"])
+    assert main(argv + ["--out", out]) == 0
+    assert os.path.exists(os.fsencode(out))
+    with open(os.fsencode(out), encoding="utf-8") as fh:
+        text = fh.read()
+    if command == "synth":
+        assert json.loads(text.splitlines()[0].removeprefix("# config: "))
+        with open(os.fsencode(out + ".json"), encoding="utf-8") as fh:
+            assert json.load(fh)["config"]
+    else:
+        assert json.loads(text)["config"]
+
+
+def test_config_echo_spells_an_undecodable_argv_byte_as_its_escape(tmp_path):
+    # each string option, alone or in a list, is valid UTF-8 in every echo
+    out = str(tmp_path / f"{_UNDECODABLE}.csv")
+    assert main(["synth", "--points", "11", "--out", out]) == 0
+    with open(os.fsencode(out + ".json"), encoding="utf-8") as fh:
+        options = json.load(fh)["config"]["options"]
+    assert options["out"] == str(tmp_path / "tr\\xffce.csv")
+    args = argparse.Namespace(voltage=[f"{_UNDECODABLE}=1", "gate=2"], n=3)
+    assert cli._resolved(args)["options"] == {"n": 3, "voltage": ["tr\\xffce=1", "gate=2"]}
+
+
+def test_seed_beyond_64_bits_is_usage_error(tmp_path, capsys):
+    # the config echo writes the seed as a JSON number, at most 2**64 - 1
+    out = tmp_path / "trace.csv"
+    assert main(["synth", "--points", "11", "--seed", str(2**64), "--out", str(out)]) == 1
+    [err] = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert err["error"] == "UsageError"
+    assert not list(tmp_path.iterdir())
+    assert main(["synth", "--points", "11", "--seed", str(2**64 - 1), "--out", str(out)]) == 0
+    assert json.loads(Path(f"{out}.json").read_text())["config"]["options"]["seed"] == 2**64 - 1
 
 
 def test_qsolve_flags_edge_minimum(capsys):

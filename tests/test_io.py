@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from heliumdot.cavity import SpectrumTrace
 from heliumdot.core import FormatError, TWO_PI
 from heliumdot.fitters import FitResult
 from heliumdot.io import (
-    _json_safe,
     fit_to_json_dict,
+    json_text,
     parse_trace,
     read_text,
     read_trace,
@@ -115,10 +116,122 @@ def test_write_trace_matches_per_value_repr(tmp_path):
     ]
 
 
-def test_json_safe_arrays():
-    assert _json_safe(np.array([1.5, -0.0, 5e-324])) == [1.5, -0.0, 5e-324]
-    assert _json_safe(np.array([1.0, math.nan, math.inf, -math.inf])) == [1.0, None, None, None]
-    assert _json_safe(np.array([[1.0, math.nan], [2.0, 3.0]])) == [[1.0, None], [2.0, 3.0]]
+def test_json_text_arrays():
+    # orjson writes a float array itself; a strided view or a complex array
+    # goes through the hook; every non-finite value is null
+    assert json_text(np.array([1.5, -0.0, 5e-324]), indent=False) == "[1.5,-0.0,5e-324]"
+    assert (json_text(np.array([1.0, math.nan, math.inf, -math.inf]), indent=False)
+            == "[1.0,null,null,null]")
+    grid = np.array([[1.0, math.nan], [2.0, 3.0]])
+    assert json_text(grid, indent=False) == "[[1.0,null],[2.0,3.0]]"
+    assert json_text(grid[:, 1], indent=False) == "[null,3.0]"
+    z = np.array([1.0 + 2.0j, complex(math.inf, -0.0)])
+    assert json_text(z, indent=False) == '[{"im":2.0,"re":1.0},{"im":-0.0,"re":null}]'
+    assert json_text(z.imag, indent=False) == "[2.0,-0.0]"
+    assert json_text([1, [2]]) == "[\n  1,\n  [\n    2\n  ]\n]\n"
+
+
+def _reference_json_safe(obj):
+    """The writers' value cleaner before orjson wrote every JSON text, kept
+    as the reference the encoder is checked against."""
+    if isinstance(obj, Mapping):
+        return {str(k): _reference_json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_reference_json_safe(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and np.isfinite(obj).all():
+            return obj.tolist()
+        return [_reference_json_safe(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
+    if isinstance(obj, complex):
+        return {"re": _reference_json_safe(obj.real), "im": _reference_json_safe(obj.imag)}
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+def _reference_json_text(obj, indent: bool) -> str:
+    if indent:
+        return json.dumps(_reference_json_safe(obj), sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
+    return json.dumps(_reference_json_safe(obj), sort_keys=True, allow_nan=False)
+
+
+_EDGES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308, 1e-5, 1e16,
+          1e-7]
+_TEXTS = ["", "trap", "é", "Ω", "zeta", "naïve ☃", "\U0001F600", "quote\"back\\slash\ttab\n"]
+
+
+def _float(rng) -> float:
+    if rng.random() < 0.5:
+        return float(_EDGES[rng.integers(len(_EDGES))])
+    return float(rng.normal() * 10.0 ** rng.integers(-300, 300))
+
+
+def _leaf(rng):
+    """One value of a kind the writers are handed."""
+    kind = rng.integers(11)
+    if kind == 0:
+        return np.float64(_float(rng))
+    if kind == 1:
+        return np.int64(rng.integers(-2**63, 2**63 - 1))
+    if kind == 2:
+        return _float(rng)
+    if kind in (3, 4):
+        z = complex(_float(rng), _float(rng))
+        return z if kind == 3 else np.complex128(z)
+    values = np.array([_float(rng) for _ in range(2 * rng.integers(1, 5))])
+    if kind == 5:
+        return values  # C-contiguous
+    if kind == 6:
+        return values.reshape(2, -1)[:, rng.integers(values.size // 2)]  # strided
+    if kind == 7:
+        z = np.empty(values.size // 2, complex)
+        z.real, z.imag = values[::2], values[1::2]  # 1j * inf would be a nan real part
+        return z.real if rng.random() < 0.5 else z  # a strided view, or complex
+    if kind == 8:
+        return _TEXTS[rng.integers(len(_TEXTS))]
+    if kind == 9:
+        return int(rng.integers(-2**63, 2**63 - 1)) * int(rng.integers(2))
+    return [True, False, None][rng.integers(3)]
+
+
+def _payload(rng, depth: int = 0):
+    """A seeded nest of dicts, lists and tuples over every leaf kind."""
+    kind = rng.integers(4) if depth < 4 else 3
+    if kind == 3:
+        return _leaf(rng)
+    children = [_payload(rng, depth + 1) for _ in range(rng.integers(1, 5))]
+    if kind == 0:
+        return {_TEXTS[rng.integers(len(_TEXTS))] + str(i): child
+                for i, child in enumerate(children)}
+    if kind == 1:
+        return children
+    return tuple(children)
+
+
+def _bits(value):
+    """value parsed from JSON with each float as its hex, so -0.0 and every
+    last bit count, and each object as its (key, value) pairs in order."""
+    if isinstance(value, dict):
+        return [(k, _bits(v)) for k, v in value.items()]
+    if isinstance(value, list):
+        return [_bits(v) for v in value]
+    if isinstance(value, float):
+        return float.hex(value)
+    return (type(value).__name__, value)
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("indent", [True, False])
+def test_json_text_keeps_every_value_of_the_reference_writer(seed, indent):
+    rng = np.random.default_rng(seed)
+    payload = {"top" + str(i): _payload(rng) for i in range(6)}
+    payload["edges"] = (_EDGES, np.array(_EDGES), [complex(x, -x) for x in _EDGES])
+    text = json_text(payload, indent=indent)
+    assert _bits(json.loads(text)) == _bits(json.loads(_reference_json_text(payload, indent)))
+    assert (text.endswith("\n"), "\n" in text[:-1]) == (indent, indent)
 
 
 def test_trace_roundtrip_bit_exact_1601_rows(tmp_path):

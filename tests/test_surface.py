@@ -637,3 +637,45 @@ def test_unit_division_guard_sees_each_spelling():
         "h = (w / TWO_PI) * 1e9\n"
     )
     assert _unit_divisions({"m": source}) == ["m:1", "m:2", "m:3", "m:4"]
+
+
+def _json_encoders(sources: dict) -> list:
+    """Each JSON encoder call of ``sources`` (stem -> text), ``json.dump``,
+    ``json.dumps`` or ``orjson.dumps``, and each import of one of those names,
+    as "stem.owner: encoder", the owner being the top-level definition."""
+    found = []
+    for stem, text in sorted(sources.items()):
+        for top in ast.parse(text).body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and node.value.id in ("json", "orjson")
+                        and node.attr in ("dump", "dumps")):
+                    found.append(f"{stem}.{owner}: {node.value.id}.{node.attr}")
+                elif isinstance(node, ast.ImportFrom) and node.module in ("json", "orjson"):
+                    found += [f"{stem}.{owner}: {node.module}.{alias.name}" for alias in node.names
+                              if alias.name in ("dump", "dumps")]
+    return found
+
+
+def test_one_json_encoder():
+    """orjson writes every JSON text, in ``io.json_text``; only the error
+    line of ``cli.main`` keeps ``json.dumps``, whose ASCII escapes survive
+    an undecodable argv byte in an exception message."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert _json_encoders(sources) == ["cli.main: json.dumps", "io.json_text: orjson.dumps"]
+
+
+def test_json_encoder_guard_sees_each_spelling():
+    source = (
+        "import json, orjson\n"
+        "from json import dump as write\n"
+        "def save(x):\n"
+        "    return json.dumps(x), orjson.dumps(x), json.loads(x)\n"
+        "class Writer:\n"
+        "    encode = staticmethod(orjson.dumps)\n"
+    )
+    assert _json_encoders({"m": source}) == [
+        "m.<module>: json.dump", "m.save: json.dumps", "m.save: orjson.dumps",
+        "m.Writer: orjson.dumps",
+    ]
