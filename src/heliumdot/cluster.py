@@ -39,7 +39,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import coupling_g
 from .core import CONSTANTS, DomainError, PhysicalConstants, ResonatorParams
 from .potential import (CouplingGradientMap, CouplingMapSet, PotentialField, compose,
                         sample_grid)
@@ -60,9 +59,9 @@ STEP_ZPL = 1e-11  # trap_minimum: shortest final Newton step [zero-point lengths
 MAX_ELECTRONS = 1000
 # Largest descent batch: a minimize call holds restarts * (2N)^2 * 8 bytes
 # of Hessians, the default 8 restarts of MAX_ELECTRONS electrons 256 MB.
-# Its peak, with the live rows' copy, the accepted rows' assembly and the
-# query's pair table, is about four times that: 10.1 MB under tracemalloc
-# for 8 restarts of 100 electrons, whose Hessians take 2.56 MB.
+# Its peak, with the accepted rows' assembly and the query's pair table, is
+# about three times that: 7.5 MB under tracemalloc (2.9 times) for 8
+# restarts of 100 electrons, whose Hessians take 2.56 MB.
 MAX_BATCH_BYTES = 8 * (2 * MAX_ELECTRONS) ** 2 * 8
 
 
@@ -366,70 +365,68 @@ def _descend(field_: PotentialField, starts: np.ndarray) -> list:
     the radius stays below twice its diagonal.  A restart stops on its own
     at a gradient norm below GRAD_TOL, after MAX_ITER iterations, or when
     no finite decrease is predicted or its radius falls below the float
-    spacing of the region's coordinates.
+    spacing of the region's coordinates.  It is recorded as it stops and
+    leaves every state array, so they hold the live restarts only.
 
     Returns each start's ElectronConfiguration, or None where the start has
     no finite energy.
     """
     region = field_.scan_region
     ke2 = _ke2(field_)
-    x = starts.copy()
-    n_starts, n = x.shape[:2]
-    energy, grad, blocks = _query(field_, x)
-    hess = np.empty((n_starts, 2 * n, 2 * n))
-    radius = np.full(n_starts, 0.5 * min(region[1] - region[0], region[3] - region[2]))
+    n = starts.shape[1]
+    configs = [None] * len(starts)
+    energy, grad, blocks = _query(field_, starts)
+    rows = np.flatnonzero(np.isfinite(energy))
+    x, energy, grad = starts[rows], energy[rows], grad[rows]
+    hess = _assemble_hessian(blocks[rows], x, ke2)
+    radius = np.full(rows.size, 0.5 * min(region[1] - region[0], region[3] - region[2]))
     min_radius = np.spacing(max(map(abs, region)))
-    iters = np.zeros(n_starts, dtype=int)
-    steps = np.zeros(n_starts, dtype=int)
-    running = np.isfinite(energy) & (_row_norms(grad) >= GRAD_TOL)
-    hess[running] = _assemble_hessian(blocks[running], x[running], ke2)
-    while running.any():
-        live = np.flatnonzero(running)
-        e, g, h = energy[live], grad[live], hess[live]
-        step, hits = _steihaug(e, g, h, radius[live])
-        predicted = e - _model(e, g, h, step)
+    iters = np.zeros(rows.size, dtype=int)
+    steps = np.zeros(rows.size, dtype=int)
+
+    def retire(stop):
+        """Record the restarts where stop is set and drop their rows."""
+        nonlocal rows, x, energy, grad, hess, radius, iters, steps
+        if not stop.any():
+            return
+        for k in np.flatnonzero(stop):
+            # below GRAD_TOL, or stopped short of MAX_ITER at the energy's floor
+            floor = FLOOR_ULPS * np.spacing(abs(energy[k]))
+            converged = _row_norms(grad[k]) < GRAD_TOL or (
+                iters[k] < MAX_ITER and _newton_decrease(grad[k], hess[k]) <= floor)
+            configs[rows[k]] = ElectronConfiguration(
+                positions=x[k].copy(), energy=float(energy[k]),
+                gradient_norm=float(np.linalg.norm(grad[k])),
+                converged=bool(converged), iterations=int(steps[k]),
+            )
+        keep = ~stop
+        rows, x, energy, grad, hess = rows[keep], x[keep], energy[keep], grad[keep], hess[keep]
+        radius, iters, steps = radius[keep], iters[keep], steps[keep]
+
+    retire(_row_norms(grad) < GRAD_TOL)
+    while rows.size:
+        step, hits = _steihaug(energy, grad, hess, radius)
+        predicted = energy - _model(energy, grad, hess, step)
         stop = ~(np.isfinite(predicted) & (predicted > 0))
         if stop.any():
-            running[live[stop]] = False
-            live, step, hits, predicted = live[~stop], step[~stop], hits[~stop], predicted[~stop]
-            if not live.size:
-                continue
-        proposal = x[live] + step.reshape(-1, n, 2)
+            retire(stop)
+            if not rows.size:
+                break
+            step, hits, predicted = step[~stop], hits[~stop], predicted[~stop]
+        proposal = x + step.reshape(-1, n, 2)
         e_new, g_new, b_new = _query(field_, proposal)
-        rho = (energy[live] - e_new) / predicted
-        old = radius[live]
+        rho = (energy - e_new) / predicted
         grow = (rho > 0.75) & hits
-        radius[live] = np.where(rho < 0.25, 0.25 * old, np.where(grow, 2.0 * old, old))
+        radius = np.where(rho < 0.25, 0.25 * radius, np.where(grow, 2.0 * radius, radius))
         take = rho > ETA
-        moved = live[take]
-        x[moved], energy[moved], grad[moved] = proposal[take], e_new[take], g_new[take]
-        if moved.size:
-            hess[moved] = _assemble_hessian(b_new[take], proposal[take], ke2)
-        steps[moved] += 1
-        iters[live] += 1
-        flat = _row_norms(grad[live]) < GRAD_TOL
+        x[take], energy[take], grad[take] = proposal[take], e_new[take], g_new[take]
+        if take.any():
+            hess[take] = _assemble_hessian(b_new[take], proposal[take], ke2)
+        steps[take] += 1
+        iters += 1
         # every step rejected (an energy kink) shrinks the radius until its
         # square underflows; below the resolution of the region it moves nothing
-        stuck = radius[live] < min_radius
-        running[live[flat | (iters[live] >= MAX_ITER) | stuck]] = False
-    gnorm = _row_norms(grad)
-    configs = []
-    for k in range(n_starts):
-        if not math.isfinite(energy[k]):
-            configs.append(None)
-            continue
-        # below GRAD_TOL, or stopped short of MAX_ITER (no decrease predicted,
-        # or a radius below the region's resolution) at the energy's floor
-        spent = iters[k] >= MAX_ITER
-        converged = gnorm[k] < GRAD_TOL or (
-            not spent
-            and _newton_decrease(grad[k], hess[k]) <= FLOOR_ULPS * np.spacing(abs(energy[k]))
-        )
-        configs.append(ElectronConfiguration(
-            positions=x[k].copy(), energy=float(energy[k]),
-            gradient_norm=float(np.linalg.norm(grad[k])),
-            converged=bool(converged), iterations=int(steps[k]),
-        ))
+        retire((_row_norms(grad) < GRAD_TOL) | (iters >= MAX_ITER) | (radius < min_radius))
     return configs
 
 
@@ -595,10 +592,10 @@ def coupled_spectrum(
     (omega_r^2, omega_k^2), off-diagonal 2 g_k sqrt(omega_r omega_k) between
     the resonator and mode k, where g_k projects the per-electron couplings
     onto the y components of mode k's eigenvector.  Electron i at r_i couples
-    at g_i = (e / hbar) l_y(omega_r) V_zpf (d alpha-/dy)(r_i) [rad/s]: the
-    rate of ``analytic.coupling_g`` at a 1 m coupling length, times the
-    local differential lever-arm derivative [1/m].  With zero couplings the
-    spectrum reduces exactly to (omega_r, omega_k).
+    at g_i = e / sqrt(m_e C_r) (d alpha-/dy)(r_i) [rad/s]: the local
+    differential lever-arm derivative [1/m] times ``analytic.coupling_g``'s
+    e l_y V_zpf / hbar at a 1 m coupling length, in which hbar cancels.
+    With zero couplings the spectrum reduces exactly to (omega_r, omega_k).
     """
     if modes.is_saddle:
         raise DomainError("coupled spectrum undefined at a saddle configuration")
@@ -608,7 +605,8 @@ def coupled_spectrum(
             frequencies=np.array([omega_r]), participations=np.array([1.0]),
             shift=0.0, mode_couplings=np.zeros(0),
         )
-    g_i = coupling_g(res, 1.0, constants).g * gradient_map.value_at(*config.positions.T)
+    c = constants
+    g_i = c.e / math.sqrt(c.m_e * res.c_r) * gradient_map.value_at(*config.positions.T)
     y_components = modes.eigenvectors[1::2, :]  # rows: electron y coords
     g_k = y_components.T @ g_i
     mat = np.diag(np.concatenate(([omega_r**2], modes.frequencies**2)))

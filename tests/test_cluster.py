@@ -4,6 +4,7 @@ import ast
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -167,6 +168,21 @@ def test_hessian_stack_in_place_peak_and_bits():
     idx = np.arange(100)
     ref[..., idx, idx, :, :] = field.energy_derivatives(pos)[1] + pair.sum(axis=-3)
     assert np.array_equal(hess, ref.swapaxes(-3, -2).reshape(8, 200, 200))
+
+
+def test_descent_peak_holds_live_restarts_only():
+    # the descent keeps one Hessian per restart still descending, with no
+    # gathered copy of the stack: 8 restarts of 100 electrons peak at no
+    # more than 3.25 times their Hessians, query and assembly included
+    field = QuarticField(a1x=1e-3, a1y=2e-3, a2x=1e9, a2y=3e9)
+    minimize(field, 2, seed=0)  # the first call's imports are not the descent's
+    tracemalloc.start()
+    try:
+        minimize(field, 100, seed=0, restarts=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * 8 * (2 * 100) ** 2 * 8
 
 
 @pytest.mark.parametrize("n", range(1, 41))
@@ -491,18 +507,63 @@ def test_batched_steihaug_gives_each_row_its_own_step():
         assert np.array_equal(step[k], alone[0]) and hits[k] == hit[0]
 
 
+RESTART_BATCHES = [("harmonic", 2, None), ("quartic", 1, None)] + [
+    ("dome", n, volts) for n in (1, 2, 4) for volts in (0.25, 0.35)]
+
+
+def _restart_batch(kind, n, volts):
+    """A field and a batch of restarts that stop after different numbers of
+    steps and by different rules, then a start outside the scan region and,
+    for two or more electrons, one with a coincident pair."""
+    if kind == "harmonic":
+        field = _harmonic(5.0, 8.0)
+        starts = [np.array([[-60e-9, 10e-9], [70e-9, -5e-9]])]
+    elif kind == "quartic":
+        # the centre of a trap with no linear field: a zero gradient, exactly
+        field = QuarticField(a1x=1e-3, a1y=2e-3, a2x=1e9, a2y=3e9)
+        starts = [np.zeros((1, 2)), np.array([[0.3e-6, -0.2e-6]])]
+    else:
+        # 50 nm of noise, seeded by n, around the bench dome's trap minimum
+        field = _dome_field(volts)
+        center = cluster.trap_minimum(field)[0]
+        starts = list(center + np.random.default_rng(n).normal(0.0, 50e-9, size=(8, n, 2)))
+    starts.append(starts[0] + 5e-6)  # the scan region is at most +-2 um
+    if n > 1:
+        starts.append(np.zeros((n, 2)))
+    return field, np.stack(starts)
+
+
 def test_bad_restart_does_not_stop_or_change_the_others():
-    field = _harmonic(5.0, 8.0)
-    good = np.array([[-60e-9, 10e-9], [70e-9, -5e-9]])
-    off_region = good + 5e-6  # the scan region is +-2 um
-    coincident = np.zeros((2, 2))
-    [alone] = cluster._descend(field, good[None])
-    with np.errstate(all="raise"):
-        batch = cluster._descend(field, np.stack([off_region, good, coincident]))
-    assert batch[0] is None and batch[2] is None
-    assert alone.converged and batch[1].converged
-    assert np.array_equal(batch[1].positions, alone.positions)
-    assert (batch[1].energy, batch[1].iterations) == (alone.energy, alone.iterations)
+    # each restart ends where it ends alone, bit for bit, whenever and by
+    # whichever rule the others stop
+    for case in RESTART_BATCHES:
+        field, starts = _restart_batch(*case)
+        with np.errstate(all="raise"):
+            batch = cluster._descend(field, starts)
+            alone = [cluster._descend(field, start[None])[0] for start in starts]
+        bad = 2 if case[1] > 1 else 1
+        assert batch[-bad:] == [None] * bad, case
+        assert all(c.converged for c in batch[:-bad]), case
+        for config, ref in zip(batch[:-bad], alone):
+            assert np.array_equal(config.positions, ref.positions), case
+            assert ((config.energy, config.gradient_norm, config.converged, config.iterations)
+                    == (ref.energy, ref.gradient_norm, ref.converged, ref.iterations)), case
+
+
+def test_descent_computes_no_step_twice(monkeypatch):
+    # one query per Steihaug pass, and one of the starts, which the last
+    # pass saves when every restart left stops on no predicted decrease
+    batches = [_restart_batch(*case) for case in RESTART_BATCHES]
+    calls = Counter()
+    query, steihaug = cluster._query, cluster._steihaug
+    monkeypatch.setattr(cluster, "_query", lambda *args: (
+        calls.update(["query"]) or query(*args)))
+    monkeypatch.setattr(cluster, "_steihaug", lambda *args: (
+        calls.update(["steihaug"]) or steihaug(*args)))
+    for case, (field, starts) in zip(RESTART_BATCHES, batches):
+        calls.clear()
+        cluster._descend(field, starts)
+        assert calls["steihaug"] <= calls["query"] <= calls["steihaug"] + 1, case
 
 
 def test_cluster_does_not_use_scipy_optimize():
@@ -621,6 +682,21 @@ def test_coupled_spectrum_uniform_gradient_couples_the_y_mode():
     assert g_k.shape == (2,)
     assert g_k[0] == 0.0
     assert abs(g_k[1]) == pytest.approx(coupling_g(res, 1.0 / grad).g, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [0.1, 0.3, 3.0, 10.0])
+def test_coupled_spectrum_does_not_read_h(scale):
+    # g_i = e / sqrt(m_e C_r) (d alpha-/dy)(r_i) for any h: couplings and
+    # shift keep their bits when h changes
+    res = default_resonator()
+    field = _harmonic(5.0, 8.0)
+    config = minimize(field, 2, seed=0)
+    modes = normal_modes(field, config)
+    gmap = uniform_gradient_map((-1e-6, 1e-6, -1e-6, 1e-6), 0.46e6)
+    ref = coupled_spectrum(modes, config, res, gmap)
+    out = coupled_spectrum(modes, config, res, gmap, replace(CONSTANTS, h=scale * CONSTANTS.h))
+    assert np.array_equal(out.mode_couplings, ref.mode_couplings)
+    assert out.shift == ref.shift
 
 
 def test_coupled_spectrum_zero_coupling_is_bare():
