@@ -247,9 +247,7 @@ def compensate_background(
     """
     from . import fitters  # late import: fitters builds on the models above
 
-    if far_detuned.probe.shape != target.probe.shape or not np.allclose(
-        far_detuned.probe, target.probe, rtol=0, atol=0
-    ):
+    if not np.array_equal(far_detuned.probe, target.probe):
         raise DomainError("far-detuned and target traces must share one probe axis")
 
     fit = fitters.fit_bare_resonator(far_detuned)

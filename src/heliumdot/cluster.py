@@ -53,6 +53,10 @@ ETA = 0.15  # least actual / predicted decrease ratio of an accepted step
 FLOOR_ULPS = 4.0
 SCAN_NODES = 31  # trap_minimum: scan nodes per axis
 STEP_ZPL = 1e-11  # trap_minimum: shortest final Newton step [zero-point lengths]
+# trap_minimum: largest rise of U [ulp of U] at which the final Newton step
+# is still taken.  Near the minimum U's rounding noise spans several ulp:
+# FLOOR_ULPS there still refused the step on 2 of 40 seeded skewed domes.
+STEP_RISE_ULPS = 16.0
 
 # Largest cluster: the 2N x 2N Hessian, like each (N, N, 2, 2) pair array,
 # is 8 * 2000^2 bytes = 32 MB.
@@ -439,9 +443,9 @@ def trap_minimum(field_: PotentialField) -> tuple:
     to the region, then moves the center onto the minimum as closely as U
     resolves it.  It is taken only where H is positive definite, the step is
     finite and longer than STEP_ZPL zero-point lengths sqrt(hbar / sqrt(m_e
-    H_ii)) on some axis, and U does not rise, which near the minimum rounding
-    noise alone can refuse; a center already resolved to that, such as the
-    node at a symmetric trap's top, stays put.
+    H_ii)) on some axis, and U rises by at most STEP_RISE_ULPS ulp, its
+    rounding noise near the minimum; a center already resolved to that, such
+    as the node at a symmetric trap's top, stays put.
     """
     region = field_.scan_region
     xs, ys, u = sample_grid(field_, region, SCAN_NODES)
@@ -457,7 +461,7 @@ def trap_minimum(field_: PotentialField) -> tuple:
         zpl = np.sqrt(c.hbar / np.sqrt(c.m_e * np.diag(hess)))
         if np.isfinite(step).all() and np.any(np.abs(step) > STEP_ZPL * zpl):
             trial = np.clip(center - step, region[::2], region[1::2])
-            if field_.energy(*trial) <= energy:
+            if field_.energy(*trial) <= energy + STEP_RISE_ULPS * np.spacing(abs(energy)):
                 center, hess = trial, field_.energy_derivatives(trial)[1]
     return center, hess
 

@@ -219,32 +219,6 @@ def least_squares(
 
 
 # ---------------------------------------------------------------------------
-# peak picking
-# ---------------------------------------------------------------------------
-
-
-def _find_peaks(x: np.ndarray, y: np.ndarray, min_prominence: float) -> list:
-    """Local maxima of y(x) with at least the given (positive) prominence.
-
-    Each peak location is refined by a parabola through the three samples
-    around the maximum; scipy never reports the first or last sample, and
-    with y1 >= y0, y2 the vertex lies within half a step of the middle one.
-    Returns a list of (x_peak, height) sorted by x.
-    """
-    import scipy.signal  # late import: only `fit rabi` finds peaks
-
-    idx, _props = scipy.signal.find_peaks(y, prominence=min_prominence)
-    peaks = []
-    for i in idx:
-        y0, y1, y2 = y[i - 1], y[i], y[i + 1]
-        denom = y0 - 2 * y1 + y2
-        shift = 0.0 if denom == 0 else 0.5 * (y0 - y2) / denom
-        x_pk = x[i] + shift * (0.5 * (x[i + 1] - x[i - 1]))
-        peaks.append((float(x_pk), float(y1 - 0.25 * (y0 - y2) * shift)))
-    return sorted(peaks)
-
-
-# ---------------------------------------------------------------------------
 # recipe helpers
 # ---------------------------------------------------------------------------
 
@@ -396,24 +370,14 @@ def fit_rabi(trace: SpectrumTrace, res: ResonatorParams) -> FitResult:
 
     Free parameters: coupling g, electron linewidth gamma_2, electron
     frequency omega_e (all rad/s); the resonator is held fixed.  Initials:
-    g from half the separation of the two strongest |S21| peaks (falling
-    back to kappa_tot when the doublet is unresolved), gamma_2 = 2 kappa_tot.
+    g is the distance of the largest |S21| from omega_r, at least kappa_tot
+    (a resolved doublet peaks near omega_r +- g), gamma_2 = 2 kappa_tot and
+    omega_e = omega_r.
     """
     probe = trace.probe
-    mag = np.abs(trace.s21)
-    span = float(mag.max() - mag.min())
-    peaks = _find_peaks(probe, mag, min_prominence=0.1 * span) if span > 0 else []
-    omega_r = res.omega_r
-    if len(peaks) >= 2:
-        top = sorted(peaks, key=lambda p: p[1], reverse=True)[:2]
-        (f1, _), (f2, _) = sorted(top)
-        g0 = abs(f2 - f1) / 2.0
-        omega_e0 = f1 + f2 - omega_r
-    else:
-        g0 = res.kappa_tot
-        omega_e0 = omega_r
-    start = {"g": max(g0, res.kappa_tot / 10.0), "gamma_2": 2.0 * res.kappa_tot,
-             "omega_e": omega_e0}
+    f_max = probe[np.argmax(np.abs(trace.s21))]
+    start = {"g": max(abs(f_max - res.omega_r), res.kappa_tot),
+             "gamma_2": 2.0 * res.kappa_tot, "omega_e": res.omega_r}
 
     def model(x, g, gamma_2, omega_e):
         el = TwoLevelElectron(omega_e=omega_e, gamma_2=gamma_2)

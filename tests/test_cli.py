@@ -122,6 +122,23 @@ def test_fit_bare_pipeline(tmp_path):
     assert fit["units"]["omega_r"] == "Hz"
 
 
+def test_fit_bare_of_a_span_with_no_leak_sample(tmp_path):
+    # a 60 MHz span holds no sample beyond 3 widths of a 23 MHz line, so the
+    # leak starts from its defaults, and the fit still recovers it
+    trace = str(tmp_path / "narrow.csv")
+    args = _synth_args(trace)
+    args[args.index("--span-mhz") + 1] = "60"
+    assert main(args) == 0
+    narrow = read_trace(trace)
+    peak, width = fitters._estimate_peak_and_width(narrow.probe, np.abs(narrow.s21))
+    assert not np.any(np.abs(narrow.probe - peak) > 3.0 * width)
+    out = str(tmp_path / "fit.json")
+    assert main(["fit", "bare", "--trace", trace, "--out", out]) == 0
+    fit = json.loads((tmp_path / "fit.json").read_text())
+    assert fit["converged"]
+    assert fit["params"]["t"]["value"] == pytest.approx(0.008, rel=1e-6)
+
+
 def test_fit_rabi_with_reference(tmp_path):
     far = str(tmp_path / "far.csv")
     target = str(tmp_path / "target.csv")
@@ -335,6 +352,19 @@ def test_fit_twotone_there_and_back_sweep(tmp_path):
     fit = json.loads((tmp_path / "dip.json").read_text())
     assert fit["params"]["omega_e"]["value"] == pytest.approx(8.66e9, abs=1e6)
     assert fit["params"]["gamma"]["value"] == pytest.approx(102e6, rel=1e-2)
+
+
+def test_fit_twotone_of_four_rows_is_underdetermined(tmp_path):
+    # four rows fix the four dip parameters with no residual left over: the
+    # fit runs, and says it has no covariance
+    data = tmp_path / "dip.csv"
+    data.write_text("freq_GHz,response\n8.5,1.0\n8.6,0.7\n8.7,0.6\n8.8,0.95\n")
+    out = tmp_path / "dip.json"
+    assert main(["fit", "twotone", "--data", str(data), "--out", str(out)]) == 0
+    fit = json.loads(out.read_text())
+    assert fit["flags"] == {"underdetermined": True}
+    assert fit["covariance"] is None
+    assert [p["sigma"] for p in fit["params"].values()] == [None] * 4
 
 
 def test_calc_cooperativity_stdout_deterministic(capsys):
@@ -715,6 +745,15 @@ def test_seed_beyond_64_bits_is_usage_error(tmp_path, capsys):
     assert json.loads(Path(f"{out}.json").read_text())["config"]["options"]["seed"] == 2**64 - 1
 
 
+def test_seed_that_is_no_integer_is_usage_error(tmp_path, capsys):
+    assert main(["synth", "--points", "11", "--seed", "abc",
+                 "--out", str(tmp_path / "trace.csv")]) == 1
+    [err] = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert err["error"] == "UsageError"
+    assert "'abc'" in err["message"]
+    assert not list(tmp_path.iterdir())
+
+
 def test_qsolve_flags_edge_minimum(capsys):
     # a1x < 0 puts the x minimum on the window edge: the levels are printed,
     # flagged as in the sweep's flags column; the x window, sized from a
@@ -785,19 +824,22 @@ def test_commands_import_scipy_only_where_they_use_it(tmp_path):
                   "             ['qsolve', '--a1x', '1.1e-8', '--a1y', '2e-8', '--k', '3']):\n"
                   "    assert main(argv) == 0, argv\n" + _SCIPY_MODULES)
     assert _run_python(numpy_only, cwd=tmp_path).splitlines()[-1] == "[]"
-    with_scipy = ("from heliumdot.cli import main\n"
+    with_scipy = ("import sys\nfrom heliumdot.cli import main\n"
                   "for argv in (['compensate', '--far', 'far.csv', '--target', 'trace.csv',\n"
                   "              '--out', 'comp.csv'],\n"
                   "             ['fit', 'rabi', '--trace', 'comp.csv', '--far', 'far.csv',\n"
-                  "              '--out', 'fit.json'],\n"
-                  f"             ['sweep', 'freq', '--maps', {maps!r}, '--electrode', 'trap',\n"
+                  "              '--out', 'fit.json']):\n"
+                  "    assert main(argv) == 0, argv\n"
+                  "print(sorted({'scipy.signal', 'scipy.stats'} & set(sys.modules)))\n"
+                  f"for argv in (['sweep', 'freq', '--maps', {maps!r}, '--electrode', 'trap',\n"
                   "              '--vmin', '0.3', '--vmax', '0.3', '--n', '1',\n"
                   "              '--out', 'freq.csv'],\n"
                   f"             ['sweep', 'shift', '--maps', {maps!r}, '--electrode', 'trap',\n"
                   "              '--vmin', '0.3', '--vmax', '0.3', '--n', '1',\n"
                   "              '--restarts', '2', '--out', 'shift.csv']):\n"
                   "    assert main(argv) == 0, argv\n")
-    _run_python(with_scipy, cwd=tmp_path)
+    # the readout fits load scipy.optimize alone: no peak search, no scipy.stats
+    assert _run_python(with_scipy, cwd=tmp_path).splitlines()[0] == "[]"
     assert {p.name for p in tmp_path.iterdir()} >= {"comp.csv", "fit.json", "freq.csv",
                                                     "shift.csv"}
 

@@ -211,41 +211,6 @@ def test_interval_coverage_and_bias():
 
 
 # ---------------------------------------------------------------------------
-# peak picking
-# ---------------------------------------------------------------------------
-
-
-def test_find_peaks_two_lorentzians():
-    x = np.linspace(0.0, 10.0, 2001)
-    y = 1.0 / (1.0 + (x - 3.0) ** 2 / 0.04) + 0.8 / (1.0 + (x - 7.2) ** 2 / 0.04)
-    peaks = fitters._find_peaks(x, y, min_prominence=0.3)
-    assert len(peaks) == 2
-    assert peaks[0][0] == pytest.approx(3.0, abs=1e-3)
-    assert peaks[1][0] == pytest.approx(7.2, abs=1e-3)
-    assert peaks[0][1] > peaks[1][1]
-
-
-def test_find_peaks_prominence_filter():
-    x = np.linspace(0.0, 10.0, 2001)
-    rng = np.random.default_rng(2)
-    y = 1.0 / (1.0 + (x - 5.0) ** 2 / 0.04) + rng.normal(0.0, 0.01, x.size)
-    peaks = fitters._find_peaks(x, y, min_prominence=0.3)
-    assert len(peaks) == 1
-
-
-def test_find_peaks_vertex_within_half_a_step():
-    # scipy reports no edge sample, and the parabola through a local maximum
-    # and its two neighbours peaks within half a step of it, plateaus too
-    rng = np.random.default_rng(5)
-    x = np.arange(12.0)
-    for _ in range(500):
-        y = rng.integers(0, 4, x.size).astype(float)  # ties and edge maxima
-        for x_pk, _height in fitters._find_peaks(x, y, min_prominence=0.5):
-            assert 0.5 <= x_pk <= x[-1] - 0.5
-            assert np.min(np.abs(x_pk - x[1:-1])) <= 0.5
-
-
-# ---------------------------------------------------------------------------
 # bare resonator recipe
 # ---------------------------------------------------------------------------
 
@@ -377,6 +342,20 @@ def test_fit_rabi_detuned_electron(res_7162, probe_half_ghz):
     trace = synthesize_trace(res_7162, el, g, None, probe_half_ghz)
     fit = fit_rabi(trace, res_7162)
     assert fit.params["omega_e"] == pytest.approx(el.omega_e, abs=0.5 * MHZ)
+
+
+def test_fit_rabi_recovers_a_seeded_noiseless_family(res_7162, probe_half_ghz):
+    # g 5-150 MHz, detuning +-400 MHz, gamma_2 5-150 MHz: resolved, detuned
+    # and unresolved doublets (34 of the 60 peak within kappa_tot of omega_r,
+    # where the start takes g = kappa_tot), each recovered to 1e-6
+    rng = np.random.default_rng(37)
+    for _ in range(60):
+        g, detuning, gamma_2 = rng.uniform((5.0, -400.0, 5.0), (150.0, 400.0, 150.0)) * MHZ
+        el = TwoLevelElectron(omega_e=res_7162.omega_r + detuning, gamma_2=gamma_2)
+        fit = fit_rabi(synthesize_trace(res_7162, el, g, None, probe_half_ghz), res_7162)
+        assert fit.params["g"] == pytest.approx(g, rel=1e-6)
+        assert fit.params["gamma_2"] == pytest.approx(gamma_2, rel=1e-6)
+        assert fit.params["omega_e"] == pytest.approx(el.omega_e, abs=1e-6 * g)
 
 
 def _rabi_model(res, x, g, gamma_2, omega_e):
