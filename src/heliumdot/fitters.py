@@ -372,7 +372,8 @@ def fit_rabi(trace: SpectrumTrace, res: ResonatorParams) -> FitResult:
     frequency omega_e (all rad/s); the resonator is held fixed.  Initials:
     g is the distance of the largest |S21| from omega_r, at least kappa_tot
     (a resolved doublet peaks near omega_r +- g), gamma_2 = 2 kappa_tot and
-    omega_e = omega_r.
+    omega_e = omega_r.  A fitted omega_e outside the probe span, which the
+    trace cannot pin, is flagged ``omega_e_outside_span``.
     """
     probe = trace.probe
     f_max = probe[np.argmax(np.abs(trace.s21))]
@@ -388,7 +389,10 @@ def fit_rabi(trace: SpectrumTrace, res: ResonatorParams) -> FitResult:
 
     bounds = {"g": (0.0, math.inf), "gamma_2": (0.0, math.inf),
               "omega_e": (0.0, math.inf)}
-    return least_squares(model, probe, trace.s21, init=start, bounds=bounds, jac=jac)
+    fit = least_squares(model, probe, trace.s21, init=start, bounds=bounds, jac=jac)
+    if not probe[0] <= fit.params["omega_e"] <= probe[-1]:  # the probe axis rises
+        fit.flags["omega_e_outside_span"] = True
+    return fit
 
 
 def fit_lorentzian_dip(drive: np.ndarray, response: np.ndarray) -> FitResult:

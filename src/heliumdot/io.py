@@ -3,11 +3,11 @@
 Frequencies cross the file boundary in cyclic units (GHz for axes, Hz for
 fit parameters); everything internal stays angular.  CSV floats are repr's,
 JSON is orjson's with sorted keys, both shortest round-trip, so reruns of
-the same inputs write byte-identical files.  Trace columns are formatted a
-whole column at a time with repr, and read back by one ``np.loadtxt`` call,
-numpy's C reader, whose values are ``float``'s bit for bit.  The resolved
-run configuration rides along in every file: a ``# config:`` comment line
-in CSV, a ``config`` key in JSON.
+the same inputs write byte-identical files.  Trace rows are spelled by one
+orjson call over the whole table, respelled to repr's bytes, and read back
+by one ``np.loadtxt`` call, numpy's C reader, whose values are ``float``'s
+bit for bit.  The resolved run configuration rides along in every file: a
+``# config:`` comment line in CSV, a ``config`` key in JSON.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import re
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -129,17 +130,51 @@ def _table(text: str, what: str, ncols: int, exact: bool) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# orjson's spellings that differ from repr's: an exponent (``e-7``, ``e16``
+# for repr's ``e-07``, ``e+16``), a value of 1e-5 <= |x| < 1e-4 in decimal
+# (``0.0000888`` for ``8.88e-05``), and ``null`` for each non-finite value
+_EXPONENT = re.compile(r"e(-?)(\d+)")
+_SMALL = re.compile(r"0\.0000(\d)(\d*)")
+
+
+def _repr_exponent(m: re.Match) -> str:
+    return f"e{m[1] or '+'}{m[2]:0>2}"
+
+
+def _repr_small(m: re.Match) -> str:
+    if m.string[m.start() - 1] in "0123456789":  # the tail of a number such as 10.00001
+        return m[0]
+    return f"{m[1]}.{m[2]}e-05" if m[2] else f"{m[1]}e-05"
+
+
+def _repr_rows(table: np.ndarray) -> str:
+    """The rows of a C-contiguous (n, 3) float table as CSV lines, each value
+    spelled as ``repr`` spells it: one orjson call writes the shortest
+    round-trip digits of the whole table, and three rewrites give them
+    repr's spelling."""
+    text = json_text(table, indent=False)
+    if "e" in text:
+        text = _EXPONENT.sub(_repr_exponent, text)
+    if "0.0000" in text:
+        text = _SMALL.sub(_repr_small, text)
+    nonfinite = table[~np.isfinite(table)]
+    if nonfinite.size:
+        # in C order, as orjson writes them; a number array's JSON holds no braces
+        text = text.replace("null", "{}").format(*map(repr, nonfinite.tolist()))
+    return text[2:-2].replace("],[", "\n") + "\n"
+
+
 def write_trace(trace: SpectrumTrace, path: str, config: Mapping | None = None) -> None:
     """Write a trace as CSV (freq_GHz, re_s21, im_s21) plus a JSON sidecar.
 
+    Each CSV value reads as ``repr`` writes it (see :func:`_repr_rows`).
     The sidecar (same path with .json appended) carries the trace metadata
     and the resolved config.  Both texts are formatted before either file is
     written, so metadata that cannot be encoded leaves no CSV without its
     sidecar.
     """
-    rows = map("{!r},{!r},{!r}\n".format, (trace.probe / GHZ).tolist(),
-               trace.s21.real.tolist(), trace.s21.imag.tolist())
-    csv = _config_line(config) + "freq_GHz,re_s21,im_s21\n" + "".join(rows)
+    table = np.column_stack((trace.probe / GHZ, trace.s21.real, trace.s21.imag))
+    csv = _config_line(config) + "freq_GHz,re_s21,im_s21\n" + _repr_rows(table)
     sidecar = json_text({"metadata": trace.metadata, "config": config or {}})
     write_text(path, csv)
     write_text(path + ".json", sidecar)

@@ -157,6 +157,25 @@ def test_fit_rabi_with_reference(tmp_path):
     assert "leak" in removed
 
 
+def test_fit_rabi_flags_an_electron_fitted_outside_the_probe_span(tmp_path):
+    # a weak, narrow electron 210 MHz below a 7.162 GHz resonator, probed
+    # over +-0.5 GHz: the fit converges to omega_e below the span's
+    # 6662 MHz edge, with g = 17.4 MHz for 11.1, and says so in its flags
+    trace, out = str(tmp_path / "t.csv"), str(tmp_path / "fit.json")
+    assert main(["synth", "--f-res-ghz", "7.162", "--span-mhz", "1000", "--points", "401",
+                 "--f-el-ghz", "6.952", "--g-mhz", "11.1", "--gamma2-mhz", "16.2",
+                 "--out", trace]) == 0
+    assert main(["fit", "rabi", "--f-res-ghz", "7.162", "--trace", trace, "--out", out]) == 0
+    fit = json.loads((tmp_path / "fit.json").read_text())
+    assert fit["converged"]
+    assert fit["params"]["omega_e"]["value"] < 6.662e9
+    assert fit["flags"] == {"omega_e_outside_span": True}
+    # the README chain's electron sits mid-span and is not flagged
+    main(_synth_args(trace, kind="rabi"))
+    assert main(["fit", "rabi", "--f-res-ghz", "7.162", "--trace", trace, "--out", out]) == 0
+    assert json.loads((tmp_path / "fit.json").read_text())["flags"] == {}
+
+
 _FIT_RABI_FAR = ["fit", "rabi", "--trace", "comp.csv", "--far", "far.csv", "--out", "fit.json"]
 
 

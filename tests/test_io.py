@@ -116,6 +116,66 @@ def test_write_trace_matches_per_value_repr(tmp_path):
     ]
 
 
+def _exactness_family() -> np.ndarray:
+    """An (n, 3) table of values the trace writer must spell as repr does:
+    random 64-bit patterns, every decade from 1e-320 to 1e308, the edges of
+    repr's exponent range, numbers whose decimals hold 0.0000, and nan, inf
+    and -inf in every column."""
+    rng = np.random.default_rng(38)
+    bits = rng.integers(0, 2**64, size=200_001, dtype=np.uint64).view(np.float64)
+    mantissas = rng.uniform(1.0, 10.0, size=(8, 629)) * rng.choice([-1.0, 1.0], size=(8, 629))
+    with np.errstate(over="ignore"):
+        decades = (mantissas * 10.0 ** np.arange(-320, 309)).ravel()
+    edges = np.array([1e-5, 1e-4, 9.999999999999999e-05, 1e16, 5e-324, -0.0, 0.0,
+                      np.nextafter(1e-5, 0.0), np.nextafter(1e-4, 1.0), np.nextafter(1e16, 0.0),
+                      10.00001, -0.00009, 100.00001, -10.0000123, 1.00001e-5, 1e-7, 1e300,
+                      np.nan, np.inf, -np.inf])
+    edges = np.concatenate([edges, -edges])
+    values = np.concatenate([bits, decades[np.isfinite(decades)]])
+    values = values[: values.size // 3 * 3].reshape(-1, 3)
+    return np.concatenate([values, np.stack([edges, np.roll(edges, 1), np.roll(edges, 2)], 1)])
+
+
+def test_write_trace_spells_a_seeded_family_as_repr(tmp_path):
+    table = _exactness_family()
+    n = len(table)
+    s21 = np.empty(n, complex)
+    s21.real, s21.imag = table[:, 1], table[:, 2]
+    trace = SpectrumTrace(probe=np.arange(1.0, n + 1.0), s21=s21)
+    # the probe axis is checked only when a trace is built, and the writer
+    # takes any column; a signalling NaN pattern turns quiet here
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace.probe = table[:, 0] * GHZ
+    path = tmp_path / "family.csv"
+    write_trace(trace, str(path))
+    reference = [f"{f!r},{re!r},{im!r}\n" for f, re, im in
+                 zip((trace.probe / GHZ).tolist(), table[:, 1].tolist(), table[:, 2].tolist())]
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines[0] == "freq_GHz,re_s21,im_s21\n"
+    assert lines[1:] == reference
+    # each of the writer's three respellings has cells to act on
+    cells = set(",".join(lines[1:]).replace("\n", ",").split(","))
+    assert {"1e-05", "-9e-05", "10.00001", "1e+16", "1e-07", "nan", "inf", "-inf"} <= cells
+
+
+def test_parse_trace_reads_cells_as_float_does(tmp_path):
+    # bare -0, integer cells and 1E5-style exponents, each as float reads it,
+    # -0's sign included; a JSON-based reader would need to keep these
+    cells = ["-0", "0", "10", "-10", "1E5", "-1E5", "1e5", "2.5E-3", "1E+5", "-0E0",
+             "007", "1E-320", "-0.0", "123456789012345678901234567890"]
+    probe = ["7", "8", "9", "1E1", "11", "12", "1.3E1", "14", "15", "16", "17", "18", "19", "20"]
+    text = "freq_GHz,re_s21,im_s21\n" + "".join(
+        f"{f},{re},{im}\n" for f, re, im in zip(probe, cells, cells[::-1]))
+    trace = parse_trace(text, str(tmp_path / "cells.csv"))
+    for got, want in ((trace.probe, [float(c) * GHZ for c in probe]),
+                      (trace.s21.real, [float(c) for c in cells]),
+                      (trace.s21.imag, [float(c) for c in cells[::-1]])):
+        want = np.array(want)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.signbit(trace.s21.real[0]) and not np.signbit(trace.s21.real[1])
+
+
 def test_json_text_arrays():
     # orjson writes a float array itself; a strided view or a complex array
     # goes through the hook; every non-finite value is null
