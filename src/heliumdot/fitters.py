@@ -1,15 +1,15 @@
 """Deterministic nonlinear least squares for spectroscopy traces.
 
 Every fit in the package is one call of MINPACK's Levenberg-Marquardt
-(Moré 1978, through ``scipy.optimize.least_squares``).  Complex-valued
+(Moré 1978), ``lmder``, through ``scipy.optimize.leastsq``.  Complex-valued
 models are fit by stacking real and imaginary residuals.  Bounds are
 enforced by smooth reparameterization (log for positive rates, scaled logit
 for intervals), never by clipping, so MINPACK always works on an
 unconstrained vector.  Identical inputs give bit-identical results.
 
-The bare-resonator and doublet fits hand MINPACK the closed-form Jacobians
-of their models (:func:`bare_jacobian`, :func:`rabi_jacobian`); only the
-dip fit takes forward differences.
+Every fit hands MINPACK the closed-form Jacobian of its model
+(:func:`bare_jacobian`, :func:`rabi_jacobian`, :func:`dip_jacobian`), so
+no fit takes finite differences.
 
 Parameter uncertainties come from the Jacobian at the optimum,
 cov = s^2 (J^T J)^-1 with s^2 the reduced residual variance; sigmas are NaN
@@ -100,11 +100,9 @@ class FitResult:
     params/sigmas are keyed by parameter name in the recipe's units
     (angular rad/s for every frequency-like quantity).  rss is the sum of
     squared residuals in data units; iterations is MINPACK's count of
-    residual evaluations.  It counts no Jacobian: bare and doublet fits
-    evaluate theirs in closed form, and scipy 1.17 leaves the
-    finite-difference columns of the dip fit out of the count.  flags:
-    max_iter (evaluation budget spent), singular_covariance,
-    underdetermined, plus recipe-specific entries.
+    residual evaluations, which counts no Jacobian.  converged is MINPACK's
+    verdict (info 1-4).  flags: max_iter (evaluation budget spent, info 5),
+    singular_covariance, underdetermined, plus recipe-specific entries.
     """
 
     params: dict
@@ -121,25 +119,41 @@ class FitResult:
 # ---------------------------------------------------------------------------
 
 
+def _last_call(fn: Callable) -> Callable:
+    """``fn`` of an internal vector with a one-entry memo of its last
+    argument, so evaluations at the same point cost one call."""
+    key, value = None, None
+
+    def call(internal: np.ndarray):
+        nonlocal key, value
+        k = internal.tobytes()  # a copy: MINPACK may pass a view of its own buffer
+        if k != key:
+            key, value = k, fn(internal)
+        return value
+
+    return call
+
+
 def least_squares(
     model: Callable,
     xdata: np.ndarray,
     ydata: np.ndarray,
     init: Mapping[str, float],
     bounds: Mapping[str, tuple] | None = None,
-    jac: Callable | None = None,
+    *,
+    jac: Callable,
 ) -> FitResult:
     """Fit ``model(x, **params)`` to data by MINPACK's Levenberg-Marquardt.
 
     ydata may be complex; residuals are then the stacked real and imaginary
     parts.  ``bounds`` maps parameter names to (lo, hi): (0, inf) gives a
     log transform, finite intervals a scaled logit, omitted names are
-    unbounded.  ``jac(x, **params)``, when given, returns the model's
-    derivative in each external parameter as a mapping from name to a
-    column (or a scalar for a column constant in x); each column is chained
-    through the parameter's transform, and MINPACK then takes no finite
-    differences.  Without it (the dip fit) the Jacobian is taken by forward
-    differences.
+    unbounded.  ``jac(x, **params)`` returns the model's derivative in
+    each external parameter as a mapping from name to a column (or a scalar
+    for a column constant in x); each column is chained through the
+    parameter's transform.  The start is evaluated once: its residuals,
+    checked for finiteness here, serve leastsq's shape check and MINPACK's
+    first call, and likewise its Jacobian.
     Raises FitError when there are fewer residuals than free parameters or
     the model is not finite at the start.
     """
@@ -171,31 +185,30 @@ def least_squares(
             out[:, k] *= tr.dext_dint(v)
         return np.concatenate([out.real, out.imag]) if complex_data else out
 
+    fun, dfun = _last_call(residuals), _last_call(jacobian)
     theta0 = np.array([tr.to_internal(float(init[n])) for n, tr in zip(names, transforms)])
+    if not np.isfinite(fun(theta0)).all():
+        raise FitError("model not finite at the initial point")
     import scipy.optimize  # late import: only `compensate` and `fit` run least squares
 
-    try:
-        sol = scipy.optimize.least_squares(
-            residuals, theta0, jac="2-point" if jac is None else jacobian, method="lm",
-            x_scale="jac", ftol=1e-10, xtol=1e-10, gtol=1e-12
-        )
-    except ValueError as exc:
-        # scipy checks the residuals at theta0 itself before MINPACK starts
-        if "not finite in the initial point" not in str(exc):
-            raise
-        raise FitError("model not finite at the initial point") from None
-    rss = float(sol.fun @ sol.fun)
-    flags: dict = {"max_iter": True} if sol.status == 0 else {}
+    # lmder with the settings of least_squares(method="lm", x_scale="jac"),
+    # whose fits the package's outputs were pinned on
+    x, _, out, _, info = scipy.optimize.leastsq(
+        fun, theta0, Dfun=dfun, full_output=True, ftol=1e-10, xtol=1e-10, gtol=1e-12,
+        maxfev=100 * len(names), factor=100,
+    )
+    rss = float(out["fvec"] @ out["fvec"])
+    flags: dict = {"max_iter": True} if info == 5 else {}
 
     # covariance in internal coordinates, chain rule back to external; columns
     # are normalized before conditioning because raw parameter scales span
     # many decades (rad/s next to phases) without implying degeneracy
-    jac = sol.jac
-    dof = jac.shape[0] - jac.shape[1]
-    d = np.linalg.norm(jac, axis=0)
+    j = dfun(x)
+    dof = j.shape[0] - j.shape[1]
+    d = np.linalg.norm(j, axis=0)
     d[~(d > 0)] = 1.0
-    jtj_s = (jac / d).T @ (jac / d)
-    scale = np.array([tr.dext_dint(v) for tr, v in zip(transforms, sol.x)]) / d
+    jtj_s = (j / d).T @ (j / d)
+    scale = np.array([tr.dext_dint(v) for tr, v in zip(transforms, x)]) / d
     covariance = None
     if dof <= 0:
         flags["underdetermined"] = True
@@ -208,11 +221,11 @@ def least_squares(
         sigmas = {n: math.sqrt(max(float(c), 0.0)) for n, c in zip(names, np.diag(covariance))}
 
     return FitResult(
-        params=external(sol.x),
+        params=external(x),
         sigmas=sigmas,
         rss=rss,
-        iterations=int(sol.nfev),
-        converged=bool(sol.status > 0),
+        iterations=int(out["nfev"]),
+        converged=1 <= info <= 4,
         flags=flags,
         covariance=covariance,
     )
@@ -261,6 +274,24 @@ def bare_jacobian(x, omega_r, kappa_tot, amp, t, zeta) -> dict:
     leak = crosstalk_leak(t, zeta)
     return {"omega_r": -1j * amp * inv2, "kappa_tot": -0.5 * amp * inv2, "amp": inv,
             "t": leak / (2.0 * t), "zeta": 1j * leak}
+
+
+def dip_jacobian(x, omega_e, gamma, depth, offset) -> dict:
+    """Closed-form derivatives of :func:`cavity.lorentzian_dip`, keyed by
+    parameter.
+
+    With u = x - omega_e, v = 1/(u^2 + gamma^2) and the line shape
+    L = gamma^2 v: d/d omega_e = -2 depth L u v, d/d gamma = -2 depth gamma
+    u^2 v^2, d/d depth = -L, d/d offset = 1 (a scalar).  The squares are
+    taken as L v and (u^2 v) v, products with the factors L and u^2 v of at
+    most 1, so the columns overflow nowhere the model does not.
+    """
+    u = np.asarray(x) - omega_e
+    inv = 1.0 / (u * u + gamma**2)
+    line = gamma**2 * inv
+    return {"omega_e": -2.0 * depth * line * u * inv,
+            "gamma": -2.0 * depth * gamma * (u * u * inv) * inv,
+            "depth": -line, "offset": 1.0}
 
 
 def rabi_jacobian(res: ResonatorParams, x, g, gamma_2, omega_e) -> dict:
@@ -423,4 +454,5 @@ def fit_lorentzian_dip(drive: np.ndarray, response: np.ndarray) -> FitResult:
     start = {"omega_e": float(drive[i_min]), "gamma": gamma0,
              "depth": depth0, "offset": offset0}
     bounds = {"gamma": (0.0, math.inf), "depth": (0.0, math.inf)}
-    return least_squares(lorentzian_dip, drive, response, init=start, bounds=bounds)
+    return least_squares(lorentzian_dip, drive, response, init=start, bounds=bounds,
+                         jac=dip_jacobian)

@@ -5,9 +5,9 @@ fit parameters); everything internal stays angular.  CSV floats are repr's,
 JSON is orjson's with sorted keys, both shortest round-trip, so reruns of
 the same inputs write byte-identical files.  Trace rows are spelled by one
 orjson call over the whole table, respelled to repr's bytes, and read back
-by one ``np.loadtxt`` call, numpy's C reader, whose values are ``float``'s
-bit for bit.  The resolved run configuration rides along in every file: a
-``# config:`` comment line in CSV, a ``config`` key in JSON.
+by one flat orjson parse, whose values are ``float``'s bit for bit.  The
+resolved run configuration rides along in every file: a ``# config:``
+comment line in CSV, a ``config`` key in JSON.
 """
 
 from __future__ import annotations
@@ -81,6 +81,65 @@ def text_sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+# The bytes of a table text whose cells orjson reads as ``float`` does, bit
+# for bit, once no cell is a bare -0 (orjson's int 0).  The -0 pattern also
+# finds the e-0 of an exponent such as 1e-0, which only sends that text to
+# the scan: a lookbehind to skip it costs 25 times more.
+_NUMBER_BYTES = b"0123456789eE.,+- \t\r\n"
+_BARE_MINUS_ZERO = re.compile(r"-0(?![\d.eE])")
+
+
+def _is_data(line: str) -> bool:
+    """Whether a stripped CSV line is a data row: not blank, not a ``#``
+    comment, not a ``freq...`` header."""
+    return bool(line) and not line.startswith("#") and not line.lower().startswith("freq")
+
+
+def _data_start(text: str) -> int:
+    """The offset in ``text`` of its first data row, past the leading
+    non-data lines."""
+    start = 0
+    while True:
+        end = text.find("\n", start)
+        if _is_data(text[start:end if end >= 0 else len(text)].strip()):
+            return start
+        if end < 0:
+            return len(text)
+        start = end + 1
+
+
+def _flat_table(body: str, ncols: int, exact: bool) -> np.ndarray | None:
+    """The table of :func:`_table` from one flat orjson parse of its data
+    rows, ``body``, or None when the per-row scan must decide: for a byte
+    outside ``_NUMBER_BYTES``, a bare ``-0``, text orjson refuses, or rows
+    that are not all of the wanted width with finite kept cells.
+
+    Each row closes with a null, so one flat list holds the whole table and
+    no row is a list of its own: the rows have the first row's width when
+    there are as many cells as lines times that width plus one, and every
+    null lands in the column after the last cell.
+    """
+    if body.encode().translate(None, _NUMBER_BYTES) or _BARE_MINUS_ZERO.search(body):
+        return None
+    import orjson  # late import, as json_text's
+
+    try:
+        cells = np.array(orjson.loads("[" + body.replace("\n", ",null,") + ",null]"), float)
+    except orjson.JSONDecodeError:  # an empty cell, a mid-body blank line, 1e400, ...
+        return None
+    width = body.partition("\n")[0].count(",") + 1
+    lines = body.count("\n") + 1
+    if (width != ncols if exact else width < ncols) or cells.size != lines * (width + 1):
+        return None
+    rows = cells.reshape(lines, width + 1)
+    table = rows[:, :ncols].T.copy()
+    with np.errstate(over="ignore"):  # overflow to inf: a non-finite row
+        table[0] *= GHZ
+    if np.isnan(rows[:, width]).all() and np.isfinite(table).all():
+        return table
+    return None
+
+
 def _table(text: str, what: str, ncols: int, exact: bool) -> np.ndarray:
     """The first ``ncols`` cells of each data row of a CSV text as an
     (ncols, rows) float array, column 0 turned from GHz into rad/s.  Blank
@@ -88,26 +147,19 @@ def _table(text: str, what: str, ncols: int, exact: bool) -> np.ndarray:
 
     A row needs exactly ``ncols`` cells when ``exact``, at least that many
     otherwise, and every cell it keeps must be a finite number.  The rows
-    are parsed by one call of numpy's C reader, ``np.loadtxt``, whose values
-    equal ``float``'s bit for bit.  Only when that fails are the rows
-    scanned in order with ``float``, which also takes the cells loadtxt
-    refuses (``1_0``, non-ASCII digits), so the grammar is ``float``'s and
-    a FormatError names the first bad row.
+    after the leading non-data lines are parsed by one flat orjson call
+    (:func:`_flat_table`), whose values equal ``float``'s bit for bit.
+    Only when that path declines are the rows scanned in order with
+    ``float``, which also takes the cells orjson refuses (``+1``, ``.5``,
+    ``1_0``, non-ASCII digits) and the non-data lines within the rows, so
+    the grammar is ``float``'s and a FormatError names the first bad row.
     """
-    rows = [line for line in (line.strip() for line in text.split("\n"))
-            if line and not line.startswith("#") and not line.lower().startswith("freq")]
-    if rows:  # loadtxt warns on empty input
-        try:
-            table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2,
-                               usecols=None if exact else range(ncols)).T.copy()
-        except ValueError:
-            pass  # a cell or a row length loadtxt refuses: the scan below decides
-        else:
-            if table.shape == (ncols, len(rows)):
-                with np.errstate(over="ignore"):  # overflow to inf: a non-finite row
-                    table[0] *= GHZ
-                if np.isfinite(table).all():
-                    return table
+    body = text[_data_start(text):].rstrip()
+    if body:
+        table = _flat_table(body, ncols, exact)
+        if table is not None:
+            return table
+    rows = [line for line in map(str.strip, body.split("\n")) if _is_data(line)]
     values = []
     for line in rows:
         parts = line.split(",")

@@ -11,6 +11,7 @@ from heliumdot.cavity import (
     TwoLevelElectron,
     compensate_background,
     crosstalk_leak,
+    lorentzian_dip,
     s21_resonant,
     synthesize_trace,
     two_tone_dip,
@@ -20,6 +21,7 @@ from heliumdot.fitters import (
     FitError,
     bare_jacobian,
     bare_model,
+    dip_jacobian,
     fit_bare_resonator,
     fit_lorentzian_dip,
     fit_rabi,
@@ -37,14 +39,18 @@ MHZ = 1e6 * TWO_PI
 # ---------------------------------------------------------------------------
 
 
+def _line(x, a, b):
+    return a * x + b
+
+
+def _line_jacobian(x, a, b):
+    return {"a": x, "b": 1.0}
+
+
 def test_linear_model_exact_recovery():
     x = np.linspace(0.0, 1.0, 50)
     y = 2.5 * x - 0.7
-
-    def model(x, a, b):
-        return a * x + b
-
-    fit = least_squares(model, x, y, init={"a": 0.0, "b": 0.0})
+    fit = least_squares(_line, x, y, init={"a": 0.0, "b": 0.0}, jac=_line_jacobian)
     assert fit.converged
     assert fit.params["a"] == pytest.approx(2.5, abs=1e-9)
     assert fit.params["b"] == pytest.approx(-0.7, abs=1e-9)
@@ -59,7 +65,10 @@ def test_complex_data_stacks_quadratures():
     def model(x, re, im):
         return (re + 1j * im) * x
 
-    fit = least_squares(model, x, y, init={"re": 0.5, "im": 0.5})
+    def jac(x, re, im):
+        return {"re": x, "im": 1j * x}
+
+    fit = least_squares(model, x, y, init={"re": 0.5, "im": 0.5}, jac=jac)
     assert fit.params["re"] == pytest.approx(1.5, abs=1e-9)
     assert fit.params["im"] == pytest.approx(2.0, abs=1e-9)
 
@@ -71,7 +80,11 @@ def test_log_bound_keeps_parameter_positive():
     def model(x, rate):
         return np.exp(-rate * x)
 
-    fit = least_squares(model, x, y, init={"rate": 5.0}, bounds={"rate": (0.0, math.inf)})
+    def jac(x, rate):
+        return {"rate": -x * np.exp(-rate * x)}
+
+    fit = least_squares(model, x, y, init={"rate": 5.0}, bounds={"rate": (0.0, math.inf)},
+                        jac=jac)
     assert fit.converged
     assert fit.params["rate"] == pytest.approx(0.8, rel=1e-7)
     assert fit.params["rate"] > 0
@@ -84,7 +97,10 @@ def test_logit_bound_keeps_parameter_in_interval():
     def model(x, frac):
         return frac * np.ones_like(x)
 
-    fit = least_squares(model, x, y, init={"frac": 0.9}, bounds={"frac": (0.0, 1.0)})
+    def jac(x, frac):
+        return {"frac": 1.0}
+
+    fit = least_squares(model, x, y, init={"frac": 0.9}, bounds={"frac": (0.0, 1.0)}, jac=jac)
     assert 0.0 < fit.params["frac"] < 1.0
     assert fit.params["frac"] == pytest.approx(0.3, abs=1e-9)
 
@@ -96,7 +112,10 @@ def test_degenerate_parameters_flag_singular_covariance():
     def model(x, a, b):
         return (a + b) * x  # a and b are indistinguishable
 
-    fit = least_squares(model, x, y, init={"a": 1.0, "b": 1.0})
+    def jac(x, a, b):
+        return {"a": x, "b": x}
+
+    fit = least_squares(model, x, y, init={"a": 1.0, "b": 1.0}, jac=jac)
     # the damped step still walks down the degenerate valley; what must not
     # happen is a confident error bar
     assert fit.rss < 1e-18
@@ -111,44 +130,79 @@ def test_nonfinite_initial_point_raises():
     def model(x, a):
         return np.full_like(x, np.nan)
 
-    with pytest.raises(FitError):
-        least_squares(model, x, np.zeros_like(x), init={"a": 1.0})
+    def jac(x, a):
+        return {"a": x}
+
+    with pytest.raises(FitError, match="not finite at the initial point"):
+        least_squares(model, x, np.zeros_like(x), init={"a": 1.0}, jac=jac)
 
 
-def test_start_point_evaluated_only_by_scipy(monkeypatch):
+def test_start_point_evaluated_once(monkeypatch):
     import scipy.optimize
 
     calls = []
+    jac_calls = []
 
     def model(x, a, b):
-        calls.append(1)
+        calls.append((a, b))
         return a * x + b
 
-    real = scipy.optimize.least_squares
+    def jac(x, a, b):
+        jac_calls.append((a, b))
+        return _line_jacobian(x, a, b)
+
+    real = scipy.optimize.leastsq
     calls_before_scipy = []
 
     def spy(*args, **kwargs):
         calls_before_scipy.append(len(calls))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "least_squares", spy)
+    monkeypatch.setattr(scipy.optimize, "leastsq", spy)
     x = np.linspace(0.0, 1.0, 11)
-    fit = least_squares(model, x, 2.0 * x + 1.0, init={"a": 1.0, "b": 0.0})
-    # scipy checks the start itself; an extra look ahead of it doubles that model call
-    assert calls_before_scipy == [0]
+    fit = least_squares(model, x, 2.0 * x + 1.0, init={"a": 1.0, "b": 0.0}, jac=jac)
+    # the finiteness check looks at the start ahead of leastsq; that one model
+    # call serves leastsq's shape check and MINPACK's first evaluation, so
+    # the model runs exactly as often as MINPACK counts
+    assert calls_before_scipy == [1]
+    assert calls.count((1.0, 0.0)) == 1 and jac_calls.count((1.0, 0.0)) == 1
+    assert len(calls) == fit.iterations
     assert fit.params["a"] == pytest.approx(2.0, rel=1e-9)
     assert fit.params["b"] == pytest.approx(1.0, rel=1e-9)
+
+
+def test_spent_evaluation_budget_reports_max_iter():
+    # residual exp(-a) against zero data: each Gauss-Newton step adds 1 to a
+    # and cuts the residual by e, so no tolerance is ever met and MINPACK
+    # stops at its budget of 100 evaluations per parameter
+    x = np.linspace(0.0, 1.0, 10)
+
+    def model(x, a):
+        return np.full(x.shape, math.exp(-a))
+
+    def jac(x, a):
+        return {"a": -math.exp(-a)}
+
+    fit = least_squares(model, x, np.zeros_like(x), init={"a": 0.0}, jac=jac)
+    assert not fit.converged
+    assert fit.flags == {"max_iter": True}
+    assert fit.iterations == 100
+    assert fit.params["a"] > 90.0
 
 
 def test_fewer_residuals_than_parameters_raises():
     def model(x, a, b, c):
         return a + b * x + c * x**2
 
+    def jac(x, a, b, c):
+        return {"a": 1.0, "b": x, "c": x**2}
+
     x = np.array([0.0, 1.0])
+    init = {"a": 0.0, "b": 0.0, "c": 0.0}
     with pytest.raises(FitError):
-        least_squares(model, x, np.array([1.0, 2.0]), init={"a": 0.0, "b": 0.0, "c": 0.0})
+        least_squares(model, x, np.array([1.0, 2.0]), init=init, jac=jac)
     # complex data stack two residuals per point, so two points fix three parameters
-    fit = least_squares(model, x, np.array([1.0 + 1j, 2.0]), init={"a": 0.0, "b": 0.0, "c": 0.0})
+    fit = least_squares(model, x, np.array([1.0 + 1j, 2.0]), init=init, jac=jac)
     assert fit.params.keys() == {"a", "b", "c"}
 
 
@@ -162,7 +216,10 @@ def test_sigma_matches_analytic_linear_case():
     def model(x, a):
         return a * x
 
-    fit = least_squares(model, x, y, init={"a": 1.0})
+    def jac(x, a):
+        return {"a": x}
+
+    fit = least_squares(model, x, y, init={"a": 1.0}, jac=jac)
     expected = noise / math.sqrt(float(np.sum(x**2)))
     assert fit.sigmas["a"] == pytest.approx(expected, rel=0.3)
 
@@ -180,7 +237,10 @@ def test_step_out_of_model_domain_is_rejected():
             raise DomainError("log of a non-positive value")
         return math.log(p) * x
 
-    fit = least_squares(model, x, y, init={"p": 10.0})
+    def jac(x, p):
+        return {"p": x / p}
+
+    fit = least_squares(model, x, y, init={"p": 10.0}, jac=jac)
     assert rejected
     assert fit.converged
     assert fit.params["p"] == pytest.approx(1.01, rel=1e-9)
@@ -191,16 +251,12 @@ def test_interval_coverage_and_bias():
     x = np.linspace(-1.0, 1.0, 101)
     truth = {"a": 1.3, "b": -0.4}
     noise = 0.03
-
-    def model(x, a, b):
-        return a * x + b
-
     hits = 0
     errors = []
     for seed in range(200):
         rng = np.random.default_rng(seed)
         y = truth["a"] * x + truth["b"] + rng.normal(0.0, noise, x.size)
-        fit = least_squares(model, x, y, init={"a": 0.5, "b": 0.0})
+        fit = least_squares(_line, x, y, init={"a": 0.5, "b": 0.0}, jac=_line_jacobian)
         errors.append(fit.params["a"] - truth["a"])
         if abs(fit.params["a"] - truth["a"]) <= fit.sigmas["a"]:
             hits += 1
@@ -289,9 +345,25 @@ def test_bare_jacobian_matches_central_differences(params, probe_half_ghz):
         assert np.max(np.abs(column - numeric)) <= 1e-6 * scale + rounding / h, name
 
 
+def _central_differences(model):
+    """A Jacobian of ``model`` in the form least_squares takes, each column
+    a central difference in one external parameter with a step of 1e-6 of
+    its value."""
+    def jac(x, **params):
+        columns = {}
+        for name, value in params.items():
+            h = 1e-6 * (abs(value) or 1.0)
+            up = model(x, **{**params, name: value + h})
+            down = model(x, **{**params, name: value - h})
+            columns[name] = (up - down) / (2.0 * h)
+        return columns
+
+    return jac
+
+
 def test_exact_bare_jacobian_fits_as_finite_differences(res_7162, probe_half_ghz):
     # least_squares chains the supplied columns through the transforms: the
-    # fit lands where the forward-difference fit lands, with the same sigmas
+    # fit lands where the central-difference fit lands, with the same sigmas
     ct = CrosstalkParams(t=0.008, zeta=-0.30)
     trace = synthesize_trace(res_7162, None, 0.0, ct, probe_half_ghz, snr=50.0, seed=3)
     init = dict(omega_r=res_7162.omega_r + 2.0 * MHZ, kappa_tot=30.0 * MHZ, amp=10.0 * MHZ,
@@ -299,7 +371,7 @@ def test_exact_bare_jacobian_fits_as_finite_differences(res_7162, probe_half_ghz
     window = np.abs(probe_half_ghz - res_7162.omega_r) <= 50.0 * MHZ
     args = (bare_model, probe_half_ghz[window], trace.s21[window], init, _BARE_BOUNDS)
     exact = least_squares(*args, jac=bare_jacobian)
-    numeric = least_squares(*args)
+    numeric = least_squares(*args, jac=_central_differences(bare_model))
     assert exact.converged and numeric.converged
     for name in init:
         assert exact.params[name] == pytest.approx(numeric.params[name], rel=1e-8, abs=1e-9)
@@ -412,7 +484,7 @@ def test_exact_rabi_jacobian_fits_as_finite_differences(res_7162, probe_half_ghz
                                                         monkeypatch, seed):
     # README chain (seed 4 is the README's own): compensate a seeded doublet
     # against a seeded far trace, then fit it with the closed-form columns and
-    # with MINPACK's forward differences.  Each fit stops within ftol = 1e-10
+    # with central differences.  Each fit stops within ftol = 1e-10
     # of the optimum, which over 802 residuals leaves about 3e-4 sigma of
     # slack, so the bound is in sigmas: the two land within 1e-5 sigma (at
     # most 1.5e-8 relative) of each other, and their sigmas agree to 1e-6
@@ -425,8 +497,8 @@ def test_exact_rabi_jacobian_fits_as_finite_differences(res_7162, probe_half_ghz
     res, _ct = resonator_from_bare_fit(comp.reference_fit)
     exact = fit_rabi(comp.compensated, res)
     engine = fitters.least_squares
-    monkeypatch.setattr(fitters, "least_squares",
-                        lambda *args, jac=None, **kwargs: engine(*args, **kwargs))
+    monkeypatch.setattr(fitters, "least_squares", lambda *args, jac, **kwargs: engine(
+        *args, jac=_central_differences(args[0]), **kwargs))
     numeric = fit_rabi(comp.compensated, res)
     assert exact.converged and numeric.converged
     for name, value in numeric.params.items():
@@ -437,6 +509,43 @@ def test_exact_rabi_jacobian_fits_as_finite_differences(res_7162, probe_half_ghz
 # ---------------------------------------------------------------------------
 # two-tone dip recipe
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("params", [
+    dict(omega_e=8.66 * GHZ, gamma=102.0 * MHZ, depth=0.3, offset=1.0),
+    dict(omega_e=8.2 * GHZ, gamma=5.0 * MHZ, depth=2.0, offset=-0.5),
+    dict(omega_e=9.1 * GHZ, gamma=900.0 * MHZ, depth=1e-3, offset=0.0),
+], ids=["criterion_10", "narrow_at_edge", "wide_shallow"])
+def test_dip_jacobian_matches_central_differences(params):
+    # each closed-form column against a central difference of lorentzian_dip
+    # in that parameter; the bound allows the difference's truncation and
+    # its rounding of |model|
+    x = np.linspace(7.8 * GHZ, 9.5 * GHZ, 341)
+    exact = dip_jacobian(x, **params)
+    rounding = 10.0 * np.finfo(float).eps * np.max(np.abs(lorentzian_dip(x, **params)))
+    for name, value in params.items():
+        h = 1e-4 * params["gamma"] if name in ("omega_e", "gamma") else 1e-4
+        up = lorentzian_dip(x, **{**params, name: value + h})
+        down = lorentzian_dip(x, **{**params, name: value - h})
+        numeric = (up - down) / (2.0 * h)
+        column = np.broadcast_to(exact[name], x.shape)
+        scale = np.max(np.abs(column))
+        assert scale > 0
+        assert np.max(np.abs(column - numeric)) <= 1e-6 * scale + rounding / h, name
+
+
+def test_dip_jacobian_raises_no_float_error_the_model_does_not():
+    # a drive point on omega_e with a vanishing gamma, and a huge gamma: the
+    # model stays finite, so must the columns
+    x = np.linspace(8.0 * GHZ, 9.3 * GHZ, 601)
+    for params in (dict(omega_e=float(x[300]), gamma=1e-150, depth=0.3, offset=1.0),
+                   dict(omega_e=8.66 * GHZ, gamma=math.exp(300.0), depth=0.3, offset=1.0)):
+        with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+            model = lorentzian_dip(x, **params)
+            columns = dip_jacobian(x, **params)
+        assert np.isfinite(model).all()
+        for name, column in columns.items():
+            assert np.isfinite(column).all(), name
 
 
 def test_fit_dip_noiseless():

@@ -314,8 +314,8 @@ def test_trace_roundtrip_bit_exact_1601_rows(tmp_path):
     assert not np.signbit(back.s21.imag[1])
 
 
-# The trace grammar is float()'s on each stripped, comma-split cell: numpy's
-# reader parses the common case, and float() takes the cells it refuses.
+# The trace grammar is float()'s on each stripped, comma-split cell: the flat
+# orjson parse reads the common case, and float() takes the cells it refuses.
 _GRAMMAR = [
     # (rows, ncols, exact, the rows as parsed in the file's GHz, or the message)
     (" 7.0 , 1.0 ,\t-0.0\n7.1,\t2.5e-3 ,0\n", 3, True,
@@ -352,6 +352,134 @@ def test_table_grammar_is_floats(rows, ncols, exact, want):
     expected[0] *= GHZ
     assert table.shape == expected.shape and table.dtype == np.float64
     assert np.array_equal(table.view(np.uint64), expected.view(np.uint64))
+
+
+def _reader_family() -> list:
+    """Rows of three cells the flat orjson reader takes: the values of the
+    writer's family spelled as repr, %.17g, %.25e and %.3E, integers up to
+    200 bits, 400-digit fractions, the exact decimals of subnormal halfway
+    cases and their neighbours, and signed zeros and underflows.  Column 0
+    keeps its values below 1e290, so the GHz step stays finite."""
+    import random
+    from decimal import Decimal, localcontext
+
+    rng = random.Random(39)
+    values = _exactness_family().ravel()
+    values = values[np.isfinite(values)][::7].tolist()
+    cells = [f"{v!r}" for v in values]
+    for spec in ("%.17g", "%.25e", "%.3E"):
+        cells += [spec % v for v in values[::5] if v != 0.0]
+    cells += [str(rng.choice([-1, 1]) * rng.getrandbits(k)) for k in range(1, 201)] * 3
+    cells += [f"{sign}{head}.{rng.getrandbits(1400):0>400}"[:404 + len(sign)]
+              for sign in ("", "-") for head in (0, 7, 123)] * 20
+    with localcontext() as ctx:
+        ctx.prec = 1200
+        tiny = Decimal(2) ** -1075  # half the smallest subnormal
+        for k in list(range(12)) + [2**52 - 3, 2**52 - 1, 2**52 + 1, 2**53 - 1]:
+            half = (2 * k + 1) * tiny
+            for d in (half, half.next_plus(), half.next_minus()):
+                cells += [f"{d:e}", f"-{d:e}", f"{d:f}"]
+    cells += ["-0.0", "-0e0", "-0E0", "0e0", "1e-400", "-1e-400", "5e-324"] * 3
+    cells += ["0"] * (-len(cells) % 3)
+    rows = [cells[i:i + 3] for i in range(0, len(cells), 3)]
+    rng.shuffle(rows)
+    for row in rows:  # a probe cell the GHz step cannot overflow
+        if not abs(float(row[0])) < 1e290:
+            row[0] = "7.162"
+    return rows
+
+
+def _float_scan(rows, ncols) -> np.ndarray:
+    """The reference reader: each kept cell through float, column 0 to rad/s."""
+    table = np.array([[float(c) for c in row[:ncols]] for row in rows], float).T.copy()
+    table[0] *= GHZ
+    return table
+
+
+def test_table_reads_a_seeded_family_as_float_does():
+    rows = _reader_family()
+    text = "# config: {}\nfreq_GHz,re_s21,im_s21\n" + "".join(",".join(r) + "\n" for r in rows)
+    body = text[io._data_start(text):].rstrip()
+    assert io._flat_table(body, 3, True) is not None  # the flat parse reads it all
+    got = io._table(text, "family", 3, True)
+    want = _float_scan(rows, 3)
+    assert got.shape == want.shape == (3, len(rows))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.signbit(got).sum() == np.signbit(want).sum() > 0
+    assert (got == 0.0).any() and (abs(got[1:]) < 2.3e-308).any()
+
+
+# Cells and rows the flat orjson parse declines, each read as the float scan
+# reads it: (rows, ncols, exact, the rows' cells, or the scan's message)
+_FALLBACK = [
+    ("7.0,-0,1.0\n7.1,2.0,-0\n", 3, True, [["7.0", "-0", "1.0"], ["7.1", "2.0", "-0"]]),
+    ("7.0,1e-0,-0.0e-0\n7.1,2.0,0\n", 3, True, [["7.0", "1e-0", "-0.0e-0"], ["7.1", "2.0", "0"]]),
+    ("7.0,1.0,0.0\n\n7.1,2.0,0.5\n", 3, True, [["7.0", "1.0", "0.0"], ["7.1", "2.0", "0.5"]]),
+    ("7.0,1.0,0.0\n# mid\n7.1,2.0,0.5\n", 3, True,
+     [["7.0", "1.0", "0.0"], ["7.1", "2.0", "0.5"]]),
+    ("7.0,+1,0.0\n7.1,.5,1_0\n", 3, True, [["7.0", "+1", "0.0"], ["7.1", ".5", "1_0"]]),
+    ("7.0,true,0.0\n7.1,1.0,0.0\n", 3, True, "non-numeric row '7.0,true,0.0'"),
+    ('7.0,1.0,0.0\n7.1,"1",0.0\n', 3, True, "non-numeric row '7.1,\"1\",0.0'"),
+    ("7.0,1.0\n7.1,2.0,0.5,3.0\n", 3, True, "expected 3 columns, got 2"),
+    ("7.0,1.0,0.0\n7.1,2.0\n7.2,1.0,0.5,3.0\n", 3, True, "expected 3 columns, got 2"),
+    ("8.6,0.9\n8.7,1.0,2.0,3.0\n8.8,0.7,1.0\n", 2, False,
+     [["8.6", "0.9"], ["8.7", "1.0"], ["8.8", "0.7"]]),
+    # rows whose cells fill whole rows of the first row's width: only the
+    # closing nulls off the last column show them
+    ("7.0,1.0,0.0\n7.1,2.0,0.5,3.0,7.2,1.0,0.5\n", 3, True, "expected 3 columns, got 7"),
+    ("8.6,0.9,1.0\n8.7,1.0\n8.8,0.7,1.0,2.0\n", 2, False,
+     [["8.6", "0.9"], ["8.7", "1.0"], ["8.8", "0.7"]]),
+    # a short row after a wide one, its cells and null landing in columns
+    # past the kept ones, with as many cells as two rows of the first width
+    ("8.6,0.9,1.0,2.0\n8.7,1.0\n8.8\n", 2, False, "need 2 columns"),
+    ("7.0,\u0661,0\n7.1,\uff12.5,0\n", 3, True, [["7.0", "1", "0"], ["7.1", "2.5", "0"]]),
+    ("7.0,1.0,0.0\n7.1,nan,0.0\n", 3, True, "non-finite row '7.1,nan,0.0'"),
+    ("7.0,1.0,0.0\n7.1,1e400,0.0\n", 3, True, "non-finite row '7.1,1e400,0.0'"),
+]
+
+
+@pytest.mark.parametrize("rows, ncols, exact, want", _FALLBACK)
+def test_table_falls_back_to_the_float_scan(rows, ncols, exact, want):
+    text = "freq_GHz,a,b\n" + rows
+    assert io._flat_table(text[io._data_start(text):].rstrip(), ncols, exact) is None
+    if isinstance(want, str):
+        with np.errstate(over="raise"), pytest.raises(FormatError) as exc:
+            io._table(text, "data", ncols, exact)
+        assert str(exc.value) == f"data: {want}"
+        return
+    table = io._table(text, "data", ncols, exact)
+    expected = _float_scan(want, ncols)
+    assert np.array_equal(table.view(np.uint64), expected.view(np.uint64))
+
+
+def test_table_parse_builds_no_list_per_row(monkeypatch):
+    # one flat list for the whole table: a list per row would make 1601
+    # tracked containers at once and wake the cyclic collector on every
+    # trace read (about 1600 more on gen 0 than this)
+    import gc
+
+    import orjson
+
+    rng = np.random.default_rng(1601)
+    table = np.column_stack((np.linspace(6.662, 7.662, 1601), rng.normal(size=(1601, 2))))
+    text = "freq_GHz,re_s21,im_s21\n" + io._repr_rows(table)
+    loads, counts = orjson.loads, []
+
+    def spy(data):
+        parsed = loads(data)
+        counts.append(gc.get_count()[0])  # while the parse result is alive
+        return parsed
+
+    monkeypatch.setattr(orjson, "loads", spy)
+    gc.collect()
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        got = io._table(text, "trace", 3, True)
+    finally:
+        gc.enable()
+    assert got.shape == (3, 1601)
+    assert len(counts) == 1 and counts[0] - before < 16
 
 
 @pytest.mark.parametrize("n", [401, 1601])
