@@ -17,7 +17,8 @@ the bare omega_r.
 
 Direct port-to-port crosstalk leaks a -i sqrt(T) e^(i zeta) term past the
 resonator; background compensation strips it together with any slowly
-varying spurious transmission by referencing a far-detuned trace.
+varying spurious transmission by referencing a far-detuned trace.  Every
+``SpectrumTrace`` is finite: it refuses other values when it is built.
 """
 
 from __future__ import annotations
@@ -72,8 +73,9 @@ class CrosstalkParams:
 class SpectrumTrace:
     """A measured or synthesized complex transmission trace.
 
-    probe [rad/s], strictly increasing; s21 complex, same length; metadata
-    free-form (synthesis parameters, provenance, compensation records).
+    probe [rad/s], strictly increasing; s21 complex, same length; all
+    finite, so nothing downstream checks again; metadata free-form
+    (synthesis parameters, provenance, compensation records).
     """
 
     probe: np.ndarray
@@ -85,10 +87,12 @@ class SpectrumTrace:
         self.s21 = np.asarray(self.s21, dtype=complex)
         if self.probe.ndim != 1 or self.probe.size < 2:
             raise DomainError("trace needs a 1-D probe axis with >= 2 points")
-        if not np.all(np.diff(self.probe) > 0):
-            raise DomainError("probe axis must be strictly increasing")
         if self.s21.shape != self.probe.shape:
             raise DomainError("s21 and probe lengths differ")
+        if not (np.isfinite(self.probe).all() and np.isfinite(self.s21).all()):
+            raise DomainError("trace probe and s21 values must be finite")
+        if not np.all(np.diff(self.probe) > 0):
+            raise DomainError("probe axis must be strictly increasing")
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,17 @@ enforced by smooth reparameterization (log for positive rates, scaled logit
 for intervals), never by clipping, so MINPACK always works on an
 unconstrained vector.  Identical inputs give bit-identical results.
 
+Float trouble has one rule, in :func:`least_squares`, whatever the caller's
+errstate, so no transform saturates its coordinate.
+
 Every fit hands MINPACK the closed-form Jacobian of its model
 (:func:`bare_jacobian`, :func:`rabi_jacobian`, :func:`dip_jacobian`), so
 no fit takes finite differences.
 
 Parameter uncertainties come from the Jacobian at the optimum,
 cov = s^2 (J^T J)^-1 with s^2 the reduced residual variance; sigmas are NaN
-only when that matrix is singular, and the result is flagged accordingly.
+only when that matrix is singular or the covariance leaves the float range,
+and the result is flagged accordingly.
 """
 
 from __future__ import annotations
@@ -43,49 +47,36 @@ WINDOW_KAPPAS = 2.0
 # ---------------------------------------------------------------------------
 
 
-class _Transform:
-    """Map between an external (possibly bounded) parameter and the engine's
-    unconstrained internal coordinate."""
+def _transform(lo: float, hi: float) -> tuple:
+    """The (value, slope, start) maps between a parameter bounded to (lo, hi)
+    and the engine's unconstrained coordinate z: identity, z = log(value)
+    for (0, inf), or a scaled logit for a finite interval.  value(z) and
+    slope(z) = d value / dz raise OverflowError past the float range."""
+    if math.isinf(lo) and math.isinf(hi):
+        return (lambda z: z), (lambda z: 1.0), (lambda v: v)
+    if lo == 0.0 and math.isinf(hi):
+        def start(v):
+            if v <= 0:
+                raise DomainError(f"initial value {v} violates positivity bound")
+            return math.log(v)
 
-    def __init__(self, lo: float, hi: float):
-        self.lo, self.hi = lo, hi
-        if math.isinf(lo) and math.isinf(hi):
-            self.kind = "identity"
-        elif lo == 0.0 and math.isinf(hi):
-            self.kind = "log"
-        elif math.isfinite(lo) and math.isfinite(hi) and hi > lo:
-            self.kind = "logit"
-        else:
-            raise DomainError(f"unsupported bounds ({lo}, {hi})")
+        return math.exp, math.exp, start
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise DomainError(f"unsupported bounds ({lo}, {hi})")
 
-    def to_internal(self, value: float) -> float:
-        if self.kind == "identity":
-            return value
-        if self.kind == "log":
-            if value <= 0:
-                raise DomainError(f"initial value {value} violates positivity bound")
-            return math.log(value)
-        if not self.lo < value < self.hi:
-            raise DomainError(f"initial value {value} outside ({self.lo}, {self.hi})")
-        return math.log((value - self.lo) / (self.hi - value))
+    def value(z):
+        return lo + (hi - lo) / (1.0 + math.exp(-z))
 
-    def to_external(self, internal: float) -> float:
-        if self.kind == "identity":
-            return internal
-        # saturate so a wild trial step yields a huge-but-finite value the
-        # engine can reject, instead of an OverflowError
-        z = min(max(internal, -700.0), 700.0)
-        if self.kind == "log":
-            return math.exp(z)
-        return self.lo + (self.hi - self.lo) / (1.0 + math.exp(-z))
+    def slope(z):
+        v = value(z)
+        return (v - lo) * (hi - v) / (hi - lo)
 
-    def dext_dint(self, internal: float) -> float:
-        if self.kind == "identity":
-            return 1.0
-        value = self.to_external(internal)
-        if self.kind == "log":
-            return value
-        return (value - self.lo) * (self.hi - value) / (self.hi - self.lo)
+    def start(v):
+        if not lo < v < hi:
+            raise DomainError(f"initial value {v} outside ({lo}, {hi})")
+        return math.log((v - lo) / (hi - v))
+
+    return value, slope, start
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +145,17 @@ def least_squares(
     parameter's transform.  The start is evaluated once: its residuals,
     checked for finiteness here, serve leastsq's shape check and MINPACK's
     first call, and likewise its Jacobian.
+
+    Float trouble: MINPACK and the covariance run with numpy's overflow,
+    invalid and divide errors ignored; a DomainError or ArithmeticError at
+    a trial point gives inf residuals, which MINPACK rejects; a covariance
+    that is not finite sets ``singular_covariance``.
     Raises FitError when there are fewer residuals than free parameters or
     the model is not finite at the start.
     """
     names = list(init)
-    transforms = [_Transform(*(bounds or {}).get(n, (-math.inf, math.inf))) for n in names]
+    values, slopes, starts = zip(*(_transform(*(bounds or {}).get(n, (-math.inf, math.inf)))
+                                   for n in names))
     xdata = np.asarray(xdata)
     ydata = np.asarray(ydata)
     complex_data = np.iscomplexobj(ydata)
@@ -167,55 +164,62 @@ def least_squares(
         raise FitError(f"{ydata.size} data points cannot fix {len(names)} free parameters")
 
     def external(internal: np.ndarray) -> dict:
-        return {n: tr.to_external(v) for n, tr, v in zip(names, transforms, internal)}
+        return {n: value(z) for n, value, z in zip(names, values, internal)}
+
+    def slope(internal: np.ndarray) -> np.ndarray:
+        return np.array([d(z) for d, z in zip(slopes, internal)])
 
     def residuals(internal: np.ndarray) -> np.ndarray:
         try:
             r = np.asarray(model(xdata, **external(internal))) - ydata
-        except DomainError:
-            # a trial step outside the model's domain: MINPACK rejects it
+        except (DomainError, ArithmeticError):
+            # a trial step outside the model's domain or the float range:
+            # MINPACK rejects it
             return np.full(n_res, math.inf)
         return np.concatenate([r.real, r.imag]) if complex_data else r.astype(float)
 
     def jacobian(internal: np.ndarray) -> np.ndarray:
         columns = jac(xdata, **external(internal))
         out = np.empty((ydata.size, len(names)), complex if complex_data else float)
-        for k, (n, tr, v) in enumerate(zip(names, transforms, internal)):
+        for k, n in enumerate(names):
             out[:, k] = columns[n]
-            out[:, k] *= tr.dext_dint(v)
+        out *= slope(internal)
         return np.concatenate([out.real, out.imag]) if complex_data else out
 
     fun, dfun = _last_call(residuals), _last_call(jacobian)
-    theta0 = np.array([tr.to_internal(float(init[n])) for n, tr in zip(names, transforms)])
+    theta0 = np.array([start(float(init[n])) for n, start in zip(names, starts)])
     if not np.isfinite(fun(theta0)).all():
         raise FitError("model not finite at the initial point")
     import scipy.optimize  # late import: only `compensate` and `fit` run least squares
 
-    # lmder with the settings of least_squares(method="lm", x_scale="jac"),
-    # whose fits the package's outputs were pinned on
-    x, _, out, _, info = scipy.optimize.leastsq(
-        fun, theta0, Dfun=dfun, full_output=True, ftol=1e-10, xtol=1e-10, gtol=1e-12,
-        maxfev=100 * len(names), factor=100,
-    )
-    rss = float(out["fvec"] @ out["fvec"])
-    flags: dict = {"max_iter": True} if info == 5 else {}
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # lmder with the settings of least_squares(method="lm", x_scale="jac"),
+        # whose fits the package's outputs were pinned on
+        x, _, out, _, info = scipy.optimize.leastsq(
+            fun, theta0, Dfun=dfun, full_output=True, ftol=1e-10, xtol=1e-10, gtol=1e-12,
+            maxfev=100 * len(names), factor=100,
+        )
+        rss = float(out["fvec"] @ out["fvec"])
+        flags: dict = {"max_iter": True} if info == 5 else {}
 
-    # covariance in internal coordinates, chain rule back to external; columns
-    # are normalized before conditioning because raw parameter scales span
-    # many decades (rad/s next to phases) without implying degeneracy
-    j = dfun(x)
-    dof = j.shape[0] - j.shape[1]
-    d = np.linalg.norm(j, axis=0)
-    d[~(d > 0)] = 1.0
-    jtj_s = (j / d).T @ (j / d)
-    scale = np.array([tr.dext_dint(v) for tr, v in zip(transforms, x)]) / d
-    covariance = None
-    if dof <= 0:
-        flags["underdetermined"] = True
-    elif np.all(np.isfinite(jtj_s)) and np.linalg.cond(jtj_s) < 1e12:
-        covariance = rss / dof * np.linalg.inv(jtj_s) * np.outer(scale, scale)
-    else:
-        flags["singular_covariance"] = True
+        # covariance in internal coordinates, chain rule back to external; columns
+        # are normalized before conditioning because raw parameter scales span
+        # many decades (rad/s next to phases) without implying degeneracy
+        j = dfun(x)
+        dof = j.shape[0] - j.shape[1]
+        d = np.linalg.norm(j, axis=0)
+        d[~(d > 0)] = 1.0
+        jtj_s = (j / d).T @ (j / d)
+        scale = slope(x) / d
+        covariance = None
+        if dof <= 0:
+            flags["underdetermined"] = True
+        elif np.all(np.isfinite(jtj_s)) and np.linalg.cond(jtj_s) < 1e12:
+            covariance = rss / dof * np.linalg.inv(jtj_s) * np.outer(scale, scale)
+            if not np.isfinite(covariance).all():  # a slope or 1/d past the float range
+                covariance = None
+        if dof > 0 and covariance is None:
+            flags["singular_covariance"] = True
     sigmas = {n: math.nan for n in names}
     if covariance is not None:
         sigmas = {n: math.sqrt(max(float(c), 0.0)) for n, c in zip(names, np.diag(covariance))}

@@ -3,11 +3,13 @@
 Frequencies cross the file boundary in cyclic units (GHz for axes, Hz for
 fit parameters); everything internal stays angular.  CSV floats are repr's,
 JSON is orjson's with sorted keys, both shortest round-trip, so reruns of
-the same inputs write byte-identical files.  Trace rows are spelled by one
-orjson call over the whole table, respelled to repr's bytes, and read back
-by one flat orjson parse, whose values are ``float``'s bit for bit.  The
-resolved run configuration rides along in every file: a ``# config:``
-comment line in CSV, a ``config`` key in JSON.
+the same inputs write byte-identical files.  Trace rows, finite as every
+``SpectrumTrace`` is, are spelled by one orjson call over the whole table,
+respelled to repr's bytes, and read back by one flat orjson parse, whose
+values are ``float``'s bit for bit.  ``json_text`` encodes only what orjson
+encodes itself; a writer hands it complex values as ``{"re", "im"}`` and
+array parts as lists.  The resolved run configuration rides along in every
+file: a ``# config:`` comment line in CSV, a ``config`` key in JSON.
 """
 
 from __future__ import annotations
@@ -33,25 +35,15 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _json_default(obj):
-    """What orjson does not encode itself: a complex number as {"re", "im"},
-    an array it refuses (complex, or a strided view) as nested lists."""
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
 def json_text(obj, indent: bool = True) -> str:
     """obj as JSON with sorted keys and non-finite floats as null, 2-space
     indented with a final "\n", or on one line; a TypeError (orjson's) when obj
-    nests past 255 levels or holds an int beyond 64 bits or invalid UTF-8."""
+    nests past 255 levels, holds an int beyond 64 bits, invalid UTF-8, or a
+    value orjson does not encode (a complex number, a strided array)."""
     import orjson  # late import, as core's reader, so importing cli loads no orjson
 
     option = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
-    text = orjson.dumps(obj, default=_json_default,
-                        option=option | orjson.OPT_INDENT_2 if indent else option).decode()
+    text = orjson.dumps(obj, option=option | orjson.OPT_INDENT_2 if indent else option).decode()
     return text + "\n" if indent else text
 
 
@@ -183,8 +175,8 @@ def _table(text: str, what: str, ncols: int, exact: bool) -> np.ndarray:
 
 
 # orjson's spellings that differ from repr's: an exponent (``e-7``, ``e16``
-# for repr's ``e-07``, ``e+16``), a value of 1e-5 <= |x| < 1e-4 in decimal
-# (``0.0000888`` for ``8.88e-05``), and ``null`` for each non-finite value
+# for repr's ``e-07``, ``e+16``) and a value of 1e-5 <= |x| < 1e-4 in decimal
+# (``0.0000888`` for ``8.88e-05``)
 _EXPONENT = re.compile(r"e(-?)(\d+)")
 _SMALL = re.compile(r"0\.0000(\d)(\d*)")
 
@@ -200,19 +192,15 @@ def _repr_small(m: re.Match) -> str:
 
 
 def _repr_rows(table: np.ndarray) -> str:
-    """The rows of a C-contiguous (n, 3) float table as CSV lines, each value
-    spelled as ``repr`` spells it: one orjson call writes the shortest
-    round-trip digits of the whole table, and three rewrites give them
-    repr's spelling."""
+    """The rows of a C-contiguous (n, 3) table of finite floats as CSV
+    lines, each value spelled as ``repr`` spells it: one orjson call writes
+    the shortest round-trip digits of the whole table, and two rewrites give
+    them repr's spelling."""
     text = json_text(table, indent=False)
     if "e" in text:
         text = _EXPONENT.sub(_repr_exponent, text)
     if "0.0000" in text:
         text = _SMALL.sub(_repr_small, text)
-    nonfinite = table[~np.isfinite(table)]
-    if nonfinite.size:
-        # in C order, as orjson writes them; a number array's JSON holds no braces
-        text = text.replace("null", "{}").format(*map(repr, nonfinite.tolist()))
     return text[2:-2].replace("],[", "\n") + "\n"
 
 
@@ -354,8 +342,9 @@ def write_compensation_json(
     leak: complex, other: np.ndarray, path: str, config: Mapping | None = None
 ) -> None:
     """Record what background compensation removed from a target trace."""
-    write_text(path, json_text({"leak": leak, "other_re": other.real, "other_im": other.imag,
-                                "config": config or {}}))
+    write_text(path, json_text({"leak": {"re": leak.real, "im": leak.imag},
+                                "other_re": other.real.tolist(),
+                                "other_im": other.imag.tolist(), "config": config or {}}))
 
 
 # ---------------------------------------------------------------------------
@@ -387,16 +376,15 @@ def svg_line_plot(
     xlabel: str,
     ylabel: str,
 ) -> str:
-    """Minimal deterministic SVG plot of one labelled line (no external
-    renderer needed); non-finite points are left out."""
+    """Minimal deterministic SVG plot of one labelled line through finite
+    points, such as a trace's (no external renderer needed)."""
     width, height = 640, 420
     x = np.asarray(x, dtype=float)
     margin_l, margin_r, margin_t, margin_b = 62, 16, 30, 46
     pw = width - margin_l - margin_r
     ph = height - margin_t - margin_b
     y = np.asarray(y, dtype=float)
-    finite = y[np.isfinite(y)]
-    y_lo, y_hi = (float(finite.min()), float(finite.max())) if finite.size else (0.0, 1.0)
+    y_lo, y_hi = float(y.min()), float(y.max())
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
     pad = 0.06 * (y_hi - y_lo)
@@ -448,9 +436,7 @@ def svg_line_plot(
         f'font-family="sans-serif" font-size="12" '
         f'transform="rotate(-90 16 {margin_t + ph / 2:.6g})">{ylabel}</text>'
     )
-    pts = " ".join(
-        f"{sx(xi):.6g},{sy(yi):.6g}" for xi, yi in zip(x, y) if math.isfinite(yi)
-    )
+    pts = " ".join(f"{sx(xi):.6g},{sy(yi):.6g}" for xi, yi in zip(x, y))
     parts.append(
         f'<polyline points="{pts}" fill="none" stroke="#1f6fb2" stroke-width="1.5"/>'
     )

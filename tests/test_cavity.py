@@ -104,6 +104,23 @@ def test_spectrum_trace_validation():
         SpectrumTrace(probe=np.array([1.0]), s21=np.array([1 + 0j]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["probe", "s21.real", "s21.imag"])
+def test_spectrum_trace_refuses_nonfinite_values(bad, where):
+    # every trace is finite from construction on, so no writer, plot or fit
+    # downstream needs a guard of its own
+    probe = np.array([1.0, 2.0, 3.0])
+    s21 = np.array([1 + 0j, 0.5 + 0.5j, 0.2 - 0.1j])
+    if where == "probe":
+        probe[2] = bad
+    elif where == "s21.real":
+        s21.real[1] = bad
+    else:
+        s21.imag[1] = bad
+    with np.errstate(all="raise"), pytest.raises(DomainError, match="must be finite"):
+        SpectrumTrace(probe=probe, s21=s21)
+
+
 # ---------------------------------------------------------------------------
 # synthesis
 # ---------------------------------------------------------------------------

@@ -289,6 +289,47 @@ def test_fit_rabi_far_leaves_a_clamp_of_one_rounding_unflagged(tmp_path, monkeyp
     assert "overcoupled_amplitude" not in json.loads((tmp_path / "fit.json").read_text())["flags"]
 
 
+def _low_snr_chain(snr, seed):
+    """The README chain on 101 points at a low SNR: a far trace of ``seed``,
+    an electron at 7.3 GHz with g = 40 MHz at ``seed`` + 1000."""
+    device = ["--f-res-ghz", "7.162", "--points", "101", "--span-mhz", "1000", "--snr", snr]
+    assert main(["synth", *device, "--seed", str(seed), "--out", "far.csv"]) == 0
+    assert main(["synth", *device, "--f-el-ghz", "7.3", "--g-mhz", "40",
+                 "--seed", str(seed + 1000), "--out", "t.csv"]) == 0
+
+
+@pytest.mark.parametrize("snr, seed", [
+    ("2", 1), ("2", 3), ("2", 14), ("2", 29), ("2", 44),
+    ("0.5", 11), ("0.5", 29), ("0.5", 39), ("0.5", 42), ("0.5", 49), ("0.5", 51),
+    ("0.5", 37), ("0.5", 41),
+])
+def test_fit_rabi_survives_float_trouble_at_low_snr(tmp_path, monkeypatch, capsys, snr, seed):
+    # each fit steps through trial points whose coupling squares past the
+    # float range or whose covariance overflows, under main's raising
+    # errstate; those steps are rejected inside the fit, which writes fit.json
+    monkeypatch.chdir(tmp_path)
+    _low_snr_chain(snr, seed)
+    assert main(["compensate", "--far", "far.csv", "--target", "t.csv",
+                 "--out", "comp.csv"]) == 0
+    assert main(_FIT_RABI_FAR) == 0, capsys.readouterr().err
+    assert set(json.loads((tmp_path / "fit.json").read_text())["params"]) == {
+        "g", "gamma_2", "omega_e"}
+
+
+def test_fit_rabi_flags_an_overflowing_covariance(tmp_path, monkeypatch, capsys):
+    # uncompensated, seed 41 at SNR 0.5 fits omega_e near 1e162 rad/s, whose
+    # slope under the log transform over the Jacobian's tiny column norm
+    # overflows the covariance's scale
+    monkeypatch.chdir(tmp_path)
+    _low_snr_chain("0.5", 41)
+    assert main(["fit", "rabi", "--trace", "t.csv", "--far", "far.csv",
+                 "--out", "fit.json"]) == 0, capsys.readouterr().err
+    fit = json.loads((tmp_path / "fit.json").read_text())
+    assert fit["flags"]["singular_covariance"] is True
+    assert fit["covariance"] is None
+    assert all(p["sigma"] is None for p in fit["params"].values())
+
+
 def test_compensate_reads_each_csv_once(tmp_path, monkeypatch):
     # the far digest is taken from the text that was parsed, not from a re-read
     monkeypatch.chdir(tmp_path)

@@ -124,6 +124,28 @@ def test_degenerate_parameters_flag_singular_covariance():
     assert fit.covariance is None
 
 
+def test_overflowing_covariance_flags_singular_covariance():
+    # a = 1e200 under the log transform: the fit is well posed, but a's
+    # variance, about a^2 times the residual variance, lies past the float
+    # range, so no covariance can be written
+    x = np.linspace(0.1, 1.0, 30)
+    y = 1e200 * 1e-200 * x + 1e-3 * np.random.default_rng(5).standard_normal(x.size)
+
+    def model(x, a):
+        return a * 1e-200 * x
+
+    def jac(x, a):
+        return {"a": 1e-200 * x}
+
+    with np.errstate(over="raise", divide="raise", invalid="raise"):  # as cli.main runs
+        fit = least_squares(model, x, y, init={"a": 2e200}, bounds={"a": (0.0, math.inf)},
+                            jac=jac)
+    assert fit.converged
+    assert fit.params["a"] == pytest.approx(1e200, rel=1e-2)
+    assert fit.flags == {"singular_covariance": True}
+    assert fit.covariance is None and math.isnan(fit.sigmas["a"])
+
+
 def test_nonfinite_initial_point_raises():
     x = np.linspace(0.0, 1.0, 20)
 
@@ -224,9 +246,11 @@ def test_sigma_matches_analytic_linear_case():
     assert fit.sigmas["a"] == pytest.approx(expected, rel=0.3)
 
 
-def test_step_out_of_model_domain_is_rejected():
+@pytest.mark.parametrize("error", [DomainError, OverflowError, FloatingPointError])
+def test_step_out_of_model_domain_is_rejected(error):
     # from p = 10 the full Gauss-Newton step for log(p) x lands near p = -13,
-    # where the model raises; the fit must reject that step and still converge
+    # where the model raises; the fit must reject that step and still converge,
+    # whether the model raised a DomainError or a float error
     x = np.linspace(0.1, 1.0, 30)
     y = math.log(1.01) * x
     rejected = []
@@ -234,7 +258,7 @@ def test_step_out_of_model_domain_is_rejected():
     def model(x, p):
         if p <= 0:
             rejected.append(p)
-            raise DomainError("log of a non-positive value")
+            raise error("log of a non-positive value")
         return math.log(p) * x
 
     def jac(x, p):
@@ -333,13 +357,14 @@ def test_bare_jacobian_matches_central_differences(params, probe_half_ghz):
     exact = bare_jacobian(x, **params)
     rounding = 10.0 * np.finfo(float).eps * np.max(np.abs(bare_model(x, **params)))
     for name, value in params.items():
-        tr = fitters._Transform(*_BARE_BOUNDS.get(name, (-math.inf, math.inf)))
-        v = tr.to_internal(value)
+        to_value, slope, start = fitters._transform(*_BARE_BOUNDS.get(name, (-math.inf,
+                                                                              math.inf)))
+        v = start(value)
         h = 1e-4 * params["kappa_tot"] if name == "omega_r" else 1e-4
-        up = bare_model(x, **{**params, name: tr.to_external(v + h)})
-        down = bare_model(x, **{**params, name: tr.to_external(v - h)})
+        up = bare_model(x, **{**params, name: to_value(v + h)})
+        down = bare_model(x, **{**params, name: to_value(v - h)})
         numeric = (up - down) / (2.0 * h)
-        column = np.broadcast_to(exact[name] * tr.dext_dint(v), x.shape)
+        column = np.broadcast_to(exact[name] * slope(v), x.shape)
         scale = np.max(np.abs(column))
         assert scale > 0
         assert np.max(np.abs(column - numeric)) <= 1e-6 * scale + rounding / h, name
@@ -451,14 +476,14 @@ def test_rabi_jacobian_matches_central_differences(res_7162, probe_half_ghz, g_m
     exact = rabi_jacobian(res_7162, x, **params)
     rounding = 10.0 * np.finfo(float).eps * np.max(np.abs(_rabi_model(res_7162, x, **params)))
     feature = min(params["gamma_2"], res_7162.kappa_tot)
-    tr = fitters._Transform(0.0, math.inf)
+    to_value, slope, start = fitters._transform(0.0, math.inf)
     for name, value in params.items():
-        v = tr.to_internal(value)
+        v = start(value)
         h = 1e-4 * min(1.0, feature / value)
-        up = _rabi_model(res_7162, x, **{**params, name: tr.to_external(v + h)})
-        down = _rabi_model(res_7162, x, **{**params, name: tr.to_external(v - h)})
+        up = _rabi_model(res_7162, x, **{**params, name: to_value(v + h)})
+        down = _rabi_model(res_7162, x, **{**params, name: to_value(v - h)})
         numeric = (up - down) / (2.0 * h)
-        column = exact[name] * tr.dext_dint(v)
+        column = exact[name] * slope(v)
         scale = np.max(np.abs(column))
         assert scale > 0
         assert np.max(np.abs(column - numeric)) <= 1e-6 * scale + rounding / h, name
@@ -466,7 +491,8 @@ def test_rabi_jacobian_matches_central_differences(res_7162, probe_half_ghz, g_m
 
 def test_rabi_jacobian_raises_no_float_error_the_model_does_not(res_7162, probe_half_ghz):
     # a probe point on omega_e with a vanishing gamma_2 and g, and an omega_e
-    # at the log transform's ceiling: the model stays finite, so must the columns
+    # of e^700, near the float range's end: the model stays finite, so must
+    # the columns
     x = probe_half_ghz
     for params in (dict(g=1e-150, gamma_2=1e-300, omega_e=float(x[200])),
                    dict(g=1e-150, gamma_2=1e-300, omega_e=float(x[7])),
